@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -324,6 +325,65 @@ func TestConeSplitRuns(t *testing.T) {
 	}
 }
 
+// TestWideConeSplit: -wide -cone-split reaches the cone-split partitioner
+// (the flag used to be dropped on the wide path) and, like every
+// partition, leaves the waveform alone.
+func TestWideConeSplit(t *testing.T) {
+	dir := t.TempDir()
+	mpath := filepath.Join(dir, "metrics.json")
+	plain, cones := filepath.Join(dir, "plain.vcd"), filepath.Join(dir, "cones.vcd")
+	base := []string{"-circuit", "seq400", "-engine", "cmb", "-lps", "2", "-wide", "-vectors", "8", "-q"}
+	if _, stderr, code := run(t, append(base, "-vcd", plain)...); code != 0 {
+		t.Fatalf("-wide run failed (%d):\n%s", code, stderr)
+	}
+	if _, stderr, code := run(t, append(base, "-cone-split", "-metrics-out", mpath, "-vcd", cones)...); code != 0 {
+		t.Fatalf("-wide -cone-split run failed (%d):\n%s", code, stderr)
+	}
+	var m struct {
+		Labels map[string]string
+		Gauges map[string]float64
+	}
+	if err := json.Unmarshal([]byte(readFile(t, mpath)), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Labels["partition"] != "cone-split" {
+		t.Errorf("partition label %q, want cone-split", m.Labels["partition"])
+	}
+	if _, ok := m.Gauges["cone_count"]; !ok {
+		t.Error("metrics JSON missing the cone_count gauge")
+	}
+	if readFile(t, cones) != readFile(t, plain) {
+		t.Error("-cone-split changed the lane-0 waveform")
+	}
+}
+
+// TestWideSupervisedPanicRetrySucceeds: the supervision layer and the
+// chaos hooks attach at the generic engine body, so a wide run absorbs a
+// one-shot LP panic by retrying and still produces the unfaulted waveform.
+func TestWideSupervisedPanicRetrySucceeds(t *testing.T) {
+	dir := t.TempDir()
+	mpath := filepath.Join(dir, "metrics.json")
+	clean, faulted := filepath.Join(dir, "clean.vcd"), filepath.Join(dir, "faulted.vcd")
+	base := []string{"-circuit", "ripple8", "-engine", "cmb", "-lps", "2", "-wide", "-q"}
+	if _, stderr, code := run(t, append(base, "-vcd", clean)...); code != 0 {
+		t.Fatalf("unfaulted run failed (%d):\n%s", code, stderr)
+	}
+	if _, stderr, code := run(t, append(base, "-supervise", "-retries", "1", "-fault-panic-lp", "1",
+		"-metrics-out", mpath, "-vcd", faulted)...); code != 0 {
+		t.Fatalf("supervised wide run failed (%d):\n%s", code, stderr)
+	}
+	var m struct{ Gauges map[string]float64 }
+	if err := json.Unmarshal([]byte(readFile(t, mpath)), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Gauges["supervise_recoveries"] < 1 {
+		t.Errorf("supervise_recoveries = %v, want >= 1", m.Gauges["supervise_recoveries"])
+	}
+	if readFile(t, faulted) != readFile(t, clean) {
+		t.Error("recovered wide run's lane-0 waveform differs from the unfaulted run")
+	}
+}
+
 // TestOptPreservesOutputsVCD: optimized and unoptimized runs of the same
 // sequential fixture must agree on every primary-output waveform. The VCD
 // is filtered to output nets because internal nodes legitimately disappear.
@@ -352,13 +412,31 @@ func TestOptPreservesOutputsVCD(t *testing.T) {
 // classified.
 func TestAdaptFlagMatrix(t *testing.T) {
 	t.Run("rejects-wide", func(t *testing.T) {
-		_, stderr, code := run(t,
-			"-circuit", "ripple8", "-engine", "cmb", "-adapt", "-wide", "-system", "2", "-q")
-		if code == 0 {
-			t.Fatal("-adapt -wide accepted")
+		// The -wide exclusions that remain all need a wide checkpoint or
+		// wire format; each must exit 1 and name the conflict.
+		dir := t.TempDir()
+		if _, stderr, code := run(t, "-circuit", "ripple8", "-engine", "seq",
+			"-checkpoint-every", "400", "-checkpoint-dir", dir, "-q"); code != 0 {
+			t.Fatalf("checkpointed run failed:\n%s", stderr)
 		}
-		if !strings.Contains(stderr, "-wide") {
-			t.Errorf("stderr does not explain the -wide conflict:\n%s", stderr)
+		snaps, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.json"))
+		if len(snaps) == 0 {
+			t.Fatal("no checkpoint to restore from")
+		}
+		for _, extra := range [][]string{
+			{"-adapt"},
+			{"-restore", snaps[0]},
+			{"-checkpoint-every", "400", "-checkpoint-dir", dir},
+			{"-dist", "2"},
+		} {
+			_, stderr, code := run(t, append([]string{
+				"-circuit", "ripple8", "-engine", "cmb", "-wide", "-system", "2", "-q"}, extra...)...)
+			if code != 1 {
+				t.Errorf("%s -wide: exit code %d, want 1", extra[0], code)
+			}
+			if !strings.Contains(stderr, "-wide") {
+				t.Errorf("%s: stderr does not explain the -wide conflict:\n%s", extra[0], stderr)
+			}
 		}
 	})
 	t.Run("rejects-serial-engine", func(t *testing.T) {

@@ -315,13 +315,7 @@ func main() {
 		}
 	}
 
-	if rep.Supervision != nil && !*quiet {
-		fmt.Printf("supervision: final-engine=%s recoveries=%d fallbacks=%d\n",
-			rep.Supervision.FinalEngine, rep.Supervision.Recoveries, rep.Supervision.Fallbacks)
-		for _, a := range rep.Supervision.Attempts {
-			fmt.Printf("supervision: recovered attempt: %s\n", a)
-		}
-	}
+	printSupervision(rep.Supervision, *quiet)
 
 	model := stats.DefaultCostModel()
 	fmt.Printf("engine=%s lps=%d modeled=%.2fms wall=%v\n",
@@ -378,23 +372,19 @@ func main() {
 }
 
 // runWide executes the -wide path: -lanes independent stimulus batches are
-// packed into 64-lane words and evaluated by the wide variant of the
-// selected engine, 64 vectors per gate operation. Supervision,
-// checkpointing, restore, fault injection, and the nine-valued system have
-// no wide counterpart and are rejected up front.
+// packed into 64-lane words and evaluated by the wide instantiation of the
+// selected engine, 64 vectors per gate operation. The nine-valued system
+// does not fit a lane, and the checkpoint format stores scalar values, so
+// those flags are rejected up front (core.SimulateWide is the authority).
 func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circuit.Tick,
 	seed int64, opts core.Options, vcdPath, metricsOut, traceOut string, quiet bool, ostats *opt.Stats) {
 	switch {
 	case opts.System == logic.NineValued:
 		fatal(fmt.Errorf("-wide needs -system 2 or 4: nine-valued signals do not pack into two-bit lanes"))
-	case opts.Supervise != nil:
-		fatal(fmt.Errorf("-wide does not support -supervise/-watchdog"))
 	case opts.Restore != nil:
-		fatal(fmt.Errorf("-wide does not support -restore"))
-	case opts.Chaos != nil:
-		fatal(fmt.Errorf("-wide does not support fault injection"))
+		fatal(fmt.Errorf("-wide does not support -restore: the checkpoint format stores scalar values"))
 	case opts.CheckpointEvery > 0:
-		fatal(fmt.Errorf("-wide does not support -checkpoint-every"))
+		fatal(fmt.Errorf("-wide does not support -checkpoint-every: the checkpoint format stores scalar values"))
 	}
 
 	ws, err := makeWideStimulus(c, lanes, vecs, activity, period, seed, opts.System)
@@ -410,6 +400,7 @@ func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circu
 	fatal(err)
 	wall := time.Since(start)
 	addOptGauges(rep.Metrics, ostats)
+	printSupervision(rep.Supervision, quiet)
 
 	fmt.Printf("engine=%s-wide lps=%d lanes=%d vectors=%d vectors/s=%.0f wall=%v\n",
 		opts.Engine, rep.Processors, rep.Lanes, rep.Vectors, rep.VectorsPerSec,
@@ -462,19 +453,27 @@ func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circu
 	}
 }
 
+// printSupervision reports what the supervision layer did, if it ran.
+func printSupervision(s *core.SupervisionReport, quiet bool) {
+	if s == nil || quiet {
+		return
+	}
+	fmt.Printf("supervision: final-engine=%s recoveries=%d fallbacks=%d\n", s.FinalEngine, s.Recoveries, s.Fallbacks)
+	for _, a := range s.Attempts {
+		fmt.Printf("supervision: recovered attempt: %s\n", a)
+	}
+}
+
 // addOptGauges publishes the optimizer's headline numbers into the run's
 // metrics report (cone_count is set by core when -cone-split is active).
 func addOptGauges(rep *metrics.Report, st *opt.Stats) {
 	if rep == nil || st == nil {
 		return
 	}
-	if rep.Gauges == nil {
-		rep.Gauges = make(map[string]float64, 4)
-	}
-	rep.Gauges["gates_removed"] = float64(st.GatesRemoved)
-	rep.Gauges["gates_hashed"] = float64(st.GatesHashed)
-	rep.Gauges["levels_before"] = float64(st.LevelsBefore)
-	rep.Gauges["levels_after"] = float64(st.LevelsAfter)
+	rep.SetGauge("gates_removed", float64(st.GatesRemoved))
+	rep.SetGauge("gates_hashed", float64(st.GatesHashed))
+	rep.SetGauge("levels_before", float64(st.LevelsBefore))
+	rep.SetGauge("levels_after", float64(st.LevelsAfter))
 }
 
 // makeWideStimulus is makeStimulus on the wide plane: lanes independent

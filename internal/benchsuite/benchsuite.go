@@ -294,7 +294,7 @@ func wideKernelFixture(b *testing.B) (*kernel.WideLP, [2][]kernel.WideEvent) {
 	for g := range own {
 		own[g] = circuit.GateID(g)
 	}
-	lp := kernel.NewWide(c, owner, 0, logic.TwoValued, nil, own)
+	lp := kernel.NewOn(circuit.Wide, c, owner, 0, logic.TwoValued, nil, own)
 	lp.Schedule = func(circuit.Tick, circuit.GateID, logic.Word) {}
 	lp.Send = func(int, circuit.Tick, circuit.GateID, logic.Word) {}
 	var a logic.Word

@@ -161,9 +161,9 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		var rep *Report
 		var err error
 		if o.Supervise != nil {
-			rep, err = simulateSupervised(c, stim, segEnd, o)
+			rep, err = simulateSupervised(&scalarEngines, c, stim, segEnd, o)
 		} else {
-			rep, err = simulateOnce(c, stim, segEnd, o, 0)
+			rep, err = simulateOnce(&scalarEngines, c, stim, segEnd, o, 0)
 		}
 		if err != nil {
 			return nil, err

@@ -217,17 +217,15 @@ func TestAdaptiveComposesWithSupervision(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejections: serial engines, wide runs, and un-restorable
-// switch targets are configuration errors, not silent fallbacks.
+// TestAdaptiveRejections: serial engines and un-restorable switch targets
+// are configuration errors, not silent fallbacks (TestWideExclusions pins
+// the wide rejection).
 func TestAdaptiveRejections(t *testing.T) {
 	c, stim, until := workload(t)
 	opts := adaptOpts(EngineSeq)
 	opts.Adapt = &adapt.Spec{}
 	if _, err := Simulate(c, stim, until, opts); err == nil {
 		t.Fatal("adaptive seq run accepted")
-	}
-	if _, err := SimulateWide(c, nil, until, Options{Engine: EngineCMB, Adapt: &adapt.Spec{}}); err == nil {
-		t.Fatal("adaptive wide run accepted")
 	}
 	opts = adaptOpts(EngineCMB)
 	opts.Adapt = &adapt.Spec{

@@ -106,7 +106,8 @@ type Options struct {
 	PartitionSeed int64
 	// Weights are pre-simulation load estimates for the partitioner.
 	Weights partition.Weights
-	// System is the logic value system (default 9-valued).
+	// System is the logic value system (default 9-valued; 4-valued on a
+	// wide run, whose lanes cannot hold the nine-valued levels).
 	System logic.System
 	// Queue selects the pending-event set implementation.
 	Queue eventq.Impl
@@ -236,11 +237,11 @@ const (
 	KindShardLoss  = supervise.KindShardLoss
 )
 
-// Report is the engine-independent outcome of a run.
-type Report struct {
+// ReportT is the engine-independent outcome of a run over value type V.
+type ReportT[V comparable] struct {
 	Engine   Engine
-	Values   []logic.Value
-	Waveform trace.Waveform
+	Values   []V
+	Waveform trace.WaveformT[V]
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 	// Modeled is the run's modeled execution time in model nanoseconds on
@@ -261,9 +262,32 @@ type Report struct {
 	Adapt *AdaptReport
 }
 
+// Report is the outcome of a scalar run.
+type Report = ReportT[logic.Value]
+
+// WideReport is the outcome of a wide (64-lane) run.
+type WideReport struct {
+	Engine   Engine
+	Values   []logic.Word
+	Waveform trace.WideWaveform
+	EndTime  circuit.Tick
+	// Lanes is the meaningful lane count, copied from the stimulus.
+	Lanes int
+	// Vectors is the total number of stimulus vectors the run consumed:
+	// lanes times distinct stimulus boundaries.
+	Vectors uint64
+	// VectorsPerSec is Vectors divided by the run's wall-clock time — the
+	// headline wide-throughput figure.
+	VectorsPerSec float64
+	Stats         stats.RunStats
+	Processors    int
+	Metrics       *metrics.Report
+	Supervision   *SupervisionReport
+}
+
 // SpeedupOver computes this run's modeled speedup over a sequential
 // baseline report.
-func (r *Report) SpeedupOver(baseline *Report, m stats.CostModel) float64 {
+func (r *ReportT[V]) SpeedupOver(baseline *ReportT[V], m stats.CostModel) float64 {
 	if m == (stats.CostModel{}) {
 		m = stats.DefaultCostModel()
 	}
@@ -274,14 +298,57 @@ func (r *Report) SpeedupOver(baseline *Report, m stats.CostModel) float64 {
 	return stats.Speedup(seqTime, r.Modeled)
 }
 
+// engines is one value plane as core sees it: the plane descriptor, the
+// suffix its engine labels carry, and every engine's entry point on it,
+// over the plane's stimulus type S. simulateOnce dispatches through it, so
+// the engine switch is written once for both planes.
+type engines[S any, V comparable] struct {
+	plane     *circuit.Plane[V]
+	suffix    string
+	seq       func(*circuit.Circuit, S, circuit.Tick, seq.Config) (*seq.ResultT[V], error)
+	oblivious func(*circuit.Circuit, S, oblivious.Config) (*oblivious.ResultT[V], error)
+	sync      func(*circuit.Circuit, S, circuit.Tick, sync.Config) (*sync.ResultT[V], error)
+	cmb       func(*circuit.Circuit, S, circuit.Tick, cmb.Config) (*cmb.ResultT[V], error)
+	timewarp  func(*circuit.Circuit, S, circuit.Tick, timewarp.Config) (*timewarp.ResultT[V], error)
+	hybrid    func(*circuit.Circuit, S, circuit.Tick, hybrid.Config) (*hybrid.ResultT[V], error)
+}
+
+var scalarEngines = engines[*vectors.Stimulus, logic.Value]{
+	circuit.Scalar, "", seq.Run, oblivious.Run, sync.Run, cmb.Run, timewarp.Run, hybrid.Run,
+}
+
+var wideEngines = engines[*vectors.WideStimulus, logic.Word]{
+	circuit.Wide, "-wide", seq.RunWide, oblivious.RunWide, sync.RunWide, cmb.RunWide, timewarp.RunWide, hybrid.RunWide,
+}
+
+// resolve fills in the option defaults shared by both planes; only the
+// default logic system, and which systems are legal, depend on the plane.
+func (eng *engines[S, V]) resolve(opts Options) (Options, error) {
+	var err error
+	if opts.System, err = eng.plane.System(opts.System); err != nil {
+		return opts, err
+	}
+	if opts.LPs <= 0 {
+		opts.LPs = 4
+	}
+	if opts.Cost == (stats.CostModel{}) {
+		opts.Cost = stats.DefaultCostModel()
+	}
+	if opts.IntraWorkers <= 0 {
+		opts.IntraWorkers = 2
+	}
+	return opts, nil
+}
+
 // simulateOnce runs the selected engine exactly once. hangTimeout arms the
 // asynchronous engines' progress watchdog; zero leaves it off. A panic on
 // the calling goroutine (the serial engines run there) is recovered into a
 // structured SimError, completing panic isolation for every engine.
-func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *Report, err error) {
+func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *ReportT[V], err error) {
+	label := opts.Engine.String() + eng.suffix
 	defer func() {
 		if r := recover(); r != nil {
-			rep, err = nil, supervise.FromPanic(opts.Engine.String(), -1, "run", 0, r)
+			rep, err = nil, supervise.FromPanic(label, -1, "run", 0, r)
 		}
 	}()
 	if opts.Restore != nil && opts.Engine == EngineOblivious {
@@ -289,7 +356,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	}
 	sink := opts.Metrics
 	if sink == nil {
-		reg := metrics.NewRegistry(opts.Engine.String())
+		reg := metrics.NewRegistry(label)
 		if opts.PProfLabels {
 			reg.EnablePProf()
 		}
@@ -302,10 +369,10 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	}
 	sweep := opts.ConeSplit
 
-	rep = &Report{Engine: opts.Engine, Processors: opts.LPs}
+	rep = &ReportT[V]{Engine: opts.Engine, Processors: opts.LPs}
 	switch opts.Engine {
 	case EngineSeq:
-		res, err := seq.Run(c, stim, until, seq.Config{
+		res, err := eng.seq(c, stim, until, seq.Config{
 			System: opts.System, Queue: opts.Queue, Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
 		})
@@ -319,7 +386,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Modeled = stats.SequentialTime(opts.Cost,
 			res.Counters.Evaluations, res.Counters.EventsApplied, res.Counters.EventsScheduled)
 	case EngineOblivious:
-		res, err := oblivious.Run(c, stim, oblivious.Config{
+		res, err := eng.oblivious(c, stim, oblivious.Config{
 			System: opts.System, Workers: opts.LPs, Watch: opts.Watch, Cost: opts.Cost,
 			Metrics: sink, Tracer: opts.Tracer,
 		})
@@ -330,7 +397,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineSync:
-		res, err := sync.Run(c, stim, until, sync.Config{
+		res, err := eng.sync(c, stim, until, sync.Config{
 			Partition: part, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, Cost: opts.Cost, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
@@ -349,7 +416,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		case EngineCMBDetect:
 			mode = cmb.DeadlockRecovery
 		}
-		res, err := cmb.Run(c, stim, until, cmb.Config{
+		res, err := eng.cmb(c, stim, until, cmb.Config{
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
@@ -366,7 +433,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		if opts.Engine == EngineTimeWarpLazy {
 			cancel = timewarp.Lazy
 		}
-		res, err := timewarp.Run(c, stim, until, timewarp.Config{
+		res, err := eng.timewarp(c, stim, until, timewarp.Config{
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
 			Window: opts.Window, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
@@ -381,7 +448,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineHybrid:
-		res, err := hybrid.Run(c, stim, until, hybrid.Config{
+		res, err := eng.hybrid(c, stim, until, hybrid.Config{
 			Partition: part, IntraWorkers: opts.IntraWorkers,
 			Cancellation: opts.Cancellation, StateSaving: opts.StateSaving,
 			Window: opts.Window, System: opts.System, Cost: opts.Cost,
@@ -401,7 +468,7 @@ func simulateOnce(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 		return nil, fmt.Errorf("core: unknown engine %v", opts.Engine)
 	}
 	if reg, ok := sink.(*metrics.Registry); ok {
-		reg.SetLabel("engine", opts.Engine.String())
+		reg.SetLabel("engine", label)
 		reg.SetLabel("lps", fmt.Sprint(rep.Processors))
 		if opts.Engine.Parallel() {
 			if opts.ConeSplit {
@@ -468,5 +535,10 @@ func PreSimulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick,
 // Horizon re-exports the settling-margin heuristic for callers that only
 // import core.
 func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
-	return seq.Horizon(c, stim)
+	return seq.HorizonFrom(c, stim.End)
+}
+
+// WideHorizon is Horizon for a wide stimulus.
+func WideHorizon(c *circuit.Circuit, stim *vectors.WideStimulus) circuit.Tick {
+	return seq.HorizonFrom(c, stim.End)
 }

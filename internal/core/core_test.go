@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
+	"repro/internal/sim/adapt"
+	"repro/internal/sim/ckpt"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -128,5 +132,57 @@ func TestBadPartitionMethodPropagates(t *testing.T) {
 		Engine: EngineSync, Partition: partition.Method(99),
 	}); err == nil {
 		t.Fatal("invalid partition method accepted")
+	}
+}
+
+// TestInvalidStimulusRejectedByEveryEngine: a change on a non-input gate,
+// or on a gate id beyond the circuit, would index the value planes
+// unchecked if it reached an engine body. Both planes validate in their
+// entry path, so every engine returns an error instead of panicking.
+func TestInvalidStimulusRejectedByEveryEngine(t *testing.T) {
+	c, err := gen.RippleAdder(4, gen.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Gates))} {
+		bad := &vectors.Stimulus{End: 10, Changes: []vectors.Change{{Time: 0, Input: g, Value: logic.One}}}
+		wbad := &vectors.WideStimulus{End: 10, Lanes: 1,
+			Changes: []vectors.WideChange{{Time: 0, Input: g, Value: logic.Splat(logic.One)}}}
+		for _, e := range Engines() {
+			opts := Options{Engine: e, LPs: 2, System: logic.TwoValued}
+			if _, err := Simulate(c, bad, 10, opts); err == nil {
+				t.Errorf("%v: scalar stimulus driving gate %d accepted", e, g)
+			} else if errors.As(err, new(*SimError)) {
+				t.Errorf("%v: scalar stimulus driving gate %d reached the engine: %v", e, g, err)
+			}
+			if _, err := SimulateWide(c, wbad, 10, opts); err == nil {
+				t.Errorf("%v: wide stimulus driving gate %d accepted", e, g)
+			} else if errors.As(err, new(*SimError)) {
+				t.Errorf("%v: wide stimulus driving gate %d reached the engine: %v", e, g, err)
+			}
+		}
+	}
+}
+
+// TestWideExclusions pins the wide exclusions that remain, all of which
+// need a wide checkpoint format: core is the one site that rejects them.
+func TestWideExclusions(t *testing.T) {
+	c, err := gen.RippleAdder(4, gen.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 3, Period: 20, Activity: 0.5, Seed: 1}, 8, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"restore":    {Restore: &ckpt.State{}},
+		"checkpoint": {CheckpointEvery: 10, CheckpointDir: t.TempDir()},
+		"adapt":      {Adapt: &adapt.Spec{}},
+	} {
+		opts.Engine = EngineCMB
+		if _, err := SimulateWide(c, ws, WideHorizon(c, ws), opts); err == nil {
+			t.Errorf("wide run with %s accepted", name)
+		}
 	}
 }

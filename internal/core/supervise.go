@@ -8,10 +8,9 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/logic"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
-	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vectors"
 )
 
@@ -26,17 +25,9 @@ import (
 // identical. With Options.CheckpointEvery/CheckpointDir set, consistent
 // snapshots are written during the run; Options.Restore resumes from one.
 func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
-	if opts.LPs <= 0 {
-		opts.LPs = 4
-	}
-	if opts.System == 0 {
-		opts.System = logic.NineValued
-	}
-	if opts.Cost == (stats.CostModel{}) {
-		opts.Cost = stats.DefaultCostModel()
-	}
-	if opts.IntraWorkers <= 0 {
-		opts.IntraWorkers = 2
+	opts, err := scalarEngines.resolve(opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.CheckpointEvery > 0 && opts.CheckpointDir != "" {
 		if err := writeCheckpoints(c, stim, until, opts); err != nil {
@@ -48,13 +39,7 @@ func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, op
 		// and (when configured) per-segment supervision.
 		return simulateAdaptive(c, stim, until, opts)
 	}
-	var rep *Report
-	var err error
-	if opts.Supervise == nil {
-		rep, err = simulateOnce(c, stim, until, opts, 0)
-	} else {
-		rep, err = simulateSupervised(c, stim, until, opts)
-	}
+	rep, err := simulate(&scalarEngines, c, stim, until, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -68,6 +53,71 @@ func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, op
 		}
 	}
 	return rep, nil
+}
+
+// SimulateWide runs the selected engine on all 64 lanes of the wide
+// stimulus at once — 64 vectors per gate operation. Every engine is
+// supported, through the same dispatch, partitioner, supervision layer and
+// chaos hooks as Simulate; per lane, the committed waveform is
+// bit-identical to a scalar run of that lane's stimulus on the same
+// engine. The logic system must be two- or four-valued (default
+// four-valued).
+//
+// This is the one place the wide exclusions are checked: the checkpoint
+// format stores scalar values, and restore, checkpoint writing and the
+// adaptive supervisor's engine switches all go through it.
+func SimulateWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, opts Options) (*WideReport, error) {
+	switch {
+	case opts.Restore != nil:
+		return nil, fmt.Errorf("core: wide runs do not support checkpoint restore (the checkpoint format stores scalar values)")
+	case opts.CheckpointEvery > 0:
+		return nil, fmt.Errorf("core: wide runs do not support checkpointing (the checkpoint format stores scalar values)")
+	case opts.Adapt != nil:
+		return nil, fmt.Errorf("core: wide runs do not support adaptive control (the controllers migrate runs through scalar checkpoints)")
+	}
+	opts, err := wideEngines.resolve(opts)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	rep, err := simulate(&wideEngines, c, stim, until, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The schedule is validated, hence ordered: a boundary is a new time.
+	var boundaries uint64
+	for i, ch := range stim.Changes {
+		if ch.Time <= until && (i == 0 || ch.Time != stim.Changes[i-1].Time) {
+			boundaries++
+		}
+	}
+	w := &WideReport{
+		Engine: rep.Engine, Values: rep.Values, Waveform: trace.WideWaveform(rep.Waveform),
+		EndTime: rep.EndTime, Lanes: stim.Lanes, Vectors: uint64(stim.Lanes) * boundaries,
+		Stats: rep.Stats, Processors: rep.Processors, Metrics: rep.Metrics, Supervision: rep.Supervision,
+	}
+	if secs := time.Since(start).Seconds(); secs > 0 {
+		w.VectorsPerSec = float64(w.Vectors) / secs
+	}
+	if opts.Metrics != nil {
+		opts.Metrics.SetGauge("lanes", float64(w.Lanes))
+		opts.Metrics.SetGauge("vectors_per_sec", w.VectorsPerSec)
+	}
+	if m := w.Metrics; m != nil {
+		m.Labels["lanes"] = fmt.Sprint(w.Lanes)
+		m.SetGauge("lanes", float64(w.Lanes))
+		m.SetGauge("vectors_per_sec", w.VectorsPerSec)
+	}
+	return w, nil
+}
+
+// simulate runs the engine once, or under the supervision layer when
+// opts.Supervise is set.
+func simulate[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options) (*ReportT[V], error) {
+	if opts.Supervise != nil {
+		return simulateSupervised(eng, c, stim, until, opts)
+	}
+	return simulateOnce(eng, c, stim, until, opts, 0)
 }
 
 // recoverable reports whether the supervision layer may retry or degrade
@@ -84,7 +134,7 @@ func recoverable(err error) bool {
 }
 
 // simulateSupervised drives the retry/backoff/fallback chain.
-func simulateSupervised(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
+func simulateSupervised[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options) (*ReportT[V], error) {
 	sup := *opts.Supervise
 	chain := []Engine{opts.Engine}
 	if sup.Fallback {
@@ -98,7 +148,7 @@ func simulateSupervised(c *circuit.Circuit, stim *vectors.Stimulus, until circui
 	srep := &SupervisionReport{}
 	backoff := sup.Backoff
 	var lastErr error
-	for ci, eng := range chain {
+	for ci, engine := range chain {
 		tries := 1
 		if ci == 0 {
 			tries += sup.Retries
@@ -115,22 +165,19 @@ func simulateSupervised(c *circuit.Circuit, stim *vectors.Stimulus, until circui
 				}
 			}
 			o := opts
-			o.Engine = eng
-			rep, err := simulateOnce(c, stim, until, o, sup.Watchdog)
+			o.Engine = engine
+			rep, err := simulateOnce(eng, c, stim, until, o, sup.Watchdog)
 			if err == nil {
-				srep.FinalEngine = eng
+				srep.FinalEngine = engine
 				rep.Supervision = srep
 				if rep.Metrics != nil {
-					if rep.Metrics.Gauges == nil {
-						rep.Metrics.Gauges = map[string]float64{}
-					}
-					rep.Metrics.Gauges["supervise_recoveries"] = float64(srep.Recoveries)
-					rep.Metrics.Gauges["supervise_fallbacks"] = float64(srep.Fallbacks)
+					rep.Metrics.SetGauge("supervise_recoveries", float64(srep.Recoveries))
+					rep.Metrics.SetGauge("supervise_fallbacks", float64(srep.Fallbacks))
 				}
 				return rep, nil
 			}
 			lastErr = err
-			srep.Attempts = append(srep.Attempts, fmt.Sprintf("%s: %v", eng, err))
+			srep.Attempts = append(srep.Attempts, fmt.Sprintf("%s: %v", engine, err))
 			if !recoverable(err) {
 				return nil, err
 			}

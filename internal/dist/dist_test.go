@@ -79,7 +79,7 @@ func checkMatchesGolden(t *testing.T, res *Result, ref *seq.Result) {
 	if !reflect.DeepEqual(res.Values, ref.Values) {
 		t.Errorf("final values diverge from the sequential reference")
 	}
-	if !reflect.DeepEqual(res.Waveform, ref.Waveform) {
+	if !trace.Equal(res.Waveform, ref.Waveform) {
 		t.Errorf("waveform diverges: %d samples vs %d reference",
 			len(res.Waveform), len(ref.Waveform))
 	}

@@ -556,6 +556,16 @@ func (r *Registry) Report() *Report {
 // access path for in-process consumers like cmd/experiments.
 func (r *Report) Total(c Counter) uint64 { return r.Totals[c.String()] }
 
+// SetGauge adds a gauge to a built report: for values only known after the
+// registry snapshot, such as what the supervision layer did across
+// attempts or a whole run's throughput.
+func (r *Report) SetGauge(name string, v float64) {
+	if r.Gauges == nil {
+		r.Gauges = map[string]float64{}
+	}
+	r.Gauges[name] = v
+}
+
 // Counters rebuilds the report's totals as a typed counter block, so
 // in-process consumers work from the same stable document external
 // tooling reads.

@@ -14,11 +14,21 @@ import (
 //
 // lp < 0 labels a non-LP role (coordinator, main loop) with the phase
 // only.
+//
+// The labeling path lives in its own function so that Do's frame stays a
+// few words: Do sits at the bottom of every LP goroutine's stack, and the
+// fork-join engines start a goroutine per phase on a fresh 2 KiB stack —
+// a fat frame here pushes their evaluation chain over the first stack
+// growth, which then costs a stack copy per goroutine.
 func Do(m Sink, engine string, lp int, phase string, f func()) {
 	if m == nil || !m.PProfEnabled() {
 		f()
 		return
 	}
+	doLabeled(engine, lp, phase, f)
+}
+
+func doLabeled(engine string, lp int, phase string, f func()) {
 	var labels pprof.LabelSet
 	if lp >= 0 {
 		labels = pprof.Labels("engine", engine, "lp", strconv.Itoa(lp), "phase", phase)

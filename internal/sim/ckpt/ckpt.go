@@ -52,13 +52,38 @@ var ErrStop = errors.New("ckpt: capture complete")
 // skip the bad file and fall back to an older boundary with errors.Is.
 var ErrCorrupt = errors.New("ckpt: corrupt snapshot")
 
-// Event is one pending event in the snapshot: a scheduled output
-// change for a gate at an absolute modeled time strictly greater than
-// the checkpoint boundary.
-type Event struct {
+// EventT is one pending event in a snapshot: a scheduled output change
+// for a gate at an absolute modeled time strictly greater than the
+// checkpoint boundary, over the value type of the run.
+type EventT[V comparable] struct {
 	Time  uint64         `json:"t"`
 	Gate  circuit.GateID `json:"g"`
-	Value logic.Value    `json:"v"`
+	Value V              `json:"v"`
+}
+
+// Event is the scalar pending event, the one the on-disk format stores.
+type Event = EventT[logic.Value]
+
+// Seed is what an engine body restores from or captures into: the three
+// kernel value planes and the pending event set, in the run's value type.
+// The on-disk State holds scalar values only, so the scalar entry points
+// build one from it and the wide entry points pass none.
+type Seed[V comparable] struct {
+	Vals, PrevClk, Projected []V
+	Events                   []EventT[V]
+}
+
+// Seed validates the snapshot against circuit c under logic system sys
+// and returns the part an engine restores. A nil State yields a nil Seed:
+// the run starts from the stimulus.
+func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Seed[logic.Value], error) {
+	if s == nil {
+		return nil, nil
+	}
+	if err := s.Check(c, sys); err != nil {
+		return nil, err
+	}
+	return &Seed[logic.Value]{s.Vals, s.PrevClk, s.Projected, s.Events}, nil
 }
 
 // Sample is one recorded waveform sample (a JSON-stable mirror of

@@ -24,9 +24,9 @@
 //     broadcasts a permit advancing the safe time to the global minimum
 //     next event — the circulating-marker / deadlock recovery family.
 //
-// The protocol core is generic over the value type carried by events and
-// messages: logic.Value for the scalar engine (Run) and logic.Word for the
-// 64-lane wide engine (RunWide). Promises, blocking, and quiescence
+// The engine is one body generic over the value type carried by events
+// and messages, built on a circuit.Plane[V]: logic.Value for Run and
+// logic.Word for the 64-lane RunWide. Promises, blocking, and quiescence
 // detection are value-blind, so both instantiations run the identical
 // synchronization algorithm.
 package cmb
@@ -76,13 +76,13 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// Config parameterizes a conservative run.
+// Config parameterizes a conservative run on either value plane.
 type Config struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
 	// Mode selects the protocol variant.
 	Mode Mode
-	// System is the logic value system.
+	// System is the logic value system; zero selects the plane's default.
 	System logic.System
 	// Queue selects each LP's pending-event set implementation.
 	Queue eventq.Impl
@@ -109,9 +109,11 @@ type Config struct {
 	// seeded, pending events routed to their owners and ghosts, and the
 	// time-0 settling step skipped. Result.Waveform holds only samples
 	// after the boundary (callers prepend the checkpoint's prefix).
+	// Checkpoints hold scalar values: RunWide does not boot (core rejects
+	// restore on a wide run).
 	Boot *ckpt.State
-	// Sweep arms the kernel's oblivious block sweep on the scalar LPs (the
-	// wide LPs always arm it): once a step's dirty set covers half an LP's
+	// Sweep arms the kernel's oblivious block sweep (RunWide always arms
+	// it): once a step's dirty set covers half an LP's
 	// block, the whole block is evaluated in one levelized pass. Intended
 	// for cone-split partitions, whose fat per-cone blocks saturate the
 	// dirty set on nearly every active step.
@@ -121,17 +123,25 @@ type Config struct {
 	// execute locally, remote LPs' mailboxes are replaced by socket
 	// outboxes, and inbound batches are delivered through the seam's
 	// bindings. Null-message modes only (the deadlock-recovery
-	// coordinator needs a global snapshot); scalar runs only.
+	// coordinator needs a global snapshot). The wire format carries
+	// scalar values: RunWide runs every LP locally.
 	Dist *wire.Seam
 }
 
-// Result is the outcome of a conservative run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultT is the outcome of a conservative run over value type V.
+type ResultT[V comparable] struct {
+	Values []V
+	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 }
+
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -180,7 +190,7 @@ type outLink struct {
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
 	cfg     Config
-	engine  string // metrics/supervise label: "cmb" or "cmb-wide"
+	engine  string // metrics/supervise label
 	boot    bool
 	c       *circuit.Circuit
 	until   circuit.Tick
@@ -262,17 +272,64 @@ type clp[V comparable] struct {
 	slot *supervise.LPSlot
 }
 
-// stimEvent is one pre-routed event whose value is already in the
-// engine's value domain: a projected scalar for Run, a packed 64-lane
-// word for RunWide.
-type stimEvent[V comparable] struct {
-	time  circuit.Tick
-	gate  circuit.GateID
-	value V
-}
-
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	var err error
+	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
+		return nil, err
+	}
+	changes, err := stim.Projected(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	return run(circuit.Scalar, "cmb", c, changes, until, cfg, boot, wireEncScalar, wireDecScalar)
+}
+
+// RunWide is the conservative engine on 64 packed lanes: the identical
+// null-message / deadlock-recovery protocol with every value message and
+// event carrying a whole 64-lane word. Inside each LP the kernel's
+// oblivious block sweep is armed: when the (lane-union) dirty set reaches
+// half the LP's block, the step evaluates the whole owned block in
+// levelized order obliviously-wide instead of walking the event-driven
+// selection machinery — scalar event semantics at LP boundaries, batch
+// evaluation inside. Per lane, the result is bit-identical to a scalar
+// conservative run of that lane's stimulus.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	var err error
+	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
+		return nil, err
+	}
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	// A lane-union dirty set saturates, so a wide run always sweeps; the
+	// wire format carries scalar values, so every LP runs locally.
+	cfg.Sweep, cfg.Dist = true, nil
+	return run(circuit.Wide, "cmb-wide", c, stim.Changes, until, cfg, nil, nil, nil)
+}
+
+// run is the conservative engine over value type V: it derives the LP
+// graph, routes the stimulus (or boot) events, runs the LP goroutines
+// (plus the coordinator in DeadlockRecovery mode) to completion, and
+// assembles the result. changes is a validated schedule already in the
+// run's value domain, engine labels the metrics registry and errors,
+// boot, when non-nil, replaces the stimulus and the time-zero settling
+// step, and wireEnc/wireDec translate messages for cfg.Dist.
+func run[V comparable](
+	pl *circuit.Plane[V],
+	engine string,
+	c *circuit.Circuit,
+	changes []vectors.ChangeT[V],
+	until circuit.Tick,
+	cfg Config,
+	boot *ckpt.Seed[V],
+	wireEnc func(msg[V]) wire.Msg,
+	wireDec func(wire.Msg) msg[V],
+) (*ResultT[V], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("cmb: Config.Partition is required")
 	}
@@ -282,110 +339,19 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
 	if err := checkDist(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
-	}
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("cmb-" + cfg.Mode.String())
+		sink = metrics.NewRegistry(engine + "-" + cfg.Mode.String())
 	}
 	start := time.Now()
-
-	var stimEvents, bootEvents []stimEvent[logic.Value]
-	var seedState func(k *kernel.LP)
-	if cfg.Boot == nil {
-		stimEvents = make([]stimEvent[logic.Value], 0, len(stim.Changes))
-		for _, ch := range stim.Changes {
-			stimEvents = append(stimEvents, stimEvent[logic.Value]{ch.Time, ch.Input, cfg.System.Project(ch.Value)})
-		}
-	} else {
-		boot := cfg.Boot
-		seedState = func(k *kernel.LP) {
-			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
-		}
-		bootEvents = make([]stimEvent[logic.Value], 0, len(boot.Events))
-		for _, ev := range boot.Events {
-			bootEvents = append(bootEvents, stimEvent[logic.Value]{circuit.Tick(ev.Time), ev.Gate, ev.Value})
-		}
-	}
-
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
 	}
-	n := cfg.Partition.Blocks
-	recs := make([]trace.Recorder, n)
-	lps, sh, err := runCore(c, until, cfg, sink, "cmb",
-		stimEvents, bootEvents, seedState, wireEncScalar, wireDecScalar,
-		func(self int, own []circuit.GateID) *kernel.LP {
-			k := kernel.New(c, cfg.Partition.Assign, self, cfg.System, watched, own)
-			if cfg.Sweep {
-				k.EnableSweep(kernel.SweepThreshold(len(own)))
-			}
-			return k
-		},
-		func(lp int, t circuit.Tick, g circuit.GateID, v logic.Value) {
-			recs[lp].Record(t, g, v)
-		})
-	if err != nil {
-		return nil, err
-	}
 
-	res := &Result{Values: make([]logic.Value, len(c.Gates))}
-	owner := cfg.Partition.Assign
-	for g := range c.Gates {
-		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
-	}
-	recPtrs := make([]*trace.Recorder, n)
-	for i, l := range lps {
-		recPtrs[i] = &recs[i]
-		if l.end > res.EndTime {
-			res.EndTime = l.end
-		}
-	}
-	res.Waveform = trace.Merge(recPtrs...)
-	sink.Globals().GVTRounds = sh.rounds
-	// null_ratio is the conservative protocol's headline overhead
-	// (nulls sent per applied event) as a run gauge — the signal the
-	// adaptive engine-switch controller thresholds on.
-	tot := metrics.SinkTotals(sink)
-	if tot.EventsApplied > 0 {
-		sink.SetGauge("null_ratio", float64(tot.NullsSent)/float64(tot.EventsApplied))
-	}
-	res.Stats = stats.Collect(sink, time.Since(start))
-	return res, nil
-}
-
-// runCore is the conservative protocol over value type V: it derives the
-// LP graph, routes the pre-projected stimulus (or boot) events, runs the
-// LP goroutines (plus the coordinator in DeadlockRecovery mode) to
-// completion, and returns the finished LPs. Everything value-specific —
-// projection, recording, kernel construction, result assembly — lives in
-// the Run/RunWide wrappers.
-func runCore[V comparable](
-	c *circuit.Circuit,
-	until circuit.Tick,
-	cfg Config,
-	sink metrics.Sink,
-	engine string,
-	stimEvents, bootEvents []stimEvent[V],
-	seedState func(k *kernel.LPT[V]),
-	wireEnc func(msg[V]) wire.Msg,
-	wireDec func(wire.Msg) msg[V],
-	newKernel func(self int, own []circuit.GateID) *kernel.LPT[V],
-	record func(lp int, t circuit.Tick, g circuit.GateID, v V),
-) ([]*clp[V], *shared[V], error) {
 	p := cfg.Partition
 	n := p.Blocks
 	owner := p.Assign
@@ -393,7 +359,7 @@ func runCore[V comparable](
 	// local reports LP residency; without a seam every LP is local.
 	local := func(lp int) bool { return dist == nil || dist.Local(lp) }
 
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: seedState != nil, c: c, until: until, sink: sink}
+	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
 	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
 	for i := range sh.inboxes {
@@ -472,6 +438,8 @@ func runCore[V comparable](
 		nullSlab[d] = -1
 	}
 	lps := make([]*clp[V], n)
+	recSlab := make([]trace.RecorderT[V], n)
+	recs := make([]*trace.RecorderT[V], n)
 	outOff, inOff := 0, 0
 	for i := 0; i < n; i++ {
 		l := &lpSlab[i]
@@ -494,7 +462,10 @@ func runCore[V comparable](
 		l.trsh = cfg.Tracer.Shard(fmt.Sprintf("lp %d", i))
 		outOff += outDeg[i]
 		inOff += inDeg[i]
-		l.k = newKernel(i, blockGates[i])
+		l.k = kernel.NewOn(pl, c, owner, i, cfg.System, watched, blockGates[i])
+		if cfg.Sweep {
+			l.k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))
+		}
 		l.k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 			l.q.Push(uint64(t), kernel.EventT[V]{Gate: g, Value: v})
 		}
@@ -502,11 +473,10 @@ func runCore[V comparable](
 			sh.transit.Add(1)
 			l.buffer(dst, msg[V]{kind: msgValue, from: l.id, time: t, gate: g, value: v})
 		}
-		l.k.Record = func(t circuit.Tick, g circuit.GateID, v V) {
-			record(l.id, t, g, v)
-		}
-		if seedState != nil {
-			seedState(l.k)
+		recs[i] = &recSlab[i]
+		l.k.Record = recs[i].Record
+		if boot != nil {
+			l.k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
 		}
 		lps[i] = l
 	}
@@ -542,13 +512,13 @@ func runCore[V comparable](
 		}
 		deliverOff[ii+1] = int32(len(deliverDst))
 	}
-	if seedState == nil {
+	if boot == nil {
 		initCnt := make([]int, n)
-		for _, ch := range stimEvents {
-			if ch.time != 0 {
+		for _, ch := range changes {
+			if ch.Time != 0 {
 				continue
 			}
-			ii := idxOf[ch.gate]
+			ii := idxOf[ch.Input]
 			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
 				initCnt[dst]++
 			}
@@ -558,12 +528,12 @@ func runCore[V comparable](
 				initial[dst] = make([]kernel.EventT[V], 0, cnt)
 			}
 		}
-		for _, ch := range stimEvents {
-			if ch.time > until {
+		for _, ch := range changes {
+			if ch.Time > until {
 				continue
 			}
-			ev := kernel.EventT[V]{Gate: ch.gate, Value: ch.value}
-			ii := idxOf[ch.gate]
+			ev := kernel.EventT[V]{Gate: ch.Input, Value: ch.Value}
+			ii := idxOf[ch.Input]
 			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
 				// Each shard routes only to its own LPs: every worker holds
 				// the full stimulus, so remote destinations are someone
@@ -571,10 +541,10 @@ func runCore[V comparable](
 				if !local(dst) {
 					continue
 				}
-				if ch.time == 0 {
+				if ch.Time == 0 {
 					initial[dst] = append(initial[dst], ev)
 				} else {
-					lps[dst].q.Push(uint64(ch.time), ev)
+					lps[dst].q.Push(uint64(ch.Time), ev)
 				}
 			}
 		}
@@ -584,22 +554,22 @@ func runCore[V comparable](
 		// owning a consumer (the same ghost-update rule as stimulus
 		// routing); all times are strictly after the boundary, so nothing
 		// lands in the settle step.
-		for _, ev := range bootEvents {
-			kev := kernel.EventT[V]{Gate: ev.gate, Value: ev.value}
-			seen[owner[ev.gate]] = true
-			if local(owner[ev.gate]) {
-				lps[owner[ev.gate]].q.Push(uint64(ev.time), kev)
+		for _, ev := range boot.Events {
+			kev := kernel.EventT[V]{Gate: ev.Gate, Value: ev.Value}
+			seen[owner[ev.Gate]] = true
+			if local(owner[ev.Gate]) {
+				lps[owner[ev.Gate]].q.Push(ev.Time, kev)
 			}
-			for _, fo := range c.Fanout[ev.gate] {
+			for _, fo := range c.Fanout[ev.Gate] {
 				if b := owner[fo]; !seen[b] {
 					seen[b] = true
 					if local(b) {
-						lps[b].q.Push(uint64(ev.time), kev)
+						lps[b].q.Push(ev.Time, kev)
 					}
 				}
 			}
-			seen[owner[ev.gate]] = false
-			for _, fo := range c.Fanout[ev.gate] {
+			seen[owner[ev.Gate]] = false
+			for _, fo := range c.Fanout[ev.Gate] {
 				seen[owner[fo]] = false
 			}
 		}
@@ -670,17 +640,37 @@ func runCore[V comparable](
 		ferr := sh.failErr
 		sh.failMu.Unlock()
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, ferr
 		}
 		if coordErr != nil {
-			return nil, nil, coordErr
+			return nil, coordErr
 		}
-		return nil, nil, &supervise.SimError{
+		return nil, &supervise.SimError{
 			Engine: engine, LP: -1, Phase: "run", Kind: supervise.KindEventLimit,
 			Cause: fmt.Errorf("event limit %d exceeded", cfg.MaxEvents),
 		}
 	}
-	return lps, sh, nil
+
+	res := &ResultT[V]{Values: make([]V, len(c.Gates))}
+	for g := range c.Gates {
+		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
+	}
+	for _, l := range lps {
+		if l.end > res.EndTime {
+			res.EndTime = l.end
+		}
+	}
+	res.Waveform = trace.Merge(recs...)
+	sink.Globals().GVTRounds = sh.rounds
+	// null_ratio is the conservative protocol's headline overhead
+	// (nulls sent per applied event) as a run gauge — the signal the
+	// adaptive engine-switch controller thresholds on.
+	tot := metrics.SinkTotals(sink)
+	if tot.EventsApplied > 0 {
+		sink.SetGauge("null_ratio", float64(tot.NullsSent)/float64(tot.EventsApplied))
+	}
+	res.Stats = stats.Collect(sink, time.Since(start))
+	return res, nil
 }
 
 // safeTime computes the time strictly below which this LP may process.

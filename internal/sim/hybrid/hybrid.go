@@ -74,10 +74,11 @@ type Config struct {
 	Adapt *adapt.WindowController
 }
 
-// Result is the outcome of a hybrid run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultT is the outcome of a hybrid run over value type V.
+type ResultT[V comparable] struct {
+	Values []V
+	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 	// IntraCritical is each cluster's modeled intra-cluster critical path.
@@ -86,8 +87,32 @@ type Result struct {
 	intraWorkers  int
 }
 
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
+
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	return run(timewarp.Run, "hybrid", c, stim, until, cfg)
+}
+
+// RunWide is the hierarchical engine on 64 packed lanes: clusters
+// synchronize optimistically with whole-word Time Warp messages while each
+// cluster's sub-workers evaluate the per-timestep dirty set wide. With the
+// kernel's oblivious block sweep armed inside each cluster, a saturated
+// step processes the cluster's whole combinational block across 64 vectors
+// behind one barrier pair.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	return run(timewarp.RunWide, "hybrid-wide", c, stim, until, cfg)
+}
+
+// run configures the optimistic engine tw — timewarp.Run or
+// timewarp.RunWide, over their stimulus type S — for hierarchical
+// execution; engine names the default metrics registry.
+func run[S any, V comparable](tw func(*circuit.Circuit, S, circuit.Tick, timewarp.Config) (*timewarp.ResultT[V], error),
+	engine string, c *circuit.Circuit, stim S, until circuit.Tick, cfg Config) (*ResultT[V], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("hybrid: Config.Partition is required")
 	}
@@ -103,9 +128,9 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("hybrid")
+		sink = metrics.NewRegistry(engine)
 	}
-	res, err := timewarp.Run(c, stim, until, timewarp.Config{
+	res, err := tw(c, stim, until, timewarp.Config{
 		Partition:    cfg.Partition,
 		Cancellation: cfg.Cancellation,
 		StateSaving:  cfg.StateSaving,
@@ -127,7 +152,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
+	return &ResultT[V]{
 		Values:        res.Values,
 		Waveform:      res.Waveform,
 		EndTime:       res.EndTime,
@@ -140,14 +165,14 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 
 // TotalProcessors reports the modeled machine size: clusters times
 // intra-cluster workers.
-func (r *Result) TotalProcessors() int {
+func (r *ResultT[V]) TotalProcessors() int {
 	return len(r.Stats.LPs) * r.intraWorkers
 }
 
 // ModeledTime prices the run: per cluster, the serial evaluation cost is
 // replaced by the intra-cluster critical path; the slowest cluster plus
 // the inter-cluster GVT overhead bounds the run.
-func (r *Result) ModeledTime() float64 {
+func (r *ResultT[V]) ModeledTime() float64 {
 	m := r.cost
 	var worst float64
 	for i, lp := range r.Stats.LPs {

@@ -62,7 +62,7 @@ func TestWarmStepUndoZeroAllocs(t *testing.T) {
 	lp, evs := warmLP(t)
 	var st metrics.LPCounters
 	lp.Step(0, evs[0], true, nil, &st)
-	undo := NewUndo(32, 8, 32)
+	undo := NewUndo[logic.Value](32, 8, 32)
 	tick := circuit.Tick(1)
 	step := func() {
 		undo.Reset()

@@ -23,7 +23,7 @@ func warmWideLP(t *testing.T, sweep bool) (*WideLP, [2][]WideEvent) {
 	for g := range own {
 		own[g] = circuit.GateID(g)
 	}
-	lp := NewWide(c, owner, 0, logic.TwoValued, nil, own)
+	lp := NewOn(circuit.Wide, c, owner, 0, logic.TwoValued, nil, own)
 	if sweep {
 		lp.EnableSweep(SweepThreshold(len(own)))
 	}
@@ -95,7 +95,7 @@ func TestWarmWideStepUndoZeroAllocs(t *testing.T) {
 	lp, evs := warmWideLP(t, false)
 	var st metrics.LPCounters
 	lp.Step(0, evs[0], true, nil, &st)
-	undo := NewUndoOf[logic.Word](32, 8, 32)
+	undo := NewUndo[logic.Word](32, 8, 32)
 	tick := circuit.Tick(1)
 	step := func() {
 		undo.Reset()

@@ -13,14 +13,15 @@
 // incremental state saving Time Warp needs: rolling back a step replays its
 // undo log in reverse.
 //
-// The executor is generic over the value type V: logic.Value for the
-// scalar engines (the LP/Event/Undo aliases preserve that API), and
-// logic.Word for the wide engines, where every event carries 64 packed
-// vector lanes and one Step evaluates 64 vectors per gate op. The
-// protocol-visible behavior is identical in both instantiations — an event
-// fires when the word differs in any lane, a superset of each lane's
-// scalar events, and gate evaluation is idempotent under unchanged inputs,
-// so each lane of a wide run reproduces the scalar run exactly.
+// The executor is generic over the value type V and built on a
+// circuit.Plane[V]: logic.Value for scalar runs (the LP/Event/Undo aliases
+// preserve that API), and logic.Word for wide runs, where every event
+// carries 64 packed vector lanes and one Step evaluates 64 vectors per
+// gate op. The protocol-visible behavior is identical in both
+// instantiations — an event fires when the word differs in any lane, a
+// superset of each lane's scalar events, and gate evaluation is idempotent
+// under unchanged inputs, so each lane of a wide run reproduces the scalar
+// run exactly.
 package kernel
 
 import (
@@ -38,10 +39,10 @@ type EventT[V comparable] struct {
 	Value V
 }
 
-// Event is the scalar event type used by the one-vector-per-op engines.
+// Event is the scalar event.
 type Event = EventT[logic.Value]
 
-// WideEvent is the 64-lane event type used by the wide engines.
+// WideEvent is the 64-lane event.
 type WideEvent = EventT[logic.Word]
 
 // valChange records a single state write for rollback.
@@ -62,29 +63,21 @@ type UndoT[V comparable] struct {
 // Undo is the scalar undo log.
 type Undo = UndoT[logic.Value]
 
-// WideUndo is the wide undo log; one entry restores all 64 lanes of a net.
-type WideUndo = UndoT[logic.Word]
-
 // Words reports the saved state volume in value-words, the quantity the
 // cost model prices for state saving.
 func (u *UndoT[V]) Words() uint64 {
 	return uint64(len(u.vals) + len(u.clks) + len(u.projs))
 }
 
-// NewUndoOf returns an undo log with pre-grown log capacity, so pooled
+// NewUndo returns an undo log with pre-grown log capacity, so pooled
 // records born on a free-list miss skip the append growth chain and land
 // near their steady-state size immediately.
-func NewUndoOf[V comparable](vals, clks, projs int) *UndoT[V] {
+func NewUndo[V comparable](vals, clks, projs int) *UndoT[V] {
 	return &UndoT[V]{
 		vals:  make([]valChange[V], 0, vals),
 		clks:  make([]valChange[V], 0, clks),
 		projs: make([]valChange[V], 0, projs),
 	}
-}
-
-// NewUndo is NewUndoOf for the scalar instantiation.
-func NewUndo(vals, clks, projs int) *Undo {
-	return NewUndoOf[logic.Value](vals, clks, projs)
 }
 
 // Reset clears the undo for reuse.
@@ -93,11 +86,6 @@ func (u *UndoT[V]) Reset() {
 	u.clks = u.clks[:0]
 	u.projs = u.projs[:0]
 }
-
-// EvalFunc computes gate id against the val/prevClk planes, reusing
-// scratch as the fanin buffer. circuit.EvalGate and circuit.EvalGateWide
-// are the two instantiations.
-type EvalFunc[V comparable] func(c *circuit.Circuit, id circuit.GateID, val, prevClk []V, scratch []V) (out, clkSample V, buf []V)
 
 // LPT is the state of one logical process over value type V.
 type LPT[V comparable] struct {
@@ -111,7 +99,7 @@ type LPT[V comparable] struct {
 	projected []V
 	isWatched []bool
 	ownGates  []circuit.GateID
-	eval      EvalFunc[V]
+	pl        *circuit.Plane[V]
 
 	stamp   []uint64
 	epoch   uint64
@@ -136,8 +124,10 @@ type LP = LPT[logic.Value]
 // WideLP is the 64-lane logical-process executor.
 type WideLP = LPT[logic.Word]
 
-// newLP wires the common LP fields around pre-built state planes.
-func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk []V, eval EvalFunc[V], watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
+// NewOn builds an LP executor on plane pl for block self of the
+// partition-owner map.
+func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
+	val, prevClk := pl.InitState(c, sys)
 	projected := make([]V, len(val))
 	copy(projected, val)
 	isWatched := make([]bool, len(c.Gates))
@@ -159,7 +149,7 @@ func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk
 		projected: projected,
 		isWatched: isWatched,
 		ownGates:  ownGates,
-		eval:      eval,
+		pl:        pl,
 		stamp:     make([]uint64, len(c.Gates)),
 		dirty:     make([]circuit.GateID, 0, 64),
 		scratch:   make([]V, 0, 8),
@@ -167,18 +157,9 @@ func newLP[V comparable](c *circuit.Circuit, owner []int, self int, val, prevClk
 	}
 }
 
-// New builds a scalar LP executor for block self of the partition-owner map.
+// New builds a scalar LP executor.
 func New(c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LP {
-	val, prevClk := circuit.InitState(c, sys)
-	return newLP(c, owner, self, val, prevClk, circuit.EvalGate, watched, ownGates)
-}
-
-// NewWide builds a 64-lane LP executor: same ownership and two-phase
-// semantics, but every net holds a packed word and each evaluation
-// processes 64 vectors.
-func NewWide(c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *WideLP {
-	val, prevClk := circuit.InitStateWide(c, sys)
-	return newLP(c, owner, self, val, prevClk, circuit.EvalGateWide, watched, ownGates)
+	return NewOn(circuit.Scalar, c, owner, self, sys, watched, ownGates)
 }
 
 // EnableSweep arms the oblivious block sweep: whenever a step's dirty set
@@ -187,11 +168,11 @@ func NewWide(c *circuit.Circuit, owner []int, self int, sys logic.System, watche
 // instead. The sweep is exact — evaluation against settled inputs is
 // idempotent and the projected-value filter suppresses events for
 // unchanged outputs — so it only trades bookkeeping for raw evaluation.
-// Wide LPs use it: with 64 packed vector lanes a net fires when any lane
-// changes, so the dirty set saturates toward the whole block and the
-// per-gate selection machinery (stamps, fanout walks) costs more than
+// Wide runs always arm it: with 64 packed vector lanes a net fires when
+// any lane changes, so the dirty set saturates toward the whole block and
+// the per-gate selection machinery (stamps, fanout walks) costs more than
 // obliviously evaluating everything 64 vectors at a time. A threshold
-// <= 0 disables the sweep (the scalar engines' configuration).
+// <= 0 disables the sweep (the scalar default).
 func (lp *LPT[V]) EnableSweep(threshold int) {
 	lp.sweep = threshold
 	if threshold <= 0 || lp.sweepGates != nil {
@@ -298,7 +279,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 
 	for _, g := range lp.dirty {
 		var out, clkSample V
-		out, clkSample, lp.scratch = lp.eval(lp.c, g, lp.val, lp.prevClk, lp.scratch)
+		out, clkSample, lp.scratch = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk, lp.scratch)
 		st.Evaluations++
 		if clkSample != lp.prevClk[g] {
 			if undo != nil {
@@ -408,7 +389,7 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 			defer wg.Done()
 			var scratch []V
 			for _, g := range gs {
-				out, cs, buf := lp.eval(lp.c, g, lp.val, lp.prevClk, scratch)
+				out, cs, buf := lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk, scratch)
 				scratch = buf
 				outBuf[g] = out
 				clkBuf[g] = cs
@@ -482,9 +463,6 @@ type SnapshotT[V comparable] struct {
 
 // Snapshot is the scalar snapshot.
 type Snapshot = SnapshotT[logic.Value]
-
-// WideSnapshot is the 64-lane snapshot.
-type WideSnapshot = SnapshotT[logic.Word]
 
 // Words reports the snapshot volume in value-words.
 func (s *SnapshotT[V]) Words() uint64 {

@@ -36,9 +36,9 @@ import (
 	"repro/internal/vectors"
 )
 
-// Config parameterizes an oblivious run.
+// Config parameterizes an oblivious run on either value plane.
 type Config struct {
-	// System is the logic value system.
+	// System is the logic value system; zero selects the plane's default.
 	System logic.System
 	// Workers is the number of parallel evaluators per level; 0 or 1 runs
 	// serially.
@@ -54,26 +54,59 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Result is the outcome of an oblivious run.
-type Result struct {
+// ResultT is the outcome of an oblivious run over value type V.
+type ResultT[V comparable] struct {
 	// Values holds the settled value of every net after the last boundary.
-	Values []logic.Value
+	Values []V
 	// Waveform holds the settled values of watched nets sampled at each
-	// stimulus boundary where they changed.
-	Waveform trace.Waveform
+	// stimulus boundary where they changed (a word: in any lane). It
+	// converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
 	// Cycles is the number of boundaries evaluated.
 	Cycles int
 	Stats  stats.RunStats
 }
 
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
+
 // Run evaluates the circuit at every stimulus boundary.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error) {
+	var err error
+	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
+		return nil, err
+	}
+	changes, err := stim.Projected(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	return run(circuit.Scalar, "oblivious", c, changes, cfg)
+}
+
+// RunWide is the levelized compiled-mode sweep over 64 packed lanes: at
+// every stimulus boundary every gate is evaluated once on all 64 vectors,
+// so each lane settles to exactly the scalar oblivious result for that
+// lane's stimulus. This is the purest form of the wide win: the
+// per-boundary evaluation count is unchanged while the vector throughput
+// is multiplied by the lane count.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, cfg Config) (*WideResult, error) {
+	var err error
+	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
+		return nil, err
+	}
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
-	}
+	return run(circuit.Wide, "oblivious-wide", c, stim.Changes, cfg)
+}
+
+// run is the oblivious engine over value type V. changes is a validated
+// schedule already in the run's value domain; engine labels the metrics
+// registry and errors.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V], cfg Config) (*ResultT[V], error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -82,7 +115,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("oblivious")
+		sink = metrics.NewRegistry(engine)
 	}
 	st := c.ComputeStats()
 	if st.Latches > 0 {
@@ -94,7 +127,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 	start := time.Now()
 
-	val, prevClk := circuit.InitState(c, cfg.System)
+	val, prevClk := pl.InitState(c, cfg.System)
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
@@ -119,7 +152,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		}
 	}
 
-	res := &Result{}
+	res := &ResultT[V]{}
 	blocks := make([]*metrics.LPBlock, cfg.Workers)
 	shards := make([]*trace.Shard, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -127,15 +160,21 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		shards[w] = cfg.Tracer.Shard(fmt.Sprintf("worker %d", w))
 	}
 	globals := sink.Globals()
-	var rec trace.Recorder
+	// lastRec dedupes the boundary samples into genuine changes (per-lane
+	// deduplication of a word happens in WideWaveform.Lane).
+	var rec trace.RecorderT[V]
+	lastRec := make([]V, len(c.Gates))
+	for id := range lastRec {
+		lastRec[id] = pl.Initial(c.Gates[id].Kind, cfg.System)
+	}
 
 	// Group stimulus changes by boundary time.
 	type boundary struct {
 		t       circuit.Tick
-		changes []vectors.Change
+		changes []vectors.ChangeT[V]
 	}
 	var bounds []boundary
-	for _, ch := range stim.Changes {
+	for _, ch := range changes {
 		if len(bounds) == 0 || bounds[len(bounds)-1].t != ch.Time {
 			bounds = append(bounds, boundary{t: ch.Time})
 		}
@@ -143,12 +182,12 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 	}
 
 	// evalSlice evaluates one contiguous chunk of a level into newVals.
-	newQ := make([]logic.Value, len(c.Gates))
-	newClk := make([]logic.Value, len(c.Gates))
-	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID, scratch *[]logic.Value) {
+	newQ := make([]V, len(c.Gates))
+	newClk := make([]V, len(c.Gates))
+	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID, scratch *[]V) {
 		begin := shards[w].Now()
 		for _, g := range gates {
-			out, cs, buf := circuit.EvalGate(c, g, val, prevClk, *scratch)
+			out, cs, buf := pl.EvalGate(c, g, val, prevClk, *scratch)
 			*scratch = buf
 			newQ[g] = out
 			newClk[g] = cs
@@ -156,7 +195,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		}
 		shards[w].Span(trace.PhaseEvaluate, begin, t)
 	}
-	scratches := make([][]logic.Value, cfg.Workers)
+	scratches := make([][]V, cfg.Workers)
 
 	// A panicking worker is recovered into the run's first error so the
 	// level barrier always completes; the coordinator surfaces it at the
@@ -192,10 +231,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 					defer wg.Done()
 					defer func() {
 						if r := recover(); r != nil {
-							setFail(supervise.FromPanic("oblivious", w, "eval", t, r))
+							setFail(supervise.FromPanic(engine, w, "eval", t, r))
 						}
 					}()
-					metrics.Do(sink, "oblivious", w, "eval", func() {
+					metrics.Do(sink, engine, w, "eval", func() {
 						evalSlice(w, t, gates[lo:hi], &scratches[w])
 					})
 				}(w, lo, hi)
@@ -225,7 +264,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		res.Cycles++
 		blocks[0].Steps++
 		for _, ch := range b.changes {
-			val[ch.Input] = cfg.System.Project(ch.Value)
+			val[ch.Input] = ch.Value
 		}
 		// Sequential elements sample the previous boundary's settled data
 		// before the combinational sweep recomputes it.
@@ -236,7 +275,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 			runLevel(b.t, level)
 		}
 		for _, g := range watched {
-			rec.Record(b.t, g, val[g])
+			if val[g] != lastRec[g] {
+				lastRec[g] = val[g]
+				rec.Record(b.t, g, val[g])
+			}
 		}
 	}
 
@@ -247,23 +289,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 		return nil, ferr
 	}
 
-	// Deduplicate the sampled waveform into genuine changes.
-	full := trace.Merge(&rec)
-	lastSeen := map[circuit.GateID]logic.Value{}
-	var wf trace.Waveform
-	for _, s := range full {
-		prev, ok := lastSeen[s.Gate]
-		if !ok {
-			prev = cfg.System.Project(circuit.InitialValue(c.Gates[s.Gate].Kind))
-		}
-		if s.Value != prev {
-			wf = append(wf, s)
-			lastSeen[s.Gate] = s.Value
-		}
-	}
-
 	res.Values = val
-	res.Waveform = wf
+	res.Waveform = trace.Merge(&rec)
 	res.Stats = stats.Collect(sink, time.Since(start))
 	return res, nil
 }

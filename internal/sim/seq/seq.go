@@ -34,9 +34,10 @@ import (
 	"repro/internal/vectors"
 )
 
-// Config parameterizes a sequential run.
+// Config parameterizes a sequential run on either value plane.
 type Config struct {
-	// System is the logic value system used to initialize state.
+	// System is the logic value system used to initialize state; zero
+	// selects the plane's default (nine-valued scalar, four-valued wide).
 	System logic.System
 	// Queue selects the pending-event set implementation.
 	Queue eventq.Impl
@@ -74,7 +75,8 @@ type Config struct {
 	// for any engine to restore.
 	CheckpointEvery circuit.Tick
 	// Checkpoint receives each captured snapshot; a non-nil error aborts
-	// the run.
+	// the run. Snapshots hold scalar values: RunWide neither captures nor
+	// boots (core rejects those options on a wide run).
 	Checkpoint func(*ckpt.State) error
 	// Boot, when non-nil, resumes from a snapshot instead of the
 	// stimulus: value planes are seeded, pending events requeued, and the
@@ -84,12 +86,17 @@ type Config struct {
 	Boot *ckpt.State
 }
 
-// Result is the outcome of a run.
-type Result struct {
+// WideConfig is Config: a wide run takes the same parameters.
+type WideConfig = Config
+
+// ResultT is the outcome of a run over value type V.
+type ResultT[V comparable] struct {
 	// Values holds the final value of every net.
-	Values []logic.Value
-	// Waveform is the committed change history of the watched nets.
-	Waveform trace.Waveform
+	Values []V
+	// Waveform is the committed change history of the watched nets; it
+	// converts to trace.Waveform or trace.WideWaveform. Lane k of a wide
+	// waveform equals the scalar waveform of lane k's stimulus.
+	Waveform []trace.SampleT[V]
 	// EndTime is the last simulated time processed.
 	EndTime circuit.Tick
 	// CriticalPath is the data-dependency makespan in model nanoseconds
@@ -103,38 +110,109 @@ type Result struct {
 	EvalsByGate []uint64
 }
 
-// event is a scheduled net value change. compl carries the event's
-// completion time on the ideal machine when critical-path analysis is on.
-type event struct {
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
+
+// event is a scheduled net value change.
+type event[V comparable] struct {
 	gate  circuit.GateID
-	value logic.Value
-	compl float64
+	value V
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
 // Events scheduled beyond the horizon are discarded unprocessed.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	if err := c.CheckEventDriven(); err != nil {
+	var err error
+	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
+		return nil, err
+	}
+	changes, err := stim.Projected(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	// capture wraps a seed taken at boundary b into the on-disk format,
+	// carrying the boot snapshot's waveform prefix forward.
+	var fp string
+	capture := func(b, endTime circuit.Tick, seed *ckpt.Seed[logic.Value], wave []trace.Sample) error {
+		if fp == "" {
+			fp = ckpt.Fingerprint(c)
+		}
+		st := &ckpt.State{
+			Version: ckpt.Version, Fingerprint: fp,
+			Time: uint64(b), Until: uint64(until), System: uint8(cfg.System),
+			EndTime: uint64(endTime),
+			Vals:    seed.Vals, PrevClk: seed.PrevClk, Projected: seed.Projected,
+			Events:   seed.Events,
+			Waveform: ckpt.FromWaveform(wave),
+		}
+		if cfg.Boot != nil {
+			st.Waveform = append(append([]ckpt.Sample(nil), cfg.Boot.Waveform...), st.Waveform...)
+			if cfg.Boot.EndTime > st.EndTime {
+				st.EndTime = cfg.Boot.EndTime
+			}
+		}
+		return cfg.Checkpoint(st)
+	}
+	// nextCk is the first boundary to snapshot; 0 disables capture.
+	var nextCk circuit.Tick
+	if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
+		nextCk = cfg.CheckpointEvery
+		if cfg.Boot != nil {
+			nextCk = (circuit.Tick(cfg.Boot.Time)/cfg.CheckpointEvery + 1) * cfg.CheckpointEvery
+		}
+	}
+	return run(circuit.Scalar, "seq", c, changes, until, cfg, boot, nextCk, capture)
+}
+
+// RunWide simulates all 64 lanes of the wide stimulus in one pass,
+// evaluating 64 vectors per gate operation. It is the Run loop with words
+// for values: an event fires when the word differs from the net's current
+// word in any lane. Because the fired evaluation times are a superset of
+// every lane's scalar evaluation times and gate evaluation is idempotent
+// under unchanged inputs, each lane of the resulting waveform is exactly
+// the scalar reference waveform for that lane's stimulus.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
+	var err error
+	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
 		return nil, err
 	}
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
+	return run(circuit.Wide, "seq-wide", c, stim.Changes, until, cfg, nil, 0, nil)
+}
+
+// run is the sequential engine over value type V. changes is a validated
+// schedule already in the run's value domain and engine labels the
+// metrics registry and errors. boot, when non-nil, replaces the stimulus
+// and the time-zero settling pass; nextCk, when non-zero, is the first
+// checkpoint boundary, after which capture receives a seed every
+// cfg.CheckpointEvery.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
+	until circuit.Tick, cfg Config, boot *ckpt.Seed[V], nextCk circuit.Tick,
+	capture func(b, endTime circuit.Tick, seed *ckpt.Seed[V], wave []trace.SampleT[V]) error) (*ResultT[V], error) {
+	if err := c.CheckEventDriven(); err != nil {
+		return nil, err
 	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("seq")
+		sink = metrics.NewRegistry(engine)
 	}
 	blk := sink.LP(0)
 	shard := cfg.Tracer.Shard("lp 0")
 
-	val, prevClk := circuit.InitState(c, cfg.System)
-	projected := make([]logic.Value, len(val))
+	val, prevClk := pl.InitState(c, cfg.System)
+	projected := make([]V, len(val))
 	copy(projected, val)
 
 	watched := cfg.Watch
@@ -146,38 +224,40 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		isWatched[g] = true
 	}
 
-	q := eventq.New[event](cfg.Queue)
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-		copy(val, cfg.Boot.Vals)
-		copy(prevClk, cfg.Boot.PrevClk)
-		copy(projected, cfg.Boot.Projected)
-		for _, ev := range cfg.Boot.Events {
-			q.Push(ev.Time, event{gate: ev.Gate, value: ev.Value})
+	q := eventq.New[event[V]](cfg.Queue)
+	if boot != nil {
+		copy(val, boot.Vals)
+		copy(prevClk, boot.PrevClk)
+		copy(projected, boot.Projected)
+		for _, ev := range boot.Events {
+			q.Push(ev.Time, event[V]{gate: ev.Gate, value: ev.Value})
 		}
 	} else {
-		for _, ch := range stim.Changes {
+		for _, ch := range changes {
 			if ch.Time > until {
 				continue
 			}
-			q.Push(uint64(ch.Time), event{gate: ch.Input, value: cfg.System.Project(ch.Value)})
-			projected[ch.Input] = cfg.System.Project(ch.Value)
+			q.Push(uint64(ch.Time), event[V]{gate: ch.Input, value: ch.Value})
+			projected[ch.Input] = ch.Value
 		}
 	}
 
-	res := &Result{}
+	res := &ResultT[V]{}
 	if cfg.Profile {
 		res.EvalsByGate = make([]uint64, len(c.Gates))
 	}
-	var rec trace.Recorder
-
+	var rec trace.RecorderT[V]
 	// Critical-path state: lastCompl[g] is the ideal-machine completion
-	// time of net g's most recent change.
+	// time of net g's most recent change, and pendCompl[g] queues the
+	// completion times of g's scheduled events. A gate's events are due one
+	// gate delay after strictly increasing evaluation times, so they apply
+	// in the order they were scheduled; keeping the times beside the queue
+	// costs the runs that do not ask for the analysis nothing per event.
 	var lastCompl []float64
+	var pendCompl [][]float64
 	if cfg.CriticalPath {
 		lastCompl = make([]float64, len(c.Gates))
+		pendCompl = make([][]float64, len(c.Gates))
 	}
 	// evalStep is the ideal cost of one apply-evaluate-schedule unit.
 	evalStep := cfg.Cost.EvalCost + 2*cfg.Cost.EventCost
@@ -186,7 +266,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	stamp := make([]uint64, len(c.Gates))
 	var epoch uint64
 	var dirty []circuit.GateID
-	var scratch []logic.Value
+	var scratch []V
 	var endTime circuit.Tick
 	var totalEvents uint64
 
@@ -212,17 +292,21 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			totalEvents++
 			if cfg.MaxEvents > 0 && totalEvents > cfg.MaxEvents {
 				return &supervise.SimError{
-					Engine: "seq", LP: 0, Phase: "evaluate", ModeledTime: t,
+					Engine: engine, LP: 0, Phase: "evaluate", ModeledTime: t,
 					Kind:  supervise.KindEventLimit,
 					Cause: fmt.Errorf("event limit %d exceeded at time %d (oscillation?)", cfg.MaxEvents, t),
 				}
+			}
+			var compl float64 // stimulus and boot events complete at zero
+			if lastCompl != nil && len(pendCompl[ev.gate]) > 0 {
+				compl, pendCompl[ev.gate] = pendCompl[ev.gate][0], pendCompl[ev.gate][1:]
 			}
 			if val[ev.gate] == ev.value {
 				continue
 			}
 			val[ev.gate] = ev.value
 			if lastCompl != nil {
-				lastCompl[ev.gate] = ev.compl
+				lastCompl[ev.gate] = compl
 			}
 			blk.EventsApplied++
 			applied++
@@ -247,8 +331,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 
 		// Phase 2: evaluate affected gates against the settled values.
 		for _, g := range dirty {
-			var out, clkSample logic.Value
-			out, clkSample, scratch = circuit.EvalGate(c, g, val, prevClk, scratch)
+			var out, clkSample V
+			out, clkSample, scratch = pl.EvalGate(c, g, val, prevClk, scratch)
 			prevClk[g] = clkSample
 			blk.Evaluations++
 			if cfg.Profile {
@@ -273,7 +357,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				continue
 			}
 			projected[g] = out
-			q.Push(uint64(t+c.Gates[g].Delay), event{gate: g, value: out, compl: compl})
+			q.Push(uint64(t+c.Gates[g].Delay), event[V]{gate: g, value: out})
+			if lastCompl != nil {
+				pendCompl[g] = append(pendCompl[g], compl)
+			}
 			blk.EventsScheduled++
 		}
 		blk.Hist(metrics.HistStepEvents).Observe(applied)
@@ -281,59 +368,36 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		return nil
 	}
 
-	// Checkpoint capture: nextCk is the next boundary to snapshot; it is
-	// captured the moment the next pending event is strictly later.
-	var nextCk circuit.Tick
-	if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
-		nextCk = cfg.CheckpointEvery
-		if cfg.Boot != nil {
-			nextCk = (circuit.Tick(cfg.Boot.Time)/cfg.CheckpointEvery + 1) * cfg.CheckpointEvery
+	// snapshot captures boundary b — taken the moment the next pending
+	// event is strictly later — by copying the planes and draining and
+	// requeuing the pending set; ResetFloor lets the ascending repush
+	// start below the drain's last pop.
+	snapshot := func(b circuit.Tick) error {
+		seed := &ckpt.Seed[V]{
+			Vals:      append([]V(nil), val...),
+			PrevClk:   append([]V(nil), prevClk...),
+			Projected: append([]V(nil), projected...),
+			Events:    make([]ckpt.EventT[V], 0, q.Len()),
 		}
-	}
-	var fp string
-	capture := func(b circuit.Tick) error {
-		if fp == "" {
-			fp = ckpt.Fingerprint(c)
-		}
-		st := &ckpt.State{
-			Version: ckpt.Version, Fingerprint: fp,
-			Time: uint64(b), Until: uint64(until), System: uint8(cfg.System),
-			EndTime:   uint64(endTime),
-			Vals:      append([]logic.Value(nil), val...),
-			PrevClk:   append([]logic.Value(nil), prevClk...),
-			Projected: append([]logic.Value(nil), projected...),
-		}
-		st.Waveform = ckpt.FromWaveform(trace.Merge(&rec))
-		if cfg.Boot != nil {
-			st.Waveform = append(append([]ckpt.Sample(nil), cfg.Boot.Waveform...), st.Waveform...)
-			if cfg.Boot.EndTime > st.EndTime {
-				st.EndTime = cfg.Boot.EndTime
-			}
-		}
-		// Snapshot the pending set by draining and requeuing; ResetFloor
-		// lets the ascending repush start below the drain's last pop.
-		tmp := make([]event, 0, q.Len())
-		times := make([]uint64, 0, q.Len())
+		var pending []event[V]
 		for {
 			t64, ev, ok := q.PopMin()
 			if !ok {
 				break
 			}
-			times = append(times, t64)
-			tmp = append(tmp, ev)
+			seed.Events = append(seed.Events, ckpt.EventT[V]{Time: t64, Gate: ev.gate, Value: ev.value})
+			pending = append(pending, ev)
 		}
 		q.ResetFloor()
-		st.Events = make([]ckpt.Event, len(tmp))
-		for i, ev := range tmp {
-			st.Events[i] = ckpt.Event{Time: times[i], Gate: ev.gate, Value: ev.value}
-			q.Push(times[i], ev)
+		for i, ev := range pending {
+			q.Push(seed.Events[i].Time, ev)
 		}
-		return cfg.Checkpoint(st)
+		return capture(b, endTime, seed, trace.Merge(&rec))
 	}
 
 	var runErr error
-	metrics.Do(sink, "seq", 0, "run", func() {
-		if cfg.Boot == nil {
+	metrics.Do(sink, engine, 0, "run", func() {
+		if boot == nil {
 			if runErr = step(0, true); runErr != nil {
 				return
 			}
@@ -345,7 +409,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				break
 			}
 			for nextCk > 0 && t > nextCk && nextCk <= until {
-				if runErr = capture(nextCk); runErr != nil {
+				if runErr = snapshot(nextCk); runErr != nil {
 					return
 				}
 				nextCk += cfg.CheckpointEvery
@@ -355,7 +419,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			}
 			if err := q.Err(); err != nil {
 				runErr = &supervise.SimError{
-					Engine: "seq", LP: 0, Phase: "eventq", ModeledTime: t,
+					Engine: engine, LP: 0, Phase: "eventq", ModeledTime: t,
 					Kind: supervise.KindCausality, Cause: err,
 				}
 				return
@@ -373,11 +437,17 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	return res, nil
 }
 
-// Horizon suggests a simulation end time for a stimulus: the stimulus end
-// plus a settling margin of the circuit's combinational depth times its
-// maximum gate delay (enough for the last vector to propagate to the
-// outputs through any path, plus slack for sequential feedback).
+// Horizon suggests a simulation end time for a stimulus; see HorizonFrom.
 func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
+	return HorizonFrom(c, stim.End)
+}
+
+// HorizonFrom suggests a simulation end time for a stimulus of either
+// plane that ends at stimEnd: the stimulus end plus a settling margin of
+// the circuit's combinational depth times its maximum gate delay (enough
+// for the last vector to propagate to the outputs through any path, plus
+// slack for sequential feedback).
+func HorizonFrom(c *circuit.Circuit, stimEnd circuit.Tick) circuit.Tick {
 	depth := circuit.Tick(1)
 	if levels, err := c.Levelize(); err == nil {
 		depth = circuit.Tick(len(levels) + 2)
@@ -386,5 +456,5 @@ func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
 	if max == 0 {
 		max = 1
 	}
-	return stim.End + 4*depth*max
+	return stimEnd + 4*depth*max
 }

@@ -1,12 +1,14 @@
 package seq
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/eventq"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/sim/supervise"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -26,6 +28,45 @@ func run2(t *testing.T, c *circuit.Circuit, s *vectors.Stimulus, until circuit.T
 	}
 	return res
 }
+
+// laneInitial returns the per-lane dedup baseline for wide waveform
+// extraction: the projected time-zero value of each net, identical across
+// lanes and identical to the scalar engine's initial committed value.
+func laneInitial(c *circuit.Circuit, sys logic.System) func(circuit.GateID) logic.Value {
+	return func(g circuit.GateID) logic.Value {
+		return sys.Project(circuit.InitialValue(c.Gates[g].Kind))
+	}
+}
+
+// runLane0 is Run on the wide plane: the stimulus is splatted into every
+// lane and lane 0 of the outcome comes back in scalar form, so a test body
+// written against Run checks both planes.
+func runLane0(c *circuit.Circuit, s *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	ws, err := vectors.Splat(c, s, logic.Lanes, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	w, err := RunWide(c, ws, until, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Values:   make([]logic.Value, len(w.Values)),
+		Waveform: trace.WideWaveform(w.Waveform).Lane(0, laneInitial(c, cfg.System)),
+		EndTime:  w.EndTime, CriticalPath: w.CriticalPath, Counters: w.Counters, EvalsByGate: w.EvalsByGate,
+	}
+	for g, v := range w.Values {
+		res.Values[g] = v.Get(0)
+	}
+	return res, nil
+}
+
+// planes lists the two instantiations of the engine body, for the tests
+// whose subject does not depend on the value type.
+var planes = []struct {
+	name string
+	run  func(*circuit.Circuit, *vectors.Stimulus, circuit.Tick, Config) (*Result, error)
+}{{"scalar", Run}, {"wide", runLane0}}
 
 func TestNandTruthTable(t *testing.T) {
 	b := circuit.NewBuilder()
@@ -223,9 +264,12 @@ func TestOscillatorHitsEventLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := stim(0, vectors.Change{Time: 0, Input: en, Value: logic.One})
-	_, err = Run(c, s, 1_000_000, Config{System: logic.TwoValued, MaxEvents: 10_000})
-	if err == nil {
-		t.Fatal("oscillator did not hit the event limit")
+	for _, pl := range planes {
+		_, err = pl.run(c, s, 1_000_000, Config{System: logic.TwoValued, MaxEvents: 10_000})
+		var se *supervise.SimError
+		if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit {
+			t.Fatalf("%s: oscillator did not hit the event limit: %v", pl.name, err)
+		}
 	}
 }
 
@@ -240,21 +284,23 @@ func TestQueueImplementationsAgree(t *testing.T) {
 	}
 	until := Horizon(c, s)
 	var ref *Result
-	for _, impl := range []eventq.Impl{eventq.ImplHeap, eventq.ImplCalendar, eventq.ImplWheel} {
-		res, err := Run(c, s, until, Config{System: logic.TwoValued, Queue: impl})
-		if err != nil {
-			t.Fatalf("%v: %v", impl, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
-			t.Fatalf("%v waveform differs from heap:\n%s", impl, d)
-		}
-		for g := range ref.Values {
-			if ref.Values[g] != res.Values[g] {
-				t.Fatalf("%v final value differs at gate %d", impl, g)
+	for _, pl := range planes {
+		for _, impl := range []eventq.Impl{eventq.ImplHeap, eventq.ImplCalendar, eventq.ImplWheel} {
+			res, err := pl.run(c, s, until, Config{System: logic.TwoValued, Queue: impl})
+			if err != nil {
+				t.Fatalf("%s %v: %v", pl.name, impl, err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
+				t.Fatalf("%s %v waveform differs from scalar heap:\n%s", pl.name, impl, d)
+			}
+			for g := range ref.Values {
+				if ref.Values[g] != res.Values[g] {
+					t.Fatalf("%s %v final value differs at gate %d", pl.name, impl, g)
+				}
 			}
 		}
 	}
@@ -269,27 +315,29 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, s, Horizon(c, s), Config{System: logic.TwoValued, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Counters
-	if st.EventsApplied == 0 || st.Evaluations == 0 || st.Steps == 0 {
-		t.Fatalf("stats are zero: %+v", st)
-	}
-	if res.EvalsByGate == nil {
-		t.Fatal("profile not collected")
-	}
-	var sum uint64
-	for _, n := range res.EvalsByGate {
-		sum += n
-	}
-	if sum != st.Evaluations {
-		t.Fatalf("per-gate evals %d != total %d", sum, st.Evaluations)
-	}
-	// Events applied can exceed scheduled by at most the stimulus size.
-	if st.EventsApplied > st.EventsScheduled+uint64(len(s.Changes)) {
-		t.Fatalf("applied %d > scheduled %d + stimulus %d", st.EventsApplied, st.EventsScheduled, len(s.Changes))
+	for _, pl := range planes {
+		res, err := pl.run(c, s, Horizon(c, s), Config{System: logic.TwoValued, Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Counters
+		if st.EventsApplied == 0 || st.Evaluations == 0 || st.Steps == 0 {
+			t.Fatalf("%s: stats are zero: %+v", pl.name, st)
+		}
+		if res.EvalsByGate == nil {
+			t.Fatalf("%s: profile not collected", pl.name)
+		}
+		var sum uint64
+		for _, n := range res.EvalsByGate {
+			sum += n
+		}
+		if sum != st.Evaluations {
+			t.Fatalf("%s: per-gate evals %d != total %d", pl.name, sum, st.Evaluations)
+		}
+		// Events applied can exceed scheduled by at most the stimulus size.
+		if st.EventsApplied > st.EventsScheduled+uint64(len(s.Changes)) {
+			t.Fatalf("%s: applied %d > scheduled %d + stimulus %d", pl.name, st.EventsApplied, st.EventsScheduled, len(s.Changes))
+		}
 	}
 }
 
@@ -362,8 +410,10 @@ func TestZeroDelayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(c, stim(0), 10, Config{}); err == nil {
-		t.Fatal("zero-delay circuit accepted")
+	for _, pl := range planes {
+		if _, err := pl.run(c, stim(0), 10, Config{System: logic.FourValued}); err == nil {
+			t.Fatalf("%s: zero-delay circuit accepted", pl.name)
+		}
 	}
 }
 
@@ -372,9 +422,18 @@ func TestInvalidStimulusRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := stim(10, vectors.Change{Time: 0, Input: c.Outputs[0], Value: logic.One})
-	if _, err := Run(c, bad, 10, Config{}); err == nil {
-		t.Fatal("invalid stimulus accepted")
+	// A non-input gate, and a gate id beyond the circuit: either would
+	// index the value planes unchecked if it reached the engine.
+	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Gates))} {
+		bad := stim(10, vectors.Change{Time: 0, Input: g, Value: logic.One})
+		if _, err := Run(c, bad, 10, Config{}); err == nil {
+			t.Fatalf("scalar: stimulus driving gate %d accepted", g)
+		}
+		wbad := &vectors.WideStimulus{End: 10, Lanes: 1,
+			Changes: []vectors.WideChange{{Time: 0, Input: g, Value: logic.Splat(logic.One)}}}
+		if _, err := RunWide(c, wbad, 10, WideConfig{}); err == nil {
+			t.Fatalf("wide: stimulus driving gate %d accepted", g)
+		}
 	}
 }
 
@@ -387,22 +446,24 @@ func TestCriticalPathBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, s, Horizon(c, s), Config{System: logic.TwoValued, CriticalPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CriticalPath <= 0 {
-		t.Fatal("no critical path computed")
-	}
-	// The makespan with unlimited processors can never exceed the serial
-	// time, and must be at least one evaluation unit deep.
-	m := stats.DefaultCostModel()
-	seqTime := stats.SequentialTime(m, res.Counters.Evaluations, res.Counters.EventsApplied, res.Counters.EventsScheduled)
-	if res.CriticalPath > seqTime {
-		t.Fatalf("critical path %f exceeds serial time %f", res.CriticalPath, seqTime)
-	}
-	if res.CriticalPath < m.EvalCost {
-		t.Fatalf("critical path %f below one evaluation", res.CriticalPath)
+	for _, pl := range planes {
+		res, err := pl.run(c, s, Horizon(c, s), Config{System: logic.TwoValued, CriticalPath: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CriticalPath <= 0 {
+			t.Fatalf("%s: no critical path computed", pl.name)
+		}
+		// The makespan with unlimited processors can never exceed the
+		// serial time, and must be at least one evaluation unit deep.
+		m := stats.DefaultCostModel()
+		seqTime := stats.SequentialTime(m, res.Counters.Evaluations, res.Counters.EventsApplied, res.Counters.EventsScheduled)
+		if res.CriticalPath > seqTime {
+			t.Fatalf("%s: critical path %f exceeds serial time %f", pl.name, res.CriticalPath, seqTime)
+		}
+		if res.CriticalPath < m.EvalCost {
+			t.Fatalf("%s: critical path %f below one evaluation", pl.name, res.CriticalPath)
+		}
 	}
 	// Disabled by default.
 	res2, err := Run(c, s, Horizon(c, s), Config{System: logic.TwoValued})
@@ -441,5 +502,87 @@ func TestCriticalPathChainsThroughLogic(t *testing.T) {
 	d20, d40 := depth(20), depth(40)
 	if d40 < 1.8*d20 {
 		t.Fatalf("critical path not chaining: depth 20 -> %f, depth 40 -> %f", d20, d40)
+	}
+}
+
+// TestRunWideLaneExact is the foundation check for the whole wide path:
+// every lane of a wide run must reproduce, sample for sample, the scalar
+// reference run of that lane's stimulus.
+func TestRunWideLaneExact(t *testing.T) {
+	cases := []struct {
+		name string
+		sys  logic.System
+		seq  bool
+	}{
+		{"comb-2v", logic.TwoValued, false},
+		{"comb-4v", logic.FourValued, false},
+		{"seq-2v", logic.TwoValued, true},
+		{"seq-4v", logic.FourValued, true},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				c   *circuit.Circuit
+				err error
+			)
+			if tc.seq {
+				c, err = gen.RandomSeq(gen.RandomConfig{Gates: 120, Inputs: 8, Outputs: 6, Locality: 0.5, Seed: 9, FFRatio: 0.2})
+			} else {
+				c, err = gen.RandomDAG(gen.RandomConfig{Gates: 120, Inputs: 8, Outputs: 6, Locality: 0.5, Seed: 9})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			const lanes = 64
+			var (
+				ws    *vectors.WideStimulus
+				stims []*vectors.Stimulus
+			)
+			if tc.seq {
+				ws, stims, err = vectors.ClockedBatch(c, vectors.ClockedConfig{Clock: "clk", Cycles: 6, HalfPeriod: 8, Activity: 0.5, Seed: 21}, lanes, tc.sys)
+			} else {
+				ws, stims, err = vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 6, Period: 16, Activity: 0.6, Seed: 21}, lanes, tc.sys)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			until := HorizonFrom(c, ws.End)
+			wres, err := RunWide(c, ws, until, WideConfig{System: tc.sys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := laneInitial(c, tc.sys)
+			for k := 0; k < lanes; k++ {
+				sres, err := Run(c, stims[k], until, Config{System: tc.sys})
+				if err != nil {
+					t.Fatalf("lane %d scalar: %v", k, err)
+				}
+				got := trace.WideWaveform(wres.Waveform).Lane(k, init)
+				if d := trace.Diff(sres.Waveform, got, 6); d != "" {
+					t.Fatalf("lane %d waveform mismatch:\n%s", k, d)
+				}
+				for _, out := range c.Outputs {
+					if g, w := wres.Values[out].Get(k), sres.Values[out].ToX01Z(); g != w {
+						t.Fatalf("lane %d final %d: wide %v, scalar %v", k, out, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRunWideRejectsNineValued pins the wide plane's system constraint.
+func TestRunWideRejectsNineValued(t *testing.T) {
+	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 20, Inputs: 4, Outputs: 2, Locality: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 2, Period: 10, Activity: 0.5, Seed: 1}, 4, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWide(c, ws, 100, WideConfig{System: logic.NineValued}); err == nil {
+		t.Fatal("nine-valued wide run unexpectedly succeeded")
 	}
 }

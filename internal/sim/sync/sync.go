@@ -36,11 +36,11 @@ import (
 	"repro/internal/vectors"
 )
 
-// Config parameterizes a synchronous run.
+// Config parameterizes a synchronous run on either value plane.
 type Config struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
-	// System is the logic value system.
+	// System is the logic value system; zero selects the plane's default.
 	System logic.System
 	// Queue selects each LP's pending-event set implementation.
 	Queue eventq.Impl
@@ -70,7 +70,8 @@ type Config struct {
 	// are reloaded from it, the stimulus is ignored (the checkpoint queue
 	// already holds every future stimulus change), and the time-zero
 	// settling step is skipped. The returned waveform covers only the
-	// resumed suffix.
+	// resumed suffix. Checkpoints hold scalar values: RunWide does not
+	// boot (core rejects restore on a wide run).
 	Boot *ckpt.State
 }
 
@@ -84,31 +85,38 @@ type RebalanceConfig struct {
 	Fraction float64
 }
 
-// Result is the outcome of a synchronous run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultT is the outcome of a synchronous run over value type V.
+type ResultT[V comparable] struct {
+	Values []V
+	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
 	// Migrations counts gates moved by dynamic load balancing.
 	Migrations uint64
 }
 
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
+
 // event is a scheduled net change local to one LP.
-type event struct {
+type event[V comparable] struct {
 	gate  circuit.GateID
-	value logic.Value
+	value V
 }
 
 // lp is one logical process worker.
-type lp struct {
+type lp[V comparable] struct {
 	id      int
 	gates   []circuit.GateID
-	q       eventq.Queue[event]
+	q       eventq.Queue[event[V]]
 	dirty   []circuit.GateID
 	stamp   []uint64
-	scratch []logic.Value
-	rec     trace.Recorder
+	scratch []V
+	rec     trace.RecorderT[V]
 	st      *metrics.LPBlock
 	sh      *trace.Shard
 	// outbox[dst] accumulates dirty-gate notifications for LP dst during
@@ -121,6 +129,43 @@ type lp struct {
 
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	var err error
+	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
+		return nil, err
+	}
+	changes, err := stim.Projected(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	return run(circuit.Scalar, "sync", c, changes, until, cfg, boot)
+}
+
+// RunWide is the synchronous engine on 64 packed lanes: the identical
+// two-phase barrier protocol, with every net change carrying a whole word
+// and every evaluation processing 64 vectors. Events fire when any lane
+// changes, so per-step work is the union of the lanes' scalar work — one
+// barrier pair now advances 64 vectors instead of one.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	var err error
+	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
+		return nil, err
+	}
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	return run(circuit.Wide, "sync-wide", c, stim.Changes, until, cfg, nil)
+}
+
+// run is the synchronous engine over value type V. changes is a validated
+// schedule already in the run's value domain, engine labels the metrics
+// registry and errors, and boot, when non-nil, replaces the stimulus and
+// the time-zero settling step.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
+	until circuit.Tick, cfg Config, boot *ckpt.Seed[V]) (*ResultT[V], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("sync: Config.Partition is required")
 	}
@@ -130,18 +175,12 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
-	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("sync")
+		sink = metrics.NewRegistry(engine)
 	}
 	start := time.Now()
 
@@ -149,16 +188,13 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	numLPs := p.Blocks
 	owner := p.Assign
 
-	val, prevClk := circuit.InitState(c, cfg.System)
-	projected := make([]logic.Value, len(val))
+	val, prevClk := pl.InitState(c, cfg.System)
+	projected := make([]V, len(val))
 	copy(projected, val)
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-		copy(val, cfg.Boot.Vals)
-		copy(prevClk, cfg.Boot.PrevClk)
-		copy(projected, cfg.Boot.Projected)
+	if boot != nil {
+		copy(val, boot.Vals)
+		copy(prevClk, boot.PrevClk)
+		copy(projected, boot.Projected)
 	}
 
 	watched := cfg.Watch
@@ -185,13 +221,13 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	var migrations uint64
 
-	lps := make([]*lp, numLPs)
+	lps := make([]*lp[V], numLPs)
 	blockGates := p.BlockGates()
 	for i := range lps {
-		lps[i] = &lp{
+		lps[i] = &lp[V]{
 			id:     i,
 			gates:  blockGates[i],
-			q:      eventq.New[event](cfg.Queue),
+			q:      eventq.New[event[V]](cfg.Queue),
 			stamp:  make([]uint64, len(c.Gates)),
 			outbox: make([][]circuit.GateID, numLPs),
 			st:     sink.LP(i),
@@ -200,27 +236,27 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 	globals := sink.Globals()
 	coord := cfg.Tracer.Shard("coordinator")
-	if cfg.Boot == nil {
-		for _, ch := range stim.Changes {
+	if boot == nil {
+		for _, ch := range changes {
 			if ch.Time > until {
 				continue
 			}
-			lps[owner[ch.Input]].q.Push(uint64(ch.Time), event{ch.Input, cfg.System.Project(ch.Value)})
+			lps[owner[ch.Input]].q.Push(uint64(ch.Time), event[V]{ch.Input, ch.Value})
 		}
 	} else {
 		// Checkpoint events go to the target's owner only: the engine
 		// shares one value plane, so there are no ghost copies to feed.
-		for _, ev := range cfg.Boot.Events {
-			lps[owner[ev.Gate]].q.Push(ev.Time, event{ev.Gate, ev.Value})
+		for _, ev := range boot.Events {
+			lps[owner[ev.Gate]].q.Push(ev.Time, event[V]{ev.Gate, ev.Value})
 		}
 	}
 
 	var epoch uint64
 	var totalEvents atomic.Uint64
-	run := &Result{}
+	res := &ResultT[V]{}
 
 	// phaseA applies this LP's events at time t and routes notifications.
-	phaseA := func(l *lp, t circuit.Tick) {
+	phaseA := func(l *lp[V], t circuit.Tick) {
 		l.phaseWork = 0
 		begin := l.sh.Now()
 		applied := uint64(0)
@@ -255,7 +291,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	}
 
 	// phaseB drains notifications and evaluates affected gates.
-	phaseB := func(l *lp, t circuit.Tick, initial bool) {
+	phaseB := func(l *lp[V], t circuit.Tick, initial bool) {
 		l.phaseWork = 0
 		begin := l.sh.Now()
 		l.dirty = l.dirty[:0]
@@ -293,8 +329,8 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			}
 		}
 		for _, g := range l.dirty {
-			var out, clkSample logic.Value
-			out, clkSample, l.scratch = circuit.EvalGate(c, g, val, prevClk, l.scratch)
+			var out, clkSample V
+			out, clkSample, l.scratch = pl.EvalGate(c, g, val, prevClk, l.scratch)
 			prevClk[g] = clkSample
 			l.st.Evaluations++
 			if rebalancing {
@@ -305,7 +341,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 				continue
 			}
 			projected[g] = out
-			l.q.Push(uint64(t+c.Gates[g].Delay), event{g, out})
+			l.q.Push(uint64(t+c.Gates[g].Delay), event[V]{g, out})
 			l.st.EventsScheduled++
 			l.phaseWork += cfg.Cost.EventCost
 		}
@@ -347,7 +383,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	for _, l := range lps {
 		ch := make(chan phaseCmd, 1)
 		work[l.id] = ch
-		go func(l *lp, ch chan phaseCmd) {
+		go func(l *lp[V], ch chan phaseCmd) {
 			for cmd := range ch {
 				name := "apply"
 				if cmd.phase != 0 {
@@ -357,10 +393,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 					defer pw.Done()
 					defer func() {
 						if r := recover(); r != nil {
-							setFail(supervise.FromPanic("sync", l.id, name, cmd.t, r))
+							setFail(supervise.FromPanic(engine, l.id, name, cmd.t, r))
 						}
 					}()
-					metrics.Do(sink, "sync", l.id, name, func() {
+					metrics.Do(sink, engine, l.id, name, func() {
 						switch cmd.phase {
 						case 0:
 							phaseA(l, cmd.t)
@@ -486,7 +522,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	// gates. A checkpoint resume skips it — the snapshot is already
 	// settled state.
 	epoch++
-	if cfg.Boot == nil {
+	if boot == nil {
 		runPhase(0, 0)
 		runPhase(0, 2)
 		clearOutboxes()
@@ -504,7 +540,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		for _, l := range lps {
 			if err := l.q.Err(); err != nil {
 				return nil, &supervise.SimError{
-					Engine: "sync", LP: l.id, Phase: "eventq", ModeledTime: endTime,
+					Engine: engine, LP: l.id, Phase: "eventq", ModeledTime: endTime,
 					Kind: supervise.KindCausality, Cause: err,
 				}
 			}
@@ -517,7 +553,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		}
 		if cfg.MaxEvents > 0 && totalEvents.Load() > cfg.MaxEvents {
 			return nil, &supervise.SimError{
-				Engine: "sync", LP: -1, Phase: "run", ModeledTime: circuit.Tick(next),
+				Engine: engine, LP: -1, Phase: "run", ModeledTime: circuit.Tick(next),
 				Kind:  supervise.KindEventLimit,
 				Cause: fmt.Errorf("event limit %d exceeded at time %d", cfg.MaxEvents, next),
 			}
@@ -540,15 +576,15 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 		}
 	}
 
-	run.Values = val
-	recs := make([]*trace.Recorder, numLPs)
+	res.Values = val
+	recs := make([]*trace.RecorderT[V], numLPs)
 	for i, l := range lps {
 		recs[i] = &l.rec
 	}
-	run.Waveform = trace.Merge(recs...)
-	run.EndTime = endTime
-	run.Migrations = migrations
+	res.Waveform = trace.Merge(recs...)
+	res.EndTime = endTime
+	res.Migrations = migrations
 	sink.SetGauge("migrations", float64(migrations))
-	run.Stats = stats.Collect(sink, time.Since(start))
-	return run, nil
+	res.Stats = stats.Collect(sink, time.Since(start))
+	return res, nil
 }

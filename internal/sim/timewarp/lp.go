@@ -52,14 +52,6 @@ type lazyRec[V comparable] struct {
 	createdAt circuit.Tick
 }
 
-// recorderOf abstracts the waveform recorder over the value type:
-// *trace.Recorder for scalar runs, *trace.WideRecorder for wide runs.
-// Rollback needs TruncateFrom, so a bare record callback is not enough.
-type recorderOf[V comparable] interface {
-	Record(t circuit.Tick, g circuit.GateID, v V)
-	TruncateFrom(t circuit.Tick)
-}
-
 // tlp is one Time Warp logical process.
 type tlp[V comparable] struct {
 	id   int
@@ -67,7 +59,7 @@ type tlp[V comparable] struct {
 	cfg  Config
 	k    *kernel.LPT[V]
 	q    eventq.Queue[qevent[V]]
-	rec  recorderOf[V]
+	rec  *trace.RecorderT[V]
 	st   *metrics.LPBlock
 	trsh *trace.Shard
 	slot *supervise.LPSlot // watchdog scoreboard entry; nil-safe when unwatched
@@ -111,7 +103,7 @@ type tlp[V comparable] struct {
 	critEval float64
 }
 
-func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec recorderOf[V], cfg Config) *tlp[V] {
+func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec *trace.RecorderT[V], cfg Config) *tlp[V] {
 	l := &tlp[V]{
 		id:   id,
 		sh:   sh,
@@ -226,7 +218,7 @@ func (l *tlp[V]) getUndo() *kernel.UndoT[V] {
 		return u
 	}
 	l.st.PoolMisses++
-	return kernel.NewUndoOf[V](32, 8, 32)
+	return kernel.NewUndo[V](32, 8, 32)
 }
 
 // getSnap acquires a snapshot buffer from the free-list; TakeSnapshot

@@ -22,12 +22,10 @@
 //
 // The Time Warp protocol itself — speculation, rollback, anti-messages,
 // GVT, fossil collection — never inspects a signal value; it only moves
-// them, compares them, and saves them. The implementation is therefore
-// generic over the value type: runCore and the tlp machinery in lp.go are
-// instantiated with logic.Value for scalar runs (Run) and logic.Word for
-// 64-lane wide runs (RunWide), with the value-specific pieces (stimulus
-// projection, kernel construction, waveform recording) injected by the two
-// wrappers.
+// them, compares them, and saves them. The engine is therefore one body
+// generic over the value type, built on a circuit.Plane[V]: run and the
+// tlp machinery in lp.go are instantiated with logic.Value for Run and
+// logic.Word for the 64-lane RunWide.
 package timewarp
 
 import (
@@ -93,7 +91,7 @@ func (s StateSaving) String() string {
 	return fmt.Sprintf("StateSaving(%d)", uint8(s))
 }
 
-// Config parameterizes an optimistic run.
+// Config parameterizes an optimistic run on either value plane.
 type Config struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
@@ -124,7 +122,7 @@ type Config struct {
 	// Cost prices intra-cluster critical-path accounting when
 	// IntraWorkers > 1; the zero value uses the default model.
 	Cost stats.CostModel
-	// System is the logic value system.
+	// System is the logic value system; zero selects the plane's default.
 	System logic.System
 	// Queue selects each LP's pending-event set implementation.
 	Queue eventq.Impl
@@ -159,10 +157,11 @@ type Config struct {
 	// queue is reloaded from it, the stimulus is ignored (the checkpoint
 	// queue already holds every future stimulus change), and the
 	// time-zero settling step is skipped. The returned waveform covers
-	// only the resumed suffix.
+	// only the resumed suffix. Checkpoints hold scalar values: RunWide
+	// does not boot (core rejects restore on a wide run).
 	Boot *ckpt.State
-	// Sweep arms the kernel's oblivious block sweep on the scalar LPs (the
-	// wide LPs always arm it): once a step's dirty set covers half an LP's
+	// Sweep arms the kernel's oblivious block sweep (RunWide always arms
+	// it): once a step's dirty set covers half an LP's
 	// block, the whole block is evaluated in one levelized pass. Intended
 	// for cone-split partitions, whose fat per-cone blocks saturate the
 	// dirty set on nearly every active step.
@@ -181,15 +180,17 @@ type Config struct {
 	// distributed simulation: only the LPs the seam maps to this shard
 	// execute locally, remote LPs' mailboxes are replaced by socket
 	// outboxes, and GVT becomes the seam's hub-driven round protocol
-	// instead of the local pause-the-world coordinator. Scalar runs
-	// only; incompatible with IntraWorkers, HistoryLimit, and Adapt.
+	// instead of the local pause-the-world coordinator. Incompatible
+	// with IntraWorkers, HistoryLimit, and Adapt. The wire format
+	// carries scalar values: RunWide runs every LP locally.
 	Dist *wire.Seam
 }
 
-// Result is the outcome of an optimistic run.
-type Result struct {
-	Values   []logic.Value
-	Waveform trace.Waveform
+// ResultT is the outcome of an optimistic run over value type V.
+type ResultT[V comparable] struct {
+	Values []V
+	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	GVT      circuit.Tick
 	Stats    stats.RunStats
@@ -197,6 +198,12 @@ type Result struct {
 	// evaluation critical path (per-step max chunk plus barrier costs).
 	IntraCritical []float64
 }
+
+// Result is the outcome of a scalar run.
+type Result = ResultT[logic.Value]
+
+// WideResult is the outcome of a wide (64-lane) run.
+type WideResult = ResultT[logic.Word]
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -243,7 +250,7 @@ type gvtReply struct {
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
 	cfg     Config
-	engine  string // supervise/metrics label: "timewarp" or "timewarp-wide"
+	engine  string // supervise/metrics label
 	boot    bool   // resuming from a checkpoint (skip the settling step)
 	c       *circuit.Circuit
 	until   circuit.Tick
@@ -302,16 +309,56 @@ func (sh *shared[V]) fail(err error) {
 	}
 }
 
-// stimChange is one pre-projected stimulus (or checkpoint) event handed to
-// runCore by a wrapper; the value is already in the run's value domain.
-type stimChange[V comparable] struct {
-	time circuit.Tick
-	gate circuit.GateID
-	value V
-}
-
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
+	var err error
+	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
+		return nil, err
+	}
+	changes, err := stim.Projected(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	return run(circuit.Scalar, "timewarp", c, changes, until, cfg, boot, wireEncScalar, wireDecScalar)
+}
+
+// RunWide is the optimistic engine on 64 packed lanes: the identical Time
+// Warp protocol with every message, saved state word, and undo record
+// carrying a whole 64-lane word. Rollback restores all lanes at once, so a
+// straggler in any lane repairs every lane together. Inside each LP the
+// kernel's oblivious block sweep is armed: when the lane-union dirty set
+// reaches half the LP's block, the step evaluates the whole owned block in
+// levelized order obliviously-wide — scalar event semantics at LP
+// boundaries, batch evaluation inside. Per lane, the committed result is
+// bit-identical to a scalar optimistic run of that lane's stimulus.
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
+	var err error
+	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
+		return nil, err
+	}
+	if err := stim.Validate(c); err != nil {
+		return nil, err
+	}
+	// A lane-union dirty set saturates, so a wide run always sweeps; the
+	// wire format carries scalar values, so every LP runs locally.
+	cfg.Sweep, cfg.Dist = true, nil
+	return run(circuit.Wide, "timewarp-wide", c, stim.Changes, until, cfg, nil, nil, nil)
+}
+
+// run is the optimistic engine over value type V: LP construction,
+// stimulus/checkpoint routing, the LP goroutines, the GVT coordinator,
+// abort-to-error mapping, and result assembly. changes is a validated
+// schedule already in the run's value domain, engine labels the metrics
+// registry and errors, boot, when non-nil, replaces the stimulus and the
+// time-zero settling step, and wireEnc/wireDec translate messages for
+// cfg.Dist.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
+	until circuit.Tick, cfg Config, boot *ckpt.Seed[V],
+	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V]) (*ResultT[V], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("timewarp: Config.Partition is required")
 	}
@@ -321,107 +368,18 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
 	if err := checkDist(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.System == 0 {
-		cfg.System = logic.NineValued
-	}
-	if cfg.Boot != nil {
-		if err := cfg.Boot.Check(c, cfg.System); err != nil {
-			return nil, err
-		}
-	}
 	sink := cfg.Metrics
 	if sink == nil {
-		sink = metrics.NewRegistry("timewarp")
+		sink = metrics.NewRegistry(engine)
 	}
 	start := time.Now()
-
-	n := cfg.Partition.Blocks
-	owner := cfg.Partition.Assign
 	watched := cfg.Watch
 	if watched == nil {
 		watched = c.Outputs
 	}
-
-	var stimEvents, bootEvents []stimChange[logic.Value]
-	var seedState func(k *kernel.LP)
-	if cfg.Boot == nil {
-		stimEvents = make([]stimChange[logic.Value], 0, len(stim.Changes))
-		for _, ch := range stim.Changes {
-			stimEvents = append(stimEvents, stimChange[logic.Value]{ch.Time, ch.Input, cfg.System.Project(ch.Value)})
-		}
-	} else {
-		boot := cfg.Boot
-		bootEvents = make([]stimChange[logic.Value], 0, len(boot.Events))
-		for _, ev := range boot.Events {
-			bootEvents = append(bootEvents, stimChange[logic.Value]{circuit.Tick(ev.Time), ev.Gate, ev.Value})
-		}
-		seedState = func(k *kernel.LP) {
-			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
-		}
-	}
-
-	recs := make([]trace.Recorder, n)
-	lps, sh, gvtRounds, finalGVT, err := runCore(c, until, cfg, sink, "timewarp",
-		stimEvents, bootEvents, seedState, wireEncScalar, wireDecScalar,
-		func(self int, own []circuit.GateID) *kernel.LP {
-			k := kernel.New(c, owner, self, cfg.System, watched, own)
-			if cfg.Sweep {
-				k.EnableSweep(kernel.SweepThreshold(len(own)))
-			}
-			return k
-		},
-		func(lp int) recorderOf[logic.Value] { return &recs[lp] })
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Values: make([]logic.Value, len(c.Gates)), GVT: finalGVT}
-	for g := range c.Gates {
-		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
-	}
-	recPtrs := make([]*trace.Recorder, n)
-	for i, l := range lps {
-		recPtrs[i] = &recs[i]
-		res.IntraCritical = append(res.IntraCritical, l.critEval)
-		if l.lvt != infTick && l.lvt > res.EndTime {
-			res.EndTime = l.lvt
-		}
-	}
-	res.Waveform = trace.Merge(recPtrs...)
-	sink.Globals().GVTRounds = gvtRounds
-	if finalGVT != infTick {
-		sink.SetGauge("final_gvt", float64(finalGVT))
-	}
-	if cfg.HistoryLimit > 0 {
-		sink.SetGauge("mem_throttle_rounds", float64(sh.throttleRounds))
-		sink.SetGauge("history_peak_words", float64(sh.histPeak))
-	}
-	if cfg.Adapt != nil {
-		sink.SetGauge("adapt_window_changes", float64(sh.winChanges))
-		sink.SetGauge("adapt_final_window", float64(sh.adaptWin.Load()))
-	}
-	res.Stats = stats.Collect(sink, time.Since(start))
-	return res, nil
-}
-
-// runCore executes the value-blind Time Warp protocol: LP construction,
-// stimulus/checkpoint routing, the LP goroutines, the GVT coordinator, and
-// abort-to-error mapping. The value-specific pieces arrive as hooks:
-// pre-projected stimulus (or checkpoint) events, an optional state seeder
-// (non-nil exactly when resuming from a checkpoint), a kernel factory, and
-// a recorder factory. On success the caller assembles its result from the
-// returned LPs.
-func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, sink metrics.Sink,
-	engine string, stimEvents, bootEvents []stimChange[V], seedState func(k *kernel.LPT[V]),
-	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V],
-	newKernel func(self int, own []circuit.GateID) *kernel.LPT[V],
-	newRecorder func(lp int) recorderOf[V]) ([]*tlp[V], *shared[V], uint64, circuit.Tick, error) {
 	if cfg.GVTInterval == 0 {
 		cfg.GVTInterval = 50 * time.Millisecond
 	}
@@ -442,7 +400,7 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 		}
 	}
 
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: seedState != nil, c: c, until: until, sink: sink, tracer: cfg.Tracer}
+	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink, tracer: cfg.Tracer}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
 	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
 	for i := range sh.inboxes {
@@ -473,12 +431,19 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 	}
 	blockGates := p.BlockGates()
 	lps := make([]*tlp[V], n)
+	recSlab := make([]trace.RecorderT[V], n)
+	recs := make([]*trace.RecorderT[V], n)
 	for i := 0; i < n; i++ {
-		lps[i] = newTLP(sh, i, newKernel(i, blockGates[i]), newRecorder(i), cfg)
-		lps[i].slot = board.LP(i)
-		if seedState != nil {
-			seedState(lps[i].k)
+		k := kernel.NewOn(pl, c, owner, i, cfg.System, watched, blockGates[i])
+		if cfg.Sweep {
+			k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))
 		}
+		if boot != nil {
+			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
+		}
+		recs[i] = &recSlab[i]
+		lps[i] = newTLP(sh, i, k, recs[i], cfg)
+		lps[i].slot = board.LP(i)
 	}
 
 	if !sh.boot {
@@ -496,11 +461,11 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 			}
 			deliverTo[in] = dsts
 		}
-		for _, ch := range stimEvents {
-			if ch.time > until {
+		for _, ch := range changes {
+			if ch.Time > until {
 				continue
 			}
-			for _, dst := range deliverTo[ch.gate] {
+			for _, dst := range deliverTo[ch.Input] {
 				// Each shard routes only to its own LPs: every worker
 				// holds the full stimulus, so remote destinations are
 				// someone else's copy of this same loop.
@@ -508,11 +473,11 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 					continue
 				}
 				l := lps[dst]
-				ev := qevent[V]{gate: ch.gate, value: ch.value, id: l.newID()}
-				if ch.time == 0 {
+				ev := qevent[V]{gate: ch.Input, value: ch.Value, id: l.newID()}
+				if ch.Time == 0 {
 					l.initialEvents = append(l.initialEvents, kernel.EventT[V]{Gate: ev.gate, Value: ev.value})
 				} else {
-					l.q.Push(uint64(ch.time), ev)
+					l.q.Push(uint64(ch.Time), ev)
 				}
 			}
 		}
@@ -521,13 +486,13 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 		// holding a fanout ghost — the same visibility rule as stimulus,
 		// but checkpoint events can target any gate, not just inputs.
 		seen := map[int]bool{}
-		for _, ev := range bootEvents {
+		for _, ev := range boot.Events {
 			for b := range seen {
 				delete(seen, b)
 			}
-			seen[owner[ev.gate]] = true
-			dsts := []int{owner[ev.gate]}
-			for _, fo := range c.Fanout[ev.gate] {
+			seen[owner[ev.Gate]] = true
+			dsts := []int{owner[ev.Gate]}
+			for _, fo := range c.Fanout[ev.Gate] {
 				if b := owner[fo]; !seen[b] {
 					seen[b] = true
 					dsts = append(dsts, b)
@@ -538,7 +503,7 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 					continue
 				}
 				l := lps[dst]
-				l.q.Push(uint64(ev.time), qevent[V]{gate: ev.gate, value: ev.value, id: l.newID()})
+				l.q.Push(ev.Time, qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()})
 			}
 		}
 	}
@@ -597,15 +562,40 @@ func runCore[V comparable](c *circuit.Circuit, until circuit.Tick, cfg Config, s
 
 	if sh.abort.Load() {
 		if sh.err != nil {
-			return nil, nil, 0, 0, sh.err
+			return nil, sh.err
 		}
-		return nil, nil, 0, 0, &supervise.SimError{
+		return nil, &supervise.SimError{
 			Engine: engine, LP: -1, Phase: "run",
 			Kind:  supervise.KindEventLimit,
 			Cause: fmt.Errorf("event limit %d exceeded", cfg.MaxEvents),
 		}
 	}
-	return lps, sh, gvtRounds, finalGVT, nil
+
+	res := &ResultT[V]{Values: make([]V, len(c.Gates)), GVT: finalGVT}
+	for g := range c.Gates {
+		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
+	}
+	for _, l := range lps {
+		res.IntraCritical = append(res.IntraCritical, l.critEval)
+		if l.lvt != infTick && l.lvt > res.EndTime {
+			res.EndTime = l.lvt
+		}
+	}
+	res.Waveform = trace.Merge(recs...)
+	sink.Globals().GVTRounds = gvtRounds
+	if finalGVT != infTick {
+		sink.SetGauge("final_gvt", float64(finalGVT))
+	}
+	if cfg.HistoryLimit > 0 {
+		sink.SetGauge("mem_throttle_rounds", float64(sh.throttleRounds))
+		sink.SetGauge("history_peak_words", float64(sh.histPeak))
+	}
+	if cfg.Adapt != nil {
+		sink.SetGauge("adapt_window_changes", float64(sh.winChanges))
+		sink.SetGauge("adapt_final_window", float64(sh.adaptWin.Load()))
+	}
+	res.Stats = stats.Collect(sink, time.Since(start))
+	return res, nil
 }
 
 // coordinate runs the GVT/termination protocol and returns the number of

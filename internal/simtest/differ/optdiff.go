@@ -168,7 +168,7 @@ func genOptWide(cfg OptDiffConfig, tr *OptTrial, rng *rand.Rand, seed int64, spe
 	if err != nil {
 		return nil, fmt.Errorf("differ: opt trial %d (seed %d): %w", tr.Index, seed, err)
 	}
-	tr.Until = seq.WideHorizon(c, tr.Wide)
+	tr.Until = seq.HorizonFrom(c, tr.Wide.End)
 
 	tr.Opts = core.Options{
 		Engine:        engines[rng.Intn(len(engines))],

@@ -9,8 +9,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	simsync "repro/internal/sim/sync"
 	"repro/internal/sim/timewarp"
+	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -24,6 +27,14 @@ type WideDiffConfig struct {
 	// Engines limits the engines exercised; nil means every wide engine
 	// with event semantics (sync, cmb variants, timewarp variants, hybrid).
 	Engines []core.Engine
+	// ChaosFaults, when positive, runs every trial under a seeded inject
+	// plan of that many transport faults and stalls; the asynchronous
+	// engines (cmb, timewarp, hybrid) honor it.
+	ChaosFaults int
+	// Rebalance, when its Interval is positive, turns dynamic load
+	// balancing on in the trial's sync engine. core does not expose it, so
+	// such a trial calls the engine directly.
+	Rebalance simsync.RebalanceConfig
 }
 
 // WideDiffEngines is the default wide engine set: every parallel
@@ -51,6 +62,10 @@ type WideTrial struct {
 	Wide  *vectors.WideStimulus
 	Until circuit.Tick
 	Opts  core.Options
+	// Plan and Rebalance carry the WideDiffConfig arms; every run gets a
+	// fresh chaos hook over Plan.
+	Plan      inject.Plan
+	Rebalance simsync.RebalanceConfig
 }
 
 // GenWideTrial deterministically derives wide trial i from the config.
@@ -139,7 +154,7 @@ func GenWideTrial(cfg WideDiffConfig, i int) (*WideTrial, error) {
 	if err != nil {
 		return nil, fmt.Errorf("differ: wide trial %d (seed %d): %w", i, seed, err)
 	}
-	tr.Until = seq.WideHorizon(c, tr.Wide)
+	tr.Until = seq.HorizonFrom(c, tr.Wide.End)
 
 	opts := core.Options{
 		Engine:        engines[rng.Intn(len(engines))],
@@ -161,6 +176,13 @@ func GenWideTrial(cfg WideDiffConfig, i int) (*WideTrial, error) {
 	}
 	fmt.Fprintf(&spec, "; engine=%v lps=%d partition=%v/seed=%d system=%v",
 		opts.Engine, opts.LPs, opts.Partition, opts.PartitionSeed, opts.System)
+	if cfg.ChaosFaults > 0 {
+		tr.Plan = inject.NewPlan(uint64(seed), opts.LPs, cfg.ChaosFaults)
+		fmt.Fprintf(&spec, " chaos=%d faults", cfg.ChaosFaults)
+	}
+	if tr.Rebalance = cfg.Rebalance; tr.Rebalance.Interval > 0 {
+		fmt.Fprintf(&spec, " rebalance=every %d steps", tr.Rebalance.Interval)
+	}
 	tr.Opts = opts
 	tr.Spec = spec.String()
 	return tr, nil
@@ -191,7 +213,7 @@ func (tr *WideTrial) Check() error {
 // mismatching lane index (-1 if all lanes agree) and a description of the
 // divergence, or an error if a run itself failed.
 func (tr *WideTrial) checkOnce(ws *vectors.WideStimulus, stims []*vectors.Stimulus) (int, string, error) {
-	wrep, err := core.SimulateWide(tr.C, ws, tr.Until, tr.Opts)
+	values, wave, err := tr.runWide(ws)
 	if err != nil {
 		return -1, "", fmt.Errorf("wide engine run failed: %w", err)
 	}
@@ -204,17 +226,50 @@ func (tr *WideTrial) checkOnce(ws *vectors.WideStimulus, stims []*vectors.Stimul
 		if err != nil {
 			return -1, "", fmt.Errorf("lane %d scalar reference failed: %w", k, err)
 		}
-		if d := trace.Diff(sres.Waveform, wrep.Waveform.Lane(k, init), 5); d != "" {
+		if d := trace.Diff(sres.Waveform, wave.Lane(k, init), 5); d != "" {
 			return k, fmt.Sprintf("lane %d waveform vs scalar seq:\n%s", k, d), nil
 		}
 		for _, out := range tr.C.Outputs {
-			if g, w := wrep.Values[out].Get(k), sres.Values[out].ToX01Z(); g != w {
+			if g, w := values[out].Get(k), sres.Values[out].ToX01Z(); g != w {
 				return k, fmt.Sprintf("lane %d final value at gate %d (%q): wide=%v scalar=%v",
 					k, out, tr.C.Gates[out].Name, g, w), nil
 			}
 		}
 	}
 	return -1, "", nil
+}
+
+// runWide executes the trial's wide engine on ws: through core, or, for a
+// rebalancing trial, on the sync engine directly.
+func (tr *WideTrial) runWide(ws *vectors.WideStimulus) ([]logic.Word, trace.WideWaveform, error) {
+	opts := tr.Opts
+	if tr.Rebalance.Interval > 0 {
+		part, err := partition.New(opts.Partition, tr.C, opts.LPs, partition.Options{Seed: opts.PartitionSeed})
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := simsync.RunWide(tr.C, ws, tr.Until, simsync.Config{
+			Partition: part, System: opts.System, Rebalance: tr.Rebalance,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Values, res.Waveform, nil
+	}
+	if tr.Plan != nil {
+		opts.Chaos = inject.NewHook(uint64(tr.Seed), tr.Plan)
+	}
+	rep, err := core.SimulateWide(tr.C, ws, tr.Until, opts)
+	if opts.Chaos != nil {
+		// Checked before the engine error: a violation is the cause.
+		if v := opts.Chaos.Violations(); len(v) > 0 {
+			return nil, nil, fmt.Errorf("chaos transport protocol violation: %s", v[0])
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep.Values, rep.Waveform, nil
 }
 
 // shrinkLanes minimizes the failing lane set: first the single known-bad

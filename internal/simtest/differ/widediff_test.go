@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	simsync "repro/internal/sim/sync"
 )
 
 // TestWideLockstepCrossEngine is the wide-plane conformance suite: every
@@ -58,6 +59,51 @@ func TestWideLockstepPerEngineCoverage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWideLockstepChaos is the lockstep oracle under fault injection: the
+// chaos transport and the stall points attach to the generic engine body,
+// so the wide asynchronous engines must stay lane-exact under a seeded
+// plan of reorders, delays, duplicates and stalls.
+func TestWideLockstepChaos(t *testing.T) {
+	per := 4
+	if testing.Short() {
+		per = 2
+	}
+	for _, eng := range []core.Engine{core.EngineCMB, core.EngineCMBDemand, core.EngineTimeWarp, core.EngineTimeWarpLazy, core.EngineHybrid} {
+		eng := eng
+		t.Run(eng.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := WideDiffConfig{Seed: 700 + int64(eng), Engines: []core.Engine{eng}, ChaosFaults: 12}
+			for i := 0; i < per; i++ {
+				tr, err := GenWideTrial(cfg, i)
+				if err != nil {
+					t.Fatalf("trial %d: %v", i, err)
+				}
+				if err := tr.Check(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWideLockstepRebalance runs the wide synchronous engine with dynamic
+// load balancing migrating gates between steps: ownership moves must not
+// change a sample in any lane.
+func TestWideLockstepRebalance(t *testing.T) {
+	for _, interval := range []uint64{1, 7} {
+		cfg := WideDiffConfig{Seed: 31, Engines: []core.Engine{core.EngineSync}, Rebalance: simsync.RebalanceConfig{Interval: interval}}
+		for i := 0; i < 4; i++ {
+			tr, err := GenWideTrial(cfg, i)
+			if err != nil {
+				t.Fatalf("trial %d: %v", i, err)
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -17,48 +17,60 @@ import (
 	"repro/internal/logic"
 )
 
-// Sample is one committed value change on a watched net.
-type Sample struct {
+// SampleT is one committed value change on a watched net, over the value
+// type of the run: a scalar logic.Value, or a 64-lane logic.Word holding
+// the complete state of the net at Time.
+type SampleT[V comparable] struct {
 	Time  circuit.Tick
 	Gate  circuit.GateID
-	Value logic.Value
+	Value V
 }
 
-// Waveform is a canonical change history: samples sorted by (Time, Gate).
-type Waveform []Sample
+// Sample is the scalar sample.
+type Sample = SampleT[logic.Value]
 
-// Recorder accumulates samples in nondecreasing time order. The zero value
+// WaveformT is a canonical change history: samples sorted by (Time, Gate).
+type WaveformT[V comparable] []SampleT[V]
+
+// Waveform is the scalar waveform.
+type Waveform = WaveformT[logic.Value]
+
+// RecorderT accumulates samples in nondecreasing time order. The zero value
 // is ready to use. Recorders are not safe for concurrent use; parallel
 // engines keep one per logical process and merge at the end.
-type Recorder struct {
-	samples []Sample
+type RecorderT[V comparable] struct {
+	samples []SampleT[V]
 }
 
+// Recorder is the scalar recorder.
+type Recorder = RecorderT[logic.Value]
+
 // Record appends a change. Callers record only genuine changes (the new
-// value differs from the net's previous committed value); engines already
-// track net values, so the recorder does not duplicate that bookkeeping.
-func (r *Recorder) Record(t circuit.Tick, g circuit.GateID, v logic.Value) {
-	r.samples = append(r.samples, Sample{t, g, v})
+// value differs from the net's previous committed value; for a word, in at
+// least one lane); engines already track net values, so the recorder does
+// not duplicate that bookkeeping.
+func (r *RecorderT[V]) Record(t circuit.Tick, g circuit.GateID, v V) {
+	r.samples = append(r.samples, SampleT[V]{t, g, v})
 }
 
 // TruncateFrom discards all samples with Time >= t. It is how Time Warp
 // unwinds speculative output on rollback; samples are appended in
 // nondecreasing time order, so truncation is a suffix cut.
-func (r *Recorder) TruncateFrom(t circuit.Tick) {
+func (r *RecorderT[V]) TruncateFrom(t circuit.Tick) {
 	i := sort.Search(len(r.samples), func(i int) bool { return r.samples[i].Time >= t })
 	r.samples = r.samples[:i]
 }
 
 // Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.samples) }
+func (r *RecorderT[V]) Len() int { return len(r.samples) }
 
 // Merge combines recorder shards into one canonical waveform.
-func Merge(recs ...*Recorder) Waveform {
+func Merge[V comparable](recs ...*RecorderT[V]) WaveformT[V] {
 	var n int
 	for _, r := range recs {
 		n += len(r.samples)
 	}
-	w := make(Waveform, 0, n)
+	w := make(WaveformT[V], 0, n)
 	for _, r := range recs {
 		w = append(w, r.samples...)
 	}
@@ -119,7 +131,7 @@ func Diff(want, got Waveform, limit int) string {
 
 // ValueAt reconstructs the value of gate g at time t from the waveform,
 // given the gate's initial value. Samples at exactly t are included.
-func (w Waveform) ValueAt(g circuit.GateID, t circuit.Tick, initial logic.Value) logic.Value {
+func (w WaveformT[V]) ValueAt(g circuit.GateID, t circuit.Tick, initial V) V {
 	v := initial
 	for _, s := range w {
 		if s.Time > t {

@@ -1,65 +1,18 @@
 package trace
 
 import (
-	"sort"
-
 	"repro/internal/circuit"
 	"repro/internal/logic"
 )
 
 // WideSample is one committed whole-word change on a watched net: at Time
-// at least one lane of Gate changed to the corresponding lane of Word.
+// at least one lane of Gate changed to the corresponding lane of Value.
 // Unchanged lanes carry their previous value, so the word is always the
 // complete 64-lane state of the net at Time.
-type WideSample struct {
-	Time circuit.Tick
-	Gate circuit.GateID
-	Word logic.Word
-}
+type WideSample = SampleT[logic.Word]
 
 // WideWaveform is a canonical wide change history sorted by (Time, Gate).
 type WideWaveform []WideSample
-
-// WideRecorder accumulates wide samples in nondecreasing time order, the
-// word-valued counterpart of Recorder.
-type WideRecorder struct {
-	samples []WideSample
-}
-
-// Record appends a whole-word change. Engines call it only when the new
-// word differs from the net's previous committed word in at least one
-// lane; per-lane deduplication happens at extraction time in Lane.
-func (r *WideRecorder) Record(t circuit.Tick, g circuit.GateID, w logic.Word) {
-	r.samples = append(r.samples, WideSample{t, g, w})
-}
-
-// TruncateFrom discards all samples with Time >= t (rollback support).
-func (r *WideRecorder) TruncateFrom(t circuit.Tick) {
-	i := sort.Search(len(r.samples), func(i int) bool { return r.samples[i].Time >= t })
-	r.samples = r.samples[:i]
-}
-
-// Len returns the number of recorded wide samples.
-func (r *WideRecorder) Len() int { return len(r.samples) }
-
-// MergeWide combines wide recorder shards into one canonical waveform.
-func MergeWide(recs ...*WideRecorder) WideWaveform {
-	var n int
-	for _, r := range recs {
-		n += len(r.samples)
-	}
-	w := make(WideWaveform, 0, n)
-	for _, r := range recs {
-		w = append(w, r.samples...)
-	}
-	sort.Slice(w, func(i, j int) bool {
-		if w[i].Time != w[j].Time {
-			return w[i].Time < w[j].Time
-		}
-		return w[i].Gate < w[j].Gate
-	})
-	return w
-}
 
 // Lane extracts one lane of the wide waveform as a scalar waveform,
 // keeping only genuine changes: a wide sample contributes a scalar sample
@@ -72,7 +25,7 @@ func (w WideWaveform) Lane(lane int, initial func(circuit.GateID) logic.Value) W
 	cur := make(map[circuit.GateID]logic.Value)
 	out := make(Waveform, 0, len(w))
 	for _, s := range w {
-		v := s.Word.Get(lane)
+		v := s.Value.Get(lane)
 		prev, seen := cur[s.Gate]
 		if !seen {
 			prev = initial(s.Gate)
@@ -95,21 +48,8 @@ func (w WideWaveform) ValueAt(g circuit.GateID, lane int, t circuit.Tick, initia
 			break
 		}
 		if s.Gate == g {
-			v = s.Word.Get(lane)
+			v = s.Value.Get(lane)
 		}
 	}
 	return v
-}
-
-// EqualWide reports whether two wide waveforms are identical.
-func EqualWide(a, b WideWaveform) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -18,12 +18,17 @@ import (
 	"repro/internal/logic"
 )
 
-// Change is one primary-input transition.
-type Change struct {
+// ChangeT is one primary-input transition over the value type of the run:
+// a scalar logic.Value, or a complete 64-lane logic.Word in which lanes
+// whose scalar stimulus does not change at Time carry their prior value.
+type ChangeT[V any] struct {
 	Time  circuit.Tick
 	Input circuit.GateID
-	Value logic.Value
+	Value V
 }
+
+// Change is the scalar transition.
+type Change = ChangeT[logic.Value]
 
 // Stimulus is a complete input schedule for one simulation run. Changes are
 // sorted by (Time, Input) and include the initial assignment at time zero.
@@ -39,7 +44,7 @@ type Stimulus struct {
 func (s *Stimulus) Sort() { sortChanges(s.Changes) }
 
 // sortChanges establishes the canonical (Time, Input) order.
-func sortChanges(cs []Change) {
+func sortChanges[V any](cs []ChangeT[V]) {
 	sort.Slice(cs, func(i, j int) bool {
 		if cs[i].Time != cs[j].Time {
 			return cs[i].Time < cs[j].Time
@@ -48,22 +53,20 @@ func sortChanges(cs []Change) {
 	})
 }
 
-// Validate checks that the stimulus only drives primary inputs of c and is
-// properly ordered.
-func (s *Stimulus) Validate(c *circuit.Circuit) error {
+// validateChanges checks the rules every schedule obeys on either plane:
+// only primary inputs of c are driven (which also bounds the gate ids), in
+// (Time, Input) order, without duplicates, and not beyond end.
+func validateChanges[V any](c *circuit.Circuit, cs []ChangeT[V], end circuit.Tick) error {
 	isInput := make(map[circuit.GateID]bool, len(c.Inputs))
 	for _, in := range c.Inputs {
 		isInput[in] = true
 	}
-	for i, ch := range s.Changes {
+	for i, ch := range cs {
 		if !isInput[ch.Input] {
 			return fmt.Errorf("vectors: change %d drives gate %d which is not a primary input", i, ch.Input)
 		}
-		if !ch.Value.Valid() {
-			return fmt.Errorf("vectors: change %d has invalid value", i)
-		}
 		if i > 0 {
-			prev := s.Changes[i-1]
+			prev := cs[i-1]
 			if ch.Time < prev.Time || (ch.Time == prev.Time && ch.Input < prev.Input) {
 				return fmt.Errorf("vectors: changes out of order at index %d", i)
 			}
@@ -71,18 +74,44 @@ func (s *Stimulus) Validate(c *circuit.Circuit) error {
 				return fmt.Errorf("vectors: duplicate change for input %d at time %d", ch.Input, ch.Time)
 			}
 		}
-		if ch.Time > s.End {
-			return fmt.Errorf("vectors: change %d at time %d beyond End %d", i, ch.Time, s.End)
+		if ch.Time > end {
+			return fmt.Errorf("vectors: change %d at time %d beyond End %d", i, ch.Time, end)
 		}
 	}
 	return nil
 }
 
+// Validate checks that the stimulus only drives primary inputs of c with
+// valid values and is properly ordered.
+func (s *Stimulus) Validate(c *circuit.Circuit) error {
+	for i, ch := range s.Changes {
+		if !ch.Value.Valid() {
+			return fmt.Errorf("vectors: change %d has invalid value", i)
+		}
+	}
+	return validateChanges(c, s.Changes, s.End)
+}
+
+// Projected validates the stimulus against c and returns its changes with
+// every value mapped into sys — the schedule a scalar engine consumes.
+func (s *Stimulus) Projected(c *circuit.Circuit, sys logic.System) ([]Change, error) {
+	if err := s.Validate(c); err != nil {
+		return nil, err
+	}
+	out := make([]Change, len(s.Changes))
+	for i, ch := range s.Changes {
+		out[i] = Change{ch.Time, ch.Input, sys.Project(ch.Value)}
+	}
+	return out, nil
+}
+
 // NumVectors counts the distinct change times (vector boundaries).
-func (s *Stimulus) NumVectors() int {
+func (s *Stimulus) NumVectors() int { return numVectors(s.Changes) }
+
+func numVectors[V any](cs []ChangeT[V]) int {
 	n := 0
 	var last circuit.Tick
-	for i, ch := range s.Changes {
+	for i, ch := range cs {
 		if i == 0 || ch.Time != last {
 			n++
 			last = ch.Time

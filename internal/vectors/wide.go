@@ -2,22 +2,15 @@ package vectors
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
 )
 
 // WideChange is one primary-input transition of a wide (64-lane) run: at
-// Time the input's packed word becomes Word. The word is complete — lanes
-// whose scalar stimulus does not change at Time carry their prior value —
-// so applying wide changes in order reproduces every lane's scalar input
-// waveform exactly.
-type WideChange struct {
-	Time  circuit.Tick
-	Input circuit.GateID
-	Word  logic.Word
-}
+// Time the input's packed word becomes Value. Applying wide changes in
+// order reproduces every lane's scalar input waveform exactly.
+type WideChange = ChangeT[logic.Word]
 
 // WideStimulus is a complete 64-lane input schedule: Lanes independent
 // scalar stimuli packed into word-valued changes sorted by (Time, Input).
@@ -30,19 +23,15 @@ type WideStimulus struct {
 	Lanes int
 }
 
+// Validate checks the wide schedule by the rules Stimulus.Validate applies
+// to a scalar one; every word is a valid value, so there is no value check.
+func (s *WideStimulus) Validate(c *circuit.Circuit) error {
+	return validateChanges(c, s.Changes, s.End)
+}
+
 // NumVectors counts the distinct change times (vector boundaries) of the
 // wide schedule. The total vector count of a wide run is NumVectors*Lanes.
-func (s *WideStimulus) NumVectors() int {
-	n := 0
-	var last circuit.Tick
-	for i, ch := range s.Changes {
-		if i == 0 || ch.Time != last {
-			n++
-			last = ch.Time
-		}
-	}
-	return n
-}
+func (s *WideStimulus) NumVectors() int { return numVectors(s.Changes) }
 
 // Pack merges up to logic.Lanes scalar stimuli into one wide stimulus,
 // assigning stims[k] to lane k. Values are projected through sys when
@@ -104,22 +93,12 @@ func Pack(c *circuit.Circuit, stims []*Stimulus, sys logic.System) (*WideStimulu
 			}
 			if next != cur || t == 0 {
 				cur = next
-				out.Changes = append(out.Changes, WideChange{Time: t, Input: in, Word: cur})
+				out.Changes = append(out.Changes, WideChange{Time: t, Input: in, Value: cur})
 			}
 		}
 	}
-	sortWideChanges(out.Changes)
+	sortChanges(out.Changes)
 	return out, nil
-}
-
-// sortWideChanges establishes the canonical (Time, Input) order.
-func sortWideChanges(cs []WideChange) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Time != cs[j].Time {
-			return cs[i].Time < cs[j].Time
-		}
-		return cs[i].Input < cs[j].Input
-	})
 }
 
 // RandomBatch generates lanes independent Random stimuli (lane k seeded
