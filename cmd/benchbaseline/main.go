@@ -37,11 +37,11 @@ import (
 
 // entry is one benchmark's measured baseline.
 type entry struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 	// Gomaxprocs is the parallelism the result was measured under. It is
 	// recorded per result, not only per document, so rows appended or
 	// patched by hand still carry their provenance.

@@ -239,17 +239,22 @@ func TestKillRestoreVCD(t *testing.T) {
 	}
 }
 
-// TestRunSucceeds is the happy-path e2e check: a small run exits zero and
-// prints the summary line.
+// TestRunSucceeds is the happy-path e2e check: a small run on every engine
+// exits zero and prints the summary line with a measured wall time.
 func TestRunSucceeds(t *testing.T) {
-	cmd := exec.Command(binPath,
-		"-circuit", "ripple8", "-engine", "cmb", "-lps", "2", "-vectors", "5", "-q")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "engine=cmb") {
-		t.Errorf("summary line missing:\n%s", out)
+	for _, engine := range []string{"seq", "oblivious", "sync", "cmb", "timewarp", "hybrid"} {
+		cmd := exec.Command(binPath,
+			"-circuit", "ripple8", "-engine", engine, "-lps", "2", "-vectors", "5", "-q")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", engine, err, out)
+		}
+		if !strings.Contains(string(out), "engine="+engine) {
+			t.Errorf("%s: summary line missing:\n%s", engine, out)
+		}
+		if !strings.Contains(string(out), "wall=") || strings.Contains(string(out), "wall=0s") {
+			t.Errorf("%s: summary line reports no wall time:\n%s", engine, out)
+		}
 	}
 }
 

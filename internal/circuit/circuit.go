@@ -15,7 +15,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 )
@@ -111,17 +110,44 @@ type Gate struct {
 	Delay Tick
 }
 
+// Adj is a compressed-sparse-row adjacency over gates: the neighbours of
+// gate g are Idx[Off[g]:Off[g+1]], all rows contiguous in gate order.
+type Adj struct {
+	Off []int32 // len(Gates)+1 row offsets into Idx
+	Idx []GateID
+}
+
+// Row returns gate g's neighbours. The slice aliases the circuit's
+// storage and must not be written or appended to.
+func (a *Adj) Row(g GateID) []GateID { return a.Idx[a.Off[g]:a.Off[g+1]] }
+
 // Circuit is an immutable gate-level netlist.
+//
+// The connectivity is stored once, flat: FaninAdj and FanoutAdj hold every
+// edge in two contiguous index arrays, and Gate.Fanin and Fanout[g] are
+// sub-slices of them. The engines' per-event loops read the flat arrays
+// (Adj.Row, Kinds, Delays) so one evaluation touches a few dense cache
+// lines instead of a 64-byte Gate and a separately allocated fanin slice;
+// everything else keeps the per-gate views.
 type Circuit struct {
 	// Gates is indexed by GateID.
 	Gates []Gate
 	// Fanout[g] lists the gates reading net g, in ascending ID order with
 	// duplicates removed (a gate appears once even if it reads g twice).
+	// It is FanoutAdj.Row(g) (nil when empty).
 	Fanout [][]GateID
 	// Inputs and Outputs list the primary input and output gates in
 	// declaration order.
 	Inputs  []GateID
 	Outputs []GateID
+
+	// FaninAdj rows are the gates' fanin lists in pin order; FanoutAdj
+	// rows are the fanout lists described at Fanout.
+	FaninAdj  Adj
+	FanoutAdj Adj
+	// Kinds[g] and Delays[g] are Gates[g].Kind and Gates[g].Delay, dense.
+	Kinds  []Kind
+	Delays []Tick
 
 	byName map[string]GateID
 }
@@ -198,7 +224,7 @@ func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	c.computeFanout()
+	c.flatten()
 	return c, nil
 }
 
@@ -336,7 +362,7 @@ func (b *Builder) Build() (*Circuit, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	c.computeFanout()
+	c.flatten()
 	return c, nil
 }
 
@@ -431,25 +457,72 @@ func (c *Circuit) checkCombinationalCycles() error {
 	return nil
 }
 
-// computeFanout fills in Fanout from the fanin lists.
-func (c *Circuit) computeFanout() {
-	c.Fanout = make([][]GateID, len(c.Gates))
-	for id := range c.Gates {
-		for _, f := range c.Gates[id].Fanin {
-			c.Fanout[f] = append(c.Fanout[f], GateID(id))
-		}
+// flatten builds the circuit's flat storage from the validated gate list:
+// the fanin and fanout index arrays with their offsets, the dense kind and
+// delay arrays, and the per-gate views into them (Gate.Fanin, Fanout).
+//
+// Fanout rows come out ascending and deduplicated without a sort: gates
+// are visited in ID order, so each row is filled in ascending order, and a
+// gate reading one net through several pins is caught by remembering the
+// last reader recorded for that net.
+func (c *Circuit) flatten() {
+	n := len(c.Gates)
+	c.Kinds = make([]Kind, n)
+	c.Delays = make([]Tick, n)
+	inOff := make([]int32, n+1)
+	outOff := make([]int32, n+1)
+	lastReader := make([]GateID, n)
+	for i := range lastReader {
+		lastReader[i] = -1
 	}
-	for i := range c.Fanout {
-		fo := c.Fanout[i]
-		sort.Slice(fo, func(a, b int) bool { return fo[a] < fo[b] })
-		// Deduplicate (a gate may read the same net through two pins).
-		out := fo[:0]
-		for j, g := range fo {
-			if j == 0 || g != fo[j-1] {
-				out = append(out, g)
+	pins := int32(0)
+	for id := range c.Gates {
+		g := &c.Gates[id]
+		c.Kinds[id], c.Delays[id] = g.Kind, g.Delay
+		inOff[id] = pins
+		pins += int32(len(g.Fanin))
+		for _, f := range g.Fanin {
+			if lastReader[f] != GateID(id) {
+				lastReader[f] = GateID(id)
+				outOff[f+1]++
 			}
 		}
-		c.Fanout[i] = out
+	}
+	inOff[n] = pins
+	for g := 0; g < n; g++ {
+		outOff[g+1] += outOff[g]
+	}
+	inIdx := make([]GateID, pins)
+	outIdx := make([]GateID, outOff[n])
+	fill := make([]int32, n) // next free position of each fanout row
+	copy(fill, outOff)
+	for i := range lastReader {
+		lastReader[i] = -1
+	}
+	for id := range c.Gates {
+		g := &c.Gates[id]
+		lo, hi := inOff[id], inOff[id+1]
+		copy(inIdx[lo:hi], g.Fanin)
+		if lo == hi {
+			g.Fanin = nil
+		} else {
+			g.Fanin = inIdx[lo:hi:hi]
+		}
+		for _, f := range g.Fanin {
+			if lastReader[f] != GateID(id) {
+				lastReader[f] = GateID(id)
+				outIdx[fill[f]] = GateID(id)
+				fill[f]++
+			}
+		}
+	}
+	c.FaninAdj = Adj{Off: inOff, Idx: inIdx}
+	c.FanoutAdj = Adj{Off: outOff, Idx: outIdx}
+	c.Fanout = make([][]GateID, n)
+	for g := range c.Fanout {
+		if lo, hi := outOff[g], outOff[g+1]; lo < hi {
+			c.Fanout[g] = outIdx[lo:hi:hi]
+		}
 	}
 }
 

@@ -320,27 +320,6 @@ func TestInitStateProjection(t *testing.T) {
 	}
 }
 
-func TestEvalGateScratchReuse(t *testing.T) {
-	c := buildNand2(t)
-	val, prevClk := InitState(c, logic.TwoValued)
-	a, _ := c.ByName("a")
-	bID, _ := c.ByName("b")
-	n, _ := c.ByName("n1")
-	val[a], val[bID] = logic.One, logic.One
-	out, _, scratch := EvalGate(c, n, val, prevClk, nil)
-	if out != logic.Zero {
-		t.Fatalf("NAND(1,1) = %v", out)
-	}
-	val[bID] = logic.Zero
-	out, _, scratch2 := EvalGate(c, n, val, prevClk, scratch)
-	if out != logic.One {
-		t.Fatalf("NAND(1,0) = %v", out)
-	}
-	if &scratch2[0] != &scratch[0] {
-		t.Fatal("scratch buffer not reused")
-	}
-}
-
 func TestLevelizeChain(t *testing.T) {
 	b := NewBuilder()
 	a := b.Input("a")

@@ -145,19 +145,69 @@ func InitState(c *Circuit, sys logic.System) (val, prevClk []logic.Value) {
 	return val, prevClk
 }
 
-// EvalGate is a convenience wrapper that gathers fanin values from val,
-// evaluates gate id, and returns the results. scratch, if non-nil, is used
-// as the fanin buffer to avoid allocation; it is grown as needed and
-// returned.
-func EvalGate(c *Circuit, id GateID, val, prevClk []logic.Value, scratch []logic.Value) (out, clkSample logic.Value, buf []logic.Value) {
-	g := &c.Gates[id]
-	if cap(scratch) < len(g.Fanin) {
-		scratch = make([]logic.Value, len(g.Fanin))
+// EvalGate evaluates gate id against the value planes: Evaluate with the
+// gate's kind and fanin read straight from the circuit's flat arrays. The
+// n-ary kinds fold over the fanin indices into val, so there is no fanin
+// buffer to gather into; it is the form every engine's evaluation loop
+// calls.
+func EvalGate(c *Circuit, id GateID, val, prevClk []logic.Value) (out, clkSample logic.Value) {
+	fin := c.FaninAdj.Row(id)
+	kind, clk := c.Kinds[id], prevClk[id]
+	switch kind {
+	case Input:
+		return val[id], clk
+	case Const0:
+		return logic.Zero, clk
+	case Const1:
+		return logic.One, clk
+	case ConstX:
+		return logic.X, clk
+	case Buf, Output:
+		return val[fin[0]].Buf(), clk
+	case Not:
+		return logic.Not(val[fin[0]]), clk
+	case And, Nand:
+		acc := logic.One
+		for _, f := range fin {
+			acc = logic.And(acc, val[f])
+		}
+		if kind == Nand {
+			acc = logic.Not(acc)
+		}
+		return acc, clk
+	case Or, Nor:
+		acc := logic.Zero
+		for _, f := range fin {
+			acc = logic.Or(acc, val[f])
+		}
+		if kind == Nor {
+			acc = logic.Not(acc)
+		}
+		return acc, clk
+	case Xor, Xnor:
+		acc := logic.Zero
+		for _, f := range fin {
+			acc = logic.Xor(acc, val[f])
+		}
+		if kind == Xnor {
+			acc = logic.Not(acc)
+		}
+		return acc, clk
+	case Mux2:
+		return evalMux(val[fin[0]], val[fin[1]], val[fin[2]]), clk
+	case Tri:
+		return evalTri(val[fin[0]], val[fin[1]]), clk
+	case Resolve:
+		acc := logic.Z
+		for _, f := range fin {
+			acc = logic.Resolve(acc, val[f])
+		}
+		return acc, clk
+	case DFF:
+		return evalDFF(val[fin[0]], val[fin[1]], val[id], clk)
+	case DLatch:
+		en := val[fin[1]]
+		return evalDLatch(val[fin[0]], en, val[id]), en
 	}
-	scratch = scratch[:len(g.Fanin)]
-	for i, f := range g.Fanin {
-		scratch[i] = val[f]
-	}
-	out, clkSample = Evaluate(g.Kind, scratch, val[id], prevClk[id])
-	return out, clkSample, scratch
+	return logic.X, clk
 }

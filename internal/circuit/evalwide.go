@@ -127,16 +127,66 @@ func InitStateWide(c *Circuit, sys logic.System) (val, prevClk []logic.Word) {
 	return val, prevClk
 }
 
-// EvalGateWide mirrors EvalGate for the wide planes.
-func EvalGateWide(c *Circuit, id GateID, val, prevClk []logic.Word, scratch []logic.Word) (out, clkSample logic.Word, buf []logic.Word) {
-	g := &c.Gates[id]
-	if cap(scratch) < len(g.Fanin) {
-		scratch = make([]logic.Word, len(g.Fanin))
+// EvalGateWide is EvalGate on the wide planes: EvaluateWide with kind and
+// fanin read from the flat arrays and the n-ary kinds folded over val.
+func EvalGateWide(c *Circuit, id GateID, val, prevClk []logic.Word) (out, clkSample logic.Word) {
+	fin := c.FaninAdj.Row(id)
+	kind, clk := c.Kinds[id], prevClk[id]
+	switch kind {
+	case Input:
+		return val[id], clk
+	case Const0:
+		return logic.Splat(logic.Zero), clk
+	case Const1:
+		return logic.Splat(logic.One), clk
+	case ConstX:
+		return logic.Splat(logic.X), clk
+	case Buf, Output:
+		return logic.WideBuf(val[fin[0]]), clk
+	case Not:
+		return logic.WideNot(val[fin[0]]), clk
+	case And, Nand:
+		acc := logic.Splat(logic.One)
+		for _, f := range fin {
+			acc = logic.WideAnd(acc, val[f])
+		}
+		if kind == Nand {
+			acc = logic.WideNot(acc)
+		}
+		return acc, clk
+	case Or, Nor:
+		acc := logic.Splat(logic.Zero)
+		for _, f := range fin {
+			acc = logic.WideOr(acc, val[f])
+		}
+		if kind == Nor {
+			acc = logic.WideNot(acc)
+		}
+		return acc, clk
+	case Xor, Xnor:
+		acc := logic.Splat(logic.Zero)
+		for _, f := range fin {
+			acc = logic.WideXor(acc, val[f])
+		}
+		if kind == Xnor {
+			acc = logic.WideNot(acc)
+		}
+		return acc, clk
+	case Mux2:
+		return evalMuxWide(val[fin[0]], val[fin[1]], val[fin[2]]), clk
+	case Tri:
+		return evalTriWide(val[fin[0]], val[fin[1]]), clk
+	case Resolve:
+		var acc logic.Word // all-Z, the identity of resolution
+		for _, f := range fin {
+			acc = logic.WideResolve(acc, val[f])
+		}
+		return acc, clk
+	case DFF:
+		return evalDFFWide(val[fin[0]], val[fin[1]], val[id], clk)
+	case DLatch:
+		en := val[fin[1]]
+		return evalDLatchWide(val[fin[0]], en, val[id]), en
 	}
-	scratch = scratch[:len(g.Fanin)]
-	for i, f := range g.Fanin {
-		scratch[i] = val[f]
-	}
-	out, clkSample = EvaluateWide(g.Kind, scratch, val[id], prevClk[id])
-	return out, clkSample, scratch
+	return logic.Splat(logic.X), clk
 }

@@ -27,7 +27,7 @@ var kindArities = []struct {
 	{Xnor, []int{1, 2, 3, 4}},
 	{Mux2, []int{3}},
 	{Tri, []int{2}},
-	{Resolve, []int{1, 2, 3}},
+	{Resolve, []int{1, 2, 3, 4}},
 	{DFF, []int{2}},
 	{DLatch, []int{2}},
 }

@@ -16,9 +16,8 @@ type Plane[V comparable] struct {
 	Initial func(Kind, logic.System) V
 	// InitState allocates the value and clock-sample planes of a fresh run.
 	InitState func(*Circuit, logic.System) (val, prevClk []V)
-	// EvalGate evaluates gate id against the planes, reusing scratch as
-	// the fanin buffer and returning it grown.
-	EvalGate func(c *Circuit, id GateID, val, prevClk, scratch []V) (out, clkSample V, buf []V)
+	// EvalGate evaluates gate id against the planes.
+	EvalGate func(c *Circuit, id GateID, val, prevClk []V) (out, clkSample V)
 }
 
 // System resolves a run's configured logic system on this plane: zero

@@ -370,6 +370,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 	sweep := opts.ConeSplit
 
 	rep = &ReportT[V]{Engine: opts.Engine, Processors: opts.LPs}
+	start := time.Now()
 	switch opts.Engine {
 	case EngineSeq:
 		res, err := eng.seq(c, stim, until, seq.Config{
@@ -467,6 +468,11 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 	default:
 		return nil, fmt.Errorf("core: unknown engine %v", opts.Engine)
 	}
+	// Wall time has one definition for every engine: the engine call as
+	// core sees it. The serial engine keeps no clock of its own, and the
+	// parallel engines' own figures start after their set-up.
+	rep.Stats.Wall = time.Since(start)
+	sink.Globals().WallNs = rep.Stats.Wall.Nanoseconds()
 	if reg, ok := sink.(*metrics.Registry); ok {
 		reg.SetLabel("engine", label)
 		reg.SetLabel("lps", fmt.Sprint(rep.Processors))

@@ -7,8 +7,8 @@ import "sort"
 // amortized O(1) enqueue/dequeue, which is why it became the standard
 // pending-event set for high-activity discrete-event simulation.
 type Calendar[T any] struct {
-	buckets   [][]item[T] // each bucket is kept sorted by ascending time
-	width     uint64      // bucket width in ticks
+	buckets   []bucket[T]
+	width     uint64 // bucket width in ticks
 	size      int
 	lastPop   uint64 // time of the last popped event
 	curBucket int    // bucket the last pop came from / search starts at
@@ -17,6 +17,20 @@ type Calendar[T any] struct {
 	growAt, shrinkAt int
 	err              error
 }
+
+// bucket is one day of the calendar: items[head:] are its pending events,
+// sorted by ascending time, and items[:head] are already popped. Popping
+// advances head instead of shifting the slice, which would make a bucket
+// of thousands of same-time events quadratic to drain; insert compacts
+// the popped prefix away, once it is at least half of a full slice,
+// instead of growing.
+type bucket[T any] struct {
+	items []item[T]
+	head  int
+}
+
+// pending returns the bucket's events in ascending time order.
+func (b *bucket[T]) pending() []item[T] { return b.items[b.head:] }
 
 // NewCalendar returns an empty calendar queue with default geometry.
 func NewCalendar[T any]() *Calendar[T] {
@@ -35,14 +49,14 @@ func (c *Calendar[T]) resize(nbuckets int, width uint64, start uint64) {
 	if width == 0 {
 		width = 1
 	}
-	c.buckets = make([][]item[T], nbuckets)
+	c.buckets = make([]bucket[T], nbuckets)
 	c.width = width
 	c.growAt = 2 * nbuckets
 	c.shrinkAt = nbuckets/2 - 2
 	c.curBucket = int((start / width) % uint64(nbuckets))
 	c.bucketTop = (start/width)*width + width
-	for _, b := range old {
-		for _, it := range b {
+	for i := range old {
+		for _, it := range old[i].pending() {
 			c.insert(it)
 		}
 	}
@@ -50,13 +64,17 @@ func (c *Calendar[T]) resize(nbuckets int, width uint64, start uint64) {
 
 // insert places an item into its day bucket, keeping the bucket sorted.
 func (c *Calendar[T]) insert(it item[T]) {
-	idx := int((it.time / c.width) % uint64(len(c.buckets)))
-	b := c.buckets[idx]
-	pos := sort.Search(len(b), func(i int) bool { return b[i].time > it.time })
-	b = append(b, item[T]{})
-	copy(b[pos+1:], b[pos:])
-	b[pos] = it
-	c.buckets[idx] = b
+	b := &c.buckets[(it.time/c.width)%uint64(len(c.buckets))]
+	if b.head > 0 && len(b.items) == cap(b.items) && 2*b.head >= len(b.items) {
+		n := copy(b.items, b.items[b.head:])
+		clear(b.items[n:])
+		b.items, b.head = b.items[:n], 0
+	}
+	live := b.pending()
+	pos := b.head + sort.Search(len(live), func(i int) bool { return live[i].time > it.time })
+	b.items = append(b.items, item[T]{})
+	copy(b.items[pos+1:], b.items[pos:])
+	b.items[pos] = it
 }
 
 // Push inserts an event. A push earlier than the current cursor (possible
@@ -86,7 +104,7 @@ func (c *Calendar[T]) PeekTime() (uint64, bool) {
 	// Cheap path: search from the current bucket within the current year.
 	bucket, top := c.curBucket, c.bucketTop
 	for i := 0; i < len(c.buckets); i++ {
-		b := c.buckets[bucket]
+		b := c.buckets[bucket].pending()
 		if len(b) > 0 && b[0].time < top {
 			return b[0].time, true
 		}
@@ -109,7 +127,7 @@ func (c *Calendar[T]) Peek() (uint64, T, bool) {
 	}
 	bucket, top := c.curBucket, c.bucketTop
 	for i := 0; i < len(c.buckets); i++ {
-		b := c.buckets[bucket]
+		b := c.buckets[bucket].pending()
 		if len(b) > 0 && b[0].time < top {
 			return b[0].time, b[0].v, true
 		}
@@ -119,7 +137,7 @@ func (c *Calendar[T]) Peek() (uint64, T, bool) {
 	// Sparse queue: return the head of the globally minimal bucket.
 	var best *item[T]
 	for i := range c.buckets {
-		if b := c.buckets[i]; len(b) > 0 && (best == nil || b[0].time < best.time) {
+		if b := c.buckets[i].pending(); len(b) > 0 && (best == nil || b[0].time < best.time) {
 			best = &b[0]
 		}
 	}
@@ -146,8 +164,8 @@ func (c *Calendar[T]) Err() error { return c.err }
 func (c *Calendar[T]) globalMin() (uint64, bool) {
 	var best uint64
 	found := false
-	for _, b := range c.buckets {
-		if len(b) > 0 && (!found || b[0].time < best) {
+	for i := range c.buckets {
+		if b := c.buckets[i].pending(); len(b) > 0 && (!found || b[0].time < best) {
 			best = b[0].time
 			found = true
 		}
@@ -162,12 +180,14 @@ func (c *Calendar[T]) PopMin() (uint64, T, bool) {
 		return 0, zero, false
 	}
 	for i := 0; i < len(c.buckets); i++ {
-		b := c.buckets[c.curBucket]
-		if len(b) > 0 && b[0].time < c.bucketTop {
-			it := b[0]
-			copy(b, b[1:])
-			b[len(b)-1] = item[T]{}
-			c.buckets[c.curBucket] = b[:len(b)-1]
+		b := &c.buckets[c.curBucket]
+		if b.head < len(b.items) && b.items[b.head].time < c.bucketTop {
+			it := b.items[b.head]
+			b.items[b.head] = item[T]{} // release references for GC
+			b.head++
+			if b.head == len(b.items) {
+				b.items, b.head = b.items[:0], 0
+			}
 			c.size--
 			c.lastPop = it.time
 			if c.size < c.shrinkAt && len(c.buckets) > 2 {
@@ -194,8 +214,8 @@ func (c *Calendar[T]) newWidth() uint64 {
 	}
 	var lo, hi uint64
 	first := true
-	for _, b := range c.buckets {
-		for _, it := range b {
+	for i := range c.buckets {
+		for _, it := range c.buckets[i].pending() {
 			if first {
 				lo, hi = it.time, it.time
 				first = false

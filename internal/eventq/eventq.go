@@ -85,22 +85,64 @@ func NewCap[T any](impl Impl, hint int) Queue[T] {
 	default:
 		h := NewHeap[T]()
 		if hint > 0 {
-			h.items = make([]item[T], 0, hint)
+			h.slab = make([]node[T], 1, hint+1)
 		}
 		return h
 	}
 }
 
-// item is a timed entry shared by the implementations.
+// item is a timed entry of the slotted implementations.
 type item[T any] struct {
 	time uint64
 	v    T
 }
 
-// Heap is a binary min-heap keyed by time. It is the baseline
-// implementation: O(log n) per operation, no tuning parameters.
+// node is one pending event of the heap: a slab cell linked into the list
+// of its time (or into the free list). Cell 0 of the slab is never used,
+// so index 0 means "none" in every link.
+type node[T any] struct {
+	v    T
+	next int32 // slab index of the next cell, 0 at the end
+}
+
+// timeEntry is one element of the binary heap: a pending time and the
+// slab index of the first event of its list.
+type timeEntry struct {
+	time uint64
+	head int32
+}
+
+// recentSlots is the size of the direct-mapped table that finds an open
+// time entry on push. Times within one window of this many ticks never
+// collide, which covers every engine's pattern: pending events lie within
+// one maximum gate delay of the current time.
+const recentSlots = 64
+
+// recentEntry remembers the open entry of one time: the slab index of its
+// head cell, 0 for none.
+type recentEntry struct {
+	time uint64
+	head int32
+}
+
+// Heap is the baseline implementation, a binary min-heap with no tuning
+// parameters. The heap orders the distinct pending times, not the events:
+// each heap entry heads a linked list of the events at its time, all
+// lists sharing one slab with a free list. A logic simulator holds
+// thousands of events on a handful of times (every delay is a small
+// integer), so almost every push finds its time already open through the
+// recent-times table and almost every pop unlinks a list cell; both are
+// O(1), and the O(log n) sift runs once per distinct time. A push whose
+// time is open but has been evicted from the table just opens a second
+// entry for it: equal-time entries pop one after the other, and the order
+// of same-time events is unspecified anyway. When every pending time is
+// distinct this is an ordinary binary heap with one list cell per entry.
 type Heap[T any] struct {
-	items   []item[T]
+	times   []timeEntry
+	slab    []node[T]
+	free    int32 // head of the free-cell list
+	n       int
+	recent  [recentSlots]recentEntry
 	lastPop uint64
 	err     error
 }
@@ -109,7 +151,7 @@ type Heap[T any] struct {
 func NewHeap[T any]() *Heap[T] { return &Heap[T]{} }
 
 // Len returns the number of pending events.
-func (h *Heap[T]) Len() int { return len(h.items) }
+func (h *Heap[T]) Len() int { return h.n }
 
 // Push inserts an event.
 func (h *Heap[T]) Push(time uint64, v T) {
@@ -117,8 +159,35 @@ func (h *Heap[T]) Push(time uint64, v T) {
 		h.err = pushFault(h.err, time, h.lastPop)
 		return
 	}
-	h.items = append(h.items, item[T]{time, v})
-	h.up(len(h.items) - 1)
+	h.push(time, v)
+}
+
+// push inserts an event without consulting the floor; the timing wheel,
+// which enforces its own, stores its overflow through it.
+func (h *Heap[T]) push(time uint64, v T) {
+	c := h.free
+	if c != 0 {
+		h.free = h.slab[c].next
+	} else {
+		if len(h.slab) == 0 {
+			h.slab = append(h.slab, node[T]{}) // the unused cell 0
+		}
+		h.slab = append(h.slab, node[T]{})
+		c = int32(len(h.slab) - 1)
+	}
+	h.n++
+	r := &h.recent[time%recentSlots]
+	if r.head != 0 && r.time == time {
+		// Link behind the head, so the heap entry never changes.
+		head := &h.slab[r.head]
+		h.slab[c] = node[T]{v, head.next}
+		head.next = c
+		return
+	}
+	h.slab[c] = node[T]{v, 0}
+	*r = recentEntry{time, c}
+	h.times = append(h.times, timeEntry{time, c})
+	h.up(len(h.times) - 1)
 }
 
 // Err returns the latched push violation, if any.
@@ -126,68 +195,91 @@ func (h *Heap[T]) Err() error { return h.err }
 
 // PeekTime returns the minimum pending time.
 func (h *Heap[T]) PeekTime() (uint64, bool) {
-	if len(h.items) == 0 {
+	if len(h.times) == 0 {
 		return 0, false
 	}
-	return h.items[0].time, true
+	return h.times[0].time, true
 }
 
 // Peek returns the next event without removing it.
 func (h *Heap[T]) Peek() (uint64, T, bool) {
-	if len(h.items) == 0 {
+	if len(h.times) == 0 {
 		var zero T
 		return 0, zero, false
 	}
-	return h.items[0].time, h.items[0].v, true
+	top := h.times[0]
+	c := top.head
+	if next := h.slab[c].next; next != 0 {
+		c = next
+	}
+	return top.time, h.slab[c].v, true
 }
 
 // ResetFloor permits pushes earlier than the last popped time.
 func (h *Heap[T]) ResetFloor() { h.lastPop = 0 }
 
-// PopMin removes an event with the minimum time.
+// PopMin removes an event with the minimum time: the cell behind the head
+// of the top entry's list, or the head itself when it is the last one,
+// which also closes the entry.
 func (h *Heap[T]) PopMin() (uint64, T, bool) {
 	var zero T
-	if len(h.items) == 0 {
+	if len(h.times) == 0 {
 		return 0, zero, false
 	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items[last] = item[T]{} // release references for GC
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
+	top := h.times[0]
+	head := &h.slab[top.head]
+	c := head.next
+	if c != 0 {
+		head.next = h.slab[c].next
+	} else {
+		c = top.head
+		if r := &h.recent[top.time%recentSlots]; r.head == c {
+			r.head = 0
+		}
+		last := len(h.times) - 1
+		h.times[0] = h.times[last]
+		h.times = h.times[:last]
+		if last > 1 {
+			h.down(0)
+		}
 	}
+	v := h.slab[c].v
+	h.slab[c] = node[T]{zero, h.free} // release references for GC
+	h.free = c
+	h.n--
 	h.lastPop = top.time
-	return top.time, top.v, true
+	return top.time, v, true
 }
 
 func (h *Heap[T]) up(i int) {
+	e := h.times[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].time <= h.items[i].time {
-			return
+		if h.times[parent].time <= e.time {
+			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		h.times[i] = h.times[parent]
 		i = parent
 	}
+	h.times[i] = e
 }
 
 func (h *Heap[T]) down(i int) {
-	n := len(h.items)
+	n := len(h.times)
+	e := h.times[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.items[l].time < h.items[small].time {
-			small = l
+		small := 2*i + 1
+		if small >= n {
+			break
 		}
-		if r < n && h.items[r].time < h.items[small].time {
+		if r := small + 1; r < n && h.times[r].time < h.times[small].time {
 			small = r
 		}
-		if small == i {
-			return
+		if e.time <= h.times[small].time {
+			break
 		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
+		h.times[i] = h.times[small]
 		i = small
 	}
+	h.times[i] = e
 }

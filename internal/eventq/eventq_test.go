@@ -246,22 +246,28 @@ func TestInterleavedPushPopMonotonic(t *testing.T) {
 	}
 }
 
-func benchQueue(b *testing.B, q Queue[int]) {
+// benchQueue is the classic hold model: keep ~1k pending events, pop one
+// push one, each push up to spread ticks ahead.
+func benchQueue(b *testing.B, q Queue[int], spread int) {
 	rng := rand.New(rand.NewSource(1))
-	// Classic hold model: keep ~1k pending events, pop one push one.
 	for i := 0; i < 1000; i++ {
 		q.Push(uint64(rng.Intn(1000)), i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm, _, _ := q.PopMin()
-		q.Push(tm+uint64(1+rng.Intn(16)), i)
+		q.Push(tm+uint64(1+rng.Intn(spread)), i)
 	}
 }
 
-func BenchmarkHeapHold(b *testing.B)     { benchQueue(b, NewHeap[int]()) }
-func BenchmarkCalendarHold(b *testing.B) { benchQueue(b, NewCalendar[int]()) }
-func BenchmarkWheelHold(b *testing.B)    { benchQueue(b, NewWheel[int](256)) }
+func BenchmarkHeapHold(b *testing.B)     { benchQueue(b, NewHeap[int](), 16) }
+func BenchmarkCalendarHold(b *testing.B) { benchQueue(b, NewCalendar[int](), 16) }
+func BenchmarkWheelHold(b *testing.B)    { benchQueue(b, NewWheel[int](256), 16) }
+
+// BenchmarkHeapHoldDistinct is the heap's worst case: the spread is so
+// wide that every pending time is distinct, so no push finds its time
+// open and every pop closes an entry.
+func BenchmarkHeapHoldDistinct(b *testing.B) { benchQueue(b, NewHeap[int](), 1<<20) }
 
 // TestPeekMatchesPop checks Peek returns exactly what PopMin would.
 func TestPeekMatchesPop(t *testing.T) {

@@ -14,16 +14,47 @@ func lockstepQueues() (names []string, qs []Queue[int]) {
 	return
 }
 
+// maxBursts caps the equal-time bursts of one operation sequence, so a
+// fuzz input of all burst bytes stays fast.
+const maxBursts = 3
+
 // driveLockstep feeds the identical operation sequence to every queue and
 // requires identical observable behaviour: same Len, same PeekTime, same
 // popped time at each pop, and the same payload multiset within each
 // timestep (intra-timestep order is unspecified by the Queue contract, so
-// payloads are compared per time, not per pop).
+// payloads are compared per time, not per pop). Every push is legal, so no
+// queue may latch an error.
+//
+// An op byte is a pop (multiples of 3, queue non-empty), a burst of 1000
+// pushes on four adjacent times (250 and up, the pattern a logic simulator
+// produces), a ResetFloor followed by a push below the last popped time
+// (240-249, the Time Warp rollback pattern), or a single push. After every
+// op each queue is peeked, which must not disturb it: the timing wheel
+// moves its cursor on a peek.
 func driveLockstep(t *testing.T, ops []byte) {
 	t.Helper()
 	names, qs := lockstepQueues()
 	floor := uint64(0)
 	next := 1
+	bursts := 0
+	push := func(tm uint64) {
+		for _, q := range qs {
+			q.Push(tm, next)
+		}
+		next++
+	}
+	peekAll := func(opIdx int) {
+		wantTime, wantOK := qs[0].PeekTime()
+		for i, q := range qs {
+			pt, ok := q.PeekTime()
+			if ok != wantOK || pt != wantTime {
+				t.Fatalf("op %d: %s PeekTime %d,%v, %s PeekTime %d,%v", opIdx, names[0], wantTime, wantOK, names[i], pt, ok)
+			}
+			if et, _, eok := q.Peek(); eok != ok || et != pt {
+				t.Fatalf("op %d: %s Peek time %d,%v != PeekTime %d,%v", opIdx, names[i], et, eok, pt, ok)
+			}
+		}
+	}
 	// popped[i][time][payload] counts what queue i returned per timestep.
 	popped := make([]map[uint64]map[int]int, len(qs))
 	for i := range popped {
@@ -45,12 +76,16 @@ func driveLockstep(t *testing.T, ops []byte) {
 				t.Fatalf("op %d: %s Len = %d, %s Len = %d", opIdx, names[0], wantLen, names[i], q.Len())
 			}
 			pk, pkOK := q.PeekTime()
+			_, pv, _ := q.Peek()
 			tm, v, ok := q.PopMin()
 			if !ok {
 				t.Fatalf("op %d: %s empty pop with Len %d", opIdx, names[i], wantLen)
 			}
 			if !pkOK || pk != tm {
 				t.Fatalf("op %d: %s PeekTime %d,%v != popped %d", opIdx, names[i], pk, pkOK, tm)
+			}
+			if pv != v {
+				t.Fatalf("op %d: %s Peek payload %d != popped payload %d", opIdx, names[i], pv, v)
 			}
 			if i == 0 {
 				wantTime = tm
@@ -62,7 +97,23 @@ func driveLockstep(t *testing.T, ops []byte) {
 		floor = wantTime
 	}
 	for opIdx, op := range ops {
-		if op%3 != 0 || qs[0].Len() == 0 {
+		switch {
+		case op >= 250 && bursts < maxBursts:
+			bursts++
+			for k := 0; k < 1000; k++ {
+				push(floor + uint64(k*int(op)%4))
+			}
+		case op >= 240 && op < 250:
+			back := 3 * uint64(op-239)
+			if back > floor {
+				back = floor
+			}
+			for _, q := range qs {
+				q.ResetFloor()
+			}
+			floor -= back
+			push(floor)
+		case op%3 != 0 || qs[0].Len() == 0:
 			// Push. The op byte picks an offset from the floor; every 7th
 			// push jumps far past the wheel horizon to force overflow, and
 			// later pops force promotion back into the slots.
@@ -70,22 +121,23 @@ func driveLockstep(t *testing.T, ops []byte) {
 			if op%7 == 0 {
 				delta = 50 + uint64(op)
 			}
-			tm := floor + delta
-			for _, q := range qs {
-				q.Push(tm, next)
-			}
-			next++
-			continue
+			push(floor + delta)
+		default:
+			popAll(opIdx)
 		}
-		popAll(opIdx)
+		peekAll(opIdx)
 	}
 	// Drain completely, still in lockstep.
 	for qs[0].Len() > 0 {
 		popAll(-1)
+		peekAll(-1)
 	}
-	for i := 1; i < len(qs); i++ {
-		if qs[i].Len() != 0 {
+	for i, q := range qs {
+		if q.Len() != 0 {
 			t.Fatalf("%s not empty after lockstep drain", names[i])
+		}
+		if err := q.Err(); err != nil {
+			t.Fatalf("%s latched an error on a legal sequence: %v", names[i], err)
 		}
 	}
 	// Per-timestep payload multisets must match across implementations.
@@ -120,13 +172,50 @@ func TestLockstepEquivalence(t *testing.T) {
 	}
 }
 
+// TestLockstepBurstsAndRollbacks pins the sequences random bytes reach
+// only sometimes: a thousand events on four times drained with pushes in
+// between, and a floor reset into the past right after a peek has moved
+// the wheel's cursor over promoted overflow events.
+func TestLockstepBurstsAndRollbacks(t *testing.T) {
+	for _, ops := range [][]byte{
+		append([]byte{255, 251}, make([]byte, 2500)...),           // two bursts, then pops only
+		{1, 3, 7, 14, 3, 245, 3, 3, 249, 250, 3, 3, 3, 241, 3, 3}, // overflow, reset, burst, reset
+		{2, 0, 98, 91, 244, 3, 3, 3},                              // far pushes, peek, rewind below them
+	} {
+		driveLockstep(t, ops)
+	}
+}
+
+// TestWheelPushBelowPeekedCursor is the floor bug behind the timewarp
+// queue-implementation flake: a peek moves the cursor past the floor and
+// promotes overflow events into slots, and the next legal push below the
+// cursor must be able to demote them again.
+func TestWheelPushBelowPeekedCursor(t *testing.T) {
+	q := NewWheel[int](4)
+	q.Push(0, 0)
+	q.PopMin()
+	q.Push(10, 1)
+	q.Push(11, 2)
+	q.PeekTime()
+	q.Push(5, 3)
+	if err := q.Err(); err != nil {
+		t.Fatalf("legal push below the peeked cursor latched: %v", err)
+	}
+	for _, want := range []uint64{5, 10, 11} {
+		if tm, _, ok := q.PopMin(); !ok || tm != want {
+			t.Fatalf("popped %d,%v, want %d", tm, ok, want)
+		}
+	}
+}
+
 // FuzzLockstep lets the fuzzer search for operation sequences on which the
-// implementations disagree. Seeds cover pure pushes, alternation, and the
-// far-jump (overflow) path.
+// implementations disagree. Seeds cover pure pushes, alternation, the
+// far-jump (overflow) path, equal-time bursts and floor resets.
 func FuzzLockstep(f *testing.F) {
 	f.Add([]byte{1, 2, 4, 5, 7, 8})
 	f.Add([]byte{0, 3, 6, 9, 12, 15})
 	f.Add([]byte{7, 14, 21, 0, 3, 49, 3, 3})
+	f.Add([]byte{255, 3, 3, 3, 252, 0, 245, 3, 3, 7, 242, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

@@ -8,6 +8,12 @@ package eventq
 //
 // Invariant: every event in a slot has a time in [cur, cur+W), and because
 // slot index is time mod W, all events within one slot share the same time.
+//
+// The wheel has one floor, lastPop. The overflow heap is plain storage
+// filled through Heap.push, which checks none: looking ahead (PeekTime)
+// drains overflow events into slots without popping anything from the
+// wheel, and a later legal push below the cursor sends them back, below
+// whatever the overflow heap itself last released.
 type Wheel[T any] struct {
 	slots    [][]item[T]
 	cur      uint64 // current time cursor; no wheel event is earlier
@@ -47,16 +53,16 @@ func (w *Wheel[T]) Push(time uint64, v T) {
 		w.started = true
 	}
 	if time < w.cur {
-		// Earlier than the cursor but not earlier than the last pop can
-		// only happen before anything was popped (afterwards cur equals the
-		// last popped time). Rewind the cursor and demote wheel events that
-		// no longer fit under the shrunken horizon to the overflow heap.
+		// Earlier than the cursor but not earlier than the last pop: the
+		// cursor ran ahead of the floor, through a peek or a floor reset.
+		// Rewind it and demote wheel events that no longer fit under the
+		// shrunken horizon to the overflow heap.
 		w.cur = time
 		for i, slot := range w.slots {
 			kept := slot[:0]
 			for _, it := range slot {
 				if it.time >= w.horizon() {
-					w.overflow.Push(it.time, it.v)
+					w.overflow.push(it.time, it.v)
 					w.wheelCnt--
 				} else {
 					kept = append(kept, it)
@@ -69,7 +75,7 @@ func (w *Wheel[T]) Push(time uint64, v T) {
 		}
 	}
 	if time >= w.horizon() {
-		w.overflow.Push(time, v)
+		w.overflow.push(time, v)
 		return
 	}
 	idx := time % uint64(len(w.slots))
@@ -131,21 +137,11 @@ func (w *Wheel[T]) Peek() (uint64, T, bool) {
 }
 
 // ResetFloor permits pushes earlier than the last popped time; the push
-// path already rewinds the cursor and demotes out-of-horizon events. The
-// overflow heap shares the floor, since demotion pushes into it.
-func (w *Wheel[T]) ResetFloor() {
-	w.lastPop = 0
-	w.overflow.ResetFloor()
-}
+// path already rewinds the cursor and demotes out-of-horizon events.
+func (w *Wheel[T]) ResetFloor() { w.lastPop = 0 }
 
-// Err returns the latched push violation from the wheel or its
-// overflow heap, if any.
-func (w *Wheel[T]) Err() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.overflow.Err()
-}
+// Err returns the latched push violation, if any.
+func (w *Wheel[T]) Err() error { return w.err }
 
 // PopMin removes an event with the minimum time.
 func (w *Wheel[T]) PopMin() (uint64, T, bool) {

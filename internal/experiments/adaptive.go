@@ -35,9 +35,9 @@ func E20Adaptive(s Scale) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:    "E20",
-		Title: "static vs adaptive synchronization (8 LPs, wall-clock)",
-		Claim: "dynamic load estimation and runtime control of the synchronization mechanism (future directions)",
+		ID:     "E20",
+		Title:  "static vs adaptive synchronization (8 LPs, wall-clock)",
+		Claim:  "dynamic load estimation and runtime control of the synchronization mechanism (future directions)",
 		Header: []string{"activity", "config", "ms", "nulls", "rollbacks", "switches", "segments", "final"},
 	}
 	base := core.Options{

@@ -473,12 +473,12 @@ const ReportSchema = "parsim-metrics/v1"
 // Registry. cmd/parsim emits it with --metrics-out and cmd/experiments
 // derives its table rows from it.
 type Report struct {
-	Schema  string            `json:"schema"`
-	Engine  string            `json:"engine"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	LPs     []LPReport        `json:"lps"`
-	Totals  map[string]uint64 `json:"totals"`
-	Globals GlobalsReport     `json:"globals"`
+	Schema  string             `json:"schema"`
+	Engine  string             `json:"engine"`
+	Labels  map[string]string  `json:"labels,omitempty"`
+	LPs     []LPReport         `json:"lps"`
+	Totals  map[string]uint64  `json:"totals"`
+	Globals GlobalsReport      `json:"globals"`
 	Gauges  map[string]float64 `json:"gauges,omitempty"`
 }
 

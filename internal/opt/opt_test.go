@@ -148,21 +148,21 @@ func optFixture(t *testing.T) *circuit.Circuit {
 	c0 := b.Const("c0", logic.Zero)
 	c1 := b.Const("c1", logic.One)
 
-	andDom := b.Gate(circuit.And, "and_dom", a, c0, x)     // collapses to And(c0)
-	orId := b.Gate(circuit.Or, "or_id", a, c0, x)          // drops c0
-	xorFlip := b.Gate(circuit.Xor, "xor_flip", a, c1)      // becomes Xnor(a)
-	mux := b.Gate(circuit.Mux2, "mux_sel1", c1, a, x)      // becomes Buf(x)
-	tri := b.Gate(circuit.Tri, "tri_en", c1, x)            // becomes Buf(x)
-	twin1 := b.Gate(circuit.Nand, "twin1", a, x)           // hash-merges with twin2
-	twin2 := b.Gate(circuit.Nand, "twin2", x, a)           // (commutative multiset key)
-	reader := b.Gate(circuit.Xor, "reader", twin1, twin2)  // becomes two-pin read
-	inv1 := b.Gate(circuit.Not, "inv1", orId)              // double inverter
-	inv2 := b.Gate(circuit.Not, "inv2", inv1)              // (collapses under invpair)
-	buf1 := b.Gate(circuit.Buf, "buf1", xorFlip)           // absorbed into xorFlip
-	buf2 := b.Gate(circuit.Buf, "buf2", buf1)              // then chain-absorbed
-	ff := b.Gate(circuit.DFF, "ff", buf2, clk)             // keeps its cone alive
-	deadA := b.Gate(circuit.And, "dead_a", a, x)           // dead cone:
-	_ = b.Gate(circuit.Not, "dead_b", deadA)               // nothing reads it
+	andDom := b.Gate(circuit.And, "and_dom", a, c0, x)    // collapses to And(c0)
+	orId := b.Gate(circuit.Or, "or_id", a, c0, x)         // drops c0
+	xorFlip := b.Gate(circuit.Xor, "xor_flip", a, c1)     // becomes Xnor(a)
+	mux := b.Gate(circuit.Mux2, "mux_sel1", c1, a, x)     // becomes Buf(x)
+	tri := b.Gate(circuit.Tri, "tri_en", c1, x)           // becomes Buf(x)
+	twin1 := b.Gate(circuit.Nand, "twin1", a, x)          // hash-merges with twin2
+	twin2 := b.Gate(circuit.Nand, "twin2", x, a)          // (commutative multiset key)
+	reader := b.Gate(circuit.Xor, "reader", twin1, twin2) // becomes two-pin read
+	inv1 := b.Gate(circuit.Not, "inv1", orId)             // double inverter
+	inv2 := b.Gate(circuit.Not, "inv2", inv1)             // (collapses under invpair)
+	buf1 := b.Gate(circuit.Buf, "buf1", xorFlip)          // absorbed into xorFlip
+	buf2 := b.Gate(circuit.Buf, "buf2", buf1)             // then chain-absorbed
+	ff := b.Gate(circuit.DFF, "ff", buf2, clk)            // keeps its cone alive
+	deadA := b.Gate(circuit.And, "dead_a", a, x)          // dead cone:
+	_ = b.Gate(circuit.Not, "dead_b", deadA)              // nothing reads it
 	sum := b.Gate(circuit.Xor, "sum", andDom, mux, tri, reader, inv2, ff)
 	b.Output("out", sum)
 	c, err := b.Build()

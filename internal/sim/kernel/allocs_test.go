@@ -36,8 +36,8 @@ func warmLP(t *testing.T) (*LP, [2][]Event) {
 }
 
 // TestWarmStepZeroAllocs pins the per-event hot path: once the LP's dirty
-// list and scratch buffers have grown to the circuit's working set, a
-// timestep allocates nothing.
+// list has grown to the circuit's working set, a timestep allocates
+// nothing.
 func TestWarmStepZeroAllocs(t *testing.T) {
 	lp, evs := warmLP(t)
 	var st metrics.LPCounters

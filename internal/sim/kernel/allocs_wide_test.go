@@ -49,7 +49,7 @@ func warmWideLP(t *testing.T, sweep bool) (*WideLP, [2][]WideEvent) {
 }
 
 // TestWarmWideStepZeroAllocs pins the wide per-event hot path: once the
-// LP's dirty list and scratch buffers have grown, a 64-lane timestep
+// LP's dirty list has grown, a 64-lane timestep
 // allocates nothing — the whole point of packing lanes into words.
 func TestWarmWideStepZeroAllocs(t *testing.T) {
 	lp, evs := warmWideLP(t, false)

@@ -104,7 +104,6 @@ type LPT[V comparable] struct {
 	stamp   []uint64
 	epoch   uint64
 	dirty   []circuit.GateID
-	scratch []V
 	dstSeen []bool
 
 	sweep      int
@@ -152,7 +151,6 @@ func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, 
 		pl:        pl,
 		stamp:     make([]uint64, len(c.Gates)),
 		dirty:     make([]circuit.GateID, 0, 64),
-		scratch:   make([]V, 0, 8),
 		dstSeen:   make([]bool, nBlocks),
 	}
 }
@@ -185,7 +183,7 @@ func (lp *LPT[V]) EnableSweep(threshold int) {
 	if levels, err := lp.c.Levelize(); err == nil {
 		for _, level := range levels {
 			for _, g := range level {
-				if own[g] && !lp.c.Gates[g].Kind.Source() {
+				if own[g] && !lp.c.Kinds[g].Source() {
 					lp.sweepGates = append(lp.sweepGates, g)
 				}
 			}
@@ -193,7 +191,7 @@ func (lp *LPT[V]) EnableSweep(threshold int) {
 		return
 	}
 	for _, g := range lp.ownGates {
-		if !lp.c.Gates[g].Kind.Source() {
+		if !lp.c.Kinds[g].Source() {
 			lp.sweepGates = append(lp.sweepGates, g)
 		}
 	}
@@ -256,7 +254,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 		if lp.Owner[ev.Gate] == lp.Self && lp.isWatched[ev.Gate] && lp.Record != nil {
 			lp.Record(t, ev.Gate, ev.Value)
 		}
-		for _, out := range lp.c.Fanout[ev.Gate] {
+		for _, out := range lp.c.FanoutAdj.Row(ev.Gate) {
 			if lp.Owner[out] != lp.Self {
 				continue
 			}
@@ -269,7 +267,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 	if initial {
 		lp.dirty = lp.dirty[:0]
 		for _, g := range lp.ownGates {
-			if !lp.c.Gates[g].Kind.Source() {
+			if !lp.c.Kinds[g].Source() {
 				lp.dirty = append(lp.dirty, g)
 			}
 		}
@@ -278,8 +276,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 	}
 
 	for _, g := range lp.dirty {
-		var out, clkSample V
-		out, clkSample, lp.scratch = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk, lp.scratch)
+		out, clkSample := lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
 		st.Evaluations++
 		if clkSample != lp.prevClk[g] {
 			if undo != nil {
@@ -294,14 +291,14 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 			undo.projs = append(undo.projs, valChange[V]{g, lp.projected[g]})
 		}
 		lp.projected[g] = out
-		due := t + lp.c.Gates[g].Delay
+		due := t + lp.c.Delays[g]
 		lp.Schedule(due, g, out)
 		st.EventsScheduled++
 		// Remote consumers get one message per destination LP.
 		for i := range lp.dstSeen {
 			lp.dstSeen[i] = false
 		}
-		for _, dst := range lp.c.Fanout[g] {
+		for _, dst := range lp.c.FanoutAdj.Row(g) {
 			db := lp.Owner[dst]
 			if db == lp.Self || lp.dstSeen[db] {
 				continue
@@ -341,7 +338,7 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 		if lp.Owner[ev.Gate] == lp.Self && lp.isWatched[ev.Gate] && lp.Record != nil {
 			lp.Record(t, ev.Gate, ev.Value)
 		}
-		for _, out := range lp.c.Fanout[ev.Gate] {
+		for _, out := range lp.c.FanoutAdj.Row(ev.Gate) {
 			if lp.Owner[out] != lp.Self {
 				continue
 			}
@@ -354,7 +351,7 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 	if initial {
 		lp.dirty = lp.dirty[:0]
 		for _, g := range lp.ownGates {
-			if !lp.c.Gates[g].Kind.Source() {
+			if !lp.c.Kinds[g].Source() {
 				lp.dirty = append(lp.dirty, g)
 			}
 		}
@@ -387,12 +384,8 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 		wg.Add(1)
 		go func(gs []circuit.GateID) {
 			defer wg.Done()
-			var scratch []V
 			for _, g := range gs {
-				out, cs, buf := lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk, scratch)
-				scratch = buf
-				outBuf[g] = out
-				clkBuf[g] = cs
+				outBuf[g], clkBuf[g] = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
 			}
 		}(lp.dirty[lo:hi])
 	}
@@ -415,13 +408,13 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 			undo.projs = append(undo.projs, valChange[V]{g, lp.projected[g]})
 		}
 		lp.projected[g] = out
-		due := t + lp.c.Gates[g].Delay
+		due := t + lp.c.Delays[g]
 		lp.Schedule(due, g, out)
 		st.EventsScheduled++
 		for i := range lp.dstSeen {
 			lp.dstSeen[i] = false
 		}
-		for _, dst := range lp.c.Fanout[g] {
+		for _, dst := range lp.c.FanoutAdj.Row(g) {
 			db := lp.Owner[dst]
 			if db == lp.Self || lp.dstSeen[db] {
 				continue
@@ -479,7 +472,7 @@ func (lp *LPT[V]) RelevantNets() []circuit.GateID {
 			seen[g] = true
 			nets = append(nets, g)
 		}
-		for _, f := range lp.c.Gates[g].Fanin {
+		for _, f := range lp.c.FaninAdj.Row(g) {
 			if !seen[f] {
 				seen[f] = true
 				nets = append(nets, f)

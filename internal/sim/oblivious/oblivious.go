@@ -142,7 +142,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		last := levels[len(levels)-1]
 		allSeq := true
 		for _, g := range last {
-			if !c.Gates[g].Kind.Sequential() {
+			if !c.Kinds[g].Sequential() {
 				allSeq = false
 			}
 		}
@@ -165,7 +165,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	var rec trace.RecorderT[V]
 	lastRec := make([]V, len(c.Gates))
 	for id := range lastRec {
-		lastRec[id] = pl.Initial(c.Gates[id].Kind, cfg.System)
+		lastRec[id] = pl.Initial(c.Kinds[id], cfg.System)
 	}
 
 	// Group stimulus changes by boundary time.
@@ -184,18 +184,14 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	// evalSlice evaluates one contiguous chunk of a level into newVals.
 	newQ := make([]V, len(c.Gates))
 	newClk := make([]V, len(c.Gates))
-	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID, scratch *[]V) {
+	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID) {
 		begin := shards[w].Now()
 		for _, g := range gates {
-			out, cs, buf := pl.EvalGate(c, g, val, prevClk, *scratch)
-			*scratch = buf
-			newQ[g] = out
-			newClk[g] = cs
+			newQ[g], newClk[g] = pl.EvalGate(c, g, val, prevClk)
 			blocks[w].Evaluations++
 		}
 		shards[w].Span(trace.PhaseEvaluate, begin, t)
 	}
-	scratches := make([][]V, cfg.Workers)
 
 	// A panicking worker is recovered into the run's first error so the
 	// level barrier always completes; the coordinator surfaces it at the
@@ -213,7 +209,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	// runLevel evaluates a level (in parallel when configured) and commits.
 	runLevel := func(t circuit.Tick, gates []circuit.GateID) {
 		if cfg.Workers == 1 || len(gates) < 2*cfg.Workers {
-			evalSlice(0, t, gates, &scratches[0])
+			evalSlice(0, t, gates)
 		} else {
 			var wg gosync.WaitGroup
 			chunk := (len(gates) + cfg.Workers - 1) / cfg.Workers
@@ -235,7 +231,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 						}
 					}()
 					metrics.Do(sink, engine, w, "eval", func() {
-						evalSlice(w, t, gates[lo:hi], &scratches[w])
+						evalSlice(w, t, gates[lo:hi])
 					})
 				}(w, lo, hi)
 			}

@@ -266,7 +266,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	stamp := make([]uint64, len(c.Gates))
 	var epoch uint64
 	var dirty []circuit.GateID
-	var scratch []V
 	var endTime circuit.Tick
 	var totalEvents uint64
 
@@ -313,7 +312,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			if isWatched[ev.gate] {
 				rec.Record(t, ev.gate, ev.value)
 			}
-			for _, out := range c.Fanout[ev.gate] {
+			for _, out := range c.FanoutAdj.Row(ev.gate) {
 				if stamp[out] != epoch {
 					stamp[out] = epoch
 					dirty = append(dirty, out)
@@ -322,8 +321,8 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		}
 		if initial {
 			dirty = dirty[:0]
-			for id := range c.Gates {
-				if !c.Gates[id].Kind.Source() {
+			for id, k := range c.Kinds {
+				if !k.Source() {
 					dirty = append(dirty, circuit.GateID(id))
 				}
 			}
@@ -331,8 +330,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 
 		// Phase 2: evaluate affected gates against the settled values.
 		for _, g := range dirty {
-			var out, clkSample V
-			out, clkSample, scratch = pl.EvalGate(c, g, val, prevClk, scratch)
+			out, clkSample := pl.EvalGate(c, g, val, prevClk)
 			prevClk[g] = clkSample
 			blk.Evaluations++
 			if cfg.Profile {
@@ -343,7 +341,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				// The evaluation may start once every net it reads (and its
 				// own output, whose previous value it extends) is final.
 				dep := lastCompl[g]
-				for _, f := range c.Gates[g].Fanin {
+				for _, f := range c.FaninAdj.Row(g) {
 					if lastCompl[f] > dep {
 						dep = lastCompl[f]
 					}
@@ -357,7 +355,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				continue
 			}
 			projected[g] = out
-			q.Push(uint64(t+c.Gates[g].Delay), event[V]{gate: g, value: out})
+			q.Push(uint64(t+c.Delays[g]), event[V]{gate: g, value: out})
 			if lastCompl != nil {
 				pendCompl[g] = append(pendCompl[g], compl)
 			}

@@ -23,7 +23,7 @@ func TestWatchdogReportCarriesTransportState(t *testing.T) {
 			return []TransportState{
 				{Shard: 0, Connected: true, LastHeartbeatMs: 12, UnackedBatches: 0, Reconnects: 1},
 				{Shard: 1, Connected: false, LastHeartbeatMs: 950, UnackedBatches: 7, Reconnects: 3,
-						Frames: 4096, Retransmits: 12, DupsDropped: 5},
+					Frames: 4096, Retransmits: 12, DupsDropped: 5},
 			}
 		},
 		OnHang: func(err error) { got.Store(err) },

@@ -110,15 +110,14 @@ type event[V comparable] struct {
 
 // lp is one logical process worker.
 type lp[V comparable] struct {
-	id      int
-	gates   []circuit.GateID
-	q       eventq.Queue[event[V]]
-	dirty   []circuit.GateID
-	stamp   []uint64
-	scratch []V
-	rec     trace.RecorderT[V]
-	st      *metrics.LPBlock
-	sh      *trace.Shard
+	id    int
+	gates []circuit.GateID
+	q     eventq.Queue[event[V]]
+	dirty []circuit.GateID
+	stamp []uint64
+	rec   trace.RecorderT[V]
+	st    *metrics.LPBlock
+	sh    *trace.Shard
 	// outbox[dst] accumulates dirty-gate notifications for LP dst during
 	// phase A; dst drains it in phase B. Only the owner writes, only dst
 	// reads, and the phases are barrier-separated.
@@ -277,7 +276,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			if isWatched[ev.gate] {
 				l.rec.Record(t, ev.gate, ev.value)
 			}
-			for _, out := range c.Fanout[ev.gate] {
+			for _, out := range c.FanoutAdj.Row(ev.gate) {
 				dst := owner[out]
 				l.outbox[dst] = append(l.outbox[dst], out)
 				if dst != l.id {
@@ -308,7 +307,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				}
 			}
 			for _, g := range l.gates {
-				if !c.Gates[g].Kind.Source() {
+				if !c.Kinds[g].Source() {
 					l.dirty = append(l.dirty, g)
 				}
 			}
@@ -329,8 +328,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			}
 		}
 		for _, g := range l.dirty {
-			var out, clkSample V
-			out, clkSample, l.scratch = pl.EvalGate(c, g, val, prevClk, l.scratch)
+			out, clkSample := pl.EvalGate(c, g, val, prevClk)
 			prevClk[g] = clkSample
 			l.st.Evaluations++
 			if rebalancing {
@@ -341,7 +339,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				continue
 			}
 			projected[g] = out
-			l.q.Push(uint64(t+c.Gates[g].Delay), event[V]{g, out})
+			l.q.Push(uint64(t+c.Delays[g]), event[V]{g, out})
 			l.st.EventsScheduled++
 			l.phaseWork += cfg.Cost.EventCost
 		}

@@ -56,8 +56,8 @@ type transport[T any] struct {
 	splits    map[splitKey]Fault
 	reorders  map[uint64]Fault
 	held      map[int]*heldStream[T]
-	heldOrder []int            // hold arming order, for deterministic release order
-	bound     map[int]uint64   // max null bound per src from previous batches
+	heldOrder []int          // hold arming order, for deterministic release order
+	bound     map[int]uint64 // max null bound per src from previous batches
 }
 
 // Wrap interposes the chaos transport for one LP's inbox. A nil hook
