@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // binPath is the parsim binary TestMain builds once for every e2e test.
@@ -254,6 +256,32 @@ func TestRunSucceeds(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "wall=") || strings.Contains(string(out), "wall=0s") {
 			t.Errorf("%s: summary line reports no wall time:\n%s", engine, out)
+		}
+	}
+}
+
+// TestCmbDetectMatchesSeqVCD repeats the invocation that hung outright
+// under the polling deadlock-recovery coordinator (a lost permit parked
+// all seven LPs for good): every run must finish inside its deadline
+// with the sequential engine's VCD, byte for byte.
+func TestCmbDetectMatchesSeqVCD(t *testing.T) {
+	dir := t.TempDir()
+	golden := filepath.Join(dir, "seq.vcd")
+	if _, stderr, code := run(t, "-circuit", "seq2000", "-engine", "seq", "-vcd", golden, "-q"); code != 0 {
+		t.Fatalf("golden run failed:\n%s", stderr)
+	}
+	want := readFile(t, golden)
+	vcd := filepath.Join(dir, "detect.vcd")
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, binPath,
+			"-circuit", "seq2000", "-engine", "cmb-detect", "-lps", "7", "-vcd", vcd, "-q").CombinedOutput()
+		cancel()
+		if err != nil {
+			t.Fatalf("run %d: %v (killed means it outlived its 20 s deadline)\n%s", i, err, out)
+		}
+		if readFile(t, vcd) != want {
+			t.Fatalf("run %d: cmb-detect VCD differs from the seq VCD", i)
 		}
 	}
 }

@@ -347,7 +347,7 @@ func E8NullMessages(s Scale) (*Table, error) {
 		ID:     "E8",
 		Title:  "conservative variants: null traffic and lookahead (8 LPs)",
 		Claim:  "deadlock prevention is usually accomplished via null messages ... deadlock detection via circulating marker algorithms",
-		Header: []string{"delays", "variant", "nulls", "nulls/event", "speedup"},
+		Header: []string{"delays", "variant", "nulls", "nulls/event", "wall ms", "speedup"},
 	}
 	for _, delays := range []struct {
 		name string
@@ -378,11 +378,13 @@ func E8NullMessages(s Scale) (*Table, error) {
 				perEvent = float64(tot.NullsSent) / float64(tot.EventsApplied)
 			}
 			t.Rows = append(t.Rows, []string{
-				delays.name, eng.String(), d(tot.NullsSent), f2(perEvent), f2(sp),
+				delays.name, eng.String(), d(tot.NullsSent), f2(perEvent),
+				f2(float64(rep.Stats.Wall.Microseconds()) / 1e3), f2(sp),
 			})
 		}
 	}
-	t.Notes = append(t.Notes, "larger delays mean larger lookahead: fewer nulls per unit of simulated time")
+	t.Notes = append(t.Notes, "larger delays mean larger lookahead: fewer nulls per unit of simulated time",
+		"speedup is modeled; wall ms is this host's clock for the one run (noisy, host-dependent)")
 	return t, nil
 }
 

@@ -74,6 +74,52 @@ func (p *Partition) BlockGates() [][]circuit.GateID {
 	return p.blockGates
 }
 
+// Audience answers which blocks must see an event on a gate: the gate's
+// owner first, then every other block owning one of its consumers (each
+// keeps a ghost copy of the net), in fanout order. The asynchronous
+// engines route stimulus changes and checkpoint events with it. Lists
+// are computed on first request and kept back to back in one flat array;
+// not safe for concurrent use.
+type Audience struct {
+	c     *circuit.Circuit
+	owner []int
+	span  [][2]int32 // per gate: its list is dst[span[0]:span[1]]; zero until asked
+	dst   []int
+	seen  []bool // per block, all false between calls
+}
+
+// Audience returns the event-routing view of the partition over c.
+func (p *Partition) Audience(c *circuit.Circuit) *Audience {
+	return &Audience{
+		c:     c,
+		owner: p.Assign,
+		span:  make([][2]int32, len(c.Gates)),
+		seen:  make([]bool, p.Blocks),
+	}
+}
+
+// Of returns the blocks that must see an event on gate g. The result is
+// read-only and stays valid for the Audience's lifetime.
+func (a *Audience) Of(g circuit.GateID) []int {
+	if sp := a.span[g]; sp[1] > 0 {
+		return a.dst[sp[0]:sp[1]]
+	}
+	start := len(a.dst)
+	a.seen[a.owner[g]] = true
+	a.dst = append(a.dst, a.owner[g])
+	for _, fo := range a.c.Fanout[g] {
+		if b := a.owner[fo]; !a.seen[b] {
+			a.seen[b] = true
+			a.dst = append(a.dst, b)
+		}
+	}
+	for _, b := range a.dst[start:] {
+		a.seen[b] = false
+	}
+	a.span[g] = [2]int32{int32(start), int32(len(a.dst))}
+	return a.dst[start:]
+}
+
 // Group folds the partition's LPs into contiguous, load-balanced shard
 // groups for distributed execution, returning an LP -> shard map in
 // [0, shards). Contiguity makes the layout a pure function of the

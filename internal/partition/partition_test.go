@@ -417,3 +417,36 @@ func TestMultilevelQualityComparableToFM(t *testing.T) {
 		t.Fatalf("multilevel imbalance %f", im)
 	}
 }
+
+// TestAudienceIsOwnerThenGhosts checks the event-routing rule against its
+// definition, gate by gate: the owner first, then each other block that
+// owns a consumer, once, in fanout order — and the same list on a repeat
+// request, whatever was asked in between.
+func TestAudienceIsOwnerThenGhosts(t *testing.T) {
+	c := testCircuit(t)
+	p := Random(c, 5, 11)
+	aud := p.Audience(c)
+	want := func(g circuit.GateID) []int {
+		dsts := []int{p.Assign[g]}
+		seen := map[int]bool{p.Assign[g]: true}
+		for _, fo := range c.Fanout[g] {
+			if b := p.Assign[fo]; !seen[b] {
+				seen[b] = true
+				dsts = append(dsts, b)
+			}
+		}
+		return dsts
+	}
+	// Descending first, then ascending: the second pass reads cached lists
+	// that were laid down in the opposite order.
+	for g := len(c.Gates) - 1; g >= 0; g-- {
+		if got := aud.Of(circuit.GateID(g)); !reflect.DeepEqual(got, want(circuit.GateID(g))) {
+			t.Fatalf("gate %d: audience %v, want %v", g, got, want(circuit.GateID(g)))
+		}
+	}
+	for g := range c.Gates {
+		if got := aud.Of(circuit.GateID(g)); !reflect.DeepEqual(got, want(circuit.GateID(g))) {
+			t.Fatalf("gate %d (cached): audience %v, want %v", g, got, want(circuit.GateID(g)))
+		}
+	}
+}

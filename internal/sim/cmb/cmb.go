@@ -19,10 +19,11 @@
 //   - NullDemand: promises are only sent in response to a request from a
 //     blocked neighbour (demand-driven nulls, lower null traffic, higher
 //     blocking latency).
-//   - DeadlockRecovery: no null messages at all; a coordinator detects
-//     global quiescence (every LP blocked, no messages in transit) and
-//     broadcasts a permit advancing the safe time to the global minimum
-//     next event — the circulating-marker / deadlock recovery family.
+//   - DeadlockRecovery: no null messages at all; the last LP to block
+//     finds global quiescence (every LP blocked, nothing unhandled) on a
+//     shared ledger and broadcasts a permit advancing the safe time to
+//     the global minimum next event — the circulating-marker / deadlock
+//     recovery family.
 //
 // The engine is one body generic over the value type carried by events
 // and messages, built on a circuit.Plane[V]: logic.Value for Run and
@@ -93,11 +94,11 @@ type Config struct {
 	// Metrics receives per-LP counters and quiescence-round globals; nil
 	// uses a private registry.
 	Metrics metrics.Sink
-	// Tracer, when non-nil, records per-LP evaluate/block spans and
-	// coordinator quiescence-detection spans.
+	// Tracer, when non-nil, records per-LP evaluate/block spans, and a gvt
+	// span per permit round on the timeline of the LP that granted it.
 	Tracer *trace.Tracer
 	// Chaos, when non-nil, wraps every LP inbox in the fault-injecting
-	// chaos transport and enables stall points at the evaluate/block
+	// chaos transport and enables stall points at the evaluate/block/wake
 	// boundaries. Test harness use only; nil leaves the hot path on the
 	// raw mailboxes.
 	Chaos *inject.Hook
@@ -122,8 +123,8 @@ type Config struct {
 	// distributed simulation: only the LPs the seam maps to this shard
 	// execute locally, remote LPs' mailboxes are replaced by socket
 	// outboxes, and inbound batches are delivered through the seam's
-	// bindings. Null-message modes only (the deadlock-recovery
-	// coordinator needs a global snapshot). The wire format carries
+	// bindings. Null-message modes only (the deadlock-recovery ledger
+	// is one process's memory). The wire format carries
 	// scalar values: RunWide runs every LP locally.
 	Dist *wire.Seam
 }
@@ -166,8 +167,8 @@ type msg[V comparable] struct {
 
 // msgMeta projects a message to its chaos-transport role: values and
 // nulls are timestamped members of their sender's FIFO stream, promise
-// requests ride the stream without time semantics, and coordinator
-// traffic (permits, terminate) is control that chaos must not touch.
+// requests ride the stream without time semantics, and the quiescence
+// broadcasts (permits, terminate) are control that chaos must not touch.
 func msgMeta[V comparable](m msg[V]) inject.Meta {
 	switch m.kind {
 	case msgValue:
@@ -195,18 +196,27 @@ type shared[V comparable] struct {
 	c       *circuit.Circuit
 	until   circuit.Tick
 	inboxes []mpsc.Transport[msg[V]]
+	// transit counts every message that must be handled before the system
+	// can be quiet: value messages from Send to handle, and (detect mode)
+	// permits from broadcast to handle.
 	transit atomic.Int64
 	events  atomic.Uint64
 	abort   atomic.Bool
 	sink    metrics.Sink
-	coShard *trace.Shard
-	// blockedCnt counts LPs currently parked in WaitDrain (detect mode).
-	blockedCnt atomic.Int64
-	// rounds counts coordinator permit broadcasts (detect mode): each is a
-	// global quiescence detection plus a permit fan-out, priced like a GVT
-	// round by the cost model. This is exactly the overhead that makes
-	// deadlock recovery slow: the paper's circulating-marker algorithms pay
-	// a global synchronization per advance.
+
+	// The quiescence ledger (detect mode), guarded by quietMu: blocked
+	// counts LPs between park and wake, next[i] is LP i's earliest pending
+	// event as of its last park. An LP leaves blocked before it handles
+	// what woke it, so while blocked == n nobody can touch transit, and
+	// transit == 0 then means every LP is parked with next current.
+	quietMu gosync.Mutex
+	blocked int
+	next    []circuit.Tick
+	// rounds counts permit broadcasts: each is a global quiescence
+	// detection plus a permit fan-out, priced like a GVT round by the cost
+	// model. This is exactly the overhead that makes deadlock recovery
+	// slow: the paper's circulating-marker algorithms pay a global
+	// synchronization per advance.
 	rounds uint64
 
 	failMu  gosync.Mutex
@@ -259,14 +269,9 @@ type clp[V comparable] struct {
 	pend     [][]msg[V]
 	pendDst  []int
 	pendNull []int
-	// nextPub and wakeGen publish quiescence state to the coordinator
-	// (DeadlockRecovery mode): the pending-event time while blocked, and a
-	// generation bumped on every wake for the double-collect snapshot.
-	nextPub atomic.Uint64
-	wakeGen atomic.Uint64
-	buf     []msg[V]
-	evs     []kernel.EventT[V]
-	end     circuit.Tick
+	buf      []msg[V]
+	evs      []kernel.EventT[V]
+	end      circuit.Tick
 	// slot is the watchdog scoreboard entry (nil-safe; nil without a
 	// watchdog).
 	slot *supervise.LPSlot
@@ -313,12 +318,11 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 }
 
 // run is the conservative engine over value type V: it derives the LP
-// graph, routes the stimulus (or boot) events, runs the LP goroutines
-// (plus the coordinator in DeadlockRecovery mode) to completion, and
-// assembles the result. changes is a validated schedule already in the
-// run's value domain, engine labels the metrics registry and errors,
-// boot, when non-nil, replaces the stimulus and the time-zero settling
-// step, and wireEnc/wireDec translate messages for cfg.Dist.
+// graph, routes the stimulus (or boot) events, runs the LP goroutines to
+// completion, and assembles the result. changes is a validated schedule
+// already in the run's value domain, engine labels the metrics registry
+// and errors, boot, when non-nil, replaces the stimulus and the time-zero
+// settling step, and wireEnc/wireDec translate messages for cfg.Dist.
 func run[V comparable](
 	pl *circuit.Plane[V],
 	engine string,
@@ -360,13 +364,19 @@ func run[V comparable](
 	local := func(lp int) bool { return dist == nil || dist.Local(lp) }
 
 	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink}
-	sh.coShard = cfg.Tracer.Shard("coordinator")
+	sh.next = make([]circuit.Tick, n)
+	// Value messages are the only kind the transit ledger counts that can
+	// cross the seam (permits never do: detect mode does not distribute).
+	shim := wire.Shim[msg[V]]{
+		Seam: dist, Enc: wireEnc, Dec: wireDec, Transit: &sh.transit,
+		Counted: func(m msg[V]) bool { return m.kind == msgValue },
+	}
 	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
 	for i := range sh.inboxes {
 		if !local(i) {
 			// A remote LP's mailbox is a socket outbox: sends cross the
 			// seam as encoded frames, and nothing local ever drains it.
-			sh.inboxes[i] = &distOutbox[V]{sh: sh, dst: i, enc: wireEnc}
+			sh.inboxes[i] = shim.Outbox(i)
 			continue
 		}
 		var tr mpsc.Transport[msg[V]] = mpsc.NewCap[msg[V]](64)
@@ -376,7 +386,7 @@ func run[V comparable](
 		sh.inboxes[i] = tr
 	}
 	if dist != nil {
-		defer bindDist(sh, engine, wireDec)()
+		defer shim.Bind(sh.inboxes, engine, sh.fail, func() (uint64, bool) { return sh.events.Load(), false })()
 	}
 	// laBias widens every link lookahead when the chaos hook's sabotage
 	// knob is set: the engine then promises bounds it cannot keep, which
@@ -487,91 +497,35 @@ func run[V comparable](
 		lps[k2.dst].bound[k2.src] = 1
 	}
 
-	// Stimulus routing: each input change goes to the owner of the input
-	// gate and to every LP that owns a consumer of it (ghost updates). The
-	// destination lists live in one flat CSR-style array indexed by input
-	// position, with a single reusable seen scratch — no per-input maps.
+	// Stimulus (or, on restore, checkpoint-event) routing: every event goes
+	// to its gate's owner and to every LP holding a ghost of that net. Each
+	// shard routes only to its own LPs — every worker holds the full
+	// schedule, so remote destinations are someone else's copy of this same
+	// loop. Time-zero changes feed the settle step; a checkpoint's events
+	// are all strictly after its boundary, so none lands there.
 	initial := make([][]kernel.EventT[V], n)
-	idxOf := make([]int32, len(c.Gates))
-	deliverOff := make([]int32, len(c.Inputs)+1)
-	deliverDst := make([]int, 0, len(c.Inputs))
-	seen := make([]bool, n)
-	for ii, in := range c.Inputs {
-		idxOf[in] = int32(ii)
-		start := len(deliverDst)
-		seen[owner[in]] = true
-		deliverDst = append(deliverDst, owner[in])
-		for _, fo := range c.Fanout[in] {
-			if b := owner[fo]; !seen[b] {
-				seen[b] = true
-				deliverDst = append(deliverDst, b)
+	aud := p.Audience(c)
+	route := func(t uint64, ev kernel.EventT[V]) {
+		for _, dst := range aud.Of(ev.Gate) {
+			if !local(dst) {
+				continue
+			}
+			if t == 0 {
+				initial[dst] = append(initial[dst], ev)
+			} else {
+				lps[dst].q.Push(t, ev)
 			}
 		}
-		for _, d := range deliverDst[start:] {
-			seen[d] = false
-		}
-		deliverOff[ii+1] = int32(len(deliverDst))
 	}
 	if boot == nil {
-		initCnt := make([]int, n)
 		for _, ch := range changes {
-			if ch.Time != 0 {
-				continue
-			}
-			ii := idxOf[ch.Input]
-			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
-				initCnt[dst]++
-			}
-		}
-		for dst, cnt := range initCnt {
-			if cnt > 0 && local(dst) {
-				initial[dst] = make([]kernel.EventT[V], 0, cnt)
-			}
-		}
-		for _, ch := range changes {
-			if ch.Time > until {
-				continue
-			}
-			ev := kernel.EventT[V]{Gate: ch.Input, Value: ch.Value}
-			ii := idxOf[ch.Input]
-			for _, dst := range deliverDst[deliverOff[ii]:deliverOff[ii+1]] {
-				// Each shard routes only to its own LPs: every worker holds
-				// the full stimulus, so remote destinations are someone
-				// else's copy of this same loop.
-				if !local(dst) {
-					continue
-				}
-				if ch.Time == 0 {
-					initial[dst] = append(initial[dst], ev)
-				} else {
-					lps[dst].q.Push(uint64(ch.Time), ev)
-				}
+			if ch.Time <= until {
+				route(uint64(ch.Time), kernel.EventT[V]{Gate: ch.Input, Value: ch.Value})
 			}
 		}
 	} else {
-		// Restore: requeue the checkpoint's pending events instead of the
-		// stimulus. Every event goes to its gate's owner and to every LP
-		// owning a consumer (the same ghost-update rule as stimulus
-		// routing); all times are strictly after the boundary, so nothing
-		// lands in the settle step.
 		for _, ev := range boot.Events {
-			kev := kernel.EventT[V]{Gate: ev.Gate, Value: ev.Value}
-			seen[owner[ev.Gate]] = true
-			if local(owner[ev.Gate]) {
-				lps[owner[ev.Gate]].q.Push(ev.Time, kev)
-			}
-			for _, fo := range c.Fanout[ev.Gate] {
-				if b := owner[fo]; !seen[b] {
-					seen[b] = true
-					if local(b) {
-						lps[b].q.Push(ev.Time, kev)
-					}
-				}
-			}
-			seen[owner[ev.Gate]] = false
-			for _, fo := range c.Fanout[ev.Gate] {
-				seen[owner[fo]] = false
-			}
+			route(ev.Time, kernel.EventT[V]{Gate: ev.Gate, Value: ev.Value})
 		}
 	}
 
@@ -620,18 +574,6 @@ func run[V comparable](
 			})
 		}(l)
 	}
-	var coordErr error
-	if cfg.Mode == DeadlockRecovery {
-		metrics.Do(sink, engine, -1, "coordinate", func() {
-			defer func() {
-				if r := recover(); r != nil {
-					coordErr = supervise.FromPanic(engine, -1, "coordinate", 0, r)
-					sh.abortAll()
-				}
-			}()
-			coordErr = coordinate(sh, lps)
-		})
-	}
 	wg.Wait()
 	wd.Stop()
 
@@ -641,9 +583,6 @@ func run[V comparable](
 		sh.failMu.Unlock()
 		if ferr != nil {
 			return nil, ferr
-		}
-		if coordErr != nil {
-			return nil, coordErr
 		}
 		return nil, &supervise.SimError{
 			Engine: engine, LP: -1, Phase: "run", Kind: supervise.KindEventLimit,
@@ -797,6 +736,7 @@ func (l *clp[V]) handle(m msg[V]) bool {
 	case msgRequest:
 		l.reqd[m.from] = true
 	case msgPermit:
+		l.sh.transit.Add(-1)
 		if s := m.time + 1; s > l.safe {
 			l.safe = s
 		}
@@ -883,8 +823,9 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 			// (demand mode); either way only increases are transmitted.
 			l.sendPromises(demand)
 		}
-		// Done? (Null modes only: in DeadlockRecovery the coordinator owns
-		// termination and LPs just keep reporting quiescence.)
+		// Done? (Null modes only: in DeadlockRecovery the LP that finds
+		// quiescence with nothing left inside the horizon terminates the
+		// run, and until then LPs just keep parking.)
 		if !detect && l.nextLocal() > l.sh.until && l.safeTime() > l.sh.until {
 			// Final promises are already infTick via promise().
 			l.sendPromises(false)
@@ -914,21 +855,18 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 		l.slot.SetBound(uint64(l.safeTime()))
 		l.slot.SetPhase(supervise.PhaseBlock)
 		blockBegin := l.trsh.Now()
-		var ok bool
 		if detect {
-			// Publish quiescence state for the coordinator's double-collect
-			// snapshot: next-event time first, then the blocked count, so
-			// that count==n implies every published next is current.
-			l.nextPub.Store(uint64(l.nextLocal()))
-			l.sh.blockedCnt.Add(1)
-			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
-			// Wake order matters: bump the generation before leaving the
-			// blocked count, and leave the count before touching transit
-			// (which happens when value messages are handled below).
-			l.wakeGen.Add(1)
-			l.sh.blockedCnt.Add(-1)
-		} else {
-			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
+			l.park()
+		}
+		var ok bool
+		l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
+		if detect {
+			// Leave the blocked count before touching transit (which
+			// happens when the drained messages are handled below).
+			l.sh.cfg.Chaos.Stall(l.id, inject.PhaseWake)
+			l.sh.quietMu.Lock()
+			l.sh.blocked--
+			l.sh.quietMu.Unlock()
 		}
 		l.trsh.Span(trace.PhaseBlock, blockBegin, trace.NoTick)
 		l.slot.SetPhase(supervise.PhaseRun)
@@ -959,76 +897,43 @@ func (sh *shared[V]) abortAll() {
 	}
 }
 
-// coordinate is the DeadlockRecovery coordinator: it detects global
-// quiescence with a double-collect snapshot (every LP blocked, zero
-// messages in transit, and no LP woke while the per-LP next-event times
-// were being read), then either grants a permit advancing the safe time to
-// the global minimum pending event or, when nothing remains inside the
-// horizon, terminates the run.
-func coordinate[V comparable](sh *shared[V], lps []*clp[V]) error {
-	n := len(lps)
-	gens := make([]uint64, n)
-	quiet := func() bool {
-		return sh.blockedCnt.Load() == int64(n) && sh.transit.Load() == 0
+// park enters this LP on the quiescence ledger (DeadlockRecovery mode).
+// The LP whose entry makes every LP blocked with nothing in transit has
+// found the deadlock, and recovers from it itself: it grants a permit
+// advancing the safe time to the global minimum pending event or, when
+// nothing remains inside the horizon, terminates the run. Its own copy
+// of the broadcast is what its WaitDrain then returns with.
+//
+// Exact: an LP between WaitDrain returning and its blocked-- holds at
+// least one unhandled message (or a poke that changed nothing), which
+// transit still counts, so the test cannot pass around it; and every
+// permit is in transit until handled, so no round starts before the
+// previous one has reached every LP. Live: whoever takes transit to zero
+// is awake, and the last awake LP to park sees blocked == n.
+func (l *clp[V]) park() {
+	sh := l.sh
+	sh.quietMu.Lock()
+	defer sh.quietMu.Unlock()
+	sh.next[l.id] = l.nextLocal()
+	sh.blocked++
+	if sh.blocked < len(sh.next) || sh.transit.Load() != 0 {
+		return
 	}
-	for {
-		if sh.abort.Load() {
-			return nil
+	gmin := infTick
+	for _, t := range sh.next {
+		if t < gmin {
+			gmin = t
 		}
-		if !quiet() {
-			time.Sleep(50 * time.Microsecond)
-			continue
-		}
-		// Double-collect: generation snapshot, reads, generation re-check.
-		for i, l := range lps {
-			gens[i] = l.wakeGen.Load()
-		}
-		if !quiet() {
-			continue
-		}
-		gmin := infTick
-		for _, l := range lps {
-			if t := circuit.Tick(l.nextPub.Load()); t < gmin {
-				gmin = t
-			}
-		}
-		stable := quiet()
-		for i, l := range lps {
-			if l.wakeGen.Load() != gens[i] {
-				stable = false
-			}
-		}
-		if !stable {
-			continue
-		}
-		if gmin > sh.until {
-			for _, ib := range sh.inboxes {
-				ib.Put(msg[V]{kind: msgTerminate})
-			}
-			return nil
-		}
+	}
+	grant := msg[V]{kind: msgTerminate}
+	if gmin <= sh.until {
+		grant = msg[V]{kind: msgPermit, time: gmin}
 		sh.rounds++
-		roundBegin := sh.coShard.Now()
-		for _, ib := range sh.inboxes {
-			ib.Put(msg[V]{kind: msgPermit, time: gmin})
-		}
-		sh.coShard.Span(trace.PhaseGVT, roundBegin, gmin)
-		// Wait until every LP has observably woken (its generation moved
-		// past the snapshot) before re-evaluating quiescence; watching the
-		// blocked count instead would race with an LP that wakes and
-		// re-blocks between two polls.
-		for !sh.abort.Load() {
-			woke := true
-			for i, l := range lps {
-				if l.wakeGen.Load() == gens[i] {
-					woke = false
-					break
-				}
-			}
-			if woke {
-				break
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
+		sh.transit.Add(int64(len(sh.inboxes)))
 	}
+	begin := l.trsh.Now()
+	for _, ib := range sh.inboxes {
+		ib.Put(grant)
+	}
+	l.trsh.Span(trace.PhaseGVT, begin, gmin)
 }

@@ -2,6 +2,7 @@ package cmb
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
 	"repro/internal/simtest"
+	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -91,6 +93,110 @@ func TestRandomPartitionsStress(t *testing.T) {
 			if d := trace.Diff(ref.Waveform, res.Waveform, 3); d != "" {
 				t.Fatalf("seed %d %v mismatch:\n%s", seed, mode, d)
 			}
+		}
+	}
+}
+
+// detectRounds runs cs in DeadlockRecovery mode on k LPs with the watchdog
+// armed, checks the waveform against ref, and returns the permit rounds
+// the run took. A hang surfaces as the watchdog's SimError, so a lost
+// permit fails the test in seconds instead of timing it out.
+func detectRounds(t *testing.T, cs simtest.Corpus, ref *seq.Result, k int, hook *inject.Hook) uint64 {
+	t.Helper()
+	p, err := partition.New(partition.MethodFM, cs.C, k, partition.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cs.C, cs.Stim, seq.Horizon(cs.C, cs.Stim), Config{
+		Partition: p, Mode: DeadlockRecovery, System: logic.TwoValued,
+		HangTimeout: 10 * time.Second, Chaos: hook,
+	})
+	if err != nil {
+		t.Fatalf("%s k=%d: %v", cs.Name, k, err)
+	}
+	if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
+		t.Fatalf("%s k=%d waveform mismatch:\n%s", cs.Name, k, d)
+	}
+	return res.Stats.GVTRounds
+}
+
+// seqRefs pairs the standard corpus with its sequential reference runs.
+func seqRefs(t *testing.T) ([]simtest.Corpus, []*seq.Result) {
+	t.Helper()
+	corpus, err := simtest.StandardCorpus(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*seq.Result, len(corpus))
+	for i, cs := range corpus {
+		if refs[i], err = seq.Run(cs.C, cs.Stim, seq.Horizon(cs.C, cs.Stim), seq.Config{System: logic.TwoValued}); err != nil {
+			t.Fatalf("%s: seq: %v", cs.Name, err)
+		}
+	}
+	return corpus, refs
+}
+
+// TestDetectRoundsAreExact: a permit is granted only at true quiescence,
+// so each round releases exactly one global timestep and the round count
+// is a function of circuit and stimulus alone — the sequential engine's
+// step count less the time-zero settle — whatever the LP count or the
+// scheduling. A redundant round means a permit was granted early.
+func TestDetectRoundsAreExact(t *testing.T) {
+	reps := 20
+	if testing.Short() {
+		reps = 3
+	}
+	corpus, refs := seqRefs(t)
+	for i, cs := range corpus {
+		want := refs[i].Counters.Steps - 1
+		for _, k := range []int{1, 2, 4, 7} {
+			for r := 0; r < reps; r++ {
+				if got := detectRounds(t, cs, refs[i], k, nil); got != want {
+					t.Fatalf("%s k=%d run %d: %d permit rounds, want %d (seq steps - 1)", cs.Name, k, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeadlockRecoveryNeverHangs is the statistical half of the lost-
+// permit regression: the polling coordinator this replaced hung about one
+// run in two hundred at k=7.
+func TestDeadlockRecoveryNeverHangs(t *testing.T) {
+	runs := 306
+	if testing.Short() {
+		runs = 45
+	}
+	corpus, refs := seqRefs(t)
+	for r := 0; r < runs; r++ {
+		i := r % len(corpus)
+		detectRounds(t, corpus[i], refs[i], 7, nil)
+	}
+}
+
+// TestWakeStallHoldsNextPermit is the deterministic half: LP 0 stalls at
+// the wake boundary — holding the permit it drained, still counted as
+// blocked — while its siblings finish the round and park again. The
+// siblings then see every LP blocked; only the unhandled permit in the
+// transit count keeps the last of them from granting the next round over
+// LP 0's stale next-event time.
+func TestWakeStallHoldsNextPermit(t *testing.T) {
+	corpus, refs := seqRefs(t)
+	for i, cs := range corpus {
+		var plan inject.Plan
+		for wake := uint64(0); wake < 48; wake++ {
+			plan = append(plan, inject.Fault{Op: inject.OpStall, LP: 0, Phase: inject.PhaseWake, Seq: wake, N: 100})
+		}
+		hook := inject.NewHook(1, plan)
+		want := refs[i].Counters.Steps - 1
+		if got := detectRounds(t, cs, refs[i], 4, hook); got != want {
+			t.Fatalf("%s: %d permit rounds, want %d: a permit was granted around an unhandled one", cs.Name, got, want)
+		}
+		if len(hook.Fired()) == 0 {
+			t.Fatalf("%s: no wake stall fired", cs.Name)
+		}
+		if v := hook.Violations(); len(v) > 0 {
+			t.Fatalf("%s: %v", cs.Name, v)
 		}
 	}
 }

@@ -6,23 +6,22 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
 	"repro/internal/logic"
-	"repro/internal/sim/supervise"
 )
 
 // checkDist validates a distributed configuration. The null-message
 // modes distribute cleanly — promises are point-to-point and carry their
 // own bounds, so the protocol is oblivious to which side of a socket a
-// neighbour lives on — but DeadlockRecovery needs a global
-// double-collect snapshot of every LP's blocked state, which has no
-// sound per-shard restriction; the coordinator would have to observe
-// remote wake generations atomically. Distributed runs therefore keep
-// to the null modes.
+// neighbour lives on — but DeadlockRecovery detects quiescence on a
+// mutex-guarded ledger of every LP's blocked state, which has no sound
+// per-shard restriction: a remote LP's park and wake would have to be
+// observed atomically with the local ones. Distributed runs therefore
+// keep to the null modes.
 func checkDist(cfg Config) error {
 	if cfg.Dist == nil {
 		return nil
 	}
 	if cfg.Mode == DeadlockRecovery {
-		return fmt.Errorf("cmb: distributed runs do not support deadlock-recovery mode (quiescence detection is a global snapshot)")
+		return fmt.Errorf("cmb: distributed runs do not support deadlock-recovery mode (the quiescence ledger is one process's memory)")
 	}
 	return nil
 }
@@ -47,76 +46,5 @@ func wireDecScalar(w wire.Msg) msg[logic.Value] {
 		time:  circuit.Tick(w.Time),
 		gate:  circuit.GateID(w.Gate),
 		value: logic.Value(w.Value),
-	}
-}
-
-// distOutbox is the remote half of the transport seam: an
-// mpsc.Transport standing in for a remote LP's mailbox, whose PutAll
-// encodes the batch and hands it to the socket seam as one frame (so
-// batch atomicity and per-sender FIFO survive the wire). Value messages
-// leave the local transit ledger here, after the seam has counted them
-// sent, so no quiescence accounting can observe them in neither ledger.
-// The drain side is never used — no local goroutine owns a remote LP.
-type distOutbox[V comparable] struct {
-	sh  *shared[V]
-	dst int
-	enc func(msg[V]) wire.Msg
-}
-
-func (o *distOutbox[V]) Put(m msg[V]) { o.PutAll([]msg[V]{m}) }
-
-func (o *distOutbox[V]) PutAll(ms []msg[V]) {
-	if len(ms) == 0 {
-		return
-	}
-	ws := make([]wire.Msg, len(ms))
-	vals := int64(0)
-	for i, m := range ms {
-		ws[i] = o.enc(m)
-		if m.kind == msgValue {
-			vals++
-		}
-	}
-	o.sh.cfg.Dist.Send(o.dst, ws)
-	if vals > 0 {
-		o.sh.transit.Add(-vals)
-	}
-}
-
-func (o *distOutbox[V]) TryDrain(buf []msg[V]) []msg[V]          { return buf }
-func (o *distOutbox[V]) WaitDrain(buf []msg[V]) ([]msg[V], bool) { return buf, false }
-func (o *distOutbox[V]) Poke()                                   {}
-func (o *distOutbox[V]) Close()                                  {}
-func (o *distOutbox[V]) Len() int                                { return 0 }
-
-// bindDist wires the seam to this worker's local mailboxes: inbound
-// batches decode and deliver with one PutAll (atomicity preserved), a
-// link failure aborts the run, and the heartbeat probe reads the shared
-// event counter. Returns the deferred unhook.
-func bindDist[V comparable](sh *shared[V], engine string, dec func(wire.Msg) msg[V]) func() {
-	dist := sh.cfg.Dist
-	for i := range sh.inboxes {
-		if !dist.Local(i) {
-			continue
-		}
-		ib := sh.inboxes[i]
-		dist.Bind(i, func(ws []wire.Msg) {
-			batch := make([]msg[V], len(ws))
-			for j, w := range ws {
-				batch[j] = dec(w)
-			}
-			ib.PutAll(batch)
-		})
-	}
-	dist.OnDown(func(err error) {
-		sh.fail(&supervise.SimError{
-			Engine: engine, LP: -1, Phase: "transport",
-			Kind: supervise.KindInternal, Cause: err,
-		})
-	})
-	dist.SetProgress(func() (uint64, bool) { return sh.events.Load(), false })
-	return func() {
-		dist.OnDown(nil)
-		dist.SetProgress(nil)
 	}
 }

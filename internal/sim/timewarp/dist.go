@@ -59,81 +59,6 @@ func wireDecScalar(w wire.Msg) msg[logic.Value] {
 	}
 }
 
-// distOutbox is the remote half of the transport seam: an
-// mpsc.Transport standing in for a remote LP's mailbox, whose PutAll
-// encodes the batch and hands it to the socket seam as one frame (so
-// batch atomicity and per-sender FIFO — which annihilation depends on —
-// survive the wire). Values and anti-messages leave the local transit
-// ledger here, after the seam has counted them into its wire-sent
-// ledger, so no GVT round can observe them in neither: local quiescence
-// covers buffered messages, the Mattern counts cover the wire.
-type distOutbox[V comparable] struct {
-	sh  *shared[V]
-	dst int
-	enc func(msg[V]) wire.Msg
-}
-
-func (o *distOutbox[V]) Put(m msg[V]) { o.PutAll([]msg[V]{m}) }
-
-func (o *distOutbox[V]) PutAll(ms []msg[V]) {
-	if len(ms) == 0 {
-		return
-	}
-	ws := make([]wire.Msg, len(ms))
-	counted := int64(0)
-	for i, m := range ms {
-		ws[i] = o.enc(m)
-		if m.kind == msgValue || m.kind == msgAnti {
-			counted++
-		}
-	}
-	o.sh.cfg.Dist.Send(o.dst, ws)
-	if counted > 0 {
-		o.sh.transit.Add(-counted)
-	}
-}
-
-func (o *distOutbox[V]) TryDrain(buf []msg[V]) []msg[V]          { return buf }
-func (o *distOutbox[V]) WaitDrain(buf []msg[V]) ([]msg[V], bool) { return buf, false }
-func (o *distOutbox[V]) Poke()                                   {}
-func (o *distOutbox[V]) Close()                                  {}
-func (o *distOutbox[V]) Len() int                                { return 0 }
-
-// bindDist wires the seam to this worker's local mailboxes: inbound
-// batches decode and deliver with one PutAll, a link failure aborts the
-// run (and CancelWait in fail unblocks the GVT loop), and the heartbeat
-// probe reads the shared event counter plus the all-idle flag the hub
-// paces GVT rounds on. Returns the deferred unhook.
-func bindDist[V comparable](sh *shared[V], engine string, dec func(wire.Msg) msg[V], nLocal int) func() {
-	dist := sh.cfg.Dist
-	for i := range sh.inboxes {
-		if !dist.Local(i) {
-			continue
-		}
-		ib := sh.inboxes[i]
-		dist.Bind(i, func(ws []wire.Msg) {
-			batch := make([]msg[V], len(ws))
-			for j, w := range ws {
-				batch[j] = dec(w)
-			}
-			ib.PutAll(batch)
-		})
-	}
-	dist.OnDown(func(err error) {
-		sh.fail(&supervise.SimError{
-			Engine: engine, LP: -1, Phase: "transport",
-			Kind: supervise.KindInternal, Cause: err,
-		})
-	})
-	dist.SetProgress(func() (uint64, bool) {
-		return sh.events.Load(), sh.idle.Load() == int64(nLocal)
-	})
-	return func() {
-		dist.OnDown(nil)
-		dist.SetProgress(nil)
-	}
-}
-
 // distCoordinate is the worker half of distributed GVT. The hub owns
 // pacing and conclusion — it repeats rounds until every shard reports
 // quiet with matching, stable wire counts (Mattern-style message

@@ -402,12 +402,18 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 
 	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink, tracer: cfg.Tracer}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
+	// Values and anti-messages are what the transit ledger counts; the
+	// Mattern wire counts take them over at the seam.
+	shim := wire.Shim[msg[V]]{
+		Seam: dist, Enc: wireEnc, Dec: wireDec, Transit: &sh.transit,
+		Counted: func(m msg[V]) bool { return m.kind == msgValue || m.kind == msgAnti },
+	}
 	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
 	for i := range sh.inboxes {
 		if !local(i) {
 			// A remote LP's mailbox is a socket outbox: sends cross the
 			// seam as encoded frames, and nothing local ever drains it.
-			sh.inboxes[i] = &distOutbox[V]{sh: sh, dst: i, enc: wireEnc}
+			sh.inboxes[i] = shim.Outbox(i)
 			continue
 		}
 		var tr mpsc.Transport[msg[V]] = mpsc.New[msg[V]]()
@@ -418,7 +424,11 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	sh.replies = make(chan gvtReply, n)
 	if dist != nil {
-		defer bindDist(sh, engine, wireDec, len(localLPs))()
+		// The heartbeat probe carries the all-idle flag the hub paces GVT
+		// rounds on; fail's CancelWait unblocks the GVT loop on link loss.
+		defer shim.Bind(sh.inboxes, engine, sh.fail, func() (uint64, bool) {
+			return sh.events.Load(), sh.idle.Load() == int64(len(localLPs))
+		})()
 	}
 
 	// The scoreboard is always created: it costs n cache lines and
@@ -446,65 +456,32 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		lps[i].slot = board.LP(i)
 	}
 
-	if !sh.boot {
-		// Stimulus routing, as in the conservative engine: owner plus
-		// ghosts.
-		deliverTo := map[circuit.GateID][]int{}
-		for _, in := range c.Inputs {
-			dsts := []int{owner[in]}
-			seen := map[int]bool{owner[in]: true}
-			for _, fo := range c.Fanout[in] {
-				if b := owner[fo]; !seen[b] {
-					seen[b] = true
-					dsts = append(dsts, b)
-				}
-			}
-			deliverTo[in] = dsts
-		}
-		for _, ch := range changes {
-			if ch.Time > until {
+	// Stimulus (or, on restore, checkpoint-event) routing, exactly as in the
+	// conservative engine: owner plus ghosts, local LPs only, time zero into
+	// the settle step.
+	aud := p.Audience(c)
+	route := func(t uint64, gate circuit.GateID, v V) {
+		for _, dst := range aud.Of(gate) {
+			if !local(dst) {
 				continue
 			}
-			for _, dst := range deliverTo[ch.Input] {
-				// Each shard routes only to its own LPs: every worker
-				// holds the full stimulus, so remote destinations are
-				// someone else's copy of this same loop.
-				if !local(dst) {
-					continue
-				}
-				l := lps[dst]
-				ev := qevent[V]{gate: ch.Input, value: ch.Value, id: l.newID()}
-				if ch.Time == 0 {
-					l.initialEvents = append(l.initialEvents, kernel.EventT[V]{Gate: ev.gate, Value: ev.value})
-				} else {
-					l.q.Push(uint64(ch.Time), ev)
-				}
+			l := lps[dst]
+			if t == 0 {
+				l.initialEvents = append(l.initialEvents, kernel.EventT[V]{Gate: gate, Value: v})
+			} else {
+				l.q.Push(t, qevent[V]{gate: gate, value: v, id: l.newID()})
+			}
+		}
+	}
+	if boot == nil {
+		for _, ch := range changes {
+			if ch.Time <= until {
+				route(uint64(ch.Time), ch.Input, ch.Value)
 			}
 		}
 	} else {
-		// Checkpoint events route to the target's owner plus every block
-		// holding a fanout ghost — the same visibility rule as stimulus,
-		// but checkpoint events can target any gate, not just inputs.
-		seen := map[int]bool{}
 		for _, ev := range boot.Events {
-			for b := range seen {
-				delete(seen, b)
-			}
-			seen[owner[ev.Gate]] = true
-			dsts := []int{owner[ev.Gate]}
-			for _, fo := range c.Fanout[ev.Gate] {
-				if b := owner[fo]; !seen[b] {
-					seen[b] = true
-					dsts = append(dsts, b)
-				}
-			}
-			for _, dst := range dsts {
-				if !local(dst) {
-					continue
-				}
-				l := lps[dst]
-				l.q.Push(ev.Time, qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()})
-			}
+			route(ev.Time, ev.Gate, ev.Value)
 		}
 	}
 

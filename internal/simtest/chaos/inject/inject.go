@@ -59,7 +59,14 @@ const (
 	PhaseBlock
 	PhaseRollback
 
-	numPhases
+	// numPlanPhases bounds NewPlan's draw: sites declared after it are
+	// reachable from hand-written plans only, so adding one leaves every
+	// seeded plan as it was.
+	numPlanPhases
+
+	// PhaseWake is the deadlock-recovery wake boundary: the LP has drained
+	// what woke it but still counts as blocked on the quiescence ledger.
+	PhaseWake
 )
 
 // String names the phase.
@@ -71,6 +78,8 @@ func (p Phase) String() string {
 		return "block"
 	case PhaseRollback:
 		return "rollback"
+	case PhaseWake:
+		return "wake"
 	}
 	return fmt.Sprintf("Phase(%d)", uint8(p))
 }
@@ -151,7 +160,7 @@ func NewPlan(seed uint64, lps, faults int) Plan {
 			f.Seq = uint64(rng.IntN(48))
 		default:
 			f.Op = OpStall
-			f.Phase = Phase(rng.IntN(int(numPhases)))
+			f.Phase = Phase(rng.IntN(int(numPlanPhases)))
 			f.Seq = uint64(rng.IntN(64))
 			f.N = 1 + uint64(rng.IntN(256))
 		}
