@@ -14,8 +14,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/circuit"
-	"repro/internal/gen"
+	"repro/internal/pipeline"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 	)
 	flag.Parse()
 
-	c, err := build(*circName, *fineDelays, *seed)
+	c, err := pipeline.Load(pipeline.Spec{Circuit: *circName, FineDelays: *fineDelays, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circgen:", err)
 		os.Exit(1)
@@ -60,12 +59,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "circgen:", err)
 		os.Exit(1)
 	}
-}
-
-func build(name string, fine uint64, seed int64) (*circuit.Circuit, error) {
-	delays := gen.Unit
-	if fine > 0 {
-		delays = gen.Fine(circuit.Tick(fine), seed)
-	}
-	return gen.ByName(name, delays, seed)
 }

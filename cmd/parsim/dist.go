@@ -3,141 +3,61 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/dist"
-	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/simtest/chaos/netfault"
-	"repro/internal/trace"
 )
 
-// distConfig carries the -dist* flag values into the distributed path.
-type distConfig struct {
-	shards    int
-	exec      string
-	network   string
-	workDir   string
-	restarts  int
-	hbTimeout time.Duration
-	hbEvery   time.Duration
-	mesh      bool
-	ckptDelta bool
-
-	chaosSeed   uint64
-	chaosFaults int
-	chaosKill   bool
-
-	benchPath  string
-	circName   string
-	fineDelays uint64
-	seed       int64
-	vectors    int
-	activity   float64
-	period     uint64
-	engine     string
-	until      uint64
-	lps        int
-	partition  string
-	system     logic.System
-	maxEvents  uint64
-	watchdog   time.Duration
-	ckptEvery  uint64
-	fallback   bool
-
-	vcdPath    string
-	metricsOut string
-	quiet      bool
-	c          *circuit.Circuit
-}
-
-// runDist executes the distributed path: a coordinator in this process,
-// worker shards over sockets (in-process goroutines by default, real
-// parsimd-worker processes with -dist-exec), checkpointed recovery, and
+// runDist executes the distributed path: a coordinator in this process
+// preparing the workload once, worker shards over sockets (in-process
+// goroutines by default, real parsimd-worker processes with -dist-exec)
+// each decoding it from their job frame, checkpointed recovery, and
 // optional seeded network chaos.
-func runDist(cfg distConfig) {
-	var spawn dist.Spawner = dist.InProcSpawner{}
-	if cfg.exec != "" {
-		spawn = &dist.ExecSpawner{Bin: cfg.exec, Stderr: os.Stderr}
+func runDist(opts dist.Options, exec string, chaosSeed uint64, chaosFaults int, chaosKill bool,
+	vcdPath, metricsOut string, quiet bool) {
+	opts.Spawn = dist.InProcSpawner{}
+	if exec != "" {
+		opts.Spawn = &dist.ExecSpawner{Bin: exec, Stderr: os.Stderr}
 	}
-	var plan netfault.Plan
-	if cfg.chaosFaults > 0 {
+	if chaosFaults > 0 {
 		// On a mesh topology roughly half the non-kill faults retarget a
 		// direct worker-to-worker link; hub-only plans keep their meaning.
-		if cfg.mesh {
-			plan = netfault.NewMeshPlan(cfg.chaosSeed, cfg.shards, cfg.chaosFaults, cfg.chaosKill)
+		if opts.Mesh {
+			opts.Plan = netfault.NewMeshPlan(chaosSeed, opts.Shards, chaosFaults, chaosKill)
 		} else {
-			plan = netfault.NewPlan(cfg.chaosSeed, cfg.shards, cfg.chaosFaults, cfg.chaosKill)
+			opts.Plan = netfault.NewPlan(chaosSeed, opts.Shards, chaosFaults, chaosKill)
 		}
-		if !cfg.quiet {
-			fmt.Printf("dist chaos: seed=%d faults=%d kills=%d\n", cfg.chaosSeed, len(plan), plan.Kills())
-			for _, f := range plan {
+		if !quiet {
+			fmt.Printf("dist chaos: seed=%d faults=%d kills=%d\n", chaosSeed, len(opts.Plan), opts.Plan.Kills())
+			for _, f := range opts.Plan {
 				fmt.Printf("dist chaos: %s\n", f)
 			}
 		}
 	}
-	reg := metrics.NewRegistry(cfg.engine + "-dist")
+	reg := metrics.NewRegistry(opts.Engine + "-dist")
+	opts.Metrics = reg
 
-	res, err := dist.Run(dist.Options{
-		Shards:           cfg.shards,
-		Engine:           cfg.engine,
-		Bench:            cfg.benchPath,
-		Circuit:          cfg.circName,
-		FineDelays:       cfg.fineDelays,
-		Seed:             cfg.seed,
-		Vectors:          cfg.vectors,
-		Activity:         cfg.activity,
-		Period:           cfg.period,
-		Until:            cfg.until,
-		LPs:              cfg.lps,
-		Partition:        cfg.partition,
-		PartitionSeed:    cfg.seed,
-		System:           cfg.system,
-		MaxEvents:        cfg.maxEvents,
-		HangTimeout:      cfg.watchdog,
-		CheckpointEvery:  cfg.ckptEvery,
-		WorkDir:          cfg.workDir,
-		Restarts:         cfg.restarts,
-		Fallback:         cfg.fallback,
-		HeartbeatTimeout: cfg.hbTimeout,
-		HeartbeatEvery:   cfg.hbEvery,
-		Network:          cfg.network,
-		Mesh:             cfg.mesh,
-		CkptDelta:        cfg.ckptDelta,
-		Plan:             plan,
-		Spawn:            spawn,
-		Metrics:          reg,
-	})
+	res, err := dist.Run(opts)
 	fatal(err)
+	c := res.Prepared.Circuit
+	if !quiet {
+		printWorkload(res.Prepared, c.ComputeStats())
+	}
 
 	fmt.Printf("engine=%s-dist shards=%d mode=%s attempts=%d recoveries=%d fallbacks=%d events=%d end=%d\n",
-		cfg.engine, res.Shards, res.FinalMode, res.Attempts, res.Recoveries, res.Fallbacks,
+		opts.Engine, res.Shards, res.FinalMode, res.Attempts, res.Recoveries, res.Fallbacks,
 		res.Events, res.EndTime)
-	if res.Degraded != "" && !cfg.quiet {
-		fmt.Printf("dist: degraded after shard loss: %s\n", res.Degraded)
-	}
-	if !cfg.quiet {
+	if !quiet {
+		if res.Degraded != "" {
+			fmt.Printf("dist: degraded after shard loss: %s\n", res.Degraded)
+		}
 		fmt.Printf("final outputs:")
-		for _, o := range cfg.c.Outputs {
-			fmt.Printf(" %s=%v", cfg.c.Gate(o).Name, res.Values[o])
+		for _, o := range c.Outputs {
+			fmt.Printf(" %s=%v", c.Gate(o).Name, res.Values[o])
 		}
 		fmt.Println()
 	}
-
-	if cfg.vcdPath != "" {
-		f, err := os.Create(cfg.vcdPath)
-		fatal(err)
-		defer f.Close()
-		fatal(trace.WriteVCD(f, cfg.c, cfg.c.Outputs, res.Waveform, "1ns"))
-		if !cfg.quiet {
-			fmt.Printf("wrote %d waveform samples to %s\n", len(res.Waveform), cfg.vcdPath)
-		}
-	}
-	if cfg.metricsOut != "" {
-		f, err := os.Create(cfg.metricsOut)
-		fatal(err)
-		defer f.Close()
-		fatal(reg.Report().WriteJSON(f))
-	}
+	writeVCD(vcdPath, c, res.Waveform, "waveform", quiet)
+	writeMetrics(metricsOut, reg.Report(), res.Prepared.OptStats, quiet)
 }

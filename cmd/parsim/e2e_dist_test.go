@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -210,30 +213,183 @@ func TestDistShardLossFallsBack(t *testing.T) {
 	}
 }
 
-// TestDistFlagConflicts: the distributed path rejects the flags that
-// need global in-process state, with errors naming the offender.
+// TestDistFlagConflicts: what a fleet cannot honour is refused, with an
+// error naming the offending flag — never accepted and ignored.
 func TestDistFlagConflicts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"wide", []string{"-dist", "2", "-wide", "-system", "2"}, "-wide"},
-		{"opt", []string{"-dist", "2", "-opt"}, "-opt"},
-		{"adapt", []string{"-dist", "2", "-adapt"}, "-adapt"},
-		{"restore", []string{"-dist", "2", "-restore", "x.json"}, "-restore"},
+		{"wide", []string{"-dist", "2", "-engine", "cmb", "-wide", "-system", "2"}, "-wide"},
+		{"adapt", []string{"-dist", "2", "-engine", "cmb", "-adapt"}, "-adapt"},
+		{"adapt-spec", []string{"-dist", "2", "-engine", "cmb", "-adapt-spec", "{}"}, "-adapt"},
+		{"fault", []string{"-dist", "2", "-engine", "cmb", "-fault-panic-lp", "1"}, "-fault-"},
+		{"trace-out", []string{"-dist", "2", "-engine", "cmb", "-trace-out", "t.json"}, "-trace-out"},
+		{"supervise", []string{"-dist", "2", "-engine", "cmb", "-supervise"}, "-supervise"},
+		{"retries", []string{"-dist", "2", "-engine", "cmb", "-retries", "3"}, "-retries"},
+		{"checkpoint-dir", []string{"-dist", "2", "-engine", "cmb", "-checkpoint-dir", "d"}, "-checkpoint-dir"},
+		{"history-limit", []string{"-dist", "2", "-engine", "timewarp", "-history-limit", "64"}, "history-limit"},
 		{"engine", []string{"-dist", "2", "-engine", "hybrid"}, "hybrid"},
 		{"mesh-without-dist", []string{"-dist-mesh"}, "-dist-mesh"},
 		{"delta-without-dist", []string{"-ckpt-delta"}, "-ckpt-delta"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, stderr, code := run(t, append([]string{"-circuit", "ripple8", "-q"}, tc.args...)...)
+			stdout, stderr, code := run(t, append([]string{"-circuit", "ripple8", "-q"}, tc.args...)...)
 			if code == 0 {
-				t.Fatalf("conflicting flags accepted: %v", tc.args)
+				t.Fatalf("conflicting flags accepted: %v\n%s", tc.args, stdout)
 			}
 			if !strings.Contains(stderr, tc.want) {
 				t.Errorf("stderr does not name %q:\n%s", tc.want, stderr)
 			}
 		})
+	}
+}
+
+// TestDistHonoursFlags is the other half of that contract: every flag a
+// fleet accepts takes effect. The transforms reshape the workload the hub
+// prepares and ships, so each row's VCD must equal the sequential run's
+// under the same transforms, byte for byte, over the hub relay and the
+// mesh, with in-process workers and with parsimd-worker processes; the
+// engine knobs reach the workers through the job header (pinned field by
+// field in internal/dist) and must leave the waveform alone.
+func TestDistHonoursFlags(t *testing.T) {
+	dir := t.TempDir()
+	worker := filepath.Join(dir, "parsimd-worker")
+	if out, err := exec.Command("go", "build", "-o", worker, "../parsimd-worker").CombinedOutput(); err != nil {
+		t.Fatalf("building parsimd-worker: %v\n%s", err, out)
+	}
+	workload := []string{"-circuit", "seq300", "-fine-delays", "3", "-vectors", "12", "-q"}
+	seqVCD := func(name string, transforms ...string) string {
+		path := filepath.Join(dir, name+".vcd")
+		args := append(append([]string{"-engine", "seq", "-vcd", path}, workload...), transforms...)
+		if _, stderr, code := run(t, args...); code != 0 {
+			t.Fatalf("sequential reference %v failed:\n%s", transforms, stderr)
+		}
+		return readFile(t, path)
+	}
+	plain, optimized := seqVCD("plain"), seqVCD("opt", "-opt")
+
+	// A restore point for the -restore rows, from a kill-free checkpointed run.
+	ckpts := filepath.Join(dir, "ckpts")
+	if _, stderr, code := run(t, append([]string{"-engine", "seq",
+		"-checkpoint-every", "150", "-checkpoint-dir", ckpts}, workload...)...); code != 0 {
+		t.Fatalf("checkpointed run failed:\n%s", stderr)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(ckpts, "ckpt-*.json"))
+	if len(snaps) < 2 {
+		t.Fatalf("expected >= 2 checkpoints, got %v", snaps)
+	}
+	sort.Strings(snaps)
+	restore := snaps[len(snaps)/2]
+	// An optimized netlist has its own fingerprint, hence its own snapshots.
+	optCkpts := filepath.Join(dir, "opt-ckpts")
+	if _, stderr, code := run(t, append([]string{"-engine", "seq", "-opt",
+		"-checkpoint-every", "150", "-checkpoint-dir", optCkpts}, workload...)...); code != 0 {
+		t.Fatalf("checkpointed -opt run failed:\n%s", stderr)
+	}
+	optSnaps, _ := filepath.Glob(filepath.Join(optCkpts, "ckpt-*.json"))
+	sort.Strings(optSnaps)
+	optRestore := optSnaps[len(optSnaps)/2]
+
+	profile := filepath.Join(dir, "cpu.prof")
+	topologies := []struct {
+		name string
+		args []string
+	}{
+		{"hub", nil},
+		{"mesh", []string{"-dist-mesh"}},
+		{"hub-exec", []string{"-dist-exec", worker}},
+		{"mesh-exec", []string{"-dist-mesh", "-dist-exec", worker}},
+	}
+	for _, tc := range []struct {
+		name   string
+		engine string
+		args   []string
+		want   string
+		topos  int // how many of the topologies the row runs on
+	}{
+		{"opt", "cmb", []string{"-opt"}, optimized, 4},
+		{"opt-passes", "cmb", []string{"-opt-passes", "constprop,hash,bufclean,dce"}, optimized, 1},
+		{"cone-split", "cmb-demand", []string{"-cone-split"}, plain, 4},
+		{"presim", "timewarp", []string{"-presim"}, plain, 4},
+		{"restore", "timewarp-lazy", []string{"-restore", restore}, plain, 4},
+		// Checkpointing itself, so the boot state flows through the shard shadow too.
+		{"restore-ckpt", "cmb", []string{"-restore", restore, "-checkpoint-every", "150", "-ckpt-delta"}, plain, 2},
+		{"all", "cmb", []string{"-opt", "-cone-split", "-presim", "-restore", optRestore}, optimized, 4},
+		{"all-timewarp", "timewarp", []string{"-opt", "-cone-split", "-presim", "-restore", optRestore}, optimized, 4},
+		{"queue", "timewarp", []string{"-queue", "calendar"}, plain, 1},
+		{"window", "timewarp", []string{"-window", "7"}, plain, 1},
+		{"lazy", "timewarp", []string{"-lazy"}, plain, 1},
+		{"full-copy", "timewarp", []string{"-full-copy"}, plain, 1},
+		{"watchdog", "cmb", []string{"-watchdog", "30s"}, plain, 1},
+		{"partition", "cmb", []string{"-partition", "kl", "-seed", "1"}, plain, 1},
+		{"cpuprofile", "cmb", []string{"-cpuprofile", profile}, plain, 1},
+	} {
+		for _, topo := range topologies[:tc.topos] {
+			t.Run(tc.name+"/"+topo.name, func(t *testing.T) {
+				out := filepath.Join(t.TempDir(), "dist.vcd")
+				args := append(append([]string{"-engine", tc.engine, "-lps", "4", "-dist", "2", "-vcd", out}, workload...), tc.args...)
+				stdout, stderr, code := run(t, append(args, topo.args...)...)
+				if code != 0 {
+					t.Fatalf("exit %d:\n%s", code, stderr)
+				}
+				if !strings.Contains(stdout, "mode=dist") {
+					t.Errorf("run left the distributed path:\n%s", stdout)
+				}
+				if readFile(t, out) != tc.want {
+					t.Error("waveform differs from -engine seq under the same transforms")
+				}
+			})
+		}
+	}
+	if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
+		t.Errorf("-cpuprofile under -dist wrote no profile (err=%v)", err)
+	}
+}
+
+// TestDistExecWorkerNeedsNoFiles: the netlist reaches a worker process in
+// its job frame, not through the filesystem. The hub reads -bench by a
+// relative path; each parsimd-worker starts in an empty directory, where
+// that path names nothing.
+func TestDistExecWorkerNeedsNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	worker := filepath.Join(dir, "parsimd-worker")
+	if out, err := exec.Command("go", "build", "-o", worker, "../parsimd-worker").CombinedOutput(); err != nil {
+		t.Fatalf("building parsimd-worker: %v\n%s", err, out)
+	}
+	circgen := filepath.Join(dir, "circgen")
+	if out, err := exec.Command("go", "build", "-o", circgen, "../circgen").CombinedOutput(); err != nil {
+		t.Fatalf("building circgen: %v\n%s", err, out)
+	}
+	hubDir, empty := filepath.Join(dir, "hub"), filepath.Join(dir, "empty")
+	for _, d := range []string{hubDir, empty} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := exec.Command(circgen, "-circuit", "dag200", "-fine-delays", "3",
+		"-o", filepath.Join(hubDir, "design.bench")).CombinedOutput(); err != nil {
+		t.Fatalf("circgen: %v\n%s", err, out)
+	}
+	launcher := filepath.Join(dir, "worker-in-empty-dir.sh")
+	script := fmt.Sprintf("#!/bin/sh\ncd %q && exec %q \"$@\"\n", empty, worker)
+	if err := os.WriteFile(launcher, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	parsim := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command(binPath, append([]string{"-bench", "design.bench", "-vectors", "10", "-q"}, args...)...)
+		cmd.Dir = hubDir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("parsim %v: %v\n%s", args, err, out)
+		}
+	}
+	parsim("-engine", "seq", "-vcd", "golden.vcd")
+	parsim("-engine", "cmb", "-lps", "4", "-dist", "2", "-dist-exec", launcher,
+		"-dist-workdir", filepath.Join(dir, "work"), "-dist-restarts", "0", "-fallback=false", "-vcd", "dist.vcd")
+	if readFile(t, filepath.Join(hubDir, "dist.vcd")) != readFile(t, filepath.Join(hubDir, "golden.vcd")) {
+		t.Error("fleet waveform differs from the sequential reference")
 	}
 }

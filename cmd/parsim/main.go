@@ -22,22 +22,21 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/eventq"
-	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/timewarp"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vectors"
 )
 
 // Exit codes classify failures for scripts and the e2e suite: 2 causality
@@ -112,45 +111,18 @@ func main() {
 		faultBias    = flag.Uint64("fault-lookahead-bias", 0, "chaos: inflate cmb lookahead promises by N ticks (forces causality violations)")
 	)
 	flag.Parse()
+	set := map[string]bool{} // flags given on the command line
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	if *wide && *system == 9 {
+	if *wide && !set["system"] {
 		// Nine-valued signals don't pack into two-bit lanes; a wide run
 		// defaults to four-valued unless -system was given explicitly.
-		explicit := false
-		flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "system" })
-		if !explicit {
-			*system = 4
-		}
+		*system = 4
 	}
-
-	c, err := loadCircuit(*benchPath, *circName, *fineDelays, *seed)
-	fatal(err)
-
-	// The optimizer runs before stimulus generation: primary inputs and
-	// outputs always survive with their names, so stimuli and VCD watch
-	// lists built against the optimized netlist resolve identically.
-	var ostats *opt.Stats
-	if *optimize || *optPasses != "" {
-		passes, err := opt.ParsePasses(*optPasses)
-		fatal(err)
-		res, err := opt.Optimize(c, opt.Options{Passes: passes})
-		fatal(err)
-		c, ostats = res.Circuit, &res.Stats
-		if !*quiet {
-			fmt.Printf("optimizer: %d -> %d gates (hashed=%d folds=%d bufs=%d dead=%d), depth %d -> %d, %d rounds\n",
-				ostats.GatesBefore, ostats.GatesAfter, ostats.GatesHashed, ostats.ConstFolds,
-				ostats.BufsCleaned, ostats.DeadRemoved, ostats.LevelsBefore, ostats.LevelsAfter, ostats.Rounds)
-		}
-	}
-
-	stim, err := makeStimulus(c, *nvectors, *activity, circuit.Tick(*period), *seed)
-	fatal(err)
-
 	engine, err := core.ParseEngine(*engineName)
 	fatal(err)
 	method, err := partition.ParseMethod(*partName)
 	fatal(err)
-
 	var sys logic.System
 	switch *system {
 	case 2:
@@ -173,81 +145,91 @@ func main() {
 	default:
 		fatal(fmt.Errorf("invalid -queue %q", *queueName))
 	}
-
-	until := core.Horizon(c, stim)
-
-	if *distShards == 0 && (*distMesh || *ckptDelta) {
-		fatal(fmt.Errorf("-dist-mesh and -ckpt-delta require -dist"))
+	if *lps <= 0 {
+		*lps = 4
 	}
-	if *distShards > 0 {
-		// The distributed path regenerates the circuit and stimulus inside
-		// every worker from the job spec, so transformations applied only
-		// in this process (optimizer, cone-split, pre-simulation weights)
-		// and single-process-only machinery (wide, adaptive control,
-		// restore, in-process fault injection) cannot ride along.
-		switch {
-		case *wide:
-			fatal(fmt.Errorf("-dist does not support -wide (scalar wire format)"))
-		case *optimize || *optPasses != "":
-			fatal(fmt.Errorf("-dist does not support -opt: workers regenerate the unoptimized netlist from the job spec"))
-		case *coneSplit:
-			fatal(fmt.Errorf("-dist does not support -cone-split"))
-		case *presim:
-			fatal(fmt.Errorf("-dist does not support -presim"))
-		case *restore != "":
-			fatal(fmt.Errorf("-dist does not support -restore (recovery boots from its own shard checkpoints)"))
-		case *adaptive || *adaptSpec != "":
-			fatal(fmt.Errorf("-dist does not support -adapt"))
-		case *faultPanicLP >= 0 || *faultHangLP >= 0 || *faultBias > 0:
-			fatal(fmt.Errorf("-dist does not support in-process fault injection (use -dist-chaos-*)"))
-		}
-		if !*quiet {
-			st := c.ComputeStats()
-			fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
-				st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
-			fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
-		}
-		runDist(distConfig{
-			shards: *distShards, exec: *distExec, network: *distNetwork,
-			workDir: *distWorkDir, restarts: *distRestarts, hbTimeout: *distHBTimeout,
-			hbEvery: *distHBEvery, mesh: *distMesh, ckptDelta: *ckptDelta,
-			chaosSeed: *distChaosSeed, chaosFaults: *distChaosFaults, chaosKill: *distChaosKill,
-			benchPath: *benchPath, circName: *circName, fineDelays: *fineDelays,
-			seed: *seed, vectors: *nvectors, activity: *activity, period: *period,
-			engine: *engineName, until: uint64(until), lps: *lps, partition: *partName,
-			system: sys, maxEvents: *maxEvents, watchdog: *watchdog,
-			ckptEvery: *ckptEvery, fallback: *fallback,
-			vcdPath: *vcdPath, metricsOut: *metricsOut, quiet: *quiet, c: c,
-		})
-		return
+	if *adaptSpec != "" {
+		*adaptive = true
+	}
+	var cancellation timewarp.Cancellation
+	if *lazy {
+		cancellation = timewarp.Lazy
+	}
+	var stateSaving timewarp.StateSaving
+	if *fullCopy {
+		stateSaving = timewarp.FullCopy
+	}
+	var restored *ckpt.State
+	if *restore != "" {
+		restored, err = ckpt.ReadFile(*restore)
+		fatal(err)
 	}
 
-	opts := core.Options{
-		Engine: engine, LPs: *lps, Partition: method, PartitionSeed: *seed,
-		System: sys, Queue: queue, Window: circuit.Tick(*window),
-		MaxEvents: *maxEvents, ConeSplit: *coneSplit,
+	// The workload, for whichever front end runs it: this process on
+	// either plane, or the fleet's hub. Only the parallel engines divide
+	// the circuit, so only they pay for weights and a partition.
+	spec := pipeline.Spec{
+		Bench: *benchPath, Circuit: *circName, FineDelays: *fineDelays, Seed: *seed,
+		Opt: *optimize, OptPasses: *optPasses, ConeSplit: *coneSplit,
+		Vectors: *nvectors, Activity: *activity, Period: *period, System: sys,
+		Partition: method, PartitionSeed: *seed,
 	}
-	if *traceOut != "" {
-		opts.Tracer = trace.NewTracer(engine.String())
+	if engine.Parallel() {
+		spec.LPs, spec.Presim = *lps, *presim
 	}
+
 	if *cpuProfile != "" {
-		opts.PProfLabels = true
 		f, err := os.Create(*cpuProfile)
 		fatal(err)
 		defer f.Close()
 		fatal(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
-	if *lazy {
-		opts.Cancellation = timewarp.Lazy
+
+	if *distShards == 0 && (*distMesh || *ckptDelta) {
+		fatal(fmt.Errorf("-dist-mesh and -ckpt-delta require -dist"))
 	}
-	if *fullCopy {
-		opts.StateSaving = timewarp.FullCopy
+	if *distShards > 0 {
+		// What a fleet cannot honour is refused by name; every other flag
+		// reaches the hub or the workers.
+		for _, r := range []struct {
+			given     bool
+			flag, why string
+		}{
+			{*wide, "-wide", "the wire format carries scalar values"},
+			{*adaptive, "-adapt", "the controllers migrate one process's run through its own checkpoints"},
+			{*faultPanicLP >= 0 || *faultHangLP >= 0 || *faultBias > 0, "in-process -fault-* injection", "use -dist-chaos-*"},
+			{*traceOut != "", "-trace-out", "per-shard timelines are not merged into one trace"},
+			{set["supervise"] || set["retries"], "-supervise/-retries", "a fleet restarts as a whole: use -dist-restarts, -watchdog and -fallback"},
+			{set["checkpoint-dir"], "-checkpoint-dir", "shard checkpoints are written to -dist-workdir"},
+		} {
+			if r.given {
+				fatal(fmt.Errorf("-dist does not support %s: %s", r.flag, r.why))
+			}
+		}
+		runDist(dist.Options{
+			Shards: *distShards, Engine: *engineName,
+			Bench: spec.Bench, Circuit: spec.Circuit, FineDelays: spec.FineDelays, Seed: spec.Seed,
+			Vectors: spec.Vectors, Activity: spec.Activity, Period: spec.Period,
+			Opt: spec.Opt, OptPasses: spec.OptPasses, ConeSplit: spec.ConeSplit, Presim: spec.Presim,
+			LPs: *lps, Partition: *partName, PartitionSeed: spec.PartitionSeed, System: sys,
+			Queue: queue, Window: *window, Cancellation: cancellation, StateSaving: stateSaving,
+			HistoryLimit: *histLimit, MaxEvents: *maxEvents, HangTimeout: *watchdog,
+			Restore: restored, CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
+			Restarts: *distRestarts, Fallback: *fallback,
+			HeartbeatTimeout: *distHBTimeout, HeartbeatEvery: *distHBEvery,
+			Network: *distNetwork, Mesh: *distMesh, CkptDelta: *ckptDelta,
+		}, *distExec, *distChaosSeed, *distChaosFaults, *distChaosKill, *vcdPath, *metricsOut, *quiet)
+		return
 	}
-	if *presim && engine.Parallel() {
-		w, err := core.PreSimulate(c, stim, until, sys)
-		fatal(err)
-		opts.Weights = w
+
+	opts := core.Options{
+		Engine: engine, LPs: *lps, System: sys, Queue: queue, Window: circuit.Tick(*window),
+		MaxEvents: *maxEvents, Cancellation: cancellation, StateSaving: stateSaving,
+		HistoryLimit: *histLimit, Restore: restored, PProfLabels: *cpuProfile != "",
+	}
+	if *traceOut != "" {
+		opts.Tracer = trace.NewTracer(engine.String())
 	}
 	if *faultPanicLP >= 0 || *faultHangLP >= 0 || *faultBias > 0 {
 		hook := inject.NewHook(uint64(*seed), nil)
@@ -256,10 +238,7 @@ func main() {
 		hook.LookaheadBias = *faultBias
 		opts.Chaos = hook
 	}
-	if *watchdog > 0 {
-		*supervised = true
-	}
-	if *supervised {
+	if *supervised || *watchdog > 0 {
 		opts.Supervise = &core.SuperviseOptions{
 			Watchdog: *watchdog,
 			Retries:  *retries,
@@ -267,63 +246,98 @@ func main() {
 			Fallback: *fallback,
 		}
 	}
-	opts.HistoryLimit = *histLimit
 	if *ckptEvery > 0 {
 		opts.CheckpointEvery = circuit.Tick(*ckptEvery)
 		opts.CheckpointDir = *ckptDir
 	}
-	if *restore != "" {
-		st, err := ckpt.ReadFile(*restore)
-		fatal(err)
-		opts.Restore = st
-	}
-	if *adaptSpec != "" {
-		*adaptive = true
-	}
-	if *adaptive {
-		if *wide {
+	if *wide {
+		// The nine-valued system does not fit a lane, and the checkpoint
+		// format stores scalar values (core.SimulateWide is the authority
+		// on the latter; these name the flag).
+		switch {
+		case sys == logic.NineValued:
+			fatal(fmt.Errorf("-wide needs -system 2 or 4: nine-valued signals do not pack into two-bit lanes"))
+		case restored != nil:
+			fatal(fmt.Errorf("-wide does not support -restore: the checkpoint format stores scalar values"))
+		case *ckptEvery > 0:
+			fatal(fmt.Errorf("-wide does not support -checkpoint-every: the checkpoint format stores scalar values"))
+		case *adaptive:
 			fatal(fmt.Errorf("-adapt does not support -wide: the controllers drive the scalar engines' checkpoint/restart path"))
 		}
+		spec.Lanes = *lanes
+	}
+	if *adaptive {
 		sp, err := adapt.ParseSpec(*adaptSpec)
 		fatal(err)
 		opts.Adapt = sp
 	}
 
-	st := c.ComputeStats()
-	if !*quiet {
-		fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
-			st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
-		fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", stim.NumVectors(), stim.End, until)
-	}
-
-	if *wide {
-		runWide(c, *lanes, *nvectors, *activity, circuit.Tick(*period), *seed, opts,
-			*vcdPath, *metricsOut, *traceOut, *quiet, ostats)
-		return
-	}
-
-	rep, err := core.Simulate(c, stim, until, opts)
+	run, err := pipeline.Prepare(spec)
 	fatal(err)
-	addOptGauges(rep.Metrics, ostats)
+	// The structure statistics are computed even under -q, as they always
+	// were: benchmark/pipeline.go's replica of this file counts on it.
+	if st := run.Circuit.ComputeStats(); !*quiet {
+		printWorkload(run, st)
+	}
 
-	if rep.Adapt != nil && !*quiet {
-		a := rep.Adapt
+	var rep *metrics.Report
+	if *wide {
+		rep = runWide(run, opts, *vcdPath, *quiet)
+	} else {
+		rep = runScalar(run, opts, *vcdPath, *quiet)
+	}
+	writeMetrics(*metricsOut, rep, run.OptStats, *quiet)
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		fatal(err)
+		defer f.Close()
+		fatal(opts.Tracer.WriteJSON(f))
+		if !*quiet {
+			fmt.Printf("trace: %d spans (%d dropped) -> %s\n",
+				opts.Tracer.TotalSpans(), opts.Tracer.Dropped(), *traceOut)
+		}
+	}
+}
+
+// printWorkload describes the prepared run: what the optimizer did, the
+// circuit's structure, and the stimulus on each plane.
+func printWorkload(run *pipeline.Prepared, st circuit.Stats) {
+	if o := run.OptStats; o != nil {
+		fmt.Printf("optimizer: %d -> %d gates (hashed=%d folds=%d bufs=%d dead=%d), depth %d -> %d, %d rounds\n",
+			o.GatesBefore, o.GatesAfter, o.GatesHashed, o.ConstFolds,
+			o.BufsCleaned, o.DeadRemoved, o.LevelsBefore, o.LevelsAfter, o.Rounds)
+	}
+	fmt.Printf("circuit: %d gates (%d FFs), %d inputs, %d outputs, depth %d, delays %d..%d\n",
+		st.Gates, st.FlipFlops, st.Inputs, st.Outputs, st.CombDepth, st.MinDelay, st.MaxDelay)
+	fmt.Printf("stimulus: %d vectors to t=%d, horizon t=%d\n", run.Stim.NumVectors(), run.Stim.End, run.Until)
+	if ws := run.WideStim; ws != nil {
+		fmt.Printf("wide: %d lanes x %d boundaries (%d vectors), horizon t=%d\n",
+			ws.Lanes, ws.NumVectors(), ws.NumVectors()*ws.Lanes, run.Until)
+	}
+}
+
+// runScalar simulates the run on the scalar plane and reports it.
+func runScalar(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet bool) *metrics.Report {
+	c := run.Circuit
+	rep, err := core.Run(run, opts)
+	fatal(err)
+
+	if a := rep.Adapt; a != nil && !quiet {
 		fmt.Printf("adapt: segments=%d switches=%d rebalances=%d window-changes=%d final-engine=%s final-window=%d committed=%v\n",
 			a.Segments, a.EngineSwitches, a.Rebalances, a.WindowChanges, a.FinalEngine, a.FinalWindow, a.Committed)
 		for _, d := range a.Decisions {
 			fmt.Printf("adapt: %s\n", d)
 		}
 	}
-
-	printSupervision(rep.Supervision, *quiet)
+	printSupervision(rep.Supervision, quiet)
 
 	model := stats.DefaultCostModel()
 	fmt.Printf("engine=%s lps=%d modeled=%.2fms wall=%v\n",
-		engine, rep.Processors, rep.Modeled/1e6, rep.Stats.Wall.Round(10))
-	if !*quiet {
-		if engine != core.EngineSeq {
+		opts.Engine, rep.Processors, rep.Modeled/1e6, rep.Stats.Wall.Round(10))
+	if !quiet {
+		if opts.Engine != core.EngineSeq {
 			fmt.Printf("counters: %s\n", rep.Stats.Summary(model))
-			base, err := core.Simulate(c, stim, until, core.Options{Engine: core.EngineSeq, System: sys, Queue: queue})
+			base, err := core.Run(run, core.Options{Engine: core.EngineSeq, System: opts.System, Queue: opts.Queue})
 			fatal(err)
 			fmt.Printf("modeled speedup over sequential: %.2fx on %d processors\n",
 				rep.SpeedupOver(base, model), rep.Processors)
@@ -337,69 +351,18 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	if *vcdPath != "" {
-		f, err := os.Create(*vcdPath)
-		fatal(err)
-		defer f.Close()
-		fatal(trace.WriteVCD(f, c, c.Outputs, rep.Waveform, "1ns"))
-		if !*quiet {
-			fmt.Printf("wrote %d waveform samples to %s\n", len(rep.Waveform), *vcdPath)
-		}
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		fatal(err)
-		defer f.Close()
-		if rep.Metrics == nil {
-			fatal(fmt.Errorf("no metrics report produced"))
-		}
-		fatal(rep.Metrics.WriteJSON(f))
-		if !*quiet {
-			fmt.Printf("metrics: %s -> %s\n", rep.Metrics.Summary(), *metricsOut)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fatal(err)
-		defer f.Close()
-		fatal(opts.Tracer.WriteJSON(f))
-		if !*quiet {
-			fmt.Printf("trace: %d spans (%d dropped) -> %s\n",
-				opts.Tracer.TotalSpans(), opts.Tracer.Dropped(), *traceOut)
-		}
-	}
+	writeVCD(vcdPath, c, rep.Waveform, "waveform", quiet)
+	return rep.Metrics
 }
 
-// runWide executes the -wide path: -lanes independent stimulus batches are
-// packed into 64-lane words and evaluated by the wide instantiation of the
-// selected engine, 64 vectors per gate operation. The nine-valued system
-// does not fit a lane, and the checkpoint format stores scalar values, so
-// those flags are rejected up front (core.SimulateWide is the authority).
-func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circuit.Tick,
-	seed int64, opts core.Options, vcdPath, metricsOut, traceOut string, quiet bool, ostats *opt.Stats) {
-	switch {
-	case opts.System == logic.NineValued:
-		fatal(fmt.Errorf("-wide needs -system 2 or 4: nine-valued signals do not pack into two-bit lanes"))
-	case opts.Restore != nil:
-		fatal(fmt.Errorf("-wide does not support -restore: the checkpoint format stores scalar values"))
-	case opts.CheckpointEvery > 0:
-		fatal(fmt.Errorf("-wide does not support -checkpoint-every: the checkpoint format stores scalar values"))
-	}
-
-	ws, err := makeWideStimulus(c, lanes, vecs, activity, period, seed, opts.System)
-	fatal(err)
-	until := core.WideHorizon(c, ws)
-	if !quiet {
-		fmt.Printf("wide: %d lanes x %d boundaries (%d vectors), horizon t=%d\n",
-			ws.Lanes, ws.NumVectors(), ws.NumVectors()*ws.Lanes, until)
-	}
-
+// runWide simulates the run's lanes on the wide plane, 64 vectors per
+// gate operation, and reports it; -vcd holds lane 0.
+func runWide(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet bool) *metrics.Report {
+	c := run.Circuit
 	start := time.Now()
-	rep, err := core.SimulateWide(c, ws, until, opts)
+	rep, err := core.RunWide(run, opts)
 	fatal(err)
 	wall := time.Since(start)
-	addOptGauges(rep.Metrics, ostats)
 	printSupervision(rep.Supervision, quiet)
 
 	fmt.Printf("engine=%s-wide lps=%d lanes=%d vectors=%d vectors/s=%.0f wall=%v\n",
@@ -415,41 +378,51 @@ func runWide(c *circuit.Circuit, lanes, vecs int, activity float64, period circu
 		}
 		fmt.Println()
 	}
-
 	if vcdPath != "" {
 		init := func(g circuit.GateID) logic.Value {
 			return opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
 		}
-		wf := rep.Waveform.Lane(0, init)
-		f, err := os.Create(vcdPath)
-		fatal(err)
-		defer f.Close()
-		fatal(trace.WriteVCD(f, c, c.Outputs, wf, "1ns"))
-		if !quiet {
-			fmt.Printf("wrote lane-0 waveform (%d samples) to %s\n", len(wf), vcdPath)
-		}
+		writeVCD(vcdPath, c, rep.Waveform.Lane(0, init), "lane-0 waveform", quiet)
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		fatal(err)
-		defer f.Close()
-		if rep.Metrics == nil {
-			fatal(fmt.Errorf("no metrics report produced"))
-		}
-		fatal(rep.Metrics.WriteJSON(f))
-		if !quiet {
-			fmt.Printf("metrics: %s -> %s\n", rep.Metrics.Summary(), metricsOut)
-		}
+	return rep.Metrics
+}
+
+// writeVCD writes the primary outputs' waveform to path ("" = nowhere).
+func writeVCD(path string, c *circuit.Circuit, wf trace.Waveform, what string, quiet bool) {
+	if path == "" {
+		return
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		fatal(err)
-		defer f.Close()
-		fatal(opts.Tracer.WriteJSON(f))
-		if !quiet {
-			fmt.Printf("trace: %d spans (%d dropped) -> %s\n",
-				opts.Tracer.TotalSpans(), opts.Tracer.Dropped(), traceOut)
-		}
+	f, err := os.Create(path)
+	fatal(err)
+	defer f.Close()
+	fatal(trace.WriteVCD(f, c, c.Outputs, wf, "1ns"))
+	if !quiet {
+		fmt.Printf("wrote %s (%d samples) to %s\n", what, len(wf), path)
+	}
+}
+
+// writeMetrics writes the run's metrics report to path ("" = nowhere),
+// with the optimizer's headline numbers added as gauges (cone_count is
+// set where the partition is known: core, or the fleet's hub).
+func writeMetrics(path string, rep *metrics.Report, st *opt.Stats, quiet bool) {
+	if path == "" {
+		return
+	}
+	if rep == nil {
+		fatal(fmt.Errorf("no metrics report produced"))
+	}
+	if st != nil {
+		rep.SetGauge("gates_removed", float64(st.GatesRemoved))
+		rep.SetGauge("gates_hashed", float64(st.GatesHashed))
+		rep.SetGauge("levels_before", float64(st.LevelsBefore))
+		rep.SetGauge("levels_after", float64(st.LevelsAfter))
+	}
+	f, err := os.Create(path)
+	fatal(err)
+	defer f.Close()
+	fatal(rep.WriteJSON(f))
+	if !quiet {
+		fmt.Printf("metrics: %s -> %s\n", rep.Summary(), path)
 	}
 }
 
@@ -462,79 +435,6 @@ func printSupervision(s *core.SupervisionReport, quiet bool) {
 	for _, a := range s.Attempts {
 		fmt.Printf("supervision: recovered attempt: %s\n", a)
 	}
-}
-
-// addOptGauges publishes the optimizer's headline numbers into the run's
-// metrics report (cone_count is set by core when -cone-split is active).
-func addOptGauges(rep *metrics.Report, st *opt.Stats) {
-	if rep == nil || st == nil {
-		return
-	}
-	rep.SetGauge("gates_removed", float64(st.GatesRemoved))
-	rep.SetGauge("gates_hashed", float64(st.GatesHashed))
-	rep.SetGauge("levels_before", float64(st.LevelsBefore))
-	rep.SetGauge("levels_after", float64(st.LevelsAfter))
-}
-
-// makeWideStimulus is makeStimulus on the wide plane: lanes independent
-// clocked or random batches sharing the clock waveform but differently
-// seeded, packed into word-valued changes.
-func makeWideStimulus(c *circuit.Circuit, lanes, vecs int, activity float64,
-	period circuit.Tick, seed int64, sys logic.System) (*vectors.WideStimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if _, ok := c.ByName(clk); ok && isInput(c, clk) {
-			ws, _, err := vectors.ClockedBatch(c, vectors.ClockedConfig{
-				Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed,
-			}, lanes, sys)
-			return ws, err
-		}
-	}
-	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{
-		Vectors: vecs, Period: period, Activity: activity, Seed: seed,
-	}, lanes, sys)
-	return ws, err
-}
-
-// loadCircuit resolves the circuit source.
-func loadCircuit(benchPath, name string, fine uint64, seed int64) (*circuit.Circuit, error) {
-	if benchPath != "" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
-	}
-	delays := gen.Unit
-	if fine > 0 {
-		delays = gen.Fine(circuit.Tick(fine), seed)
-	}
-	return gen.ByName(name, delays, seed)
-}
-
-// makeStimulus builds clocked stimulus when the circuit has a clock input,
-// random vectors otherwise.
-func makeStimulus(c *circuit.Circuit, vecs int, activity float64, period circuit.Tick, seed int64) (*vectors.Stimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if _, ok := c.ByName(clk); ok {
-			if isInput(c, clk) {
-				return vectors.Clocked(c, vectors.ClockedConfig{
-					Clock: clk, Cycles: vecs, HalfPeriod: period, Activity: activity, Seed: seed,
-				})
-			}
-		}
-	}
-	return vectors.Random(c, vectors.RandomConfig{
-		Vectors: vecs, Period: period, Activity: activity, Seed: seed,
-	})
-}
-
-func isInput(c *circuit.Circuit, name string) bool {
-	id, ok := c.ByName(name)
-	if !ok {
-		return false
-	}
-	return c.Gate(id).Kind == circuit.Input
 }
 
 func fatal(err error) {

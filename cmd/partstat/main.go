@@ -13,13 +13,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
-	"repro/internal/vectors"
+	"repro/internal/pipeline"
 )
 
 func main() {
@@ -32,24 +28,22 @@ func main() {
 	)
 	flag.Parse()
 
-	c, err := load(*benchPath, *circName, *seed)
+	// The judging weights come from the same pre-simulation pass parsim
+	// -presim partitions with: 30 vectors at activity 0.5, clocked when
+	// the circuit has a clock.
+	run, err := pipeline.Prepare(pipeline.Spec{
+		Bench: *benchPath, Circuit: *circName, Seed: *seed,
+		Vectors: 30, Period: 40, Activity: 0.5, System: logic.TwoValued, Presim: *presim,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "partstat:", err)
 		os.Exit(1)
 	}
+	c := run.Circuit
 	uniform := partition.WeightsUniform(c)
 	judge := uniform
 	if *presim {
-		stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 30, Period: 40, Activity: 0.5, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partstat:", err)
-			os.Exit(1)
-		}
-		judge, err = core.PreSimulate(c, stim, core.Horizon(c, stim), logic.TwoValued)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partstat:", err)
-			os.Exit(1)
-		}
+		judge = run.Weights
 	}
 
 	st := c.ComputeStats()
@@ -71,16 +65,4 @@ func main() {
 		fmt.Printf("%-12s %10d %12.3f %12.3f %10v\n",
 			m, p.CutLinks(c), p.Imbalance(uniform), p.Imbalance(judge), el.Round(time.Microsecond))
 	}
-}
-
-func load(benchPath, name string, seed int64) (*circuit.Circuit, error) {
-	if benchPath != "" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
-	}
-	return gen.ByName(name, gen.Unit, seed)
 }

@@ -3,7 +3,6 @@ package benchsuite
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/metrics"
 )
@@ -32,31 +31,17 @@ func Dist() []Benchmark {
 // across every shard boundary so inter-shard traffic dominates.
 func distBenchOpts(b *testing.B, mesh bool, ckptEvery uint64, delta bool) (dist.Options, *metrics.Registry) {
 	b.Helper()
-	j := &dist.Job{
-		Circuit: "ripple32", Seed: 1,
-		Vectors: 12, Activity: 0.5, Period: 40,
-		Partition: "fm",
-	}
-	c, err := j.BuildCircuit()
-	if err != nil {
-		b.Fatal(err)
-	}
-	stim, err := j.BuildStimulus(c)
-	if err != nil {
-		b.Fatal(err)
-	}
 	reg := metrics.NewRegistry("cmb-dist")
 	return dist.Options{
 		Shards:          4,
 		Engine:          "cmb",
-		Circuit:         j.Circuit,
-		Seed:            j.Seed,
-		Vectors:         j.Vectors,
-		Activity:        j.Activity,
-		Period:          j.Period,
-		Until:           uint64(core.Horizon(c, stim)),
+		Circuit:         "ripple32",
+		Seed:            1,
+		Vectors:         12,
+		Activity:        0.5,
+		Period:          40,
 		LPs:             8,
-		Partition:       j.Partition,
+		Partition:       "fm",
 		Mesh:            mesh,
 		CheckpointEvery: ckptEvery,
 		CkptDelta:       delta,

@@ -198,34 +198,68 @@ func (c *Circuit) MaxDelay() Tick {
 // feedback fanin references the incremental builder cannot express in one
 // pass.
 func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
-	c := &Circuit{
-		Gates:   gates,
-		Inputs:  inputs,
-		Outputs: outputs,
-		byName:  make(map[string]GateID, len(gates)),
-	}
-	for id := range gates {
-		name := gates[id].Name
-		if name == "" {
-			return nil, fmt.Errorf("circuit: gate %d has empty name", id)
-		}
-		if prev, dup := c.byName[name]; dup {
-			return nil, fmt.Errorf("circuit: duplicate gate name %q (gates %d and %d)", name, prev, id)
-		}
-		c.byName[name] = GateID(id)
-	}
-	for _, io := range [2][]GateID{inputs, outputs} {
-		for _, g := range io {
-			if g < 0 || int(g) >= len(gates) {
-				return nil, fmt.Errorf("circuit: io list references undefined gate %d", g)
-			}
-		}
-	}
-	if err := c.validate(); err != nil {
+	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs}
+	if err := c.index(); err != nil {
 		return nil, err
 	}
 	c.flatten()
 	return c, nil
+}
+
+// FromFlat constructs a circuit over flat storage that already exists —
+// the form a netlist has on the wire: dense kinds, delays and names, and
+// the fanin adjacency in pin order. The arrays are adopted, not copied
+// (Kinds, Delays and FaninAdj are the arguments, Gate.Fanin views them),
+// and checked like any other construction: the input comes from outside
+// the process, so nothing is indexed before it is bounded.
+func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, outputs []GateID) (*Circuit, error) {
+	n := len(kinds)
+	if len(delays) != n || len(names) != n || len(fanin.Off) != n+1 {
+		return nil, fmt.Errorf("circuit: flat arrays disagree: %d kinds, %d delays, %d names, %d offsets",
+			n, len(delays), len(names), len(fanin.Off))
+	}
+	if fanin.Off[0] != 0 || int(fanin.Off[n]) != len(fanin.Idx) {
+		return nil, fmt.Errorf("circuit: fanin offsets span [%d,%d] over %d pins", fanin.Off[0], fanin.Off[n], len(fanin.Idx))
+	}
+	gates := make([]Gate, n)
+	for g := range gates {
+		lo, hi := fanin.Off[g], fanin.Off[g+1]
+		if lo > hi || int(hi) > len(fanin.Idx) {
+			return nil, fmt.Errorf("circuit: gate %d has fanin offsets [%d,%d) over %d pins", g, lo, hi, len(fanin.Idx))
+		}
+		gates[g] = Gate{Kind: kinds[g], Name: names[g], Fanin: faninView(fanin.Idx, lo, hi), Delay: delays[g]}
+	}
+	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs, FaninAdj: fanin, Kinds: kinds, Delays: delays}
+	if err := c.index(); err != nil {
+		return nil, err
+	}
+	c.buildFanout()
+	return c, nil
+}
+
+// index builds the name table and checks everything a complete gate list
+// must satisfy: unique non-empty names, I/O lists inside the circuit, and
+// validate's arity, reference and cycle rules.
+func (c *Circuit) index() error {
+	c.byName = make(map[string]GateID, len(c.Gates))
+	for id := range c.Gates {
+		name := c.Gates[id].Name
+		if name == "" {
+			return fmt.Errorf("circuit: gate %d has empty name", id)
+		}
+		if prev, dup := c.byName[name]; dup {
+			return fmt.Errorf("circuit: duplicate gate name %q (gates %d and %d)", name, prev, id)
+		}
+		c.byName[name] = GateID(id)
+	}
+	for _, io := range [2][]GateID{c.Inputs, c.Outputs} {
+		for _, g := range io {
+			if g < 0 || int(g) >= len(c.Gates) {
+				return fmt.Errorf("circuit: io list references undefined gate %d", g)
+			}
+		}
+	}
+	return c.validate()
 }
 
 // Builder incrementally constructs a Circuit. The zero value is not usable;
@@ -458,57 +492,74 @@ func (c *Circuit) checkCombinationalCycles() error {
 }
 
 // flatten builds the circuit's flat storage from the validated gate list:
-// the fanin and fanout index arrays with their offsets, the dense kind and
-// delay arrays, and the per-gate views into them (Gate.Fanin, Fanout).
-//
-// Fanout rows come out ascending and deduplicated without a sort: gates
-// are visited in ID order, so each row is filled in ascending order, and a
-// gate reading one net through several pins is caught by remembering the
-// last reader recorded for that net.
+// the fanin index array with its offsets, the dense kind and delay arrays,
+// and the per-gate Gate.Fanin views into them; buildFanout derives the
+// rest.
 func (c *Circuit) flatten() {
 	n := len(c.Gates)
 	c.Kinds = make([]Kind, n)
 	c.Delays = make([]Tick, n)
 	inOff := make([]int32, n+1)
-	outOff := make([]int32, n+1)
-	lastReader := make([]GateID, n)
-	for i := range lastReader {
-		lastReader[i] = -1
-	}
 	pins := int32(0)
 	for id := range c.Gates {
 		g := &c.Gates[id]
 		c.Kinds[id], c.Delays[id] = g.Kind, g.Delay
 		inOff[id] = pins
 		pins += int32(len(g.Fanin))
-		for _, f := range g.Fanin {
+	}
+	inOff[n] = pins
+	inIdx := make([]GateID, pins)
+	for id := range c.Gates {
+		g := &c.Gates[id]
+		lo, hi := inOff[id], inOff[id+1]
+		copy(inIdx[lo:hi], g.Fanin)
+		g.Fanin = faninView(inIdx, lo, hi)
+	}
+	c.FaninAdj = Adj{Off: inOff, Idx: inIdx}
+	c.buildFanout()
+}
+
+// faninView is the Gate.Fanin slice for the row idx[lo:hi]: capped so an
+// append cannot run into the next row, nil when the gate is a source.
+func faninView(idx []GateID, lo, hi int32) []GateID {
+	if lo == hi {
+		return nil
+	}
+	return idx[lo:hi:hi]
+}
+
+// buildFanout derives FanoutAdj and the Fanout views from FaninAdj.
+//
+// Fanout rows come out ascending and deduplicated without a sort: gates
+// are visited in ID order, so each row is filled in ascending order, and a
+// gate reading one net through several pins is caught by remembering the
+// last reader recorded for that net.
+func (c *Circuit) buildFanout() {
+	n := len(c.Gates)
+	outOff := make([]int32, n+1)
+	lastReader := make([]GateID, n)
+	for i := range lastReader {
+		lastReader[i] = -1
+	}
+	for id := 0; id < n; id++ {
+		for _, f := range c.FaninAdj.Row(GateID(id)) {
 			if lastReader[f] != GateID(id) {
 				lastReader[f] = GateID(id)
 				outOff[f+1]++
 			}
 		}
 	}
-	inOff[n] = pins
 	for g := 0; g < n; g++ {
 		outOff[g+1] += outOff[g]
 	}
-	inIdx := make([]GateID, pins)
 	outIdx := make([]GateID, outOff[n])
 	fill := make([]int32, n) // next free position of each fanout row
 	copy(fill, outOff)
 	for i := range lastReader {
 		lastReader[i] = -1
 	}
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		lo, hi := inOff[id], inOff[id+1]
-		copy(inIdx[lo:hi], g.Fanin)
-		if lo == hi {
-			g.Fanin = nil
-		} else {
-			g.Fanin = inIdx[lo:hi:hi]
-		}
-		for _, f := range g.Fanin {
+	for id := 0; id < n; id++ {
+		for _, f := range c.FaninAdj.Row(GateID(id)) {
 			if lastReader[f] != GateID(id) {
 				lastReader[f] = GateID(id)
 				outIdx[fill[f]] = GateID(id)
@@ -516,7 +567,6 @@ func (c *Circuit) flatten() {
 			}
 		}
 	}
-	c.FaninAdj = Adj{Off: inOff, Idx: inIdx}
 	c.FanoutAdj = Adj{Off: outOff, Idx: outIdx}
 	c.Fanout = make([][]GateID, n)
 	for g := range c.Fanout {

@@ -108,9 +108,12 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		rebalances int
 		committed  bool
 		srep       *SupervisionReport
-		part       *partition.Partition
-		coneCount  int
+		// part is the partition the next segment runs on: the prepared
+		// run's to begin with, rebuilt after every rebalance.
+		part      = opts.prebuilt
+		coneCount = opts.prebuiltCones
 	)
+	opts.prebuilt = nil
 	if cur != nil {
 		wave = cur.Prefix()
 		if end := circuit.Tick(cur.EndTime); end > endTime {

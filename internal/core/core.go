@@ -12,10 +12,12 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/dist/wire"
 	"repro/internal/eventq"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/cmb"
@@ -85,6 +87,18 @@ func Engines() []Engine {
 
 // Parallel reports whether the engine divides the circuit across LPs.
 func (e Engine) Parallel() bool { return e != EngineSeq && e != EngineOblivious }
+
+// Distributes reports whether the engine can run as shards of a socket
+// fleet: the null-message and Time Warp protocols are point-to-point, the
+// deadlock-recovery ledger and the hybrid clusters are one process's
+// memory, and the rest have no LP-to-LP messages to put on a wire.
+func (e Engine) Distributes() bool {
+	switch e {
+	case EngineCMB, EngineCMBDemand, EngineTimeWarp, EngineTimeWarpLazy:
+		return true
+	}
+	return false
+}
 
 // Options configures a simulation run for any engine.
 type Options struct {
@@ -187,6 +201,9 @@ type Options struct {
 	// across segments is safe (internal plumbing).
 	prebuilt      *partition.Partition
 	prebuiltCones int
+	// seam makes the run one shard of a fleet (set by RunShard): the
+	// asynchronous engines execute only the LPs it maps to this process.
+	seam *wire.Seam
 }
 
 // SuperviseOptions configures the supervision layer.
@@ -421,7 +438,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep,
+			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam,
 		})
 		if err != nil {
 			return nil, err
@@ -440,7 +457,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
-			Sweep: sweep, Adapt: opts.winCtl,
+			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam,
 		})
 		if err != nil {
 			return nil, err
@@ -492,9 +509,10 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 }
 
 // buildPartition derives the gate→LP assignment an engine run will use
-// (nil for the serial engines). Shared between simulateOnce and the
-// adaptive rebalancer, which needs the same assignment to translate
-// per-LP utilization into per-gate weights.
+// (nil for the serial engines): the one a prepared run brought, else
+// pipeline's construction from the options. Shared between simulateOnce
+// and the adaptive rebalancer, which needs the same assignment to
+// translate per-LP utilization into per-gate weights.
 func buildPartition(c *circuit.Circuit, opts Options) (*partition.Partition, int, error) {
 	if !opts.Engine.Parallel() {
 		return nil, -1, nil
@@ -502,40 +520,16 @@ func buildPartition(c *circuit.Circuit, opts Options) (*partition.Partition, int
 	if opts.prebuilt != nil {
 		return opts.prebuilt, opts.prebuiltCones, nil
 	}
-	if opts.ConeSplit {
-		lps := opts.LPs
-		if lps < 1 {
-			lps = 4
-		}
-		w := opts.Weights
-		if w == nil {
-			w = partition.WeightsUniform(c)
-		}
-		part, coneCount := partition.ConeSplit(c, lps, w)
-		if err := part.Validate(c); err != nil {
-			return nil, -1, err
-		}
-		return part, coneCount, nil
-	}
-	part, err := partition.New(opts.Partition, c, opts.LPs, partition.Options{
+	return pipeline.NewPartition(c, opts.LPs, opts.ConeSplit, opts.Partition, partition.Options{
 		Weights: opts.Weights,
 		Seed:    opts.PartitionSeed,
 	})
-	if err != nil {
-		return nil, -1, err
-	}
-	return part, -1, nil
 }
 
-// PreSimulate runs the paper's pre-simulation workload estimation: a
-// sequential profiling run over a prefix of the stimulus, converted into
-// partitioner weights.
+// PreSimulate re-exports pipeline's pre-simulation workload estimation
+// for callers that only import core.
 func PreSimulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, sys logic.System) (partition.Weights, error) {
-	res, err := seq.Run(c, stim, until, seq.Config{System: sys, Profile: true})
-	if err != nil {
-		return nil, err
-	}
-	return partition.WeightsFromProfile(res.EvalsByGate), nil
+	return pipeline.PreSimulate(c, stim, until, sys)
 }
 
 // Horizon re-exports the settling-margin heuristic for callers that only

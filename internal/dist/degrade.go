@@ -3,37 +3,28 @@ package dist
 import (
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/partition"
 )
 
 // fallback is the bottom of the degradation ladder: the distributed
-// run's restart budget is exhausted, so the same workload is re-run in
-// this process under the supervision layer, starting at the synchronous
-// engine and degrading further to the sequential reference if even that
-// fails. Every engine reproduces the sequential trajectory, so the
-// degraded result's waveform is bit-identical to what the fleet would
-// have produced — the ladder trades performance, never correctness.
+// run's restart budget is exhausted, so the prepared workload — the very
+// object the workers were sent — is run in this process under the
+// supervision layer, starting at the synchronous engine and degrading
+// further to the sequential reference if even that fails. Every engine
+// reproduces the sequential trajectory, so the degraded result's waveform
+// is bit-identical to what the fleet would have produced — the ladder
+// trades performance, never correctness.
 func (h *hub) fallback(loss *core.SimError) (*Result, error) {
-	method, err := partition.ParseMethod(h.opts.Partition)
-	if err != nil {
-		return nil, err
-	}
-	lps := h.opts.LPs
-	if lps <= 0 {
-		lps = 4
-	}
-	rep, err := core.Simulate(h.c, h.stim, circuit.Tick(h.opts.Until), core.Options{
-		Engine:        core.EngineSync,
-		LPs:           lps,
-		Partition:     method,
-		PartitionSeed: h.opts.PartitionSeed,
-		System:        h.sys,
-		MaxEvents:     h.opts.MaxEvents,
-		Metrics:       h.opts.Metrics,
+	o := &h.opts
+	rep, err := core.Run(h.run, core.Options{
+		Engine:    core.EngineSync,
+		System:    o.System,
+		Queue:     o.Queue,
+		MaxEvents: o.MaxEvents,
+		Metrics:   o.Metrics,
+		Restore:   o.Restore,
 		Supervise: &core.SuperviseOptions{
-			Watchdog: h.opts.HangTimeout,
+			Watchdog: o.HangTimeout,
 			Retries:  1,
 			Backoff:  10 * time.Millisecond,
 			Fallback: true,
@@ -55,6 +46,7 @@ func (h *hub) fallback(loss *core.SimError) (*Result, error) {
 		EndTime:    rep.EndTime,
 		Events:     appliedEvents(rep.Stats.LPs),
 		Shards:     h.opts.Shards,
+		Prepared:   h.run,
 		Attempts:   h.opts.Restarts + 1,
 		Recoveries: h.opts.Restarts,
 		Fallbacks:  fallbacks,

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,58 +14,84 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/eventq"
 	"repro/internal/logic"
+	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
+	"repro/internal/sim/timewarp"
 	"repro/internal/simtest/chaos"
 	"repro/internal/simtest/chaos/netfault"
 	"repro/internal/trace"
-	"repro/internal/vectors"
 )
 
-// testJob is the shared workload spec: small enough to keep the fleet
-// tests fast, large enough that every shard owns real work.
-func testJob() *Job {
-	return &Job{
+// testSpec is the shared workload: small enough to keep the fleet tests
+// fast, large enough that every shard owns real work.
+func testSpec() pipeline.Spec {
+	return pipeline.Spec{
 		Circuit: "ripple8", Seed: 1,
 		Vectors: 15, Activity: 0.5, Period: 40,
-		Partition: "fm",
+		Partition: partition.MethodFM,
 	}
 }
 
-// golden runs the sequential reference over the test workload and
-// returns the circuit, stimulus, horizon, and reference result.
-func golden(t *testing.T) (*circuit.Circuit, *vectors.Stimulus, uint64, *seq.Result) {
+// prepare runs the set-up path over the test workload, divided into lps
+// LPs on shards shards (0, 0 prepares the serial reference's view).
+func prepare(t *testing.T, shards, lps int) *pipeline.Prepared {
 	t.Helper()
-	j := testJob()
-	c, err := j.BuildCircuit()
+	spec := testSpec()
+	spec.Shards, spec.LPs = shards, lps
+	return prepareSpec(t, spec)
+}
+
+func prepareSpec(t *testing.T, spec pipeline.Spec) *pipeline.Prepared {
+	t.Helper()
+	run, err := pipeline.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stim, err := j.BuildStimulus(c)
+	return run
+}
+
+// gateShards is the gate -> shard map of a prepared, sharded run.
+func gateShards(run *pipeline.Prepared) []int {
+	out := make([]int, run.Circuit.NumGates())
+	for g := range out {
+		out[g] = run.ShardOf[run.Part.Assign[g]]
+	}
+	return out
+}
+
+// golden runs the sequential reference over the test workload and
+// returns the horizon and the reference result.
+func golden(t *testing.T) (uint64, *seq.Result) {
+	t.Helper()
+	return goldenSpec(t, testSpec())
+}
+
+func goldenSpec(t *testing.T, spec pipeline.Spec) (uint64, *seq.Result) {
+	t.Helper()
+	run := prepareSpec(t, spec)
+	ref, err := seq.Run(run.Circuit, run.Stim, run.Until, seq.Config{System: logic.NineValued})
 	if err != nil {
 		t.Fatal(err)
 	}
-	until := core.Horizon(c, stim)
-	ref, err := seq.Run(c, stim, until, seq.Config{System: logic.NineValued})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, stim, uint64(until), ref
+	return uint64(run.Until), ref
 }
 
 // baseOpts builds distributed Options over the test workload.
 func baseOpts(t *testing.T, engine string, shards int, until uint64) Options {
 	t.Helper()
-	j := testJob()
+	s := testSpec()
 	return Options{
 		Shards:   shards,
 		Engine:   engine,
-		Circuit:  j.Circuit,
-		Seed:     j.Seed,
-		Vectors:  j.Vectors,
-		Activity: j.Activity,
-		Period:   j.Period,
+		Circuit:  s.Circuit,
+		Seed:     s.Seed,
+		Vectors:  s.Vectors,
+		Activity: s.Activity,
+		Period:   s.Period,
 		Until:    until,
 		LPs:      2 * shards,
 		WorkDir:  t.TempDir(),
@@ -89,7 +116,7 @@ func checkMatchesGolden(t *testing.T, res *Result, ref *seq.Result) {
 // ways over real loopback sockets, must reproduce the sequential
 // trajectory exactly.
 func TestDistMatchesSequential(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	for _, engine := range []string{"cmb", "cmb-demand", "timewarp", "timewarp-lazy"} {
 		t.Run(engine, func(t *testing.T) {
 			res, err := Run(baseOpts(t, engine, 2, until))
@@ -108,7 +135,7 @@ func TestDistMatchesSequential(t *testing.T) {
 // TestDistUnixNetwork: the same contract over a unix-domain socket in
 // the work directory.
 func TestDistUnixNetwork(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	opts := baseOpts(t, "timewarp", 3, until)
 	opts.Network = "unix"
 	res, err := Run(opts)
@@ -122,7 +149,7 @@ func TestDistUnixNetwork(t *testing.T) {
 // duplicates, and partitions — everything the reliable layer must
 // absorb without a fleet restart. One attempt, exact waveform.
 func TestDistChaosWithoutKills(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	for _, engine := range []string{"cmb", "timewarp"} {
 		t.Run(engine, func(t *testing.T) {
 			opts := baseOpts(t, engine, 2, until)
@@ -145,7 +172,7 @@ func TestDistChaosWithoutKills(t *testing.T) {
 // complete boundary, relaunch the fleet, and still produce the exact
 // sequential waveform.
 func TestDistKillRecovers(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	for _, engine := range []string{"cmb", "timewarp"} {
 		t.Run(engine, func(t *testing.T) {
 			opts := baseOpts(t, engine, 2, until)
@@ -173,7 +200,7 @@ func TestDistKillRecovers(t *testing.T) {
 // TestDistShardLossError: a kill on every attempt with no fallback must
 // exhaust the restart budget and surface a structured shard-loss error.
 func TestDistShardLossError(t *testing.T) {
-	_, _, until, _ := golden(t)
+	until, _ := golden(t)
 	opts := baseOpts(t, "cmb", 2, until)
 	opts.CheckpointEvery = 200
 	opts.Restarts = 1
@@ -194,7 +221,7 @@ func TestDistShardLossError(t *testing.T) {
 // set must walk the degradation ladder (dist -> sync -> ...) and still
 // hand back the exact sequential result.
 func TestDistShardLossFallback(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	opts := baseOpts(t, "cmb", 2, until)
 	opts.CheckpointEvery = 200
 	opts.Restarts = 0
@@ -220,11 +247,9 @@ func TestDistShardLossFallback(t *testing.T) {
 // multiple of `every` for the test workload.
 func shadowStates(t *testing.T, every uint64) []*ckpt.State {
 	t.Helper()
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	stim, _ := j.BuildStimulus(c)
+	run := prepare(t, 0, 0)
 	var states []*ckpt.State
-	_, err := seq.Run(c, stim, core.Horizon(c, stim), seq.Config{
+	_, err := seq.Run(run.Circuit, run.Stim, run.Until, seq.Config{
 		System:          logic.NineValued,
 		CheckpointEvery: circuit.Tick(every),
 		Checkpoint: func(st *ckpt.State) error {
@@ -246,18 +271,8 @@ func shadowStates(t *testing.T, every uint64) []*ckpt.State {
 // and report a fresh start (nil, no error) when every boundary is
 // unusable — a bad snapshot must never wedge recovery.
 func TestLatestBoundarySkipsCorrupt(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateShard := make([]int, c.NumGates())
-	for g := range gateShard {
-		gateShard[g] = shardOf[part.Assign[g]]
-	}
+	run := prepare(t, 2, 4)
+	c, part, shardOf, gateShard := run.Circuit, run.Part, run.ShardOf, gateShards(run)
 
 	states := shadowStates(t, 200)
 	dir := t.TempDir()
@@ -322,18 +337,8 @@ func TestLatestBoundarySkipsCorrupt(t *testing.T) {
 // TestMergeRoundTrip: restricting a real shadow snapshot to each shard
 // and merging the restrictions back must reproduce the full cut exactly.
 func TestMergeRoundTrip(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 3
-	j.LPs = 6
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateShard := make([]int, c.NumGates())
-	for g := range gateShard {
-		gateShard[g] = shardOf[part.Assign[g]]
-	}
+	run := prepare(t, 3, 6)
+	c, part, shardOf, gateShard := run.Circuit, run.Part, run.ShardOf, gateShards(run)
 	st := shadowStates(t, 200)[1]
 
 	states := make([]*ckpt.State, 3)
@@ -369,21 +374,78 @@ func TestMergeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeJobRejectsNonDistributableEngine: the hybrid and recovery
-// variants need global in-process coordination; a job naming one must
-// be rejected at decode time, before any simulation starts.
-func TestDecodeJobRejectsNonDistributableEngine(t *testing.T) {
-	for _, engine := range []string{"seq", "sync", "hybrid", "cmb-detect", ""} {
-		j := testJob()
-		j.Engine = engine
-		j.Shards, j.LPs = 2, 4
-		p, err := j.Encode()
+// TestDecodeJobChecksHeaderAgainstRun: the hybrid and recovery variants
+// need global in-process coordination, and a worker outside the fleet or
+// an LP placed on a shard the fleet does not have cannot run; a job saying
+// so must be rejected at decode time, before any simulation starts.
+func TestDecodeJobChecksHeaderAgainstRun(t *testing.T) {
+	payload, err := prepare(t, 2, 4).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Job{Engine: "cmb", Shards: 2, Shard: 1}
+	for name, mutate := range map[string]func(*Job){
+		"":                func(*Job) {},
+		"engine seq":      func(j *Job) { j.Engine = "seq" },
+		"engine sync":     func(j *Job) { j.Engine = "sync" },
+		"engine hybrid":   func(j *Job) { j.Engine = "hybrid" },
+		"engine detect":   func(j *Job) { j.Engine = "cmb-detect" },
+		"engine missing":  func(j *Job) { j.Engine = "" },
+		"shard outside":   func(j *Job) { j.Shard = 2 },
+		"fleet too small": func(j *Job) { j.Shards, j.Shard = 1, 0 },
+	} {
+		j := good
+		mutate(&j)
+		p, err := encodeJob(&j, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeJob(p); err == nil {
-			t.Errorf("engine %q accepted", engine)
+		_, run, err := decodeJob(p)
+		if name == "" {
+			if err != nil || run.Part.Blocks != 4 {
+				t.Errorf("well-formed job rejected: %v", err)
+			}
+		} else if err == nil {
+			t.Errorf("%s: accepted", name)
 		}
+	}
+	for _, p := range [][]byte{nil, {1, 2}, {255, 255, 255, 255, '{', '}'}, {2, 0, 0, 0, '{', '}'}} {
+		if _, _, err := decodeJob(p); err == nil {
+			t.Errorf("frame %v accepted", p)
+		}
+	}
+}
+
+// TestJobHeaderCarriesEngineConfig: every engine knob of the Options
+// reaches the core.Options a worker runs with — the flags cannot be
+// dropped between the CLI and the shard.
+func TestJobHeaderCarriesEngineConfig(t *testing.T) {
+	h := &hub{opts: Options{
+		Shards: 2, Engine: "timewarp", System: logic.FourValued,
+		Queue: eventq.ImplCalendar, Window: 7, Cancellation: timewarp.Lazy,
+		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
+		HangTimeout: 3 * time.Second, HeartbeatEvery: time.Millisecond,
+	}}
+	p, err := encodeJob(h.jobFor(1, 0, ""), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j Job
+	if err := json.Unmarshal(p[4:], &j); err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.engineOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Options{
+		Engine: core.EngineTimeWarp, System: logic.FourValued,
+		Queue: eventq.ImplCalendar, Window: 7, Cancellation: timewarp.Lazy,
+		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
+		Supervise: &core.SuperviseOptions{Watchdog: 3 * time.Second},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("worker options\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -399,7 +461,7 @@ func TestDistSoak(t *testing.T) {
 	if n, err := strconv.Atoi(os.Getenv("DIST_SOAK_SEEDS")); err == nil && n > 0 {
 		seeds = n
 	}
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 
 	attempt := func(t *testing.T, engine string, mesh bool, plan netfault.Plan) error {
 		opts := baseOpts(t, engine, 3, until)

@@ -14,14 +14,16 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
+	"repro/internal/eventq"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/supervise"
+	"repro/internal/sim/timewarp"
 	"repro/internal/simtest/chaos/netfault"
 	"repro/internal/trace"
-	"repro/internal/vectors"
 )
 
 // Options configures a distributed run.
@@ -32,8 +34,9 @@ type Options struct {
 	// timewarp-lazy.
 	Engine string
 
-	// Workload parameters, forwarded verbatim into every worker's Job so
-	// each shard regenerates the identical circuit and stimulus.
+	// The workload, in pipeline.Spec's terms: the hub prepares it once and
+	// ships the result to every worker. Until 0 derives the horizon from
+	// the stimulus.
 	Bench      string
 	Circuit    string
 	FineDelays uint64
@@ -42,18 +45,37 @@ type Options struct {
 	Activity   float64
 	Period     uint64
 	Until      uint64
+	// Opt / OptPasses, ConeSplit and Presim transform the netlist and the
+	// partition before anything is shipped (see pipeline.Spec).
+	Opt       bool
+	OptPasses string
+	ConeSplit bool
+	Presim    bool
 
-	// LPs / Partition / PartitionSeed parameterize the gate partition;
-	// LPs are then grouped onto shards uniformly.
+	// LPs / Partition / PartitionSeed parameterize the gate partition
+	// (default 4 LPs, fm); LPs are then grouped onto shards uniformly.
 	LPs           int
 	Partition     string
 	PartitionSeed int64
 	// System is the logic value system (default 9-valued).
 	System logic.System
+	// Queue, Window, Cancellation, StateSaving and HistoryLimit configure
+	// the worker engines exactly as the core.Options fields of the same
+	// names configure a single-process run.
+	Queue        eventq.Impl
+	Window       uint64
+	Cancellation timewarp.Cancellation
+	StateSaving  timewarp.StateSaving
+	HistoryLimit uint64
 	// MaxEvents aborts runaway shards (0 = unlimited).
 	MaxEvents uint64
 	// HangTimeout arms each worker's in-engine progress watchdog.
 	HangTimeout time.Duration
+
+	// Restore, when non-nil, resumes the run from a checkpoint: the first
+	// attempt boots from it, and so does any recovery that finds no newer
+	// shard boundary.
+	Restore *ckpt.State
 
 	// CheckpointEvery, when non-zero, arms per-shard checkpointing at
 	// every multiple of this modeled time; recovery needs it.
@@ -117,11 +139,13 @@ type Result struct {
 	Values   []logic.Value
 	Waveform trace.Waveform
 	EndTime  circuit.Tick
-	GVT      circuit.Tick
 	// Events sums committed net changes across shards (of the final,
 	// successful attempt).
 	Events uint64
 	Shards int
+	// Prepared is the workload the run simulated: the circuit the values
+	// and waveform index into.
+	Prepared *pipeline.Prepared
 	// Attempts counts fleet launches; Recoveries counts checkpoint
 	// restarts after a shard loss; Fallbacks counts degradations to a
 	// simpler single-process engine.
@@ -187,25 +211,22 @@ func Run(opts Options) (*Result, error) {
 }
 
 // recoverableDist reports whether a failed attempt is worth a restart.
-// Everything is, except the event-limit guard: a runaway workload
-// regenerates identically on every attempt.
+// Everything is, except a verdict that would repeat on every attempt: the
+// event-limit guard, and an engine that refuses the job's configuration.
 func recoverableDist(err error) bool {
 	var se *supervise.SimError
 	if errors.As(err, &se) {
 		return se.Kind != supervise.KindEventLimit
 	}
-	return true
+	var rej *jobRejected
+	return !errors.As(err, &rej)
 }
 
 // hub is the coordinator: listener, workload, and across-attempt state.
 type hub struct {
 	opts      Options
-	c         *circuit.Circuit
-	stim      *vectors.Stimulus
-	part      *partition.Partition
-	shardOf   []int // LP -> shard
+	run       *pipeline.Prepared
 	gateShard []int // gate -> shard
-	sys       logic.System
 
 	ln      net.Listener
 	addr    string
@@ -216,14 +237,30 @@ type hub struct {
 	sess *session // the attempt the accept loop routes hellos to
 }
 
-// newHub validates options, rebuilds the workload locally (for shard
-// maps, result merging, and the fallback path), and starts listening.
+// spec is the workload half of the options in pipeline's terms.
+func (o *Options) spec() (pipeline.Spec, error) {
+	method, err := partition.ParseMethod(o.Partition)
+	if err != nil {
+		return pipeline.Spec{}, err
+	}
+	return pipeline.Spec{
+		Bench: o.Bench, Circuit: o.Circuit, FineDelays: o.FineDelays, Seed: o.Seed,
+		Opt: o.Opt, OptPasses: o.OptPasses, ConeSplit: o.ConeSplit, Presim: o.Presim,
+		Vectors: o.Vectors, Activity: o.Activity, Period: o.Period, Until: o.Until,
+		System: o.System, LPs: o.LPs, Partition: method, PartitionSeed: o.PartitionSeed,
+		Shards: o.Shards,
+	}, nil
+}
+
+// newHub validates options, prepares the workload (shipped to the workers,
+// and kept for shard maps, result merging, and the fallback path), and
+// starts listening.
 func newHub(opts Options) (*hub, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("dist: need at least one shard, got %d", opts.Shards)
 	}
-	if !validEngine(opts.Engine) {
-		return nil, fmt.Errorf("dist: engine %q does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", opts.Engine)
+	if _, err := parseEngine(opts.Engine); err != nil {
+		return nil, err
 	}
 	if opts.System == 0 {
 		opts.System = logic.NineValued
@@ -246,22 +283,26 @@ func newHub(opts Options) (*hub, error) {
 	if opts.Partition == "" {
 		opts.Partition = "fm"
 	}
+	if opts.LPs <= 0 {
+		opts.LPs = 4
+	}
 
-	h := &hub{opts: opts, sys: opts.System}
-	job := h.jobFor(0, 0, "")
-	var err error
-	if h.c, err = job.BuildCircuit(); err != nil {
+	h := &hub{opts: opts}
+	spec, err := opts.spec()
+	if err != nil {
 		return nil, err
 	}
-	if h.stim, err = job.BuildStimulus(h.c); err != nil {
+	if h.run, err = pipeline.Prepare(spec); err != nil {
 		return nil, err
 	}
-	if h.part, h.shardOf, err = job.BuildPartition(h.c); err != nil {
-		return nil, err
+	if opts.Restore != nil {
+		if err := opts.Restore.Check(h.run.Circuit, opts.System); err != nil {
+			return nil, err
+		}
 	}
-	h.gateShard = make([]int, h.c.NumGates())
+	h.gateShard = make([]int, h.run.Circuit.NumGates())
 	for g := range h.gateShard {
-		h.gateShard[g] = h.shardOf[h.part.Assign[g]]
+		h.gateShard[g] = h.run.ShardOf[h.run.Part.Assign[g]]
 	}
 
 	h.workDir = opts.WorkDir
@@ -306,23 +347,17 @@ func (h *hub) gauge(name string, v float64) {
 	}
 }
 
-// jobFor builds shard s's job for one attempt.
+// jobFor builds shard s's job header for one attempt.
 func (h *hub) jobFor(shard, attempt int, bootPath string) *Job {
 	o := &h.opts
-	lps := o.LPs
-	if lps <= 0 {
-		lps = 4
-	}
 	ckptDir := ""
 	if o.CheckpointEvery > 0 {
 		ckptDir = h.workDir
 	}
 	return &Job{
-		Bench: o.Bench, Circuit: o.Circuit, FineDelays: o.FineDelays, Seed: o.Seed,
-		Vectors: o.Vectors, Activity: o.Activity, Period: o.Period,
-		Engine: o.Engine, Until: o.Until, LPs: lps,
-		Partition: o.Partition, PartitionSeed: o.PartitionSeed,
-		System: uint8(o.System), MaxEvents: o.MaxEvents,
+		Engine: o.Engine, System: uint8(o.System), Queue: o.Queue, Window: o.Window,
+		Cancellation: o.Cancellation, StateSaving: o.StateSaving, HistoryLimit: o.HistoryLimit,
+		MaxEvents:     o.MaxEvents,
 		HangTimeoutMs: o.HangTimeout.Milliseconds(),
 		HeartbeatMs:   o.HeartbeatEvery.Milliseconds(),
 		Shards:        o.Shards, Shard: shard, Attempt: attempt,
@@ -365,19 +400,30 @@ func (h *hub) admit(c net.Conn) {
 // runAttempt launches one fleet and runs it to completion or to the
 // first shard-loss verdict.
 func (h *hub) runAttempt(attempt int) (*Result, error) {
-	bootPath := ""
+	// The attempt boots from the newest boundary every shard still has,
+	// else from the caller's restore point, else from t=0.
+	boot := h.opts.Restore
 	if attempt > 0 && h.opts.CheckpointEvery > 0 {
 		merged, t, err := latestBoundary(h.workDir, h.opts.Shards, h.gateShard)
 		if err != nil {
 			return nil, err
 		}
 		if merged != nil {
-			bootPath = filepath.Join(h.workDir, fmt.Sprintf("boot-attempt-%d.json", attempt))
-			if err := ckpt.WriteFile(bootPath, merged); err != nil {
-				return nil, err
-			}
+			boot = merged
 			h.gauge("dist_boot_time", float64(t))
 		}
+	}
+	bootPath := ""
+	if boot != nil {
+		bootPath = filepath.Join(h.workDir, fmt.Sprintf("boot-attempt-%d.json", attempt))
+		if err := ckpt.WriteFile(bootPath, boot); err != nil {
+			return nil, err
+		}
+	}
+	// One encoding per attempt, shared by every shard's frame.
+	run, err := h.run.Encode()
+	if err != nil {
+		return nil, err
 	}
 
 	sess := newSession(h, attempt)
@@ -395,9 +441,12 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 	// the endpoint until the worker's connection attaches, so the job is
 	// always the first sequenced frame a worker receives.
 	for s, link := range sess.links {
-		p, err := h.jobFor(s, attempt, bootPath).Encode()
+		p, err := encodeJob(h.jobFor(s, attempt, bootPath), run)
 		if err != nil {
 			return nil, err
+		}
+		if len(p) > wire.MaxPayload {
+			return nil, fmt.Errorf("dist: job of %d bytes exceeds the wire's %d-byte frame bound", len(p), wire.MaxPayload)
 		}
 		link.ep.Send(wire.FJob, p)
 	}
@@ -426,21 +475,19 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 		link.ep.Send(wire.FDone, nil)
 	}
 
-	res := &Result{Shards: h.opts.Shards}
+	res := &Result{Shards: h.opts.Shards, Prepared: h.run}
+	numGates := h.run.Circuit.NumGates()
 	shardRes := make([]*shardResult, len(sess.links))
 	var reconnects uint64
 	var meshBytes, fullBytes, deltaBytes, fulls, deltas uint64
 	for s, link := range sess.links {
 		sr := link.result.Load()
-		if sr == nil || len(sr.Values) != h.c.NumGates() {
+		if sr == nil || len(sr.Values) != numGates {
 			return nil, fmt.Errorf("dist: shard %d produced a malformed result", s)
 		}
 		shardRes[s] = sr
 		if circuit.Tick(sr.EndTime) > res.EndTime {
 			res.EndTime = circuit.Tick(sr.EndTime)
-		}
-		if circuit.Tick(sr.GVT) > res.GVT {
-			res.GVT = circuit.Tick(sr.GVT)
 		}
 		res.Events += sr.Events
 		reconnects += link.ep.Reconnects()
@@ -469,7 +516,10 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 	if fulls > 0 && deltas > 0 && fullBytes > 0 {
 		h.gauge("delta_ratio", (float64(deltaBytes)/float64(deltas))/(float64(fullBytes)/float64(fulls)))
 	}
-	res.Values = make([]logic.Value, h.c.NumGates())
+	if h.run.ConeCount >= 0 {
+		h.gauge("cone_count", float64(h.run.ConeCount))
+	}
+	res.Values = make([]logic.Value, numGates)
 	var n int
 	for _, sr := range shardRes {
 		n += len(sr.Waveform)
@@ -620,12 +670,12 @@ func (s *session) handle(src int, kind byte, payload []byte) {
 			s.fail(fmt.Errorf("dist: shard %d sent a malformed batch: %w", src, err))
 			return
 		}
-		if int(dst) < 0 || int(dst) >= len(s.h.shardOf) {
+		if int(dst) < 0 || int(dst) >= len(s.h.run.ShardOf) {
 			s.fail(fmt.Errorf("dist: shard %d batched to unknown lp %d", src, dst))
 			return
 		}
 		s.hubDataBytes.Add(uint64(len(payload)))
-		s.links[s.h.shardOf[dst]].ep.Send(wire.FBatch, payload)
+		s.links[s.h.run.ShardOf[dst]].ep.Send(wire.FBatch, payload)
 	case wire.FMeshAddr:
 		ma, err := wire.DecodeMeshAddr(payload)
 		if err != nil || ma.Shard != src {
@@ -680,7 +730,7 @@ func (s *session) handle(src int, kind byte, payload []byte) {
 			s.fail(fmt.Errorf("dist: shard %d error frame: %w", src, err))
 			return
 		}
-		s.fail(we.toSimError())
+		s.fail(we.toError())
 	}
 }
 
@@ -803,7 +853,7 @@ func (s *session) verdict(shard int, kind supervise.Kind, cause error) error {
 // under relay latency); the GVT is then the minimum local minimum of
 // the final round.
 func (s *session) gvtDriver() {
-	threshold := uint64(16 * s.h.c.NumGates())
+	threshold := uint64(16 * s.h.run.Circuit.NumGates())
 	if threshold < 100_000 {
 		threshold = 100_000
 	}
@@ -855,7 +905,7 @@ func (s *session) gvtDriver() {
 		}
 		lastEvents, _ = s.progress()
 
-		terminate := gvt > s.h.opts.Until
+		terminate := gvt > uint64(s.h.run.Until)
 		for _, link := range s.links {
 			link.ep.Send(wire.FGVTDone, wire.AppendGVTDone(nil, wire.GVTDone{GVT: gvt, Terminate: terminate}))
 		}

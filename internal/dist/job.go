@@ -15,64 +15,48 @@
 // budget is exhausted the run degrades to a single-process supervised
 // run (sync, then seq) or fails with a structured shard-loss error.
 //
-// Workers do not receive the circuit or the stimulus over the wire:
-// both are regenerated from the job spec's deterministic parameters
-// (generator name, delay seed, stimulus seed), exactly as the parsim
-// CLI builds them, so every shard provably simulates the same workload.
+// The workload is prepared once, by the hub, through internal/pipeline —
+// the same load → optimize → stimulus → partition path every other front
+// end uses — and shipped to every worker inside its job frame: the flat
+// netlist, the stimulus, the horizon, the partition and the shard map,
+// sealed with the circuit fingerprint. Workers decode and verify it; they
+// never re-derive it, so every shard simulates one object and anything
+// that transforms the netlist (-opt, -cone-split, -presim) distributes by
+// construction.
 package dist
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/gen"
+	"repro/internal/core"
+	"repro/internal/eventq"
 	"repro/internal/logic"
-	"repro/internal/partition"
-	"repro/internal/vectors"
+	"repro/internal/pipeline"
+	"repro/internal/sim/timewarp"
 )
 
-// Job is the spec a worker receives in its FJob frame: everything
-// needed to deterministically regenerate the circuit, the stimulus, the
-// partition, and the shard map, plus this worker's place in the fleet.
-// It is JSON so a captured job can be replayed by hand.
+// Job is the header of a worker's FJob frame: the engine configuration
+// and this worker's place in the fleet. The encoded prepared run follows
+// it in the same frame (see encodeJob). It is JSON so a captured frame
+// can be read by hand.
 type Job struct {
-	// Bench reads the circuit from an ISCAS .bench file; empty uses the
-	// Circuit generator name instead.
-	Bench string `json:"bench,omitempty"`
-	// Circuit is the generator name (gen.ByName: c17, ripple8, mul16, ...).
-	Circuit string `json:"circuit,omitempty"`
-	// FineDelays assigns random delays in [1,N] to generated circuits
-	// (0 = unit delays).
-	FineDelays uint64 `json:"fine_delays,omitempty"`
-	// Seed feeds delay assignment, stimulus generation, and randomized
-	// partitioners; identical seeds regenerate identical workloads.
-	Seed int64 `json:"seed"`
-
-	// Vectors/Activity/Period parameterize the stimulus exactly as the
-	// parsim CLI does (clocked when the circuit has a clock input,
-	// random otherwise).
-	Vectors  int     `json:"vectors"`
-	Activity float64 `json:"activity"`
-	Period   uint64  `json:"period"`
-
 	// Engine is the worker engine: cmb, cmb-demand, timewarp, or
 	// timewarp-lazy. The deadlock-recovery and hybrid variants need
 	// global in-process coordination and do not distribute.
 	Engine string `json:"engine"`
-	// Until is the simulation horizon (inclusive), fixed by the hub so
-	// every shard agrees.
-	Until uint64 `json:"until"`
-	// LPs is the total LP count across all shards.
-	LPs int `json:"lps"`
-	// Partition is the partition method name; PartitionSeed feeds it.
-	Partition     string `json:"partition"`
-	PartitionSeed int64  `json:"partition_seed"`
 	// System is the logic value system (2, 4, or 9).
 	System uint8 `json:"system"`
+	// Queue, Window, Cancellation, StateSaving and HistoryLimit are the
+	// core.Options fields of the same names.
+	Queue        eventq.Impl           `json:"queue,omitempty"`
+	Window       uint64                `json:"window,omitempty"`
+	Cancellation timewarp.Cancellation `json:"cancellation,omitempty"`
+	StateSaving  timewarp.StateSaving  `json:"state_saving,omitempty"`
+	HistoryLimit uint64                `json:"history_limit,omitempty"`
 	// MaxEvents aborts runaway shards (0 = unlimited).
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// HangTimeoutMs arms the worker's progress watchdog (0 = off).
@@ -91,8 +75,9 @@ type Job struct {
 	// shard checkpointer (0/"" = off).
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
-	// Boot is the path of the merged snapshot this attempt resumes
-	// from ("" = fresh start at t=0).
+	// Boot is the path of the snapshot this attempt resumes from: the
+	// caller's restore point or a merged recovery cut ("" = fresh start
+	// at t=0).
 	Boot string `json:"boot,omitempty"`
 
 	// Mesh routes inter-shard event batches over direct worker-to-worker
@@ -106,20 +91,6 @@ type Job struct {
 	CkptDelta bool `json:"ckpt_delta,omitempty"`
 }
 
-// validEngine reports whether the engine name distributes.
-func validEngine(name string) bool {
-	switch name {
-	case "cmb", "cmb-demand", "timewarp", "timewarp-lazy":
-		return true
-	}
-	return false
-}
-
-// HangTimeout converts the wire field back to a duration.
-func (j *Job) HangTimeout() time.Duration {
-	return time.Duration(j.HangTimeoutMs) * time.Millisecond
-}
-
 // Heartbeat converts the wire field back to a duration (floored so a
 // zero job cannot spin the beacon loop).
 func (j *Job) Heartbeat() time.Duration {
@@ -129,94 +100,83 @@ func (j *Job) Heartbeat() time.Duration {
 	return time.Duration(j.HeartbeatMs) * time.Millisecond
 }
 
-// LogicSystem decodes the System field.
-func (j *Job) LogicSystem() (logic.System, error) {
+// engineOptions is the engine configuration a worker hands to core: every
+// engine field of the header, and the watchdog when one is armed.
+func (j *Job) engineOptions() (core.Options, error) {
+	engine, err := parseEngine(j.Engine)
+	if err != nil {
+		return core.Options{}, err
+	}
+	o := core.Options{
+		Engine: engine, Queue: j.Queue, Window: circuit.Tick(j.Window),
+		Cancellation: j.Cancellation, StateSaving: j.StateSaving,
+		HistoryLimit: j.HistoryLimit, MaxEvents: j.MaxEvents,
+	}
 	switch j.System {
-	case 2:
-		return logic.TwoValued, nil
-	case 4:
-		return logic.FourValued, nil
-	case 0, 9:
-		return logic.NineValued, nil
+	case 2, 4, 9:
+		o.System = logic.System(j.System)
+	case 0:
+		o.System = logic.NineValued
+	default:
+		return o, fmt.Errorf("dist: invalid logic system %d", j.System)
 	}
-	return 0, fmt.Errorf("dist: invalid logic system %d", j.System)
+	if j.HangTimeoutMs > 0 {
+		o.Supervise = &core.SuperviseOptions{Watchdog: time.Duration(j.HangTimeoutMs) * time.Millisecond}
+	}
+	return o, nil
 }
 
-// BuildCircuit regenerates the circuit from the job's deterministic
-// parameters — the same resolution order as the parsim CLI.
-func (j *Job) BuildCircuit() (*circuit.Circuit, error) {
-	if j.Bench != "" {
-		f, err := os.Open(j.Bench)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return bench.Read(f)
+// parseEngine resolves an engine name and requires that it distributes.
+func parseEngine(name string) (core.Engine, error) {
+	e, err := core.ParseEngine(name)
+	if err != nil || !e.Distributes() {
+		return 0, fmt.Errorf("dist: engine %q does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", name)
 	}
-	delays := gen.Unit
-	if j.FineDelays > 0 {
-		delays = gen.Fine(circuit.Tick(j.FineDelays), j.Seed)
-	}
-	return gen.ByName(j.Circuit, delays, j.Seed)
+	return e, nil
 }
 
-// BuildStimulus regenerates the stimulus: clocked when the circuit has
-// a clock input, random vectors otherwise (mirrors the parsim CLI, so a
-// distributed run and its sequential golden see the same input).
-func (j *Job) BuildStimulus(c *circuit.Circuit) (*vectors.Stimulus, error) {
-	for _, clk := range []string{"clk", "CLK", "__CLK"} {
-		if id, ok := c.ByName(clk); ok && c.Gate(id).Kind == circuit.Input {
-			return vectors.Clocked(c, vectors.ClockedConfig{
-				Clock: clk, Cycles: j.Vectors, HalfPeriod: circuit.Tick(j.Period),
-				Activity: j.Activity, Seed: j.Seed,
-			})
-		}
-	}
-	return vectors.Random(c, vectors.RandomConfig{
-		Vectors: j.Vectors, Period: circuit.Tick(j.Period),
-		Activity: j.Activity, Seed: j.Seed,
-	})
-}
-
-// BuildPartition regenerates the LP partition and the LP->shard map.
-// Both sides of the wire run this with identical inputs, so the hub and
-// every worker agree on gate ownership without shipping the assignment.
-func (j *Job) BuildPartition(c *circuit.Circuit) (*partition.Partition, []int, error) {
-	method, err := partition.ParseMethod(j.Partition)
+// encodeJob frames one worker's job: a length-prefixed JSON header, then
+// the encoded run (shared by every shard of the attempt).
+func encodeJob(j *Job, run []byte) ([]byte, error) {
+	hdr, err := json.Marshal(j)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	lps := j.LPs
-	if lps <= 0 {
-		lps = 4
-	}
-	part, err := partition.New(method, c, lps, partition.Options{Seed: j.PartitionSeed})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := part.Validate(c); err != nil {
-		return nil, nil, err
-	}
-	if j.Shards < 1 {
-		return nil, nil, fmt.Errorf("dist: job needs at least one shard, got %d", j.Shards)
-	}
-	shardOf := part.Group(j.Shards, partition.WeightsUniform(c))
-	return part, shardOf, nil
+	p := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(hdr)+len(run)), uint32(len(hdr)))
+	return append(append(p, hdr...), run...), nil
 }
 
-// Encode marshals the job for an FJob frame.
-func (j *Job) Encode() ([]byte, error) { return json.Marshal(j) }
-
-// DecodeJob unmarshals an FJob payload.
-func DecodeJob(p []byte) (*Job, error) {
+// decodeJob parses an FJob payload and checks the header against the run
+// it carries: a distributable engine, this worker inside the fleet, and a
+// partition whose every LP is placed on one of the fleet's shards.
+func decodeJob(p []byte) (*Job, *pipeline.Prepared, error) {
+	if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p)) > uint64(len(p)-4) {
+		return nil, nil, fmt.Errorf("dist: job frame of %d bytes has no header", len(p))
+	}
+	n := 4 + int(binary.LittleEndian.Uint32(p))
 	var j Job
-	if err := json.Unmarshal(p, &j); err != nil {
-		return nil, fmt.Errorf("dist: job decode: %w", err)
+	if err := json.Unmarshal(p[4:n], &j); err != nil {
+		return nil, nil, fmt.Errorf("dist: job header: %w", err)
 	}
-	if !validEngine(j.Engine) {
-		return nil, fmt.Errorf("dist: engine %q does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", j.Engine)
+	if _, err := parseEngine(j.Engine); err != nil {
+		return nil, nil, err
 	}
-	return &j, nil
+	if j.Shards < 1 || j.Shard < 0 || j.Shard >= j.Shards {
+		return nil, nil, fmt.Errorf("dist: job places shard %d in a fleet of %d", j.Shard, j.Shards)
+	}
+	run, err := pipeline.Decode(p[n:])
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: job workload: %w", err)
+	}
+	if run.Part == nil || run.ShardOf == nil {
+		return nil, nil, fmt.Errorf("dist: job workload carries no partition or shard map")
+	}
+	for lp, s := range run.ShardOf {
+		if s >= j.Shards {
+			return nil, nil, fmt.Errorf("dist: job maps LP %d to shard %d of %d", lp, s, j.Shards)
+		}
+	}
+	return &j, run, nil
 }
 
 // shardResult is the JSON payload of a worker's FResult frame: final
@@ -229,7 +189,6 @@ type shardResult struct {
 	Waveform []wfSample    `json:"waveform"`
 	EndTime  uint64        `json:"end_time"`
 	Events   uint64        `json:"events"`
-	GVT      uint64        `json:"gvt,omitempty"`
 	// MeshBytes is FBatch payload volume this shard sent over direct
 	// mesh links (0 on the hub-relay path); the hub folds these into the
 	// mesh_bytes gauge opposite its own hub_bytes relay count.
@@ -250,7 +209,8 @@ type wfSample struct {
 }
 
 // wireError is the JSON payload of a worker's FError frame: a SimError
-// flattened for the wire (the cause survives as text).
+// flattened for the wire (the cause survives as text), or — Rejected — the
+// engine's refusal of the job's configuration.
 type wireError struct {
 	Engine      string `json:"engine"`
 	LP          int    `json:"lp"`
@@ -258,4 +218,5 @@ type wireError struct {
 	ModeledTime uint64 `json:"t"`
 	Kind        uint8  `json:"kind"`
 	Cause       string `json:"cause"`
+	Rejected    bool   `json:"rejected,omitempty"`
 }

@@ -20,7 +20,7 @@ import (
 // the hub must relay zero data-plane bytes — all FBatch traffic takes
 // the direct shard-to-shard route (relay_hops 1, not 2).
 func TestDistMeshMatchesSequential(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	for _, engine := range []string{"cmb", "cmb-demand", "timewarp", "timewarp-lazy"} {
 		t.Run(engine, func(t *testing.T) {
 			reg := metrics.NewRegistry(engine + "-dist")
@@ -49,7 +49,7 @@ func TestDistMeshMatchesSequential(t *testing.T) {
 // TestDistMeshUnixNetwork: mesh listeners follow the hub's transport;
 // over the unix network the peer sockets live in the work directory.
 func TestDistMeshUnixNetwork(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	opts := baseOpts(t, "timewarp", 3, until)
 	opts.Network = "unix"
 	opts.Mesh = true
@@ -65,14 +65,14 @@ func TestDistMeshUnixNetwork(t *testing.T) {
 // hub data planes must both produce the byte-identical sequential
 // waveform, for each distributable protocol family. The issue's third
 // family, hybrid, needs global in-process coordination and does not
-// distribute at all (DecodeJob rejects it — see
-// TestDecodeJobRejectsNonDistributableEngine), so the property is
+// distribute at all (decodeJob rejects it — see
+// TestDecodeJobChecksHeaderAgainstRun), so the property is
 // quantified over the distributable set: the conservative engines (cmb,
 // cmb-demand) and the optimistic ones (timewarp, timewarp-lazy), with
 // chaos exercised on one of each family. A failing seed ddmin-shrinks
 // to a minimal fault subset via Plan.Subset and prints a repro line.
 func TestDistMeshVsHubRouting(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 
 	attempt := func(t *testing.T, engine string, mesh bool, plan netfault.Plan) error {
 		opts := baseOpts(t, engine, 3, until)
@@ -124,10 +124,16 @@ func TestDistMeshVsHubRouting(t *testing.T) {
 // still produce the exact sequential waveform — and the deltas must
 // actually have been written and been smaller than the fulls.
 func TestDistMeshKillRecovers(t *testing.T) {
-	_, _, until, ref := golden(t)
+	// Ten times the shared stimulus: the kill is triggered by the sixth
+	// frame on shard 0's hub link, and on the short workload the whole
+	// attempt could finish before six beacons had been sent.
+	spec := testSpec()
+	spec.Vectors *= 10
+	until, ref := goldenSpec(t, spec)
 	for _, engine := range []string{"cmb", "timewarp"} {
 		t.Run(engine, func(t *testing.T) {
 			opts := baseOpts(t, engine, 2, until)
+			opts.Vectors = spec.Vectors
 			opts.Mesh = true
 			opts.CkptDelta = true
 			opts.CheckpointEvery = 200
@@ -163,7 +169,7 @@ func TestDistMeshKillRecovers(t *testing.T) {
 // the checkpoint volume split, with delta records measurably smaller
 // than full snapshots at equal recovery fidelity (delta_ratio < 1).
 func TestDistDeltaCkptGauges(t *testing.T) {
-	_, _, until, ref := golden(t)
+	until, ref := golden(t)
 	reg := metrics.NewRegistry("cmb-dist")
 	opts := baseOpts(t, "cmb", 2, until)
 	opts.Mesh = true
@@ -215,18 +221,8 @@ func writeShardChain(t *testing.T, dir string, shard int, states []*ckpt.State, 
 // of directly written full snapshots — restoring through the chain is
 // indistinguishable from restoring a full snapshot.
 func TestDeltaChainRestore(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateShard := make([]int, c.NumGates())
-	for g := range gateShard {
-		gateShard[g] = shardOf[part.Assign[g]]
-	}
+	run := prepare(t, 2, 4)
+	c, part, shardOf, gateShard := run.Circuit, run.Part, run.ShardOf, gateShards(run)
 	states := shadowStates(t, 200)
 
 	deltaDir, fullDir := t.TempDir(), t.TempDir()
@@ -266,18 +262,8 @@ func TestDeltaChainRestore(t *testing.T) {
 // snapshot itself when the very first link breaks — never to a wrong
 // state and never to a wedge.
 func TestDeltaChainCorruptFallsBack(t *testing.T) {
-	j := testJob()
-	c, _ := j.BuildCircuit()
-	j.Shards = 2
-	j.LPs = 4
-	part, shardOf, err := j.BuildPartition(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateShard := make([]int, c.NumGates())
-	for g := range gateShard {
-		gateShard[g] = shardOf[part.Assign[g]]
-	}
+	run := prepare(t, 2, 4)
+	c, part, shardOf, gateShard := run.Circuit, run.Part, run.ShardOf, gateShards(run)
 	states := shadowStates(t, 200)
 	if len(states) < 3 {
 		t.Fatalf("need at least 3 boundaries, have %d", len(states))

@@ -244,19 +244,6 @@ func reconstructShard(dir string, shard int, t uint64, fulls, deltas map[uint64]
 	return d.Apply(base)
 }
 
-// prefixOf returns the boot state's waveform prefix as engine samples
-// (empty for a fresh start).
-func prefixOf(boot *ckpt.State) []wfSample {
-	if boot == nil {
-		return nil
-	}
-	out := make([]wfSample, len(boot.Waveform))
-	for i, sm := range boot.Waveform {
-		out[i] = wfSample{Time: sm.Time, Gate: sm.Gate, Value: sm.Value}
-	}
-	return out
-}
-
 // ownedGates derives the per-gate ownership mask of one shard from the
 // partition assignment and the LP->shard map.
 func ownedGates(assign []int, shardOf []int, shard int, n int) []bool {

@@ -17,7 +17,8 @@ const (
 	// FHelloOK answers with the acceptor's highest received sequence
 	// number, from which the dialer retransmits.
 	FHelloOK
-	// FJob carries the JSON job spec from coordinator to worker.
+	// FJob carries a worker's job from the coordinator: a JSON header and
+	// the encoded prepared run.
 	FJob
 	// FBatch carries one encoded event batch for one destination LP.
 	FBatch
@@ -59,6 +60,10 @@ const MaxFrame = 64 << 20
 // frameHeader is length (4) + kind (1) + seq (8) + ack (8); the length
 // field counts kind+seq+ack+payload.
 const frameHeader = 4 + 1 + 8 + 8
+
+// MaxPayload is the largest payload a frame can carry and still be read
+// back: senders of unbounded payloads (the job frame) check against it.
+const MaxPayload = MaxFrame - (frameHeader - 4)
 
 // writeFrame writes one frame. Callers serialize writes per connection.
 func writeFrame(w io.Writer, kind byte, seq, ack uint64, payload []byte) error {

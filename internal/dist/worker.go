@@ -11,17 +11,12 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/dist/wire"
-	"repro/internal/logic"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/sim/ckpt"
-	"repro/internal/sim/cmb"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
-	"repro/internal/sim/timewarp"
-	"repro/internal/trace"
-	"repro/internal/vectors"
 )
 
 // jobWait bounds how long a connected worker waits for its FJob frame.
@@ -42,9 +37,10 @@ type bufferedFrame struct {
 }
 
 // Worker is one shard of a distributed run: it dials the coordinator,
-// receives its job, regenerates the workload deterministically, writes
-// shard-restricted checkpoints via a sequential shadow, runs its engine
-// over the local LPs, and reports the shard result.
+// receives its job — header and prepared workload in one frame — decodes
+// and verifies it, writes shard-restricted checkpoints via a sequential
+// shadow, runs its engine over the local LPs through core's dispatch, and
+// reports the shard result.
 type Worker struct {
 	network string
 	addr    string
@@ -55,7 +51,7 @@ type Worker struct {
 
 	// mu guards seam, preSeam, and mesh: frames can arrive (on the
 	// endpoint read goroutine) before the job does, and the seam cannot
-	// exist until the job's partition is built. Batches and GVT commands
+	// exist until the job's partition is decoded. Batches and GVT commands
 	// that arrive early are buffered and replayed through the seam at
 	// install time, under the same lock, so no sequenced frame is ever
 	// dropped and order is preserved.
@@ -195,26 +191,15 @@ func (w *Worker) Run() error {
 	case <-time.After(jobWait):
 		return fmt.Errorf("dist: worker shard %d: no job within %v", w.shard, jobWait)
 	}
-	job, err := DecodeJob(payload)
+	job, run, err := decodeJob(payload)
 	if err != nil {
 		return w.sendError(err)
 	}
-	sys, err := job.LogicSystem()
+	opts, err := job.engineOptions()
 	if err != nil {
 		return w.sendError(err)
 	}
-	c, err := job.BuildCircuit()
-	if err != nil {
-		return w.sendError(err)
-	}
-	stim, err := job.BuildStimulus(c)
-	if err != nil {
-		return w.sendError(err)
-	}
-	part, shardOf, err := job.BuildPartition(c)
-	if err != nil {
-		return w.sendError(err)
-	}
+	c, part, shardOf := run.Circuit, run.Part, run.ShardOf
 	seam := wire.NewSeam(w.ep, job.Shard, shardOf)
 	w.installSeam(seam)
 
@@ -283,13 +268,14 @@ func (w *Worker) Run() error {
 		if err != nil {
 			return w.sendError(err)
 		}
-		if err := boot.Check(c, sys); err != nil {
+		if err := boot.Check(c, opts.System); err != nil {
 			return w.sendError(err)
 		}
 	}
+	opts.Restore = boot
 	owned := ownedGates(part.Assign, shardOf, job.Shard, c.NumGates())
 
-	// Sequential shadow: regenerate the trajectory and persist this
+	// Sequential shadow: replay the trajectory and persist this
 	// shard's restriction of every boundary snapshot before the engine
 	// runs. Every engine reproduces the sequential trajectory exactly,
 	// so these cuts are valid restore points no matter which engine (or
@@ -307,8 +293,9 @@ func (w *Worker) Run() error {
 		// full ones — are attempt-independent and safely overwrite stale
 		// copies from torn-down attempts.
 		var last *ckpt.State
-		_, err := seq.Run(c, stim, circuit.Tick(job.Until), seq.Config{
-			System:          sys,
+		_, err := seq.Run(c, run.Stim, run.Until, seq.Config{
+			System:          opts.System,
+			Queue:           opts.Queue,
 			MaxEvents:       job.MaxEvents,
 			CheckpointEvery: circuit.Tick(job.CheckpointEvery),
 			Checkpoint: func(st *ckpt.State) error {
@@ -342,33 +329,33 @@ func (w *Worker) Run() error {
 		}
 	}
 
-	out, err := w.runEngine(job, c, stim, part, sys, boot, seam)
+	rep, err := core.RunShard(run, opts, seam)
 	if err != nil {
+		var se *supervise.SimError
+		if !errors.As(err, &se) {
+			// Not a failure of the run but a refusal to start it: the
+			// engine rejects this configuration, and would again.
+			err = &jobRejected{err.Error()}
+		}
 		return w.sendError(err)
 	}
 
 	// The shard waveform is absolute: every owned-gate sample from t=0
-	// through the horizon, boot prefix included. Engines return only the
-	// post-boot suffix, so the prefix is prepended here; both halves are
-	// filtered to owned gates so the hub's merge is a plain union.
-	samples := make([]wfSample, 0, len(out.waveform))
-	for _, sm := range prefixOf(boot) {
-		if owned[sm.Gate] {
-			samples = append(samples, sm)
-		}
-	}
-	for _, sm := range out.waveform {
+	// through the horizon. core splices the boot prefix onto the engine's
+	// post-boot suffix; filtering the whole to owned gates makes the hub's
+	// merge a plain union.
+	samples := make([]wfSample, 0, len(rep.Waveform))
+	for _, sm := range rep.Waveform {
 		if owned[sm.Gate] {
 			samples = append(samples, wfSample{Time: uint64(sm.Time), Gate: sm.Gate, Value: sm.Value})
 		}
 	}
 	res := shardResult{
 		Shard:          job.Shard,
-		Values:         out.values,
+		Values:         rep.Values,
 		Waveform:       samples,
-		EndTime:        uint64(out.endTime),
-		Events:         out.events,
-		GVT:            uint64(out.gvt),
+		EndTime:        uint64(rep.EndTime),
+		Events:         appliedEvents(rep.Stats.LPs),
 		MeshBytes:      seam.MeshBytes(),
 		CkptFullBytes:  ckptFullBytes,
 		CkptDeltaBytes: ckptDeltaBytes,
@@ -390,71 +377,6 @@ func (w *Worker) Run() error {
 	return nil
 }
 
-// engineOut is the engine-independent slice of a shard run's result.
-type engineOut struct {
-	values   []logic.Value
-	waveform trace.Waveform
-	endTime  circuit.Tick
-	events   uint64
-	gvt      circuit.Tick
-}
-
-// runEngine dispatches the job's engine over the local LPs.
-func (w *Worker) runEngine(job *Job, c *circuit.Circuit, stim *vectors.Stimulus,
-	part *partition.Partition, sys logic.System, boot *ckpt.State, seam *wire.Seam) (*engineOut, error) {
-	until := circuit.Tick(job.Until)
-	switch job.Engine {
-	case "cmb", "cmb-demand":
-		mode := cmb.NullEager
-		if job.Engine == "cmb-demand" {
-			mode = cmb.NullDemand
-		}
-		res, err := cmb.Run(c, stim, until, cmb.Config{
-			Partition:   part,
-			Mode:        mode,
-			System:      sys,
-			MaxEvents:   job.MaxEvents,
-			HangTimeout: job.HangTimeout(),
-			Boot:        boot,
-			Dist:        seam,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &engineOut{
-			values:   res.Values,
-			waveform: res.Waveform,
-			endTime:  res.EndTime,
-			events:   appliedEvents(res.Stats.LPs),
-		}, nil
-	case "timewarp", "timewarp-lazy":
-		cancel := timewarp.Aggressive
-		if job.Engine == "timewarp-lazy" {
-			cancel = timewarp.Lazy
-		}
-		res, err := timewarp.Run(c, stim, until, timewarp.Config{
-			Partition:    part,
-			Cancellation: cancel,
-			System:       sys,
-			MaxEvents:    job.MaxEvents,
-			HangTimeout:  job.HangTimeout(),
-			Boot:         boot,
-			Dist:         seam,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &engineOut{
-			values:   res.Values,
-			waveform: res.Waveform,
-			endTime:  res.EndTime,
-			events:   appliedEvents(res.Stats.LPs),
-			gvt:      res.GVT,
-		}, nil
-	}
-	return nil, fmt.Errorf("dist: engine %q does not distribute", job.Engine)
-}
-
 // appliedEvents sums committed net changes across the shard's LPs.
 func appliedEvents(lps []metrics.LPCounters) uint64 {
 	var n uint64
@@ -464,12 +386,23 @@ func appliedEvents(lps []metrics.LPCounters) uint64 {
 	return n
 }
 
+// jobRejected is a worker's verdict that its engine refuses the job as
+// configured (for example Time Warp's memory throttle, which a shard
+// cannot run). It repeats on every attempt and under every engine the
+// fleet could restart with, so the hub fails the run with it instead of
+// restarting or degrading.
+type jobRejected struct{ cause string }
+
+func (e *jobRejected) Error() string { return e.cause }
+
 // sendError flattens the failure into an FError frame (best effort; the
 // hub also notices dead links without one) and returns it.
 func (w *Worker) sendError(err error) error {
 	we := wireError{Engine: "dist", LP: -1, Cause: err.Error()}
 	var se *supervise.SimError
-	if errors.As(err, &se) {
+	var rej *jobRejected
+	switch {
+	case errors.As(err, &se):
 		we = wireError{
 			Engine:      se.Engine,
 			LP:          se.LP,
@@ -478,6 +411,8 @@ func (w *Worker) sendError(err error) error {
 			Kind:        uint8(se.Kind),
 			Cause:       se.Error(),
 		}
+	case errors.As(err, &rej):
+		we.Rejected = true
 	}
 	if p, merr := json.Marshal(&we); merr == nil {
 		w.ep.Send(wire.FError, p)
@@ -485,8 +420,12 @@ func (w *Worker) sendError(err error) error {
 	return err
 }
 
-// toSimError rebuilds a structured error from a worker's FError payload.
-func (e *wireError) toSimError() *supervise.SimError {
+// toError rebuilds a worker's verdict from its FError payload: the
+// structured simulation error, or the job rejection.
+func (e *wireError) toError() error {
+	if e.Rejected {
+		return &jobRejected{e.Cause}
+	}
 	return &supervise.SimError{
 		Engine:      e.Engine,
 		LP:          e.LP,

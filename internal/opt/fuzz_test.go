@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/sim/seq"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -75,13 +75,13 @@ func FuzzOptimize(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		until := core.Horizon(c, stim)
+		until := seq.Horizon(c, stim)
 		for _, sys := range []logic.System{logic.TwoValued, logic.NineValued} {
-			ref, err := core.Simulate(c, stim, until, core.Options{Engine: core.EngineSeq, System: sys})
+			ref, err := seq.Run(c, stim, until, seq.Config{System: sys})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.Simulate(res.Circuit, ostim, until, core.Options{Engine: core.EngineSeq, System: sys})
+			got, err := seq.Run(res.Circuit, ostim, until, seq.Config{System: sys})
 			if err != nil {
 				t.Fatal(err)
 			}

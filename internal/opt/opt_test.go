@@ -4,8 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/logic"
+	"repro/internal/sim/oblivious"
+	"repro/internal/sim/seq"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -246,17 +247,17 @@ func checkWaveformEquivalentOn(t *testing.T, c *circuit.Circuit, res *Result, sy
 	if err != nil {
 		t.Fatal(err)
 	}
-	until := core.Horizon(c, stim)
+	until := seq.Horizon(c, stim)
 	ostim, err := res.Remap.Stimulus(stim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sys := range systems {
-		ref, err := core.Simulate(c, stim, until, core.Options{Engine: core.EngineSeq, System: sys})
+		ref, err := seq.Run(c, stim, until, seq.Config{System: sys})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.Simulate(res.Circuit, ostim, until, core.Options{Engine: core.EngineSeq, System: sys})
+		got, err := seq.Run(res.Circuit, ostim, until, seq.Config{System: sys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,12 +323,11 @@ func TestInvPairEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	until := core.Horizon(c, stim)
-	ref, err := core.Simulate(c, stim, until, core.Options{Engine: core.EngineOblivious, System: logic.TwoValued})
+	ref, err := oblivious.Run(c, stim, oblivious.Config{System: logic.TwoValued})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.Simulate(res.Circuit, ostim, until, core.Options{Engine: core.EngineOblivious, System: logic.TwoValued})
+	got, err := oblivious.Run(res.Circuit, ostim, oblivious.Config{System: logic.TwoValued})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,11 @@ func TestBalanceSettledEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.Simulate(c, stim, core.Horizon(c, stim), core.Options{Engine: core.EngineOblivious})
+	ref, err := oblivious.Run(c, stim, oblivious.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.Simulate(res.Circuit, ostim, core.Horizon(c, stim), core.Options{Engine: core.EngineOblivious})
+	got, err := oblivious.Run(res.Circuit, ostim, oblivious.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
