@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/logic"
-	"repro/internal/partition"
 	"repro/internal/vectors"
 )
 
@@ -66,37 +65,9 @@ func BenchmarkCriticalPath(b *testing.B)      { benchExperiment(b, "E16") }
 func BenchmarkWordParallel(b *testing.B)      { benchExperiment(b, "E17") }
 
 // benchEngine measures raw wall-clock throughput (events/sec) of one
-// engine on a fixed mid-sized workload.
+// engine on a fixed mid-sized workload, prepared once.
 func benchEngine(b *testing.B, engine core.Engine) {
-	b.Helper()
-	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 2000, Inputs: 32, Outputs: 16, Locality: 0.6, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 20, Period: 40, Activity: 0.5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	until := core.Horizon(c, stim)
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := core.Simulate(c, stim, until, core.Options{
-			Engine: engine, LPs: 8, Partition: partition.MethodFM, System: logic.TwoValued,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if engine == core.EngineSeq {
-			events = rep.SeqWork.EventsApplied
-		} else if tot := rep.Stats.Total(); tot.EventsApplied > 0 {
-			events = tot.EventsApplied
-		} else {
-			// The oblivious engine has no events; count evaluations.
-			events = tot.Evaluations
-		}
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	benchsuite.BenchEngine(b, engine, "dag2000", 20)
 }
 
 func BenchmarkEngineSeq(b *testing.B)       { benchEngine(b, core.EngineSeq) }
@@ -129,34 +100,11 @@ func BenchmarkSeqBySize(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionMethods reports wall time of each heuristic.
-func BenchmarkPartitionMethods(b *testing.B) {
-	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 4000, Inputs: 64, Outputs: 32, Locality: 0.6, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range []partition.Method{
-		partition.MethodStrings, partition.MethodCones, partition.MethodKL,
-		partition.MethodFM, partition.MethodAnneal,
-	} {
-		b.Run(m.String(), func(b *testing.B) {
-			var cut int
-			for i := 0; i < b.N; i++ {
-				p, err := partition.New(m, c, 8, partition.Options{Seed: int64(i), AnnealMoves: 100_000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = p.CutLinks(c)
-			}
-			b.ReportMetric(float64(cut), "cut-links")
-		})
-	}
-}
-
 // BenchmarkHotPaths runs the committed wall-clock baseline suite
 // (internal/benchsuite): allocation microbenchmarks for the per-event hot
-// paths plus one end-to-end run per engine. cmd/benchbaseline executes the
-// same suite to regenerate BENCH_parsim.json.
+// paths, one run per engine and one per partitioner (cut-links and
+// imbalance as extras). cmd/benchbaseline executes the same suite to
+// regenerate BENCH_parsim.json.
 func BenchmarkHotPaths(b *testing.B) {
 	for _, bm := range benchsuite.All() {
 		b.Run(bm.Name, bm.Fn)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchbaseline [-benchtime 20x] [-filter Micro|Wide|Engine|all] [-o BENCH_parsim.json] [-force]
+//	go run ./cmd/benchbaseline [-benchtime 20x] [-filter all|micro|wide|opt|conesplit|adapt|dist|engines|partition] [-o BENCH_parsim.json] [-force]
 //
 // The emitted JSON is deterministic in shape and ordering (one entry per
 // suite benchmark, suite order); the measured numbers naturally vary with
@@ -14,12 +14,17 @@
 //
 //	go run ./cmd/benchbaseline -o BENCH_parsim.json
 //
-// Every result row records the GOMAXPROCS it ran under, and the document
-// carries the full environment fingerprint (Go version, OS, architecture,
-// CPU count, GOMAXPROCS). Overwriting an existing baseline whose
-// fingerprint differs is refused — a baseline recorded on one machine
+// Every result row records the CPU count and GOMAXPROCS it ran under, and
+// the document carries the full environment fingerprint (Go version, OS,
+// architecture, CPU count, GOMAXPROCS). Overwriting an existing baseline
+// whose fingerprint differs is refused — a baseline recorded on one machine
 // silently replaced by numbers from another is how a wall-clock baseline
 // stops meaning anything — pass -force to override deliberately.
+//
+// With a -filter other than all, only that slice's rows of an existing
+// baseline are replaced (or appended, in suite order after the rest); the
+// other rows and the document header stay, each row's own num_cpu and
+// gomaxprocs saying where it was measured.
 package main
 
 import (
@@ -42,9 +47,12 @@ type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Gomaxprocs is the parallelism the result was measured under. It is
-	// recorded per result, not only per document, so rows appended or
-	// patched by hand still carry their provenance.
+	// NumCPU and Gomaxprocs are the host CPU count and the parallelism the
+	// result was measured under. They are recorded per result, not only
+	// per document, so rows re-baselined on their own (-filter) or patched
+	// by hand still carry their provenance. NumCPU is absent from rows
+	// older than the field: the document header's applies to them.
+	NumCPU     int                `json:"num_cpu,omitempty"`
 	Gomaxprocs int                `json:"gomaxprocs"`
 	Extra      map[string]float64 `json:"extra,omitempty"`
 }
@@ -69,7 +77,7 @@ func (b *baseline) fingerprint() string {
 
 func main() {
 	benchtime := flag.String("benchtime", "20x", "per-benchmark budget (testing -benchtime syntax)")
-	filter := flag.String("filter", "all", "which suite slice to run: all, micro, wide, opt, conesplit, adapt, dist, or engines")
+	filter := flag.String("filter", "all", "which suite slice to run: all, micro, wide, opt, conesplit, adapt, dist, engines, or partition")
 	out := flag.String("o", "BENCH_parsim.json", "output path ('-' for stdout)")
 	force := flag.Bool("force", false, "overwrite an existing baseline even if its environment fingerprint differs")
 	flag.Parse()
@@ -101,8 +109,10 @@ func main() {
 		suite = benchsuite.Dist()
 	case "engines":
 		suite = benchsuite.Engines()
+	case "partition":
+		suite = benchsuite.Partition()
 	default:
-		fmt.Fprintf(os.Stderr, "benchbaseline: unknown -filter %q (want all, micro, wide, opt, conesplit, adapt, dist, or engines)\n", *filter)
+		fmt.Fprintf(os.Stderr, "benchbaseline: unknown -filter %q (want all, micro, wide, opt, conesplit, adapt, dist, engines, or partition)\n", *filter)
 		os.Exit(2)
 	}
 
@@ -118,9 +128,9 @@ func main() {
 
 	// Fingerprint guard: refuse to replace a baseline measured in a
 	// different environment unless forced.
+	var prev baseline
 	if *out != "-" {
 		if raw, err := os.ReadFile(*out); err == nil {
-			var prev baseline
 			if err := json.Unmarshal(raw, &prev); err != nil {
 				fmt.Fprintf(os.Stderr, "benchbaseline: existing %s is not a baseline document: %v\n(pass -force to overwrite anyway)\n", *out, err)
 				if !*force {
@@ -146,6 +156,7 @@ func main() {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			NumCPU:      runtime.NumCPU(),
 			Gomaxprocs:  runtime.GOMAXPROCS(0),
 		}
 		if len(r.Extra) > 0 {
@@ -164,6 +175,10 @@ func main() {
 			e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	}
 
+	if *filter != "all" && len(prev.Results) > 0 {
+		doc = merge(prev, doc.Results)
+	}
+
 	var sb strings.Builder
 	enc := json.NewEncoder(&sb)
 	enc.SetIndent("", "  ")
@@ -180,4 +195,21 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", *out, len(doc.Results))
+}
+
+// merge returns prev with each fresh row replacing the row of the same
+// name, and fresh rows prev lacks appended.
+func merge(prev baseline, fresh []entry) baseline {
+	at := make(map[string]int, len(prev.Results))
+	for i, e := range prev.Results {
+		at[e.Name] = i
+	}
+	for _, e := range fresh {
+		if i, ok := at[e.Name]; ok {
+			prev.Results[i] = e
+		} else {
+			prev.Results = append(prev.Results, e)
+		}
+	}
+	return prev
 }

@@ -83,9 +83,15 @@ var opByKind = map[circuit.Kind]string{
 // def is one parsed gate definition awaiting wiring.
 type def struct {
 	name string
-	op   string
+	op   string // upper-cased
 	args []string
 	line int
+}
+
+// hasPrefixFold reports whether s begins with the upper-case ASCII keyword
+// kw, in any letter case.
+func hasPrefixFold(s, kw string) bool {
+	return len(s) >= len(kw) && strings.EqualFold(s[:len(kw)], kw)
 }
 
 // Read parses a .bench netlist.
@@ -119,15 +125,14 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		upper := strings.ToUpper(line)
 		switch {
-		case strings.HasPrefix(upper, "INPUT"):
+		case hasPrefixFold(line, "INPUT"):
 			name, err := parseIODecl(line, "INPUT")
 			if err != nil {
 				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
 			}
 			inputs = append(inputs, name)
-		case strings.HasPrefix(upper, "OUTPUT"):
+		case hasPrefixFold(line, "OUTPUT"):
 			name, err := parseIODecl(line, "OUTPUT")
 			if err != nil {
 				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
@@ -147,7 +152,7 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 	}
 
 	b := circuit.NewBuilder()
-	ids := map[string]circuit.GateID{}
+	ids := make(map[string]circuit.GateID, lineNo+1) // a line defines at most one signal; +1 for CLK
 
 	// The format has no clock pins, so sequential gates need an implicit
 	// clock. A signal named CLK in the netlist (an input or a defined
@@ -155,7 +160,7 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 	// and otherwise a CLK primary input is synthesized.
 	needsClk := false
 	for _, d := range defs {
-		if op := strings.ToUpper(d.op); op == "DFF" || op == "DLATCH" {
+		if d.op == "DFF" || d.op == "DLATCH" {
 			needsClk = true
 		}
 	}
@@ -181,7 +186,7 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 	}
 	// First pass: declare every defined gate with empty fanin.
 	for _, d := range defs {
-		kind, ok := kindByOp[strings.ToUpper(d.op)]
+		kind, ok := kindByOp[d.op]
 		if !ok {
 			return nil, fmt.Errorf("bench: line %d: unknown operator %q", d.line, d.op)
 		}
@@ -205,7 +210,7 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 			}
 			fanin = append(fanin, src)
 		}
-		switch strings.ToUpper(d.op) {
+		switch d.op {
 		case "DFF", "DLATCH":
 			if len(fanin) != 1 {
 				return nil, fmt.Errorf("bench: line %d: %s takes one input", d.line, d.op)
@@ -254,7 +259,7 @@ func parseDef(line string) (def, error) {
 	if open < 0 || !strings.HasSuffix(rhs, ")") {
 		return def{}, fmt.Errorf("malformed gate expression %q", rhs)
 	}
-	op := strings.TrimSpace(rhs[:open])
+	op := strings.ToUpper(strings.TrimSpace(rhs[:open]))
 	argStr := rhs[open+1 : len(rhs)-1]
 	var args []string
 	for _, a := range strings.Split(argStr, ",") {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/cmb"
 	"repro/internal/sim/hybrid"
@@ -39,7 +40,7 @@ type Benchmark struct {
 
 // All returns the full suite: microbenchmarks first, then the wide-plane
 // rows, the optimizer, cone-split, adaptive, and distributed-topology
-// rows, then the per-engine end-to-end runs.
+// rows, then the per-engine end-to-end runs and the partitioners.
 func All() []Benchmark {
 	out := Micro()
 	out = append(out, Wide()...)
@@ -47,7 +48,8 @@ func All() []Benchmark {
 	out = append(out, ConeSplit()...)
 	out = append(out, Adapt()...)
 	out = append(out, Dist()...)
-	return append(out, Engines()...)
+	out = append(out, Engines()...)
+	return append(out, Partition()...)
 }
 
 // Micro returns the hot-path microbenchmarks.
@@ -68,18 +70,62 @@ func Micro() []Benchmark {
 	return out
 }
 
-// Engines returns one end-to-end simulation benchmark per engine on a
-// fixed mid-sized workload, the per-engine rows of BENCH_parsim.json.
+// Engines returns one simulation benchmark per engine on a fixed
+// mid-sized workload prepared once (8 LPs under an FM partition), the
+// per-engine rows of BENCH_parsim.json.
 func Engines() []Benchmark {
 	var out []Benchmark
 	for _, e := range core.Engines() {
 		e := e
 		out = append(out, Benchmark{
 			Name: "Engine/" + e.String(),
-			Fn:   func(b *testing.B) { benchEngine(b, e) },
+			Fn:   func(b *testing.B) { BenchEngine(b, e, "dag1200", 10) },
 		})
 	}
 	return out
+}
+
+// Partition returns one row per min-cut partitioner and cone-split on a
+// many-way split of a small DAG and a bisection of a large sequential
+// netlist, with the two quality metrics (cut-links, imbalance) as extras.
+// Annealing runs a fixed 100k-move budget, not its default 60 moves per
+// gate, so its seq40000 row stays under a second.
+func Partition() []Benchmark {
+	var out []Benchmark
+	for _, w := range []struct {
+		circuit string
+		k       int
+	}{{"dag1200", 8}, {"seq40000", 2}} {
+		for _, m := range []partition.Method{
+			partition.MethodFM, partition.MethodKL, partition.MethodMultilevel,
+			partition.MethodAnneal, partition.MethodConeSplit,
+		} {
+			w, m := w, m
+			out = append(out, Benchmark{
+				Name: fmt.Sprintf("Partition/%v/%s-k%d", m, w.circuit, w.k),
+				Fn:   func(b *testing.B) { benchPartition(b, m, w.circuit, w.k) },
+			})
+		}
+	}
+	return out
+}
+
+func benchPartition(b *testing.B, m partition.Method, circuitName string, k int) {
+	c, err := pipeline.Load(pipeline.Spec{Circuit: circuitName, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var p *partition.Partition
+	for i := 0; i < b.N; i++ {
+		if p, err = partition.New(m, c, k, partition.Options{Seed: 1, AnnealMoves: 100_000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.CutLinks(c)), "cut-links")
+	b.ReportMetric(p.Imbalance(partition.WeightsUniform(c)), "imbalance")
 }
 
 // Wide returns the wide-plane (64 lanes per word) benchmarks: the wide
@@ -606,24 +652,22 @@ func BenchTimeWarpRollback(b *testing.B) {
 	b.ReportMetric(float64(undone), "undone/run")
 }
 
-// benchEngine measures one end-to-end core.Simulate per iteration.
-func benchEngine(b *testing.B, engine core.Engine) {
-	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 1200, Inputs: 24, Outputs: 12, Locality: 0.6, Seed: 1})
+// BenchEngine measures one engine run per iteration on the named circuit
+// under random stimulus. Load, stimulus and the 8-way FM partition are
+// prepared once, outside the timed loop: the row measures the engine.
+func BenchEngine(b *testing.B, engine core.Engine, circuitName string, nvectors int) {
+	run, err := pipeline.Prepare(pipeline.Spec{
+		Circuit: circuitName, Seed: 1, Vectors: nvectors, Period: 40, Activity: 0.5,
+		System: logic.TwoValued, LPs: 8, Partition: partition.MethodFM,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 10, Period: 40, Activity: 0.5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	until := core.Horizon(c, stim)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := core.Simulate(c, stim, until, core.Options{
-			Engine: engine, LPs: 8, Partition: partition.MethodFM, System: logic.TwoValued,
-		})
+		rep, err := core.Run(run, core.Options{Engine: engine, System: logic.TwoValued})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -632,6 +676,7 @@ func benchEngine(b *testing.B, engine core.Engine) {
 		} else if tot := rep.Stats.Total(); tot.EventsApplied > 0 {
 			events = tot.EventsApplied
 		} else {
+			// The oblivious engine has no events; count evaluations.
 			events = tot.Evaluations
 		}
 	}
@@ -649,5 +694,3 @@ func Names() []string {
 	}
 	return out
 }
-
-var _ = fmt.Sprintf // keep fmt for future use

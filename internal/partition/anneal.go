@@ -46,7 +46,7 @@ func Anneal(c *circuit.Circuit, k int, w Weights, seed int64, moves int) *Partit
 
 	// localCut computes the cut links contributed by the nets incident to
 	// gate g (its own output net plus each fanin net).
-	seen := make(map[int]bool, 8)
+	seen := newBlockSet(k)
 	localCut := func(g circuit.GateID) int { return localCutLinks(c, p.Assign, g, seen) }
 	// imbalancePenalty is quadratic in each block's deviation from target,
 	// normalized so it is commensurate with cut counts.
@@ -94,17 +94,26 @@ func Anneal(c *circuit.Circuit, k int, w Weights, seed int64, moves int) *Partit
 	return p
 }
 
+// blockSet is a set of blocks that empties in O(1): block b is a member
+// while stamp[b] == gen.
+type blockSet struct {
+	stamp []int
+	gen   int
+}
+
+func newBlockSet(blocks int) *blockSet { return &blockSet{stamp: make([]int, blocks)} }
+
 // netCutLinks counts the cut links of net src under assign: the number of
 // distinct consumer blocks other than the driver's own. Circuit.Fanout is
 // already deduplicated, so a consumer reading src through several pins
-// contributes its block once.
-func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen map[int]bool) int {
+// contributes its block once. seen is scratch.
+func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen *blockSet) int {
 	cut := 0
-	clear(seen)
+	seen.gen++
 	sb := assign[src]
 	for _, dst := range c.Fanout[src] {
-		if db := assign[dst]; db != sb && !seen[db] {
-			seen[db] = true
+		if db := assign[dst]; db != sb && seen.stamp[db] != seen.gen {
+			seen.stamp[db] = seen.gen
 			cut++
 		}
 	}
@@ -118,7 +127,7 @@ func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen map[
 // a gate's two fanin drivers) — so duplicate fanin entries must be
 // skipped or the net's contribution is double-counted, biasing every
 // annealing accept/reject delta on such circuits.
-func localCutLinks(c *circuit.Circuit, assign []int, g circuit.GateID, seen map[int]bool) int {
+func localCutLinks(c *circuit.Circuit, assign []int, g circuit.GateID, seen *blockSet) int {
 	cut := netCutLinks(c, assign, g, seen)
 	fanin := c.Gates[g].Fanin
 	for pi, f := range fanin {

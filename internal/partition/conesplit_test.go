@@ -129,7 +129,7 @@ func TestLocalCutLinksMultiPin(t *testing.T) {
 	assign := make([]int, c.NumGates())
 	assign[a], assign[x] = 0, 0
 	assign[y], assign[o] = 1, 1
-	seen := make(map[int]bool)
+	seen := newBlockSet(2)
 	// Nets incident to y: its own output (crosses to nobody foreign — o is
 	// in y's block) and the single fanin net x, which crosses once.
 	if got := localCutLinks(c, assign, y, seen); got != 1 {

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"container/heap"
 	"math/rand"
 
 	"repro/internal/circuit"
@@ -21,44 +20,45 @@ func KL(c *circuit.Circuit, k int, w Weights, seed int64) *Partition {
 	return recursiveBisect(c, k, w, seed, klBisect)
 }
 
-// edge is one endpoint of the KL adjacency structure.
-type edge struct {
-	to int
-	w  int
-}
-
 // klBisect runs KL passes until no improvement.
-func klBisect(g *localGraph, side []uint8, targetA float64, rng *rand.Rand) {
-	n := len(g.verts)
-	if n < 2 || len(g.nets) == 0 {
+func klBisect(a *arena, g *hgraph, _ float64, _ *rand.Rand) {
+	n := g.cells()
+	if n < 2 || g.nets() == 0 {
 		return
 	}
-	// Edge graph: driver-consumer edges from each net, duplicate edges
-	// merged by weight.
-	adjMap := make([]map[int]int, n)
-	addEdge := func(a, b int) {
-		if adjMap[a] == nil {
-			adjMap[a] = make(map[int]int)
-		}
-		adjMap[a][b]++
-	}
-	for _, cells := range g.nets {
-		drv := cells[0]
-		for _, dst := range cells[1:] {
-			addEdge(drv, dst)
-			addEdge(dst, drv)
+	// Edge graph: one unit edge between the driver and each consumer of
+	// every net, in both cells' rows. A two-gate loop yields two parallel
+	// edges; every sum over a row counts both.
+	off := sized(a.adjOff, n+1)
+	for e := int32(0); int(e) < g.nets(); e++ {
+		pins := g.pins(e)
+		off[pins[0]+1] += int32(len(pins) - 1)
+		for _, u := range pins[1:] {
+			off[u+1]++
 		}
 	}
-	adj := make([][]edge, n)
-	for v, m := range adjMap {
-		for to, wt := range m {
-			adj[v] = append(adj[v], edge{to, wt})
+	var pmax int32 // a D-value is a sum of ±1 over the cell's edges
+	for v := 0; v < n; v++ {
+		pmax = max(pmax, off[v+1])
+		off[v+1] += off[v]
+	}
+	to := sized(a.adjTo, int(off[n]))
+	for e := int32(0); int(e) < g.nets(); e++ {
+		pins := g.pins(e)
+		drv := pins[0]
+		for _, u := range pins[1:] {
+			to[off[drv]], to[off[u]] = u, drv
+			off[drv]++
+			off[u]++
 		}
 	}
+	copy(off[1:], off[:n]) // each offset advanced to its successor's start
+	off[0] = 0
+	a.adjOff, a.adjTo = off, to
 
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
-		if klPass(g, side, adj) <= 0 {
+		if klPass(a, g, pmax) <= 0 {
 			return
 		}
 	}
@@ -66,117 +66,78 @@ func klBisect(g *localGraph, side []uint8, targetA float64, rng *rand.Rand) {
 
 // klPass performs one KL pass (a sequence of tentative best swaps, then
 // commits the best prefix) and returns the committed gain.
-func klPass(g *localGraph, side []uint8, adj [][]edge) int {
-	n := len(g.verts)
+func klPass(a *arena, g *hgraph, pmax int32) int {
+	n, side, b := int32(g.cells()), g.side, &a.bk
+	adj := func(v int32) []int32 { return a.adjTo[a.adjOff[v]:a.adjOff[v+1]] }
 	// D[v] = external cost - internal cost.
-	d := make([]int, n)
-	for v := 0; v < n; v++ {
-		for _, e := range adj[v] {
-			if side[e.to] != side[v] {
-				d[v] += e.w
+	b.reset(int(n), pmax)
+	for v := int32(0); v < n; v++ {
+		var d int32
+		for _, u := range adj(v) {
+			if side[u] != side[v] {
+				d++
 			} else {
-				d[v] -= e.w
+				d--
 			}
 		}
+		b.insert(side[v], v, d)
 	}
-	ver := make([]int, n)
-	locked := make([]bool, n)
-	heaps := [2]gainHeap{}
-	for v := 0; v < n; v++ {
-		heaps[side[v]] = append(heaps[side[v]], gainItem{d[v], v, 0})
-	}
-	heap.Init(&heaps[0])
-	heap.Init(&heaps[1])
-
-	// topK pops up to k valid entries from side s (pushing them back).
-	topK := func(s uint8, k int) []int {
-		var out []int
-		var keep []gainItem
-		for len(out) < k && heaps[s].Len() > 0 {
-			it := heap.Pop(&heaps[s]).(gainItem)
-			if locked[it.cell] || it.ver != ver[it.cell] || side[it.cell] != s {
+	locked := sized(a.locked, int(n))
+	// retire locks v and moves its free neighbours' D-values as if v had
+	// changed sides; its swap partner is locked first and so skipped.
+	retire := func(v int32) {
+		for _, u := range adj(v) {
+			if locked[u] {
 				continue
 			}
-			out = append(out, it.cell)
-			keep = append(keep, it)
-		}
-		for _, it := range keep {
-			heap.Push(&heaps[s], it)
-		}
-		return out
-	}
-	crossW := func(a, b int) int {
-		for _, e := range adj[a] {
-			if e.to == b {
-				return e.w
+			if side[u] == side[v] {
+				b.update(side[u], u, +2)
+			} else {
+				b.update(side[u], u, -2)
 			}
 		}
-		return 0
-	}
-	bump := func(v int, delta int) {
-		if locked[v] {
-			return
-		}
-		d[v] += delta
-		ver[v]++
-		heap.Push(&heaps[side[v]], gainItem{d[v], v, ver[v]})
 	}
 
-	type swap struct{ a, b, gain int }
-	var swaps []swap
-	cum, bestCum, bestIdx := 0, 0, -1
-
+	swaps := a.moves[:0] // pairs, flattened
+	cum, bestCum, bestLen := 0, 0, 0
 	const candidates = 6
+	var lead [2][candidates]int32
 	for {
-		as := topK(0, candidates)
-		bs := topK(1, candidates)
+		as, bs := b.leaders(0, candidates, lead[0][:0]), b.leaders(1, candidates, lead[1][:0])
 		if len(as) == 0 || len(bs) == 0 {
 			break
 		}
-		bestGain := int(-1 << 30)
-		var bestA, bestB int
-		for _, a := range as {
-			for _, b := range bs {
-				gn := d[a] + d[b] - 2*crossW(a, b)
+		bestGain := int32(-1 << 30)
+		var x, y int32
+		for _, va := range as {
+			for _, vb := range bs {
+				gn := b.key[va] + b.key[vb]
+				for _, u := range adj(va) {
+					if u == vb {
+						gn -= 2
+					}
+				}
 				if gn > bestGain {
-					bestGain, bestA, bestB = gn, a, b
+					bestGain, x, y = gn, va, vb
 				}
 			}
 		}
-		a, b := bestA, bestB
-		locked[a], locked[b] = true, true
-		cum += bestGain
-		swaps = append(swaps, swap{a, b, bestGain})
-		// Update D values as if a and b swapped sides.
-		for _, e := range adj[a] {
-			if e.to == b || locked[e.to] {
-				continue
-			}
-			if side[e.to] == side[a] {
-				bump(e.to, 2*e.w)
-			} else {
-				bump(e.to, -2*e.w)
-			}
-		}
-		for _, e := range adj[b] {
-			if e.to == a || locked[e.to] {
-				continue
-			}
-			if side[e.to] == side[b] {
-				bump(e.to, 2*e.w)
-			} else {
-				bump(e.to, -2*e.w)
-			}
-		}
-		side[a], side[b] = side[b], side[a]
+		b.remove(0, x)
+		b.remove(1, y)
+		locked[x], locked[y] = true, true
+		cum += int(bestGain)
+		swaps = append(swaps, x, y)
+		retire(x)
+		retire(y)
+		side[x], side[y] = 1, 0
 		if cum > bestCum {
-			bestCum, bestIdx = cum, len(swaps)-1
+			bestCum, bestLen = cum, len(swaps)
 		}
 	}
 	// Revert swaps beyond the best prefix.
-	for i := len(swaps) - 1; i > bestIdx; i-- {
-		a, b := swaps[i].a, swaps[i].b
-		side[a], side[b] = side[b], side[a]
+	for _, v := range swaps[bestLen:] {
+		side[v] = 1 - side[v]
 	}
+	a.locked, a.moves = locked, swaps
 	return bestCum
 }

@@ -22,140 +22,94 @@ func Multilevel(c *circuit.Circuit, k int, w Weights, seed int64) *Partition {
 	return recursiveBisect(c, k, w, seed, mlBisect)
 }
 
-// coarseLevel captures one step of the coarsening hierarchy.
-type coarseLevel struct {
-	g *localGraph
-	// fineToCoarse maps each finer-level vertex to its coarse vertex.
-	fineToCoarse []int
-}
-
 // mlBisect runs coarsen / initial-partition / uncoarsen+refine.
-func mlBisect(g *localGraph, side []uint8, targetA float64, rng *rand.Rand) {
-	if len(g.nets) == 0 {
+func mlBisect(a *arena, g *hgraph, targetA float64, rng *rand.Rand) {
+	if g.nets() == 0 {
 		return
 	}
-	const coarsestSize = 96
-
-	// Coarsening phase.
-	levels := []coarseLevel{}
-	cur := g
-	for len(cur.verts) > coarsestSize {
-		next, mapping, shrunk := coarsen(cur, rng)
-		if !shrunk {
-			break
-		}
-		levels = append(levels, coarseLevel{g: cur, fineToCoarse: mapping})
-		cur = next
-	}
-
-	// Initial partition of the coarsest graph.
-	coarseSide := initialSplit(cur, targetA, rng)
-	fmBisect(cur, coarseSide, targetA, rng)
-
-	// Uncoarsening phase: project and refine at each finer level.
-	for i := len(levels) - 1; i >= 0; i-- {
-		lv := levels[i]
-		fineSide := make([]uint8, len(lv.g.verts))
-		for v := range fineSide {
-			fineSide[v] = coarseSide[lv.fineToCoarse[v]]
-		}
-		fmBisect(lv.g, fineSide, targetA, rng)
-		coarseSide = fineSide
-	}
-	copy(side, coarseSide)
+	mlRefine(a, g, targetA, rng)
 }
 
-// coarsen contracts heavy-edge matched vertex pairs into a smaller
-// hypergraph. It returns the coarse graph, the fine-to-coarse vertex map,
-// and whether any contraction happened.
-func coarsen(g *localGraph, rng *rand.Rand) (*localGraph, []int, bool) {
-	n := len(g.verts)
-	match := make([]int, n)
-	for i := range match {
-		match[i] = -1
+// mlRefine splits g by way of its contraction while g is large and can be
+// contracted, afresh otherwise, and refines the split with FM.
+func mlRefine(a *arena, g *hgraph, targetA float64, rng *rand.Rand) {
+	const coarsestSize = 96
+	if g.cells() > coarsestSize && a.coarsen(g, rng) {
+		mlRefine(a, g.coarser, targetA, rng)
+		for v, cv := range g.coarse {
+			g.side[v] = g.coarser.side[cv]
+		}
+	} else {
+		initialSplit(g, targetA, rng)
 	}
-	// Greedy matching in random order: pair each vertex with an unmatched
+	fmBisect(a, g, targetA, rng)
+}
+
+// coarsen contracts heavy-edge matched cell pairs of g into g.coarser,
+// filling g.coarse, and reports whether any contraction happened.
+func (a *arena) coarsen(g *hgraph, rng *rand.Rand) bool {
+	n := g.cells()
+	// Greedy matching in random order: pair each cell with an unmatched
 	// neighbour sharing a net (preferring small nets — "heavier" implied
-	// connectivity).
-	order := rng.Perm(n)
-	matched := 0
-	for _, v := range order {
+	// connectivity). coarse holds the partner (or, unmatched, the cell
+	// itself) until the coarse ids are assigned.
+	match := sized(g.coarse, n)
+	for v := range match {
+		match[v] = -1
+	}
+	pairs := 0
+	for _, i := range rng.Perm(n) {
+		v := int32(i)
 		if match[v] >= 0 {
 			continue
 		}
-		best, bestNet := -1, 1<<30
-		for _, netID := range g.netsOf[v] {
-			cells := g.nets[netID]
-			if len(cells) >= bestNet {
+		best, bestNet := int32(-1), 1<<30
+		for _, e := range g.netsOf(v) {
+			pins := g.pins(e)
+			if len(pins) >= bestNet {
 				continue
 			}
-			for _, u := range cells {
+			for _, u := range pins {
 				if u != v && match[u] < 0 {
-					best, bestNet = u, len(cells)
+					best, bestNet = u, len(pins)
 					break
 				}
 			}
 		}
 		if best >= 0 {
 			match[v], match[best] = best, v
-			matched++
+			pairs++
 		}
 	}
-	if matched == 0 {
-		return nil, nil, false
-	}
-
-	// Assign coarse ids.
-	fineToCoarse := make([]int, n)
-	for i := range fineToCoarse {
-		fineToCoarse[i] = -1
-	}
-	coarseN := 0
-	for v := 0; v < n; v++ {
-		if fineToCoarse[v] >= 0 {
-			continue
-		}
-		fineToCoarse[v] = coarseN
-		if m := match[v]; m >= 0 {
-			fineToCoarse[m] = coarseN
-		}
-		coarseN++
+	if pairs == 0 {
+		return false
 	}
 
-	// Build the coarse hypergraph directly (no circuit backing): weights
-	// sum over merged vertices; nets map through, dropping collapsed ones.
-	cg := &localGraph{
-		verts:  make([]circuit.GateID, coarseN),
-		w:      make([]float64, coarseN),
-		netsOf: make([][]int, coarseN),
+	// Coarse ids in order of each pair's first cell; weights sum over the
+	// merged cells.
+	if g.coarser == nil {
+		g.coarser = new(hgraph)
 	}
-	for v := 0; v < n; v++ {
-		cv := fineToCoarse[v]
-		cg.w[cv] += g.w[v]
-		if cg.w[cv] > cg.maxW {
-			cg.maxW = cg.w[cv]
+	cg := g.coarser
+	cg.reset(n - pairs)
+	next := int32(0)
+	for v, m := range match {
+		if m >= 0 && int(m) < v {
+			match[v] = match[m]
+		} else {
+			match[v] = next
+			next++
 		}
+		cg.w[match[v]] += g.w[v]
 	}
-	cg.total = g.total
-	seen := map[int]bool{}
-	for _, cells := range g.nets {
-		clear(seen)
-		mapped := make([]int, 0, len(cells))
-		for _, u := range cells {
-			cu := fineToCoarse[u]
-			if !seen[cu] {
-				seen[cu] = true
-				mapped = append(mapped, cu)
-			}
+	// Nets map through, dropping the ones that collapse into one cell.
+	for e := int32(0); int(e) < g.nets(); e++ {
+		for _, u := range g.pins(e) {
+			a.pin(cg, match[u])
 		}
-		if len(mapped) < 2 {
-			continue
-		}
-		netID := len(cg.nets)
-		cg.nets = append(cg.nets, mapped)
-		for _, cu := range mapped {
-			cg.netsOf[cu] = append(cg.netsOf[cu], netID)
-		}
+		a.closeNet(cg)
 	}
-	return cg, fineToCoarse, true
+	cg.finish()
+	g.coarse = match
+	return true
 }

@@ -172,17 +172,9 @@ func (p *Partition) Group(shards int, w Weights) []int {
 // objective the heuristics minimize.
 func (p *Partition) CutLinks(c *circuit.Circuit) int {
 	cut := 0
-	seen := make(map[int]bool)
+	seen := newBlockSet(p.Blocks)
 	for g := range c.Gates {
-		src := p.Assign[g]
-		clear(seen)
-		for _, dst := range c.Fanout[g] {
-			db := p.Assign[dst]
-			if db != src && !seen[db] {
-				seen[db] = true
-				cut++
-			}
-		}
+		cut += netCutLinks(c, p.Assign, circuit.GateID(g), seen)
 	}
 	return cut
 }

@@ -356,31 +356,30 @@ func BenchmarkStrings8Way(b *testing.B) {
 
 func TestMultilevelCoarseningInvariants(t *testing.T) {
 	c := testCircuit(t)
-	w := WeightsUniform(c)
 	verts := make([]circuit.GateID, c.NumGates())
 	for i := range verts {
 		verts[i] = circuit.GateID(i)
 	}
-	g := newLocalGraph(c, verts, w)
-	rng := rand.New(rand.NewSource(3))
-	cg, mapping, ok := coarsen(g, rng)
-	if !ok {
+	a := newArena(c)
+	g := a.induce(c, verts, WeightsUniform(c))
+	if !a.coarsen(g, rand.New(rand.NewSource(3))) {
 		t.Fatal("no contraction on a connected graph")
 	}
-	if len(cg.verts) >= len(g.verts) {
-		t.Fatalf("coarsening did not shrink: %d -> %d", len(g.verts), len(cg.verts))
+	cg := g.coarser
+	if cg.cells() >= g.cells() {
+		t.Fatalf("coarsening did not shrink: %d -> %d", g.cells(), cg.cells())
 	}
 	// Mapping is total and in range; coarse weights conserve total weight.
 	var coarseTotal float64
 	for _, cw := range cg.w {
 		coarseTotal += cw
 	}
-	if diff := coarseTotal - g.total; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("weight not conserved: %f vs %f", coarseTotal, g.total)
+	if diff := coarseTotal - g.total; diff > 1e-9 || diff < -1e-9 || cg.total != coarseTotal {
+		t.Fatalf("weight not conserved: %f (total %f) vs %f", coarseTotal, cg.total, g.total)
 	}
-	seen := make([]bool, len(cg.verts))
-	for v, cv := range mapping {
-		if cv < 0 || cv >= len(cg.verts) {
+	seen := make([]bool, cg.cells())
+	for v, cv := range g.coarse {
+		if cv < 0 || int(cv) >= cg.cells() {
 			t.Fatalf("vertex %d maps out of range: %d", v, cv)
 		}
 		seen[cv] = true
@@ -391,9 +390,9 @@ func TestMultilevelCoarseningInvariants(t *testing.T) {
 		}
 	}
 	// No singleton nets survive.
-	for i, cells := range cg.nets {
-		if len(cells) < 2 {
-			t.Fatalf("coarse net %d has %d cells", i, len(cells))
+	for e := 0; e < cg.nets(); e++ {
+		if cells := cg.pins(int32(e)); len(cells) < 2 {
+			t.Fatalf("coarse net %d has %d cells", e, len(cells))
 		}
 	}
 }
