@@ -597,8 +597,10 @@ type shardLink struct {
 
 	// frames counts inbound frames relayed/handled from this shard;
 	// faults lists the plan entries scoped to this shard and attempt, in
-	// plan order, each fired at most once. Both are touched only on this
-	// link's read goroutine.
+	// plan order, each fired at most once. fmu guards frames and fired:
+	// the endpoint calls the handler from a reconnect's new read loop
+	// while the old one may still be inside it.
+	fmu    sync.Mutex
 	frames uint64
 	faults []netfault.Fault
 	fired  []bool
@@ -653,14 +655,21 @@ func (s *session) fail(err error) {
 
 // handle processes one frame from shard src on that link's read
 // goroutine: fire due chaos faults, then relay or consume the frame.
+// Faults fire outside fmu: a stall sleeps on the read goroutine.
 func (s *session) handle(src int, kind byte, payload []byte) {
 	link := s.links[src]
+	var due []netfault.Fault
+	link.fmu.Lock()
 	link.frames++
 	for i, f := range link.faults {
 		if link.fired[i] || link.frames <= f.AfterFrames {
 			continue
 		}
 		link.fired[i] = true
+		due = append(due, f)
+	}
+	link.fmu.Unlock()
+	for _, f := range due {
 		s.fire(link, f)
 	}
 	switch kind {

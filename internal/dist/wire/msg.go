@@ -17,11 +17,11 @@ import (
 	"fmt"
 )
 
-// Msg is one cross-shard simulation message in wire form. Both engines'
-// scalar message structs project onto it one to one: Kind is the
-// engine's message kind (value, null, anti, request, …), From the
-// sending LP, ID the Time Warp message identity for annihilation, Time
-// the timestamp or bound, Gate and Value the payload.
+// Msg is one cross-shard simulation message in wire form. The engines'
+// scalar LP message (lpnet.Msg) projects onto it one to one: Kind is the
+// message kind (value, null, anti, request, …), From the sending LP, ID
+// the Time Warp message identity for annihilation, Time the timestamp or
+// bound, Gate and Value the payload.
 type Msg struct {
 	Kind  uint8
 	From  int32

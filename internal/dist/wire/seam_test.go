@@ -3,12 +3,8 @@ package wire
 import (
 	"errors"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/mpsc"
-	"repro/internal/sim/supervise"
 )
 
 // seamPair is socketPair with the full production wiring: endpoint
@@ -290,64 +286,5 @@ func TestEndpointStateAndChaos(t *testing.T) {
 	}
 	if client.Endpoint().Connected() {
 		t.Error("failed endpoint still reports connected")
-	}
-}
-
-// TestShimCarriesBatchesAndTransit drives the engine shim across a real
-// socket: a batch put into a remote LP's outbox arrives in the bound
-// mailbox on the other side as one decoded batch, counted messages leave
-// the sender's transit ledger only once the seam has them, a link
-// failure reaches the engine as a transport SimError, and the unhook
-// detaches the progress probe.
-func TestShimCarriesBatchesAndTransit(t *testing.T) {
-	type emsg struct {
-		counted bool
-		t       uint64
-	}
-	client, server, cleanup := seamPair(t, []int{0, 1}, nil)
-	defer cleanup()
-	var transit atomic.Int64
-	shim := func(s *Seam) Shim[emsg] {
-		return Shim[emsg]{
-			Seam: s, Transit: &transit,
-			Enc:     func(m emsg) Msg { return Msg{Time: m.t, Value: map[bool]uint8{true: 1}[m.counted]} },
-			Dec:     func(w Msg) emsg { return emsg{counted: w.Value == 1, t: w.Time} },
-			Counted: func(m emsg) bool { return m.counted },
-		}
-	}
-
-	inbox := mpsc.New[emsg]()
-	failed := make(chan error, 1)
-	unhook := shim(server).Bind([]mpsc.Transport[emsg]{nil, inbox}, "eng",
-		func(err error) { failed <- err }, func() (uint64, bool) { return 42, true })
-	if ev, idle := server.Progress(); ev != 42 || !idle {
-		t.Fatalf("progress probe = (%d, %v), want (42, true)", ev, idle)
-	}
-
-	transit.Store(5)
-	out := shim(client).Outbox(1)
-	out.PutAll([]emsg{{true, 7}, {false, 8}, {true, 9}})
-	if got := transit.Load(); got != 3 {
-		t.Fatalf("transit after a batch with 2 counted messages = %d, want 3", got)
-	}
-	if sent, _ := client.SentRecv(); sent != 3 {
-		t.Fatalf("wire-sent = %d, want 3", sent)
-	}
-	got, ok := inbox.WaitDrain(nil)
-	if !ok || len(got) != 3 || got[0] != (emsg{true, 7}) || got[1] != (emsg{false, 8}) || got[2] != (emsg{true, 9}) {
-		t.Fatalf("delivered batch = %v (ok=%v)", got, ok)
-	}
-	if buf, ok := out.WaitDrain(nil); ok || len(buf) != 0 || out.Len() != 0 {
-		t.Fatal("a remote outbox must never yield messages")
-	}
-
-	server.Down(errors.New("link cut"))
-	var se *supervise.SimError
-	if err := <-failed; !errors.As(err, &se) || se.Engine != "eng" || se.Phase != "transport" || se.Kind != supervise.KindInternal {
-		t.Fatalf("link failure surfaced as %v", err)
-	}
-	unhook()
-	if ev, idle := server.Progress(); ev != 0 || idle {
-		t.Fatalf("progress probe survived the unhook: (%d, %v)", ev, idle)
 	}
 }

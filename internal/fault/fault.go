@@ -120,8 +120,25 @@ type Config struct {
 	MaxEvents uint64
 }
 
+// check rejects a fault list the graders cannot honour: a site outside
+// the circuit, or a stuck value other than 0 or 1.
+func check(c *circuit.Circuit, faults []Fault) error {
+	for _, f := range faults {
+		if f.Gate < 0 || int(f.Gate) >= c.NumGates() {
+			return fmt.Errorf("fault: %v: gate %d outside the circuit's %d gates", f, f.Gate, c.NumGates())
+		}
+		if f.StuckAt != logic.Zero && f.StuckAt != logic.One {
+			return fmt.Errorf("fault: gate %d stuck at %v: only stuck-at-0 and stuck-at-1 are graded", f.Gate, f.StuckAt)
+		}
+	}
+	return nil
+}
+
 // Run grades the given faults under the stimulus.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, faults []Fault, cfg Config) (*Result, error) {
+	if err := check(c, faults); err != nil {
+		return nil, err
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -156,7 +173,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, faults 
 				func(i int) {
 					defer func() {
 						if r := recover(); r != nil {
-							verdicts[i] = verdict{idx: i, err: supervise.FromPanic("bitpar", w, "fault", 0, r)}
+							verdicts[i] = verdict{idx: i, err: supervise.FromPanic("seq", w, "fault", 0, r)}
 						}
 					}()
 					fc, fstim, err := inject(c, stim, faults[i])

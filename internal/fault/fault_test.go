@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -59,6 +60,42 @@ func TestCollapseBufferChains(t *testing.T) {
 func TestFaultString(t *testing.T) {
 	if (Fault{3, logic.Zero}).String() != "3/sa0" || (Fault{7, logic.One}).String() != "7/sa1" {
 		t.Fatal("fault naming wrong")
+	}
+}
+
+// TestGradersRejectBadFaults feeds both graders fault lists they cannot
+// honour; each must refuse up front with a fault error rather than
+// recover an index panic or grade an unknown stuck value as stuck-at-0.
+func TestGradersRejectBadFaults(t *testing.T) {
+	c := bench.MustC17()
+	stim, err := vectors.Exhaustive(c, 20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := [][]bool{make([]bool, len(c.Inputs))}
+	last := circuit.GateID(c.NumGates() - 1)
+	for _, tc := range []struct {
+		name  string
+		fault Fault
+		ok    bool
+	}{
+		{"valid", Fault{last, logic.One}, true},
+		{"gate past the end", Fault{circuit.GateID(c.NumGates()), logic.Zero}, false},
+		{"negative gate", Fault{-1, logic.One}, false},
+		{"stuck at X", Fault{last, logic.X}, false},
+		{"stuck at Z", Fault{last, logic.Z}, false},
+	} {
+		faults := []Fault{{0, logic.Zero}, tc.fault}
+		_, errRun := Run(c, stim, seq.Horizon(c, stim), faults, Config{Workers: 2})
+		_, errPPSFP := GradeBitParallel(c, patterns, faults, 2)
+		for grader, err := range map[string]error{"Run": errRun, "GradeBitParallel": errPPSFP} {
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s %s: %v", grader, tc.name, err)
+			case !tc.ok && (err == nil || !strings.HasPrefix(err.Error(), "fault: ")):
+				t.Errorf("%s %s: got %v, want a fault: error", grader, tc.name, err)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ import (
 // pattern k. The returned detections carry the index of the first
 // detecting pattern in the Time field.
 func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, workers int) (*Result, error) {
+	if err := check(c, faults); err != nil {
+		return nil, err
+	}
 	if workers < 1 {
 		workers = 1
 	}

@@ -43,10 +43,10 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/logic"
 	"repro/internal/metrics"
-	"repro/internal/mpsc"
 	"repro/internal/partition"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/kernel"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/stats"
@@ -147,41 +147,6 @@ type WideResult = ResultT[logic.Word]
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
 
-type msgKind uint8
-
-const (
-	msgValue msgKind = iota
-	msgNull          // time carries the promise bound
-	msgRequest
-	msgPermit // time carries the granted global minimum
-	msgTerminate
-)
-
-type msg[V comparable] struct {
-	kind  msgKind
-	from  int
-	time  circuit.Tick
-	gate  circuit.GateID
-	value V
-}
-
-// msgMeta projects a message to its chaos-transport role: values and
-// nulls are timestamped members of their sender's FIFO stream, promise
-// requests ride the stream without time semantics, and the quiescence
-// broadcasts (permits, terminate) are control that chaos must not touch.
-func msgMeta[V comparable](m msg[V]) inject.Meta {
-	switch m.kind {
-	case msgValue:
-		return inject.Meta{Kind: inject.Value, From: m.from, Time: uint64(m.time)}
-	case msgNull:
-		return inject.Meta{Kind: inject.Null, From: m.from, Time: uint64(m.time)}
-	case msgRequest:
-		return inject.Meta{Kind: inject.Aux, From: m.from}
-	default:
-		return inject.Meta{Kind: inject.Control}
-	}
-}
-
 // outLink is one cross-LP edge with its lookahead.
 type outLink struct {
 	dst int
@@ -190,19 +155,15 @@ type outLink struct {
 
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
-	cfg     Config
-	engine  string // metrics/supervise label
-	boot    bool
-	c       *circuit.Circuit
-	until   circuit.Tick
-	inboxes []mpsc.Transport[msg[V]]
-	// transit counts every message that must be handled before the system
-	// can be quiet: value messages from Send to handle, and (detect mode)
-	// permits from broadcast to handle.
-	transit atomic.Int64
-	events  atomic.Uint64
-	abort   atomic.Bool
-	sink    metrics.Sink
+	cfg    Config
+	engine string // metrics/supervise label
+	boot   bool
+	until  circuit.Tick
+	// net is the LP network. Its Transit counts every message that must be
+	// handled before the system can be quiet: value messages from Send to
+	// handle, and (detect mode) permits from broadcast to handle.
+	net    *lpnet.Net[V]
+	events atomic.Uint64
 
 	// The quiescence ledger (detect mode), guarded by quietMu: blocked
 	// counts LPs between park and wake, next[i] is LP i's earliest pending
@@ -218,22 +179,6 @@ type shared[V comparable] struct {
 	// slow: the paper's circulating-marker algorithms pay a global
 	// synchronization per advance.
 	rounds uint64
-
-	failMu  gosync.Mutex
-	failErr error
-}
-
-// fail records the first fatal protocol error and aborts the run. A
-// conservative LP that receives a straggler cannot continue — the past it
-// would have to revisit is already evaluated — so the whole run stops and
-// Run surfaces the error instead of panicking in an LP goroutine.
-func (sh *shared[V]) fail(err error) {
-	sh.failMu.Lock()
-	if sh.failErr == nil {
-		sh.failErr = err
-	}
-	sh.failMu.Unlock()
-	sh.abortAll()
 }
 
 // clp is one conservative logical process.
@@ -260,21 +205,32 @@ type clp[V comparable] struct {
 	// the bound, mutual re-requesting among blocked LPs becomes a message
 	// storm that grows with the LP count.
 	awaiting []bool
-	// pend/pendDst/pendNull batch outgoing messages per destination,
-	// delivered with one PutAll per destination at flush points (before any
-	// WaitDrain, and at termination). pendNull[dst] is the index of the
-	// batched null message for dst, or -1: promises only increase, so a
-	// newer promise overwrites the batched one in place — the fold — and
-	// only the strongest promise per flush reaches the wire.
-	pend     [][]msg[V]
-	pendDst  []int
-	pendNull []int
-	buf      []msg[V]
-	evs      []kernel.EventT[V]
-	end      circuit.Tick
+	// batch holds outgoing messages per destination until a flush point:
+	// before any WaitDrain, and at termination. Promises only increase, so
+	// it folds a newer null over the batched one and only the strongest
+	// promise per flush reaches the wire.
+	batch *lpnet.Batcher[V]
+	buf   []lpnet.Msg[V]
+	evs   []kernel.EventT[V]
+	end   circuit.Tick
 	// slot is the watchdog scoreboard entry (nil-safe; nil without a
 	// watchdog).
 	slot *supervise.LPSlot
+}
+
+// checkDist validates a distributed configuration. The null-message
+// modes distribute cleanly — promises are point-to-point and carry their
+// own bounds, so the protocol is oblivious to which side of a socket a
+// neighbour lives on — but DeadlockRecovery detects quiescence on a
+// mutex-guarded ledger of every LP's blocked state, which has no sound
+// per-shard restriction: a remote LP's park and wake would have to be
+// observed atomically with the local ones. Distributed runs therefore
+// keep to the null modes.
+func checkDist(cfg Config) error {
+	if cfg.Dist != nil && cfg.Mode == DeadlockRecovery {
+		return fmt.Errorf("cmb: distributed runs do not support deadlock-recovery mode (the quiescence ledger is one process's memory)")
+	}
+	return nil
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
@@ -291,7 +247,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	return run(circuit.Scalar, "cmb", c, changes, until, cfg, boot, wireEncScalar, wireDecScalar)
+	return run(circuit.Scalar, "cmb", c, changes, until, cfg, boot)
 }
 
 // RunWide is the conservative engine on 64 packed lanes: the identical
@@ -314,15 +270,15 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
 	cfg.Sweep, cfg.Dist = true, nil
-	return run(circuit.Wide, "cmb-wide", c, stim.Changes, until, cfg, nil, nil, nil)
+	return run(circuit.Wide, "cmb-wide", c, stim.Changes, until, cfg, nil)
 }
 
 // run is the conservative engine over value type V: it derives the LP
-// graph, routes the stimulus (or boot) events, runs the LP goroutines to
-// completion, and assembles the result. changes is a validated schedule
-// already in the run's value domain, engine labels the metrics registry
-// and errors, boot, when non-nil, replaces the stimulus and the time-zero
-// settling step, and wireEnc/wireDec translate messages for cfg.Dist.
+// graph on the shared LP network, runs the LP goroutines to completion,
+// and assembles the result. changes is a validated schedule already in
+// the run's value domain, engine labels the metrics registry and errors,
+// and boot, when non-nil, replaces the stimulus and the time-zero
+// settling step.
 func run[V comparable](
 	pl *circuit.Plane[V],
 	engine string,
@@ -331,19 +287,16 @@ func run[V comparable](
 	until circuit.Tick,
 	cfg Config,
 	boot *ckpt.Seed[V],
-	wireEnc func(msg[V]) wire.Msg,
-	wireDec func(wire.Msg) msg[V],
 ) (*ResultT[V], error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("cmb: Config.Partition is required")
-	}
-	if err := cfg.Partition.Validate(c); err != nil {
-		return nil, err
-	}
-	if err := c.CheckEventDriven(); err != nil {
-		return nil, err
-	}
 	if err := checkDist(cfg); err != nil {
+		return nil, err
+	}
+	net, err := lpnet.New(lpnet.Spec[V]{
+		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Boot: boot,
+		Chaos: cfg.Chaos, Seam: cfg.Dist,
+	})
+	if err != nil {
 		return nil, err
 	}
 	sink := cfg.Metrics
@@ -351,43 +304,12 @@ func run[V comparable](
 		sink = metrics.NewRegistry(engine + "-" + cfg.Mode.String())
 	}
 	start := time.Now()
-	watched := cfg.Watch
-	if watched == nil {
-		watched = c.Outputs
-	}
 
 	p := cfg.Partition
 	n := p.Blocks
 	owner := p.Assign
-	dist := cfg.Dist
-	// local reports LP residency; without a seam every LP is local.
-	local := func(lp int) bool { return dist == nil || dist.Local(lp) }
 
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink}
-	sh.next = make([]circuit.Tick, n)
-	// Value messages are the only kind the transit ledger counts that can
-	// cross the seam (permits never do: detect mode does not distribute).
-	shim := wire.Shim[msg[V]]{
-		Seam: dist, Enc: wireEnc, Dec: wireDec, Transit: &sh.transit,
-		Counted: func(m msg[V]) bool { return m.kind == msgValue },
-	}
-	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
-	for i := range sh.inboxes {
-		if !local(i) {
-			// A remote LP's mailbox is a socket outbox: sends cross the
-			// seam as encoded frames, and nothing local ever drains it.
-			sh.inboxes[i] = shim.Outbox(i)
-			continue
-		}
-		var tr mpsc.Transport[msg[V]] = mpsc.NewCap[msg[V]](64)
-		if cfg.Chaos != nil {
-			tr = inject.Wrap(cfg.Chaos, i, tr, msgMeta[V])
-		}
-		sh.inboxes[i] = tr
-	}
-	if dist != nil {
-		defer shim.Bind(sh.inboxes, engine, sh.fail, func() (uint64, bool) { return sh.events.Load(), false })()
-	}
+	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, until: until, net: net}
 	// laBias widens every link lookahead when the chaos hook's sabotage
 	// knob is set: the engine then promises bounds it cannot keep, which
 	// the chaos transport's promise checker must catch.
@@ -413,7 +335,6 @@ func run[V comparable](
 		}
 	}
 
-	blockGates := p.BlockGates()
 	// Per-LP in/out degrees, so link lists allocate exactly once.
 	outDeg := make([]int, n)
 	inDeg := make([]int, n)
@@ -424,32 +345,30 @@ func run[V comparable](
 	// Per-LP working state lives in shared slabs sliced per LP rather than
 	// one small make per field per LP: the structures are fixed-size (length
 	// or capacity known up front), so a single backing array per field class
-	// replaces 10+ allocations per LP. Growable fields (out, in, pendDst,
-	// evs, buf) use three-index slices so an append past the reserved
-	// capacity reallocates privately instead of clobbering a neighbour.
+	// replaces 10+ allocations per LP. Growable fields (out, in, evs, buf)
+	// use three-index slices so an append past the reserved capacity
+	// reallocates privately instead of clobbering a neighbour.
 	totOut, totIn := 0, 0
 	for i := 0; i < n; i++ {
 		totOut += outDeg[i]
 		totIn += inDeg[i]
 	}
 	var (
-		lpSlab      = make([]clp[V], n)
-		tickSlab    = make([]circuit.Tick, 2*n*n) // bound + last
-		boolSlab    = make([]bool, 2*n*n)         // reqd + awaiting
-		pendSlab    = make([][]msg[V], n*n)       // pend headers
-		nullSlab    = make([]int, n*n)            // pendNull
-		pendDstSlab = make([]int, n*n)            // pendDst dirty lists
-		outSlab     = make([]outLink, totOut)
-		inSlab      = make([]int, totIn)
-		evsSlab     = make([]kernel.EventT[V], n*64)
-		bufSlab     = make([]msg[V], n*64)
+		lpSlab   = make([]clp[V], n)
+		tickSlab = make([]circuit.Tick, 2*n*n+n) // bound + last, then next
+		boolSlab = make([]bool, 2*n*n)           // reqd + awaiting
+		outSlab  = make([]outLink, totOut)
+		inSlab   = make([]int, totIn)
+		evsSlab  = make([]kernel.EventT[V], n*64)
+		bufSlab  = make([]lpnet.Msg[V], n*64)
 	)
-	for d := range nullSlab {
-		nullSlab[d] = -1
+	sh.next = tickSlab[2*n*n:]
+	// Progress watchdog: a scoreboard the LPs publish to, read by a monitor
+	// goroutine that fails the run with a hang report when nothing moves.
+	var board *supervise.Board
+	if cfg.HangTimeout > 0 {
+		board = supervise.NewBoard(n)
 	}
-	lps := make([]*clp[V], n)
-	recSlab := make([]trace.RecorderT[V], n)
-	recs := make([]*trace.RecorderT[V], n)
 	outOff, inOff := 0, 0
 	for i := 0; i < n; i++ {
 		l := &lpSlab[i]
@@ -460,9 +379,7 @@ func run[V comparable](
 		l.last = tickSlab[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n]
 		l.reqd = boolSlab[(2*i)*n : (2*i+1)*n : (2*i+1)*n]
 		l.awaiting = boolSlab[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n]
-		l.pend = pendSlab[i*n : (i+1)*n : (i+1)*n]
-		l.pendNull = nullSlab[i*n : (i+1)*n : (i+1)*n]
-		l.pendDst = pendDstSlab[i*n : i*n : (i+1)*n]
+		l.batch = net.Batcher(i)
 		l.out = outSlab[outOff : outOff : outOff+outDeg[i]]
 		l.in = inSlab[inOff : inOff : inOff+inDeg[i]]
 		l.evs = evsSlab[i*64 : i*64 : (i+1)*64]
@@ -470,136 +387,47 @@ func run[V comparable](
 		l.safe = 1
 		l.st = sink.LP(i)
 		l.trsh = cfg.Tracer.Shard(fmt.Sprintf("lp %d", i))
+		l.slot = board.LP(i)
 		outOff += outDeg[i]
 		inOff += inDeg[i]
-		l.k = kernel.NewOn(pl, c, owner, i, cfg.System, watched, blockGates[i])
-		if cfg.Sweep {
-			l.k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))
-		}
+		l.k = net.Kernel(i)
 		l.k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 			l.q.Push(uint64(t), kernel.EventT[V]{Gate: g, Value: v})
 		}
 		l.k.Send = func(dst int, t circuit.Tick, g circuit.GateID, v V) {
-			sh.transit.Add(1)
-			l.buffer(dst, msg[V]{kind: msgValue, from: l.id, time: t, gate: g, value: v})
+			net.Transit.Add(1)
+			l.batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.id, Time: t, Gate: g, Value: v})
 		}
-		recs[i] = &recSlab[i]
-		l.k.Record = recs[i].Record
-		if boot != nil {
-			l.k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
-		}
-		lps[i] = l
 	}
 	for k2, d := range la {
-		lps[k2.src].out = append(lps[k2.src].out, outLink{k2.dst, d + laBias})
-		lps[k2.src].last[k2.dst] = 0
-		lps[k2.dst].in = append(lps[k2.dst].in, k2.src)
-		lps[k2.dst].bound[k2.src] = 1
+		src, dst := &lpSlab[k2.src], &lpSlab[k2.dst]
+		src.out = append(src.out, outLink{k2.dst, d + laBias})
+		src.last[k2.dst] = 0
+		dst.in = append(dst.in, k2.src)
+		dst.bound[k2.src] = 1
+	}
+	initial := net.Route(changes, until, func(lp int, t uint64, ev kernel.EventT[V]) {
+		lpSlab[lp].q.Push(t, ev)
+	})
+
+	if err := net.Run(lpnet.Launch{
+		LP:          func(i int) { lpSlab[i].run(initial[i]) },
+		LVT:         func(i int) circuit.Tick { return lpSlab[i].lvt },
+		Sink:        sink,
+		Board:       board,
+		HangTimeout: cfg.HangTimeout,
+		MaxEvents:   cfg.MaxEvents,
+		Progress:    func() (uint64, bool) { return sh.events.Load(), false },
+	}); err != nil {
+		return nil, err
 	}
 
-	// Stimulus (or, on restore, checkpoint-event) routing: every event goes
-	// to its gate's owner and to every LP holding a ghost of that net. Each
-	// shard routes only to its own LPs — every worker holds the full
-	// schedule, so remote destinations are someone else's copy of this same
-	// loop. Time-zero changes feed the settle step; a checkpoint's events
-	// are all strictly after its boundary, so none lands there.
-	initial := make([][]kernel.EventT[V], n)
-	aud := p.Audience(c)
-	route := func(t uint64, ev kernel.EventT[V]) {
-		for _, dst := range aud.Of(ev.Gate) {
-			if !local(dst) {
-				continue
-			}
-			if t == 0 {
-				initial[dst] = append(initial[dst], ev)
-			} else {
-				lps[dst].q.Push(t, ev)
-			}
+	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform()}
+	for i := range lpSlab {
+		if end := lpSlab[i].end; end > res.EndTime {
+			res.EndTime = end
 		}
 	}
-	if boot == nil {
-		for _, ch := range changes {
-			if ch.Time <= until {
-				route(uint64(ch.Time), kernel.EventT[V]{Gate: ch.Input, Value: ch.Value})
-			}
-		}
-	} else {
-		for _, ev := range boot.Events {
-			route(ev.Time, kernel.EventT[V]{Gate: ev.Gate, Value: ev.Value})
-		}
-	}
-
-	// Progress watchdog: a scoreboard the LPs publish to plus a monitor
-	// goroutine that fails the run with a hang report when nothing moves.
-	var board *supervise.Board
-	if cfg.HangTimeout > 0 {
-		board = supervise.NewBoard(n)
-		for i, l := range lps {
-			l.slot = board.LP(i)
-		}
-	}
-	wcfg := supervise.WatchConfig{
-		Engine: engine, Timeout: cfg.HangTimeout, Board: board,
-		QueueDepth: func(i int) int { return sh.inboxes[i].Len() },
-		OnHang:     sh.fail,
-	}
-	if dist != nil {
-		wcfg.Transport = dist.TransportState
-	}
-	wd := supervise.Watch(wcfg)
-	defer wd.Stop()
-
-	var wg gosync.WaitGroup
-	for _, l := range lps {
-		if !local(l.id) {
-			// Remote LPs run on their own shard; mark the slot done so a
-			// hang report shows them as not-ours rather than stuck at init.
-			l.slot.SetPhase(supervise.PhaseDone)
-			continue
-		}
-		wg.Add(1)
-		go func(l *clp[V]) {
-			defer wg.Done()
-			// Panic isolation: one poisoned LP fails the run cleanly (the
-			// abort wakes and drains every sibling) instead of crashing the
-			// process.
-			defer func() {
-				if r := recover(); r != nil {
-					l.slot.SetPhase(supervise.PhaseDone)
-					l.sh.fail(supervise.FromPanic(engine, l.id, "run", l.lvt, r))
-				}
-			}()
-			metrics.Do(sink, engine, l.id, "run", func() {
-				l.run(initial[l.id])
-			})
-		}(l)
-	}
-	wg.Wait()
-	wd.Stop()
-
-	if sh.abort.Load() {
-		sh.failMu.Lock()
-		ferr := sh.failErr
-		sh.failMu.Unlock()
-		if ferr != nil {
-			return nil, ferr
-		}
-		return nil, &supervise.SimError{
-			Engine: engine, LP: -1, Phase: "run", Kind: supervise.KindEventLimit,
-			Cause: fmt.Errorf("event limit %d exceeded", cfg.MaxEvents),
-		}
-	}
-
-	res := &ResultT[V]{Values: make([]V, len(c.Gates))}
-	for g := range c.Gates {
-		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
-	}
-	for _, l := range lps {
-		if l.end > res.EndTime {
-			res.EndTime = l.end
-		}
-	}
-	res.Waveform = trace.Merge(recs...)
 	sink.Globals().GVTRounds = sh.rounds
 	// null_ratio is the conservative protocol's headline overhead
 	// (nulls sent per applied event) as a run gauge — the signal the
@@ -652,12 +480,9 @@ func (l *clp[V]) promise(la circuit.Tick) circuit.Tick {
 }
 
 // sendPromises batches increased promises on the selected out-links. A
-// promise still buffered from an earlier call is superseded in place (the
-// fold): it counts as sent — the protocol work happened — but never reaches
-// the wire. Folding is safe because a receiver applies a drained batch in
-// full before processing any event, so a value message that precedes the
-// strengthened promise inside the batch is enqueued before the new bound is
-// acted on, exactly as if both had arrived separately.
+// promise still batched from an earlier call is superseded in place (the
+// batcher's fold): it counts as sent — the protocol work happened — but
+// never reaches the wire.
 func (l *clp[V]) sendPromises(onlyRequested bool) {
 	for _, link := range l.out {
 		if onlyRequested && !l.reqd[link.dst] {
@@ -670,77 +495,44 @@ func (l *clp[V]) sendPromises(onlyRequested bool) {
 		l.last[link.dst] = p
 		l.reqd[link.dst] = false
 		l.st.NullsSent++
-		if i := l.pendNull[link.dst]; i >= 0 {
-			l.pend[link.dst][i].time = p
+		if l.batch.Put(link.dst, lpnet.Msg[V]{Kind: lpnet.Null, From: l.id, Time: p}) {
 			l.st.NullsFolded++
-			continue
 		}
-		l.pendNull[link.dst] = len(l.pend[link.dst])
-		l.buffer(link.dst, msg[V]{kind: msgNull, from: l.id, time: p})
 	}
-}
-
-// buffer queues one outgoing message for dst until the next flushSends.
-// Value messages count transit at their Send site (buffer time), so the
-// deadlock-recovery quiescence test cannot pass with unflushed batches.
-func (l *clp[V]) buffer(dst int, m msg[V]) {
-	if len(l.pend[dst]) == 0 {
-		if cap(l.pend[dst]) == 0 {
-			l.pend[dst] = make([]msg[V], 0, 96)
-		}
-		l.pendDst = append(l.pendDst, dst)
-	}
-	l.pend[dst] = append(l.pend[dst], m)
-}
-
-// flushSends delivers every buffered batch, one PutAll per destination,
-// preserving per-destination FIFO order. Every path into WaitDrain (and
-// termination) flushes first, so no message outlives its sender's
-// wakefulness inside a local batch.
-func (l *clp[V]) flushSends() {
-	for _, dst := range l.pendDst {
-		l.sh.inboxes[dst].PutAll(l.pend[dst])
-		l.pend[dst] = l.pend[dst][:0]
-		l.pendNull[dst] = -1
-	}
-	l.pendDst = l.pendDst[:0]
 }
 
 // handle processes one inbound message; it returns false on terminate.
-func (l *clp[V]) handle(m msg[V]) bool {
-	switch m.kind {
-	case msgValue:
-		// A remote sender's message never entered the local transit
-		// ledger (it left its shard's at flush and crossed as seam
-		// wire-recv), so only locally originated values decrement.
-		if d := l.sh.cfg.Dist; d == nil || d.Local(m.from) {
-			l.sh.transit.Add(-1)
-		}
+// Value messages count transit at their Send site (batch time), so the
+// deadlock-recovery quiescence test cannot pass with unflushed batches.
+func (l *clp[V]) handle(m lpnet.Msg[V]) bool {
+	switch m.Kind {
+	case lpnet.Value:
+		l.sh.net.Settle(m.From)
 		l.st.MessagesRecv++
-		if m.time < l.lvt {
-			l.sh.fail(&supervise.SimError{
+		if m.Time < l.lvt {
+			l.sh.net.Fail(&supervise.SimError{
 				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: l.lvt,
 				Kind: supervise.KindCausality,
 				Cause: fmt.Errorf("causality violation: lp %d received value for t=%d from lp %d after processing t=%d",
-					l.id, m.time, m.from, l.lvt),
+					l.id, m.Time, m.From, l.lvt),
 			})
 			return false
 		}
-		l.q.Push(uint64(m.time), kernel.EventT[V]{Gate: m.gate, Value: m.value})
-	case msgNull:
+		l.q.Push(uint64(m.Time), kernel.EventT[V]{Gate: m.Gate, Value: m.Value})
+	case lpnet.Null:
 		l.st.NullsRecv++
-		l.awaiting[m.from] = false
-		if m.time > l.bound[m.from] {
-			l.bound[m.from] = m.time
+		l.awaiting[m.From] = false
+		if m.Time > l.bound[m.From] {
+			l.bound[m.From] = m.Time
 		}
-	case msgRequest:
-		l.reqd[m.from] = true
-	case msgPermit:
-		l.sh.transit.Add(-1)
-		if s := m.time + 1; s > l.safe {
+	case lpnet.Request:
+		l.reqd[m.From] = true
+	case lpnet.Permit:
+		l.sh.net.Transit.Add(-1)
+		if s := m.Time + 1; s > l.safe {
 			l.safe = s
 		}
-	case msgTerminate:
+	case lpnet.Terminate:
 		return false
 	}
 	return true
@@ -765,14 +557,14 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 	if !detect {
 		l.sendPromises(false)
 	}
-	l.flushSends() // initial promises and any settle-step boundary values
+	l.batch.Flush() // initial promises and any settle-step boundary values
 
 	for {
-		if l.sh.abort.Load() {
+		if l.sh.net.Aborted() {
 			return
 		}
 		// Drain whatever has arrived.
-		l.buf = l.sh.inboxes[l.id].TryDrain(l.buf[:0])
+		l.buf = l.sh.net.Inboxes[l.id].TryDrain(l.buf[:0])
 		for _, m := range l.buf {
 			if !l.handle(m) {
 				return
@@ -796,7 +588,7 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 			// The shared counter is always maintained — distributed runs
 			// report it in heartbeats — and doubles as the runaway guard.
 			if processed := l.sh.events.Add(uint64(len(l.evs))); l.sh.cfg.MaxEvents > 0 && processed > l.sh.cfg.MaxEvents {
-				l.sh.abortAll()
+				l.sh.net.Abort()
 				return
 			}
 			// Publish progress before the step so a single long evaluation
@@ -811,7 +603,7 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 			l.slot.SetLVT(uint64(t))
 		}
 		if err := l.q.Err(); err != nil {
-			l.sh.fail(&supervise.SimError{
+			l.sh.net.Fail(&supervise.SimError{
 				Engine: l.sh.engine, LP: l.id, Phase: "eventq", ModeledTime: l.lvt,
 				Kind: supervise.KindCausality, Cause: err,
 			})
@@ -829,7 +621,7 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 		if !detect && l.nextLocal() > l.sh.until && l.safeTime() > l.sh.until {
 			// Final promises are already infTick via promise().
 			l.sendPromises(false)
-			l.flushSends()
+			l.batch.Flush()
 			return
 		}
 		if !detect && l.nextLocal() < l.safeTime() && l.nextLocal() <= l.sh.until {
@@ -843,12 +635,12 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 					continue
 				}
 				l.awaiting[src] = true
-				l.buffer(src, msg[V]{kind: msgRequest, from: l.id})
+				l.batch.Put(src, lpnet.Msg[V]{Kind: lpnet.Request, From: l.id})
 			}
 		}
-		// About to park: everything buffered — values, folded promises,
+		// About to park: everything batched — values, folded promises,
 		// promise requests — must be on the wire first.
-		l.flushSends()
+		l.batch.Flush()
 		l.sh.cfg.Chaos.Stall(l.id, inject.PhaseBlock)
 		l.st.Blocks++
 		l.slot.SetNext(uint64(l.nextLocal()))
@@ -859,7 +651,7 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 			l.park()
 		}
 		var ok bool
-		l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
+		l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
 		if detect {
 			// Leave the blocked count before touching transit (which
 			// happens when the drained messages are handled below).
@@ -885,18 +677,6 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 	}
 }
 
-// abortAll flags a global abort and wakes every LP. Releasing the chaos
-// hook's hang fault here guarantees an injected permanent stall cannot
-// outlive the abort: the watchdog fires, fail() lands here, and the
-// parked LP goroutine is unblocked so wg.Wait always returns.
-func (sh *shared[V]) abortAll() {
-	sh.abort.Store(true)
-	sh.cfg.Chaos.Release()
-	for _, ib := range sh.inboxes {
-		ib.Poke()
-	}
-}
-
 // park enters this LP on the quiescence ledger (DeadlockRecovery mode).
 // The LP whose entry makes every LP blocked with nothing in transit has
 // found the deadlock, and recovers from it itself: it grants a permit
@@ -916,7 +696,7 @@ func (l *clp[V]) park() {
 	defer sh.quietMu.Unlock()
 	sh.next[l.id] = l.nextLocal()
 	sh.blocked++
-	if sh.blocked < len(sh.next) || sh.transit.Load() != 0 {
+	if sh.blocked < len(sh.next) || sh.net.Transit.Load() != 0 {
 		return
 	}
 	gmin := infTick
@@ -925,14 +705,14 @@ func (l *clp[V]) park() {
 			gmin = t
 		}
 	}
-	grant := msg[V]{kind: msgTerminate}
+	grant := lpnet.Msg[V]{Kind: lpnet.Terminate}
 	if gmin <= sh.until {
-		grant = msg[V]{kind: msgPermit, time: gmin}
+		grant = lpnet.Msg[V]{Kind: lpnet.Permit, Time: gmin}
 		sh.rounds++
-		sh.transit.Add(int64(len(sh.inboxes)))
+		sh.net.Transit.Add(int64(len(sh.net.Inboxes)))
 	}
 	begin := l.trsh.Now()
-	for _, ib := range sh.inboxes {
+	for _, ib := range sh.net.Inboxes {
 		ib.Put(grant)
 	}
 	l.trsh.Span(trace.PhaseGVT, begin, gmin)

@@ -122,10 +122,6 @@ func run[S any, V comparable](tw func(*circuit.Circuit, S, circuit.Tick, timewar
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
-	workers := cfg.IntraWorkers
-	if workers == 1 {
-		workers = 2 // still exercise the parallel step path in degenerate runs
-	}
 	sink := cfg.Metrics
 	if sink == nil {
 		sink = metrics.NewRegistry(engine)
@@ -135,7 +131,7 @@ func run[S any, V comparable](tw func(*circuit.Circuit, S, circuit.Tick, timewar
 		Cancellation: cfg.Cancellation,
 		StateSaving:  cfg.StateSaving,
 		Window:       cfg.Window,
-		IntraWorkers: workers,
+		IntraWorkers: cfg.IntraWorkers,
 		Cost:         cfg.Cost,
 		System:       cfg.System,
 		Watch:        cfg.Watch,
@@ -170,18 +166,17 @@ func (r *ResultT[V]) TotalProcessors() int {
 }
 
 // ModeledTime prices the run: per cluster, the serial evaluation cost is
-// replaced by the intra-cluster critical path; the slowest cluster plus
-// the inter-cluster GVT overhead bounds the run.
+// replaced by the intra-cluster critical path, or kept as EvalCost ×
+// Evaluations when the cluster has none (one worker per cluster is plain
+// Time Warp); the slowest cluster plus the inter-cluster GVT overhead
+// bounds the run.
 func (r *ResultT[V]) ModeledTime() float64 {
 	m := r.cost
 	var worst float64
 	for i, lp := range r.Stats.LPs {
-		overhead := m.Busy(lp) - m.EvalCost*float64(lp.Evaluations)
-		t := overhead
+		t := m.Busy(lp)
 		if i < len(r.IntraCritical) {
-			t += r.IntraCritical[i]
-		} else {
-			t += m.EvalCost * float64(lp.Evaluations)
+			t = t - m.EvalCost*float64(lp.Evaluations) + r.IntraCritical[i]
 		}
 		if t > worst {
 			worst = t

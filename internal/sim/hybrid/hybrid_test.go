@@ -8,6 +8,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
 	"repro/internal/simtest"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -86,6 +87,52 @@ func TestModeledTimeAndProcessors(t *testing.T) {
 		if crit <= 0 {
 			t.Fatalf("cluster %d has no intra critical path", i)
 		}
+	}
+}
+
+// TestOneWorkerIsPlainTimeWarp pins the degenerate cluster: with one
+// worker per cluster the run takes Time Warp's plain step, reports one
+// processor per cluster, prices each cluster's evaluations serially, and
+// still matches the sequential reference.
+func TestOneWorkerIsPlainTimeWarp(t *testing.T) {
+	c, err := gen.ArrayMultiplier(5, gen.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 12, Period: 50, Activity: 0.8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := seq.Horizon(c, stim)
+	ref, err := seq.Run(c, stim, until, seq.Config{System: logic.TwoValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clusters = 3
+	p, err := partition.New(partition.MethodFM, c, clusters, partition.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(c, stim, until, Config{Partition: p, IntraWorkers: 1, System: logic.TwoValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.TotalProcessors(); got != clusters {
+		t.Fatalf("TotalProcessors = %d, want %d", got, clusters)
+	}
+	if res.IntraCritical != nil {
+		t.Fatalf("one-worker clusters report an intra critical path %v", res.IntraCritical)
+	}
+	m := stats.DefaultCostModel()
+	var worst float64
+	for _, lp := range res.Stats.LPs {
+		worst = max(worst, m.Busy(lp))
+	}
+	if want := worst + float64(res.Stats.GVTRounds)*m.GVT(clusters); res.ModeledTime() != want {
+		t.Fatalf("ModeledTime = %v, want the serial pricing %v", res.ModeledTime(), want)
+	}
+	if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
+		t.Fatalf("waveform differs from seq:\n%s", d)
 	}
 }
 

@@ -234,10 +234,13 @@ func (lp *LPT[V]) SeedState(vals, prevClk, projected []V) {
 	copy(lp.projected, projected)
 }
 
-// Step applies the events for time t, then evaluates affected owned gates.
-// When undo is non-nil every state write is logged into it. Counters are
-// accumulated into st.
-func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters) {
+// apply is the first phase of a step, shared by Step and StepParallel: it
+// writes the events for time t into the state (logging the old values
+// into undo when non-nil), records owned watched nets, and selects the
+// owned gates to evaluate into lp.dirty — every owned fanout of a changed
+// net, the whole owned block on the initial step, or the levelized block
+// when the sweep threshold is met.
+func (lp *LPT[V]) apply(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters) {
 	lp.epoch++
 	lp.dirty = lp.dirty[:0]
 	st.Steps++
@@ -274,7 +277,13 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 	} else {
 		lp.applySweep()
 	}
+}
 
+// Step applies the events for time t, then evaluates affected owned gates.
+// When undo is non-nil every state write is logged into it. Counters are
+// accumulated into st.
+func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters) {
+	lp.apply(t, events, initial, undo, st)
 	for _, g := range lp.dirty {
 		out, clkSample := lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
 		st.Evaluations++
@@ -322,42 +331,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 // evaluation inside a cluster, with whatever protocol the caller runs
 // between clusters.
 func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters, workers int, outBuf, clkBuf []V) (maxChunk int) {
-	lp.epoch++
-	lp.dirty = lp.dirty[:0]
-	st.Steps++
-
-	for _, ev := range events {
-		st.EventsApplied++
-		if lp.val[ev.Gate] == ev.Value {
-			continue
-		}
-		if undo != nil {
-			undo.vals = append(undo.vals, valChange[V]{ev.Gate, lp.val[ev.Gate]})
-		}
-		lp.val[ev.Gate] = ev.Value
-		if lp.Owner[ev.Gate] == lp.Self && lp.isWatched[ev.Gate] && lp.Record != nil {
-			lp.Record(t, ev.Gate, ev.Value)
-		}
-		for _, out := range lp.c.FanoutAdj.Row(ev.Gate) {
-			if lp.Owner[out] != lp.Self {
-				continue
-			}
-			if lp.stamp[out] != lp.epoch {
-				lp.stamp[out] = lp.epoch
-				lp.dirty = append(lp.dirty, out)
-			}
-		}
-	}
-	if initial {
-		lp.dirty = lp.dirty[:0]
-		for _, g := range lp.ownGates {
-			if !lp.c.Kinds[g].Source() {
-				lp.dirty = append(lp.dirty, g)
-			}
-		}
-	} else {
-		lp.applySweep()
-	}
+	lp.apply(t, events, initial, undo, st)
 	if len(lp.dirty) == 0 {
 		return 0
 	}

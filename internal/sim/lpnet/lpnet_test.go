@@ -1,0 +1,414 @@
+package lpnet
+
+import (
+	"errors"
+	"net"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/circuit"
+	"repro/internal/dist/wire"
+	"repro/internal/logic"
+	"repro/internal/mpsc"
+	"repro/internal/partition"
+	"repro/internal/sim/ckpt"
+	"repro/internal/sim/kernel"
+	"repro/internal/sim/supervise"
+	"repro/internal/simtest/chaos/inject"
+	"repro/internal/vectors"
+)
+
+// The gates of fanoutCircuit, in declaration (= ID) order.
+const (
+	gA circuit.GateID = iota // input, fans out to x, y, z
+	gB                       // input, feeds z
+	gX                       // NOT a
+	gY                       // BUF a
+	gZ                       // AND a b
+)
+
+// fanoutCircuit builds a -> {x, y, z}, b -> z, with an output on each of
+// x, y and z, and assigns it to three LPs so that a's audience is the
+// owner (1) followed by x's LP (2) and y's LP (0); z adds no new LP.
+func fanoutCircuit(t *testing.T) (*circuit.Circuit, *partition.Partition) {
+	t.Helper()
+	b := circuit.NewBuilder()
+	a, in2 := b.Input("a"), b.Input("b")
+	x := b.Gate(circuit.Not, "x", a)
+	y := b.Gate(circuit.Buf, "y", a)
+	z := b.Gate(circuit.And, "z", a, in2)
+	b.Output("ox", x)
+	b.Output("oy", y)
+	b.Output("oz", z)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	//                      a  b  x  y  z  ox oy oz
+	p := &partition.Partition{Blocks: 3, Assign: []int{1, 0, 2, 0, 2, 2, 0, 2}}
+	return c, p
+}
+
+func newNet(t *testing.T, s Spec[logic.Value]) *Net[logic.Value] {
+	t.Helper()
+	if s.Circuit == nil {
+		s.Circuit, s.Partition = fanoutCircuit(t)
+	}
+	s.Plane, s.System = circuit.Scalar, logic.TwoValued
+	if s.Engine == "" {
+		s.Engine = "eng"
+	}
+	n, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+type routed struct {
+	lp   int
+	t    uint64
+	gate circuit.GateID
+}
+
+func route(n *Net[logic.Value], changes []vectors.Change, until circuit.Tick) ([]routed, [][]kernel.Event) {
+	var got []routed
+	initial := n.Route(changes, until, func(lp int, t uint64, ev kernel.Event) {
+		got = append(got, routed{lp, t, ev.Gate})
+	})
+	return got, initial
+}
+
+func TestRouteOwnerThenGhosts(t *testing.T) {
+	changes := []vectors.Change{
+		{Time: 0, Input: gA, Value: logic.One},
+		{Time: 5, Input: gA, Value: logic.Zero},
+		{Time: 5, Input: gB, Value: logic.One},
+		{Time: 90, Input: gA, Value: logic.One}, // past the horizon
+	}
+	got, initial := route(newNet(t, Spec[logic.Value]{}), changes, 50)
+	want := []routed{{1, 5, gA}, {2, 5, gA}, {0, 5, gA}, {0, 5, gB}, {2, 5, gB}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pushes = %v, want owner first, then ghosts in fanout order: %v", got, want)
+	}
+	for lp, evs := range initial {
+		if len(evs) != 1 || evs[0] != (kernel.Event{Gate: gA, Value: logic.One}) {
+			t.Fatalf("lp %d settle-step events = %v, want the t=0 change of a", lp, evs)
+		}
+	}
+
+	// A shard routes to its own LPs only: LP 2 lives on shard 1.
+	seam := wire.NewSeam(wire.New(wire.Config{}), 0, []int{0, 0, 1})
+	got, initial = route(newNet(t, Spec[logic.Value]{Seam: seam}), changes, 50)
+	want = []routed{{1, 5, gA}, {0, 5, gA}, {0, 5, gB}}
+	if !reflect.DeepEqual(got, want) || len(initial[2]) != 0 {
+		t.Fatalf("shard pushes = %v (initial %v), want %v and nothing for remote LP 2", got, initial, want)
+	}
+
+	// A checkpoint's events replace the stimulus.
+	boot := &ckpt.Seed[logic.Value]{Events: []ckpt.EventT[logic.Value]{{Time: 7, Gate: gB, Value: logic.Zero}}}
+	c, p := fanoutCircuit(t)
+	st, _ := circuit.Scalar.InitState(c, logic.TwoValued)
+	boot.Vals, boot.PrevClk, boot.Projected = st, st, st
+	got, _ = route(newNet(t, Spec[logic.Value]{Circuit: c, Partition: p, Boot: boot}), changes, 50)
+	if want = []routed{{0, 7, gB}, {2, 7, gB}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("boot pushes = %v, want %v", got, want)
+	}
+}
+
+// countingBox records every PutAll it receives.
+type countingBox struct {
+	mpsc.Transport[Msg[logic.Value]]
+	dst   int
+	calls *[]putAll
+}
+
+type putAll struct {
+	dst int
+	ms  []Msg[logic.Value]
+}
+
+func (c countingBox) PutAll(ms []Msg[logic.Value]) {
+	*c.calls = append(*c.calls, putAll{c.dst, append([]Msg[logic.Value](nil), ms...)})
+}
+
+func TestBatcherFIFOAndNullFold(t *testing.T) {
+	var calls []putAll
+	n := &Net[logic.Value]{Inboxes: make([]mpsc.Transport[Msg[logic.Value]], 3), lps: make([]lp[logic.Value], 3)}
+	for i := range n.Inboxes {
+		n.Inboxes[i] = countingBox{dst: i, calls: &calls}
+	}
+	n.initBatchers()
+	b := n.Batcher(0)
+	val := func(t circuit.Tick) Msg[logic.Value] { return Msg[logic.Value]{Kind: Value, From: 0, Time: t, Gate: 4} }
+	null := func(t circuit.Tick) Msg[logic.Value] { return Msg[logic.Value]{Kind: Null, From: 0, Time: t} }
+
+	for i, put := range []struct {
+		dst  int
+		m    Msg[logic.Value]
+		fold bool
+	}{
+		{2, val(1), false},
+		{2, null(5), false},
+		{1, val(3), false},
+		{2, val(2), false},
+		{2, null(7), true}, // overwrites null(5) in place
+		{1, null(4), false},
+		{2, null(9), true},
+	} {
+		if folded := b.Put(put.dst, put.m); folded != put.fold {
+			t.Fatalf("put %d: folded = %v, want %v", i, folded, put.fold)
+		}
+	}
+	if len(calls) != 0 {
+		t.Fatal("Put delivered before Flush")
+	}
+	b.Flush()
+	want := []putAll{
+		{2, []Msg[logic.Value]{val(1), null(9), val(2)}},
+		{1, []Msg[logic.Value]{val(3), null(4)}},
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("flush delivered %v, want one PutAll per destination in first-use order: %v", calls, want)
+	}
+	b.Flush()
+	if len(calls) != 2 {
+		t.Fatalf("a second flush delivered %v; batches were not emptied", calls[2:])
+	}
+	// The fold is per flush: a null after a flush starts a new batch.
+	if b.Put(2, null(11)) {
+		t.Fatal("a null folded into an already flushed batch")
+	}
+	b.Flush()
+	if last := calls[len(calls)-1]; last.dst != 2 || !reflect.DeepEqual(last.ms, []Msg[logic.Value]{null(11)}) {
+		t.Fatalf("post-flush null delivered as %v", last)
+	}
+}
+
+func TestFailLatch(t *testing.T) {
+	hook := inject.NewHook(1, nil)
+	hook.HangLP = 0
+	seam := wire.NewSeam(wire.New(wire.Config{}), 0, []int{0, 0, 0})
+	n := newNet(t, Spec[logic.Value]{Chaos: hook, Seam: seam})
+
+	hung := make(chan struct{})
+	go func() {
+		hook.Stall(0, inject.PhaseEvaluate)
+		close(hung)
+	}()
+	gvt := make(chan error, 1)
+	go func() {
+		_, err := seam.GVTNext()
+		gvt <- err
+	}()
+	select {
+	case <-hung:
+		t.Fatal("the chaos hang did not park its LP")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	first := errors.New("first")
+	n.Fail(first)
+	n.Fail(errors.New("second"))
+	if !n.Aborted() {
+		t.Fatal("Fail did not abort the run")
+	}
+	if n.err != first {
+		t.Fatalf("latched %v, want the first error", n.err)
+	}
+	select {
+	case <-hung:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fail did not release the chaos hang")
+	}
+	select {
+	case err := <-gvt:
+		if err == nil {
+			t.Fatal("GVTNext returned a command after the abort")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Fail did not cancel the seam's GVT wait")
+	}
+	for i, ib := range n.Inboxes {
+		done := make(chan struct{})
+		go func() {
+			ib.WaitDrain(nil)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("inbox %d was not poked", i)
+		}
+	}
+}
+
+func TestRunIsolatesPanics(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{})
+	var exited atomic.Int32
+	err := n.Run(Launch{
+		LP: func(i int) {
+			if i == 1 {
+				panic("boom")
+			}
+			for !n.Aborted() {
+				n.Inboxes[i].WaitDrain(nil)
+			}
+			exited.Add(1)
+		},
+		LVT:   func(i int) circuit.Tick { return circuit.Tick(10 + i) },
+		Board: supervise.NewBoard(3),
+	})
+	var se *supervise.SimError
+	if !errors.As(err, &se) || se.Kind != supervise.KindPanic || se.Engine != "eng" || se.LP != 1 ||
+		se.Phase != "run" || se.ModeledTime != 11 {
+		t.Fatalf("Run = %v, want a panic SimError for eng lp 1 in run at t=11", err)
+	}
+	if got := exited.Load(); got != 2 {
+		t.Fatalf("%d siblings exited, want 2", got)
+	}
+
+	// An abort with nothing latched is the event limit.
+	n = newNet(t, Spec[logic.Value]{})
+	err = n.Run(Launch{LP: func(int) { n.Abort() }, LVT: func(int) circuit.Tick { return 0 }, MaxEvents: 9})
+	if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit || se.Error() == "" {
+		t.Fatalf("Run after a bare abort = %v, want an event-limit SimError", err)
+	}
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	for k := Value; k <= Terminate; k++ {
+		m := Msg[logic.Value]{Kind: k, From: 3, ID: 7<<40 | 12345, Time: 1 << 50, Gate: 77, Value: logic.One}
+		if got := Decode(Encode(m)); got != m {
+			t.Errorf("kind %d: round trip %+v -> %+v", k, m, got)
+		}
+	}
+	ms := []wire.Msg{Encode(Msg[logic.Value]{Kind: Anti, From: 1, ID: 9, Time: 4, Gate: 2, Value: logic.X})}
+	_, back, err := wire.DecodeBatch(wire.AppendBatch(nil, 0, ms))
+	if err != nil || !reflect.DeepEqual(back, ms) {
+		t.Fatalf("wire batch round trip = %v, %v", back, err)
+	}
+}
+
+// TestMetaRoles pins every kind's chaos role to the mapping the engines
+// used before they shared one message type, so seeded chaos plans and
+// replay specs draw identically.
+func TestMetaRoles(t *testing.T) {
+	m := func(k Kind) Msg[logic.Value] { return Msg[logic.Value]{Kind: k, From: 2, ID: 5, Time: 9, Gate: 1} }
+	for k, want := range map[Kind]inject.Meta{
+		Value:     {Kind: inject.Value, From: 2, Time: 9},
+		Null:      {Kind: inject.Null, From: 2, Time: 9},
+		Request:   {Kind: inject.Aux, From: 2},
+		Permit:    {Kind: inject.Control},
+		Anti:      {Kind: inject.Value, From: 2, Time: 9},
+		GVTRound:  {Kind: inject.Control},
+		GVTDone:   {Kind: inject.Control},
+		Terminate: {Kind: inject.Control},
+	} {
+		if got := Meta(m(k)); got != want {
+			t.Errorf("kind %d: Meta = %+v, want %+v", k, got, want)
+		}
+	}
+}
+
+// seamPair connects two seams over a loopback socket, shard 0 dialing
+// shard 1.
+func seamPair(t *testing.T, shardOf []int) (client, server *wire.Seam) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverEP := wire.New(wire.Config{
+		Shard:   0,
+		Handler: func(kind byte, payload []byte) { server.HandleFrame(kind, payload) },
+		OnDown:  func(err error) { server.Down(err) },
+	})
+	server = wire.NewSeam(serverEP, 1, shardOf)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			hello, err := wire.ReadHello(c)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			serverEP.Attach(c, hello.RecvSeq)
+		}
+	}()
+	addr := ln.Addr().String()
+	clientEP := wire.New(wire.Config{
+		Shard:      -1,
+		Dial:       func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		Hello:      wire.Hello{Shard: 0},
+		MaxRedials: 50,
+		RedialBase: time.Millisecond,
+		RedialCap:  20 * time.Millisecond,
+		Handler:    func(kind byte, payload []byte) { client.HandleFrame(kind, payload) },
+		OnDown:     func(err error) { client.Down(err) },
+	})
+	client = wire.NewSeam(clientEP, 0, shardOf)
+	if err := clientEP.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ln.Close()
+		clientEP.Close()
+		serverEP.Close()
+	})
+	return client, server
+}
+
+// TestSeamCarriesBatchesAndTransit drives the socket half of the network
+// across a real connection: a batch put into a remote LP's outbox arrives
+// in the bound mailbox on the other side as one decoded batch, counted
+// messages leave the sender's transit ledger only once the seam has them,
+// a link failure fails the run as a transport SimError, and the unhook
+// detaches the progress probe.
+func TestSeamCarriesBatchesAndTransit(t *testing.T) {
+	shardOf := []int{0, 1, 0}
+	client, server := seamPair(t, shardOf)
+	cn := newNet(t, Spec[logic.Value]{Seam: client})
+	sn := newNet(t, Spec[logic.Value]{Seam: server})
+
+	unhook := sn.bindSeam(func() (uint64, bool) { return 42, true })
+	if ev, idle := server.Progress(); ev != 42 || !idle {
+		t.Fatalf("progress probe = (%d, %v), want (42, true)", ev, idle)
+	}
+
+	cn.Transit.Store(5)
+	batch := []Msg[logic.Value]{
+		{Kind: Value, From: 0, ID: 1, Time: 7, Gate: gX, Value: logic.One},
+		{Kind: Null, From: 0, Time: 8},
+		{Kind: Anti, From: 0, ID: 1, Time: 7, Gate: gX, Value: logic.One},
+	}
+	cn.Inboxes[1].PutAll(batch)
+	if got := cn.Transit.Load(); got != 3 {
+		t.Fatalf("transit after a batch with 2 counted messages = %d, want 3", got)
+	}
+	if sent, _ := client.SentRecv(); sent != 3 {
+		t.Fatalf("wire-sent = %d, want 3", sent)
+	}
+	got, ok := sn.Inboxes[1].WaitDrain(nil)
+	if !ok || !reflect.DeepEqual(got, batch) {
+		t.Fatalf("delivered batch = %v (ok=%v), want %v", got, ok, batch)
+	}
+	if buf, ok := cn.Inboxes[1].WaitDrain(nil); ok || len(buf) != 0 || cn.Inboxes[1].Len() != 0 {
+		t.Fatal("a remote outbox must never yield messages")
+	}
+
+	server.Down(errors.New("link cut"))
+	var se *supervise.SimError
+	if !sn.Aborted() || !errors.As(sn.err, &se) || se.Engine != "eng" || se.Phase != "transport" || se.Kind != supervise.KindInternal {
+		t.Fatalf("link failure surfaced as %v", sn.err)
+	}
+	unhook()
+	if ev, idle := server.Progress(); ev != 0 || idle {
+		t.Fatalf("progress probe survived the unhook: (%d, %v)", ev, idle)
+	}
+}

@@ -2,11 +2,11 @@ package timewarp
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
-	"repro/internal/logic"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 )
 
@@ -33,51 +33,25 @@ func checkDist(cfg Config) error {
 	return nil
 }
 
-// wireEncScalar projects a scalar Time Warp message onto the wire
-// format; ID carries the message identity anti-message annihilation
-// keys on.
-func wireEncScalar(m msg[logic.Value]) wire.Msg {
-	return wire.Msg{
-		Kind:  uint8(m.kind),
-		From:  int32(m.from),
-		ID:    m.id,
-		Time:  uint64(m.time),
-		Gate:  int32(m.gate),
-		Value: uint8(m.value),
-	}
-}
-
-// wireDecScalar is the inverse projection.
-func wireDecScalar(w wire.Msg) msg[logic.Value] {
-	return msg[logic.Value]{
-		kind:  msgKind(w.Kind),
-		from:  int(w.From),
-		id:    w.ID,
-		time:  circuit.Tick(w.Time),
-		gate:  circuit.GateID(w.Gate),
-		value: logic.Value(w.Value),
-	}
-}
-
 // distCoordinate is the worker half of distributed GVT. The hub owns
 // pacing and conclusion — it repeats rounds until every shard reports
 // quiet with matching, stable wire counts (Mattern-style message
-// counting) — while this loop answers each round exactly like the
-// single-process coordinator's inner collection: freeze processing,
-// poll the local LPs through their inboxes, and fold their replies into
-// one report. A concluded GVT is applied by the same msgGVTDone /
-// msgTerminate broadcast the local protocol uses, so the LPs cannot
-// tell the difference.
-func distCoordinate[V comparable](sh *shared[V], localLPs []int) (uint64, circuit.Tick) {
-	dist := sh.cfg.Dist
+// counting) — while this loop answers each round with the single-process
+// coordinator's own handling round (poll) over the local LPs, folded into
+// one report. A concluded GVT is applied by the same GVTDone / Terminate
+// broadcast the local protocol uses, so the LPs cannot tell the
+// difference.
+func distCoordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
+	dist, lps := sh.cfg.Dist, sh.net.Locals()
 	var rounds uint64
 	gvt := circuit.Tick(0)
+	var mins []circuit.Tick
 	for {
 		cmd, err := dist.GVTNext()
 		if err != nil {
 			// Link death or engine abort; fail is idempotent and the
 			// transport OnDown hook usually got there first.
-			sh.fail(&supervise.SimError{
+			sh.net.Fail(&supervise.SimError{
 				Engine: sh.engine, LP: -1, Phase: "gvt",
 				Kind: supervise.KindInternal, Cause: err,
 			})
@@ -86,44 +60,22 @@ func distCoordinate[V comparable](sh *shared[V], localLPs []int) (uint64, circui
 		switch cmd.Kind {
 		case wire.CmdRound:
 			sh.paused.Store(true)
-			for _, i := range localLPs {
-				sh.inboxes[i].Put(msg[V]{kind: msgGVTRound})
-			}
 			var handled uint64
-			localMin := infTick
-			for k := 0; k < len(localLPs); {
-				select {
-				case r := <-sh.replies:
-					handled += r.handled
-					if r.localMin < localMin {
-						localMin = r.localMin
-					}
-					k++
-				case <-time.After(5 * time.Millisecond):
-					if sh.abort.Load() {
-						sh.paused.Store(false)
-						return rounds, gvt
-					}
-				}
-			}
-			if sh.abort.Load() {
+			var ok bool
+			if handled, mins, ok = sh.poll(lps, mins[:0]); !ok {
 				sh.paused.Store(false)
 				return rounds, gvt
 			}
 			rounds++
-			quiet := handled == 0 && sh.transit.Load() == 0
-			dist.GVTReport(cmd.Round, quiet, uint64(localMin))
+			quiet := handled == 0 && sh.net.Transit.Load() == 0
+			dist.GVTReport(cmd.Round, quiet, uint64(slices.Min(mins)))
 		case wire.CmdDone:
 			gvt = circuit.Tick(cmd.GVT)
 			sh.paused.Store(false)
-			for _, i := range localLPs {
-				sh.inboxes[i].Put(msg[V]{kind: msgGVTDone, time: gvt})
-			}
+			sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.GVTDone, Time: gvt})
 		case wire.CmdTerminate:
 			gvt = circuit.Tick(cmd.GVT)
-			for _, i := range localLPs {
-				sh.inboxes[i].Put(msg[V]{kind: msgTerminate})
-			}
+			sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.Terminate})
 			sh.paused.Store(false)
 			return rounds, gvt
 		}

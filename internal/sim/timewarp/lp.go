@@ -9,6 +9,7 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/sim/kernel"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
@@ -93,12 +94,16 @@ type tlp[V comparable] struct {
 	seq         uint64
 	relevant    []circuit.GateID
 
-	initialEvents []kernel.EventT[V]
-	curStep       *step[V]
-	handledSince  uint64
-	buf           []msg[V]
-	evs           []qevent[V]
-	kevs          []kernel.EventT[V]
+	curStep      *step[V]
+	handledSince uint64
+	// batch holds outgoing messages per destination until the next flush:
+	// after every step and every drain, and before every park. Transit is
+	// counted at send time, so GVT quiescence (handled==0 && transit==0)
+	// cannot conclude while any batch is unflushed.
+	batch *lpnet.Batcher[V]
+	buf   []lpnet.Msg[V]
+	evs   []qevent[V]
+	kevs  []kernel.EventT[V]
 
 	// Free-lists for the per-step history records. Steps, undo logs, and
 	// snapshots are recycled here at rollback and fossil collection instead
@@ -110,34 +115,28 @@ type tlp[V comparable] struct {
 	snapPool    []*kernel.SnapshotT[V]
 	undoScratch []*kernel.UndoT[V]
 
-	// Per-destination outgoing message batches. Sends append here (transit
-	// is counted at buffer time so GVT quiescence waits for unflushed
-	// batches) and flushSends delivers each destination's batch with one
-	// PutAll — one lock acquisition per destination per step instead of one
-	// per message.
-	pend    [][]msg[V]
-	pendDst []int // destinations with a non-empty batch, in first-use order
-
 	// Hybrid-mode intra-cluster buffers and accounting.
 	outBuf   []V
 	clkBuf   []V
 	critEval float64
 }
 
-func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec *trace.RecorderT[V], cfg Config) *tlp[V] {
+func newTLP[V comparable](sh *shared[V], id int, cfg Config) *tlp[V] {
+	k := sh.net.Kernel(id)
 	l := &tlp[V]{
-		id:   id,
-		sh:   sh,
-		cfg:  cfg,
-		k:    k,
-		rec:  rec,
-		q:    eventq.NewCap[qevent[V]](cfg.Queue, 128),
-		dead: map[uint64]bool{},
-		evs:  make([]qevent[V], 0, 32),
-		kevs: make([]kernel.EventT[V], 0, 32),
-		buf:  make([]msg[V], 0, 64),
-		st:   sh.sink.LP(id),
-		trsh: sh.tracer.Shard(fmt.Sprintf("lp %d", id)),
+		id:    id,
+		sh:    sh,
+		cfg:   cfg,
+		k:     k,
+		rec:   sh.net.Recorder(id),
+		batch: sh.net.Batcher(id),
+		q:     eventq.NewCap[qevent[V]](cfg.Queue, 128),
+		dead:  map[uint64]bool{},
+		evs:   make([]qevent[V], 0, 32),
+		kevs:  make([]kernel.EventT[V], 0, 32),
+		buf:   make([]lpnet.Msg[V], 0, 64),
+		st:    sh.sink.LP(id),
+		trsh:  sh.tracer.Shard(fmt.Sprintf("lp %d", id)),
 	}
 	if cfg.StateSaving == FullCopy {
 		l.relevant = k.RelevantNets()
@@ -146,7 +145,6 @@ func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec *trace.Re
 		l.outBuf = make([]V, sh.c.NumGates())
 		l.clkBuf = make([]V, sh.c.NumGates())
 	}
-	l.pend = make([][]msg[V], len(sh.inboxes))
 	k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 		ev := qevent[V]{gate: g, value: v, id: l.newID()}
 		l.q.Push(uint64(t), ev)
@@ -172,10 +170,8 @@ func newTLP[V comparable](sh *shared[V], id int, k *kernel.LPT[V], rec *trace.Re
 		}
 		rec := sentRec[V]{dst: dst, id: l.newID(), time: t, gate: g, value: v}
 		l.sentLog = append(l.sentLog, rec)
-		l.buffer(dst, msg[V]{kind: msgValue, from: l.id, id: rec.id, time: t, gate: g, value: v})
-	}
-	k.Record = func(t circuit.Tick, g circuit.GateID, v V) {
-		l.rec.Record(t, g, v)
+		l.sh.net.Transit.Add(1)
+		l.batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.id, ID: rec.id, Time: t, Gate: g, Value: v})
 	}
 	return l
 }
@@ -274,31 +270,6 @@ func (l *tlp[V]) getSnap() *kernel.SnapshotT[V] {
 	return &kernel.SnapshotT[V]{}
 }
 
-// buffer queues one outgoing message for dst. Transit is counted here, at
-// buffer time, so GVT quiescence (handled==0 && transit==0) cannot conclude
-// while any batch is unflushed.
-func (l *tlp[V]) buffer(dst int, m msg[V]) {
-	l.sh.transit.Add(1)
-	if len(l.pend[dst]) == 0 {
-		if cap(l.pend[dst]) == 0 {
-			l.pend[dst] = make([]msg[V], 0, 64)
-		}
-		l.pendDst = append(l.pendDst, dst)
-	}
-	l.pend[dst] = append(l.pend[dst], m)
-}
-
-// flushSends delivers every buffered batch, one PutAll per destination.
-// Per-destination order is preserved, so link FIFO (which anti-message
-// annihilation relies on) still holds.
-func (l *tlp[V]) flushSends() {
-	for _, dst := range l.pendDst {
-		l.sh.inboxes[dst].PutAll(l.pend[dst])
-		l.pend[dst] = l.pend[dst][:0]
-	}
-	l.pendDst = l.pendDst[:0]
-}
-
 // nextLive returns the earliest non-annihilated pending event time,
 // discarding annihilated entries it passes over.
 func (l *tlp[V]) nextLive() circuit.Tick {
@@ -395,12 +366,12 @@ func (l *tlp[V]) execStep(t circuit.Tick, events []qevent[V], initial bool) {
 
 // execInitial runs the time-zero settling step (never rolled back: all
 // cross-LP messages carry times >= 1, so no straggler can target time 0).
-func (l *tlp[V]) execInitial() {
+func (l *tlp[V]) execInitial(events []kernel.EventT[V]) {
 	s := &step[V]{time: 0}
 	l.beginStep(s)
 	begin := l.trsh.Now()
-	l.k.Step(0, l.initialEvents, true, nil, &l.st.LPCounters)
-	l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(l.initialEvents)))
+	l.k.Step(0, events, true, nil, &l.st.LPCounters)
+	l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(events)))
 	l.trsh.Span(trace.PhaseEvaluate, begin, 0)
 	l.endStep(s, false)
 	l.lvt = 0
@@ -414,7 +385,7 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 		return
 	}
 	if l.steps[idx].time < l.fossilFloor {
-		l.sh.fail(&supervise.SimError{
+		l.sh.net.Fail(&supervise.SimError{
 			Engine: l.sh.engine, LP: l.id, Phase: "rollback", ModeledTime: ts,
 			Kind:  supervise.KindCausality,
 			Cause: fmt.Errorf("rollback to %d below GVT %d", ts, l.fossilFloor),
@@ -490,10 +461,12 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 }
 
 // sendAnti queues an anti-message for a previously sent message; the batch
-// is delivered at the next flushSends.
+// is delivered at the next flush. Link FIFO, which the batcher preserves,
+// puts it behind its original.
 func (l *tlp[V]) sendAnti(sr sentRec[V]) {
 	l.st.AntiMessagesSent++
-	l.buffer(sr.dst, msg[V]{kind: msgAnti, from: l.id, id: sr.id, time: sr.time, gate: sr.gate, value: sr.value})
+	l.sh.net.Transit.Add(1)
+	l.batch.Put(sr.dst, lpnet.Msg[V]{Kind: lpnet.Anti, From: l.id, ID: sr.id, Time: sr.time, Gate: sr.gate, Value: sr.value})
 }
 
 // cancelLazyThrough cancels pending lazy messages whose originating step
@@ -590,64 +563,57 @@ func (l *tlp[V]) dropLogPrefix() {
 }
 
 // handle processes one inbound message; it returns false on terminate.
-func (l *tlp[V]) handle(m msg[V]) bool {
-	switch m.kind {
-	case msgValue:
-		// A remote sender's message never entered the local transit
-		// ledger (it left its shard's at flush and crossed as seam
-		// wire-recv), so only locally originated messages decrement.
-		if d := l.sh.cfg.Dist; d == nil || d.Local(m.from) {
-			l.sh.transit.Add(-1)
-		}
+func (l *tlp[V]) handle(m lpnet.Msg[V]) bool {
+	switch m.Kind {
+	case lpnet.Value:
+		l.sh.net.Settle(m.From)
 		l.st.MessagesRecv++
 		l.handledSince++
-		if m.time < l.fossilFloor {
-			l.sh.fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.time,
+		if m.Time < l.fossilFloor {
+			l.sh.net.Fail(&supervise.SimError{
+				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.Time,
 				Kind:  supervise.KindCausality,
-				Cause: fmt.Errorf("received message at %d below GVT %d", m.time, l.fossilFloor),
+				Cause: fmt.Errorf("received message at %d below GVT %d", m.Time, l.fossilFloor),
 			})
 			return false
 		}
-		if m.time <= l.lvt {
-			l.rollback(m.time)
+		if m.Time <= l.lvt {
+			l.rollback(m.Time)
 		}
 		l.q.ResetFloor()
-		l.q.Push(uint64(m.time), qevent[V]{gate: m.gate, value: m.value, id: m.id})
-	case msgAnti:
-		if d := l.sh.cfg.Dist; d == nil || d.Local(m.from) {
-			l.sh.transit.Add(-1)
-		}
+		l.q.Push(uint64(m.Time), qevent[V]{gate: m.Gate, value: m.Value, id: m.ID})
+	case lpnet.Anti:
+		l.sh.net.Settle(m.From)
 		l.st.AntiMessagesRecv++
 		l.handledSince++
-		if m.time < l.fossilFloor {
-			l.sh.fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.time,
+		if m.Time < l.fossilFloor {
+			l.sh.net.Fail(&supervise.SimError{
+				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.Time,
 				Kind:  supervise.KindCausality,
-				Cause: fmt.Errorf("received anti-message at %d below GVT %d", m.time, l.fossilFloor),
+				Cause: fmt.Errorf("received anti-message at %d below GVT %d", m.Time, l.fossilFloor),
 			})
 			return false
 		}
-		if m.time <= l.lvt {
-			l.rollback(m.time)
+		if m.Time <= l.lvt {
+			l.rollback(m.Time)
 		}
 		// The original is now unprocessed (FIFO per link guarantees it
 		// arrived first; if it had been processed, the rollback above just
 		// requeued it). Tombstone it.
-		l.dead[m.id] = true
-	case msgGVTRound:
+		l.dead[m.ID] = true
+	case lpnet.GVTRound:
 		l.sh.replies <- gvtReply{handled: l.handledSince, localMin: l.localMin()}
 		l.handledSince = 0
-	case msgGVTDone:
-		l.fossilCollect(m.time)
-	case msgTerminate:
+	case lpnet.GVTDone:
+		l.fossilCollect(m.Time)
+	case lpnet.Terminate:
 		return false
 	}
 	return true
 }
 
 // handleAll processes a batch; it returns false on terminate.
-func (l *tlp[V]) handleAll(batch []msg[V]) bool {
+func (l *tlp[V]) handleAll(batch []lpnet.Msg[V]) bool {
 	for _, m := range batch {
 		if !l.handle(m) {
 			return false
@@ -660,35 +626,35 @@ func (l *tlp[V]) handleAll(batch []msg[V]) bool {
 // that can reach WaitDrain (or park the LP in any way) flushes first, so no
 // message sits in a local batch while its sender sleeps — GVT quiescence
 // and deadlock-freedom both depend on it.
-func (l *tlp[V]) run() {
+func (l *tlp[V]) run(initial []kernel.EventT[V]) {
 	l.slot.SetPhase(supervise.PhaseRun)
 	defer l.slot.SetPhase(supervise.PhaseDone)
 	if !l.sh.boot {
-		l.execInitial()
-		l.flushSends()
+		l.execInitial(initial)
+		l.batch.Flush()
 	}
 	for {
-		if l.sh.abort.Load() {
+		if l.sh.net.Aborted() {
 			return
 		}
-		l.buf = l.sh.inboxes[l.id].TryDrain(l.buf[:0])
+		l.buf = l.sh.net.Inboxes[l.id].TryDrain(l.buf[:0])
 		if !l.handleAll(l.buf) {
 			return
 		}
-		l.flushSends() // anti-messages from straggler-induced rollbacks
+		l.batch.Flush() // anti-messages from straggler-induced rollbacks
 		if l.sh.paused.Load() {
 			// Processing is frozen during GVT computation; keep serving
 			// rounds until released.
 			begin := l.trsh.Now()
 			l.slot.SetPhase(supervise.PhaseBarrier)
 			var ok bool
-			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
+			l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
 			l.slot.SetPhase(supervise.PhaseRun)
 			l.trsh.Span(trace.PhaseBarrier, begin, trace.NoTick)
 			if !ok || !l.handleAll(l.buf) {
 				return
 			}
-			l.flushSends()
+			l.batch.Flush()
 			continue
 		}
 		t := l.nextLive()
@@ -710,21 +676,21 @@ func (l *tlp[V]) run() {
 			// sleep until messages (or a GVT round) arrive.
 			l.st.Blocks++
 			l.flushLazyBelowNext()
-			l.flushSends()
+			l.batch.Flush()
 			l.cfg.Chaos.Stall(l.id, inject.PhaseBlock)
 			begin := l.trsh.Now()
 			l.slot.SetNext(uint64(t))
 			l.slot.SetPhase(supervise.PhaseBlock)
 			l.sh.idle.Add(1)
 			var ok bool
-			l.buf, ok = l.sh.inboxes[l.id].WaitDrain(l.buf[:0])
+			l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
 			l.sh.idle.Add(-1)
 			l.slot.SetPhase(supervise.PhaseRun)
 			l.trsh.Span(trace.PhaseBlock, begin, trace.NoTick)
 			if !ok || !l.handleAll(l.buf) {
 				return
 			}
-			l.flushSends()
+			l.batch.Flush()
 			continue
 		}
 		events := l.popBatch(t)
@@ -733,7 +699,7 @@ func (l *tlp[V]) run() {
 		}
 		processed := l.sh.events.Add(uint64(len(events)))
 		if max := l.sh.cfg.MaxEvents; max > 0 && processed > max {
-			l.sh.fail(&supervise.SimError{
+			l.sh.net.Fail(&supervise.SimError{
 				Engine: l.sh.engine, LP: l.id, Phase: "run", ModeledTime: t,
 				Kind:  supervise.KindEventLimit,
 				Cause: fmt.Errorf("event limit %d exceeded at time %d", max, t),
@@ -746,13 +712,13 @@ func (l *tlp[V]) run() {
 		l.execStep(t, events, false)
 		l.slot.SetLVT(uint64(l.lvt))
 		if err := l.q.Err(); err != nil {
-			l.sh.fail(&supervise.SimError{
+			l.sh.net.Fail(&supervise.SimError{
 				Engine: l.sh.engine, LP: l.id, Phase: "eventq", ModeledTime: l.lvt,
 				Kind: supervise.KindCausality, Cause: err,
 			})
 			return
 		}
-		l.flushSends()
+		l.batch.Flush()
 		l.cfg.Chaos.Stall(l.id, inject.PhaseEvaluate)
 		// Yield between speculative steps. Without this, a single-core
 		// scheduler lets one LP race arbitrarily far ahead before its

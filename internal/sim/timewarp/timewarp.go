@@ -30,7 +30,7 @@ package timewarp
 
 import (
 	"fmt"
-	gosync "sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,11 +39,11 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/logic"
 	"repro/internal/metrics"
-	"repro/internal/mpsc"
 	"repro/internal/partition"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/kernel"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/stats"
@@ -194,8 +194,9 @@ type ResultT[V comparable] struct {
 	EndTime  circuit.Tick
 	GVT      circuit.Tick
 	Stats    stats.RunStats
-	// IntraCritical, in hybrid mode, holds each cluster's modeled
-	// evaluation critical path (per-step max chunk plus barrier costs).
+	// IntraCritical, in hybrid mode (IntraWorkers > 1), holds each
+	// cluster's modeled evaluation critical path (per-step max chunk plus
+	// barrier costs); nil otherwise.
 	IntraCritical []float64
 }
 
@@ -208,39 +209,6 @@ type WideResult = ResultT[logic.Word]
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
 
-type msgKind uint8
-
-const (
-	msgValue msgKind = iota
-	msgAnti
-	msgGVTRound
-	msgGVTDone // time carries the new GVT
-	msgTerminate
-)
-
-type msg[V comparable] struct {
-	kind  msgKind
-	from  int
-	id    uint64
-	time  circuit.Tick
-	gate  circuit.GateID
-	value V
-}
-
-// msgMeta projects a message to its chaos-transport role: values and
-// anti-messages are members of their sender's FIFO stream (annihilation
-// depends on that order, so chaos preserves it); GVT rounds and
-// termination are coordinator control that chaos must not touch. Time
-// Warp has no promises, so no timestamps are bound-checked.
-func msgMeta[V comparable](m msg[V]) inject.Meta {
-	switch m.kind {
-	case msgValue, msgAnti:
-		return inject.Meta{Kind: inject.Value, From: m.from, Time: uint64(m.time)}
-	default:
-		return inject.Meta{Kind: inject.Control}
-	}
-}
-
 // gvtReply is an LP's answer to one GVT round.
 type gvtReply struct {
 	handled  uint64       // messages handled since the previous reply
@@ -249,26 +217,24 @@ type gvtReply struct {
 
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
-	cfg     Config
-	engine  string // supervise/metrics label
-	boot    bool   // resuming from a checkpoint (skip the settling step)
-	c       *circuit.Circuit
-	until   circuit.Tick
-	inboxes []mpsc.Transport[msg[V]]
+	cfg    Config
+	engine string // supervise/metrics label
+	boot   bool   // resuming from a checkpoint (skip the settling step)
+	c      *circuit.Circuit
+	until  circuit.Tick
+	// net is the LP network. Its Transit counts values and anti-messages
+	// from the send that batches them to the handler that consumes them.
+	net     *lpnet.Net[V]
 	sink    metrics.Sink
 	tracer  *trace.Tracer
 	coShard *trace.Shard
 	replies chan gvtReply
-	transit atomic.Int64
 	events  atomic.Uint64
-	abort   atomic.Bool
 	paused  atomic.Bool
 	// idle counts LPs parked with nothing executable; when every LP is
 	// idle the coordinator starts a GVT round immediately (fast
 	// termination) instead of waiting out the interval.
-	idle    atomic.Int64
-	errOnce gosync.Once
-	err     error
+	idle atomic.Int64
 
 	// Memory-throttle state (HistoryLimit > 0). histWords is the live
 	// total of saved-history words across LPs; clamp, when non-zero, is a
@@ -292,23 +258,6 @@ type shared[V comparable] struct {
 	board      *supervise.Board
 }
 
-// fail records the first fatal error and aborts the run. Releasing any
-// chaos-injected hang is part of the abort contract: a parked LP must be
-// unparked so it can observe the abort flag and exit.
-func (sh *shared[V]) fail(err error) {
-	sh.errOnce.Do(func() { sh.err = err })
-	sh.abort.Store(true)
-	sh.cfg.Chaos.Release()
-	if sh.cfg.Dist != nil {
-		// Unpark a distributed GVT loop blocked on the coordinator: the
-		// hub will never answer a dead run.
-		sh.cfg.Dist.CancelWait()
-	}
-	for _, ib := range sh.inboxes {
-		ib.Poke()
-	}
-}
-
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
 	var err error
@@ -323,7 +272,7 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	return run(circuit.Scalar, "timewarp", c, changes, until, cfg, boot, wireEncScalar, wireDecScalar)
+	return run(circuit.Scalar, "timewarp", c, changes, until, cfg, boot)
 }
 
 // RunWide is the optimistic engine on 64 packed lanes: the identical Time
@@ -346,29 +295,25 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
 	cfg.Sweep, cfg.Dist = true, nil
-	return run(circuit.Wide, "timewarp-wide", c, stim.Changes, until, cfg, nil, nil, nil)
+	return run(circuit.Wide, "timewarp-wide", c, stim.Changes, until, cfg, nil)
 }
 
-// run is the optimistic engine over value type V: LP construction,
-// stimulus/checkpoint routing, the LP goroutines, the GVT coordinator,
-// abort-to-error mapping, and result assembly. changes is a validated
-// schedule already in the run's value domain, engine labels the metrics
-// registry and errors, boot, when non-nil, replaces the stimulus and the
-// time-zero settling step, and wireEnc/wireDec translate messages for
-// cfg.Dist.
+// run is the optimistic engine over value type V: LP construction on the
+// shared LP network, the GVT coordinator, and result assembly. changes is
+// a validated schedule already in the run's value domain, engine labels
+// the metrics registry and errors, and boot, when non-nil, replaces the
+// stimulus and the time-zero settling step.
 func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Seed[V],
-	wireEnc func(msg[V]) wire.Msg, wireDec func(wire.Msg) msg[V]) (*ResultT[V], error) {
-	if cfg.Partition == nil {
-		return nil, fmt.Errorf("timewarp: Config.Partition is required")
-	}
-	if err := cfg.Partition.Validate(c); err != nil {
-		return nil, err
-	}
-	if err := c.CheckEventDriven(); err != nil {
-		return nil, err
-	}
+	until circuit.Tick, cfg Config, boot *ckpt.Seed[V]) (*ResultT[V], error) {
 	if err := checkDist(cfg); err != nil {
+		return nil, err
+	}
+	net, err := lpnet.New(lpnet.Spec[V]{
+		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Boot: boot,
+		Chaos: cfg.Chaos, Seam: cfg.Dist,
+	})
+	if err != nil {
 		return nil, err
 	}
 	sink := cfg.Metrics
@@ -376,10 +321,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		sink = metrics.NewRegistry(engine)
 	}
 	start := time.Now()
-	watched := cfg.Watch
-	if watched == nil {
-		watched = c.Outputs
-	}
 	if cfg.GVTInterval == 0 {
 		cfg.GVTInterval = 50 * time.Millisecond
 	}
@@ -387,49 +328,11 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		cfg.Cost = stats.DefaultCostModel()
 	}
 
-	p := cfg.Partition
-	n := p.Blocks
-	owner := p.Assign
-	dist := cfg.Dist
-	// local reports LP residency; without a seam every LP is local.
-	local := func(lp int) bool { return dist == nil || dist.Local(lp) }
-	var localLPs []int
-	for i := 0; i < n; i++ {
-		if local(i) {
-			localLPs = append(localLPs, i)
-		}
-	}
-
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, sink: sink, tracer: cfg.Tracer}
+	n := cfg.Partition.Blocks
+	localLPs := net.Locals()
+	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, net: net, sink: sink, tracer: cfg.Tracer}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
-	// Values and anti-messages are what the transit ledger counts; the
-	// Mattern wire counts take them over at the seam.
-	shim := wire.Shim[msg[V]]{
-		Seam: dist, Enc: wireEnc, Dec: wireDec, Transit: &sh.transit,
-		Counted: func(m msg[V]) bool { return m.kind == msgValue || m.kind == msgAnti },
-	}
-	sh.inboxes = make([]mpsc.Transport[msg[V]], n)
-	for i := range sh.inboxes {
-		if !local(i) {
-			// A remote LP's mailbox is a socket outbox: sends cross the
-			// seam as encoded frames, and nothing local ever drains it.
-			sh.inboxes[i] = shim.Outbox(i)
-			continue
-		}
-		var tr mpsc.Transport[msg[V]] = mpsc.New[msg[V]]()
-		if cfg.Chaos != nil {
-			tr = inject.Wrap(cfg.Chaos, i, tr, msgMeta[V])
-		}
-		sh.inboxes[i] = tr
-	}
 	sh.replies = make(chan gvtReply, n)
-	if dist != nil {
-		// The heartbeat probe carries the all-idle flag the hub paces GVT
-		// rounds on; fail's CancelWait unblocks the GVT loop on link loss.
-		defer shim.Bind(sh.inboxes, engine, sh.fail, func() (uint64, bool) {
-			return sh.events.Load(), sh.idle.Load() == int64(len(localLPs))
-		})()
-	}
 
 	// The scoreboard is always created: it costs n cache lines and
 	// feeds both the watchdog (when armed) and the adaptive sampler's
@@ -439,126 +342,50 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if cfg.Adapt != nil {
 		sh.adaptWin.Store(cfg.Adapt.Window())
 	}
-	blockGates := p.BlockGates()
 	lps := make([]*tlp[V], n)
-	recSlab := make([]trace.RecorderT[V], n)
-	recs := make([]*trace.RecorderT[V], n)
-	for i := 0; i < n; i++ {
-		k := kernel.NewOn(pl, c, owner, i, cfg.System, watched, blockGates[i])
-		if cfg.Sweep {
-			k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))
-		}
-		if boot != nil {
-			k.SeedState(boot.Vals, boot.PrevClk, boot.Projected)
-		}
-		recs[i] = &recSlab[i]
-		lps[i] = newTLP(sh, i, k, recs[i], cfg)
+	for i := range lps {
+		lps[i] = newTLP(sh, i, cfg)
 		lps[i].slot = board.LP(i)
 	}
+	initial := net.Route(changes, until, func(lp int, t uint64, ev kernel.EventT[V]) {
+		l := lps[lp]
+		l.q.Push(t, qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()})
+	})
 
-	// Stimulus (or, on restore, checkpoint-event) routing, exactly as in the
-	// conservative engine: owner plus ghosts, local LPs only, time zero into
-	// the settle step.
-	aud := p.Audience(c)
-	route := func(t uint64, gate circuit.GateID, v V) {
-		for _, dst := range aud.Of(gate) {
-			if !local(dst) {
-				continue
-			}
-			l := lps[dst]
-			if t == 0 {
-				l.initialEvents = append(l.initialEvents, kernel.EventT[V]{Gate: gate, Value: v})
-			} else {
-				l.q.Push(t, qevent[V]{gate: gate, value: v, id: l.newID()})
-			}
-		}
-	}
-	if boot == nil {
-		for _, ch := range changes {
-			if ch.Time <= until {
-				route(uint64(ch.Time), ch.Input, ch.Value)
-			}
-		}
-	} else {
-		for _, ev := range boot.Events {
-			route(ev.Time, ev.Gate, ev.Value)
-		}
-	}
-
-	wcfg := supervise.WatchConfig{
-		Engine:     engine,
-		Timeout:    cfg.HangTimeout,
-		Board:      board,
-		QueueDepth: func(i int) int { return sh.inboxes[i].Len() },
-		OnHang:     sh.fail,
-	}
-	if dist != nil {
-		wcfg.Transport = dist.TransportState
-	}
-	wd := supervise.Watch(wcfg)
-	defer wd.Stop()
-
-	var wg gosync.WaitGroup
-	for _, l := range lps {
-		if !local(l.id) {
-			// Remote LPs run on their own shard; mark the slot done so a
-			// hang report shows them as not-ours rather than stuck at init.
-			l.slot.SetPhase(supervise.PhaseDone)
-			continue
-		}
-		wg.Add(1)
-		go func(l *tlp[V]) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					l.slot.SetPhase(supervise.PhaseDone)
-					l.sh.fail(supervise.FromPanic(engine, l.id, "run", l.lvt, r))
-				}
-			}()
-			metrics.Do(sink, engine, l.id, "run", func() {
-				l.run()
-			})
-		}(l)
-	}
 	var gvtRounds uint64
 	var finalGVT circuit.Tick
-	metrics.Do(sink, engine, -1, "coordinate", func() {
-		defer func() {
-			if r := recover(); r != nil {
-				sh.fail(supervise.FromPanic(engine, -1, "coordinate", 0, r))
+	if err := net.Run(lpnet.Launch{
+		LP:  func(i int) { lps[i].run(initial[i]) },
+		LVT: func(i int) circuit.Tick { return lps[i].lvt },
+		Coordinate: func() {
+			if cfg.Dist != nil {
+				gvtRounds, finalGVT = distCoordinate(sh)
+			} else {
+				gvtRounds, finalGVT = coordinate(sh)
 			}
-		}()
-		if dist != nil {
-			gvtRounds, finalGVT = distCoordinate(sh, localLPs)
-		} else {
-			gvtRounds, finalGVT = coordinate(sh, lps)
-		}
-	})
-	wg.Wait()
-	wd.Stop()
-
-	if sh.abort.Load() {
-		if sh.err != nil {
-			return nil, sh.err
-		}
-		return nil, &supervise.SimError{
-			Engine: engine, LP: -1, Phase: "run",
-			Kind:  supervise.KindEventLimit,
-			Cause: fmt.Errorf("event limit %d exceeded", cfg.MaxEvents),
-		}
+		},
+		Sink:        sink,
+		Board:       board,
+		HangTimeout: cfg.HangTimeout,
+		MaxEvents:   cfg.MaxEvents,
+		// The heartbeat probe carries the all-idle flag the hub paces GVT
+		// rounds on.
+		Progress: func() (uint64, bool) {
+			return sh.events.Load(), sh.idle.Load() == int64(len(localLPs))
+		},
+	}); err != nil {
+		return nil, err
 	}
 
-	res := &ResultT[V]{Values: make([]V, len(c.Gates)), GVT: finalGVT}
-	for g := range c.Gates {
-		res.Values[g] = lps[owner[g]].k.Value(circuit.GateID(g))
-	}
+	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform(), GVT: finalGVT}
 	for _, l := range lps {
-		res.IntraCritical = append(res.IntraCritical, l.critEval)
+		if cfg.IntraWorkers > 1 {
+			res.IntraCritical = append(res.IntraCritical, l.critEval)
+		}
 		if l.lvt != infTick && l.lvt > res.EndTime {
 			res.EndTime = l.lvt
 		}
 	}
-	res.Waveform = trace.Merge(recs...)
 	sink.Globals().GVTRounds = gvtRounds
 	if finalGVT != infTick {
 		sink.SetGauge("final_gvt", float64(finalGVT))
@@ -575,9 +402,39 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	return res, nil
 }
 
+// tell puts m in the inbox of every LP in lps.
+func (sh *shared[V]) tell(lps []int, m lpnet.Msg[V]) {
+	for _, i := range lps {
+		sh.net.Inboxes[i].Put(m)
+	}
+}
+
+// poll runs one GVT handling round over lps, which the caller has frozen:
+// every LP reports what it handled since its last report and its local
+// minimum, appended to mins. ok is false once the run aborts: an LP that
+// died (panic, watchdog abort) never replies, so the collection stays
+// abort-aware rather than block on the channel forever.
+func (sh *shared[V]) poll(lps []int, mins []circuit.Tick) (handled uint64, _ []circuit.Tick, ok bool) {
+	sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.GVTRound})
+	for k := 0; k < len(lps); {
+		select {
+		case r := <-sh.replies:
+			handled += r.handled
+			mins = append(mins, r.localMin)
+			k++
+		case <-time.After(5 * time.Millisecond):
+			if sh.net.Aborted() {
+				return 0, mins, false
+			}
+		}
+	}
+	return handled, mins, !sh.net.Aborted()
+}
+
 // coordinate runs the GVT/termination protocol and returns the number of
 // GVT computations performed and the final GVT.
-func coordinate[V comparable](sh *shared[V], lps []*tlp[V]) (uint64, circuit.Tick) {
+func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
+	lps := sh.net.Locals()
 	n := len(lps)
 	start := time.Now()
 	var rounds uint64
@@ -611,13 +468,13 @@ func coordinate[V comparable](sh *shared[V], lps []*tlp[V]) (uint64, circuit.Tic
 			if over && time.Now().After(gapEnd) {
 				break
 			}
-			if sh.abort.Load() || sh.idle.Load() == int64(n) ||
+			if sh.net.Aborted() || sh.idle.Load() == int64(n) ||
 				sh.events.Load()-lastEvents >= threshold {
 				break
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
-		if sh.abort.Load() {
+		if sh.net.Aborted() {
 			return rounds, gvt
 		}
 		lastEvents = sh.events.Load()
@@ -626,42 +483,18 @@ func coordinate[V comparable](sh *shared[V], lps []*tlp[V]) (uint64, circuit.Tic
 		sh.paused.Store(true)
 		var localMins []circuit.Tick
 		for {
-			for _, ib := range sh.inboxes {
-				ib.Put(msg[V]{kind: msgGVTRound})
-			}
 			var handled uint64
-			localMins = localMins[:0]
-			// An LP that died (panic, watchdog abort) never replies, so the
-			// collection loop must stay abort-aware rather than block on the
-			// channel forever.
-			for i := 0; i < n; {
-				select {
-				case r := <-sh.replies:
-					handled += r.handled
-					localMins = append(localMins, r.localMin)
-					i++
-				case <-time.After(5 * time.Millisecond):
-					if sh.abort.Load() {
-						sh.paused.Store(false)
-						return rounds, gvt
-					}
-				}
-			}
-			if sh.abort.Load() {
+			var ok bool
+			if handled, localMins, ok = sh.poll(lps, localMins[:0]); !ok {
 				sh.paused.Store(false)
 				return rounds, gvt
 			}
-			if handled == 0 && sh.transit.Load() == 0 {
+			if handled == 0 && sh.net.Transit.Load() == 0 {
 				break
 			}
 		}
 		rounds++
-		gvt = infTick
-		for _, m := range localMins {
-			if m < gvt {
-				gvt = m
-			}
-		}
+		gvt = slices.Min(localMins)
 		if limit > 0 {
 			throttle(sh, localMins, gvt)
 		}
@@ -700,16 +533,12 @@ func coordinate[V comparable](sh *shared[V], lps []*tlp[V]) (uint64, circuit.Tic
 			sh.coShard.Sample("gvt", float64(gvt))
 		}
 		if gvt > sh.until {
-			for _, ib := range sh.inboxes {
-				ib.Put(msg[V]{kind: msgTerminate})
-			}
+			sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.Terminate})
 			sh.paused.Store(false)
 			return rounds, gvt
 		}
 		sh.paused.Store(false)
-		for _, ib := range sh.inboxes {
-			ib.Put(msg[V]{kind: msgGVTDone, time: gvt})
-		}
+		sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.GVTDone, Time: gvt})
 	}
 }
 
