@@ -136,19 +136,25 @@ func TestDistMeshMatchesSeqVCDAndStarvesHub(t *testing.T) {
 // byte-identical to the uninterrupted sequential run. The fast
 // heartbeat pace matters twice: control frames are all the hub sees of
 // a mesh shard, so they both advance the chaos frame counter and feed
-// the GVT piggyback.
+// the GVT piggyback. The run is ten times the other e2e workloads: the
+// plan's first kill waits for the fifteenth hub frame, and a shard that
+// finishes before it has sent that many would never be killed.
 func TestDistMeshExecKillRecoversVCD(t *testing.T) {
 	dir := t.TempDir()
 	worker := filepath.Join(dir, "parsimd-worker")
 	if out, err := exec.Command("go", "build", "-o", worker, "../parsimd-worker").CombinedOutput(); err != nil {
 		t.Fatalf("building parsimd-worker: %v\n%s", err, out)
 	}
-	golden := distGolden(t, dir)
+	golden := filepath.Join(dir, "golden.vcd")
+	if _, stderr, code := run(t,
+		"-circuit", "ripple8", "-engine", "seq", "-vectors", "200", "-vcd", golden, "-q"); code != 0 {
+		t.Fatalf("golden run failed:\n%s", stderr)
+	}
 	workDir := filepath.Join(dir, "work")
 
 	out := filepath.Join(dir, "mesh-dist.vcd")
 	stdout, stderr, code := run(t,
-		"-circuit", "ripple8", "-engine", "cmb", "-lps", "4", "-vectors", "20",
+		"-circuit", "ripple8", "-engine", "cmb", "-lps", "4", "-vectors", "200",
 		"-dist", "2", "-dist-mesh", "-dist-exec", worker, "-dist-workdir", workDir,
 		"-ckpt-delta", "-checkpoint-every", "200", "-dist-restarts", "3",
 		"-dist-heartbeat-every", "1ms",

@@ -10,19 +10,25 @@ import (
 // run's restart budget is exhausted, so the prepared workload — the very
 // object the workers were sent — is run in this process under the
 // supervision layer, starting at the synchronous engine and degrading
-// further to the sequential reference if even that fails. Every engine
-// reproduces the sequential trajectory, so the degraded result's waveform
-// is bit-identical to what the fleet would have produced — the ladder
-// trades performance, never correctness.
+// further to the sequential reference if even that fails. Like a restart
+// it boots from the newest boundary every shard left, and only without one
+// from the caller's restore point or t=0. Every engine reproduces the
+// sequential trajectory, so the degraded result's waveform is
+// bit-identical to what the fleet would have produced — the ladder trades
+// performance, never correctness.
 func (h *hub) fallback(loss *core.SimError) (*Result, error) {
 	o := &h.opts
+	boot, err := h.boot(o.Restarts + 1)
+	if err != nil {
+		return nil, err
+	}
 	rep, err := core.Run(h.run, core.Options{
 		Engine:    core.EngineSync,
 		System:    o.System,
 		Queue:     o.Queue,
 		MaxEvents: o.MaxEvents,
 		Metrics:   o.Metrics,
-		Restore:   o.Restore,
+		Restore:   boot,
 		Supervise: &core.SuperviseOptions{
 			Watchdog: o.HangTimeout,
 			Retries:  1,

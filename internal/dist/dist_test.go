@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventq"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/sim/ckpt"
@@ -219,13 +220,19 @@ func TestDistShardLossError(t *testing.T) {
 
 // TestDistShardLossFallback: the same unsurvivable plan with Fallback
 // set must walk the degradation ladder (dist -> sync -> ...) and still
-// hand back the exact sequential result.
+// hand back the exact sequential result. With heartbeats off every frame
+// the kill counts is an engine frame, so it lands after the workers'
+// sequential shadows wrote every boundary, and the ladder must boot from
+// the newest merged boundary as a restart would, not from t=0.
 func TestDistShardLossFallback(t *testing.T) {
 	until, ref := golden(t)
+	reg := metrics.NewRegistry("cmb-dist")
 	opts := baseOpts(t, "cmb", 2, until)
 	opts.CheckpointEvery = 200
 	opts.Restarts = 0
 	opts.Fallback = true
+	opts.HeartbeatEvery = time.Hour
+	opts.Metrics = reg
 	opts.Plan = netfault.Plan{
 		{Op: netfault.OpKill, Shard: 0, AfterFrames: 3, Attempt: -1},
 	}
@@ -239,6 +246,9 @@ func TestDistShardLossFallback(t *testing.T) {
 	}
 	if res.Degraded == "" {
 		t.Error("degraded result does not carry the shard-loss cause")
+	}
+	if bt := reg.Report().Gauges["dist_boot_time"]; bt <= 0 {
+		t.Errorf("dist_boot_time = %v: the fallback ignored the merged boundary", bt)
 	}
 	checkMatchesGolden(t, res, ref)
 }

@@ -115,12 +115,6 @@ type Options struct {
 	// the last full snapshot when a link is broken.
 	CkptDelta bool
 
-	// GVTInterval is the wall-clock ceiling between distributed GVT
-	// cycles for the optimistic engines (default 50ms); like the
-	// single-process coordinator, cycles are normally paced by reported
-	// work and by all-idle heartbeats.
-	GVTInterval time.Duration
-
 	// Plan injects network chaos at the hub's relay: stalls, connection
 	// drops, duplicates, partitions, and worker kills, each scoped to
 	// one shard's link.
@@ -164,7 +158,11 @@ type Result struct {
 const (
 	defaultHeartbeat        = 25 * time.Millisecond
 	defaultHeartbeatTimeout = 1 * time.Second
-	defaultGVTInterval      = 50 * time.Millisecond
+	// gvtInterval is the wall-clock ceiling between distributed GVT
+	// cycles for the optimistic engines; like the single-process
+	// coordinator, cycles are normally paced by reported work and by
+	// all-idle heartbeats.
+	gvtInterval = 50 * time.Millisecond
 	// teardownGrace bounds how long the hub waits for workers to exit on
 	// their own (after FDone, or after a kill) before moving on.
 	teardownGrace = 5 * time.Second
@@ -270,9 +268,6 @@ func newHub(opts Options) (*hub, error) {
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = defaultHeartbeatTimeout
-	}
-	if opts.GVTInterval <= 0 {
-		opts.GVTInterval = defaultGVTInterval
 	}
 	if opts.Network == "" {
 		opts.Network = "tcp"
@@ -397,21 +392,31 @@ func (h *hub) admit(c net.Conn) {
 	sess.links[hello.Shard].ep.Attach(c, hello.RecvSeq)
 }
 
+// boot picks the state a launch starts from. launch counts the failed
+// attempts before it: 0 for the first fleet, Restarts+1 for the fallback.
+// After a failure that is the newest boundary every shard still has; else
+// the caller's restore point; else t=0 (nil).
+func (h *hub) boot(launch int) (*ckpt.State, error) {
+	if launch == 0 || h.opts.CheckpointEvery == 0 {
+		return h.opts.Restore, nil
+	}
+	merged, t, err := latestBoundary(h.workDir, h.opts.Shards, h.gateShard)
+	if err != nil {
+		return nil, err
+	}
+	if merged == nil {
+		return h.opts.Restore, nil
+	}
+	h.gauge("dist_boot_time", float64(t))
+	return merged, nil
+}
+
 // runAttempt launches one fleet and runs it to completion or to the
 // first shard-loss verdict.
 func (h *hub) runAttempt(attempt int) (*Result, error) {
-	// The attempt boots from the newest boundary every shard still has,
-	// else from the caller's restore point, else from t=0.
-	boot := h.opts.Restore
-	if attempt > 0 && h.opts.CheckpointEvery > 0 {
-		merged, t, err := latestBoundary(h.workDir, h.opts.Shards, h.gateShard)
-		if err != nil {
-			return nil, err
-		}
-		if merged != nil {
-			boot = merged
-			h.gauge("dist_boot_time", float64(t))
-		}
+	boot, err := h.boot(attempt)
+	if err != nil {
+		return nil, err
 	}
 	bootPath := ""
 	if boot != nil {
@@ -869,7 +874,7 @@ func (s *session) gvtDriver() {
 	var round uint32
 	var lastEvents uint64
 	for {
-		deadline := time.Now().Add(s.h.opts.GVTInterval)
+		deadline := time.Now().Add(gvtInterval)
 		for {
 			if s.dead() {
 				return

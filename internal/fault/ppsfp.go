@@ -2,21 +2,21 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	gosync "sync"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/sim/bitpar"
 	"repro/internal/sim/supervise"
 )
 
 // GradeBitParallel grades stuck-at faults on a combinational circuit with
 // parallel-pattern single-fault propagation (PPSFP): the good circuit and
-// each faulty circuit are evaluated on 64 patterns at once using the
-// bit-parallel engine, and detected faults are dropped from later passes.
-// This is the word-level data parallelism of the paper's taxonomy layered
-// under the fault-level data parallelism of Run: patterns fill the bit
-// lanes, faults fan out across workers.
+// each faulty circuit are evaluated on 64 patterns at once on the wide
+// (logic.Word) plane every wide engine runs on, and detected faults are
+// dropped from later passes. This is the word-level data parallelism of
+// the paper's taxonomy layered under the fault-level data parallelism of
+// Run: patterns fill the lanes, faults fan out across workers.
 //
 // patterns[k][i] is the value of input i (circuit.Inputs order) under
 // pattern k. The returned detections carry the index of the first
@@ -28,19 +28,27 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 	if workers < 1 {
 		workers = 1
 	}
-	if st := c.ComputeStats(); st.FlipFlops > 0 || st.Latches > 0 {
-		return nil, fmt.Errorf("fault: PPSFP handles combinational circuits; this one has %d state elements",
-			st.FlipFlops+st.Latches)
-	}
-	good, err := bitpar.New(c)
+	order, err := sweepOrder(c)
 	if err != nil {
 		return nil, err
 	}
-	sims := make([]*bitpar.Sim, workers)
-	for i := range sims {
-		if sims[i], err = bitpar.New(c); err != nil {
-			return nil, err
+	for k, pat := range patterns {
+		if len(pat) != len(c.Inputs) {
+			return nil, fmt.Errorf("fault: pattern %d has %d values for %d inputs", k, len(pat), len(c.Inputs))
 		}
+	}
+	// after[g] is where the sweep below a stuck g starts: just past g in
+	// the order, or at its start for a source. Nothing before it reads g.
+	after := make([]int, c.NumGates())
+	for i, g := range order {
+		after[g] = i + 1
+	}
+	// The good plane, and one faulty plane per worker. The clock-sample
+	// plane is read-only for combinational gates, so all of them share it.
+	good, prevClk := circuit.InitStateWide(c, logic.TwoValued)
+	planes := make([][]logic.Word, workers)
+	for w := range planes {
+		planes[w] = make([]logic.Word, len(good))
 	}
 
 	remaining := append([]Fault(nil), faults...)
@@ -59,19 +67,12 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 	}
 
 	goodOut := make([]uint64, len(c.Outputs))
-	for base := 0; base < len(patterns) && len(remaining) > 0; base += 64 {
-		hi := base + 64
-		if hi > len(patterns) {
-			hi = len(patterns)
-		}
-		packed, err := bitpar.PackPatterns(c, patterns[base:hi])
-		if err != nil {
-			return nil, err
-		}
-		mask := packed.Mask()
-		good.ApplyAndSettle(packed)
+	for base := 0; base < len(patterns) && len(remaining) > 0; base += logic.Lanes {
+		batch := patterns[base:min(base+logic.Lanes, len(patterns))]
+		mask := pack(c, batch, good)
+		sweep(c, order, good, prevClk)
 		for i, o := range c.Outputs {
-			goodOut[i] = good.Get(o)
+			goodOut[i], _ = good[o].Bits()
 		}
 
 		// Fan the remaining faults across the workers.
@@ -87,31 +88,31 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 			if lo >= len(remaining) {
 				break
 			}
-			end := lo + chunk
-			if end > len(remaining) {
-				end = len(remaining)
-			}
+			end := min(lo+chunk, len(remaining))
 			wg.Add(1)
 			go func(w, lo, end int) {
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
-						setFail(supervise.FromPanic("bitpar", w, "ppsfp", 0, r))
+						setFail(supervise.FromPanic("ppsfp", w, "ppsfp", 0, r))
 					}
 				}()
 				var hits []hit
-				s := sims[w]
+				val := planes[w]
 				for fi := lo; fi < end; fi++ {
+					// The faulty circuit differs from the good one only
+					// below the stuck net, so the sweep starts there.
 					f := remaining[fi]
-					s.ForceNet(f.Gate, stuckWord(f.StuckAt))
-					s.ApplyAndSettle(packed)
+					copy(val, good)
+					val[f.Gate] = logic.Splat(f.StuckAt)
+					sweep(c, order[after[f.Gate]:], val, prevClk)
 					var diff uint64
 					for i, o := range c.Outputs {
-						diff |= (s.Get(o) ^ goodOut[i]) & mask
+						ones, _ := val[o].Bits()
+						diff |= (ones ^ goodOut[i]) & mask
 					}
-					s.ClearForce()
 					if diff != 0 {
-						hits = append(hits, hit{fi, base + lowestBit(diff)})
+						hits = append(hits, hit{fi, base + bits.TrailingZeros64(diff)})
 					}
 				}
 				hitsCh <- hits
@@ -156,22 +157,46 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 	return res, nil
 }
 
-// stuckWord is the 64-lane constant for a stuck value.
-func stuckWord(v logic.Value) uint64 {
-	if v == logic.One {
-		return ^uint64(0)
+// sweepOrder is the order a sweep evaluates c in: its levelization.
+// Circuits PPSFP cannot grade are refused: state elements, and gates whose
+// values are not two-valued.
+func sweepOrder(c *circuit.Circuit) ([]circuit.GateID, error) {
+	for id, k := range c.Kinds {
+		switch k {
+		case circuit.DFF, circuit.DLatch:
+			return nil, fmt.Errorf("fault: PPSFP handles combinational circuits; gate %q is a %v", c.Gates[id].Name, k)
+		case circuit.Tri, circuit.Resolve, circuit.ConstX:
+			return nil, fmt.Errorf("fault: PPSFP is two-valued; gate %q (%v) is not", c.Gates[id].Name, k)
+		}
 	}
-	return 0
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("fault: %w", err)
+	}
+	return order, nil
 }
 
-// lowestBit returns the index of the lowest set bit (diff != 0).
-func lowestBit(diff uint64) int {
-	n := 0
-	for diff&1 == 0 {
-		diff >>= 1
-		n++
+// pack drives a batch of at most logic.Lanes patterns onto the inputs of
+// val, pattern k in lane k, and returns the mask of the lanes it fills.
+func pack(c *circuit.Circuit, batch [][]bool, val []logic.Word) uint64 {
+	for i, in := range c.Inputs {
+		var lanes uint64
+		for k, pat := range batch {
+			if pat[i] {
+				lanes |= 1 << k
+			}
+		}
+		val[in] = logic.PackBits(lanes)
 	}
-	return n
+	return ^uint64(0) >> (logic.Lanes - len(batch))
+}
+
+// sweep settles val over the given order, every gate through
+// circuit.EvalGateWide.
+func sweep(c *circuit.Circuit, order []circuit.GateID, val, prevClk []logic.Word) {
+	for _, g := range order {
+		val[g], _ = circuit.EvalGateWide(c, g, val, prevClk)
+	}
 }
 
 // sortDetections orders by (pattern/time, gate).

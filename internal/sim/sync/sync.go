@@ -80,9 +80,6 @@ type RebalanceConfig struct {
 	// Interval is the number of global steps between rebalancing
 	// episodes; 0 disables dynamic balancing.
 	Interval uint64
-	// Fraction is the largest share of the hottest LP's recent load moved
-	// per episode (default 0.25).
-	Fraction float64
 }
 
 // ResultT is the outcome of a synchronous run over value type V.
@@ -210,9 +207,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	rebalancing := cfg.Rebalance.Interval > 0
 	if rebalancing {
 		owner = append([]int(nil), owner...)
-		if cfg.Rebalance.Fraction <= 0 {
-			cfg.Rebalance.Fraction = 0.25
-		}
 	}
 	var windowEvals []uint32
 	if rebalancing {
@@ -488,10 +482,9 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				}
 			}
 			sort.Slice(cands, func(i, j int) bool { return cands[i].n > cands[j].n })
-			budget := uint64(float64(loads[hot]-avg) * 4 * cfg.Rebalance.Fraction)
-			if over := loads[hot] - avg; over < budget {
-				budget = over
-			}
+			// Move at most the hot LP's excess over the mean, and no more
+			// than the cold LP's headroom below it.
+			budget := loads[hot] - avg
 			if headroom := avg - loads[cold]; headroom < budget {
 				budget = headroom
 			}

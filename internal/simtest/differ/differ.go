@@ -40,9 +40,9 @@ type DiffConfig struct {
 
 // DiffEngines is the default engine set: every parallel event-driven
 // engine, which must reproduce the sequential reference waveform exactly.
-// (The oblivious and bit-parallel engines are cycle-based — they settle
-// per boundary rather than reproducing transients — so their equivalence
-// suites compare settled values, not waveforms, and live elsewhere.)
+// (The oblivious engine is cycle-based — it settles per boundary rather
+// than reproducing transients — so its equivalence suites compare settled
+// values, not waveforms, and live elsewhere.)
 var DiffEngines = []core.Engine{
 	core.EngineSync,
 	core.EngineCMB, core.EngineCMBDemand, core.EngineCMBDetect,

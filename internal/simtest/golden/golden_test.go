@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,7 +26,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
-	"repro/internal/sim/bitpar"
 	"repro/internal/sim/seq"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -33,17 +33,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden waveform fixtures")
 
-// fixture is one named circuit+stimulus workload. cycleTimes lists the
-// timestamps at which cycle-based engines (oblivious, bitpar) are compared:
-// the committed values of the watched nets at each listed time must match
-// the golden "cyc" rows. laneInputTime maps each cycle index to the time
-// whose input assignment feeds that bitpar lane/cycle.
+// fixture is one named circuit+stimulus workload. Cycle-based replays
+// (oblivious, and the lane-per-cycle bit-parallel one) are compared at
+// cycleSampleTime of each cycle: the committed values of the watched nets
+// there must match the golden "cyc" rows.
 type fixture struct {
 	name  string
 	build func() (*circuit.Circuit, *vectors.Stimulus, error)
-	// seqCirc marks sequential fixtures: bitpar replays them cycle-based
-	// (one Cycle per clock), combinational ones lane-per-vector.
-	seqCirc bool
 	// cycles is the clock-cycle count (sequential) or vector count
 	// (combinational); period is the boundary spacing in ticks.
 	cycles int
@@ -61,9 +57,8 @@ var fixtures = []fixture{
 			stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 8, Period: 20, Activity: 0.5, Seed: 3})
 			return c, stim, err
 		},
-		seqCirc: false,
-		cycles:  9, // t=0 assignment plus 8 vectors
-		period:  20,
+		cycles: 9, // t=0 assignment plus 8 vectors
+		period: 20,
 	},
 	{
 		name: "lfsr",
@@ -75,9 +70,8 @@ var fixtures = []fixture{
 			stim, err := vectors.Clocked(c, vectors.ClockedConfig{Clock: "clk", Cycles: 8, HalfPeriod: 10, Activity: 0.3, Seed: 4})
 			return c, stim, err
 		},
-		seqCirc: true,
-		cycles:  8,
-		period:  20,
+		cycles: 8,
+		period: 20,
 	},
 	{
 		name: "counter",
@@ -89,9 +83,8 @@ var fixtures = []fixture{
 			stim, err := vectors.Clocked(c, vectors.ClockedConfig{Clock: "clk", Cycles: 10, HalfPeriod: 10, Activity: 0.4, Seed: 5})
 			return c, stim, err
 		},
-		seqCirc: true,
-		cycles:  10,
-		period:  20,
+		cycles: 10,
+		period: 20,
 	},
 }
 
@@ -115,28 +108,6 @@ func goldenPath(name string) string {
 // and delayed event-driven engines agree on which vector is in force.
 func (f *fixture) cycleSampleTime(k int) circuit.Tick {
 	return circuit.Tick(k+1)*f.period - 1
-}
-
-// laneInputTime is the timestamp whose input assignment drives bitpar for
-// cycle/vector k: the rising edge for sequential circuits (what the FFs
-// sample), the boundary itself for combinational ones.
-func (f *fixture) laneInputTime(k int) circuit.Tick {
-	if f.seqCirc {
-		return circuit.Tick(k)*f.period + f.period/2
-	}
-	return circuit.Tick(k) * f.period
-}
-
-// inputsAt replays the stimulus to the input assignment in force at t.
-func inputsAt(c *circuit.Circuit, stim *vectors.Stimulus, t circuit.Tick) map[circuit.GateID]logic.Value {
-	vals := map[circuit.GateID]logic.Value{}
-	for _, ch := range stim.Changes {
-		if ch.Time > t {
-			break // changes are sorted by time
-		}
-		vals[ch.Input] = ch.Value
-	}
-	return vals
 }
 
 func writeGolden(t *testing.T, f *fixture, c *circuit.Circuit, g *golden) {
@@ -353,66 +324,49 @@ func TestGoldenWaveforms(t *testing.T) {
 				}
 			})
 			t.Run("bitpar", func(t *testing.T) {
-				checkBitpar(t, f, c, stim, g)
+				checkLanePerCycle(t, f, c, stim, g, until)
 			})
 		})
 	}
 }
 
-// checkBitpar replays the fixture on the bit-parallel engine and compares
-// each cycle's settled watched values against the golden cyc rows.
-// Combinational fixtures map one stimulus vector per bit lane and settle
-// once; sequential ones replay lane 0 cycle by cycle (SetInput, Settle,
-// Cycle), the engine's native implicit-clock convention.
-func checkBitpar(t *testing.T, f *fixture, c *circuit.Circuit, stim *vectors.Stimulus, g *golden) {
+// checkLanePerCycle replays the fixture bit-parallel on the 64-lane plane,
+// one fixture cycle per lane, through the cycle-based oblivious engine:
+// lane k replays the stimulus through cycle k and then holds its inputs,
+// so every cycle j of it must match golden row min(j, k). The last lane
+// carries the whole stimulus and the finals.
+func checkLanePerCycle(t *testing.T, f *fixture, c *circuit.Circuit, stim *vectors.Stimulus, g *golden, until circuit.Tick) {
 	t.Helper()
-	s, err := bitpar.New(c)
+	stims := make([]*vectors.Stimulus, f.cycles)
+	for k := range stims {
+		n := len(stim.Changes)
+		if k < f.cycles-1 {
+			n = sort.Search(n, func(i int) bool { return stim.Changes[i].Time > f.cycleSampleTime(k) })
+		}
+		stims[k] = &vectors.Stimulus{Changes: stim.Changes[:n], End: stim.End}
+	}
+	lanes, err := vectors.Pack(c, stims, logic.TwoValued)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Reset()
-	if !f.seqCirc {
-		for _, in := range c.Inputs {
-			var word uint64
-			for k := 0; k < f.cycles; k++ {
-				if v, ok := inputsAt(c, stim, f.laneInputTime(k))[in].Bool(); ok && v {
-					word |= 1 << k
-				}
-			}
-			s.SetInput(in, word)
-		}
-		s.Settle()
-		for k := 0; k < f.cycles; k++ {
-			for _, out := range c.Outputs {
-				name := c.Gate(out).Name
-				got := logic.FromBool(s.Get(out)&(1<<k) != 0)
-				if want := g.cyc[k][name]; got != want {
-					t.Errorf("lane %d %s = %v, golden %v", k, name, got, want)
-				}
-			}
-		}
-		return
+	rep, err := core.SimulateWide(c, lanes, until, core.Options{
+		Engine: core.EngineOblivious, LPs: 4, System: logic.TwoValued,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	clk, _ := c.ByName("clk")
-	for k := 0; k < f.cycles; k++ {
-		at := inputsAt(c, stim, f.laneInputTime(k))
-		for _, in := range c.Inputs {
-			if in == clk {
-				continue
-			}
-			var word uint64
-			if v, ok := at[in].Bool(); ok && v {
-				word = 1
-			}
-			s.SetInput(in, word)
+	last := f.cycles - 1
+	for _, out := range c.Outputs {
+		name := c.Gate(out).Name
+		if got, w := rep.Values[out].Get(last), g.finals[name].ToX01Z(); got != w {
+			t.Errorf("lane %d final %s = %v, golden %v", last, name, got, w)
 		}
-		s.Settle()
-		s.Cycle()
-		for _, out := range c.Outputs {
-			name := c.Gate(out).Name
-			got := logic.FromBool(s.Get(out)&1 != 0)
-			if want := g.cyc[k][name]; got != want {
-				t.Errorf("cycle %d %s = %v, golden %v", k, name, got, want)
+		for k := range stims {
+			for cyc := 0; cyc < f.cycles; cyc++ {
+				got := rep.Waveform.ValueAt(out, k, f.cycleSampleTime(cyc), g.init[name])
+				if want := g.cyc[min(cyc, k)][name]; got != want {
+					t.Errorf("lane %d cycle %d %s = %v, golden %v", k, cyc, name, got, want)
+				}
 			}
 		}
 	}
