@@ -8,7 +8,7 @@
 // The engine composes the two existing mechanisms: the circuit is
 // partitioned into clusters that run the Time Warp protocol among
 // themselves, and each cluster evaluates its per-timestep gate set across
-// a pool of barrier-synchronized sub-workers (kernel.StepParallel). The
+// the persistent helpers of its own phase.Pool (kernel.StepParallel). The
 // modeled execution time therefore combines an intra-cluster critical path
 // (max chunk per step plus one barrier per step) with the usual optimistic
 // overheads between clusters.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/sim/phase"
 )
 
 // warmLP builds a single-LP executor over a mid-sized DAG with two
@@ -74,5 +75,28 @@ func TestWarmStepUndoZeroAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(500, step); a != 0 {
 		t.Fatalf("warm Step+undo allocates %.1f per op, want 0", a)
+	}
+}
+
+// TestWarmStepParallelZeroAllocs is the hybrid cluster's step: a warm
+// StepParallel releases its persistent helpers and commits without
+// allocating.
+func TestWarmStepParallelZeroAllocs(t *testing.T) {
+	lp, evs := warmLP(t)
+	var st metrics.LPCounters
+	pool := phase.New(2, "test", nil, lp.EvalPart)
+	defer pool.Close()
+	tick := circuit.Tick(0)
+	step := func() {
+		if _, err := lp.StepParallel(tick, evs[int(tick)%2], tick == 0, nil, &st, pool); err != nil {
+			t.Fatal(err)
+		}
+		tick++
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(500, step); a != 0 {
+		t.Fatalf("warm StepParallel allocates %.1f per op, want 0", a)
 	}
 }

@@ -25,11 +25,10 @@
 package kernel
 
 import (
-	"sync"
-
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/sim/phase"
 )
 
 // EventT is one net value change to apply, carrying a scalar value or a
@@ -108,6 +107,9 @@ type LPT[V comparable] struct {
 
 	sweep      int
 	sweepGates []circuit.GateID
+
+	// parOut and parClk receive StepParallel's concurrent evaluations.
+	parOut, parClk []V
 
 	// Schedule receives locally owned future events (time, gate, value).
 	Schedule func(t circuit.Tick, g circuit.GateID, v V)
@@ -284,8 +286,23 @@ func (lp *LPT[V]) apply(t circuit.Tick, events []EventT[V], initial bool, undo *
 // accumulated into st.
 func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters) {
 	lp.apply(t, events, initial, undo, st)
+	lp.commit(t, false, undo, st)
+}
+
+// commit is the second phase of a step, shared by Step and StepParallel:
+// in dirty-list order it takes each gate's evaluation — computed here, or
+// read from the parallel buffers when evaluated is set — stores the clock
+// sample and, when the output differs from the projected value, schedules
+// it locally and sends one message per remote destination LP. Writes are
+// logged into undo when non-nil.
+func (lp *LPT[V]) commit(t circuit.Tick, evaluated bool, undo *UndoT[V], st *metrics.LPCounters) {
 	for _, g := range lp.dirty {
-		out, clkSample := lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
+		var out, clkSample V
+		if evaluated {
+			out, clkSample = lp.parOut[g], lp.parClk[g]
+		} else {
+			out, clkSample = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
+		}
 		st.Evaluations++
 		if clkSample != lp.prevClk[g] {
 			if undo != nil {
@@ -304,9 +321,7 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 		lp.Schedule(due, g, out)
 		st.EventsScheduled++
 		// Remote consumers get one message per destination LP.
-		for i := range lp.dstSeen {
-			lp.dstSeen[i] = false
-		}
+		clear(lp.dstSeen)
 		for _, dst := range lp.c.FanoutAdj.Row(g) {
 			db := lp.Owner[dst]
 			if db == lp.Self || lp.dstSeen[db] {
@@ -319,86 +334,41 @@ func (lp *LPT[V]) Step(t circuit.Tick, events []EventT[V], initial bool, undo *U
 	}
 }
 
-// StepParallel is Step with the evaluation phase fan-out across workers:
-// the dirty gates are split into contiguous chunks, each chunk's outputs
-// are computed concurrently (evaluation is pure, so this is race-free),
-// and the commit (state writes, scheduling, sends) runs serially in
-// deterministic order. It returns the largest chunk size, which is the
-// per-step critical path of the intra-cluster synchronous phase — the
-// quantity the hybrid engine's cost model needs.
+// StepParallel is Step with the evaluation fanned out over pool, whose
+// body must be this LP's EvalPart: contiguous parts of the dirty gates are
+// evaluated concurrently (evaluation is pure, so this is race-free), then
+// committed serially in deterministic order. It returns the largest part,
+// the per-step critical path of the intra-cluster synchronous phase that
+// the hybrid engine's cost model needs, or a part's panic, in which case
+// nothing is committed.
 //
 // This is the paper's hierarchical synchronization: barrier-synchronous
 // evaluation inside a cluster, with whatever protocol the caller runs
 // between clusters.
-func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters, workers int, outBuf, clkBuf []V) (maxChunk int) {
+func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters, pool *phase.Pool) (maxChunk int, err error) {
 	lp.apply(t, events, initial, undo, st)
 	if len(lp.dirty) == 0 {
-		return 0
+		return 0, nil
 	}
+	if lp.parOut == nil {
+		lp.parOut = make([]V, len(lp.val))
+		lp.parClk = make([]V, len(lp.val))
+	}
+	parts := min(pool.Size(), len(lp.dirty))
+	if err := pool.Run(t, "eval", parts); err != nil {
+		return 0, err
+	}
+	lp.commit(t, true, undo, st)
+	return (len(lp.dirty) + parts - 1) / parts, nil
+}
 
-	// Parallel evaluation into the caller's buffers.
-	if workers > len(lp.dirty) {
-		workers = len(lp.dirty)
+// EvalPart is the pool body of StepParallel: it evaluates part of parts
+// of the step's dirty gates into the LP's parallel buffers.
+func (lp *LPT[V]) EvalPart(part, parts int) {
+	n := len(lp.dirty)
+	for _, g := range lp.dirty[part*n/parts : (part+1)*n/parts] {
+		lp.parOut[g], lp.parClk[g] = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(lp.dirty) + workers - 1) / workers
-	maxChunk = chunk
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(lp.dirty) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(lp.dirty) {
-			hi = len(lp.dirty)
-		}
-		wg.Add(1)
-		go func(gs []circuit.GateID) {
-			defer wg.Done()
-			for _, g := range gs {
-				outBuf[g], clkBuf[g] = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
-			}
-		}(lp.dirty[lo:hi])
-	}
-	wg.Wait()
-
-	// Serial commit in deterministic (dirty list) order.
-	for _, g := range lp.dirty {
-		st.Evaluations++
-		out, clkSample := outBuf[g], clkBuf[g]
-		if clkSample != lp.prevClk[g] {
-			if undo != nil {
-				undo.clks = append(undo.clks, valChange[V]{g, lp.prevClk[g]})
-			}
-			lp.prevClk[g] = clkSample
-		}
-		if out == lp.projected[g] {
-			continue
-		}
-		if undo != nil {
-			undo.projs = append(undo.projs, valChange[V]{g, lp.projected[g]})
-		}
-		lp.projected[g] = out
-		due := t + lp.c.Delays[g]
-		lp.Schedule(due, g, out)
-		st.EventsScheduled++
-		for i := range lp.dstSeen {
-			lp.dstSeen[i] = false
-		}
-		for _, dst := range lp.c.FanoutAdj.Row(g) {
-			db := lp.Owner[dst]
-			if db == lp.Self || lp.dstSeen[db] {
-				continue
-			}
-			lp.dstSeen[db] = true
-			lp.Send(db, due, g, out)
-			st.MessagesSent++
-		}
-	}
-	return maxChunk
 }
 
 // Rollback undoes a sequence of steps by replaying their undo logs in

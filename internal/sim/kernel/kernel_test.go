@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/sim/phase"
 )
 
 // harness wires an LP over a small circuit with capture callbacks.
@@ -224,11 +225,14 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 	serial, ss := mk()
 	par, ps := mk()
 	var st1, st2 metrics.LPCounters
-	outBuf := make([]logic.Value, c.NumGates())
-	clkBuf := make([]logic.Value, c.NumGates())
+	pool := phase.New(4, "test", nil, par.EvalPart)
+	defer pool.Close()
 
 	serial.Step(0, nil, true, nil, &st1)
-	maxChunk := par.StepParallel(0, nil, true, nil, &st2, 4, outBuf, clkBuf)
+	maxChunk, err := par.StepParallel(0, nil, true, nil, &st2, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if maxChunk <= 0 {
 		t.Fatal("no parallel chunks")
 	}

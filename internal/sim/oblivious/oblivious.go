@@ -24,13 +24,12 @@ package oblivious
 
 import (
 	"fmt"
-	gosync "sync"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/metrics"
-	"repro/internal/sim/supervise"
+	"repro/internal/sim/phase"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -193,70 +192,42 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		shards[w].Span(trace.PhaseEvaluate, begin, t)
 	}
 
-	// A panicking worker is recovered into the run's first error so the
-	// level barrier always completes; the coordinator surfaces it at the
-	// next boundary.
-	var failMu gosync.Mutex
-	var failErr error
-	setFail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
+	// The parallel sweep splits each level into chunk-sized parts, one per
+	// helper; runLevel sets cur, curT and chunk before each barrier.
+	var cur []circuit.GateID
+	var curT circuit.Tick
+	var chunk int
+	var pool *phase.Pool
+	if cfg.Workers > 1 {
+		pool = phase.New(cfg.Workers, engine, sink, func(w, _ int) {
+			lo := w * chunk
+			evalSlice(w, curT, cur[lo:min(lo+chunk, len(cur))])
+		})
+		defer pool.Close()
 	}
 
 	// runLevel evaluates a level (in parallel when configured) and commits.
-	runLevel := func(t circuit.Tick, gates []circuit.GateID) {
+	runLevel := func(t circuit.Tick, gates []circuit.GateID) error {
+		chunk = (len(gates) + cfg.Workers - 1) / cfg.Workers
 		if cfg.Workers == 1 || len(gates) < 2*cfg.Workers {
 			evalSlice(0, t, gates)
 		} else {
-			var wg gosync.WaitGroup
-			chunk := (len(gates) + cfg.Workers - 1) / cfg.Workers
-			for w := 0; w < cfg.Workers; w++ {
-				lo := w * chunk
-				if lo >= len(gates) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(gates) {
-					hi = len(gates)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							setFail(supervise.FromPanic(engine, w, "eval", t, r))
-						}
-					}()
-					metrics.Do(sink, engine, w, "eval", func() {
-						evalSlice(w, t, gates[lo:hi])
-					})
-				}(w, lo, hi)
+			cur, curT = gates, t
+			if err := pool.Run(t, "eval", (len(gates)+chunk-1)/chunk); err != nil {
+				return err
 			}
-			wg.Wait()
 		}
 		globals.Barriers++
 		// Commit. Per-level worst-case chunk cost models the critical path.
-		maxChunk := len(gates)
-		if cfg.Workers > 1 {
-			maxChunk = (len(gates) + cfg.Workers - 1) / cfg.Workers
-		}
-		globals.ModeledCriticalNs += float64(maxChunk) * cfg.Cost.EvalCost
+		globals.ModeledCriticalNs += float64(chunk) * cfg.Cost.EvalCost
 		for _, g := range gates {
 			val[g] = newQ[g]
 			prevClk[g] = newClk[g]
 		}
+		return nil
 	}
 
 	for _, b := range bounds {
-		failMu.Lock()
-		err := failErr
-		failMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		res.Cycles++
 		blocks[0].Steps++
 		for _, ch := range b.changes {
@@ -265,10 +236,14 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		// Sequential elements sample the previous boundary's settled data
 		// before the combinational sweep recomputes it.
 		if len(seqGates) > 0 {
-			runLevel(b.t, seqGates)
+			if err := runLevel(b.t, seqGates); err != nil {
+				return nil, err
+			}
 		}
 		for _, level := range combLevels {
-			runLevel(b.t, level)
+			if err := runLevel(b.t, level); err != nil {
+				return nil, err
+			}
 		}
 		for _, g := range watched {
 			if val[g] != lastRec[g] {
@@ -276,13 +251,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				rec.Record(b.t, g, val[g])
 			}
 		}
-	}
-
-	failMu.Lock()
-	ferr := failErr
-	failMu.Unlock()
-	if ferr != nil {
-		return nil, ferr
 	}
 
 	res.Values = val

@@ -20,8 +20,6 @@ package sync
 import (
 	"fmt"
 	"sort"
-	gosync "sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -30,6 +28,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/sim/ckpt"
+	"repro/internal/sim/phase"
 	"repro/internal/sim/supervise"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -121,6 +120,8 @@ type lp[V comparable] struct {
 	outbox [][]circuit.GateID
 	// phaseWork accumulates this phase's work in model nanoseconds.
 	phaseWork float64
+	// applied counts this phase's applied events for the MaxEvents check.
+	applied uint64
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
@@ -244,8 +245,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		}
 	}
 
-	var epoch uint64
-	var totalEvents atomic.Uint64
+	var epoch, totalEvents uint64
 	res := &ResultT[V]{}
 
 	// phaseA applies this LP's events at time t and routes notifications.
@@ -259,7 +259,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				break
 			}
 			_, ev, _ := l.q.PopMin()
-			totalEvents.Add(1)
 			l.st.EventsApplied++
 			applied++
 			l.phaseWork += cfg.Cost.EventCost
@@ -279,6 +278,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				}
 			}
 		}
+		l.applied = applied
 		l.st.Hist(metrics.HistStepEvents).Observe(applied)
 		l.sh.Span(trace.PhaseApply, begin, t)
 	}
@@ -341,104 +341,55 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		l.sh.Span(trace.PhaseEvaluate, begin, t)
 	}
 
-	// Persistent phase workers: one goroutine per LP lives for the whole
-	// run and executes phases on command, instead of forking numLPs fresh
-	// goroutines per phase (two phases per global step). Goroutine creation
-	// is not free — a stack allocation plus a scheduler wakeup — and the
-	// synchronous engine crosses a barrier every few microseconds of useful
-	// work, so the spawn cost sits squarely on the critical path this
-	// engine exists to measure. Each worker owns its LP exclusively within
-	// a phase; the WaitGroup is the join barrier.
-	type phaseCmd struct {
-		t     circuit.Tick
-		phase int
-	}
-	// A panicking phase must still release the barrier (pw.Done in a
-	// defer) or the coordinator would block forever; the recovered panic
-	// is latched as the run's first failure and checked at each barrier.
-	var failMu gosync.Mutex
-	var failErr error
-	setFail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
+	// One persistent helper per LP runs each phase on its own LP; step
+	// sets phaseT, applying and settling before each barrier.
+	var phaseT circuit.Tick
+	var applying, settling bool
+	pool := phase.New(numLPs, engine, sink, func(part, _ int) {
+		if applying {
+			phaseA(lps[part], phaseT)
+		} else {
+			phaseB(lps[part], phaseT, settling)
 		}
-		failMu.Unlock()
-	}
-	checkFail := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return failErr
-	}
-	work := make([]chan phaseCmd, numLPs)
-	var pw gosync.WaitGroup
-	for _, l := range lps {
-		ch := make(chan phaseCmd, 1)
-		work[l.id] = ch
-		go func(l *lp[V], ch chan phaseCmd) {
-			for cmd := range ch {
-				name := "apply"
-				if cmd.phase != 0 {
-					name = "eval"
+	})
+	defer pool.Close()
+
+	// step runs timestep t: the apply phase, then the evaluate phase (of
+	// every gate when settling), each on every LP concurrently and each
+	// closed by the global barrier, priced by the cost model. The LPs'
+	// applied-event counts fold into the run total at the barrier.
+	step := func(t circuit.Tick, settle bool) error {
+		phaseT, settling = t, settle
+		for _, name := range [...]string{"apply", "eval"} {
+			applying = name == "apply"
+			begin := coord.Now()
+			err := pool.Run(t, name, numLPs)
+			coord.Span(trace.PhaseBarrier, begin, t)
+			globals.Barriers++
+			var max float64
+			for _, l := range lps {
+				if l.phaseWork > max {
+					max = l.phaseWork
 				}
-				func() {
-					defer pw.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							setFail(supervise.FromPanic(engine, l.id, name, cmd.t, r))
-						}
-					}()
-					metrics.Do(sink, engine, l.id, name, func() {
-						switch cmd.phase {
-						case 0:
-							phaseA(l, cmd.t)
-						case 1:
-							phaseB(l, cmd.t, false)
-						case 2:
-							phaseB(l, cmd.t, true)
-						}
-					})
-				}()
+				totalEvents += l.applied
+				l.applied = 0
 			}
-		}(l, ch)
-	}
-	defer func() {
-		for _, ch := range work {
-			close(ch)
-		}
-	}()
-
-	// runPhase executes one phase on every LP concurrently and waits for
-	// all of them — the global barrier, priced by the cost model.
-	runPhase := func(t circuit.Tick, phase int) {
-		begin := coord.Now()
-		pw.Add(numLPs)
-		for _, ch := range work {
-			ch <- phaseCmd{t, phase}
-		}
-		pw.Wait()
-		coord.Span(trace.PhaseBarrier, begin, t)
-		globals.Barriers++
-		var max float64
-		for _, l := range lps {
-			if l.phaseWork > max {
-				max = l.phaseWork
+			globals.ModeledCriticalNs += max
+			if err != nil {
+				return err
 			}
 		}
-		globals.ModeledCriticalNs += max
-	}
-
-	clearOutboxes := func() {
 		for _, l := range lps {
 			for d := range l.outbox {
 				l.outbox[d] = l.outbox[d][:0]
 			}
 		}
+		return nil
 	}
 
 	// rebalance migrates the hottest gates of the most loaded LP (by
 	// window evaluations) to the least loaded LP. It runs between steps,
-	// when no phase goroutines are live, so mutating the ownership map is
+	// while every phase helper is parked, so mutating the ownership map is
 	// safe; pending events stay in the queue that scheduled them (applying
 	// a net change does not require ownership — only evaluation routing
 	// does, and that always consults the current map).
@@ -514,10 +465,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	// settled state.
 	epoch++
 	if boot == nil {
-		runPhase(0, 0)
-		runPhase(0, 2)
-		clearOutboxes()
-		if err := checkFail(); err != nil {
+		if err := step(0, true); err != nil {
 			return nil, err
 		}
 	}
@@ -542,7 +490,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		if !have || circuit.Tick(next) > until {
 			break
 		}
-		if cfg.MaxEvents > 0 && totalEvents.Load() > cfg.MaxEvents {
+		if cfg.MaxEvents > 0 && totalEvents > cfg.MaxEvents {
 			return nil, &supervise.SimError{
 				Engine: engine, LP: -1, Phase: "run", ModeledTime: circuit.Tick(next),
 				Kind:  supervise.KindEventLimit,
@@ -552,10 +500,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		t := circuit.Tick(next)
 		endTime = t
 		epoch++
-		runPhase(t, 0)
-		runPhase(t, 1)
-		clearOutboxes()
-		if err := checkFail(); err != nil {
+		if err := step(t, false); err != nil {
 			return nil, err
 		}
 		if rebalancing {

@@ -1,6 +1,7 @@
 package sync
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/circuit"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	"repro/internal/sim/supervise"
 	"repro/internal/simtest"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -170,8 +172,15 @@ func TestMaxEventsEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := partition.New(partition.MethodContiguous, c, 2, partition.Options{})
-	if _, err := Run(c, stim, seq.Horizon(c, stim), Config{Partition: p, System: logic.TwoValued, MaxEvents: 50}); err == nil {
-		t.Fatal("event limit not enforced")
+	_, err = Run(c, stim, seq.Horizon(c, stim), Config{Partition: p, System: logic.TwoValued, MaxEvents: 50})
+	var se *supervise.SimError
+	if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit {
+		t.Fatalf("event limit not enforced: got %v", err)
+	}
+	// The limit is checked between steps against every event applied so
+	// far; 50 are exceeded before the step at t=6.
+	if se.ModeledTime != 6 {
+		t.Fatalf("event limit fired at t=%d, want 6", se.ModeledTime)
 	}
 }
 

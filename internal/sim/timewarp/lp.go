@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/lpnet"
+	"repro/internal/sim/phase"
 	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
@@ -115,9 +116,9 @@ type tlp[V comparable] struct {
 	snapPool    []*kernel.SnapshotT[V]
 	undoScratch []*kernel.UndoT[V]
 
-	// Hybrid-mode intra-cluster buffers and accounting.
-	outBuf   []V
-	clkBuf   []V
+	// Hybrid mode: the cluster's sub-workers and its modeled evaluation
+	// critical path.
+	pool     *phase.Pool
 	critEval float64
 }
 
@@ -142,8 +143,7 @@ func newTLP[V comparable](sh *shared[V], id int, cfg Config) *tlp[V] {
 		l.relevant = k.RelevantNets()
 	}
 	if cfg.IntraWorkers > 1 {
-		l.outBuf = make([]V, sh.c.NumGates())
-		l.clkBuf = make([]V, sh.c.NumGates())
+		l.pool = phase.New(cfg.IntraWorkers, sh.engine, sh.sink, k.EvalPart)
 	}
 	k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 		ev := qevent[V]{gate: g, value: v, id: l.newID()}
@@ -329,8 +329,14 @@ func (l *tlp[V]) execStep(t circuit.Tick, events []qevent[V], initial bool) {
 		undo = l.getUndo()
 		s.undo = undo
 	}
-	if l.cfg.IntraWorkers > 1 {
-		maxChunk := l.k.StepParallel(t, l.kevs, initial, undo, &l.st.LPCounters, l.cfg.IntraWorkers, l.outBuf, l.clkBuf)
+	if l.pool != nil {
+		maxChunk, err := l.k.StepParallel(t, l.kevs, initial, undo, &l.st.LPCounters, l.pool)
+		if err != nil {
+			// A sub-worker panicked and nothing was committed: the run is
+			// over, and the LP stops at its next abort check.
+			l.sh.net.Fail(err)
+			return
+		}
 		l.critEval += float64(maxChunk)*l.cfg.Cost.EvalCost + l.cfg.Cost.Barrier(l.cfg.IntraWorkers)
 	} else {
 		l.k.Step(t, l.kevs, initial, undo, &l.st.LPCounters)
@@ -629,6 +635,7 @@ func (l *tlp[V]) handleAll(batch []lpnet.Msg[V]) bool {
 func (l *tlp[V]) run(initial []kernel.EventT[V]) {
 	l.slot.SetPhase(supervise.PhaseRun)
 	defer l.slot.SetPhase(supervise.PhaseDone)
+	defer l.pool.Close()
 	if !l.sh.boot {
 		l.execInitial(initial)
 		l.batch.Flush()
