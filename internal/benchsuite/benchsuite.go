@@ -26,7 +26,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/cmb"
-	"repro/internal/sim/hybrid"
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/timewarp"
 	"repro/internal/vectors"
@@ -601,8 +600,9 @@ func BenchConeSplitCMBRound(b *testing.B) {
 }
 
 // BenchConeSplitHybridRound runs the same workload on the hybrid engine
-// with cone clusters: fat oblivious cones inside, optimistic synchronization
-// only between sequential frontiers.
+// (Time Warp over two-worker clusters) with cone clusters: fat oblivious
+// cones inside, optimistic synchronization only between sequential
+// frontiers.
 func BenchConeSplitHybridRound(b *testing.B) {
 	fx := newRunFixture(b, 300, 8, partition.MethodFM, false)
 	part, err := partition.New(partition.MethodConeSplit, fx.c, 8, partition.Options{Seed: 11})
@@ -613,7 +613,7 @@ func BenchConeSplitHybridRound(b *testing.B) {
 	b.ResetTimer()
 	var rollbacks uint64
 	for i := 0; i < b.N; i++ {
-		res, err := hybrid.Run(fx.c, fx.stim, fx.until, hybrid.Config{
+		res, err := timewarp.Run(fx.c, fx.stim, fx.until, timewarp.Config{
 			Partition: part, IntraWorkers: 2, System: logic.TwoValued, Sweep: true,
 		})
 		if err != nil {

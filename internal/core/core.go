@@ -21,7 +21,6 @@ import (
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/cmb"
-	"repro/internal/sim/hybrid"
 	"repro/internal/sim/oblivious"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
@@ -138,7 +137,8 @@ type Options struct {
 	StateSaving  timewarp.StateSaving
 	Window       circuit.Tick
 	// IntraWorkers is the per-cluster synchronous worker count of the
-	// hybrid engine (default 2).
+	// hybrid engine, Time Warp's timewarp.Config.IntraWorkers (default 2).
+	// The other engines ignore it.
 	IntraWorkers int
 
 	// Metrics, when non-nil, receives the run's work counters instead of
@@ -327,15 +327,14 @@ type engines[S any, V comparable] struct {
 	sync      func(*circuit.Circuit, S, circuit.Tick, sync.Config) (*sync.ResultT[V], error)
 	cmb       func(*circuit.Circuit, S, circuit.Tick, cmb.Config) (*cmb.ResultT[V], error)
 	timewarp  func(*circuit.Circuit, S, circuit.Tick, timewarp.Config) (*timewarp.ResultT[V], error)
-	hybrid    func(*circuit.Circuit, S, circuit.Tick, hybrid.Config) (*hybrid.ResultT[V], error)
 }
 
 var scalarEngines = engines[*vectors.Stimulus, logic.Value]{
-	circuit.Scalar, "", seq.Run, oblivious.Run, sync.Run, cmb.Run, timewarp.Run, hybrid.Run,
+	circuit.Scalar, "", seq.Run, oblivious.Run, sync.Run, cmb.Run, timewarp.Run,
 }
 
 var wideEngines = engines[*vectors.WideStimulus, logic.Word]{
-	circuit.Wide, "-wide", seq.RunWide, oblivious.RunWide, sync.RunWide, cmb.RunWide, timewarp.RunWide, hybrid.RunWide,
+	circuit.Wide, "-wide", seq.RunWide, oblivious.RunWide, sync.RunWide, cmb.RunWide, timewarp.RunWide,
 }
 
 // resolve fills in the option defaults shared by both planes; only the
@@ -446,14 +445,20 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		rep.Values, rep.Waveform, rep.EndTime = res.Values, res.Waveform, res.EndTime
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
-	case EngineTimeWarp, EngineTimeWarpLazy:
-		cancel := opts.Cancellation
-		if opts.Engine == EngineTimeWarpLazy {
+	case EngineTimeWarp, EngineTimeWarpLazy, EngineHybrid:
+		// Hybrid is Time Warp over synchronous clusters; the flat variants
+		// never get intra-cluster workers.
+		cancel, intra := opts.Cancellation, 0
+		switch opts.Engine {
+		case EngineTimeWarpLazy:
 			cancel = timewarp.Lazy
+		case EngineHybrid:
+			intra = opts.IntraWorkers
 		}
 		res, err := eng.timewarp(c, stim, until, timewarp.Config{
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
-			Window: opts.Window, System: opts.System, Queue: opts.Queue,
+			Window: opts.Window, IntraWorkers: intra, Cost: opts.Cost,
+			System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
@@ -464,24 +469,10 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		}
 		rep.Values, rep.Waveform, rep.EndTime = res.Values, res.Waveform, res.EndTime
 		rep.Stats = res.Stats
-		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
-	case EngineHybrid:
-		res, err := eng.hybrid(c, stim, until, hybrid.Config{
-			Partition: part, IntraWorkers: opts.IntraWorkers,
-			Cancellation: opts.Cancellation, StateSaving: opts.StateSaving,
-			Window: opts.Window, System: opts.System, Cost: opts.Cost,
-			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
-			Sweep: sweep, Adapt: opts.winCtl,
-		})
-		if err != nil {
-			return nil, err
+		rep.Modeled = res.ModeledTime(opts.Cost)
+		if opts.Engine == EngineHybrid {
+			rep.Processors = res.Processors()
 		}
-		rep.Values, rep.Waveform, rep.EndTime = res.Values, res.Waveform, res.EndTime
-		rep.Stats = res.Stats
-		rep.Modeled = res.ModeledTime()
-		rep.Processors = res.TotalProcessors()
 	default:
 		return nil, fmt.Errorf("core: unknown engine %v", opts.Engine)
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/eventq"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
@@ -79,6 +81,54 @@ func TestAllEnginesAgree(t *testing.T) {
 		if s := rep.SpeedupOver(base, stats.CostModel{}); s <= 0 {
 			t.Fatalf("%v: speedup = %f", e, s)
 		}
+	}
+}
+
+// TestTimeWarpArmIntraWorkers pins core's one Time Warp arm: the flat
+// variants never get intra-cluster workers, whatever IntraWorkers says,
+// and hybrid runs clusters of IntraWorkers on every pending-event set.
+func TestTimeWarpArmIntraWorkers(t *testing.T) {
+	c, err := gen.ArrayMultiplier(4, gen.Fine(6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stim, err := vectors.Random(c, vectors.RandomConfig{Vectors: 15, Period: 50, Activity: 0.8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := Horizon(c, stim)
+	base, err := Simulate(c, stim, until, Options{Engine: EngineSeq, System: logic.TwoValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lps, workers = 3, 4
+	check := func(name string, opts Options, processors int) *Report {
+		t.Helper()
+		opts.LPs, opts.IntraWorkers, opts.System = lps, workers, logic.TwoValued
+		rep, err := Simulate(c, stim, until, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := trace.Diff(base.Waveform, rep.Waveform, 5); d != "" {
+			t.Fatalf("%s waveform mismatch:\n%s", name, d)
+		}
+		if rep.Processors != processors {
+			t.Errorf("%s: Processors = %d, want %d", name, rep.Processors, processors)
+		}
+		if got, want := rep.Metrics.Labels["lps"], fmt.Sprint(processors); got != want {
+			t.Errorf("%s: lps label = %q, want %q", name, got, want)
+		}
+		return rep
+	}
+	for _, e := range []Engine{EngineTimeWarp, EngineTimeWarpLazy} {
+		rep := check(e.String(), Options{Engine: e}, lps)
+		// No intra-cluster critical path: the run is priced as plain LPs.
+		if want := rep.Stats.ModeledTime(stats.DefaultCostModel()); rep.Modeled != want {
+			t.Errorf("%v: Modeled = %v, want the plain pricing %v", e, rep.Modeled, want)
+		}
+	}
+	for _, q := range []eventq.Impl{eventq.ImplHeap, eventq.ImplCalendar, eventq.ImplWheel} {
+		check(fmt.Sprintf("hybrid/%v", q), Options{Engine: EngineHybrid, Queue: q}, lps*workers)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -534,20 +533,11 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 		res.Values[g] = shardRes[h.gateShard[g]].Values[g]
 	}
 	for _, sr := range shardRes {
-		for _, sm := range sr.Waveform {
-			res.Waveform = append(res.Waveform, trace.Sample{
-				Time: circuit.Tick(sm.Time), Gate: sm.Gate, Value: sm.Value,
-			})
-		}
+		res.Waveform = append(res.Waveform, sr.Waveform...)
 	}
 	// Canonical order (time, then gate) matches every engine's merged
 	// waveform, so the distributed result is byte-identical in VCD form.
-	sort.Slice(res.Waveform, func(i, j int) bool {
-		if res.Waveform[i].Time != res.Waveform[j].Time {
-			return res.Waveform[i].Time < res.Waveform[j].Time
-		}
-		return res.Waveform[i].Gate < res.Waveform[j].Gate
-	})
+	trace.Sort(res.Waveform)
 	h.gauge("dist_reconnects", float64(reconnects))
 	return res, nil
 }

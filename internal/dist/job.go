@@ -37,6 +37,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/pipeline"
 	"repro/internal/sim/timewarp"
+	"repro/internal/trace"
 )
 
 // Job is the header of a worker's FJob frame: the engine configuration
@@ -184,11 +185,11 @@ func decodeJob(p []byte) (*Job, *pipeline.Prepared, error) {
 // shard's bookkeeping. Values is full-length with non-owned entries
 // zero; the hub reads only the owned gates.
 type shardResult struct {
-	Shard    int           `json:"shard"`
-	Values   []logic.Value `json:"values"`
-	Waveform []wfSample    `json:"waveform"`
-	EndTime  uint64        `json:"end_time"`
-	Events   uint64        `json:"events"`
+	Shard    int            `json:"shard"`
+	Values   []logic.Value  `json:"values"`
+	Waveform trace.Waveform `json:"waveform"`
+	EndTime  uint64         `json:"end_time"`
+	Events   uint64         `json:"events"`
 	// MeshBytes is FBatch payload volume this shard sent over direct
 	// mesh links (0 on the hub-relay path); the hub folds these into the
 	// mesh_bytes gauge opposite its own hub_bytes relay count.
@@ -199,13 +200,6 @@ type shardResult struct {
 	CkptDeltaBytes uint64 `json:"ckpt_delta_bytes,omitempty"`
 	CkptFulls      uint64 `json:"ckpt_fulls,omitempty"`
 	CkptDeltas     uint64 `json:"ckpt_deltas,omitempty"`
-}
-
-// wfSample is a JSON-stable waveform sample.
-type wfSample struct {
-	Time  uint64         `json:"t"`
-	Gate  circuit.GateID `json:"g"`
-	Value logic.Value    `json:"v"`
 }
 
 // wireError is the JSON payload of a worker's FError frame: a SimError

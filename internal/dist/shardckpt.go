@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/sim/ckpt"
+	"repro/internal/trace"
 )
 
 // Shard checkpointing. Every worker runs the sequential shadow over the
@@ -125,12 +126,7 @@ func mergeShardStates(states []*ckpt.State, gateShard []int) (*ckpt.State, error
 	})
 	// Canonical waveform order (time, then gate) matches trace.Merge, so
 	// a spliced prefix is byte-identical to an uninterrupted run's.
-	sort.Slice(merged.Waveform, func(i, j int) bool {
-		if merged.Waveform[i].Time != merged.Waveform[j].Time {
-			return merged.Waveform[i].Time < merged.Waveform[j].Time
-		}
-		return merged.Waveform[i].Gate < merged.Waveform[j].Gate
-	})
+	trace.Sort(merged.Waveform)
 	merged.Seal()
 	return merged, nil
 }

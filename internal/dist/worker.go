@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
+	"repro/internal/trace"
 )
 
 // jobWait bounds how long a connected worker waits for its FJob frame.
@@ -344,10 +345,10 @@ func (w *Worker) Run() error {
 	// through the horizon. core splices the boot prefix onto the engine's
 	// post-boot suffix; filtering the whole to owned gates makes the hub's
 	// merge a plain union.
-	samples := make([]wfSample, 0, len(rep.Waveform))
+	samples := make(trace.Waveform, 0, len(rep.Waveform))
 	for _, sm := range rep.Waveform {
 		if owned[sm.Gate] {
-			samples = append(samples, wfSample{Time: uint64(sm.Time), Gate: sm.Gate, Value: sm.Value})
+			samples = append(samples, sm)
 		}
 	}
 	res := shardResult{

@@ -86,14 +86,6 @@ func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Seed[logic.Value], 
 	return &Seed[logic.Value]{s.Vals, s.PrevClk, s.Projected, s.Events}, nil
 }
 
-// Sample is one recorded waveform sample (a JSON-stable mirror of
-// trace.Sample).
-type Sample struct {
-	Time  uint64         `json:"t"`
-	Gate  circuit.GateID `json:"g"`
-	Value logic.Value    `json:"v"`
-}
-
 // State is a complete restorable snapshot at modeled-time boundary
 // Time: the three kernel value planes, the pending event set, and the
 // waveform prefix recorded so far.
@@ -112,17 +104,16 @@ type State struct {
 	// own).
 	EndTime uint64 `json:"end_time"`
 
-	Vals      []logic.Value `json:"vals"`
-	PrevClk   []logic.Value `json:"prev_clk"`
-	Projected []logic.Value `json:"projected"`
-	Events    []Event       `json:"events"`
-	Waveform  []Sample      `json:"waveform"`
+	Vals      []logic.Value  `json:"vals"`
+	PrevClk   []logic.Value  `json:"prev_clk"`
+	Projected []logic.Value  `json:"projected"`
+	Events    []Event        `json:"events"`
+	Waveform  trace.Waveform `json:"waveform"`
 
 	// Sum is an fnv64a checksum over the payload fields above; Write
 	// fills it in and Read verifies it, so a bit flip anywhere in the
 	// planes, events, or waveform surfaces as ErrCorrupt instead of a
-	// silently wrong restore. Empty on pre-checksum snapshots (accepted
-	// unverified for compatibility).
+	// silently wrong restore. A snapshot without one is corrupt.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -152,11 +143,8 @@ func (s *State) sum() string {
 func (s *State) Seal() { s.Sum = s.sum() }
 
 // Verify checks the payload checksum, returning an error wrapping
-// ErrCorrupt on mismatch. Snapshots without a checksum pass.
+// ErrCorrupt on mismatch, an empty Sum included.
 func (s *State) Verify() error {
-	if s.Sum == "" {
-		return nil
-	}
 	if got := s.sum(); got != s.Sum {
 		return fmt.Errorf("%w: checksum %s, recorded %s (bit flip?)", ErrCorrupt, got, s.Sum)
 	}
@@ -207,23 +195,10 @@ func (s *State) Check(c *circuit.Circuit, sys logic.System) error {
 	return nil
 }
 
-// Prefix converts the stored waveform prefix back to a trace.Waveform
-// (a fresh slice on every call).
+// Prefix copies the stored waveform prefix (a fresh slice on every call,
+// so a caller may append to it).
 func (s *State) Prefix() trace.Waveform {
-	w := make(trace.Waveform, len(s.Waveform))
-	for i, sm := range s.Waveform {
-		w[i] = trace.Sample{Time: circuit.Tick(sm.Time), Gate: sm.Gate, Value: sm.Value}
-	}
-	return w
-}
-
-// FromWaveform converts a trace.Waveform into the stored form.
-func FromWaveform(w trace.Waveform) []Sample {
-	out := make([]Sample, len(w))
-	for i, sm := range w {
-		out[i] = Sample{Time: uint64(sm.Time), Gate: sm.Gate, Value: sm.Value}
-	}
-	return out
+	return append(make(trace.Waveform, 0, len(s.Waveform)), s.Waveform...)
 }
 
 // Write serializes the snapshot as JSON, sealing the payload checksum

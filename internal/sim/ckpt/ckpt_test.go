@@ -36,7 +36,7 @@ func sample(t *testing.T) (*circuit.Circuit, *State) {
 		PrevClk:     mk(logic.Zero),
 		Projected:   mk(logic.One),
 		Events:      []Event{{Time: 101, Gate: 0, Value: logic.Zero}},
-		Waveform:    []Sample{{Time: 5, Gate: c.Outputs[0], Value: logic.One}},
+		Waveform:    trace.Waveform{{Time: 5, Gate: c.Outputs[0], Value: logic.One}},
 	}
 }
 
@@ -95,7 +95,7 @@ func TestCheckRejections(t *testing.T) {
 
 func TestWaveformConversion(t *testing.T) {
 	w := trace.Waveform{{Time: 3, Gate: 1, Value: logic.One}, {Time: 9, Gate: 2, Value: logic.Zero}}
-	st := &State{Waveform: FromWaveform(w)}
+	st := &State{Waveform: w}
 	back := st.Prefix()
 	if len(back) != len(w) {
 		t.Fatalf("length %d, want %d", len(back), len(w))

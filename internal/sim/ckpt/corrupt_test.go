@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/logic"
 )
 
 // Distributed recovery restores checkpoints written by a process that
@@ -79,18 +82,43 @@ func TestReadBitFlippedPayloadIsErrCorrupt(t *testing.T) {
 	}
 }
 
-func TestReadLegacySnapshotWithoutSum(t *testing.T) {
+func TestReadSnapshotWithoutSumIsErrCorrupt(t *testing.T) {
 	path, raw := writeSample(t)
-	// Pre-checksum snapshots have no sum field; they must still load.
-	legacy := regexp.MustCompile(`,"sum":"fnv64a:[0-9a-f]{16}"`).ReplaceAll(raw, nil)
-	if bytes.Equal(legacy, raw) {
+	// Every writer seals, so a snapshot without a sum field is damaged. A
+	// stripped sum plus a flipped value must not restore silently.
+	unsealed := regexp.MustCompile(`,"sum":"fnv64a:[0-9a-f]{16}"`).ReplaceAll(raw, nil)
+	if bytes.Equal(unsealed, raw) {
 		t.Fatal("fixture has no sum field to strip")
 	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+	for name, body := range map[string][]byte{
+		"stripped":         unsealed,
+		"stripped-flipped": bytes.Replace(unsealed, []byte(`"time":100`), []byte(`"time":101`), 1),
+	} {
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: snapshot without sum: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+func TestReadDeltaWithoutSumIsErrCorrupt(t *testing.T) {
+	s0 := fakeState(100, []logic.Value{0, 1}, nil)
+	d, err := DeltaFrom(s0, step(s0, 200, []circuit.GateID{0}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); err != nil {
-		t.Errorf("legacy snapshot without sum rejected: %v", err)
+	var buf bytes.Buffer
+	if err := WriteDelta(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := regexp.MustCompile(`,"sum":"fnv64a:[0-9a-f]{16}"`).ReplaceAll(buf.Bytes(), nil)
+	if bytes.Equal(unsealed, buf.Bytes()) {
+		t.Fatal("fixture has no sum field to strip")
+	}
+	if _, err := ReadDelta(bytes.NewReader(unsealed)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("delta without sum: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
+	"repro/internal/trace"
 )
 
 // DeltaVersion is the delta-record format identifier. Bump on any
@@ -59,7 +60,7 @@ type Delta struct {
 	// Events replaces the base's pending-event set outright.
 	Events []Event `json:"events"`
 	// Waveform is the sample suffix recorded after the base boundary.
-	Waveform []Sample `json:"waveform"`
+	Waveform trace.Waveform `json:"waveform"`
 
 	// Sum is the fnv64a checksum over the fields above, same scheme as
 	// State.Sum.
@@ -86,11 +87,9 @@ func (d *Delta) sum() string {
 // Seal fills in the delta's checksum; WriteDelta calls it automatically.
 func (d *Delta) Seal() { d.Sum = d.sum() }
 
-// Verify checks the delta's checksum, wrapping ErrCorrupt on mismatch.
+// Verify checks the delta's checksum, wrapping ErrCorrupt on mismatch, an
+// empty Sum included.
 func (d *Delta) Verify() error {
-	if d.Sum == "" {
-		return nil
-	}
 	if got := d.sum(); got != d.Sum {
 		return fmt.Errorf("%w: delta checksum %s, recorded %s (bit flip?)", ErrCorrupt, got, d.Sum)
 	}
@@ -170,7 +169,7 @@ func (d *Delta) Apply(base *State) (*State, error) {
 		out.PrevClk[e.Gate] = e.PrevClk
 		out.Projected[e.Gate] = e.Projected
 	}
-	out.Waveform = make([]Sample, 0, len(base.Waveform)+len(d.Waveform))
+	out.Waveform = make(trace.Waveform, 0, len(base.Waveform)+len(d.Waveform))
 	out.Waveform = append(out.Waveform, base.Waveform...)
 	out.Waveform = append(out.Waveform, d.Waveform...)
 	out.Seal()

@@ -10,12 +10,13 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
+	"repro/internal/trace"
 )
 
 // fakeState builds a sealed synthetic snapshot: the delta layer never
 // inspects circuit topology (only the fingerprint string), so unit
 // tests can fabricate trajectories without building a circuit.
-func fakeState(t uint64, vals []logic.Value, wf []Sample) *State {
+func fakeState(t uint64, vals []logic.Value, wf trace.Waveform) *State {
 	s := &State{
 		Version: Version, Fingerprint: "fnv64a:feedfacecafebeef",
 		Time: t, Until: 500, System: 4, EndTime: t,
@@ -36,7 +37,7 @@ func step(base *State, t uint64, flip []circuit.GateID) *State {
 	for _, g := range flip {
 		vals[g] ^= 1
 	}
-	wf := append(append([]Sample(nil), base.Waveform...), Sample{Time: t, Gate: flip[0], Value: vals[flip[0]]})
+	wf := append(base.Prefix(), trace.Sample{Time: circuit.Tick(t), Gate: flip[0], Value: vals[flip[0]]})
 	return fakeState(t, vals, wf)
 }
 
@@ -44,7 +45,7 @@ func step(base *State, t uint64, flip []circuit.GateID) *State {
 // reconstructs the boundary state exactly — same checksum, deep-equal
 // payload — across a multi-link chain.
 func TestDeltaRoundTrip(t *testing.T) {
-	s0 := fakeState(100, []logic.Value{0, 1, 0, 1}, []Sample{{Time: 50, Gate: 0, Value: 1}})
+	s0 := fakeState(100, []logic.Value{0, 1, 0, 1}, trace.Waveform{{Time: 50, Gate: 0, Value: 1}})
 	s1 := step(s0, 200, []circuit.GateID{0, 2})
 	s2 := step(s1, 300, []circuit.GateID{1})
 

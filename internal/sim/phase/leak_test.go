@@ -8,10 +8,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
-	"repro/internal/sim/hybrid"
 	"repro/internal/sim/oblivious"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/sync"
+	"repro/internal/sim/timewarp"
 	"repro/internal/vectors"
 )
 
@@ -49,12 +49,12 @@ func TestEnginesCloseTheirPools(t *testing.T) {
 			_, err := oblivious.Run(c, stim, oblivious.Config{System: logic.TwoValued, Workers: 4})
 			return err
 		}},
-		{"hybrid", false, func() error {
-			_, err := hybrid.Run(c, stim, until, hybrid.Config{Partition: p, IntraWorkers: 3, System: logic.TwoValued})
+		{"timewarp-clusters", false, func() error {
+			_, err := timewarp.Run(c, stim, until, timewarp.Config{Partition: p, IntraWorkers: 3, System: logic.TwoValued})
 			return err
 		}},
-		{"hybrid-max-events", true, func() error {
-			_, err := hybrid.Run(c, stim, until, hybrid.Config{Partition: p, IntraWorkers: 3, System: logic.TwoValued, MaxEvents: 50})
+		{"timewarp-clusters-max-events", true, func() error {
+			_, err := timewarp.Run(c, stim, until, timewarp.Config{Partition: p, IntraWorkers: 3, System: logic.TwoValued, MaxEvents: 50})
 			return err
 		}},
 	}

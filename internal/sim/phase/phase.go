@@ -1,8 +1,8 @@
 // Package phase is the fork/join barrier under every barrier-synchronous
 // engine: the synchronous engine's apply and evaluate phases, the
-// oblivious engine's level sweep, and the hybrid engine's intra-cluster
-// evaluation (kernel.StepParallel) all run a phase on every worker and
-// then meet at one barrier.
+// oblivious engine's level sweep, and Time Warp's intra-cluster
+// evaluation (kernel.StepParallel, the hybrid engine) all run a phase on
+// every worker and then meet at one barrier.
 //
 // A Pool keeps its helpers for the whole run, parked on their own wake
 // channels between phases, so a phase costs a wake-up per part rather than

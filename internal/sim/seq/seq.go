@@ -150,10 +150,10 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 			EndTime: uint64(endTime),
 			Vals:    seed.Vals, PrevClk: seed.PrevClk, Projected: seed.Projected,
 			Events:   seed.Events,
-			Waveform: ckpt.FromWaveform(wave),
+			Waveform: append(make(trace.Waveform, 0, len(wave)), wave...),
 		}
 		if cfg.Boot != nil {
-			st.Waveform = append(append([]ckpt.Sample(nil), cfg.Boot.Waveform...), st.Waveform...)
+			st.Waveform = append(append(trace.Waveform(nil), cfg.Boot.Waveform...), wave...)
 			if cfg.Boot.EndTime > st.EndTime {
 				st.EndTime = cfg.Boot.EndTime
 			}

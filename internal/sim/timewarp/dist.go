@@ -15,7 +15,7 @@ import (
 // point-to-point and GVT becomes the seam's hub-driven conversation —
 // but the single-coordinator control loops that need a frozen global
 // view do not: the memory throttle and the adaptive window controller
-// both sample every LP's state during the pause, and hybrid clusters
+// both sample every LP's state during the pause, and intra-LP clusters
 // barrier inside one process.
 func checkDist(cfg Config) error {
 	if cfg.Dist == nil {

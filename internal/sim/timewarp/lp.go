@@ -116,8 +116,8 @@ type tlp[V comparable] struct {
 	snapPool    []*kernel.SnapshotT[V]
 	undoScratch []*kernel.UndoT[V]
 
-	// Hybrid mode: the cluster's sub-workers and its modeled evaluation
-	// critical path.
+	// Cluster mode (IntraWorkers > 1): the cluster's sub-workers and its
+	// modeled evaluation critical path.
 	pool     *phase.Pool
 	critEval float64
 }

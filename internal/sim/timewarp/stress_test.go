@@ -57,9 +57,10 @@ func TestFrequentGVTStress(t *testing.T) {
 	}
 }
 
-// TestQueueImplementations runs Time Warp over every pending-event set —
-// the rollback path calls ResetFloor, which only these runs exercise on
-// the calendar queue and timing wheel.
+// TestQueueImplementations runs Time Warp over every pending-event set,
+// on plain LPs and on three-worker clusters — the rollback path calls
+// ResetFloor, which only these runs exercise on the calendar queue and
+// timing wheel.
 func TestQueueImplementations(t *testing.T) {
 	c, err := gen.ArrayMultiplier(4, gen.Fine(6, 3))
 	if err != nil {
@@ -79,18 +80,20 @@ func TestQueueImplementations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, impl := range []eventq.Impl{eventq.ImplHeap, eventq.ImplCalendar, eventq.ImplWheel} {
-		res, err := Run(c, stim, until, Config{
-			Partition: p, System: logic.TwoValued, Queue: impl,
-			GVTInterval: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", impl, err)
-		}
-		if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
-			t.Fatalf("%v mismatch:\n%s", impl, d)
-		}
-		if res.Stats.Total().Rollbacks == 0 {
-			t.Logf("note: %v run had no rollbacks", impl)
+		for _, workers := range []int{1, 3} {
+			res, err := Run(c, stim, until, Config{
+				Partition: p, System: logic.TwoValued, Queue: impl, IntraWorkers: workers,
+				GVTInterval: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("%v intra=%d: %v", impl, workers, err)
+			}
+			if d := trace.Diff(ref.Waveform, res.Waveform, 5); d != "" {
+				t.Fatalf("%v intra=%d mismatch:\n%s", impl, workers, d)
+			}
+			if res.Stats.Total().Rollbacks == 0 {
+				t.Logf("note: %v intra=%d run had no rollbacks", impl, workers)
+			}
 		}
 	}
 }

@@ -112,12 +112,12 @@ type Config struct {
 	// keeps the perturbation proportional to useful progress at every
 	// circuit size.
 	GVTInterval time.Duration
-	// IntraWorkers, when > 1, enables hierarchical (hybrid) execution:
-	// each LP evaluates its per-timestep dirty set across this many
-	// barrier-synchronized sub-workers (a synchronous cluster), while the
-	// clusters synchronize optimistically among themselves. This is the
-	// hierarchical scheme of the paper's future-directions section; the
-	// hybrid engine package wraps it.
+	// IntraWorkers, when > 1, makes every LP a synchronous cluster: it
+	// evaluates its per-timestep dirty set across this many sub-workers of
+	// its own phase.Pool (kernel.StepParallel), while the clusters
+	// synchronize optimistically among themselves. This is the
+	// hierarchical scheme of the paper's future-directions section (§VI),
+	// which core runs as the hybrid engine; 0 and 1 run plain Time Warp.
 	IntraWorkers int
 	// Cost prices intra-cluster critical-path accounting when
 	// IntraWorkers > 1; the zero value uses the default model.
@@ -194,10 +194,37 @@ type ResultT[V comparable] struct {
 	EndTime  circuit.Tick
 	GVT      circuit.Tick
 	Stats    stats.RunStats
-	// IntraCritical, in hybrid mode (IntraWorkers > 1), holds each
-	// cluster's modeled evaluation critical path (per-step max chunk plus
-	// barrier costs); nil otherwise.
+	// IntraCritical, when the LPs are clusters (IntraWorkers > 1), holds
+	// each cluster's modeled evaluation critical path (per-step max chunk
+	// plus barrier costs); nil otherwise.
 	IntraCritical []float64
+	// workers is the processor count of each LP: IntraWorkers for a
+	// cluster, 1 for a plain LP.
+	workers int
+}
+
+// Processors reports the modeled machine size: LPs times the processors
+// each one runs on.
+func (r *ResultT[V]) Processors() int { return len(r.Stats.LPs) * r.workers }
+
+// ModeledTime prices the run under m, the Config.Cost that priced
+// IntraCritical. Plain LPs are priced as stats.RunStats.ModeledTime does.
+// For clusters, each cluster's serial evaluation cost is replaced by its
+// intra-cluster critical path, and the slowest cluster plus the GVT
+// rounds bound the run.
+func (r *ResultT[V]) ModeledTime(m stats.CostModel) float64 {
+	if r.IntraCritical == nil {
+		return r.Stats.ModeledTime(m)
+	}
+	var worst float64
+	for i, lp := range r.Stats.LPs {
+		t := m.Busy(lp)
+		if i < len(r.IntraCritical) {
+			t = t - m.EvalCost*float64(lp.Evaluations) + r.IntraCritical[i]
+		}
+		worst = max(worst, t)
+	}
+	return worst + float64(r.Stats.GVTRounds)*m.GVT(len(r.Stats.LPs))
 }
 
 // Result is the outcome of a scalar run.
@@ -377,7 +404,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		return nil, err
 	}
 
-	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform(), GVT: finalGVT}
+	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform(), GVT: finalGVT, workers: max(cfg.IntraWorkers, 1)}
 	for _, l := range lps {
 		if cfg.IntraWorkers > 1 {
 			res.IntraCritical = append(res.IntraCritical, l.critEval)

@@ -9,8 +9,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -19,11 +21,12 @@ import (
 
 // SampleT is one committed value change on a watched net, over the value
 // type of the run: a scalar logic.Value, or a 64-lane logic.Word holding
-// the complete state of the net at Time.
+// the complete state of the net at Time. The JSON tags are the stored form
+// checkpoints and distributed shard results carry.
 type SampleT[V comparable] struct {
-	Time  circuit.Tick
-	Gate  circuit.GateID
-	Value V
+	Time  circuit.Tick   `json:"t"`
+	Gate  circuit.GateID `json:"g"`
+	Value V              `json:"v"`
 }
 
 // Sample is the scalar sample.
@@ -74,13 +77,18 @@ func Merge[V comparable](recs ...*RecorderT[V]) WaveformT[V] {
 	for _, r := range recs {
 		w = append(w, r.samples...)
 	}
-	sort.Slice(w, func(i, j int) bool {
-		if w[i].Time != w[j].Time {
-			return w[i].Time < w[j].Time
-		}
-		return w[i].Gate < w[j].Gate
-	})
+	Sort(w)
 	return w
+}
+
+// Sort puts samples in canonical waveform order: by time, then by gate.
+func Sort[V comparable](w []SampleT[V]) {
+	slices.SortFunc(w, func(a, b SampleT[V]) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Gate, b.Gate)
+	})
 }
 
 // Equal reports whether two waveforms are identical.
