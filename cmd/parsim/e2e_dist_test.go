@@ -320,7 +320,7 @@ func TestDistHonoursFlags(t *testing.T) {
 		{"cone-split", "cmb-demand", []string{"-cone-split"}, plain, 4},
 		{"presim", "timewarp", []string{"-presim"}, plain, 4},
 		{"restore", "timewarp-lazy", []string{"-restore", restore}, plain, 4},
-		// Checkpointing itself, so the boot state flows through the shard shadow too.
+		// Checkpointing itself, so the boot state flows through the engines' own cuts too.
 		{"restore-ckpt", "cmb", []string{"-restore", restore, "-checkpoint-every", "150", "-ckpt-delta"}, plain, 2},
 		{"all", "cmb", []string{"-opt", "-cone-split", "-presim", "-restore", optRestore}, optimized, 4},
 		{"all-timewarp", "timewarp", []string{"-opt", "-cone-split", "-presim", "-restore", optRestore}, optimized, 4},

@@ -21,6 +21,7 @@ import (
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/cmb"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/oblivious"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
@@ -204,6 +205,9 @@ type Options struct {
 	// seam makes the run one shard of a fleet (set by RunShard): the
 	// asynchronous engines execute only the LPs it maps to this process.
 	seam *wire.Seam
+	// cuts has the shard's engine capture its own checkpoints (set by
+	// RunShard).
+	cuts *lpnet.Cuts
 }
 
 // SuperviseOptions configures the supervision layer.
@@ -437,7 +441,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam,
+			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam, Cuts: opts.cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -462,7 +466,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
-			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam,
+			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: opts.cuts,
 		})
 		if err != nil {
 			return nil, err

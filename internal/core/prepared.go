@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dist/wire"
 	"repro/internal/pipeline"
+	"repro/internal/sim/lpnet"
 )
 
 // Run simulates a prepared workload on the scalar plane. The workload half
@@ -33,12 +34,13 @@ func RunWide(p *pipeline.Prepared, opts Options) (*WideReport, error) {
 // RunShard is Run as one shard of a socket fleet: the same dispatch with
 // the seam attached, so only the LPs it maps to this process execute and
 // the rest are reached over the wire. The report covers the whole circuit
-// with this shard's gates filled in.
-func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam) (*Report, error) {
+// with this shard's gates filled in. With cuts non-nil the engine captures
+// its local LPs' parts of every checkpoint boundary itself.
+func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *lpnet.Cuts) (*Report, error) {
 	if !opts.Engine.Distributes() {
 		return nil, fmt.Errorf("core: engine %v does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", opts.Engine)
 	}
-	opts.seam = seam
+	opts.seam, opts.cuts = seam, cuts
 	return Run(p, opts)
 }
 

@@ -18,7 +18,7 @@ import (
 // performance, never correctness.
 func (h *hub) fallback(loss *core.SimError) (*Result, error) {
 	o := &h.opts
-	boot, err := h.boot(o.Restarts + 1)
+	boot, _, err := h.boot(o.Restarts + 1)
 	if err != nil {
 		return nil, err
 	}

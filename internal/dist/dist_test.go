@@ -22,6 +22,7 @@ import (
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/timewarp"
+	"repro/internal/simtest"
 	"repro/internal/simtest/chaos"
 	"repro/internal/simtest/chaos/netfault"
 	"repro/internal/trace"
@@ -218,12 +219,11 @@ func TestDistShardLossError(t *testing.T) {
 	}
 }
 
-// TestDistShardLossFallback: the same unsurvivable plan with Fallback
-// set must walk the degradation ladder (dist -> sync -> ...) and still
-// hand back the exact sequential result. With heartbeats off every frame
-// the kill counts is an engine frame, so it lands after the workers'
-// sequential shadows wrote every boundary, and the ladder must boot from
-// the newest merged boundary as a restart would, not from t=0.
+// TestDistShardLossFallback: a shard lost with no restart budget and
+// Fallback set must walk the degradation ladder (dist -> sync -> ...) and
+// still hand back the exact sequential result. The kill waits for the
+// first boundary every shard's engine has checkpointed, so the ladder must
+// boot from the newest merged boundary as a restart would, not from t=0.
 func TestDistShardLossFallback(t *testing.T) {
 	until, ref := golden(t)
 	reg := metrics.NewRegistry("cmb-dist")
@@ -233,9 +233,7 @@ func TestDistShardLossFallback(t *testing.T) {
 	opts.Fallback = true
 	opts.HeartbeatEvery = time.Hour
 	opts.Metrics = reg
-	opts.Plan = netfault.Plan{
-		{Op: netfault.OpKill, Shard: 0, AfterFrames: 3, Attempt: -1},
-	}
+	opts.Spawn = &killAtBoundary{dir: opts.WorkDir, shards: opts.Shards}
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +256,7 @@ func TestDistShardLossFallback(t *testing.T) {
 func shadowStates(t *testing.T, every uint64) []*ckpt.State {
 	t.Helper()
 	run := prepare(t, 0, 0)
-	var states []*ckpt.State
-	_, err := seq.Run(run.Circuit, run.Stim, run.Until, seq.Config{
-		System:          logic.NineValued,
-		CheckpointEvery: circuit.Tick(every),
-		Checkpoint: func(st *ckpt.State) error {
-			states = append(states, st)
-			return nil
-		},
-	})
+	states, err := simtest.ShadowStates(run.Circuit, run.Stim, run.Until, circuit.Tick(every), logic.NineValued, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +286,12 @@ func TestLatestBoundarySkipsCorrupt(t *testing.T) {
 		}
 	}
 
-	merged, at, err := latestBoundary(dir, 2, gateShard)
+	merged, _, err := latestBoundary(dir, 2, gateShard)
 	if err != nil || merged == nil {
 		t.Fatalf("clean directory: merged=%v err=%v", merged, err)
 	}
 	newest := states[len(states)-1].Time
-	if at != newest {
+	if at := merged.Time; at != newest {
 		t.Fatalf("picked boundary %d, want newest %d", at, newest)
 	}
 
@@ -310,11 +300,11 @@ func TestLatestBoundarySkipsCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, shardCkptName(1, newest)), []byte("{trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	merged, at, err = latestBoundary(dir, 2, gateShard)
+	merged, _, err = latestBoundary(dir, 2, gateShard)
 	if err != nil || merged == nil {
 		t.Fatalf("after corruption: merged=%v err=%v", merged, err)
 	}
-	if at != states[len(states)-2].Time {
+	if at := merged.Time; at != states[len(states)-2].Time {
 		t.Errorf("picked boundary %d, want fallback %d", at, states[len(states)-2].Time)
 	}
 	if merged.Verify() != nil {

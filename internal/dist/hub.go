@@ -393,27 +393,28 @@ func (h *hub) admit(c net.Conn) {
 
 // boot picks the state a launch starts from. launch counts the failed
 // attempts before it: 0 for the first fleet, Restarts+1 for the fallback.
-// After a failure that is the newest boundary every shard still has; else
-// the caller's restore point; else t=0 (nil).
-func (h *hub) boot(launch int) (*ckpt.State, error) {
+// After a failure that is the newest boundary every shard still has, with
+// each shard's own EndTime at it; else the caller's restore point; else
+// t=0 (nil).
+func (h *hub) boot(launch int) (*ckpt.State, []uint64, error) {
 	if launch == 0 || h.opts.CheckpointEvery == 0 {
-		return h.opts.Restore, nil
+		return h.opts.Restore, nil, nil
 	}
-	merged, t, err := latestBoundary(h.workDir, h.opts.Shards, h.gateShard)
+	merged, ends, err := latestBoundary(h.workDir, h.opts.Shards, h.gateShard)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if merged == nil {
-		return h.opts.Restore, nil
+		return h.opts.Restore, nil, nil
 	}
-	h.gauge("dist_boot_time", float64(t))
-	return merged, nil
+	h.gauge("dist_boot_time", float64(merged.Time))
+	return merged, ends, nil
 }
 
 // runAttempt launches one fleet and runs it to completion or to the
 // first shard-loss verdict.
 func (h *hub) runAttempt(attempt int) (*Result, error) {
-	boot, err := h.boot(attempt)
+	boot, ends, err := h.boot(attempt)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +446,11 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 	// the endpoint until the worker's connection attaches, so the job is
 	// always the first sequenced frame a worker receives.
 	for s, link := range sess.links {
-		p, err := encodeJob(h.jobFor(s, attempt, bootPath), run)
+		job := h.jobFor(s, attempt, bootPath)
+		if ends != nil {
+			job.BootEnd = &ends[s]
+		}
+		p, err := encodeJob(job, run)
 		if err != nil {
 			return nil, err
 		}

@@ -6,14 +6,17 @@
 // coordinator, which relays framed event batches between shards, drives
 // the distributed Mattern-style GVT conversation for the optimistic
 // engines, and watches per-connection heartbeats. Fault tolerance is
-// checkpoint-restart over the whole fleet: each worker's sequential
-// shadow writes shard-restricted snapshots at fixed modeled-time
-// boundaries, and when a shard is lost (crash, hang, or partition that
-// outlives the retry budget) the hub kills every worker, merges the
-// latest boundary that is complete and uncorrupted across all shards,
-// and relaunches the fleet booted from the merged cut. When the restart
-// budget is exhausted the run degrades to a single-process supervised
-// run (sync, then seq) or fails with a structured shard-loss error.
+// checkpoint-restart over the whole fleet: each worker's engine captures
+// its own shard's part of the consistent cut at fixed modeled-time
+// boundaries (§IV: a conservative LP's state is final once its safe time
+// passes the boundary, a Time Warp LP's once GVT does), and a writer
+// goroutine beside it persists them; when a shard is lost (crash, hang,
+// or partition that outlives the retry budget) the hub kills every
+// worker, merges the latest boundary that is complete and uncorrupted
+// across all shards, and relaunches the fleet booted from the merged
+// cut. When the restart budget is exhausted the run degrades to a
+// single-process supervised run (sync, then seq) or fails with a
+// structured shard-loss error.
 //
 // The workload is prepared once, by the hub, through internal/pipeline —
 // the same load → optimize → stimulus → partition path every other front
@@ -72,14 +75,18 @@ type Job struct {
 	Shard   int `json:"shard"`
 	Attempt int `json:"attempt"`
 
-	// CheckpointEvery/CheckpointDir arm the worker's sequential-shadow
-	// shard checkpointer (0/"" = off).
+	// CheckpointEvery/CheckpointDir arm the shard's checkpoints, which
+	// its engine captures at every multiple of the interval (0/"" = off).
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	// Boot is the path of the snapshot this attempt resumes from: the
 	// caller's restore point or a merged recovery cut ("" = fresh start
 	// at t=0).
 	Boot string `json:"boot,omitempty"`
+	// BootEnd, for a merged recovery cut, is this shard's own EndTime at
+	// the cut (the merged snapshot carries the fleet's maximum); the
+	// shard's checkpoints extend it.
+	BootEnd *uint64 `json:"boot_end,omitempty"`
 
 	// Mesh routes inter-shard event batches over direct worker-to-worker
 	// links; the hub keeps only the control plane. MeshDir holds the mesh

@@ -193,7 +193,7 @@ func TestDistDeltaCkptGauges(t *testing.T) {
 
 // writeShardChain writes one shard's checkpoint sequence in delta mode:
 // a full snapshot at the first boundary, chained deltas after — exactly
-// what the worker's shadow produces.
+// what a worker's cut writer produces.
 func writeShardChain(t *testing.T, dir string, shard int, states []*ckpt.State, owned []bool) {
 	t.Helper()
 	var last *ckpt.State
@@ -237,15 +237,15 @@ func TestDeltaChainRestore(t *testing.T) {
 		}
 	}
 
-	fromDeltas, atD, err := latestBoundary(deltaDir, 2, gateShard)
+	fromDeltas, _, err := latestBoundary(deltaDir, 2, gateShard)
 	if err != nil || fromDeltas == nil {
 		t.Fatalf("delta-chain restore: merged=%v err=%v", fromDeltas, err)
 	}
-	fromFulls, atF, err := latestBoundary(fullDir, 2, gateShard)
+	fromFulls, _, err := latestBoundary(fullDir, 2, gateShard)
 	if err != nil || fromFulls == nil {
 		t.Fatalf("full-snapshot restore: merged=%v err=%v", fromFulls, err)
 	}
-	if atD != atF || atD != states[len(states)-1].Time {
+	if atD, atF := fromDeltas.Time, fromFulls.Time; atD != atF || atD != states[len(states)-1].Time {
 		t.Fatalf("boundaries differ: delta %d, full %d, newest %d", atD, atF, states[len(states)-1].Time)
 	}
 	if !reflect.DeepEqual(fromDeltas, fromFulls) {
@@ -285,11 +285,11 @@ func TestDeltaChainCorruptFallsBack(t *testing.T) {
 	}
 
 	// Newest boundary's delta broken: fall back one boundary.
-	merged, at, err := latestBoundary(dir, 2, gateShard)
+	merged, _, err := latestBoundary(dir, 2, gateShard)
 	if err != nil || merged == nil {
 		t.Fatalf("after tail corruption: merged=%v err=%v", merged, err)
 	}
-	if want := states[len(states)-2].Time; at != want {
+	if want, at := states[len(states)-2].Time, merged.Time; at != want {
 		t.Errorf("picked boundary %d, want fallback %d", at, want)
 	}
 
@@ -299,11 +299,11 @@ func TestDeltaChainCorruptFallsBack(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, shardDeltaName(0, first)), 3); err != nil {
 		t.Fatal(err)
 	}
-	merged, at, err = latestBoundary(dir, 2, gateShard)
+	merged, _, err = latestBoundary(dir, 2, gateShard)
 	if err != nil || merged == nil {
 		t.Fatalf("after chain-head corruption: merged=%v err=%v", merged, err)
 	}
-	if want := states[0].Time; at != want {
+	if want, at := states[0].Time, merged.Time; at != want {
 		t.Errorf("picked boundary %d, want the full snapshot at %d", at, want)
 	}
 	if merged.Verify() != nil {

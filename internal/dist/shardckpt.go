@@ -1,29 +1,36 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 
+	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/sim/ckpt"
+	"repro/internal/sim/lpnet"
 	"repro/internal/trace"
 )
 
-// Shard checkpointing. Every worker runs the sequential shadow over the
-// whole circuit (the trajectory is deterministic, so each shard's copy
-// of the shadow computes the same cut) but persists only its own
-// restriction of each boundary snapshot: value planes zeroed outside
-// owned gates, pending events and waveform samples filtered to owned
-// gates. The waveform restriction is absolute — all own-gate samples
-// from t=0 through the boundary, including any booted prefix — so a
+// Shard checkpointing. Every worker's engine captures its own local LPs'
+// parts of the consistent cut at each boundary (lpnet.Cuts: a cmb LP once
+// its next event and its safe time lie past the boundary, a Time Warp LP
+// once GVT has passed it), and the worker's cutWriter stitches them into
+// the shard's snapshot: value planes zeroed outside owned gates, pending
+// events and waveform samples of owned gates only, in canonical order. The
+// waveform is absolute — all own-gate samples from t=0 through the
+// boundary, including any booted prefix — and EndTime is the shard's own
+// last timestep, extended from the shard's value at the boot boundary, so a
 // boundary file's content depends only on (workload, boundary, shard),
-// never on which attempt wrote it. That makes stale files from
-// torn-down attempts indistinguishable from fresh ones, and lets the
-// hub merge any boundary that is complete across shards: plane
-// stitching by gate owner, event and sample union, one checksum reseal.
+// never on which attempt wrote it. That makes stale files from torn-down
+// attempts indistinguishable from fresh ones, and lets the hub merge any
+// boundary that is complete across shards: plane stitching by gate owner,
+// event and sample union, one checksum reseal.
 //
 // A truncated or bit-flipped shard file surfaces as ckpt.ErrCorrupt at
 // read time; the merge skips that boundary and falls back to the next
@@ -49,37 +56,165 @@ func fileSize(path string) uint64 {
 	return uint64(fi.Size())
 }
 
-// restrictToShard projects a full shadow snapshot onto one shard: owned
-// planes kept (others zeroed), events and waveform filtered to owned
-// gates, checksum resealed.
-func restrictToShard(st *ckpt.State, owned []bool) *ckpt.State {
-	out := &ckpt.State{
-		Version: st.Version, Fingerprint: st.Fingerprint,
-		Time: st.Time, Until: st.Until, System: st.System, EndTime: st.EndTime,
-		Vals:      make([]logic.Value, len(st.Vals)),
-		PrevClk:   make([]logic.Value, len(st.PrevClk)),
-		Projected: make([]logic.Value, len(st.Projected)),
+// cutWriter assembles one shard's checkpoints from the cuts its engine's
+// LPs capture, and writes them on a goroutine of its own, so no LP ever
+// waits on the file system. A boundary is complete once every local LP
+// has handed in its part; boundaries complete in order, because every LP
+// hands its cuts over in boundary order. In delta mode the first boundary
+// of each attempt is a full snapshot and every later one a delta chained
+// to its sealed predecessor — the boundary one interval earlier on the
+// deterministic trajectory — so delta files, like full ones, are
+// attempt-independent and safely overwrite stale copies.
+type cutWriter struct {
+	dir   string
+	shard int
+	delta bool
+	head  ckpt.State // the header fields every snapshot shares
+	gates int
+	lps   int // local LPs, the parts of one boundary
+
+	mu    sync.Mutex
+	queue []*lpnet.Cut[logic.Value]
+	wake  chan struct{}
+	done  chan struct{}
+
+	// The writer goroutine's own, read by finish after done closes.
+	open  map[circuit.Tick]*shardCut
+	last  *ckpt.State
+	err   error
+	stats ckptStats
+}
+
+// shardCut is a boundary some local LPs have handed in.
+type shardCut struct {
+	st    *ckpt.State
+	parts int
+}
+
+// ckptStats is the checkpoint volume a shard wrote: bytes and record
+// counts of full snapshots and of delta records.
+type ckptStats struct {
+	FullBytes, DeltaBytes, Fulls, Deltas uint64
+}
+
+// newCutWriter starts the writer of shard's checkpoints into dir for a
+// run whose header fields (fingerprint, horizon, logic system) head holds.
+func newCutWriter(dir string, shard, lps, gates int, delta bool, head ckpt.State) *cutWriter {
+	head.Version = ckpt.Version
+	w := &cutWriter{
+		dir: dir, shard: shard, delta: delta, head: head, gates: gates, lps: lps,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
+		open: map[circuit.Tick]*shardCut{},
 	}
-	for g, own := range owned {
-		if !own {
-			continue
+	go w.run()
+	return w
+}
+
+// put queues one LP's cut. It runs on the LP goroutines and never blocks
+// on the writer.
+func (w *cutWriter) put(c *lpnet.Cut[logic.Value]) {
+	w.mu.Lock()
+	w.queue = append(w.queue, c)
+	w.mu.Unlock()
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// finish drains the writer once the engine, and with it every put, has
+// returned, and reports the first write failure and the volume written.
+// A nil writer (checkpointing off) wrote nothing.
+func (w *cutWriter) finish() (ckptStats, error) {
+	if w == nil {
+		return ckptStats{}, nil
+	}
+	close(w.wake)
+	<-w.done
+	return w.stats, w.err
+}
+
+func (w *cutWriter) run() {
+	defer close(w.done)
+	for more := true; more; {
+		_, more = <-w.wake
+		w.mu.Lock()
+		batch := w.queue
+		w.queue = nil
+		w.mu.Unlock()
+		for _, c := range batch {
+			if w.err == nil {
+				w.err = w.add(c)
+			}
 		}
-		out.Vals[g] = st.Vals[g]
-		out.PrevClk[g] = st.PrevClk[g]
-		out.Projected[g] = st.Projected[g]
 	}
-	for _, ev := range st.Events {
-		if owned[ev.Gate] {
-			out.Events = append(out.Events, ev)
+}
+
+// add stitches one LP's part into its boundary and writes the boundary
+// once it is whole.
+func (w *cutWriter) add(c *lpnet.Cut[logic.Value]) error {
+	sc := w.open[c.Time]
+	if sc == nil {
+		st := w.head
+		st.Time = uint64(c.Time)
+		st.Vals = make([]logic.Value, w.gates)
+		st.PrevClk = make([]logic.Value, w.gates)
+		st.Projected = make([]logic.Value, w.gates)
+		sc = &shardCut{st: &st}
+		w.open[c.Time] = sc
+	}
+	st := sc.st
+	for i, g := range c.Gates {
+		st.Vals[g], st.PrevClk[g], st.Projected[g] = c.Vals[i], c.PrevClk[i], c.Projected[i]
+	}
+	st.Events = append(st.Events, c.Events...)
+	st.Waveform = append(st.Waveform, c.Waveform...)
+	st.EndTime = max(st.EndTime, uint64(c.EndTime))
+	if sc.parts++; sc.parts < w.lps {
+		return nil
+	}
+	delete(w.open, c.Time)
+	sortEvents(st.Events)
+	trace.Sort(st.Waveform)
+	return w.write(st)
+}
+
+// write persists a whole boundary as a full snapshot or as a delta on the
+// previous one.
+func (w *cutWriter) write(st *ckpt.State) error {
+	if !w.delta || w.last == nil {
+		path := filepath.Join(w.dir, shardCkptName(w.shard, st.Time))
+		if err := ckpt.WriteFile(path, st); err != nil {
+			return err
 		}
-	}
-	for _, sm := range st.Waveform {
-		if owned[sm.Gate] {
-			out.Waveform = append(out.Waveform, sm)
+		w.stats.FullBytes += fileSize(path)
+		w.stats.Fulls++
+	} else {
+		st.Seal()
+		d, err := ckpt.DeltaFrom(w.last, st)
+		if err != nil {
+			return err
 		}
+		path := filepath.Join(w.dir, shardDeltaName(w.shard, st.Time))
+		if err := ckpt.WriteDeltaFile(path, d); err != nil {
+			return err
+		}
+		w.stats.DeltaBytes += fileSize(path)
+		w.stats.Deltas++
 	}
-	out.Seal()
-	return out
+	w.last = st
+	return nil
+}
+
+// sortEvents puts pending events in canonical order: by time, then gate.
+func sortEvents(evs []ckpt.Event) {
+	slices.SortFunc(evs, func(a, b ckpt.Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Gate, b.Gate)
+	})
 }
 
 // mergeShardStates stitches per-shard restrictions of one boundary back
@@ -118,12 +253,7 @@ func mergeShardStates(states []*ckpt.State, gateShard []int) (*ckpt.State, error
 		merged.PrevClk[g] = st.PrevClk[g]
 		merged.Projected[g] = st.Projected[g]
 	}
-	sort.Slice(merged.Events, func(i, j int) bool {
-		if merged.Events[i].Time != merged.Events[j].Time {
-			return merged.Events[i].Time < merged.Events[j].Time
-		}
-		return merged.Events[i].Gate < merged.Events[j].Gate
-	})
+	sortEvents(merged.Events)
 	// Canonical waveform order (time, then gate) matches trace.Merge, so
 	// a spliced prefix is byte-identical to an uninterrupted run's.
 	trace.Sort(merged.Waveform)
@@ -134,82 +264,104 @@ func mergeShardStates(states []*ckpt.State, gateShard []int) (*ckpt.State, error
 // latestBoundary scans the checkpoint directory for the newest boundary
 // reconstructible for every shard — from a full snapshot directly, or
 // by replaying a fingerprint-chained delta sequence down to one — and
-// returns the merged cut. Boundaries with missing, truncated, or
+// returns the merged cut, with every shard's own EndTime at it (a shard
+// booted from the cut extends its own, so its checkpoints match those of
+// the attempt that wrote the cut). Boundaries with missing, truncated, or
 // bit-flipped files (ckpt.ErrCorrupt), or with a broken delta chain,
 // are skipped in favor of the next older one; since the first boundary
 // of every attempt is a full snapshot, a broken chain degrades to the
 // last full snapshot, never to a wrong state. A nil state (no error)
 // means no boundary survives and recovery must restart from t=0.
-func latestBoundary(dir string, shards int, gateShard []int) (*ckpt.State, uint64, error) {
+func latestBoundary(dir string, shards int, gateShard []int) (*ckpt.State, []uint64, error) {
+	files, err := scanShardFiles(dir, shards)
+	if err != nil || files == nil {
+		return nil, nil, err
+	}
+	for _, t := range files.complete {
+		// A corrupt, unreadable, or chain-broken record makes this
+		// boundary unusable: try the next older one. Anything else
+		// (version skew) also falls back — a bad snapshot must never
+		// wedge recovery.
+		if merged, states, err := files.merge(t, gateShard); err == nil {
+			ends := make([]uint64, shards)
+			for s, st := range states {
+				ends[s] = st.EndTime
+			}
+			return merged, ends, nil
+		}
+	}
+	return nil, nil, nil
+}
+
+// shardFiles indexes a checkpoint directory: which boundaries each shard
+// has, and as what kind of record.
+type shardFiles struct {
+	dir           string
+	fulls, deltas []map[uint64]bool
+	// complete lists the boundaries every shard has a record of, newest
+	// first.
+	complete []uint64
+}
+
+// scanShardFiles indexes dir for a fleet of shards; a directory that does
+// not exist yields nil.
+func scanShardFiles(dir string, shards int) (*shardFiles, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil
+			return nil, nil
 		}
-		return nil, 0, err
+		return nil, err
 	}
-	// Index which boundaries each shard has, and as what kind of record.
-	fulls := make([]map[uint64]bool, shards)
-	deltas := make([]map[uint64]bool, shards)
-	for s := range fulls {
-		fulls[s] = map[uint64]bool{}
-		deltas[s] = map[uint64]bool{}
+	f := &shardFiles{dir: dir, fulls: make([]map[uint64]bool, shards), deltas: make([]map[uint64]bool, shards)}
+	for s := range f.fulls {
+		f.fulls[s] = map[uint64]bool{}
+		f.deltas[s] = map[uint64]bool{}
 	}
 	seen := map[uint64]int{}
 	for _, e := range entries {
 		var shard int
 		var t uint64
 		if _, err := fmt.Sscanf(e.Name(), "shard-%d-ckpt-%d.json", &shard, &t); err == nil {
-			if shard >= 0 && shard < shards && !fulls[shard][t] {
-				fulls[shard][t] = true
-				if !deltas[shard][t] {
+			if shard >= 0 && shard < shards && !f.fulls[shard][t] {
+				f.fulls[shard][t] = true
+				if !f.deltas[shard][t] {
 					seen[t]++
 				}
 			}
 			continue
 		}
 		if _, err := fmt.Sscanf(e.Name(), "shard-%d-delta-%d.json", &shard, &t); err == nil {
-			if shard >= 0 && shard < shards && !deltas[shard][t] {
-				deltas[shard][t] = true
-				if !fulls[shard][t] {
+			if shard >= 0 && shard < shards && !f.deltas[shard][t] {
+				f.deltas[shard][t] = true
+				if !f.fulls[shard][t] {
 					seen[t]++
 				}
 			}
 		}
 	}
-	times := make([]uint64, 0, len(seen))
 	for t, cnt := range seen {
 		if cnt == shards {
-			times = append(times, t)
+			f.complete = append(f.complete, t)
 		}
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] > times[j] })
+	sort.Slice(f.complete, func(i, j int) bool { return f.complete[i] > f.complete[j] })
+	return f, nil
+}
 
-	for _, t := range times {
-		states := make([]*ckpt.State, shards)
-		ok := true
-		for s := 0; s < shards; s++ {
-			st, err := reconstructShard(dir, s, t, fulls[s], deltas[s])
-			if err != nil {
-				// Corrupt, unreadable, or chain-broken: this boundary is
-				// unusable, try the next older one. Anything else (version
-				// skew) also falls back — a bad snapshot must never wedge
-				// recovery.
-				ok = false
-				break
-			}
-			states[s] = st
-		}
-		if !ok {
-			continue
-		}
-		merged, err := mergeShardStates(states, gateShard)
+// merge reconstructs every shard's snapshot at boundary t and stitches
+// them into the full cut.
+func (f *shardFiles) merge(t uint64, gateShard []int) (*ckpt.State, []*ckpt.State, error) {
+	states := make([]*ckpt.State, len(f.fulls))
+	for s := range states {
+		st, err := reconstructShard(f.dir, s, t, f.fulls[s], f.deltas[s])
 		if err != nil {
-			continue
+			return nil, nil, err
 		}
-		return merged, t, nil
+		states[s] = st
 	}
-	return nil, 0, nil
+	merged, err := mergeShardStates(states, gateShard)
+	return merged, states, err
 }
 
 // reconstructShard rebuilds shard s's snapshot at boundary t: a full

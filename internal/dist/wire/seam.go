@@ -107,9 +107,9 @@ func (s *Seam) Local(lp int) bool { return s.shardOf[lp] == s.self }
 
 // Bind registers the delivery function for a local LP's inbox; batches
 // arriving for that LP are handed over intact (one frame, one PutAll).
-// Batches that arrived before the bind are flushed first, in arrival
-// order, so an engine that attaches late (after a checkpoint-shadow
-// phase, say) misses nothing.
+// Batches that arrived before the bind — a faster shard's engine can start
+// sending while this one still decodes its job or boots — are flushed
+// first, in arrival order, so a late engine misses nothing.
 func (s *Seam) Bind(lp int, fn func([]Msg)) {
 	s.bindMu.Lock()
 	defer s.bindMu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 	"repro/internal/dist/wire"
 	"repro/internal/metrics"
 	"repro/internal/sim/ckpt"
-	"repro/internal/sim/seq"
+	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 	"repro/internal/trace"
 )
@@ -39,9 +38,9 @@ type bufferedFrame struct {
 
 // Worker is one shard of a distributed run: it dials the coordinator,
 // receives its job — header and prepared workload in one frame — decodes
-// and verifies it, writes shard-restricted checkpoints via a sequential
-// shadow, runs its engine over the local LPs through core's dispatch, and
-// reports the shard result.
+// and verifies it, runs its engine over the local LPs through core's
+// dispatch while a writer goroutine persists the checkpoints the engine
+// captures, and reports the shard result.
 type Worker struct {
 	network string
 	addr    string
@@ -233,8 +232,8 @@ func (w *Worker) Run() error {
 
 	// Mesh handshake: announce the listener, wait for the hub's routing
 	// table, then connect exactly the cut-edge neighbors. This completes
-	// before the checkpoint shadow and the engine, so every FBatch the
-	// engine sends already has its direct route installed.
+	// before the engine starts, so every FBatch it sends already has its
+	// direct route installed.
 	if job.Mesh && job.Shards > 1 {
 		adj := meshNeighbors(c, part.Assign, shardOf, job.Shards)
 		m, err := newMeshNet(w.network, job.MeshDir, job, seam, adj[job.Shard])
@@ -269,68 +268,38 @@ func (w *Worker) Run() error {
 		if err != nil {
 			return w.sendError(err)
 		}
-		if err := boot.Check(c, opts.System); err != nil {
+		if err := boot.CheckPrint(run.Fingerprint, c, opts.System); err != nil {
 			return w.sendError(err)
+		}
+		if job.BootEnd != nil {
+			boot.EndTime = *job.BootEnd
 		}
 	}
 	opts.Restore = boot
 	owned := ownedGates(part.Assign, shardOf, job.Shard, c.NumGates())
 
-	// Sequential shadow: replay the trajectory and persist this
-	// shard's restriction of every boundary snapshot before the engine
-	// runs. Every engine reproduces the sequential trajectory exactly,
-	// so these cuts are valid restore points no matter which engine (or
-	// which attempt) later boots from them. Inbound batches arriving
-	// during this phase park in the seam's pending buffers.
-	var ckptFullBytes, ckptDeltaBytes, ckptFulls, ckptDeltas uint64
+	// The engine captures its local LPs' parts of every boundary; the
+	// writer stitches and persists them off the LP goroutines.
+	var cw *cutWriter
+	var cuts *lpnet.Cuts
 	if job.CheckpointEvery > 0 && job.CheckpointDir != "" {
 		if err := os.MkdirAll(job.CheckpointDir, 0o755); err != nil {
 			return w.sendError(err)
 		}
-		// In delta mode the first boundary of each attempt is a full
-		// snapshot and every later one a delta chained to its sealed
-		// predecessor. A delta's base is always the boundary one interval
-		// earlier on the deterministic trajectory, so delta files — like
-		// full ones — are attempt-independent and safely overwrite stale
-		// copies from torn-down attempts.
-		var last *ckpt.State
-		_, err := seq.Run(c, run.Stim, run.Until, seq.Config{
-			System:          opts.System,
-			Queue:           opts.Queue,
-			MaxEvents:       job.MaxEvents,
-			CheckpointEvery: circuit.Tick(job.CheckpointEvery),
-			Checkpoint: func(st *ckpt.State) error {
-				cur := restrictToShard(st, owned)
-				if !job.CkptDelta || last == nil {
-					path := filepath.Join(job.CheckpointDir, shardCkptName(job.Shard, cur.Time))
-					if err := ckpt.WriteFile(path, cur); err != nil {
-						return err
-					}
-					ckptFullBytes += fileSize(path)
-					ckptFulls++
-				} else {
-					d, err := ckpt.DeltaFrom(last, cur)
-					if err != nil {
-						return err
-					}
-					path := filepath.Join(job.CheckpointDir, shardDeltaName(job.Shard, cur.Time))
-					if err := ckpt.WriteDeltaFile(path, d); err != nil {
-						return err
-					}
-					ckptDeltaBytes += fileSize(path)
-					ckptDeltas++
-				}
-				last = cur
-				return nil
-			},
-			Boot: boot,
-		})
-		if err != nil {
-			return w.sendError(err)
+		lps := 0
+		for _, s := range shardOf {
+			if s == job.Shard {
+				lps++
+			}
 		}
+		cw = newCutWriter(job.CheckpointDir, job.Shard, lps, c.NumGates(), job.CkptDelta, ckpt.State{
+			Fingerprint: run.Fingerprint, Until: uint64(run.Until), System: uint8(opts.System),
+		})
+		cuts = &lpnet.Cuts{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.put}
 	}
 
-	rep, err := core.RunShard(run, opts, seam)
+	rep, err := core.RunShard(run, opts, seam, cuts)
+	ckptStats, ckptErr := cw.finish()
 	if err != nil {
 		var se *supervise.SimError
 		if !errors.As(err, &se) {
@@ -339,6 +308,9 @@ func (w *Worker) Run() error {
 			err = &jobRejected{err.Error()}
 		}
 		return w.sendError(err)
+	}
+	if ckptErr != nil {
+		return w.sendError(ckptErr)
 	}
 
 	// The shard waveform is absolute: every owned-gate sample from t=0
@@ -358,10 +330,10 @@ func (w *Worker) Run() error {
 		EndTime:        uint64(rep.EndTime),
 		Events:         appliedEvents(rep.Stats.LPs),
 		MeshBytes:      seam.MeshBytes(),
-		CkptFullBytes:  ckptFullBytes,
-		CkptDeltaBytes: ckptDeltaBytes,
-		CkptFulls:      ckptFulls,
-		CkptDeltas:     ckptDeltas,
+		CkptFullBytes:  ckptStats.FullBytes,
+		CkptDeltaBytes: ckptStats.DeltaBytes,
+		CkptFulls:      ckptStats.Fulls,
+		CkptDeltas:     ckptStats.Deltas,
 	}
 	rp, err := json.Marshal(&res)
 	if err != nil {

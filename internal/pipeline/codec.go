@@ -236,6 +236,7 @@ func Decode(payload []byte) (*Prepared, error) {
 	if got := ckpt.Fingerprint(p.Circuit); got != fp {
 		return nil, fmt.Errorf("%w: circuit fingerprint %s, sealed %s", ErrCorrupt, got, fp)
 	}
+	p.Fingerprint = fp
 	if err := stim.Validate(p.Circuit); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

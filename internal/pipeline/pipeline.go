@@ -79,6 +79,9 @@ type Prepared struct {
 	Spec Spec
 
 	Circuit *circuit.Circuit
+	// Fingerprint is the circuit's ckpt.Fingerprint as Decode verified it
+	// against the sealed one; empty on a run Prepare built.
+	Fingerprint string
 	// OptStats reports the optimizer's work; nil when it did not run.
 	OptStats *opt.Stats
 	// Stim drives the scalar plane; WideStim (Spec.Lanes > 0) the wide.

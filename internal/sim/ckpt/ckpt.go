@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 
@@ -66,11 +65,16 @@ type Event = EventT[logic.Value]
 
 // Seed is what an engine body restores from or captures into: the three
 // kernel value planes and the pending event set, in the run's value type.
-// The on-disk State holds scalar values only, so the scalar entry points
-// build one from it and the wide entry points pass none.
+// A seed to restore from also carries the boundary it was cut at, the last
+// timestep before it and the waveform prefix, which the engines' own
+// checkpoints extend. The on-disk State holds scalar values only, so the
+// scalar entry points build one from it and the wide entry points pass
+// none.
 type Seed[V comparable] struct {
 	Vals, PrevClk, Projected []V
 	Events                   []EventT[V]
+	Time, EndTime            uint64
+	Waveform                 []trace.SampleT[V]
 }
 
 // Seed validates the snapshot against circuit c under logic system sys
@@ -83,7 +87,10 @@ func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Seed[logic.Value], 
 	if err := s.Check(c, sys); err != nil {
 		return nil, err
 	}
-	return &Seed[logic.Value]{s.Vals, s.PrevClk, s.Projected, s.Events}, nil
+	return &Seed[logic.Value]{
+		Vals: s.Vals, PrevClk: s.PrevClk, Projected: s.Projected, Events: s.Events,
+		Time: s.Time, EndTime: s.EndTime, Waveform: s.Waveform,
+	}, nil
 }
 
 // State is a complete restorable snapshot at modeled-time boundary
@@ -119,22 +126,30 @@ type State struct {
 
 // sum computes the payload checksum Write stores in Sum.
 func (s *State) sum() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s %s %d %d %d %d\n", s.Version, s.Fingerprint, s.Time, s.Until, s.System, s.EndTime)
+	d := newDigest()
+	d.str(s.Version)
+	d.char(' ')
+	d.str(s.Fingerprint)
+	for _, u := range []uint64{s.Time, s.Until, uint64(s.System), s.EndTime} {
+		d.char(' ')
+		d.uint(u)
+	}
+	d.end('\n')
 	for _, p := range [][]logic.Value{s.Vals, s.PrevClk, s.Projected} {
-		fmt.Fprintf(h, "%d:", len(p))
+		d.int(int64(len(p)))
+		d.char(':')
 		for _, v := range p {
-			h.Write([]byte{byte(v)})
+			d.end(byte(v))
 		}
-		h.Write([]byte{'\n'})
+		d.end('\n')
 	}
 	for _, ev := range s.Events {
-		fmt.Fprintf(h, "e %d %d %d\n", ev.Time, ev.Gate, ev.Value)
+		d.record("e ", ev.Time, int64(ev.Gate), uint64(ev.Value))
 	}
 	for _, sm := range s.Waveform {
-		fmt.Fprintf(h, "w %d %d %d\n", sm.Time, sm.Gate, sm.Value)
+		d.record("w ", uint64(sm.Time), int64(sm.Gate), uint64(sm.Value))
 	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+	return d.sum()
 }
 
 // Seal fills in the payload checksum. Write calls it automatically;
@@ -154,26 +169,44 @@ func (s *State) Verify() error {
 // Fingerprint hashes the circuit topology (gate kinds, delays, fanin)
 // so a checkpoint cannot be restored into a different circuit.
 func Fingerprint(c *circuit.Circuit) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "gates=%d in=%d out=%d\n", len(c.Gates), len(c.Inputs), len(c.Outputs))
+	d := newDigest()
+	d.str("gates=")
+	d.int(int64(len(c.Gates)))
+	d.str(" in=")
+	d.int(int64(len(c.Inputs)))
+	d.str(" out=")
+	d.int(int64(len(c.Outputs)))
+	d.end('\n')
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		fmt.Fprintf(h, "%d %d %d", i, g.Kind, g.Delay)
+		d.int(int64(i))
+		d.char(' ')
+		d.uint(uint64(g.Kind))
+		d.char(' ')
+		d.uint(uint64(g.Delay))
 		for _, f := range g.Fanin {
-			fmt.Fprintf(h, " %d", f)
+			d.char(' ')
+			d.int(int64(f))
 		}
-		fmt.Fprintln(h)
+		d.end('\n')
 	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+	return d.sum()
 }
 
 // Check validates that the snapshot can be restored into circuit c
 // under logic system sys.
 func (s *State) Check(c *circuit.Circuit, sys logic.System) error {
+	return s.CheckPrint(Fingerprint(c), c, sys)
+}
+
+// CheckPrint is Check for a caller that already holds fp, the
+// fingerprint of c (a decoded pipeline.Prepared carries the one it
+// verified).
+func (s *State) CheckPrint(fp string, c *circuit.Circuit, sys logic.System) error {
 	if s.Version != Version {
 		return fmt.Errorf("ckpt: version %q, want %q", s.Version, Version)
 	}
-	if fp := Fingerprint(c); s.Fingerprint != fp {
+	if s.Fingerprint != fp {
 		return fmt.Errorf("ckpt: circuit fingerprint %s does not match %s (different circuit?)", s.Fingerprint, fp)
 	}
 	if s.System != uint8(sys) {

@@ -17,7 +17,6 @@ package ckpt
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 
@@ -69,19 +68,37 @@ type Delta struct {
 
 // sum computes the delta's own payload checksum.
 func (d *Delta) sum() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s %s %d %d %s %d %d %d\n",
-		d.Version, d.Fingerprint, d.Time, d.BaseTime, d.BaseSum, d.Until, d.System, d.EndTime)
+	h := newDigest()
+	h.str(d.Version)
+	h.char(' ')
+	h.str(d.Fingerprint)
+	h.char(' ')
+	h.uint(d.Time)
+	h.char(' ')
+	h.uint(d.BaseTime)
+	h.char(' ')
+	h.str(d.BaseSum)
+	for _, u := range []uint64{d.Until, uint64(d.System), d.EndTime} {
+		h.char(' ')
+		h.uint(u)
+	}
+	h.end('\n')
 	for _, e := range d.Changed {
-		fmt.Fprintf(h, "c %d %d %d %d\n", e.Gate, e.Val, e.PrevClk, e.Projected)
+		h.str("c ")
+		h.int(int64(e.Gate))
+		for _, v := range []logic.Value{e.Val, e.PrevClk, e.Projected} {
+			h.char(' ')
+			h.uint(uint64(v))
+		}
+		h.end('\n')
 	}
 	for _, ev := range d.Events {
-		fmt.Fprintf(h, "e %d %d %d\n", ev.Time, ev.Gate, ev.Value)
+		h.record("e ", ev.Time, int64(ev.Gate), uint64(ev.Value))
 	}
 	for _, sm := range d.Waveform {
-		fmt.Fprintf(h, "w %d %d %d\n", sm.Time, sm.Gate, sm.Value)
+		h.record("w ", uint64(sm.Time), int64(sm.Gate), uint64(sm.Value))
 	}
-	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
+	return h.sum()
 }
 
 // Seal fills in the delta's checksum; WriteDelta calls it automatically.

@@ -127,6 +127,11 @@ type Config struct {
 	// is one process's memory). The wire format carries
 	// scalar values: RunWide runs every LP locally.
 	Dist *wire.Seam
+	// Cuts, when non-nil, has every LP capture its part of a consistent
+	// cut at each checkpoint boundary b, as soon as its next event and its
+	// safe time both lie past b: nothing at or before b can reach it any
+	// more. Checkpoints hold scalar values: RunWide takes none.
+	Cuts *lpnet.Cuts
 }
 
 // ResultT is the outcome of a conservative run over value type V.
@@ -213,6 +218,9 @@ type clp[V comparable] struct {
 	buf   []lpnet.Msg[V]
 	evs   []kernel.EventT[V]
 	end   circuit.Tick
+	// cut is the next checkpoint boundary to capture (lpnet.Never when
+	// checkpointing is off or every boundary is taken).
+	cut circuit.Tick
 	// slot is the watchdog scoreboard entry (nil-safe; nil without a
 	// watchdog).
 	slot *supervise.LPSlot
@@ -269,7 +277,7 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	}
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
-	cfg.Sweep, cfg.Dist = true, nil
+	cfg.Sweep, cfg.Dist, cfg.Cuts = true, nil, nil
 	return run(circuit.Wide, "cmb-wide", c, stim.Changes, until, cfg, nil)
 }
 
@@ -293,8 +301,8 @@ func run[V comparable](
 	}
 	net, err := lpnet.New(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Boot: boot,
-		Chaos: cfg.Chaos, Seam: cfg.Dist,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until, Boot: boot,
+		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
 	})
 	if err != nil {
 		return nil, err
@@ -385,6 +393,7 @@ func run[V comparable](
 		l.evs = evsSlab[i*64 : i*64 : (i+1)*64]
 		l.buf = bufSlab[i*64 : i*64 : (i+1)*64]
 		l.safe = 1
+		l.cut = net.FirstCut()
 		l.st = sink.LP(i)
 		l.trsh = cfg.Tracer.Shard(fmt.Sprintf("lp %d", i))
 		l.slot = board.LP(i)
@@ -406,7 +415,7 @@ func run[V comparable](
 		dst.in = append(dst.in, k2.src)
 		dst.bound[k2.src] = 1
 	}
-	initial := net.Route(changes, until, func(lp int, t uint64, ev kernel.EventT[V]) {
+	initial := net.Route(changes, func(lp int, t uint64, ev kernel.EventT[V]) {
 		lpSlab[lp].q.Push(t, ev)
 	})
 
@@ -533,9 +542,23 @@ func (l *clp[V]) handle(m lpnet.Msg[V]) bool {
 			l.safe = s
 		}
 	case lpnet.Terminate:
+		// Only a deadlock-recovery round that found nothing left inside
+		// the horizon terminates: every state is final.
+		l.takeCuts(infTick, infTick)
 		return false
 	}
 	return true
+}
+
+// takeCuts captures every pending checkpoint boundary below both next,
+// the LP's earliest pending event, and safe, the bound under which it may
+// still receive one.
+func (l *clp[V]) takeCuts(next, safe circuit.Tick) {
+	net := l.sh.net
+	for l.cut < next && l.cut < safe {
+		net.Emit(lpnet.Capture(net, l.id, l.cut, l.end, l.q, lpnet.Pending[V]))
+		l.cut = net.NextCut(l.cut)
+	}
 }
 
 // run is the LP goroutine body.
@@ -573,6 +596,9 @@ func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
 		// Process every safe timestep.
 		for {
 			t := l.nextLocal()
+			if t > l.cut {
+				l.takeCuts(t, l.safeTime())
+			}
 			if t == infTick || t > l.sh.until || t >= l.safeTime() {
 				break
 			}

@@ -225,6 +225,21 @@ func (lp *LPT[V]) Value(g circuit.GateID) V { return lp.val[g] }
 // Values exposes the full ghost state (for final-state assembly).
 func (lp *LPT[V]) Values() []V { return lp.val }
 
+// OwnGates lists the gates this LP owns; the slice must not be written.
+func (lp *LPT[V]) OwnGates() []circuit.GateID { return lp.ownGates }
+
+// Project records v as the last output projected for net g, the way the
+// sequential engine notes a stimulus change to a primary input, which no
+// evaluation projects (nothing reads a source's projection; a checkpoint
+// carries it).
+func (lp *LPT[V]) Project(g circuit.GateID, v V) { lp.projected[g] = v }
+
+// Entry reads the three plane entries of net g: its value, its last clock
+// sample and the last output projected for it.
+func (lp *LPT[V]) Entry(g circuit.GateID) (val, prevClk, projected V) {
+	return lp.val[g], lp.prevClk[g], lp.projected[g]
+}
+
 // SeedState overwrites the LP's three value planes from a checkpoint.
 // The planes are full-size (ghost copies included), so seeding every LP
 // with the same globally consistent snapshot reproduces exactly the

@@ -109,10 +109,14 @@ type Spec[V comparable] struct {
 	System    logic.System
 	Watch     []circuit.GateID // nets to record; nil records primary outputs
 	Sweep     bool             // arms every kernel's oblivious block sweep
+	Until     circuit.Tick     // the horizon: last simulated time, inclusive
 	// Boot, when non-nil, seeds every kernel from a checkpoint, and Route
 	// routes its events instead of the stimulus.
 	Boot  *ckpt.Seed[V]
 	Chaos *inject.Hook // when non-nil, wraps every local mailbox
+	// Cuts, when non-nil, has the engine capture its own checkpoints; see
+	// Cuts. Scalar values only.
+	Cuts *Cuts
 	// Seam, when non-nil, makes this process one shard of a distributed
 	// run: remote LPs' mailboxes are socket outboxes, and Run binds the
 	// seam's inbound batches to the local ones. Scalar values only.
@@ -132,11 +136,15 @@ type Net[V comparable] struct {
 	engine string
 	c      *circuit.Circuit
 	p      *partition.Partition
+	until  circuit.Tick
 	boot   *ckpt.Seed[V]
 	seam   *wire.Seam
 	chaos  *inject.Hook
 	locals []int
 	lps    []lp[V]
+	// every and sink configure native checkpoints (sink nil when off).
+	every circuit.Tick
+	sink  func(*Cut[V])
 
 	abort atomic.Bool
 	mu    sync.Mutex
@@ -148,6 +156,9 @@ type lp[V comparable] struct {
 	k     *kernel.LPT[V]
 	rec   trace.RecorderT[V]
 	batch Batcher[V]
+	// prefix is the boot waveform restricted to the LP's gates, the front
+	// of every cut it captures.
+	prefix []trace.SampleT[V]
 }
 
 // New validates the run's partition and builds its network: mailboxes,
@@ -163,7 +174,14 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	n := &Net[V]{engine: s.Engine, c: c, p: p, boot: s.Boot, seam: s.Seam, chaos: s.Chaos}
+	n := &Net[V]{engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos}
+	if s.Cuts != nil && s.Cuts.Every > 0 {
+		sink, ok := any(s.Cuts.Sink).(func(*Cut[V]))
+		if !ok {
+			return nil, fmt.Errorf("%s: checkpoints carry scalar values only", s.Engine)
+		}
+		n.every, n.sink = s.Cuts.Every, sink
+	}
 	lps := p.Blocks
 	n.Inboxes = make([]mpsc.Transport[Msg[V]], lps)
 	n.locals = make([]int, 0, lps)
@@ -201,6 +219,13 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		}
 		k.Record = n.lps[i].rec.Record
 		n.lps[i].k = k
+	}
+	if n.sink != nil && s.Boot != nil {
+		for _, sm := range s.Boot.Waveform {
+			if o := p.Assign[sm.Gate]; n.Local(o) {
+				n.lps[o].prefix = append(n.lps[o].prefix, sm)
+			}
+		}
 	}
 	n.initBatchers()
 	return n, nil
@@ -288,8 +313,10 @@ func (n *Net[V]) Waveform() []trace.SampleT[V] {
 // full schedule and routes to its own. push queues a future event on an
 // LP; time-zero events feed the settle step and are returned per LP
 // instead. A checkpoint's events all lie after its boundary, so none is
-// time zero.
-func (n *Net[V]) Route(changes []vectors.ChangeT[V], until circuit.Tick, push func(lp int, t uint64, ev kernel.EventT[V])) (initial [][]kernel.EventT[V]) {
+// time zero. Like the sequential engine, the owner of an input notes its
+// last change inside the horizon as the input's projection, which a
+// checkpoint carries.
+func (n *Net[V]) Route(changes []vectors.ChangeT[V], push func(lp int, t uint64, ev kernel.EventT[V])) (initial [][]kernel.EventT[V]) {
 	initial = make([][]kernel.EventT[V], len(n.Inboxes))
 	aud := n.p.Audience(n.c)
 	route := func(t uint64, ev kernel.EventT[V]) {
@@ -311,7 +338,10 @@ func (n *Net[V]) Route(changes []vectors.ChangeT[V], until circuit.Tick, push fu
 		return initial
 	}
 	for _, ch := range changes {
-		if ch.Time <= until {
+		if ch.Time <= n.until {
+			if o := n.p.Assign[ch.Input]; n.Local(o) {
+				n.lps[o].k.Project(ch.Input, ch.Value)
+			}
 			route(uint64(ch.Time), kernel.EventT[V]{Gate: ch.Input, Value: ch.Value})
 		}
 	}

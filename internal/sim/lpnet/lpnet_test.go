@@ -75,7 +75,8 @@ type routed struct {
 
 func route(n *Net[logic.Value], changes []vectors.Change, until circuit.Tick) ([]routed, [][]kernel.Event) {
 	var got []routed
-	initial := n.Route(changes, until, func(lp int, t uint64, ev kernel.Event) {
+	n.until = until
+	initial := n.Route(changes, func(lp int, t uint64, ev kernel.Event) {
 		got = append(got, routed{lp, t, ev.Gate})
 	})
 	return got, initial
@@ -410,5 +411,45 @@ func TestSeamCarriesBatchesAndTransit(t *testing.T) {
 	unhook()
 	if ev, idle := server.Progress(); ev != 0 || idle {
 		t.Fatalf("progress probe survived the unhook: (%d, %v)", ev, idle)
+	}
+}
+
+// TestCutBoundaries: the boundaries an LP captures are the multiples of
+// the interval inside the horizon after the boot boundary; none without a
+// sink, none on a wide network, and an interval past the horizon ends the
+// sequence instead of wrapping around.
+func TestCutBoundaries(t *testing.T) {
+	sink := func(*Cut[logic.Value]) {}
+	boundaries := func(n *Net[logic.Value]) []circuit.Tick {
+		var out []circuit.Tick
+		for b := n.FirstCut(); b != Never; b = n.NextCut(b) {
+			out = append(out, b)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		every circuit.Tick
+		boot  *ckpt.Seed[logic.Value]
+		want  []circuit.Tick
+	}{
+		{"off", 0, nil, nil},
+		{"fresh", 10, nil, []circuit.Tick{10, 20, 30}},
+		{"horizon on a boundary", 7, nil, []circuit.Tick{7, 14, 21, 28, 35}},
+		{"booted between boundaries", 10, &ckpt.Seed[logic.Value]{Time: 15}, []circuit.Tick{20, 30}},
+		{"booted on a boundary", 10, &ckpt.Seed[logic.Value]{Time: 20}, []circuit.Tick{30}},
+		{"interval past the horizon", ^circuit.Tick(0) - 3, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newNet(t, Spec[logic.Value]{Until: 35, Boot: tc.boot, Cuts: &Cuts{Every: tc.every, Sink: sink}})
+			if got := boundaries(n); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("boundaries %v, want %v", got, tc.want)
+			}
+		})
+	}
+	c, p := fanoutCircuit(t)
+	if _, err := New(Spec[logic.Word]{Engine: "wide", Plane: circuit.Wide, Circuit: c, Partition: p,
+		Cuts: &Cuts{Every: 10, Sink: sink}}); err == nil {
+		t.Error("a wide network accepted checkpoints")
 	}
 }

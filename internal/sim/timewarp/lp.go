@@ -79,6 +79,7 @@ type tlp[V comparable] struct {
 	lvt         circuit.Tick
 	gvt         circuit.Tick // last observed GVT
 	fossilFloor circuit.Tick // history below this time has been collected
+	floorEnd    circuit.Tick // time of the newest collected step
 	steps       []*step[V]
 	// History logs: the consumed inputs, sent messages and created event
 	// ids of every step in steps, oldest first. Steps execute in time
@@ -94,6 +95,13 @@ type tlp[V comparable] struct {
 	lazyPending []lazyRec[V]
 	seq         uint64
 	relevant    []circuit.GateID
+
+	// cut is the next checkpoint boundary to capture (lpnet.Never when
+	// checkpointing is off or every boundary is taken); held are the cuts
+	// captured speculatively below it that GVT has not yet passed, oldest
+	// first and one per boundary.
+	cut  circuit.Tick
+	held []*lpnet.Cut[V]
 
 	curStep      *step[V]
 	handledSince uint64
@@ -138,6 +146,7 @@ func newTLP[V comparable](sh *shared[V], id int, cfg Config) *tlp[V] {
 		buf:   make([]lpnet.Msg[V], 0, 64),
 		st:    sh.sink.LP(id),
 		trsh:  sh.tracer.Shard(fmt.Sprintf("lp %d", id)),
+		cut:   sh.net.FirstCut(),
 	}
 	if cfg.StateSaving == FullCopy {
 		l.relevant = k.RelevantNets()
@@ -459,7 +468,10 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	if idx > 0 {
 		l.lvt = l.steps[idx-1].time
 	} else {
-		l.lvt = 0
+		l.lvt = l.floorEnd
+	}
+	if len(l.held) > 0 {
+		l.dropCuts(l.lvt + 1)
 	}
 	l.st.Hist(metrics.HistRollbackDepth).Observe(l.st.EventsRolledBack - undoneBefore)
 	l.trsh.Span(trace.PhaseRollback, begin, ts)
@@ -533,6 +545,7 @@ func (l *tlp[V]) fossilCollect(gvt circuit.Tick) {
 	l.slot.SetBound(uint64(gvt))
 	idx := sort.Search(len(l.steps), func(i int) bool { return l.steps[i].time >= gvt })
 	if idx > 0 {
+		l.floorEnd = l.steps[idx-1].time
 		// Recycle the collected prefix and compact in place, keeping the
 		// slice's capacity instead of reallocating every collection.
 		for _, s := range l.steps[:idx] {
@@ -544,6 +557,54 @@ func (l *tlp[V]) fossilCollect(gvt circuit.Tick) {
 		}
 		l.steps = l.steps[:n]
 		l.dropLogPrefix()
+	}
+	l.commitCuts(gvt)
+}
+
+// liveEvent projects a queue entry for capture: tombstoned entries are
+// not pending.
+func (l *tlp[V]) liveEvent(e qevent[V]) (kernel.EventT[V], bool) {
+	return kernel.EventT[V]{Gate: e.gate, Value: e.value}, !l.dead[e.id]
+}
+
+// holdCuts captures, speculatively, every boundary below t, the time of
+// the step the LP is about to execute: every step at or before them has
+// run and none after.
+func (l *tlp[V]) holdCuts(t circuit.Tick) {
+	net := l.sh.net
+	for l.cut < t {
+		l.held = append(l.held, lpnet.Capture(net, l.id, l.cut, l.lvt, l.q, l.liveEvent))
+		l.cut = net.NextCut(l.cut)
+	}
+}
+
+// dropCuts discards the held cuts at or after t; the LP captures them
+// again on its way back past them. A rollback drops every cut above the
+// clock it leaves behind, which keeps each held cut at or below the clock
+// (holdCuts runs just before a step past it): a message that could change
+// one then always rolls the LP back, and never arrives unnoticed.
+func (l *tlp[V]) dropCuts(t circuit.Tick) {
+	for n := len(l.held); n > 0 && l.held[n-1].Time >= t; n-- {
+		l.cut = l.held[n-1].Time
+		l.held[n-1] = nil
+		l.held = l.held[:n-1]
+	}
+}
+
+// commitCuts hands over every cut below gvt: the held ones, then the
+// boundaries the LP never passed, whose cut is its present state (no step
+// after them has run, and nothing before gvt can still arrive).
+func (l *tlp[V]) commitCuts(gvt circuit.Tick) {
+	net := l.sh.net
+	i := 0
+	for ; i < len(l.held) && l.held[i].Time < gvt; i++ {
+		net.Emit(l.held[i])
+		l.held[i] = nil
+	}
+	l.held = l.held[:copy(l.held, l.held[i:])]
+	for l.cut < gvt {
+		net.Emit(lpnet.Capture(net, l.id, l.cut, l.lvt, l.q, l.liveEvent))
+		l.cut = net.NextCut(l.cut)
 	}
 }
 
@@ -613,6 +674,8 @@ func (l *tlp[V]) handle(m lpnet.Msg[V]) bool {
 	case lpnet.GVTDone:
 		l.fossilCollect(m.Time)
 	case lpnet.Terminate:
+		// GVT has passed the horizon: every cut is final.
+		l.commitCuts(infTick)
 		return false
 	}
 	return true
@@ -699,6 +762,9 @@ func (l *tlp[V]) run(initial []kernel.EventT[V]) {
 			}
 			l.batch.Flush()
 			continue
+		}
+		if t > l.cut {
+			l.holdCuts(t)
 		}
 		events := l.popBatch(t)
 		if len(events) == 0 {

@@ -184,6 +184,12 @@ type Config struct {
 	// with IntraWorkers, HistoryLimit, and Adapt. The wire format
 	// carries scalar values: RunWide runs every LP locally.
 	Dist *wire.Seam
+	// Cuts, when non-nil, has every LP capture its part of a consistent
+	// cut at each checkpoint boundary b: speculatively, just before its
+	// first step past b (again if a rollback undoes that), and handed over
+	// once GVT passes b and no rollback can reach it. Checkpoints hold
+	// scalar values: RunWide takes none.
+	Cuts *lpnet.Cuts
 }
 
 // ResultT is the outcome of an optimistic run over value type V.
@@ -321,7 +327,7 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	}
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
-	cfg.Sweep, cfg.Dist = true, nil
+	cfg.Sweep, cfg.Dist, cfg.Cuts = true, nil, nil
 	return run(circuit.Wide, "timewarp-wide", c, stim.Changes, until, cfg, nil)
 }
 
@@ -337,8 +343,8 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	net, err := lpnet.New(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Boot: boot,
-		Chaos: cfg.Chaos, Seam: cfg.Dist,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until, Boot: boot,
+		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
 	})
 	if err != nil {
 		return nil, err
@@ -374,7 +380,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		lps[i] = newTLP(sh, i, cfg)
 		lps[i].slot = board.LP(i)
 	}
-	initial := net.Route(changes, until, func(lp int, t uint64, ev kernel.EventT[V]) {
+	initial := net.Route(changes, func(lp int, t uint64, ev kernel.EventT[V]) {
 		l := lps[lp]
 		l.q.Push(t, qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()})
 	})

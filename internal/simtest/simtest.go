@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/sim/ckpt"
 	"repro/internal/sim/seq"
 	"repro/internal/vectors"
 )
@@ -154,4 +155,22 @@ func StandardCorpus(seed int64) ([]Corpus, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ShadowStates is the shadow oracle for checkpoints: the snapshots the
+// sequential engine takes at every multiple of every up to until, booted
+// from boot when non-nil. Every engine's own cut at one of these
+// boundaries must stitch back into exactly this state.
+func ShadowStates(c *circuit.Circuit, stim *vectors.Stimulus, until, every circuit.Tick, sys logic.System, boot *ckpt.State) ([]*ckpt.State, error) {
+	var states []*ckpt.State
+	_, err := seq.Run(c, stim, until, seq.Config{
+		System:          sys,
+		CheckpointEvery: every,
+		Checkpoint: func(st *ckpt.State) error {
+			states = append(states, st)
+			return nil
+		},
+		Boot: boot,
+	})
+	return states, err
 }

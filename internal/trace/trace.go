@@ -67,6 +67,10 @@ func (r *RecorderT[V]) TruncateFrom(t circuit.Tick) {
 // Len returns the number of recorded samples.
 func (r *RecorderT[V]) Len() int { return len(r.samples) }
 
+// Samples is the recorded history in recording order; the slice must not
+// be written.
+func (r *RecorderT[V]) Samples() []SampleT[V] { return r.samples }
+
 // Merge combines recorder shards into one canonical waveform.
 func Merge[V comparable](recs ...*RecorderT[V]) WaveformT[V] {
 	var n int
