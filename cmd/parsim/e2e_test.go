@@ -204,9 +204,10 @@ func TestCheckpointRestoreVCD(t *testing.T) {
 }
 
 // TestKillRestoreVCD models an interrupted run: the event limit kills the
-// process partway (exit 5) with checkpoints already on disk, and restoring
-// from the last one completes the simulation with the exact uninterrupted
-// waveform.
+// process partway (exit 5) with the checkpoints its engine cut before the
+// kill already on disk, and restoring from the last one completes the
+// simulation with the exact uninterrupted waveform. cmb counts ghost
+// copies of events against the limit too, so it dies earlier.
 func TestKillRestoreVCD(t *testing.T) {
 	dir := t.TempDir()
 	golden := filepath.Join(dir, "golden.vcd")
@@ -215,29 +216,65 @@ func TestKillRestoreVCD(t *testing.T) {
 		t.Fatalf("golden run failed:\n%s", stderr)
 	}
 
-	ckptDir := filepath.Join(dir, "ckpts")
-	_, stderr, code := run(t,
-		"-circuit", "ripple8", "-engine", "seq",
-		"-checkpoint-every", "300", "-checkpoint-dir", ckptDir,
-		"-max-events", "2000", "-q")
-	if code != exitEventLimit {
-		t.Fatalf("interrupted run exited %d, want %d:\n%s", code, exitEventLimit, stderr)
-	}
-	snaps, err := filepath.Glob(filepath.Join(ckptDir, "ckpt-*.json"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("kill left no checkpoints behind (err=%v)", err)
-	}
-	sort.Strings(snaps)
-	last := snaps[len(snaps)-1]
+	for _, engine := range []string{"seq", "cmb"} {
+		ckptDir := filepath.Join(dir, engine)
+		_, stderr, code := run(t,
+			"-circuit", "ripple8", "-engine", engine, "-lps", "2",
+			"-checkpoint-every", "300", "-checkpoint-dir", ckptDir,
+			"-max-events", "2000", "-q")
+		if code != exitEventLimit {
+			t.Fatalf("%s: interrupted run exited %d, want %d:\n%s", engine, code, exitEventLimit, stderr)
+		}
+		snaps, err := filepath.Glob(filepath.Join(ckptDir, "ckpt-*.json"))
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("%s: kill left no checkpoints behind (err=%v)", engine, err)
+		}
+		sort.Strings(snaps)
+		last := snaps[len(snaps)-1]
 
-	restored := filepath.Join(dir, "restored.vcd")
-	if _, stderr, code := run(t,
-		"-circuit", "ripple8", "-engine", "seq",
-		"-restore", last, "-vcd", restored, "-q"); code != 0 {
-		t.Fatalf("restore after kill failed:\n%s", stderr)
+		restored := filepath.Join(dir, "restored-"+engine+".vcd")
+		if _, stderr, code := run(t,
+			"-circuit", "ripple8", "-engine", "seq",
+			"-restore", last, "-vcd", restored, "-q"); code != 0 {
+			t.Fatalf("%s: restore after kill failed:\n%s", engine, stderr)
+		}
+		if readFile(t, restored) != readFile(t, golden) {
+			t.Errorf("%s: post-kill restore does not reproduce the uninterrupted waveform", engine)
+		}
 	}
-	if readFile(t, restored) != readFile(t, golden) {
-		t.Error("post-kill restore does not reproduce the uninterrupted waveform")
+}
+
+// TestRejectedRunsWriteNoCheckpoints: a configuration the run refuses
+// exits 1 before any work, leaving no checkpoint behind. The oblivious
+// engine is cycle-based and has no event cut to write or resume from.
+func TestRejectedRunsWriteNoCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	if _, stderr, code := run(t, "-circuit", "ripple8", "-engine", "seq",
+		"-checkpoint-every", "400", "-checkpoint-dir", src, "-q"); code != 0 {
+		t.Fatalf("checkpointed run failed:\n%s", stderr)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(src, "ckpt-*.json"))
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoint to restore from")
+	}
+	for i, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-engine", "oblivious"}, "oblivious"},
+		{[]string{"-engine", "oblivious", "-restore", snaps[0]}, "oblivious"},
+		{[]string{"-engine", "seq", "-adapt"}, "parallel engine"},
+	} {
+		out := filepath.Join(dir, fmt.Sprint("out", i))
+		_, stderr, code := run(t, append([]string{"-circuit", "ripple8", "-q",
+			"-checkpoint-every", "400", "-checkpoint-dir", out}, tc.args...)...)
+		if code != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, want 1 naming %q:\n%s", tc.args, code, tc.want, stderr)
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("%v: the rejected run left %d files behind", tc.args, len(entries))
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,8 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/sim/adapt"
-	"repro/internal/sim/ckpt"
-	"repro/internal/sim/seq"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -50,25 +47,32 @@ type AdaptReport struct {
 // the previous boundary's checkpoint; at every boundary the
 // engine-switch supervisor and the load rebalancer observe that
 // segment's metrics and may migrate the job to another protocol or
-// repartition it on measured per-LP load. Boundary states come from an
-// incremental sequential shadow (one segment of sequential work per
-// boundary, stopped early via ckpt.ErrStop) — a consistent cut for any
-// engine because every engine reproduces the sequential trajectory.
-// Once the switch controller settles (or the probe budget is spent)
-// the current engine is committed and runs unsegmented to the horizon,
-// so adaptation overhead is paid only while the controllers are still
-// deciding. The optimism-window controller is not segmented: it rides
-// inside the optimistic engines, observing once per GVT round, and its
-// adapted window carries across segments.
+// repartition it on measured per-LP load. The boundary state is the
+// segment engine's own cut at its horizon; with CheckpointEvery set, the
+// segments cut at the gcd of the two cadences and write the multiples of
+// CheckpointEvery. A boundary with no event left inside the horizon ends
+// the run. Once the switch controller settles (or the probe budget is
+// spent) the current engine is committed and runs unsegmented to the
+// horizon, so adaptation overhead is paid only while the controllers are
+// still deciding. The optimism-window controller is not segmented: it
+// rides inside the optimistic engines, observing once per GVT round, and
+// its adapted window carries across segments.
 //
 // The waveform is the concatenation of the restore prefix and each
 // segment's recorded suffix — bit-identical to a static run under any
 // decision sequence, because adaptation changes when things execute,
-// never what is computed. Note that MaxEvents bounds each segment (and
-// each shadow) individually, not the whole job.
+// never what is computed. Note that MaxEvents bounds each segment
+// individually, not the whole job.
 func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
 	if !opts.Engine.Parallel() {
 		return nil, fmt.Errorf("core: adaptive control requires a parallel engine (got %v)", opts.Engine)
+	}
+	for _, d := range opts.Adapt.Script {
+		if d.Kind == adapt.KindSwitch {
+			if _, err := parseSwitchTarget(d.To); err != nil {
+				return nil, err
+			}
+		}
 	}
 	spec := opts.Adapt.WithDefaults(uint64(until))
 
@@ -85,6 +89,11 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		rbCtl = adapt.NewRebalancer(spec.Rebalance)
 	}
 
+	// One cut interval serves the probes and the checkpoint files.
+	cutEvery := circuit.Tick(spec.Every)
+	for b := opts.CheckpointEvery; b != 0 && opts.CheckpointDir != ""; {
+		cutEvery, b = b, cutEvery%b
+	}
 	engine := opts.Engine
 	weights := opts.Weights
 	baseWindow := opts.Window
@@ -141,9 +150,10 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		o.Weights = weights
 		o.Restore = cur
 		o.Adapt = nil
-		o.CheckpointEvery = 0
-		o.CheckpointDir = ""
 		o.winCtl = winCtl
+		if !last {
+			o.cutEvery, o.cutUntil = cutEvery, until
+		}
 		// The partition only depends on inputs that survive a segment
 		// boundary (method, LP count, seed, weights), so build it once
 		// and share it across segments; a rebalance invalidates it.
@@ -197,14 +207,14 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 			break
 		}
 
-		// Boundary state for the next segment: one segment of sequential
-		// shadow work, stopped the moment the boundary is captured.
-		st, err := shadowCheckpoint(c, stim, uint64(segEnd), uint64(until), spec.Every, opts, cur)
-		if err != nil {
-			return nil, err
-		}
+		// Boundary state for the next segment: the segment's own cut at
+		// its horizon, pending events in time order.
+		st := rep.cut
 		if st == nil {
-			// No activity beyond this boundary — the run is complete.
+			return nil, fmt.Errorf("core: segment to %d ended without its boundary cut", segEnd)
+		}
+		if len(st.Events) == 0 || circuit.Tick(st.Events[0].Time) > until {
+			// No activity left inside the horizon — the run is complete.
 			break
 		}
 
@@ -214,48 +224,59 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		// invalidated by a protocol migration.
 		bIdx := segments - 1
 		s := segmentSample(bIdx, engine, rep, segReg)
+		act := func(d adapt.Decision) error {
+			decisions = append(decisions, d)
+			switch d.Kind {
+			case adapt.KindSwitch:
+				e, err := parseSwitchTarget(d.To)
+				if err != nil {
+					return err
+				}
+				engine = e
+				switches++
+			case adapt.KindWindow:
+				baseWindow = circuit.Tick(d.Window)
+			case adapt.KindRebalance:
+				w, err := rebalanceWeights(c, o, s.PerLPEvals)
+				if err != nil || w == nil {
+					return err
+				}
+				weights = w
+				rebalances++
+				part, coneCount = nil, 0 // weights changed: repartition next segment
+			case adapt.KindCommit:
+				committed = true
+			case adapt.KindHold:
+				// Explicitly forced no-op boundary.
+			default:
+				return fmt.Errorf("core: scripted decision round %d has unknown kind %q", d.Round, d.Kind)
+			}
+			return nil
+		}
 		if d, ok := spec.Scripted(bIdx); ok {
-			wasRebalances := rebalances
-			if err := applyScripted(&d, &engine, &baseWindow, &weights, &committed, &switches, &rebalances, c, o, s); err != nil {
+			if d.Kind == adapt.KindSwitch && d.From == "" {
+				d.From = engine.String()
+			}
+			if err := act(d); err != nil {
 				return nil, err
 			}
-			if rebalances != wasRebalances {
-				part, coneCount = nil, 0 // weights changed: repartition next segment
-			}
-			decisions = append(decisions, d)
 		} else {
 			switched := false
 			if swCtl != nil {
 				d, acted := swCtl.Observe(s)
-				decisions = append(decisions, d)
-				if acted {
-					switch d.Kind {
-					case adapt.KindSwitch:
-						e, err := parseSwitchTarget(d.To)
-						if err != nil {
-							return nil, err
-						}
-						engine = e
-						switches++
-						switched = true
-					case adapt.KindCommit:
-						committed = true
-					}
+				if !acted {
+					decisions = append(decisions, d)
+				} else if err := act(d); err != nil {
+					return nil, err
 				}
+				switched = acted && d.Kind == adapt.KindSwitch
 			}
 			if rbCtl != nil && !switched && !committed {
 				d, acted := rbCtl.Observe(s)
-				decisions = append(decisions, d)
-				if acted {
-					w, err := rebalanceWeights(c, o, s.PerLPEvals)
-					if err != nil {
-						return nil, err
-					}
-					if w != nil {
-						weights = w
-						rebalances++
-						part, coneCount = nil, 0 // weights changed: repartition next segment
-					}
+				if !acted {
+					decisions = append(decisions, d)
+				} else if err := act(d); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -351,40 +372,6 @@ func segmentSample(round int, engine Engine, rep *Report, reg *metrics.Registry)
 	}
 }
 
-// applyScripted executes one forced boundary decision from Spec.Script.
-func applyScripted(d *adapt.Decision, engine *Engine, baseWindow *circuit.Tick, weights *partition.Weights, committed *bool, switches, rebalances *int, c *circuit.Circuit, segOpts Options, s adapt.Sample) error {
-	switch d.Kind {
-	case adapt.KindSwitch:
-		e, err := parseSwitchTarget(d.To)
-		if err != nil {
-			return err
-		}
-		if d.From == "" {
-			d.From = engine.String()
-		}
-		*engine = e
-		*switches++
-	case adapt.KindWindow:
-		*baseWindow = circuit.Tick(d.Window)
-	case adapt.KindRebalance:
-		w, err := rebalanceWeights(c, segOpts, s.PerLPEvals)
-		if err != nil {
-			return err
-		}
-		if w != nil {
-			*weights = w
-			*rebalances++
-		}
-	case adapt.KindCommit:
-		*committed = true
-	case adapt.KindHold:
-		// Explicitly forced no-op boundary.
-	default:
-		return fmt.Errorf("core: scripted decision round %d has unknown kind %q", d.Round, d.Kind)
-	}
-	return nil
-}
-
 // parseSwitchTarget resolves an engine-switch target, rejecting engines
 // that cannot resume from a checkpoint.
 func parseSwitchTarget(name string) (Engine, error) {
@@ -426,33 +413,4 @@ func rebalanceWeights(c *circuit.Circuit, segOpts Options, perLP []uint64) (part
 		w[g] = float64(perLP[lp])/float64(counts[lp]) + 0.1
 	}
 	return w, nil
-}
-
-// shadowCheckpoint produces the consistent boundary state at modeled
-// time `at` by advancing the sequential shadow from the previous
-// boundary, stopping the instant the snapshot is captured
-// (ckpt.ErrStop). `at` is always the first multiple of `every`
-// strictly after the boot time, so the shadow's first capture is
-// exactly the wanted boundary. A nil state with nil error means the
-// shadow finished without capturing: nothing is pending beyond the
-// boundary, so the segmented run is already complete.
-func shadowCheckpoint(c *circuit.Circuit, stim *vectors.Stimulus, at, until, every uint64, opts Options, prev *ckpt.State) (*ckpt.State, error) {
-	var captured *ckpt.State
-	_, err := seq.Run(c, stim, circuit.Tick(until), seq.Config{
-		System: opts.System, Queue: opts.Queue, Watch: opts.Watch,
-		MaxEvents:       opts.MaxEvents,
-		Boot:            prev,
-		CheckpointEvery: circuit.Tick(every),
-		Checkpoint: func(st *ckpt.State) error {
-			if st.Time != at {
-				return nil
-			}
-			captured = st
-			return ckpt.ErrStop
-		},
-	})
-	if err != nil && !errors.Is(err, ckpt.ErrStop) {
-		return nil, fmt.Errorf("core: adaptive shadow: %w", err)
-	}
-	return captured, nil
 }

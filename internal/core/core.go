@@ -21,7 +21,6 @@ import (
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/cmb"
-	"repro/internal/sim/lpnet"
 	"repro/internal/sim/oblivious"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/supervise"
@@ -166,10 +165,12 @@ type Options struct {
 	// words; 0 means unlimited. See timewarp.Config.HistoryLimit.
 	HistoryLimit uint64
 	// CheckpointEvery, with CheckpointDir, writes a consistent snapshot
-	// every multiple of this modeled time. Snapshots are produced by a
-	// sequential shadow run — legitimate because every engine reproduces
-	// the sequential trajectory exactly, so the sequential state at a
-	// boundary IS a consistent cut for any engine.
+	// at every multiple of this modeled time. The running engine cuts
+	// them itself (ckpt.Cuts) at the point where its protocol's state is
+	// a consistent cut: the sequential and synchronous engines between
+	// steps, a conservative LP once its safe time passes the boundary, a
+	// Time Warp LP once GVT does. The oblivious engine has no event cut
+	// and rejects it.
 	CheckpointEvery circuit.Tick
 	// CheckpointDir is the directory receiving ckpt-<time>.json files.
 	CheckpointDir string
@@ -205,9 +206,12 @@ type Options struct {
 	// seam makes the run one shard of a fleet (set by RunShard): the
 	// asynchronous engines execute only the LPs it maps to this process.
 	seam *wire.Seam
-	// cuts has the shard's engine capture its own checkpoints (set by
-	// RunShard).
-	cuts *lpnet.Cuts
+	// cuts has the shard's engine hand its own checkpoints to the
+	// worker's writer (set by RunShard).
+	cuts *ckpt.Cuts
+	// cutEvery and cutUntil, set by the adaptive supervisor on a probing
+	// segment, are the cut cadence and the whole run's horizon.
+	cutEvery, cutUntil circuit.Tick
 }
 
 // SuperviseOptions configures the supervision layer.
@@ -281,6 +285,8 @@ type ReportT[V comparable] struct {
 	// Adapt, when the run was adaptive, records every controller
 	// decision and the final operating point.
 	Adapt *AdaptReport
+	// cut is the last boundary the engine cut (a probing segment's end).
+	cut *ckpt.State
 }
 
 // Report is the outcome of a scalar run.
@@ -371,8 +377,8 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			rep, err = nil, supervise.FromPanic(label, -1, "run", 0, r)
 		}
 	}()
-	if opts.Restore != nil && opts.Engine == EngineOblivious {
-		return nil, fmt.Errorf("core: the oblivious engine is cycle-based and cannot resume from an event checkpoint")
+	if opts.Engine == EngineOblivious && (opts.Restore != nil || opts.CheckpointEvery > 0) {
+		return nil, fmt.Errorf("core: the oblivious engine is cycle-based: it has no event cut to resume from or checkpoint")
 	}
 	sink := opts.Metrics
 	if sink == nil {
@@ -389,13 +395,44 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 	}
 	sweep := opts.ConeSplit
 
+	// The engine cuts its own checkpoints. A fleet worker brings the
+	// shard's writer; otherwise this run's writer stitches the cuts,
+	// writes the multiples of CheckpointEvery and keeps the last boundary.
+	cuts, every, dir := opts.cuts, opts.cutEvery, opts.CheckpointDir
+	if opts.CheckpointEvery == 0 {
+		dir = ""
+	}
+	if every == 0 && dir != "" {
+		every = opts.CheckpointEvery
+	}
+	if cuts == nil && every > 0 {
+		name := func(t uint64, _ bool) string {
+			if dir == "" || t%uint64(opts.CheckpointEvery) != 0 {
+				return ""
+			}
+			return fmt.Sprintf("ckpt-%08d.json", t)
+		}
+		w := ckpt.NewWriter(dir, name, len(c.Gates), len(c.Gates), false, ckpt.State{
+			Fingerprint: ckpt.Fingerprint(c), Until: uint64(max(until, opts.cutUntil)), System: uint8(opts.System),
+		})
+		cuts = &ckpt.Cuts{Every: every, Sink: w.Put}
+		defer func() {
+			if _, werr := w.Finish(); werr != nil && err == nil {
+				rep, err = nil, werr
+			}
+			if rep != nil {
+				rep.cut = w.Last()
+			}
+		}()
+	}
+
 	rep = &ReportT[V]{Engine: opts.Engine, Processors: opts.LPs}
 	start := time.Now()
 	switch opts.Engine {
 	case EngineSeq:
 		res, err := eng.seq(c, stim, until, seq.Config{
 			System: opts.System, Queue: opts.Queue, Watch: opts.Watch, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
+			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -421,7 +458,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		res, err := eng.sync(c, stim, until, sync.Config{
 			Partition: part, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, Cost: opts.Cost, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore,
+			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -441,7 +478,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam, Cuts: opts.cuts,
+			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -466,7 +503,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
-			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: opts.cuts,
+			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err

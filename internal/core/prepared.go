@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/dist/wire"
 	"repro/internal/pipeline"
-	"repro/internal/sim/lpnet"
+	"repro/internal/sim/ckpt"
 )
 
 // Run simulates a prepared workload on the scalar plane. The workload half
@@ -36,7 +36,7 @@ func RunWide(p *pipeline.Prepared, opts Options) (*WideReport, error) {
 // the rest are reached over the wire. The report covers the whole circuit
 // with this shard's gates filled in. With cuts non-nil the engine captures
 // its local LPs' parts of every checkpoint boundary itself.
-func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *lpnet.Cuts) (*Report, error) {
+func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *ckpt.Cuts) (*Report, error) {
 	if !opts.Engine.Distributes() {
 		return nil, fmt.Errorf("core: engine %v does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", opts.Engine)
 	}

@@ -3,13 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/sim/ckpt"
-	"repro/internal/sim/seq"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
@@ -22,17 +18,13 @@ import (
 // Fallback is enabled — the run degrades to the synchronous engine and
 // finally the sequential reference. Because every engine reproduces the
 // same trajectory, degradation changes performance only; the waveform is
-// identical. With Options.CheckpointEvery/CheckpointDir set, consistent
-// snapshots are written during the run; Options.Restore resumes from one.
+// identical. With Options.CheckpointEvery/CheckpointDir set, the running
+// engine — and every retry or fallback — writes consistent snapshots of
+// its own; Options.Restore resumes from one.
 func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
 	opts, err := scalarEngines.resolve(opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.CheckpointEvery > 0 && opts.CheckpointDir != "" {
-		if err := writeCheckpoints(c, stim, until, opts); err != nil {
-			return nil, err
-		}
 	}
 	if opts.Adapt != nil {
 		// The adaptive supervisor owns segmentation, restore splicing,
@@ -190,28 +182,4 @@ func simulateSupervised[S any, V comparable](eng *engines[S, V], c *circuit.Circ
 		}
 	}
 	return nil, lastErr
-}
-
-// writeCheckpoints runs the sequential shadow that produces the run's
-// checkpoint stream. The shadow is legitimate as a checkpoint source for
-// every engine because all engines reproduce the sequential trajectory
-// exactly (the differential harness enforces this), so the sequential
-// state at a boundary is a consistent global cut of any engine's run.
-func writeCheckpoints(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) error {
-	if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-		return err
-	}
-	_, err := seq.Run(c, stim, until, seq.Config{
-		System: opts.System, Queue: opts.Queue, Watch: opts.Watch,
-		MaxEvents:       opts.MaxEvents,
-		Boot:            opts.Restore,
-		CheckpointEvery: opts.CheckpointEvery,
-		Checkpoint: func(st *ckpt.State) error {
-			return ckpt.WriteFile(filepath.Join(opts.CheckpointDir, fmt.Sprintf("ckpt-%08d.json", st.Time)), st)
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("core: checkpoint shadow: %w", err)
-	}
-	return nil
 }

@@ -1,26 +1,21 @@
 package dist
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"sync"
 
-	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/sim/ckpt"
-	"repro/internal/sim/lpnet"
 	"repro/internal/trace"
 )
 
 // Shard checkpointing. Every worker's engine captures its own local LPs'
-// parts of the consistent cut at each boundary (lpnet.Cuts: a cmb LP once
+// parts of the consistent cut at each boundary (ckpt.Cuts: a cmb LP once
 // its next event and its safe time lie past the boundary, a Time Warp LP
-// once GVT has passed it), and the worker's cutWriter stitches them into
+// once GVT has passed it), and the worker's ckpt.Writer stitches them into
 // the shard's snapshot: value planes zeroed outside owned gates, pending
 // events and waveform samples of owned gates only, in canonical order. The
 // waveform is absolute — all own-gate samples from t=0 through the
@@ -46,175 +41,16 @@ func shardDeltaName(shard int, t uint64) string {
 	return fmt.Sprintf("shard-%03d-delta-%010d.json", shard, t)
 }
 
-// fileSize is best-effort on-disk size accounting for the checkpoint
-// volume gauges (0 when unreadable — never an error path).
-func fileSize(path string) uint64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return uint64(fi.Size())
-}
-
-// cutWriter assembles one shard's checkpoints from the cuts its engine's
-// LPs capture, and writes them on a goroutine of its own, so no LP ever
-// waits on the file system. A boundary is complete once every local LP
-// has handed in its part; boundaries complete in order, because every LP
-// hands its cuts over in boundary order. In delta mode the first boundary
-// of each attempt is a full snapshot and every later one a delta chained
-// to its sealed predecessor — the boundary one interval earlier on the
-// deterministic trajectory — so delta files, like full ones, are
-// attempt-independent and safely overwrite stale copies.
-type cutWriter struct {
-	dir   string
-	shard int
-	delta bool
-	head  ckpt.State // the header fields every snapshot shares
-	gates int
-	lps   int // local LPs, the parts of one boundary
-
-	mu    sync.Mutex
-	queue []*lpnet.Cut[logic.Value]
-	wake  chan struct{}
-	done  chan struct{}
-
-	// The writer goroutine's own, read by finish after done closes.
-	open  map[circuit.Tick]*shardCut
-	last  *ckpt.State
-	err   error
-	stats ckptStats
-}
-
-// shardCut is a boundary some local LPs have handed in.
-type shardCut struct {
-	st    *ckpt.State
-	parts int
-}
-
-// ckptStats is the checkpoint volume a shard wrote: bytes and record
-// counts of full snapshots and of delta records.
-type ckptStats struct {
-	FullBytes, DeltaBytes, Fulls, Deltas uint64
-}
-
-// newCutWriter starts the writer of shard's checkpoints into dir for a
-// run whose header fields (fingerprint, horizon, logic system) head holds.
-func newCutWriter(dir string, shard, lps, gates int, delta bool, head ckpt.State) *cutWriter {
-	head.Version = ckpt.Version
-	w := &cutWriter{
-		dir: dir, shard: shard, delta: delta, head: head, gates: gates, lps: lps,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-		open: map[circuit.Tick]*shardCut{},
-	}
-	go w.run()
-	return w
-}
-
-// put queues one LP's cut. It runs on the LP goroutines and never blocks
-// on the writer.
-func (w *cutWriter) put(c *lpnet.Cut[logic.Value]) {
-	w.mu.Lock()
-	w.queue = append(w.queue, c)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// finish drains the writer once the engine, and with it every put, has
-// returned, and reports the first write failure and the volume written.
-// A nil writer (checkpointing off) wrote nothing.
-func (w *cutWriter) finish() (ckptStats, error) {
-	if w == nil {
-		return ckptStats{}, nil
-	}
-	close(w.wake)
-	<-w.done
-	return w.stats, w.err
-}
-
-func (w *cutWriter) run() {
-	defer close(w.done)
-	for more := true; more; {
-		_, more = <-w.wake
-		w.mu.Lock()
-		batch := w.queue
-		w.queue = nil
-		w.mu.Unlock()
-		for _, c := range batch {
-			if w.err == nil {
-				w.err = w.add(c)
-			}
+// newShardWriter starts the writer of shard's checkpoints into dir: the
+// boundaries of the cover gates the shard owns, as full snapshots or, in
+// delta mode, as deltas after each writer's first.
+func newShardWriter(dir string, shard, gates, cover int, delta bool, head ckpt.State) *ckpt.Writer {
+	return ckpt.NewWriter(dir, func(t uint64, delta bool) string {
+		if delta {
+			return shardDeltaName(shard, t)
 		}
-	}
-}
-
-// add stitches one LP's part into its boundary and writes the boundary
-// once it is whole.
-func (w *cutWriter) add(c *lpnet.Cut[logic.Value]) error {
-	sc := w.open[c.Time]
-	if sc == nil {
-		st := w.head
-		st.Time = uint64(c.Time)
-		st.Vals = make([]logic.Value, w.gates)
-		st.PrevClk = make([]logic.Value, w.gates)
-		st.Projected = make([]logic.Value, w.gates)
-		sc = &shardCut{st: &st}
-		w.open[c.Time] = sc
-	}
-	st := sc.st
-	for i, g := range c.Gates {
-		st.Vals[g], st.PrevClk[g], st.Projected[g] = c.Vals[i], c.PrevClk[i], c.Projected[i]
-	}
-	st.Events = append(st.Events, c.Events...)
-	st.Waveform = append(st.Waveform, c.Waveform...)
-	st.EndTime = max(st.EndTime, uint64(c.EndTime))
-	if sc.parts++; sc.parts < w.lps {
-		return nil
-	}
-	delete(w.open, c.Time)
-	sortEvents(st.Events)
-	trace.Sort(st.Waveform)
-	return w.write(st)
-}
-
-// write persists a whole boundary as a full snapshot or as a delta on the
-// previous one.
-func (w *cutWriter) write(st *ckpt.State) error {
-	if !w.delta || w.last == nil {
-		path := filepath.Join(w.dir, shardCkptName(w.shard, st.Time))
-		if err := ckpt.WriteFile(path, st); err != nil {
-			return err
-		}
-		w.stats.FullBytes += fileSize(path)
-		w.stats.Fulls++
-	} else {
-		st.Seal()
-		d, err := ckpt.DeltaFrom(w.last, st)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(w.dir, shardDeltaName(w.shard, st.Time))
-		if err := ckpt.WriteDeltaFile(path, d); err != nil {
-			return err
-		}
-		w.stats.DeltaBytes += fileSize(path)
-		w.stats.Deltas++
-	}
-	w.last = st
-	return nil
-}
-
-// sortEvents puts pending events in canonical order: by time, then gate.
-func sortEvents(evs []ckpt.Event) {
-	slices.SortFunc(evs, func(a, b ckpt.Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Gate, b.Gate)
-	})
+		return shardCkptName(shard, t)
+	}, gates, cover, delta, head)
 }
 
 // mergeShardStates stitches per-shard restrictions of one boundary back
@@ -253,7 +89,7 @@ func mergeShardStates(states []*ckpt.State, gateShard []int) (*ckpt.State, error
 		merged.PrevClk[g] = st.PrevClk[g]
 		merged.Projected[g] = st.Projected[g]
 	}
-	sortEvents(merged.Events)
+	ckpt.SortEvents(merged.Events)
 	// Canonical waveform order (time, then gate) matches trace.Merge, so
 	// a spliced prefix is byte-identical to an uninterrupted run's.
 	trace.Sort(merged.Waveform)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/cmb"
-	"repro/internal/sim/lpnet"
 	"repro/internal/sim/seq"
 	"repro/internal/sim/timewarp"
 	"repro/internal/simtest"
@@ -65,11 +64,11 @@ func restrictToShard(st *ckpt.State, owned []bool) *ckpt.State {
 // checkpoints going to cuts.
 type cutEngine struct {
 	name string
-	run  func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *lpnet.Cuts) error
+	run  func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error
 }
 
 func cmbCuts(name string, mode cmb.Mode) cutEngine {
-	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *lpnet.Cuts) error {
+	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error {
 		_, err := cmb.Run(run.Circuit, run.Stim, run.Until, cmb.Config{
 			Partition: run.Part, Mode: mode, Queue: q, Boot: boot, Chaos: chaos, Cuts: cuts,
 		})
@@ -78,7 +77,7 @@ func cmbCuts(name string, mode cmb.Mode) cutEngine {
 }
 
 func timewarpCuts(name string, cancel timewarp.Cancellation) cutEngine {
-	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *lpnet.Cuts) error {
+	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error {
 		_, err := timewarp.Run(run.Circuit, run.Stim, run.Until, timewarp.Config{
 			Partition: run.Part, Cancellation: cancel, Queue: q, Boot: boot, Chaos: chaos, Cuts: cuts,
 		})
@@ -103,21 +102,21 @@ func nativeCuts(t *testing.T, run *pipeline.Prepared, e cutEngine, q eventq.Impl
 		shards = max(shards, s+1)
 	}
 	head := ckpt.State{Fingerprint: ckpt.Fingerprint(run.Circuit), Until: uint64(run.Until), System: uint8(logic.NineValued)}
-	writers := make([]*cutWriter, shards)
+	writers := make([]*ckpt.Writer, shards)
 	for s := range writers {
-		lps := 0
-		for _, o := range run.ShardOf {
-			if o == s {
-				lps++
+		cover := 0
+		for _, lp := range run.Part.Assign {
+			if run.ShardOf[lp] == s {
+				cover++
 			}
 		}
-		writers[s] = newCutWriter(dir, s, lps, run.Circuit.NumGates(), delta, head)
+		writers[s] = newShardWriter(dir, s, run.Circuit.NumGates(), cover, delta, head)
 	}
-	err := e.run(run, q, boot, chaos, &lpnet.Cuts{Every: every, Sink: func(c *lpnet.Cut[logic.Value]) {
-		writers[run.ShardOf[c.LP]].put(c)
+	err := e.run(run, q, boot, chaos, &ckpt.Cuts{Every: every, Sink: func(c *ckpt.Cut[logic.Value]) {
+		writers[run.ShardOf[c.LP]].Put(c)
 	}})
 	for _, w := range writers {
-		if _, werr := w.finish(); werr != nil && err == nil {
+		if _, werr := w.Finish(); werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -132,7 +131,7 @@ func nativeCuts(t *testing.T, run *pipeline.Prepared, e cutEngine, q eventq.Impl
 func canonical(st *ckpt.State) *ckpt.State {
 	out := *st
 	out.Events = append([]ckpt.Event(nil), st.Events...)
-	sortEvents(out.Events)
+	ckpt.SortEvents(out.Events)
 	out.Seal()
 	return &out
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"repro/internal/dist/wire"
 	"repro/internal/metrics"
 	"repro/internal/sim/ckpt"
-	"repro/internal/sim/lpnet"
 	"repro/internal/sim/supervise"
 	"repro/internal/trace"
 )
@@ -280,26 +278,23 @@ func (w *Worker) Run() error {
 
 	// The engine captures its local LPs' parts of every boundary; the
 	// writer stitches and persists them off the LP goroutines.
-	var cw *cutWriter
-	var cuts *lpnet.Cuts
+	var cw *ckpt.Writer
+	var cuts *ckpt.Cuts
 	if job.CheckpointEvery > 0 && job.CheckpointDir != "" {
-		if err := os.MkdirAll(job.CheckpointDir, 0o755); err != nil {
-			return w.sendError(err)
-		}
-		lps := 0
-		for _, s := range shardOf {
-			if s == job.Shard {
-				lps++
+		cover := 0
+		for _, own := range owned {
+			if own {
+				cover++
 			}
 		}
-		cw = newCutWriter(job.CheckpointDir, job.Shard, lps, c.NumGates(), job.CkptDelta, ckpt.State{
+		cw = newShardWriter(job.CheckpointDir, job.Shard, c.NumGates(), cover, job.CkptDelta, ckpt.State{
 			Fingerprint: run.Fingerprint, Until: uint64(run.Until), System: uint8(opts.System),
 		})
-		cuts = &lpnet.Cuts{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.put}
+		cuts = &ckpt.Cuts{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.Put}
 	}
 
 	rep, err := core.RunShard(run, opts, seam, cuts)
-	ckptStats, ckptErr := cw.finish()
+	ckptStats, ckptErr := cw.Finish()
 	if err != nil {
 		var se *supervise.SimError
 		if !errors.As(err, &se) {

@@ -36,7 +36,7 @@ type Queue[T any] interface {
 	Len() int
 	// ResetFloor forgets the last popped time, permitting pushes earlier
 	// than previously popped events. Time Warp rollback requeues past
-	// events and needs this; the other engines never call it.
+	// events and needs this, and so does Each.
 	ResetFloor()
 	// Err returns the first push-into-the-past violation, or nil. The
 	// error is sticky: once set, the queue has dropped an event and its
@@ -88,6 +88,25 @@ func NewCap[T any](impl Impl, hint int) Queue[T] {
 			h.slab = make([]node[T], 1, hint+1)
 		}
 		return h
+	}
+}
+
+// Each visits every pending event of q in time order, draining q and
+// requeuing what it drained (ResetFloor lets the ascending repush start
+// below the last pop): how every engine reads its pending set into a cut.
+func Each[T any](q Queue[T], visit func(t uint64, v T)) {
+	pending := make([]item[T], 0, q.Len())
+	for {
+		t, v, ok := q.PopMin()
+		if !ok {
+			break
+		}
+		pending = append(pending, item[T]{t, v})
+		visit(t, v)
+	}
+	q.ResetFloor()
+	for _, it := range pending {
+		q.Push(it.time, it.v)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // control of the synchronization mechanism; E20 closes that loop: the
 // run starts on the eager-null conservative engine, the switch
 // supervisor observes the first probe segment's null-per-event ratio,
-// and migrates the job through a sequential-shadow checkpoint when the
+// and migrates the job through its engine's own checkpoint when the
 // protocol is wrong for the workload. Wall-clock here is real (not
 // modeled), because the claim under test is that the controller's probe
 // overhead is small against the cost of staying on the wrong protocol.

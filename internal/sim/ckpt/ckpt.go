@@ -33,16 +33,6 @@ import (
 // incompatible schema change.
 const Version = "parsim-checkpoint/v1"
 
-// ErrStop is the sentinel a Checkpoint callback returns once it has
-// captured the snapshot it wanted: the producing run (the sequential
-// shadow) aborts immediately instead of simulating to its horizon.
-// Producers propagate it verbatim, so callers distinguish "stopped on
-// purpose, snapshot in hand" from a real failure with errors.Is. The
-// adaptive supervisor leans on this: it needs exactly one boundary
-// state per segment, and without the early stop every boundary would
-// cost a full-horizon shadow run.
-var ErrStop = errors.New("ckpt: capture complete")
-
 // ErrCorrupt is the structured sentinel for a snapshot that cannot be
 // trusted: a truncated file (a writer died mid-write and the atomic
 // rename never happened — or the filesystem lost the tail), or a
@@ -63,33 +53,40 @@ type EventT[V comparable] struct {
 // Event is the scalar pending event, the one the on-disk format stores.
 type Event = EventT[logic.Value]
 
-// Seed is what an engine body restores from or captures into: the three
-// kernel value planes and the pending event set, in the run's value type.
-// A seed to restore from also carries the boundary it was cut at, the last
-// timestep before it and the waveform prefix, which the engines' own
-// checkpoints extend. The on-disk State holds scalar values only, so the
-// scalar entry points build one from it and the wide entry points pass
-// none.
-type Seed[V comparable] struct {
+// Cut is what an engine restores from or captures into: the state after
+// every step at or before Time and none after (§IV) — value-plane
+// entries, pending events, the waveform through Time and the last
+// timestep executed (at least the boot's) — in the run's value type. An
+// LP of an asynchronous engine cuts the gates it owns, listed in Gates,
+// and the parts of every LP, stitched by gate owner, are the whole cut;
+// an engine on one shared plane (seq, sync) and a boot snapshot cover
+// every gate and leave Gates nil. The on-disk State holds scalar values
+// only, so the scalar entry points boot from one and the wide entry
+// points pass none.
+type Cut[V comparable] struct {
+	LP            int
+	Time, EndTime circuit.Tick
+	// Gates lists the owned gates (shared, read-only); Vals, PrevClk and
+	// Projected are parallel to it.
+	Gates                    []circuit.GateID
 	Vals, PrevClk, Projected []V
 	Events                   []EventT[V]
-	Time, EndTime            uint64
 	Waveform                 []trace.SampleT[V]
 }
 
 // Seed validates the snapshot against circuit c under logic system sys
-// and returns the part an engine restores. A nil State yields a nil Seed:
-// the run starts from the stimulus.
-func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Seed[logic.Value], error) {
+// and returns the whole cut an engine boots from. A nil State yields a
+// nil cut: the run starts from the stimulus.
+func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Cut[logic.Value], error) {
 	if s == nil {
 		return nil, nil
 	}
 	if err := s.Check(c, sys); err != nil {
 		return nil, err
 	}
-	return &Seed[logic.Value]{
-		Vals: s.Vals, PrevClk: s.PrevClk, Projected: s.Projected, Events: s.Events,
-		Time: s.Time, EndTime: s.EndTime, Waveform: s.Waveform,
+	return &Cut[logic.Value]{
+		Time: circuit.Tick(s.Time), EndTime: circuit.Tick(s.EndTime),
+		Vals: s.Vals, PrevClk: s.PrevClk, Projected: s.Projected, Events: s.Events, Waveform: s.Waveform,
 	}, nil
 }
 

@@ -131,7 +131,7 @@ type Config struct {
 	// cut at each checkpoint boundary b, as soon as its next event and its
 	// safe time both lie past b: nothing at or before b can reach it any
 	// more. Checkpoints hold scalar values: RunWide takes none.
-	Cuts *lpnet.Cuts
+	Cuts *ckpt.Cuts
 }
 
 // ResultT is the outcome of a conservative run over value type V.
@@ -218,7 +218,7 @@ type clp[V comparable] struct {
 	buf   []lpnet.Msg[V]
 	evs   []kernel.EventT[V]
 	end   circuit.Tick
-	// cut is the next checkpoint boundary to capture (lpnet.Never when
+	// cut is the next checkpoint boundary to capture (ckpt.Never when
 	// checkpointing is off or every boundary is taken).
 	cut circuit.Tick
 	// slot is the watchdog scoreboard entry (nil-safe; nil without a
@@ -294,7 +294,7 @@ func run[V comparable](
 	changes []vectors.ChangeT[V],
 	until circuit.Tick,
 	cfg Config,
-	boot *ckpt.Seed[V],
+	boot *ckpt.Cut[V],
 ) (*ResultT[V], error) {
 	if err := checkDist(cfg); err != nil {
 		return nil, err

@@ -112,11 +112,11 @@ type Spec[V comparable] struct {
 	Until     circuit.Tick     // the horizon: last simulated time, inclusive
 	// Boot, when non-nil, seeds every kernel from a checkpoint, and Route
 	// routes its events instead of the stimulus.
-	Boot  *ckpt.Seed[V]
+	Boot  *ckpt.Cut[V]
 	Chaos *inject.Hook // when non-nil, wraps every local mailbox
 	// Cuts, when non-nil, has the engine capture its own checkpoints; see
-	// Cuts. Scalar values only.
-	Cuts *Cuts
+	// ckpt.Cuts. Scalar values only.
+	Cuts *ckpt.Cuts
 	// Seam, when non-nil, makes this process one shard of a distributed
 	// run: remote LPs' mailboxes are socket outboxes, and Run binds the
 	// seam's inbound batches to the local ones. Scalar values only.
@@ -137,14 +137,14 @@ type Net[V comparable] struct {
 	c      *circuit.Circuit
 	p      *partition.Partition
 	until  circuit.Tick
-	boot   *ckpt.Seed[V]
+	boot   *ckpt.Cut[V]
 	seam   *wire.Seam
 	chaos  *inject.Hook
 	locals []int
 	lps    []lp[V]
-	// every and sink configure native checkpoints (sink nil when off).
-	every circuit.Tick
-	sink  func(*Cut[V])
+	// cuts and sink configure native checkpoints (nil when off).
+	cuts *ckpt.Cuts
+	sink func(*ckpt.Cut[V])
 
 	abort atomic.Bool
 	mu    sync.Mutex
@@ -176,11 +176,11 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	}
 	n := &Net[V]{engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos}
 	if s.Cuts != nil && s.Cuts.Every > 0 {
-		sink, ok := any(s.Cuts.Sink).(func(*Cut[V]))
+		sink, ok := any(s.Cuts.Sink).(func(*ckpt.Cut[V]))
 		if !ok {
 			return nil, fmt.Errorf("%s: checkpoints carry scalar values only", s.Engine)
 		}
-		n.every, n.sink = s.Cuts.Every, sink
+		n.cuts, n.sink = s.Cuts, sink
 	}
 	lps := p.Blocks
 	n.Inboxes = make([]mpsc.Transport[Msg[V]], lps)
@@ -313,9 +313,11 @@ func (n *Net[V]) Waveform() []trace.SampleT[V] {
 // full schedule and routes to its own. push queues a future event on an
 // LP; time-zero events feed the settle step and are returned per LP
 // instead. A checkpoint's events all lie after its boundary, so none is
-// time zero. Like the sequential engine, the owner of an input notes its
-// last change inside the horizon as the input's projection, which a
-// checkpoint carries.
+// time zero. Like the sequential engine, the run routes the changes past
+// the horizon too — it never reaches them, but every cut holds them as
+// pending, so a cut does not depend on the horizon of the run that took
+// it — and the owner of an input notes its last change as the input's
+// projection.
 func (n *Net[V]) Route(changes []vectors.ChangeT[V], push func(lp int, t uint64, ev kernel.EventT[V])) (initial [][]kernel.EventT[V]) {
 	initial = make([][]kernel.EventT[V], len(n.Inboxes))
 	aud := n.p.Audience(n.c)
@@ -338,12 +340,10 @@ func (n *Net[V]) Route(changes []vectors.ChangeT[V], push func(lp int, t uint64,
 		return initial
 	}
 	for _, ch := range changes {
-		if ch.Time <= n.until {
-			if o := n.p.Assign[ch.Input]; n.Local(o) {
-				n.lps[o].k.Project(ch.Input, ch.Value)
-			}
-			route(uint64(ch.Time), kernel.EventT[V]{Gate: ch.Input, Value: ch.Value})
+		if o := n.p.Assign[ch.Input]; n.Local(o) {
+			n.lps[o].k.Project(ch.Input, ch.Value)
 		}
+		route(uint64(ch.Time), kernel.EventT[V]{Gate: ch.Input, Value: ch.Value})
 	}
 	return initial
 }

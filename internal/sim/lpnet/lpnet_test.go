@@ -87,10 +87,10 @@ func TestRouteOwnerThenGhosts(t *testing.T) {
 		{Time: 0, Input: gA, Value: logic.One},
 		{Time: 5, Input: gA, Value: logic.Zero},
 		{Time: 5, Input: gB, Value: logic.One},
-		{Time: 90, Input: gA, Value: logic.One}, // past the horizon
+		{Time: 90, Input: gA, Value: logic.One}, // past the horizon: pending in every cut
 	}
 	got, initial := route(newNet(t, Spec[logic.Value]{}), changes, 50)
-	want := []routed{{1, 5, gA}, {2, 5, gA}, {0, 5, gA}, {0, 5, gB}, {2, 5, gB}}
+	want := []routed{{1, 5, gA}, {2, 5, gA}, {0, 5, gA}, {0, 5, gB}, {2, 5, gB}, {1, 90, gA}, {2, 90, gA}, {0, 90, gA}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pushes = %v, want owner first, then ghosts in fanout order: %v", got, want)
 	}
@@ -103,13 +103,13 @@ func TestRouteOwnerThenGhosts(t *testing.T) {
 	// A shard routes to its own LPs only: LP 2 lives on shard 1.
 	seam := wire.NewSeam(wire.New(wire.Config{}), 0, []int{0, 0, 1})
 	got, initial = route(newNet(t, Spec[logic.Value]{Seam: seam}), changes, 50)
-	want = []routed{{1, 5, gA}, {0, 5, gA}, {0, 5, gB}}
+	want = []routed{{1, 5, gA}, {0, 5, gA}, {0, 5, gB}, {1, 90, gA}, {0, 90, gA}}
 	if !reflect.DeepEqual(got, want) || len(initial[2]) != 0 {
 		t.Fatalf("shard pushes = %v (initial %v), want %v and nothing for remote LP 2", got, initial, want)
 	}
 
 	// A checkpoint's events replace the stimulus.
-	boot := &ckpt.Seed[logic.Value]{Events: []ckpt.EventT[logic.Value]{{Time: 7, Gate: gB, Value: logic.Zero}}}
+	boot := &ckpt.Cut[logic.Value]{Events: []ckpt.EventT[logic.Value]{{Time: 7, Gate: gB, Value: logic.Zero}}}
 	c, p := fanoutCircuit(t)
 	st, _ := circuit.Scalar.InitState(c, logic.TwoValued)
 	boot.Vals, boot.PrevClk, boot.Projected = st, st, st
@@ -419,10 +419,10 @@ func TestSeamCarriesBatchesAndTransit(t *testing.T) {
 // sink, none on a wide network, and an interval past the horizon ends the
 // sequence instead of wrapping around.
 func TestCutBoundaries(t *testing.T) {
-	sink := func(*Cut[logic.Value]) {}
+	sink := func(*ckpt.Cut[logic.Value]) {}
 	boundaries := func(n *Net[logic.Value]) []circuit.Tick {
 		var out []circuit.Tick
-		for b := n.FirstCut(); b != Never; b = n.NextCut(b) {
+		for b := n.FirstCut(); b != ckpt.Never; b = n.NextCut(b) {
 			out = append(out, b)
 		}
 		return out
@@ -430,18 +430,18 @@ func TestCutBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		every circuit.Tick
-		boot  *ckpt.Seed[logic.Value]
+		boot  *ckpt.Cut[logic.Value]
 		want  []circuit.Tick
 	}{
 		{"off", 0, nil, nil},
 		{"fresh", 10, nil, []circuit.Tick{10, 20, 30}},
 		{"horizon on a boundary", 7, nil, []circuit.Tick{7, 14, 21, 28, 35}},
-		{"booted between boundaries", 10, &ckpt.Seed[logic.Value]{Time: 15}, []circuit.Tick{20, 30}},
-		{"booted on a boundary", 10, &ckpt.Seed[logic.Value]{Time: 20}, []circuit.Tick{30}},
+		{"booted between boundaries", 10, &ckpt.Cut[logic.Value]{Time: 15}, []circuit.Tick{20, 30}},
+		{"booted on a boundary", 10, &ckpt.Cut[logic.Value]{Time: 20}, []circuit.Tick{30}},
 		{"interval past the horizon", ^circuit.Tick(0) - 3, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newNet(t, Spec[logic.Value]{Until: 35, Boot: tc.boot, Cuts: &Cuts{Every: tc.every, Sink: sink}})
+			n := newNet(t, Spec[logic.Value]{Until: 35, Boot: tc.boot, Cuts: &ckpt.Cuts{Every: tc.every, Sink: sink}})
 			if got := boundaries(n); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("boundaries %v, want %v", got, tc.want)
 			}
@@ -449,7 +449,7 @@ func TestCutBoundaries(t *testing.T) {
 	}
 	c, p := fanoutCircuit(t)
 	if _, err := New(Spec[logic.Word]{Engine: "wide", Plane: circuit.Wide, Circuit: c, Partition: p,
-		Cuts: &Cuts{Every: 10, Sink: sink}}); err == nil {
+		Cuts: &ckpt.Cuts{Every: 10, Sink: sink}}); err == nil {
 		t.Error("a wide network accepted checkpoints")
 	}
 }

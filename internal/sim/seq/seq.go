@@ -65,19 +65,18 @@ type Config struct {
 	// Tracer, when non-nil, records one evaluate span per timestep.
 	Tracer *trace.Tracer
 
-	// CheckpointEvery, with Checkpoint set, captures a consistent
-	// snapshot at every multiple of this modeled-time interval: the
-	// snapshot at boundary B is taken once the next pending event is
-	// strictly later than B, so state reflects every event <= B and the
-	// pending set is strictly later. Sequential execution is this
-	// repository's definition of the trajectory (every engine must match
-	// its waveform), which is what makes these snapshots consistent cuts
-	// for any engine to restore.
+	// Cuts, when non-nil, has the run cut the whole plane at every
+	// boundary B of ckpt.Cuts's rule, once the next pending event is
+	// strictly later than B. Sequential execution is this repository's
+	// definition of the trajectory, which makes these cuts the oracle
+	// every engine's own are held to.
+	Cuts *ckpt.Cuts
+	// CheckpointEvery, with Checkpoint set, is Cuts in snapshot form: each
+	// cut reaches Checkpoint as a canonical snapshot, and a non-nil error
+	// aborts the run. Snapshots hold scalar values: RunWide neither cuts
+	// nor boots (core rejects those options on a wide run).
 	CheckpointEvery circuit.Tick
-	// Checkpoint receives each captured snapshot; a non-nil error aborts
-	// the run. Snapshots hold scalar values: RunWide neither captures nor
-	// boots (core rejects those options on a wide run).
-	Checkpoint func(*ckpt.State) error
+	Checkpoint      func(*ckpt.State) error
 	// Boot, when non-nil, resumes from a snapshot instead of the
 	// stimulus: value planes are seeded, pending events requeued, and the
 	// time-0 settling pass skipped. Result.Waveform then holds only the
@@ -137,38 +136,23 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	// capture wraps a seed taken at boundary b into the on-disk format,
-	// carrying the boot snapshot's waveform prefix forward.
-	var fp string
-	capture := func(b, endTime circuit.Tick, seed *ckpt.Seed[logic.Value], wave []trace.Sample) error {
-		if fp == "" {
-			fp = ckpt.Fingerprint(c)
-		}
-		st := &ckpt.State{
-			Version: ckpt.Version, Fingerprint: fp,
-			Time: uint64(b), Until: uint64(until), System: uint8(cfg.System),
-			EndTime: uint64(endTime),
-			Vals:    seed.Vals, PrevClk: seed.PrevClk, Projected: seed.Projected,
-			Events:   seed.Events,
-			Waveform: append(make(trace.Waveform, 0, len(wave)), wave...),
-		}
-		if cfg.Boot != nil {
-			st.Waveform = append(append(trace.Waveform(nil), cfg.Boot.Waveform...), wave...)
-			if cfg.Boot.EndTime > st.EndTime {
-				st.EndTime = cfg.Boot.EndTime
-			}
-		}
-		return cfg.Checkpoint(st)
+	cuts, capture := cfg.Cuts, func(cut *ckpt.Cut[logic.Value]) error {
+		cfg.Cuts.Sink(cut)
+		return nil
 	}
-	// nextCk is the first boundary to snapshot; 0 disables capture.
-	var nextCk circuit.Tick
-	if cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
-		nextCk = cfg.CheckpointEvery
-		if cfg.Boot != nil {
-			nextCk = (circuit.Tick(cfg.Boot.Time)/cfg.CheckpointEvery + 1) * cfg.CheckpointEvery
+	if cuts == nil && cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
+		fp := ckpt.Fingerprint(c)
+		cuts, capture = &ckpt.Cuts{Every: cfg.CheckpointEvery}, func(cut *ckpt.Cut[logic.Value]) error {
+			ckpt.SortEvents(cut.Events)
+			return cfg.Checkpoint(&ckpt.State{
+				Version: ckpt.Version, Fingerprint: fp,
+				Time: uint64(cut.Time), Until: uint64(until), System: uint8(cfg.System), EndTime: uint64(cut.EndTime),
+				Vals: cut.Vals, PrevClk: cut.PrevClk, Projected: cut.Projected,
+				Events: cut.Events, Waveform: cut.Waveform,
+			})
 		}
 	}
-	return run(circuit.Scalar, "seq", c, changes, until, cfg, boot, nextCk, capture)
+	return run(circuit.Scalar, "seq", c, changes, until, cfg, boot, cuts, capture)
 }
 
 // RunWide simulates all 64 lanes of the wide stimulus in one pass,
@@ -186,18 +170,17 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
-	return run(circuit.Wide, "seq-wide", c, stim.Changes, until, cfg, nil, 0, nil)
+	return run(circuit.Wide, "seq-wide", c, stim.Changes, until, cfg, nil, nil, nil)
 }
 
 // run is the sequential engine over value type V. changes is a validated
 // schedule already in the run's value domain and engine labels the
 // metrics registry and errors. boot, when non-nil, replaces the stimulus
-// and the time-zero settling pass; nextCk, when non-zero, is the first
-// checkpoint boundary, after which capture receives a seed every
-// cfg.CheckpointEvery.
+// and the time-zero settling pass; cuts, when non-nil, sets the boundaries
+// whose whole-plane cut capture receives.
 func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Seed[V], nextCk circuit.Tick,
-	capture func(b, endTime circuit.Tick, seed *ckpt.Seed[V], wave []trace.SampleT[V]) error) (*ResultT[V], error) {
+	until circuit.Tick, cfg Config, boot *ckpt.Cut[V], cuts *ckpt.Cuts,
+	capture func(*ckpt.Cut[V]) error) (*ResultT[V], error) {
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
@@ -233,14 +216,15 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			q.Push(ev.Time, event[V]{gate: ev.Gate, value: ev.Value})
 		}
 	} else {
+		// Changes past the horizon are queued too: the run never reaches
+		// them, but every cut holds them as pending, so a cut does not
+		// depend on the horizon of the run that took it.
 		for _, ch := range changes {
-			if ch.Time > until {
-				continue
-			}
 			q.Push(uint64(ch.Time), event[V]{gate: ch.Input, value: ch.Value})
 			projected[ch.Input] = ch.Value
 		}
 	}
+	nextCk := ckpt.First(cuts, boot, until)
 
 	res := &ResultT[V]{}
 	if cfg.Profile {
@@ -366,31 +350,14 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		return nil
 	}
 
-	// snapshot captures boundary b — taken the moment the next pending
-	// event is strictly later — by copying the planes and draining and
-	// requeuing the pending set; ResetFloor lets the ascending repush
-	// start below the drain's last pop.
+	// snapshot captures boundary b, taken the moment the next pending
+	// event is strictly later.
 	snapshot := func(b circuit.Tick) error {
-		seed := &ckpt.Seed[V]{
-			Vals:      append([]V(nil), val...),
-			PrevClk:   append([]V(nil), prevClk...),
-			Projected: append([]V(nil), projected...),
-			Events:    make([]ckpt.EventT[V], 0, q.Len()),
-		}
-		var pending []event[V]
-		for {
-			t64, ev, ok := q.PopMin()
-			if !ok {
-				break
-			}
-			seed.Events = append(seed.Events, ckpt.EventT[V]{Time: t64, Gate: ev.gate, Value: ev.value})
-			pending = append(pending, ev)
-		}
-		q.ResetFloor()
-		for i, ev := range pending {
-			q.Push(seed.Events[i].Time, ev)
-		}
-		return capture(b, endTime, seed, trace.Merge(&rec))
+		var events []ckpt.EventT[V]
+		eventq.Each(q, func(t uint64, ev event[V]) {
+			events = append(events, ckpt.EventT[V]{Time: t, Gate: ev.gate, Value: ev.value})
+		})
+		return capture(ckpt.PlaneCut(b, endTime, boot, val, prevClk, projected, events, trace.Merge(&rec)))
 	}
 
 	var runErr error
@@ -406,11 +373,10 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			if t > until {
 				break
 			}
-			for nextCk > 0 && t > nextCk && nextCk <= until {
+			for ; nextCk < t; nextCk = cuts.Next(nextCk, until) {
 				if runErr = snapshot(nextCk); runErr != nil {
 					return
 				}
-				nextCk += cfg.CheckpointEvery
 			}
 			if runErr = step(t, false); runErr != nil {
 				return
@@ -420,6 +386,12 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 					Engine: engine, LP: 0, Phase: "eventq", ModeledTime: t,
 					Kind: supervise.KindCausality, Cause: err,
 				}
+				return
+			}
+		}
+		// The boundaries after the last event inside the horizon.
+		for ; nextCk != ckpt.Never; nextCk = cuts.Next(nextCk, until) {
+			if runErr = snapshot(nextCk); runErr != nil {
 				return
 			}
 		}

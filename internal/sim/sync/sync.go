@@ -72,6 +72,11 @@ type Config struct {
 	// resumed suffix. Checkpoints hold scalar values: RunWide does not
 	// boot (core rejects restore on a wide run).
 	Boot *ckpt.State
+	// Cuts, when non-nil, has the coordinator cut the whole plane at each
+	// checkpoint boundary b, between the last global step at or before b
+	// and the first after it. Checkpoints hold scalar values: RunWide
+	// takes none.
+	Cuts *ckpt.Cuts
 }
 
 // RebalanceConfig parameterizes dynamic load balancing.
@@ -154,6 +159,7 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
+	cfg.Cuts = nil
 	return run(circuit.Wide, "sync-wide", c, stim.Changes, until, cfg, nil)
 }
 
@@ -162,7 +168,7 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 // registry and errors, and boot, when non-nil, replaces the stimulus and
 // the time-zero settling step.
 func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Seed[V]) (*ResultT[V], error) {
+	until circuit.Tick, cfg Config, boot *ckpt.Cut[V]) (*ResultT[V], error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("sync: Config.Partition is required")
 	}
@@ -231,11 +237,11 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	globals := sink.Globals()
 	coord := cfg.Tracer.Shard("coordinator")
 	if boot == nil {
+		// As in the sequential engine, changes past the horizon are queued
+		// too, pending in every cut.
 		for _, ch := range changes {
-			if ch.Time > until {
-				continue
-			}
 			lps[owner[ch.Input]].q.Push(uint64(ch.Time), event[V]{ch.Input, ch.Value})
+			projected[ch.Input] = ch.Value
 		}
 	} else {
 		// Checkpoint events go to the target's owner only: the engine
@@ -471,6 +477,22 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	var endTime circuit.Tick
 	var stepsSinceRebalance uint64
+	nextCk := ckpt.First(cfg.Cuts, boot, until)
+	// cut captures boundary b on the coordinator while every phase helper
+	// is parked: the shared planes, every LP's queue (a rebalanced event
+	// stays in the queue that scheduled it) and every LP's samples.
+	cut := func(b circuit.Tick) {
+		var events []ckpt.EventT[V]
+		recs := make([]*trace.RecorderT[V], numLPs)
+		for i, l := range lps {
+			eventq.Each(l.q, func(t uint64, ev event[V]) {
+				events = append(events, ckpt.EventT[V]{Time: t, Gate: ev.gate, Value: ev.value})
+			})
+			recs[i] = &l.rec
+		}
+		emit := any(cfg.Cuts.Sink).(func(*ckpt.Cut[V]))
+		emit(ckpt.PlaneCut(b, endTime, boot, val, prevClk, projected, events, trace.Merge(recs...)))
+	}
 
 	for {
 		// Reduce the next global time across LP queues.
@@ -486,6 +508,9 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			if pt, ok := l.q.PeekTime(); ok && (!have || pt < next) {
 				next, have = pt, true
 			}
+		}
+		for ; nextCk != ckpt.Never && (!have || circuit.Tick(next) > nextCk); nextCk = cfg.Cuts.Next(nextCk, until) {
+			cut(nextCk)
 		}
 		if !have || circuit.Tick(next) > until {
 			break

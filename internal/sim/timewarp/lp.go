@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/eventq"
 	"repro/internal/metrics"
+	"repro/internal/sim/ckpt"
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/lpnet"
 	"repro/internal/sim/phase"
@@ -96,12 +97,12 @@ type tlp[V comparable] struct {
 	seq         uint64
 	relevant    []circuit.GateID
 
-	// cut is the next checkpoint boundary to capture (lpnet.Never when
+	// cut is the next checkpoint boundary to capture (ckpt.Never when
 	// checkpointing is off or every boundary is taken); held are the cuts
 	// captured speculatively below it that GVT has not yet passed, oldest
 	// first and one per boundary.
 	cut  circuit.Tick
-	held []*lpnet.Cut[V]
+	held []*ckpt.Cut[V]
 
 	curStep      *step[V]
 	handledSince uint64

@@ -189,7 +189,7 @@ type Config struct {
 	// first step past b (again if a rollback undoes that), and handed over
 	// once GVT passes b and no rollback can reach it. Checkpoints hold
 	// scalar values: RunWide takes none.
-	Cuts *lpnet.Cuts
+	Cuts *ckpt.Cuts
 }
 
 // ResultT is the outcome of an optimistic run over value type V.
@@ -337,7 +337,7 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 // the metrics registry and errors, and boot, when non-nil, replaces the
 // stimulus and the time-zero settling step.
 func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Seed[V]) (*ResultT[V], error) {
+	until circuit.Tick, cfg Config, boot *ckpt.Cut[V]) (*ResultT[V], error) {
 	if err := checkDist(cfg); err != nil {
 		return nil, err
 	}
