@@ -244,6 +244,68 @@ func TestKillRestoreVCD(t *testing.T) {
 	}
 }
 
+// TestWideKillRestoreVCD is TestKillRestoreVCD on the 64-lane plane: a
+// killed -wide run leaves its engine's wide checkpoints on disk, and
+// -wide -restore from the last one reproduces the uninterrupted lane-0
+// VCD under every engine. A wide snapshot does not boot a scalar run.
+func TestWideKillRestoreVCD(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-circuit", "ripple8", "-lps", "2", "-wide", "-system", "2", "-q"}
+	golden := filepath.Join(dir, "golden.vcd")
+	if _, stderr, code := run(t, append(base, "-engine", "seq", "-vcd", golden)...); code != 0 {
+		t.Fatalf("golden run failed:\n%s", stderr)
+	}
+	for _, writer := range []string{"seq", "cmb"} {
+		ckptDir := filepath.Join(dir, writer)
+		_, stderr, code := run(t, append(base, "-engine", writer,
+			"-checkpoint-every", "300", "-checkpoint-dir", ckptDir, "-max-events", "9000")...)
+		if code != exitEventLimit {
+			t.Fatalf("%s: interrupted run exited %d, want %d:\n%s", writer, code, exitEventLimit, stderr)
+		}
+		snaps, err := filepath.Glob(filepath.Join(ckptDir, "ckpt-*.json"))
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("%s: kill left no checkpoints behind (err=%v)", writer, err)
+		}
+		sort.Strings(snaps)
+		last := snaps[len(snaps)-1]
+		for _, engine := range []string{"seq", "sync", "cmb", "timewarp"} {
+			restored := filepath.Join(dir, "restored-"+writer+"-"+engine+".vcd")
+			if _, stderr, code := run(t, append(base, "-engine", engine, "-restore", last, "-vcd", restored)...); code != 0 {
+				t.Fatalf("%s -> %s: restore after kill failed:\n%s", writer, engine, stderr)
+			}
+			if readFile(t, restored) != readFile(t, golden) {
+				t.Errorf("%s -> %s: post-kill restore does not reproduce the uninterrupted lane-0 waveform", writer, engine)
+			}
+		}
+		_, stderr, code = run(t, "-circuit", "ripple8", "-engine", "seq", "-system", "2", "-restore", last, "-q")
+		if code != 1 || !strings.Contains(stderr, "wide plane") {
+			t.Errorf("%s: a wide snapshot booting a scalar run exited %d:\n%s", writer, code, stderr)
+		}
+	}
+}
+
+// TestLanesFlag: -lanes is checked by name: it needs -wide and a lane
+// count in [1,64].
+func TestLanesFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-wide", "-lanes", "0"}, "-lanes 0 outside [1,64]"},
+		{[]string{"-wide", "-lanes", "-3"}, "-lanes -3 outside [1,64]"},
+		{[]string{"-wide", "-lanes", "65"}, "-lanes 65 outside [1,64]"},
+		{[]string{"-lanes", "8"}, "-lanes requires -wide"},
+	} {
+		_, stderr, code := run(t, append([]string{"-circuit", "c17", "-q"}, tc.args...)...)
+		if code != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, want 1 naming %q:\n%s", tc.args, code, tc.want, stderr)
+		}
+	}
+	if _, stderr, code := run(t, "-circuit", "c17", "-wide", "-lanes", "8", "-q"); code != 0 {
+		t.Errorf("-wide -lanes 8 failed (%d):\n%s", code, stderr)
+	}
+}
+
 // TestRejectedRunsWriteNoCheckpoints: a configuration the run refuses
 // exits 1 before any work, leaving no checkpoint behind. The oblivious
 // engine is cycle-based and has no event cut to write or resume from.
@@ -482,8 +544,9 @@ func TestOptPreservesOutputsVCD(t *testing.T) {
 // classified.
 func TestAdaptFlagMatrix(t *testing.T) {
 	t.Run("rejects-wide", func(t *testing.T) {
-		// The -wide exclusions that remain all need a wide checkpoint or
-		// wire format; each must exit 1 and name the conflict.
+		// What -wide still refuses: a snapshot of the other plane or
+		// logic system, and a fleet, whose wire message carries one scalar
+		// value. Each must exit 1 and name the conflict.
 		dir := t.TempDir()
 		if _, stderr, code := run(t, "-circuit", "ripple8", "-engine", "seq",
 			"-checkpoint-every", "400", "-checkpoint-dir", dir, "-q"); code != 0 {
@@ -493,19 +556,54 @@ func TestAdaptFlagMatrix(t *testing.T) {
 		if len(snaps) == 0 {
 			t.Fatal("no checkpoint to restore from")
 		}
-		for _, extra := range [][]string{
-			{"-adapt"},
-			{"-restore", snaps[0]},
-			{"-checkpoint-every", "400", "-checkpoint-dir", dir},
-			{"-dist", "2"},
+		for _, tc := range []struct {
+			extra []string
+			want  string
+		}{
+			{[]string{"-restore", snaps[0]}, "scalar plane under 9-valued logic cannot boot a wide run under 2-valued logic"},
+			{[]string{"-dist", "2"}, "-wide"},
 		} {
 			_, stderr, code := run(t, append([]string{
-				"-circuit", "ripple8", "-engine", "cmb", "-wide", "-system", "2", "-q"}, extra...)...)
+				"-circuit", "ripple8", "-engine", "cmb", "-wide", "-system", "2", "-q"}, tc.extra...)...)
 			if code != 1 {
-				t.Errorf("%s -wide: exit code %d, want 1", extra[0], code)
+				t.Errorf("%s -wide: exit code %d, want 1", tc.extra[0], code)
 			}
-			if !strings.Contains(stderr, "-wide") {
-				t.Errorf("%s: stderr does not explain the -wide conflict:\n%s", extra[0], stderr)
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("%s: stderr does not name %q:\n%s", tc.extra[0], tc.want, stderr)
+			}
+		}
+	})
+	t.Run("composes-with-wide", func(t *testing.T) {
+		// -wide adapts and checkpoints through the scalar path: the run
+		// exits 0 with the static run's lane-0 waveform and writes the
+		// static run's checkpoints.
+		dir := t.TempDir()
+		base := []string{"-circuit", "ripple8", "-lps", "2", "-wide", "-system", "2", "-checkpoint-every", "400"}
+		static, adapted := filepath.Join(dir, "static.vcd"), filepath.Join(dir, "adapted.vcd")
+		if _, stderr, code := run(t, append(base, "-engine", "seq", "-q", "-vcd", static,
+			"-checkpoint-dir", filepath.Join(dir, "static"))...); code != 0 {
+			t.Fatalf("static wide run failed:\n%s", stderr)
+		}
+		stdout, stderr, code := run(t, append(base, "-engine", "cmb", "-vcd", adapted, "-checkpoint-dir", filepath.Join(dir, "adapted"),
+			"-adapt-spec", `{"every":300,"no_switch":true,"no_rebalance":true,`+
+				`"script":[{"round":0,"kind":"switch","to":"timewarp"},{"round":1,"kind":"switch","to":"sync"}]}`)...)
+		if code != 0 {
+			t.Fatalf("-wide -adapt failed:\n%s", stderr)
+		}
+		if !strings.Contains(stdout, "final-engine=sync") {
+			t.Errorf("stdout missing the final engine:\n%s", stdout)
+		}
+		if readFile(t, adapted) != readFile(t, static) {
+			t.Error("-wide -adapt changed the lane-0 waveform")
+		}
+		want, _ := filepath.Glob(filepath.Join(dir, "static", "ckpt-*.json"))
+		got, _ := filepath.Glob(filepath.Join(dir, "adapted", "ckpt-*.json"))
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%d adaptive checkpoints, the static run wrote %d", len(got), len(want))
+		}
+		for i := range want {
+			if readFile(t, got[i]) != readFile(t, want[i]) {
+				t.Errorf("%s differs from the static run's", filepath.Base(got[i]))
 			}
 		}
 	})

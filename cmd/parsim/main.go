@@ -159,9 +159,9 @@ func main() {
 	if *fullCopy {
 		stateSaving = timewarp.FullCopy
 	}
-	var restored *ckpt.State
+	var restored ckpt.Snapshot
 	if *restore != "" {
-		restored, err = ckpt.ReadFile(*restore)
+		restored, err = ckpt.Load(*restore)
 		fatal(err)
 	}
 
@@ -189,6 +189,12 @@ func main() {
 	if *distShards == 0 && (*distMesh || *ckptDelta) {
 		fatal(fmt.Errorf("-dist-mesh and -ckpt-delta require -dist"))
 	}
+	if set["lanes"] && !*wide {
+		fatal(fmt.Errorf("-lanes requires -wide"))
+	}
+	if *lanes < 1 || *lanes > logic.Lanes {
+		fatal(fmt.Errorf("-lanes %d outside [1,%d]", *lanes, logic.Lanes))
+	}
 	if *distShards > 0 {
 		// What a fleet cannot honour is refused by name; every other flag
 		// reaches the hub or the workers.
@@ -196,7 +202,7 @@ func main() {
 			given     bool
 			flag, why string
 		}{
-			{*wide, "-wide", "the wire format carries scalar values"},
+			{*wide, "-wide", "the wire message carries one scalar value"},
 			{*adaptive, "-adapt", "the controllers migrate one process's run through its own checkpoints"},
 			{*faultPanicLP >= 0 || *faultHangLP >= 0 || *faultBias > 0, "in-process -fault-* injection", "use -dist-chaos-*"},
 			{*traceOut != "", "-trace-out", "per-shard timelines are not merged into one trace"},
@@ -207,6 +213,8 @@ func main() {
 				fatal(fmt.Errorf("-dist does not support %s: %s", r.flag, r.why))
 			}
 		}
+		boot, err := ckpt.As[logic.Value](restored, sys)
+		fatal(err)
 		runDist(dist.Options{
 			Shards: *distShards, Engine: *engineName,
 			Bench: spec.Bench, Circuit: spec.Circuit, FineDelays: spec.FineDelays, Seed: spec.Seed,
@@ -215,7 +223,7 @@ func main() {
 			LPs: *lps, Partition: *partName, PartitionSeed: spec.PartitionSeed, System: sys,
 			Queue: queue, Window: *window, Cancellation: cancellation, StateSaving: stateSaving,
 			HistoryLimit: *histLimit, MaxEvents: *maxEvents, HangTimeout: *watchdog,
-			Restore: restored, CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
+			Restore: boot, CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
 			Restarts: *distRestarts, Fallback: *fallback,
 			HeartbeatTimeout: *distHBTimeout, HeartbeatEvery: *distHBEvery,
 			Network: *distNetwork, Mesh: *distMesh, CkptDelta: *ckptDelta,
@@ -251,18 +259,8 @@ func main() {
 		opts.CheckpointDir = *ckptDir
 	}
 	if *wide {
-		// The nine-valued system does not fit a lane, and the checkpoint
-		// format stores scalar values (core.SimulateWide is the authority
-		// on the latter; these name the flag).
-		switch {
-		case sys == logic.NineValued:
+		if sys == logic.NineValued {
 			fatal(fmt.Errorf("-wide needs -system 2 or 4: nine-valued signals do not pack into two-bit lanes"))
-		case restored != nil:
-			fatal(fmt.Errorf("-wide does not support -restore: the checkpoint format stores scalar values"))
-		case *ckptEvery > 0:
-			fatal(fmt.Errorf("-wide does not support -checkpoint-every: the checkpoint format stores scalar values"))
-		case *adaptive:
-			fatal(fmt.Errorf("-adapt does not support -wide: the controllers drive the scalar engines' checkpoint/restart path"))
 		}
 		spec.Lanes = *lanes
 	}
@@ -321,15 +319,7 @@ func runScalar(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet 
 	c := run.Circuit
 	rep, err := core.Run(run, opts)
 	fatal(err)
-
-	if a := rep.Adapt; a != nil && !quiet {
-		fmt.Printf("adapt: segments=%d switches=%d rebalances=%d window-changes=%d final-engine=%s final-window=%d committed=%v\n",
-			a.Segments, a.EngineSwitches, a.Rebalances, a.WindowChanges, a.FinalEngine, a.FinalWindow, a.Committed)
-		for _, d := range a.Decisions {
-			fmt.Printf("adapt: %s\n", d)
-		}
-	}
-	printSupervision(rep.Supervision, quiet)
+	printControl(rep.Adapt, rep.Supervision, quiet)
 
 	model := stats.DefaultCostModel()
 	fmt.Printf("engine=%s lps=%d modeled=%.2fms wall=%v\n",
@@ -359,15 +349,12 @@ func runScalar(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet 
 // gate operation, and reports it; -vcd holds lane 0.
 func runWide(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet bool) *metrics.Report {
 	c := run.Circuit
-	start := time.Now()
 	rep, err := core.RunWide(run, opts)
 	fatal(err)
-	wall := time.Since(start)
-	printSupervision(rep.Supervision, quiet)
+	printControl(rep.Adapt, rep.Supervision, quiet)
 
 	fmt.Printf("engine=%s-wide lps=%d lanes=%d vectors=%d vectors/s=%.0f wall=%v\n",
-		opts.Engine, rep.Processors, rep.Lanes, rep.Vectors, rep.VectorsPerSec,
-		wall.Round(10*time.Microsecond))
+		opts.Engine, rep.Processors, rep.Lanes, rep.Vectors, rep.VectorsPerSec, rep.Stats.Wall.Round(10))
 	if !quiet {
 		if opts.Engine != core.EngineSeq {
 			fmt.Printf("counters: %s\n", rep.Stats.Summary(stats.DefaultCostModel()))
@@ -382,7 +369,7 @@ func runWide(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet bo
 		init := func(g circuit.GateID) logic.Value {
 			return opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
 		}
-		writeVCD(vcdPath, c, rep.Waveform.Lane(0, init), "lane-0 waveform", quiet)
+		writeVCD(vcdPath, c, trace.WideWaveform(rep.Waveform).Lane(0, init), "lane-0 waveform", quiet)
 	}
 	return rep.Metrics
 }
@@ -426,9 +413,20 @@ func writeMetrics(path string, rep *metrics.Report, st *opt.Stats, quiet bool) {
 	}
 }
 
-// printSupervision reports what the supervision layer did, if it ran.
-func printSupervision(s *core.SupervisionReport, quiet bool) {
-	if s == nil || quiet {
+// printControl reports what the adaptive supervisor and the supervision
+// layer did, if they ran.
+func printControl(a *core.AdaptReport, s *core.SupervisionReport, quiet bool) {
+	if quiet {
+		return
+	}
+	if a != nil {
+		fmt.Printf("adapt: segments=%d switches=%d rebalances=%d window-changes=%d final-engine=%s final-window=%d committed=%v\n",
+			a.Segments, a.EngineSwitches, a.Rebalances, a.WindowChanges, a.FinalEngine, a.FinalWindow, a.Committed)
+		for _, d := range a.Decisions {
+			fmt.Printf("adapt: %s\n", d)
+		}
+	}
+	if s == nil {
 		return
 	}
 	fmt.Printf("supervision: final-engine=%s recoveries=%d fallbacks=%d\n", s.FinalEngine, s.Recoveries, s.Fallbacks)

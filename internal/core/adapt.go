@@ -5,13 +5,11 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/sim/adapt"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vectors"
 )
 
 // AdaptReport records what the adaptive supervisor did: the decision
@@ -58,12 +56,15 @@ type AdaptReport struct {
 // rides inside the optimistic engines, observing once per GVT round, and
 // its adapted window carries across segments.
 //
-// The waveform is the concatenation of the restore prefix and each
-// segment's recorded suffix — bit-identical to a static run under any
+// The waveform is the concatenation of each segment's recorded suffix,
+// behind the restore prefix simulateOn splices on — bit-identical to a
+// static run under any
 // decision sequence, because adaptation changes when things execute,
 // never what is computed. Note that MaxEvents bounds each segment
-// individually, not the whole job.
-func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
+// individually, not the whole job. Both value planes adapt alike: a wide
+// segment boots from the previous wide segment's cut.
+func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], error) {
+	c := j.c
 	if !opts.Engine.Parallel() {
 		return nil, fmt.Errorf("core: adaptive control requires a parallel engine (got %v)", opts.Engine)
 	}
@@ -97,17 +98,17 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 	engine := opts.Engine
 	weights := opts.Weights
 	baseWindow := opts.Window
-	cur := opts.Restore // boundary state feeding the next segment
+	cur := j.boot // boundary state feeding the next segment
 	boundary := uint64(0)
 	if cur != nil {
 		boundary = cur.Time
 	}
 
-	master := metrics.NewRegistry(engine.String())
+	master := metrics.NewRegistry(engine.String() + j.eng.suffix)
 	wallStart := time.Now()
 	var (
-		wave       trace.Waveform
-		values     []logic.Value
+		wave       trace.WaveformT[V]
+		values     []V
 		endTime    circuit.Tick
 		modeled    float64
 		procs      int
@@ -123,12 +124,6 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		coneCount = opts.prebuiltCones
 	)
 	opts.prebuilt = nil
-	if cur != nil {
-		wave = cur.Prefix()
-		if end := circuit.Tick(cur.EndTime); end > endTime {
-			endTime = end
-		}
-	}
 
 	for {
 		// Segment horizon: the next multiple of the cadence, or the full
@@ -148,7 +143,6 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		o.Engine = engine
 		o.Window = baseWindow
 		o.Weights = weights
-		o.Restore = cur
 		o.Adapt = nil
 		o.winCtl = winCtl
 		if !last {
@@ -165,19 +159,15 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 			}
 		}
 		o.prebuilt, o.prebuiltCones = part, coneCount
-		segReg := metrics.NewRegistry(engine.String())
+		segReg := metrics.NewRegistry(engine.String() + j.eng.suffix)
 		if opts.PProfLabels {
 			segReg.EnablePProf()
 		}
 		o.Metrics = segReg
 
-		var rep *Report
-		var err error
-		if o.Supervise != nil {
-			rep, err = simulateSupervised(&scalarEngines, c, stim, segEnd, o)
-		} else {
-			rep, err = simulateOnce(&scalarEngines, c, stim, segEnd, o, 0)
-		}
+		seg := *j
+		seg.boot = cur
+		rep, err := seg.run(segEnd, o)
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +295,7 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		FinalEngine:    engine,
 		Committed:      committed,
 	}
-	master.SetLabel("engine", engine.String())
+	master.SetLabel("engine", engine.String()+j.eng.suffix)
 	master.SetLabel("adaptive", "on")
 	master.SetLabel("lps", fmt.Sprint(procs))
 	master.SetGauge("adapt_segments", float64(segments))
@@ -329,7 +319,7 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 		master.SetGauge("supervise_fallbacks", float64(srep.Fallbacks))
 	}
 
-	rep := &Report{
+	rep := &ReportT[V]{
 		Engine:      opts.Engine,
 		Values:      values,
 		Waveform:    wave,
@@ -353,7 +343,7 @@ func simulateAdaptive(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.
 
 // segmentSample condenses one finished segment into the per-segment
 // observation the boundary controllers consume.
-func segmentSample(round int, engine Engine, rep *Report, reg *metrics.Registry) adapt.Sample {
+func segmentSample[V comparable](round int, engine Engine, rep *ReportT[V], reg *metrics.Registry) adapt.Sample {
 	tot := reg.Totals()
 	perLP := make([]uint64, reg.NumLPs())
 	for i := range perLP {

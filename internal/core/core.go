@@ -174,11 +174,13 @@ type Options struct {
 	CheckpointEvery circuit.Tick
 	// CheckpointDir is the directory receiving ckpt-<time>.json files.
 	CheckpointDir string
-	// Restore, when non-nil, resumes the run from a checkpoint: engine
-	// state is seeded from the snapshot and the report's waveform is the
-	// checkpoint prefix plus the resumed suffix — bit-identical to an
-	// uninterrupted run. The oblivious engine does not support it.
-	Restore *ckpt.State
+	// Restore, when non-nil, resumes the run from a checkpoint of the
+	// run's value plane (a *ckpt.State for Simulate, a *ckpt.WideState for
+	// SimulateWide; ckpt.Load reads either): engine state is seeded from
+	// the snapshot and the report's waveform is the checkpoint prefix plus
+	// the resumed suffix — bit-identical to an uninterrupted run. The
+	// oblivious engine does not support it.
+	Restore ckpt.Snapshot
 
 	// Adapt, when non-nil, runs the job under closed-loop adaptive
 	// control: an AIMD optimism-window controller inside the optimistic
@@ -206,9 +208,6 @@ type Options struct {
 	// seam makes the run one shard of a fleet (set by RunShard): the
 	// asynchronous engines execute only the LPs it maps to this process.
 	seam *wire.Seam
-	// cuts has the shard's engine hand its own checkpoints to the
-	// worker's writer (set by RunShard).
-	cuts *ckpt.Cuts
 	// cutEvery and cutUntil, set by the adaptive supervisor on a probing
 	// segment, are the cut cadence and the whole run's horizon.
 	cutEvery, cutUntil circuit.Tick
@@ -285,32 +284,23 @@ type ReportT[V comparable] struct {
 	// Adapt, when the run was adaptive, records every controller
 	// decision and the final operating point.
 	Adapt *AdaptReport
+	// Lanes, on a wide run, is the meaningful lane count, copied from the
+	// stimulus; Vectors is the number of stimulus vectors the run
+	// consumed, lanes times distinct stimulus boundaries; VectorsPerSec is
+	// Vectors over Stats.Wall, the headline wide-throughput figure.
+	Lanes         int
+	Vectors       uint64
+	VectorsPerSec float64
 	// cut is the last boundary the engine cut (a probing segment's end).
-	cut *ckpt.State
+	cut *ckpt.StateT[V]
 }
 
 // Report is the outcome of a scalar run.
 type Report = ReportT[logic.Value]
 
-// WideReport is the outcome of a wide (64-lane) run.
-type WideReport struct {
-	Engine   Engine
-	Values   []logic.Word
-	Waveform trace.WideWaveform
-	EndTime  circuit.Tick
-	// Lanes is the meaningful lane count, copied from the stimulus.
-	Lanes int
-	// Vectors is the total number of stimulus vectors the run consumed:
-	// lanes times distinct stimulus boundaries.
-	Vectors uint64
-	// VectorsPerSec is Vectors divided by the run's wall-clock time — the
-	// headline wide-throughput figure.
-	VectorsPerSec float64
-	Stats         stats.RunStats
-	Processors    int
-	Metrics       *metrics.Report
-	Supervision   *SupervisionReport
-}
+// WideReport is the outcome of a wide (64-lane) run; its Waveform
+// converts to trace.WideWaveform.
+type WideReport = ReportT[logic.Word]
 
 // SpeedupOver computes this run's modeled speedup over a sequential
 // baseline report.
@@ -327,16 +317,16 @@ func (r *ReportT[V]) SpeedupOver(baseline *ReportT[V], m stats.CostModel) float6
 
 // engines is one value plane as core sees it: the plane descriptor, the
 // suffix its engine labels carry, and every engine's entry point on it,
-// over the plane's stimulus type S. simulateOnce dispatches through it, so
+// over the plane's stimulus type S. job.once dispatches through it, so
 // the engine switch is written once for both planes.
 type engines[S any, V comparable] struct {
 	plane     *circuit.Plane[V]
 	suffix    string
-	seq       func(*circuit.Circuit, S, circuit.Tick, seq.Config) (*seq.ResultT[V], error)
+	seq       func(*circuit.Circuit, S, circuit.Tick, seq.ConfigT[V]) (*seq.ResultT[V], error)
 	oblivious func(*circuit.Circuit, S, oblivious.Config) (*oblivious.ResultT[V], error)
-	sync      func(*circuit.Circuit, S, circuit.Tick, sync.Config) (*sync.ResultT[V], error)
-	cmb       func(*circuit.Circuit, S, circuit.Tick, cmb.Config) (*cmb.ResultT[V], error)
-	timewarp  func(*circuit.Circuit, S, circuit.Tick, timewarp.Config) (*timewarp.ResultT[V], error)
+	sync      func(*circuit.Circuit, S, circuit.Tick, sync.ConfigT[V]) (*sync.ResultT[V], error)
+	cmb       func(*circuit.Circuit, S, circuit.Tick, cmb.ConfigT[V]) (*cmb.ResultT[V], error)
+	timewarp  func(*circuit.Circuit, S, circuit.Tick, timewarp.ConfigT[V]) (*timewarp.ResultT[V], error)
 }
 
 var scalarEngines = engines[*vectors.Stimulus, logic.Value]{
@@ -366,18 +356,19 @@ func (eng *engines[S, V]) resolve(opts Options) (Options, error) {
 	return opts, nil
 }
 
-// simulateOnce runs the selected engine exactly once. hangTimeout arms the
+// once runs the selected engine exactly once. hangTimeout arms the
 // asynchronous engines' progress watchdog; zero leaves it off. A panic on
 // the calling goroutine (the serial engines run there) is recovered into a
 // structured SimError, completing panic isolation for every engine.
-func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *ReportT[V], err error) {
+func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Duration) (rep *ReportT[V], err error) {
+	eng, c, stim, boot := j.eng, j.c, j.stim, j.boot
 	label := opts.Engine.String() + eng.suffix
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, supervise.FromPanic(label, -1, "run", 0, r)
 		}
 	}()
-	if opts.Engine == EngineOblivious && (opts.Restore != nil || opts.CheckpointEvery > 0) {
+	if opts.Engine == EngineOblivious && (boot != nil || opts.CheckpointEvery > 0) {
 		return nil, fmt.Errorf("core: the oblivious engine is cycle-based: it has no event cut to resume from or checkpoint")
 	}
 	sink := opts.Metrics
@@ -398,7 +389,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 	// The engine cuts its own checkpoints. A fleet worker brings the
 	// shard's writer; otherwise this run's writer stitches the cuts,
 	// writes the multiples of CheckpointEvery and keeps the last boundary.
-	cuts, every, dir := opts.cuts, opts.cutEvery, opts.CheckpointDir
+	cuts, every, dir := j.cuts, opts.cutEvery, opts.CheckpointDir
 	if opts.CheckpointEvery == 0 {
 		dir = ""
 	}
@@ -412,10 +403,10 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 			}
 			return fmt.Sprintf("ckpt-%08d.json", t)
 		}
-		w := ckpt.NewWriter(dir, name, len(c.Gates), len(c.Gates), false, ckpt.State{
+		w := ckpt.NewWriter(dir, name, len(c.Gates), len(c.Gates), false, ckpt.StateT[V]{
 			Fingerprint: ckpt.Fingerprint(c), Until: uint64(max(until, opts.cutUntil)), System: uint8(opts.System),
 		})
-		cuts = &ckpt.Cuts{Every: every, Sink: w.Put}
+		cuts = &ckpt.Cuts[V]{Every: every, Sink: w.Put}
 		defer func() {
 			if _, werr := w.Finish(); werr != nil && err == nil {
 				rep, err = nil, werr
@@ -430,9 +421,9 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 	start := time.Now()
 	switch opts.Engine {
 	case EngineSeq:
-		res, err := eng.seq(c, stim, until, seq.Config{
+		res, err := eng.seq(c, stim, until, seq.ConfigT[V]{
 			System: opts.System, Queue: opts.Queue, Watch: opts.Watch, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore, Cuts: cuts,
+			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -455,10 +446,10 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		rep.Stats = res.Stats
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineSync:
-		res, err := eng.sync(c, stim, until, sync.Config{
+		res, err := eng.sync(c, stim, until, sync.ConfigT[V]{
 			Partition: part, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, Cost: opts.Cost, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: opts.Restore, Cuts: cuts,
+			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -474,11 +465,11 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		case EngineCMBDetect:
 			mode = cmb.DeadlockRecovery
 		}
-		res, err := eng.cmb(c, stim, until, cmb.Config{
+		res, err := eng.cmb(c, stim, until, cmb.ConfigT[V]{
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, Boot: opts.Restore, Sweep: sweep, Dist: opts.seam, Cuts: cuts,
+			HangTimeout: hangTimeout, Boot: boot, Sweep: sweep, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -496,13 +487,13 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 		case EngineHybrid:
 			intra = opts.IntraWorkers
 		}
-		res, err := eng.timewarp(c, stim, until, timewarp.Config{
+		res, err := eng.timewarp(c, stim, until, timewarp.ConfigT[V]{
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
 			Window: opts.Window, IntraWorkers: intra, Cost: opts.Cost,
 			System: opts.System, Queue: opts.Queue,
 			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
-			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: opts.Restore,
+			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: boot,
 			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
@@ -542,7 +533,7 @@ func simulateOnce[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, s
 
 // buildPartition derives the gate→LP assignment an engine run will use
 // (nil for the serial engines): the one a prepared run brought, else
-// pipeline's construction from the options. Shared between simulateOnce
+// pipeline's construction from the options. Shared between job.once
 // and the adaptive rebalancer, which needs the same assignment to
 // translate per-LP utilization into per-gate weights.
 func buildPartition(c *circuit.Circuit, opts Options) (*partition.Partition, int, error) {

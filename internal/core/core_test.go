@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -10,8 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
-	"repro/internal/sim/adapt"
-	"repro/internal/sim/ckpt"
+	"repro/internal/simtest"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -214,25 +214,63 @@ func TestInvalidStimulusRejectedByEveryEngine(t *testing.T) {
 	}
 }
 
-// TestWideExclusions pins the wide exclusions that remain, all of which
-// need a wide checkpoint format: core is the one site that rejects them.
+// TestWideExclusions pins the plane check of a restore snapshot: a
+// snapshot boots only a run on its own plane, and the refusal names both
+// planes and both logic systems. Everything else a scalar run takes — its
+// own checkpoints, restore and adaptive control — a wide run takes too
+// (see cut_test.go).
 func TestWideExclusions(t *testing.T) {
 	c, err := gen.RippleAdder(4, gen.Unit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 3, Period: 20, Activity: 0.5, Seed: 1}, 8, logic.TwoValued)
+	ws, lanes, err := vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 3, Period: 20, Activity: 0.5, Seed: 1}, 8, logic.TwoValued)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]Options{
-		"restore":    {Restore: &ckpt.State{}},
-		"checkpoint": {CheckpointEvery: 10, CheckpointDir: t.TempDir()},
-		"adapt":      {Adapt: &adapt.Spec{}},
-	} {
-		opts.Engine = EngineCMB
-		if _, err := SimulateWide(c, ws, WideHorizon(c, ws), opts); err == nil {
-			t.Errorf("wide run with %s accepted", name)
+	until := WideHorizon(c, ws)
+	nine, err := simtest.ShadowStates(c, lanes[0], until, 20, logic.NineValued, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := simtest.WideShadowStates(c, ws, until, 20, logic.TwoValued, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = SimulateWide(c, ws, until, Options{Engine: EngineCMB, System: logic.TwoValued, Restore: nine[0]})
+	if err == nil || !strings.Contains(err.Error(), "scalar plane under 9-valued") || !strings.Contains(err.Error(), "wide run under 2-valued") {
+		t.Errorf("a 9-valued scalar snapshot booting a 2-valued wide run: %v", err)
+	}
+	_, err = Simulate(c, lanes[0], until, Options{Engine: EngineCMB, System: logic.TwoValued, Restore: wide[0]})
+	if err == nil || !strings.Contains(err.Error(), "wide plane under 2-valued") || !strings.Contains(err.Error(), "scalar run under 2-valued") {
+		t.Errorf("a wide snapshot booting a scalar run: %v", err)
+	}
+}
+
+// TestVectorsPerSecOnWall pins the one clock of a wide run's throughput:
+// VectorsPerSec, and the vectors_per_sec gauge, are Vectors over
+// Stats.Wall, the engine call as core times it for every engine.
+func TestVectorsPerSecOnWall(t *testing.T) {
+	c, err := gen.RippleAdder(4, gen.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := vectors.RandomBatch(c, vectors.RandomConfig{Vectors: 5, Period: 20, Activity: 0.5, Seed: 1}, 8, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Engine{EngineSeq, EngineCMB} {
+		rep, err := SimulateWide(c, ws, WideHorizon(c, ws), Options{Engine: e, LPs: 2, System: logic.TwoValued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Vectors == 0 || rep.Stats.Wall <= 0 {
+			t.Fatalf("%v: vectors=%d wall=%v", e, rep.Vectors, rep.Stats.Wall)
+		}
+		want := float64(rep.Vectors) / rep.Stats.Wall.Seconds()
+		if rep.VectorsPerSec != want || rep.Metrics.Gauges["vectors_per_sec"] != want {
+			t.Errorf("%v: vectors/s %v, gauge %v; vectors over Stats.Wall is %v",
+				e, rep.VectorsPerSec, rep.Metrics.Gauges["vectors_per_sec"], want)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim/seq"
 	"repro/internal/simtest"
 	"repro/internal/trace"
+	"repro/internal/vectors"
 )
 
 // cutWorkloads are the in-process cut-equivalence inputs: a fine-delay
@@ -136,6 +137,7 @@ func (r *cutRef) checkRestore(t *testing.T, path string, e Engine) {
 // and at every boundary the sequential shadow takes — the boundaries
 // after the last event too — the file is byte-identical to the shadow's
 // snapshot and restores to the golden VCD.
+// The wide arm (wideCutArm) holds the 64-lane plane to the same rule.
 func TestInProcessCutsMatchShadow(t *testing.T) {
 	engines := []Engine{EngineSeq, EngineSync, EngineCMB, EngineCMBDemand, EngineCMBDetect,
 		EngineTimeWarp, EngineTimeWarpLazy, EngineHybrid}
@@ -159,6 +161,129 @@ func TestInProcessCutsMatchShadow(t *testing.T) {
 				}
 			})
 		}
+	}
+	wideCutArm(t)
+}
+
+// wideCutRef is cutRef on the 64-lane plane: the uninterrupted wide run's
+// waveform and the wide sequential shadow's snapshots.
+type wideCutRef struct {
+	run    *pipeline.Prepared
+	every  circuit.Tick
+	golden trace.WaveformT[logic.Word]
+	shadow []*ckpt.WideState
+}
+
+// wideSpec is a cut workload on 8 four-valued lanes.
+func wideSpec(spec pipeline.Spec) pipeline.Spec {
+	spec.Lanes, spec.System = 8, logic.FourValued
+	return spec
+}
+
+func newWideCutRef(t *testing.T, spec pipeline.Spec) *wideCutRef {
+	t.Helper()
+	run, err := pipeline.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &wideCutRef{run: run, every: max(run.Until/9, 1)}
+	res, err := seq.RunWide(run.Circuit, run.WideStim, run.Until, seq.WideConfig{System: logic.FourValued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.golden = res.Waveform
+	r.shadow, err = simtest.WideShadowStates(run.Circuit, run.WideStim, run.Until, r.every, logic.FourValued, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.shadow) < 3 {
+		t.Fatalf("only %d shadow boundaries", len(r.shadow))
+	}
+	return r
+}
+
+// checkFiles requires the checkpoint files in dir to be exactly the wide
+// shadow's snapshots, byte for byte.
+func (r *wideCutRef) checkFiles(t *testing.T, dir string) {
+	t.Helper()
+	names := snapshots(t, dir)
+	if len(names) != len(r.shadow) {
+		t.Fatalf("%d checkpoints, the shadow takes %d", len(names), len(r.shadow))
+	}
+	for i, want := range r.shadow {
+		got, err := os.ReadFile(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ckpt.Write(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Errorf("%s differs from the wide shadow's snapshot at %d", filepath.Base(names[i]), want.Time)
+		}
+	}
+}
+
+// checkWave requires a wide waveform to equal the uninterrupted run's in
+// every lane.
+func (r *wideCutRef) checkWave(t *testing.T, what string, got trace.WaveformT[logic.Word]) {
+	t.Helper()
+	init := func(g circuit.GateID) logic.Value {
+		return logic.FourValued.Project(circuit.InitialValue(r.run.Circuit.Gates[g].Kind))
+	}
+	for k := 0; k < r.run.WideStim.Lanes; k++ {
+		want := trace.WideWaveform(r.golden).Lane(k, init)
+		if d := trace.Diff(want, trace.WideWaveform(got).Lane(k, init), 4); d != "" {
+			t.Errorf("%s: lane %d differs from the uninterrupted run:\n%s", what, k, d)
+			return
+		}
+	}
+}
+
+// wideCutEngines are the engines the wide arm cuts and restores under.
+var wideCutEngines = []Engine{EngineSeq, EngineSync, EngineCMB, EngineTimeWarp}
+
+// wideCutArm is TestInProcessCutsMatchShadow's wide arm: on 8 lanes of
+// the DAG and flip-flop workloads, every engine writes exactly the wide
+// shadow's snapshots, and each one, read back by ckpt.Load as -restore
+// reads it, restores every engine to the uninterrupted run, lane for lane.
+func wideCutArm(t *testing.T) {
+	for _, w := range cutWorkloads[:2] {
+		ref := newWideCutRef(t, wideSpec(w.spec))
+		for _, e := range wideCutEngines {
+			t.Run("wide-"+w.name+"/"+e.String(), func(t *testing.T) {
+				dir := t.TempDir()
+				rep, err := RunWide(ref.run, Options{
+					Engine: e, System: logic.FourValued, CheckpointEvery: ref.every, CheckpointDir: dir,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.checkWave(t, "checkpointed run", rep.Waveform)
+				ref.checkFiles(t, dir)
+			})
+		}
+		t.Run("wide-"+w.name+"/restore", func(t *testing.T) {
+			dir := t.TempDir()
+			for _, st := range ref.shadow {
+				path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.json", st.Time))
+				if err := ckpt.WriteFile(path, st); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := ckpt.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range wideCutEngines {
+					rep, err := RunWide(ref.run, Options{Engine: e, System: logic.FourValued, Restore: snap})
+					if err != nil {
+						t.Fatalf("%s does not restore under %v: %v", filepath.Base(path), e, err)
+					}
+					ref.checkWave(t, fmt.Sprintf("%s restored under %v", filepath.Base(path), e), rep.Waveform)
+				}
+			}
+		})
 	}
 }
 
@@ -206,6 +331,60 @@ func TestAdaptiveCutsMatchShadow(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAdaptiveWide: a scripted adaptive run on 8 lanes migrates cmb ->
+// timewarp -> sync, every segment booting from the previous segment
+// engine's own wide cut. Every lane equals a scalar sequential run of that
+// lane's stimulus, and the checkpoint files are the wide shadow's.
+func TestAdaptiveWide(t *testing.T) {
+	c, _, _ := workload(t)
+	ws, lanes, err := vectors.ClockedBatch(c, vectors.ClockedConfig{Clock: "clk", Cycles: 12, HalfPeriod: 60, Activity: 0.5, Seed: 3}, 8, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := WideHorizon(c, ws)
+	every := until / 9
+	dir := t.TempDir()
+	rep, err := SimulateWide(c, ws, until, Options{
+		Engine: EngineCMB, LPs: 3, System: logic.TwoValued,
+		CheckpointEvery: every, CheckpointDir: dir,
+		Adapt: &adapt.Spec{
+			Every: uint64(every), NoSwitch: true, NoRebalance: true, NoWindow: true,
+			Script: []adapt.Decision{
+				{Round: 0, Kind: adapt.KindSwitch, To: "timewarp"},
+				{Round: 1, Kind: adapt.KindSwitch, To: "sync"},
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Adapt.EngineSwitches != 2 || rep.Adapt.FinalEngine != EngineSync {
+		t.Fatalf("switches=%d final=%v, want 2 ending on sync", rep.Adapt.EngineSwitches, rep.Adapt.FinalEngine)
+	}
+	t.Logf("%d segments, %d samples", rep.Adapt.Segments, len(rep.Waveform))
+	init := func(g circuit.GateID) logic.Value {
+		return logic.TwoValued.Project(circuit.InitialValue(c.Gates[g].Kind))
+	}
+	for k, stim := range lanes {
+		ref, err := Simulate(c, stim, until, Options{Engine: EngineSeq, System: logic.TwoValued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := trace.Diff(ref.Waveform, trace.WideWaveform(rep.Waveform).Lane(k, init), 4); d != "" {
+			t.Errorf("lane %d differs from its scalar reference:\n%s", k, d)
+		}
+	}
+	shadow, err := simtest.WideShadowStates(c, ws, until, every, logic.TwoValued, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shadow) < 3 {
+		t.Fatalf("only %d shadow boundaries", len(shadow))
+	}
+	ref := &wideCutRef{shadow: shadow}
+	ref.checkFiles(t, dir)
 }
 
 // TestInProcessKillMidEngine: a cmb run killed by the event limit part-way

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist/wire"
+	"repro/internal/logic"
 	"repro/internal/pipeline"
 	"repro/internal/sim/ckpt"
 )
@@ -36,12 +37,16 @@ func RunWide(p *pipeline.Prepared, opts Options) (*WideReport, error) {
 // the rest are reached over the wire. The report covers the whole circuit
 // with this shard's gates filled in. With cuts non-nil the engine captures
 // its local LPs' parts of every checkpoint boundary itself.
-func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *ckpt.Cuts) (*Report, error) {
+func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *ckpt.Cuts[logic.Value]) (*Report, error) {
 	if !opts.Engine.Distributes() {
 		return nil, fmt.Errorf("core: engine %v does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", opts.Engine)
 	}
-	opts.seam, opts.cuts = seam, cuts
-	return Run(p, opts)
+	opts, err := withPrepared(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.seam = seam
+	return simulateOn(&scalarEngines, p.Circuit, p.Stim, p.Until, opts, cuts)
 }
 
 // withPrepared moves the run's partitioning decisions into opts.

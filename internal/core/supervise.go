@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/trace"
+	"repro/internal/sim/ckpt"
 	"repro/internal/vectors"
 )
 
@@ -22,57 +22,18 @@ import (
 // engine — and every retry or fallback — writes consistent snapshots of
 // its own; Options.Restore resumes from one.
 func Simulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, opts Options) (*Report, error) {
-	opts, err := scalarEngines.resolve(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Adapt != nil {
-		// The adaptive supervisor owns segmentation, restore splicing,
-		// and (when configured) per-segment supervision.
-		return simulateAdaptive(c, stim, until, opts)
-	}
-	rep, err := simulate(&scalarEngines, c, stim, until, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Restore != nil {
-		// Engines resumed from a checkpoint report only the suffix; splice
-		// the checkpointed prefix back on so the caller sees the waveform
-		// of an uninterrupted run.
-		rep.Waveform = append(opts.Restore.Prefix(), rep.Waveform...)
-		if end := circuit.Tick(opts.Restore.EndTime); end > rep.EndTime {
-			rep.EndTime = end
-		}
-	}
-	return rep, nil
+	return simulateOn(&scalarEngines, c, stim, until, opts, nil)
 }
 
 // SimulateWide runs the selected engine on all 64 lanes of the wide
-// stimulus at once — 64 vectors per gate operation. Every engine is
-// supported, through the same dispatch, partitioner, supervision layer and
-// chaos hooks as Simulate; per lane, the committed waveform is
-// bit-identical to a scalar run of that lane's stimulus on the same
-// engine. The logic system must be two- or four-valued (default
-// four-valued).
-//
-// This is the one place the wide exclusions are checked: the checkpoint
-// format stores scalar values, and restore, checkpoint writing and the
-// adaptive supervisor's engine switches all go through it.
+// stimulus at once — 64 vectors per gate operation. It is Simulate on the
+// wide plane: the same dispatch, partitioner, supervision layer, chaos
+// hooks, checkpoints, restore and adaptive control; per lane, the
+// committed waveform is bit-identical to a scalar run of that lane's
+// stimulus on the same engine. The logic system must be two- or
+// four-valued (default four-valued). What it adds is the lane accounting.
 func SimulateWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, opts Options) (*WideReport, error) {
-	switch {
-	case opts.Restore != nil:
-		return nil, fmt.Errorf("core: wide runs do not support checkpoint restore (the checkpoint format stores scalar values)")
-	case opts.CheckpointEvery > 0:
-		return nil, fmt.Errorf("core: wide runs do not support checkpointing (the checkpoint format stores scalar values)")
-	case opts.Adapt != nil:
-		return nil, fmt.Errorf("core: wide runs do not support adaptive control (the controllers migrate runs through scalar checkpoints)")
-	}
-	opts, err := wideEngines.resolve(opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rep, err := simulate(&wideEngines, c, stim, until, opts)
+	rep, err := simulateOn(&wideEngines, c, stim, until, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -83,33 +44,75 @@ func SimulateWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.
 			boundaries++
 		}
 	}
-	w := &WideReport{
-		Engine: rep.Engine, Values: rep.Values, Waveform: trace.WideWaveform(rep.Waveform),
-		EndTime: rep.EndTime, Lanes: stim.Lanes, Vectors: uint64(stim.Lanes) * boundaries,
-		Stats: rep.Stats, Processors: rep.Processors, Metrics: rep.Metrics, Supervision: rep.Supervision,
-	}
-	if secs := time.Since(start).Seconds(); secs > 0 {
-		w.VectorsPerSec = float64(w.Vectors) / secs
+	rep.Lanes, rep.Vectors = stim.Lanes, uint64(stim.Lanes)*boundaries
+	if secs := rep.Stats.Wall.Seconds(); secs > 0 {
+		rep.VectorsPerSec = float64(rep.Vectors) / secs
 	}
 	if opts.Metrics != nil {
-		opts.Metrics.SetGauge("lanes", float64(w.Lanes))
-		opts.Metrics.SetGauge("vectors_per_sec", w.VectorsPerSec)
+		opts.Metrics.SetGauge("lanes", float64(rep.Lanes))
+		opts.Metrics.SetGauge("vectors_per_sec", rep.VectorsPerSec)
 	}
-	if m := w.Metrics; m != nil {
-		m.Labels["lanes"] = fmt.Sprint(w.Lanes)
-		m.SetGauge("lanes", float64(w.Lanes))
-		m.SetGauge("vectors_per_sec", w.VectorsPerSec)
+	if m := rep.Metrics; m != nil {
+		m.Labels["lanes"] = fmt.Sprint(rep.Lanes)
+		m.SetGauge("lanes", float64(rep.Lanes))
+		m.SetGauge("vectors_per_sec", rep.VectorsPerSec)
 	}
-	return w, nil
+	return rep, nil
 }
 
-// simulate runs the engine once, or under the supervision layer when
-// opts.Supervise is set.
-func simulate[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options) (*ReportT[V], error) {
-	if opts.Supervise != nil {
-		return simulateSupervised(eng, c, stim, until, opts)
+// job is one run as core drives it on one value plane: the plane's engine
+// table, the circuit and stimulus, the snapshot it boots from and, on a
+// fleet shard, the worker's sink for the engine's cuts.
+type job[S any, V comparable] struct {
+	eng  *engines[S, V]
+	c    *circuit.Circuit
+	stim S
+	boot *ckpt.StateT[V]
+	cuts *ckpt.Cuts[V]
+}
+
+// simulateOn is the one front both planes run through: the option
+// defaults, the check of Options.Restore against the run's plane, then the
+// adaptive segment loop, or one run (supervised when asked) with the
+// snapshot's prefix spliced back on.
+func simulateOn[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options, cuts *ckpt.Cuts[V]) (*ReportT[V], error) {
+	opts, err := eng.resolve(opts)
+	if err != nil {
+		return nil, err
 	}
-	return simulateOnce(eng, c, stim, until, opts, 0)
+	boot, err := ckpt.As[V](opts.Restore, opts.System)
+	if err != nil {
+		return nil, err
+	}
+	j := &job[S, V]{eng: eng, c: c, stim: stim, boot: boot, cuts: cuts}
+	var rep *ReportT[V]
+	if opts.Adapt != nil {
+		// The adaptive supervisor owns segmentation and (when configured)
+		// per-segment supervision.
+		rep, err = j.adaptive(until, opts)
+	} else {
+		rep, err = j.run(until, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if boot != nil {
+		// Engines resumed from a checkpoint report only the suffix; splice
+		// the checkpointed prefix back on so the caller sees the waveform
+		// of an uninterrupted run.
+		rep.Waveform = append(boot.Prefix(), rep.Waveform...)
+		rep.EndTime = max(rep.EndTime, circuit.Tick(boot.EndTime))
+	}
+	return rep, nil
+}
+
+// run runs the engine once, or under the supervision layer when
+// opts.Supervise is set.
+func (j *job[S, V]) run(until circuit.Tick, opts Options) (*ReportT[V], error) {
+	if opts.Supervise != nil {
+		return j.supervised(until, opts)
+	}
+	return j.once(until, opts, 0)
 }
 
 // recoverable reports whether the supervision layer may retry or degrade
@@ -125,8 +128,8 @@ func recoverable(err error) bool {
 	return se.Kind != KindEventLimit
 }
 
-// simulateSupervised drives the retry/backoff/fallback chain.
-func simulateSupervised[S any, V comparable](eng *engines[S, V], c *circuit.Circuit, stim S, until circuit.Tick, opts Options) (*ReportT[V], error) {
+// supervised drives the retry/backoff/fallback chain.
+func (j *job[S, V]) supervised(until circuit.Tick, opts Options) (*ReportT[V], error) {
 	sup := *opts.Supervise
 	chain := []Engine{opts.Engine}
 	if sup.Fallback {
@@ -158,7 +161,7 @@ func simulateSupervised[S any, V comparable](eng *engines[S, V], c *circuit.Circ
 			}
 			o := opts
 			o.Engine = engine
-			rep, err := simulateOnce(eng, c, stim, until, o, sup.Watchdog)
+			rep, err := j.once(until, o, sup.Watchdog)
 			if err == nil {
 				srep.FinalEngine = engine
 				rep.Supervision = srep

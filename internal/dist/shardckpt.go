@@ -44,7 +44,7 @@ func shardDeltaName(shard int, t uint64) string {
 // newShardWriter starts the writer of shard's checkpoints into dir: the
 // boundaries of the cover gates the shard owns, as full snapshots or, in
 // delta mode, as deltas after each writer's first.
-func newShardWriter(dir string, shard, gates, cover int, delta bool, head ckpt.State) *ckpt.Writer {
+func newShardWriter(dir string, shard, gates, cover int, delta bool, head ckpt.State) *ckpt.Writer[logic.Value] {
 	return ckpt.NewWriter(dir, func(t uint64, delta bool) string {
 		if delta {
 			return shardDeltaName(shard, t)

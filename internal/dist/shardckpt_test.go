@@ -64,11 +64,11 @@ func restrictToShard(st *ckpt.State, owned []bool) *ckpt.State {
 // checkpoints going to cuts.
 type cutEngine struct {
 	name string
-	run  func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error
+	run  func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts[logic.Value]) error
 }
 
 func cmbCuts(name string, mode cmb.Mode) cutEngine {
-	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error {
+	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts[logic.Value]) error {
 		_, err := cmb.Run(run.Circuit, run.Stim, run.Until, cmb.Config{
 			Partition: run.Part, Mode: mode, Queue: q, Boot: boot, Chaos: chaos, Cuts: cuts,
 		})
@@ -77,7 +77,7 @@ func cmbCuts(name string, mode cmb.Mode) cutEngine {
 }
 
 func timewarpCuts(name string, cancel timewarp.Cancellation) cutEngine {
-	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts) error {
+	return cutEngine{name, func(run *pipeline.Prepared, q eventq.Impl, boot *ckpt.State, chaos *inject.Hook, cuts *ckpt.Cuts[logic.Value]) error {
 		_, err := timewarp.Run(run.Circuit, run.Stim, run.Until, timewarp.Config{
 			Partition: run.Part, Cancellation: cancel, Queue: q, Boot: boot, Chaos: chaos, Cuts: cuts,
 		})
@@ -102,7 +102,7 @@ func nativeCuts(t *testing.T, run *pipeline.Prepared, e cutEngine, q eventq.Impl
 		shards = max(shards, s+1)
 	}
 	head := ckpt.State{Fingerprint: ckpt.Fingerprint(run.Circuit), Until: uint64(run.Until), System: uint8(logic.NineValued)}
-	writers := make([]*ckpt.Writer, shards)
+	writers := make([]*ckpt.Writer[logic.Value], shards)
 	for s := range writers {
 		cover := 0
 		for _, lp := range run.Part.Assign {
@@ -112,7 +112,7 @@ func nativeCuts(t *testing.T, run *pipeline.Prepared, e cutEngine, q eventq.Impl
 		}
 		writers[s] = newShardWriter(dir, s, run.Circuit.NumGates(), cover, delta, head)
 	}
-	err := e.run(run, q, boot, chaos, &ckpt.Cuts{Every: every, Sink: func(c *ckpt.Cut[logic.Value]) {
+	err := e.run(run, q, boot, chaos, &ckpt.Cuts[logic.Value]{Every: every, Sink: func(c *ckpt.Cut[logic.Value]) {
 		writers[run.ShardOf[c.LP]].Put(c)
 	}})
 	for _, w := range writers {

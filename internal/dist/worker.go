@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dist/wire"
+	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/supervise"
@@ -278,8 +279,8 @@ func (w *Worker) Run() error {
 
 	// The engine captures its local LPs' parts of every boundary; the
 	// writer stitches and persists them off the LP goroutines.
-	var cw *ckpt.Writer
-	var cuts *ckpt.Cuts
+	var cw *ckpt.Writer[logic.Value]
+	var cuts *ckpt.Cuts[logic.Value]
 	if job.CheckpointEvery > 0 && job.CheckpointDir != "" {
 		cover := 0
 		for _, own := range owned {
@@ -290,7 +291,7 @@ func (w *Worker) Run() error {
 		cw = newShardWriter(job.CheckpointDir, job.Shard, c.NumGates(), cover, job.CkptDelta, ckpt.State{
 			Fingerprint: run.Fingerprint, Until: uint64(run.Until), System: uint8(opts.System),
 		})
-		cuts = &ckpt.Cuts{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.Put}
+		cuts = &ckpt.Cuts[logic.Value]{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.Put}
 	}
 
 	rep, err := core.RunShard(run, opts, seam, cuts)

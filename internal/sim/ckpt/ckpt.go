@@ -12,12 +12,17 @@
 // restore by seeding their net-value arrays, requeuing the pending
 // events to the owning LPs, and skipping the time-0 settling step.
 //
-// The package sits below the engines in the import graph (it imports
-// only circuit, logic, and trace), so engine configs can accept a
-// *ckpt.State without a cycle.
+// A snapshot is generic over the run's value type, like the engines: a
+// scalar State holds one logic.Value per net, a WideState one 64-lane
+// logic.Word, and the header names the plane. The package sits below the
+// engines in the import graph (it imports only circuit, logic, and
+// trace), so engine configs can accept a *ckpt.StateT[V] without a
+// cycle.
 package ckpt
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,7 +55,7 @@ type EventT[V comparable] struct {
 	Value V              `json:"v"`
 }
 
-// Event is the scalar pending event, the one the on-disk format stores.
+// Event is the scalar pending event.
 type Event = EventT[logic.Value]
 
 // Cut is what an engine restores from or captures into: the state after
@@ -60,9 +65,8 @@ type Event = EventT[logic.Value]
 // LP of an asynchronous engine cuts the gates it owns, listed in Gates,
 // and the parts of every LP, stitched by gate owner, are the whole cut;
 // an engine on one shared plane (seq, sync) and a boot snapshot cover
-// every gate and leave Gates nil. The on-disk State holds scalar values
-// only, so the scalar entry points boot from one and the wide entry
-// points pass none.
+// every gate and leave Gates nil. Both entry points of every engine boot
+// from a StateT and cut into Cuts of their own plane.
 type Cut[V comparable] struct {
 	LP            int
 	Time, EndTime circuit.Tick
@@ -77,24 +81,28 @@ type Cut[V comparable] struct {
 // Seed validates the snapshot against circuit c under logic system sys
 // and returns the whole cut an engine boots from. A nil State yields a
 // nil cut: the run starts from the stimulus.
-func (s *State) Seed(c *circuit.Circuit, sys logic.System) (*Cut[logic.Value], error) {
+func (s *StateT[V]) Seed(c *circuit.Circuit, sys logic.System) (*Cut[V], error) {
 	if s == nil {
 		return nil, nil
 	}
 	if err := s.Check(c, sys); err != nil {
 		return nil, err
 	}
-	return &Cut[logic.Value]{
+	return &Cut[V]{
 		Time: circuit.Tick(s.Time), EndTime: circuit.Tick(s.EndTime),
 		Vals: s.Vals, PrevClk: s.PrevClk, Projected: s.Projected, Events: s.Events, Waveform: s.Waveform,
 	}, nil
 }
 
-// State is a complete restorable snapshot at modeled-time boundary
-// Time: the three kernel value planes, the pending event set, and the
-// waveform prefix recorded so far.
-type State struct {
-	Version     string `json:"version"`
+// StateT is a complete restorable snapshot at modeled-time boundary Time
+// over the value type of the run: the three kernel value planes, the
+// pending event set, and the waveform prefix recorded so far.
+type StateT[V comparable] struct {
+	Version string `json:"version"`
+	// Plane names the value plane: empty for scalar values, "wide" for
+	// 64-lane words. Seal stamps it from V, so a snapshot of one plane
+	// never boots a run on the other.
+	Plane       string `json:"plane,omitempty"`
 	Fingerprint string `json:"circuit"`
 	// Time is the checkpoint boundary: every event with time <= Time has
 	// been applied, every entry of Events is strictly later.
@@ -108,11 +116,11 @@ type State struct {
 	// own).
 	EndTime uint64 `json:"end_time"`
 
-	Vals      []logic.Value  `json:"vals"`
-	PrevClk   []logic.Value  `json:"prev_clk"`
-	Projected []logic.Value  `json:"projected"`
-	Events    []Event        `json:"events"`
-	Waveform  trace.Waveform `json:"waveform"`
+	Vals      []V                `json:"vals"`
+	PrevClk   []V                `json:"prev_clk"`
+	Projected []V                `json:"projected"`
+	Events    []EventT[V]        `json:"events"`
+	Waveform  trace.WaveformT[V] `json:"waveform"`
 
 	// Sum is an fnv64a checksum over the payload fields above; Write
 	// fills it in and Read verifies it, so a bit flip anywhere in the
@@ -121,10 +129,20 @@ type State struct {
 	Sum string `json:"sum,omitempty"`
 }
 
+// State is the scalar snapshot; its files are the ones every earlier
+// version wrote, byte for byte.
+type State = StateT[logic.Value]
+
+// WideState is the 64-lane snapshot.
+type WideState = StateT[logic.Word]
+
 // sum computes the payload checksum Write stores in Sum.
-func (s *State) sum() string {
+func (s *StateT[V]) sum() string {
 	d := newDigest()
 	d.str(s.Version)
+	if p := planeOf[V](); p != "" {
+		d.str(" " + p)
+	}
 	d.char(' ')
 	d.str(s.Fingerprint)
 	for _, u := range []uint64{s.Time, s.Until, uint64(s.System), s.EndTime} {
@@ -132,35 +150,57 @@ func (s *State) sum() string {
 		d.uint(u)
 	}
 	d.end('\n')
-	for _, p := range [][]logic.Value{s.Vals, s.PrevClk, s.Projected} {
+	text := texts[V]()
+	for _, p := range [][]V{s.Vals, s.PrevClk, s.Projected} {
 		d.int(int64(len(p)))
 		d.char(':')
-		for _, v := range p {
-			d.end(byte(v))
-		}
+		values(d, p, text)
 		d.end('\n')
 	}
 	for _, ev := range s.Events {
-		d.record("e ", ev.Time, int64(ev.Gate), uint64(ev.Value))
+		record(d, text, "e ", ev.Time, int64(ev.Gate), ev.Value)
 	}
 	for _, sm := range s.Waveform {
-		d.record("w ", uint64(sm.Time), int64(sm.Gate), uint64(sm.Value))
+		record(d, text, "w ", uint64(sm.Time), int64(sm.Gate), sm.Value)
 	}
 	return d.sum()
 }
 
-// Seal fills in the payload checksum. Write calls it automatically;
-// callers embedding a State elsewhere (per-shard snapshots) call it
-// directly.
-func (s *State) Seal() { s.Sum = s.sum() }
+// Seal stamps the plane and fills in the payload checksum. Write calls it
+// automatically; callers embedding a State elsewhere (per-shard
+// snapshots) call it directly.
+func (s *StateT[V]) Seal() {
+	s.Plane = planeOf[V]()
+	s.Sum = s.sum()
+}
 
 // Verify checks the payload checksum, returning an error wrapping
 // ErrCorrupt on mismatch, an empty Sum included.
-func (s *State) Verify() error {
+func (s *StateT[V]) Verify() error {
 	if got := s.sum(); got != s.Sum {
 		return fmt.Errorf("%w: checksum %s, recorded %s (bit flip?)", ErrCorrupt, got, s.Sum)
 	}
 	return nil
+}
+
+// Snapshot is a decoded snapshot of either plane, as Load returns it and
+// core.Options.Restore holds it; As recovers the run's plane.
+type Snapshot interface {
+	head() (plane string, system uint8)
+}
+
+func (s *StateT[V]) head() (string, uint8) { return planeOf[V](), s.System }
+
+// As is the one check of a snapshot from outside the program against the
+// plane of the run it boots: the snapshot itself when it holds V, nil for
+// none, and otherwise an error naming both planes and both logic systems.
+func As[V comparable](s Snapshot, sys logic.System) (*StateT[V], error) {
+	if st, ok := s.(*StateT[V]); ok || s == nil {
+		return st, nil
+	}
+	plane, system := s.head()
+	return nil, fmt.Errorf("ckpt: snapshot captured on the %s plane under %d-valued logic cannot boot a %s run under %d-valued logic",
+		cmp.Or(plane, "scalar"), system, cmp.Or(planeOf[V](), "scalar"), uint8(sys))
 }
 
 // Fingerprint hashes the circuit topology (gate kinds, delays, fanin)
@@ -192,14 +232,14 @@ func Fingerprint(c *circuit.Circuit) string {
 
 // Check validates that the snapshot can be restored into circuit c
 // under logic system sys.
-func (s *State) Check(c *circuit.Circuit, sys logic.System) error {
+func (s *StateT[V]) Check(c *circuit.Circuit, sys logic.System) error {
 	return s.CheckPrint(Fingerprint(c), c, sys)
 }
 
 // CheckPrint is Check for a caller that already holds fp, the
 // fingerprint of c (a decoded pipeline.Prepared carries the one it
 // verified).
-func (s *State) CheckPrint(fp string, c *circuit.Circuit, sys logic.System) error {
+func (s *StateT[V]) CheckPrint(fp string, c *circuit.Circuit, sys logic.System) error {
 	if s.Version != Version {
 		return fmt.Errorf("ckpt: version %q, want %q", s.Version, Version)
 	}
@@ -227,44 +267,87 @@ func (s *State) CheckPrint(fp string, c *circuit.Circuit, sys logic.System) erro
 
 // Prefix copies the stored waveform prefix (a fresh slice on every call,
 // so a caller may append to it).
-func (s *State) Prefix() trace.Waveform {
-	return append(make(trace.Waveform, 0, len(s.Waveform)), s.Waveform...)
+func (s *StateT[V]) Prefix() trace.WaveformT[V] {
+	return append(make(trace.WaveformT[V], 0, len(s.Waveform)), s.Waveform...)
 }
 
 // Write serializes the snapshot as JSON, sealing the payload checksum
 // first.
-func Write(w io.Writer, s *State) error {
-	s.Seal()
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
+func Write[V comparable](w io.Writer, s *StateT[V]) error { return write(w, s) }
 
-// Read deserializes, version-checks, and checksum-verifies a snapshot.
-// A file that does not decode (truncated mid-write) or whose checksum
-// does not match (bit flip) yields an error wrapping ErrCorrupt.
-func Read(r io.Reader) (*State, error) {
-	var s State
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
-	}
-	if s.Version != Version {
-		return nil, fmt.Errorf("ckpt: version %q, want %q", s.Version, Version)
-	}
-	if err := s.Verify(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
+// Read deserializes, version-checks, and checksum-verifies a scalar
+// snapshot.
+func Read(r io.Reader) (*State, error) { return read[State](r, Version) }
 
 // WriteFile atomically writes the snapshot to path (write temp,
 // rename), so a kill mid-write never leaves a truncated checkpoint.
-func WriteFile(path string, s *State) error {
+func WriteFile[V comparable](path string, s *StateT[V]) error { return writeFile(path, s) }
+
+// ReadFile loads a scalar snapshot from path.
+func ReadFile(path string) (*State, error) { return readFile(path, Read) }
+
+// Load reads a snapshot of whichever plane its header names, for a caller
+// that learns the run's plane only later (As).
+func Load(path string) (Snapshot, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var h struct{ Plane string }
+	if err := json.Unmarshal(b, &h); err != nil {
+		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
+	}
+	if h.Plane == planeOf[logic.Word]() {
+		return read[WideState](bytes.NewReader(b), Version)
+	}
+	return read[State](bytes.NewReader(b), Version)
+}
+
+// sealed is a checksummed record: a snapshot or a delta.
+type sealed interface {
+	Seal()
+	Verify() error
+	version() string
+}
+
+func (s *StateT[V]) version() string { return s.Version }
+
+// write serializes a record as JSON, sealing it first.
+func write(w io.Writer, r sealed) error {
+	r.Seal()
+	return json.NewEncoder(w).Encode(r)
+}
+
+// read deserializes a record, checks its version against want and
+// verifies its checksum. A record that does not decode (truncated
+// mid-write) or whose checksum does not match (bit flip) yields an error
+// wrapping ErrCorrupt.
+func read[T any, P interface {
+	*T
+	sealed
+}](r io.Reader, want string) (P, error) {
+	p := P(new(T))
+	if err := json.NewDecoder(r).Decode(p); err != nil {
+		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
+	}
+	if v := p.version(); v != want {
+		return nil, fmt.Errorf("ckpt: version %q, want %q", v, want)
+	}
+	if err := p.Verify(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// writeFile writes a record to path through a temporary file and a
+// rename.
+func writeFile(path string, r sealed) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, s); err != nil {
+	if err := write(f, r); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -276,12 +359,13 @@ func WriteFile(path string, s *State) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadFile loads a snapshot from path.
-func ReadFile(path string) (*State, error) {
+// readFile opens path for one of the readers.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var none T
+		return none, err
 	}
 	defer f.Close()
-	return Read(f)
+	return read(f)
 }

@@ -129,3 +129,61 @@ func TestFingerprintDistinguishesCircuits(t *testing.T) {
 		t.Error("fingerprint is not deterministic")
 	}
 }
+
+// TestWideRoundTrip: a 64-lane snapshot names its plane in its header,
+// Load reads back either plane by it, the checksum covers every lane, and
+// As boots only a run on the snapshot's own plane.
+func TestWideRoundTrip(t *testing.T) {
+	c, st := sample(t)
+	splat := func(p []logic.Value) []logic.Word {
+		out := make([]logic.Word, len(p))
+		for i, v := range p {
+			out[i] = logic.Splat(v).Set(5, logic.X)
+		}
+		return out
+	}
+	wide := &WideState{
+		Version: Version, Fingerprint: st.Fingerprint, Time: st.Time, Until: st.Until,
+		System: uint8(logic.FourValued), EndTime: st.EndTime,
+		Vals: splat(st.Vals), PrevClk: splat(st.PrevClk), Projected: splat(st.Projected),
+		Events:   []EventT[logic.Word]{{Time: 101, Gate: 0, Value: logic.Splat(logic.Zero)}},
+		Waveform: trace.WaveformT[logic.Word]{{Time: 5, Gate: c.Outputs[0], Value: logic.Splat(logic.One)}},
+	}
+	dir := t.TempDir()
+	scalarPath, widePath := filepath.Join(dir, "scalar.json"), filepath.Join(dir, "wide.json")
+	if err := WriteFile(scalarPath, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(widePath, wide); err != nil {
+		t.Fatal(err)
+	}
+	if wide.Plane != "wide" || st.Plane != "" {
+		t.Fatalf("planes %q and %q, want wide and none", wide.Plane, st.Plane)
+	}
+	snap, err := Load(widePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := As[logic.Word](snap, logic.FourValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Check(c, logic.FourValued); err != nil {
+		t.Fatalf("round-tripped wide snapshot fails Check: %v", err)
+	}
+	if got.Vals[3] != wide.Vals[3] || got.Events[0] != wide.Events[0] || got.Waveform[0] != wide.Waveform[0] {
+		t.Errorf("wide round trip lost data: %+v", got)
+	}
+	if _, err := As[logic.Value](snap, logic.FourValued); err == nil || !strings.Contains(err.Error(), "wide plane") {
+		t.Errorf("a wide snapshot boots a scalar run: %v", err)
+	}
+	if snap, err = Load(scalarPath); err != nil {
+		t.Fatal(err)
+	} else if _, ok := snap.(*State); !ok {
+		t.Errorf("Load read a scalar snapshot as %T", snap)
+	}
+	got.Vals[3] = got.Vals[3].Set(9, logic.Z)
+	if err := got.Verify(); err == nil {
+		t.Error("a flipped lane passes the checksum")
+	}
+}

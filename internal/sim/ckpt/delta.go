@@ -15,10 +15,9 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -29,19 +28,22 @@ import (
 // incompatible schema change.
 const DeltaVersion = "parsim-ckpt-delta/v1"
 
-// DeltaEntry is one changed gate: the three kernel value-plane entries
+// DeltaEntryT is one changed gate: the three kernel value-plane entries
 // at the new boundary.
-type DeltaEntry struct {
+type DeltaEntryT[V comparable] struct {
 	Gate      circuit.GateID `json:"g"`
-	Val       logic.Value    `json:"v"`
-	PrevClk   logic.Value    `json:"p"`
-	Projected logic.Value    `json:"j"`
+	Val       V              `json:"v"`
+	PrevClk   V              `json:"p"`
+	Projected V              `json:"j"`
 }
 
-// Delta is one incremental checkpoint record: everything needed to roll
-// a sealed base state at BaseTime forward to Time.
-type Delta struct {
-	Version     string `json:"version"`
+// DeltaT is one incremental checkpoint record over the run's value type:
+// everything needed to roll a sealed base state at BaseTime forward to
+// Time.
+type DeltaT[V comparable] struct {
+	Version string `json:"version"`
+	// Plane names the value plane, as StateT.Plane does.
+	Plane       string `json:"plane,omitempty"`
 	Fingerprint string `json:"circuit"`
 	// Time is the new boundary; BaseTime is the predecessor boundary the
 	// delta applies to.
@@ -55,21 +57,27 @@ type Delta struct {
 	EndTime uint64 `json:"end_time"`
 
 	// Changed lists the gates whose value planes differ from the base.
-	Changed []DeltaEntry `json:"changed"`
+	Changed []DeltaEntryT[V] `json:"changed"`
 	// Events replaces the base's pending-event set outright.
-	Events []Event `json:"events"`
+	Events []EventT[V] `json:"events"`
 	// Waveform is the sample suffix recorded after the base boundary.
-	Waveform trace.Waveform `json:"waveform"`
+	Waveform trace.WaveformT[V] `json:"waveform"`
 
 	// Sum is the fnv64a checksum over the fields above, same scheme as
 	// State.Sum.
 	Sum string `json:"sum,omitempty"`
 }
 
+// Delta is the scalar delta record.
+type Delta = DeltaT[logic.Value]
+
 // sum computes the delta's own payload checksum.
-func (d *Delta) sum() string {
+func (d *DeltaT[V]) sum() string {
 	h := newDigest()
 	h.str(d.Version)
+	if p := planeOf[V](); p != "" {
+		h.str(" " + p)
+	}
 	h.char(' ')
 	h.str(d.Fingerprint)
 	h.char(' ')
@@ -83,30 +91,35 @@ func (d *Delta) sum() string {
 		h.uint(u)
 	}
 	h.end('\n')
+	text := texts[V]()
 	for _, e := range d.Changed {
 		h.str("c ")
 		h.int(int64(e.Gate))
-		for _, v := range []logic.Value{e.Val, e.PrevClk, e.Projected} {
+		for _, v := range [...]V{e.Val, e.PrevClk, e.Projected} {
 			h.char(' ')
-			h.uint(uint64(v))
+			text(h, v)
 		}
 		h.end('\n')
 	}
 	for _, ev := range d.Events {
-		h.record("e ", ev.Time, int64(ev.Gate), uint64(ev.Value))
+		record(h, text, "e ", ev.Time, int64(ev.Gate), ev.Value)
 	}
 	for _, sm := range d.Waveform {
-		h.record("w ", uint64(sm.Time), int64(sm.Gate), uint64(sm.Value))
+		record(h, text, "w ", uint64(sm.Time), int64(sm.Gate), sm.Value)
 	}
 	return h.sum()
 }
 
-// Seal fills in the delta's checksum; WriteDelta calls it automatically.
-func (d *Delta) Seal() { d.Sum = d.sum() }
+// Seal stamps the plane and fills in the delta's checksum; WriteDelta
+// calls it automatically.
+func (d *DeltaT[V]) Seal() {
+	d.Plane = planeOf[V]()
+	d.Sum = d.sum()
+}
 
 // Verify checks the delta's checksum, wrapping ErrCorrupt on mismatch, an
 // empty Sum included.
-func (d *Delta) Verify() error {
+func (d *DeltaT[V]) Verify() error {
 	if got := d.sum(); got != d.Sum {
 		return fmt.Errorf("%w: delta checksum %s, recorded %s (bit flip?)", ErrCorrupt, got, d.Sum)
 	}
@@ -117,7 +130,7 @@ func (d *Delta) Verify() error {
 // into a delta record. base must be the sealed state at the previous
 // boundary of the same trajectory: cur's waveform extends base's, and
 // cur's planes are the base's with the changed gates overwritten.
-func DeltaFrom(base, cur *State) (*Delta, error) {
+func DeltaFrom[V comparable](base, cur *StateT[V]) (*DeltaT[V], error) {
 	if base.Fingerprint != cur.Fingerprint || base.System != cur.System {
 		return nil, fmt.Errorf("ckpt: delta across different workloads (fp %s vs %s, sys %d vs %d)",
 			base.Fingerprint, cur.Fingerprint, base.System, cur.System)
@@ -132,7 +145,7 @@ func DeltaFrom(base, cur *State) (*Delta, error) {
 		len(base.Waveform) > len(cur.Waveform) {
 		return nil, fmt.Errorf("ckpt: delta base does not prefix the boundary state")
 	}
-	d := &Delta{
+	d := &DeltaT[V]{
 		Version: DeltaVersion, Fingerprint: cur.Fingerprint,
 		Time: cur.Time, BaseTime: base.Time, BaseSum: base.Sum,
 		Until: cur.Until, System: cur.System, EndTime: cur.EndTime,
@@ -142,7 +155,7 @@ func DeltaFrom(base, cur *State) (*Delta, error) {
 	for g := range cur.Vals {
 		if cur.Vals[g] != base.Vals[g] || cur.PrevClk[g] != base.PrevClk[g] ||
 			cur.Projected[g] != base.Projected[g] {
-			d.Changed = append(d.Changed, DeltaEntry{
+			d.Changed = append(d.Changed, DeltaEntryT[V]{
 				Gate: circuit.GateID(g), Val: cur.Vals[g],
 				PrevClk: cur.PrevClk[g], Projected: cur.Projected[g],
 			})
@@ -157,7 +170,7 @@ func DeltaFrom(base, cur *State) (*Delta, error) {
 // BaseSum, or the chain is broken and the result untrustworthy. The
 // returned state is sealed and byte-identical to the full snapshot the
 // producing run would have written at the delta's boundary.
-func (d *Delta) Apply(base *State) (*State, error) {
+func (d *DeltaT[V]) Apply(base *StateT[V]) (*StateT[V], error) {
 	if err := d.Verify(); err != nil {
 		return nil, err
 	}
@@ -169,12 +182,12 @@ func (d *Delta) Apply(base *State) (*State, error) {
 		return nil, fmt.Errorf("%w: delta at t=%d applies to base t=%d fp %s, have t=%d fp %s",
 			ErrCorrupt, d.Time, d.BaseTime, d.Fingerprint, base.Time, base.Fingerprint)
 	}
-	out := &State{
+	out := &StateT[V]{
 		Version: base.Version, Fingerprint: base.Fingerprint,
 		Time: d.Time, Until: d.Until, System: d.System, EndTime: d.EndTime,
-		Vals:      append([]logic.Value(nil), base.Vals...),
-		PrevClk:   append([]logic.Value(nil), base.PrevClk...),
-		Projected: append([]logic.Value(nil), base.Projected...),
+		Vals:      slices.Clone(base.Vals),
+		PrevClk:   slices.Clone(base.PrevClk),
+		Projected: slices.Clone(base.Projected),
 		Events:    d.Events,
 	}
 	n := len(out.Vals)
@@ -186,7 +199,7 @@ func (d *Delta) Apply(base *State) (*State, error) {
 		out.PrevClk[e.Gate] = e.PrevClk
 		out.Projected[e.Gate] = e.Projected
 	}
-	out.Waveform = make(trace.Waveform, 0, len(base.Waveform)+len(d.Waveform))
+	out.Waveform = make(trace.WaveformT[V], 0, len(base.Waveform)+len(d.Waveform))
 	out.Waveform = append(out.Waveform, base.Waveform...)
 	out.Waveform = append(out.Waveform, d.Waveform...)
 	out.Seal()
@@ -194,53 +207,17 @@ func (d *Delta) Apply(base *State) (*State, error) {
 }
 
 // WriteDelta serializes the delta as JSON, sealing it first.
-func WriteDelta(w io.Writer, d *Delta) error {
-	d.Seal()
-	return json.NewEncoder(w).Encode(d)
-}
+func WriteDelta[V comparable](w io.Writer, d *DeltaT[V]) error { return write(w, d) }
 
-// ReadDelta deserializes, version-checks, and checksum-verifies a
+// ReadDelta deserializes, version-checks, and checksum-verifies a scalar
 // delta record; truncation and bit flips surface as ErrCorrupt.
-func ReadDelta(r io.Reader) (*Delta, error) {
-	var d Delta
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("%w: delta decode: %v", ErrCorrupt, err)
-	}
-	if d.Version != DeltaVersion {
-		return nil, fmt.Errorf("ckpt: delta version %q, want %q", d.Version, DeltaVersion)
-	}
-	if err := d.Verify(); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
+func ReadDelta(r io.Reader) (*Delta, error) { return read[Delta](r, DeltaVersion) }
 
 // WriteDeltaFile atomically writes the delta to path (write temp,
 // rename), mirroring WriteFile.
-func WriteDeltaFile(path string, d *Delta) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteDelta(f, d); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+func WriteDeltaFile[V comparable](path string, d *DeltaT[V]) error { return writeFile(path, d) }
 
-// ReadDeltaFile loads a delta record from path.
-func ReadDeltaFile(path string) (*Delta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDelta(f)
-}
+// ReadDeltaFile loads a scalar delta record from path.
+func ReadDeltaFile(path string) (*Delta, error) { return readFile(path, ReadDelta) }
+
+func (d *DeltaT[V]) version() string { return d.Version }

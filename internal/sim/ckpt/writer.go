@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/circuit"
-	"repro/internal/logic"
 	"repro/internal/trace"
 )
 
@@ -16,10 +15,11 @@ import (
 // engine cuts at every multiple of Every after its boot boundary (or zero)
 // through its horizon, past its last event too, and hands each part to
 // Sink once nothing can revise it — on its own goroutines, in boundary
-// order per LP; Sink must not block. Only scalar runs take cuts.
-type Cuts struct {
+// order per LP; Sink must not block. The cuts are in the run's value
+// type, so a wide run cuts exactly as a scalar one does.
+type Cuts[V comparable] struct {
 	Every circuit.Tick
-	Sink  func(*Cut[logic.Value])
+	Sink  func(*Cut[V])
 }
 
 // Never is the boundary of a run that takes no further cut.
@@ -28,7 +28,7 @@ const Never = circuit.Tick(^uint64(0))
 // First is the first boundary of a run to horizon until that boots from
 // boot (nil for a fresh run), or Never when c is nil or the horizon ends
 // first.
-func First[V comparable](c *Cuts, boot *Cut[V], until circuit.Tick) circuit.Tick {
+func First[V comparable](c *Cuts[V], boot *Cut[V], until circuit.Tick) circuit.Tick {
 	if c == nil || c.Every == 0 {
 		return Never
 	}
@@ -40,7 +40,7 @@ func First[V comparable](c *Cuts, boot *Cut[V], until circuit.Tick) circuit.Tick
 }
 
 // Next is the boundary after b, or Never past the horizon.
-func (c *Cuts) Next(b, until circuit.Tick) circuit.Tick {
+func (c *Cuts[V]) Next(b, until circuit.Tick) circuit.Tick {
 	if b > until || c.Every > until-b {
 		return Never
 	}
@@ -73,29 +73,29 @@ func PlaneCut[V comparable](b, end circuit.Tick, boot *Cut[V], vals, prevClk, pr
 // every boundary after a writer's first is a delta on its predecessor, the
 // boundary one interval earlier on the deterministic trajectory, so delta
 // files, like full ones, safely overwrite a torn-down attempt's copies.
-type Writer struct {
+type Writer[V comparable] struct {
 	dir   string
 	name  func(t uint64, delta bool) string
 	delta bool
-	head  State // the header fields every snapshot shares
-	gates int   // the plane size
-	cover int   // the gates one boundary's parts cover
+	head  StateT[V] // the header fields every snapshot shares
+	gates int       // the plane size
+	cover int       // the gates one boundary's parts cover
 
 	mu    sync.Mutex
-	queue []*Cut[logic.Value]
+	queue []*Cut[V]
 	wake  chan struct{}
 	done  chan struct{}
 
 	// The writer goroutine's own, read by Finish after done closes.
-	open  map[circuit.Tick]*openCut
-	last  *State
+	open  map[circuit.Tick]*openCut[V]
+	last  *StateT[V]
 	err   error
 	stats WriteStats
 }
 
 // openCut is a boundary some parts have been handed in for.
-type openCut struct {
-	st      *State
+type openCut[V comparable] struct {
+	st      *StateT[V]
 	covered int
 }
 
@@ -109,13 +109,13 @@ type WriteStats struct {
 // gates gates, with head's header fields (fingerprint, horizon, system).
 // Boundary t goes to dir/name(t, delta), a delta record when delta is set
 // and the writer holds a predecessor, or to no file when name returns "".
-func NewWriter(dir string, name func(t uint64, delta bool) string, gates, cover int, delta bool, head State) *Writer {
+func NewWriter[V comparable](dir string, name func(t uint64, delta bool) string, gates, cover int, delta bool, head StateT[V]) *Writer[V] {
 	head.Version = Version
-	w := &Writer{
+	w := &Writer[V]{
 		dir: dir, name: name, delta: delta, head: head, gates: gates, cover: cover,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
-		open: map[circuit.Tick]*openCut{},
+		open: map[circuit.Tick]*openCut[V]{},
 	}
 	go w.run()
 	return w
@@ -123,7 +123,7 @@ func NewWriter(dir string, name func(t uint64, delta bool) string, gates, cover 
 
 // Put queues one LP's cut. It runs on the engine goroutines and never
 // blocks on the writer.
-func (w *Writer) Put(c *Cut[logic.Value]) {
+func (w *Writer[V]) Put(c *Cut[V]) {
 	w.mu.Lock()
 	w.queue = append(w.queue, c)
 	w.mu.Unlock()
@@ -136,7 +136,7 @@ func (w *Writer) Put(c *Cut[logic.Value]) {
 // Finish drains the writer once the engine, and with it every Put, has
 // returned — successfully or not — and reports the first write failure
 // and the volume written. A nil writer (checkpointing off) wrote nothing.
-func (w *Writer) Finish() (WriteStats, error) {
+func (w *Writer[V]) Finish() (WriteStats, error) {
 	if w == nil {
 		return WriteStats{}, nil
 	}
@@ -146,9 +146,9 @@ func (w *Writer) Finish() (WriteStats, error) {
 }
 
 // Last is the newest whole boundary, written or not; valid after Finish.
-func (w *Writer) Last() *State { return w.last }
+func (w *Writer[V]) Last() *StateT[V] { return w.last }
 
-func (w *Writer) run() {
+func (w *Writer[V]) run() {
 	defer close(w.done)
 	if w.dir != "" {
 		w.err = os.MkdirAll(w.dir, 0o755)
@@ -169,12 +169,12 @@ func (w *Writer) run() {
 
 // add stitches one LP's part into its boundary and writes the boundary
 // once it is whole.
-func (w *Writer) add(c *Cut[logic.Value]) error {
+func (w *Writer[V]) add(c *Cut[V]) error {
 	oc := w.open[c.Time]
 	if oc == nil {
 		st := w.head
 		st.Time = uint64(c.Time)
-		oc = &openCut{st: &st}
+		oc = &openCut[V]{st: &st}
 		w.open[c.Time] = oc
 	}
 	st := oc.st
@@ -183,9 +183,9 @@ func (w *Writer) add(c *Cut[logic.Value]) error {
 		oc.covered += len(c.Vals)
 	} else {
 		if st.Vals == nil {
-			st.Vals = make([]logic.Value, w.gates)
-			st.PrevClk = make([]logic.Value, w.gates)
-			st.Projected = make([]logic.Value, w.gates)
+			st.Vals = make([]V, w.gates)
+			st.PrevClk = make([]V, w.gates)
+			st.Projected = make([]V, w.gates)
 		}
 		for i, g := range c.Gates {
 			st.Vals[g], st.PrevClk[g], st.Projected[g] = c.Vals[i], c.PrevClk[i], c.Projected[i]
@@ -206,7 +206,7 @@ func (w *Writer) add(c *Cut[logic.Value]) error {
 
 // write persists a whole boundary as a full snapshot or as a delta on the
 // previous one.
-func (w *Writer) write(st *State) error {
+func (w *Writer[V]) write(st *StateT[V]) error {
 	delta := w.delta && w.last != nil
 	name := w.name(st.Time, delta)
 	switch {
@@ -236,8 +236,8 @@ func (w *Writer) write(st *State) error {
 }
 
 // SortEvents puts pending events in canonical order: by time, then gate.
-func SortEvents(evs []Event) {
-	slices.SortFunc(evs, func(a, b Event) int {
+func SortEvents[V comparable](evs []EventT[V]) {
+	slices.SortFunc(evs, func(a, b EventT[V]) int {
 		if c := cmp.Compare(a.Time, b.Time); c != 0 {
 			return c
 		}

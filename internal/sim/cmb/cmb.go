@@ -77,8 +77,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// Config parameterizes a conservative run on either value plane.
-type Config struct {
+// ConfigT parameterizes a conservative run on the value plane of V.
+type ConfigT[V comparable] struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
 	// Mode selects the protocol variant.
@@ -110,9 +110,7 @@ type Config struct {
 	// seeded, pending events routed to their owners and ghosts, and the
 	// time-0 settling step skipped. Result.Waveform holds only samples
 	// after the boundary (callers prepend the checkpoint's prefix).
-	// Checkpoints hold scalar values: RunWide does not boot (core rejects
-	// restore on a wide run).
-	Boot *ckpt.State
+	Boot *ckpt.StateT[V]
 	// Sweep arms the kernel's oblivious block sweep (RunWide always arms
 	// it): once a step's dirty set covers half an LP's
 	// block, the whole block is evaluated in one levelized pass. Intended
@@ -130,8 +128,8 @@ type Config struct {
 	// Cuts, when non-nil, has every LP capture its part of a consistent
 	// cut at each checkpoint boundary b, as soon as its next event and its
 	// safe time both lie past b: nothing at or before b can reach it any
-	// more. Checkpoints hold scalar values: RunWide takes none.
-	Cuts *ckpt.Cuts
+	// more.
+	Cuts *ckpt.Cuts[V]
 }
 
 // ResultT is the outcome of a conservative run over value type V.
@@ -143,11 +141,13 @@ type ResultT[V comparable] struct {
 	Stats    stats.RunStats
 }
 
-// Result is the outcome of a scalar run.
-type Result = ResultT[logic.Value]
-
-// WideResult is the outcome of a wide (64-lane) run.
-type WideResult = ResultT[logic.Word]
+// The scalar and wide (64-lane) instances of ConfigT and ResultT.
+type (
+	Config     = ConfigT[logic.Value]
+	WideConfig = ConfigT[logic.Word]
+	Result     = ResultT[logic.Value]
+	WideResult = ResultT[logic.Word]
+)
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -160,7 +160,7 @@ type outLink struct {
 
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
-	cfg    Config
+	cfg    ConfigT[V]
 	engine string // metrics/supervise label
 	boot   bool
 	until  circuit.Tick
@@ -234,7 +234,7 @@ type clp[V comparable] struct {
 // per-shard restriction: a remote LP's park and wake would have to be
 // observed atomically with the local ones. Distributed runs therefore
 // keep to the null modes.
-func checkDist(cfg Config) error {
+func checkDist[V comparable](cfg ConfigT[V]) error {
 	if cfg.Dist != nil && cfg.Mode == DeadlockRecovery {
 		return fmt.Errorf("cmb: distributed runs do not support deadlock-recovery mode (the quiescence ledger is one process's memory)")
 	}
@@ -243,19 +243,7 @@ func checkDist(cfg Config) error {
 
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	var err error
-	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
-		return nil, err
-	}
-	changes, err := stim.Projected(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	return run(circuit.Scalar, "cmb", c, changes, until, cfg, boot)
+	return run(circuit.Scalar, "cmb", c, stim, until, cfg)
 }
 
 // RunWide is the conservative engine on 64 packed lanes: the identical
@@ -267,36 +255,35 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // selection machinery — scalar event semantics at LP boundaries, batch
 // evaluation inside. Per lane, the result is bit-identical to a scalar
 // conservative run of that lane's stimulus.
-func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
-	var err error
-	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
-		return nil, err
-	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
-	cfg.Sweep, cfg.Dist, cfg.Cuts = true, nil, nil
-	return run(circuit.Wide, "cmb-wide", c, stim.Changes, until, cfg, nil)
+	cfg.Sweep, cfg.Dist = true, nil
+	return run(circuit.Wide, "cmb-wide", c, stim, until, cfg)
 }
 
 // run is the conservative engine over value type V: it derives the LP
 // graph on the shared LP network, runs the LP goroutines to completion,
-// and assembles the result. changes is a validated schedule already in
-// the run's value domain, engine labels the metrics registry and errors,
-// and boot, when non-nil, replaces the stimulus and the time-zero
-// settling step.
+// and assembles the result. engine labels the metrics registry and
+// errors, and cfg.Boot, when non-nil, replaces the stimulus and the
+// time-zero settling step.
 func run[V comparable](
 	pl *circuit.Plane[V],
 	engine string,
 	c *circuit.Circuit,
-	changes []vectors.ChangeT[V],
+	stim vectors.Source[V],
 	until circuit.Tick,
-	cfg Config,
-	boot *ckpt.Cut[V],
+	cfg ConfigT[V],
 ) (*ResultT[V], error) {
+	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
+	if err != nil {
+		return nil, err
+	}
 	if err := checkDist(cfg); err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
 		return nil, err
 	}
 	net, err := lpnet.New(lpnet.Spec[V]{

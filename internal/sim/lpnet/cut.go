@@ -15,7 +15,7 @@ func (n *Net[V]) FirstCut() circuit.Tick { return ckpt.First(n.cuts, n.boot, n.u
 func (n *Net[V]) NextCut(b circuit.Tick) circuit.Tick { return n.cuts.Next(b, n.until) }
 
 // Emit hands a final cut to the run's sink.
-func (n *Net[V]) Emit(c *ckpt.Cut[V]) { n.sink(c) }
+func (n *Net[V]) Emit(c *ckpt.Cut[V]) { n.cuts.Sink(c) }
 
 // Pending reports every queue entry of an LP that holds plain events as
 // live, for Capture.

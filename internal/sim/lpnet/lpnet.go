@@ -115,8 +115,8 @@ type Spec[V comparable] struct {
 	Boot  *ckpt.Cut[V]
 	Chaos *inject.Hook // when non-nil, wraps every local mailbox
 	// Cuts, when non-nil, has the engine capture its own checkpoints; see
-	// ckpt.Cuts. Scalar values only.
-	Cuts *ckpt.Cuts
+	// ckpt.Cuts.
+	Cuts *ckpt.Cuts[V]
 	// Seam, when non-nil, makes this process one shard of a distributed
 	// run: remote LPs' mailboxes are socket outboxes, and Run binds the
 	// seam's inbound batches to the local ones. Scalar values only.
@@ -142,9 +142,8 @@ type Net[V comparable] struct {
 	chaos  *inject.Hook
 	locals []int
 	lps    []lp[V]
-	// cuts and sink configure native checkpoints (nil when off).
-	cuts *ckpt.Cuts
-	sink func(*ckpt.Cut[V])
+	// cuts configures native checkpoints (off when nil or Every is 0).
+	cuts *ckpt.Cuts[V]
 
 	abort atomic.Bool
 	mu    sync.Mutex
@@ -174,14 +173,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	n := &Net[V]{engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos}
-	if s.Cuts != nil && s.Cuts.Every > 0 {
-		sink, ok := any(s.Cuts.Sink).(func(*ckpt.Cut[V]))
-		if !ok {
-			return nil, fmt.Errorf("%s: checkpoints carry scalar values only", s.Engine)
-		}
-		n.cuts, n.sink = s.Cuts, sink
-	}
+	n := &Net[V]{engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos, cuts: s.Cuts}
 	lps := p.Blocks
 	n.Inboxes = make([]mpsc.Transport[Msg[V]], lps)
 	n.locals = make([]int, 0, lps)
@@ -220,7 +212,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		k.Record = n.lps[i].rec.Record
 		n.lps[i].k = k
 	}
-	if n.sink != nil && s.Boot != nil {
+	if n.cuts != nil && s.Boot != nil {
 		for _, sm := range s.Boot.Waveform {
 			if o := p.Assign[sm.Gate]; n.Local(o) {
 				n.lps[o].prefix = append(n.lps[o].prefix, sm)

@@ -415,8 +415,8 @@ func TestSeamCarriesBatchesAndTransit(t *testing.T) {
 }
 
 // TestCutBoundaries: the boundaries an LP captures are the multiples of
-// the interval inside the horizon after the boot boundary; none without a
-// sink, none on a wide network, and an interval past the horizon ends the
+// the interval inside the horizon after the boot boundary, on either value
+// plane; none without a sink, and an interval past the horizon ends the
 // sequence instead of wrapping around.
 func TestCutBoundaries(t *testing.T) {
 	sink := func(*ckpt.Cut[logic.Value]) {}
@@ -441,15 +441,23 @@ func TestCutBoundaries(t *testing.T) {
 		{"interval past the horizon", ^circuit.Tick(0) - 3, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newNet(t, Spec[logic.Value]{Until: 35, Boot: tc.boot, Cuts: &ckpt.Cuts{Every: tc.every, Sink: sink}})
+			n := newNet(t, Spec[logic.Value]{Until: 35, Boot: tc.boot, Cuts: &ckpt.Cuts[logic.Value]{Every: tc.every, Sink: sink}})
 			if got := boundaries(n); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("boundaries %v, want %v", got, tc.want)
 			}
 		})
 	}
 	c, p := fanoutCircuit(t)
-	if _, err := New(Spec[logic.Word]{Engine: "wide", Plane: circuit.Wide, Circuit: c, Partition: p,
-		Cuts: &ckpt.Cuts{Every: 10, Sink: sink}}); err == nil {
-		t.Error("a wide network accepted checkpoints")
+	wide, err := New(Spec[logic.Word]{Engine: "wide", Plane: circuit.Wide, Circuit: c, Partition: p, Until: 35,
+		Cuts: &ckpt.Cuts[logic.Word]{Every: 10, Sink: func(*ckpt.Cut[logic.Word]) {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []circuit.Tick
+	for b := wide.FirstCut(); b != ckpt.Never; b = wide.NextCut(b) {
+		got = append(got, b)
+	}
+	if want := []circuit.Tick{10, 20, 30}; !reflect.DeepEqual(got, want) {
+		t.Errorf("wide boundaries %v, want %v", got, want)
 	}
 }

@@ -74,15 +74,7 @@ type WideResult = ResultT[logic.Word]
 
 // Run evaluates the circuit at every stimulus boundary.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error) {
-	var err error
-	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
-		return nil, err
-	}
-	changes, err := stim.Projected(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	return run(circuit.Scalar, "oblivious", c, changes, cfg)
+	return run(circuit.Scalar, "oblivious", c, stim, cfg)
 }
 
 // RunWide is the levelized compiled-mode sweep over 64 packed lanes: at
@@ -92,20 +84,16 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, cfg Config) (*Result, error
 // per-boundary evaluation count is unchanged while the vector throughput
 // is multiplied by the lane count.
 func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, cfg Config) (*WideResult, error) {
-	var err error
-	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
-		return nil, err
-	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
-	return run(circuit.Wide, "oblivious-wide", c, stim.Changes, cfg)
+	return run(circuit.Wide, "oblivious-wide", c, stim, cfg)
 }
 
-// run is the oblivious engine over value type V. changes is a validated
-// schedule already in the run's value domain; engine labels the metrics
-// registry and errors.
-func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V], cfg Config) (*ResultT[V], error) {
+// run is the oblivious engine over value type V; engine labels the
+// metrics registry and errors.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, stim vectors.Source[V], cfg Config) (*ResultT[V], error) {
+	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}

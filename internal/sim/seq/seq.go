@@ -34,8 +34,8 @@ import (
 	"repro/internal/vectors"
 )
 
-// Config parameterizes a sequential run on either value plane.
-type Config struct {
+// ConfigT parameterizes a sequential run on the value plane of V.
+type ConfigT[V comparable] struct {
 	// System is the logic value system used to initialize state; zero
 	// selects the plane's default (nine-valued scalar, four-valued wide).
 	System logic.System
@@ -70,23 +70,19 @@ type Config struct {
 	// strictly later than B. Sequential execution is this repository's
 	// definition of the trajectory, which makes these cuts the oracle
 	// every engine's own are held to.
-	Cuts *ckpt.Cuts
+	Cuts *ckpt.Cuts[V]
 	// CheckpointEvery, with Checkpoint set, is Cuts in snapshot form: each
 	// cut reaches Checkpoint as a canonical snapshot, and a non-nil error
-	// aborts the run. Snapshots hold scalar values: RunWide neither cuts
-	// nor boots (core rejects those options on a wide run).
+	// aborts the run.
 	CheckpointEvery circuit.Tick
-	Checkpoint      func(*ckpt.State) error
+	Checkpoint      func(*ckpt.StateT[V]) error
 	// Boot, when non-nil, resumes from a snapshot instead of the
 	// stimulus: value planes are seeded, pending events requeued, and the
 	// time-0 settling pass skipped. Result.Waveform then holds only the
 	// samples recorded after the boundary (callers prepend Boot's
 	// prefix).
-	Boot *ckpt.State
+	Boot *ckpt.StateT[V]
 }
-
-// WideConfig is Config: a wide run takes the same parameters.
-type WideConfig = Config
 
 // ResultT is the outcome of a run over value type V.
 type ResultT[V comparable] struct {
@@ -109,11 +105,13 @@ type ResultT[V comparable] struct {
 	EvalsByGate []uint64
 }
 
-// Result is the outcome of a scalar run.
-type Result = ResultT[logic.Value]
-
-// WideResult is the outcome of a wide (64-lane) run.
-type WideResult = ResultT[logic.Word]
+// The scalar and wide (64-lane) instances of ConfigT and ResultT.
+type (
+	Config     = ConfigT[logic.Value]
+	WideConfig = ConfigT[logic.Word]
+	Result     = ResultT[logic.Value]
+	WideResult = ResultT[logic.Word]
+)
 
 // event is a scheduled net value change.
 type event[V comparable] struct {
@@ -124,35 +122,7 @@ type event[V comparable] struct {
 // Run simulates c under the stimulus until the given time (inclusive).
 // Events scheduled beyond the horizon are discarded unprocessed.
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	var err error
-	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
-		return nil, err
-	}
-	changes, err := stim.Projected(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	cuts, capture := cfg.Cuts, func(cut *ckpt.Cut[logic.Value]) error {
-		cfg.Cuts.Sink(cut)
-		return nil
-	}
-	if cuts == nil && cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
-		fp := ckpt.Fingerprint(c)
-		cuts, capture = &ckpt.Cuts{Every: cfg.CheckpointEvery}, func(cut *ckpt.Cut[logic.Value]) error {
-			ckpt.SortEvents(cut.Events)
-			return cfg.Checkpoint(&ckpt.State{
-				Version: ckpt.Version, Fingerprint: fp,
-				Time: uint64(cut.Time), Until: uint64(until), System: uint8(cfg.System), EndTime: uint64(cut.EndTime),
-				Vals: cut.Vals, PrevClk: cut.PrevClk, Projected: cut.Projected,
-				Events: cut.Events, Waveform: cut.Waveform,
-			})
-		}
-	}
-	return run(circuit.Scalar, "seq", c, changes, until, cfg, boot, cuts, capture)
+	return run(circuit.Scalar, "seq", c, stim, until, cfg)
 }
 
 // RunWide simulates all 64 lanes of the wide stimulus in one pass,
@@ -163,26 +133,40 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // under unchanged inputs, each lane of the resulting waveform is exactly
 // the scalar reference waveform for that lane's stimulus.
 func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
-	var err error
-	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
-		return nil, err
-	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
-	return run(circuit.Wide, "seq-wide", c, stim.Changes, until, cfg, nil, nil, nil)
+	return run(circuit.Wide, "seq-wide", c, stim, until, cfg)
 }
 
-// run is the sequential engine over value type V. changes is a validated
-// schedule already in the run's value domain and engine labels the
-// metrics registry and errors. boot, when non-nil, replaces the stimulus
-// and the time-zero settling pass; cuts, when non-nil, sets the boundaries
-// whose whole-plane cut capture receives.
-func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Cut[V], cuts *ckpt.Cuts,
-	capture func(*ckpt.Cut[V]) error) (*ResultT[V], error) {
+// run is the sequential engine over value type V. engine labels the
+// metrics registry and errors. cfg.Boot, when non-nil, replaces the
+// stimulus and the time-zero settling pass.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, stim vectors.Source[V],
+	until circuit.Tick, cfg ConfigT[V]) (*ResultT[V], error) {
+	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
+	if err != nil {
+		return nil, err
+	}
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
+		return nil, err
+	}
+	cuts, capture := cfg.Cuts, func(cut *ckpt.Cut[V]) error {
+		cfg.Cuts.Sink(cut)
+		return nil
+	}
+	if cuts == nil && cfg.CheckpointEvery > 0 && cfg.Checkpoint != nil {
+		fp := ckpt.Fingerprint(c)
+		cuts, capture = &ckpt.Cuts[V]{Every: cfg.CheckpointEvery}, func(cut *ckpt.Cut[V]) error {
+			ckpt.SortEvents(cut.Events)
+			return cfg.Checkpoint(&ckpt.StateT[V]{
+				Version: ckpt.Version, Fingerprint: fp,
+				Time: uint64(cut.Time), Until: uint64(until), System: uint8(cfg.System), EndTime: uint64(cut.EndTime),
+				Vals: cut.Vals, PrevClk: cut.PrevClk, Projected: cut.Projected,
+				Events: cut.Events, Waveform: cut.Waveform,
+			})
+		}
 	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()

@@ -46,7 +46,10 @@ func runLane0(c *circuit.Circuit, s *vectors.Stimulus, until circuit.Tick, cfg C
 	if err != nil {
 		return nil, err
 	}
-	w, err := RunWide(c, ws, until, cfg)
+	w, err := RunWide(c, ws, until, WideConfig{
+		System: cfg.System, Queue: cfg.Queue, Watch: cfg.Watch, Profile: cfg.Profile,
+		CriticalPath: cfg.CriticalPath, Cost: cfg.Cost, MaxEvents: cfg.MaxEvents,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,8 @@ import (
 	"repro/internal/vectors"
 )
 
-// Config parameterizes a synchronous run on either value plane.
-type Config struct {
+// ConfigT parameterizes a synchronous run on the value plane of V.
+type ConfigT[V comparable] struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
 	// System is the logic value system; zero selects the plane's default.
@@ -69,14 +69,12 @@ type Config struct {
 	// are reloaded from it, the stimulus is ignored (the checkpoint queue
 	// already holds every future stimulus change), and the time-zero
 	// settling step is skipped. The returned waveform covers only the
-	// resumed suffix. Checkpoints hold scalar values: RunWide does not
-	// boot (core rejects restore on a wide run).
-	Boot *ckpt.State
+	// resumed suffix.
+	Boot *ckpt.StateT[V]
 	// Cuts, when non-nil, has the coordinator cut the whole plane at each
 	// checkpoint boundary b, between the last global step at or before b
-	// and the first after it. Checkpoints hold scalar values: RunWide
-	// takes none.
-	Cuts *ckpt.Cuts
+	// and the first after it.
+	Cuts *ckpt.Cuts[V]
 }
 
 // RebalanceConfig parameterizes dynamic load balancing.
@@ -97,11 +95,13 @@ type ResultT[V comparable] struct {
 	Migrations uint64
 }
 
-// Result is the outcome of a scalar run.
-type Result = ResultT[logic.Value]
-
-// WideResult is the outcome of a wide (64-lane) run.
-type WideResult = ResultT[logic.Word]
+// The scalar and wide (64-lane) instances of ConfigT and ResultT.
+type (
+	Config     = ConfigT[logic.Value]
+	WideConfig = ConfigT[logic.Word]
+	Result     = ResultT[logic.Value]
+	WideResult = ResultT[logic.Word]
+)
 
 // event is a scheduled net change local to one LP.
 type event[V comparable] struct {
@@ -131,19 +131,7 @@ type lp[V comparable] struct {
 
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	var err error
-	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
-		return nil, err
-	}
-	changes, err := stim.Projected(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	return run(circuit.Scalar, "sync", c, changes, until, cfg, boot)
+	return run(circuit.Scalar, "sync", c, stim, until, cfg)
 }
 
 // RunWide is the synchronous engine on 64 packed lanes: the identical
@@ -151,24 +139,19 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // and every evaluation processing 64 vectors. Events fire when any lane
 // changes, so per-step work is the union of the lanes' scalar work — one
 // barrier pair now advances 64 vectors instead of one.
-func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
-	var err error
-	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
-		return nil, err
-	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
-	cfg.Cuts = nil
-	return run(circuit.Wide, "sync-wide", c, stim.Changes, until, cfg, nil)
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
+	return run(circuit.Wide, "sync-wide", c, stim, until, cfg)
 }
 
-// run is the synchronous engine over value type V. changes is a validated
-// schedule already in the run's value domain, engine labels the metrics
-// registry and errors, and boot, when non-nil, replaces the stimulus and
-// the time-zero settling step.
-func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Cut[V]) (*ResultT[V], error) {
+// run is the synchronous engine over value type V. engine labels the
+// metrics registry and errors, and cfg.Boot, when non-nil, replaces the
+// stimulus and the time-zero settling step.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, stim vectors.Source[V],
+	until circuit.Tick, cfg ConfigT[V]) (*ResultT[V], error) {
+	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("sync: Config.Partition is required")
 	}
@@ -176,6 +159,10 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		return nil, err
 	}
 	if err := c.CheckEventDriven(); err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Cost == (stats.CostModel{}) {
@@ -490,8 +477,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			})
 			recs[i] = &l.rec
 		}
-		emit := any(cfg.Cuts.Sink).(func(*ckpt.Cut[V]))
-		emit(ckpt.PlaneCut(b, endTime, boot, val, prevClk, projected, events, trace.Merge(recs...)))
+		cfg.Cuts.Sink(ckpt.PlaneCut(b, endTime, boot, val, prevClk, projected, events, trace.Merge(recs...)))
 	}
 
 	for {

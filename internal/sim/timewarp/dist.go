@@ -17,7 +17,7 @@ import (
 // view do not: the memory throttle and the adaptive window controller
 // both sample every LP's state during the pause, and intra-LP clusters
 // barrier inside one process.
-func checkDist(cfg Config) error {
+func checkDist[V comparable](cfg ConfigT[V]) error {
 	if cfg.Dist == nil {
 		return nil
 	}

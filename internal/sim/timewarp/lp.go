@@ -69,7 +69,7 @@ type lazyRec[V comparable] struct {
 type tlp[V comparable] struct {
 	id   int
 	sh   *shared[V]
-	cfg  Config
+	cfg  ConfigT[V]
 	k    *kernel.LPT[V]
 	q    eventq.Queue[qevent[V]]
 	rec  *trace.RecorderT[V]
@@ -131,7 +131,7 @@ type tlp[V comparable] struct {
 	critEval float64
 }
 
-func newTLP[V comparable](sh *shared[V], id int, cfg Config) *tlp[V] {
+func newTLP[V comparable](sh *shared[V], id int, cfg ConfigT[V]) *tlp[V] {
 	k := sh.net.Kernel(id)
 	l := &tlp[V]{
 		id:    id,

@@ -91,8 +91,8 @@ func (s StateSaving) String() string {
 	return fmt.Sprintf("StateSaving(%d)", uint8(s))
 }
 
-// Config parameterizes an optimistic run on either value plane.
-type Config struct {
+// ConfigT parameterizes an optimistic run on the value plane of V.
+type ConfigT[V comparable] struct {
 	// Partition assigns gates to LPs; required.
 	Partition *partition.Partition
 	// Cancellation selects aggressive or lazy anti-messages.
@@ -157,9 +157,8 @@ type Config struct {
 	// queue is reloaded from it, the stimulus is ignored (the checkpoint
 	// queue already holds every future stimulus change), and the
 	// time-zero settling step is skipped. The returned waveform covers
-	// only the resumed suffix. Checkpoints hold scalar values: RunWide
-	// does not boot (core rejects restore on a wide run).
-	Boot *ckpt.State
+	// only the resumed suffix.
+	Boot *ckpt.StateT[V]
 	// Sweep arms the kernel's oblivious block sweep (RunWide always arms
 	// it): once a step's dirty set covers half an LP's
 	// block, the whole block is evaluated in one levelized pass. Intended
@@ -187,9 +186,8 @@ type Config struct {
 	// Cuts, when non-nil, has every LP capture its part of a consistent
 	// cut at each checkpoint boundary b: speculatively, just before its
 	// first step past b (again if a rollback undoes that), and handed over
-	// once GVT passes b and no rollback can reach it. Checkpoints hold
-	// scalar values: RunWide takes none.
-	Cuts *ckpt.Cuts
+	// once GVT passes b and no rollback can reach it.
+	Cuts *ckpt.Cuts[V]
 }
 
 // ResultT is the outcome of an optimistic run over value type V.
@@ -233,11 +231,13 @@ func (r *ResultT[V]) ModeledTime(m stats.CostModel) float64 {
 	return worst + float64(r.Stats.GVTRounds)*m.GVT(len(r.Stats.LPs))
 }
 
-// Result is the outcome of a scalar run.
-type Result = ResultT[logic.Value]
-
-// WideResult is the outcome of a wide (64-lane) run.
-type WideResult = ResultT[logic.Word]
+// The scalar and wide (64-lane) instances of ConfigT and ResultT.
+type (
+	Config     = ConfigT[logic.Value]
+	WideConfig = ConfigT[logic.Word]
+	Result     = ResultT[logic.Value]
+	WideResult = ResultT[logic.Word]
+)
 
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
@@ -250,7 +250,7 @@ type gvtReply struct {
 
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
-	cfg    Config
+	cfg    ConfigT[V]
 	engine string // supervise/metrics label
 	boot   bool   // resuming from a checkpoint (skip the settling step)
 	c      *circuit.Circuit
@@ -293,19 +293,7 @@ type shared[V comparable] struct {
 
 // Run simulates c under the stimulus until the given time (inclusive).
 func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Config) (*Result, error) {
-	var err error
-	if cfg.System, err = circuit.Scalar.System(cfg.System); err != nil {
-		return nil, err
-	}
-	changes, err := stim.Projected(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	return run(circuit.Scalar, "timewarp", c, changes, until, cfg, boot)
+	return run(circuit.Scalar, "timewarp", c, stim, until, cfg)
 }
 
 // RunWide is the optimistic engine on 64 packed lanes: the identical Time
@@ -317,28 +305,28 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // levelized order obliviously-wide — scalar event semantics at LP
 // boundaries, batch evaluation inside. Per lane, the committed result is
 // bit-identical to a scalar optimistic run of that lane's stimulus.
-func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg Config) (*WideResult, error) {
-	var err error
-	if cfg.System, err = circuit.Wide.System(cfg.System); err != nil {
-		return nil, err
-	}
-	if err := stim.Validate(c); err != nil {
-		return nil, err
-	}
+func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
 	// A lane-union dirty set saturates, so a wide run always sweeps; the
 	// wire format carries scalar values, so every LP runs locally.
-	cfg.Sweep, cfg.Dist, cfg.Cuts = true, nil, nil
-	return run(circuit.Wide, "timewarp-wide", c, stim.Changes, until, cfg, nil)
+	cfg.Sweep, cfg.Dist = true, nil
+	return run(circuit.Wide, "timewarp-wide", c, stim, until, cfg)
 }
 
 // run is the optimistic engine over value type V: LP construction on the
-// shared LP network, the GVT coordinator, and result assembly. changes is
-// a validated schedule already in the run's value domain, engine labels
-// the metrics registry and errors, and boot, when non-nil, replaces the
-// stimulus and the time-zero settling step.
-func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, changes []vectors.ChangeT[V],
-	until circuit.Tick, cfg Config, boot *ckpt.Cut[V]) (*ResultT[V], error) {
+// shared LP network, the GVT coordinator, and result assembly. engine
+// labels the metrics registry and errors, and cfg.Boot, when non-nil,
+// replaces the stimulus and the time-zero settling step.
+func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, stim vectors.Source[V],
+	until circuit.Tick, cfg ConfigT[V]) (*ResultT[V], error) {
+	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
+	if err != nil {
+		return nil, err
+	}
 	if err := checkDist(cfg); err != nil {
+		return nil, err
+	}
+	boot, err := cfg.Boot.Seed(c, cfg.System)
+	if err != nil {
 		return nil, err
 	}
 	net, err := lpnet.New(lpnet.Spec[V]{

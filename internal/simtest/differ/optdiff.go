@@ -290,7 +290,7 @@ func (tr *OptTrial) probeWide(res *opt.Result) string {
 		if err != nil {
 			return fmt.Sprintf("lane %d scalar reference failed: %v", k, err)
 		}
-		lane := res.Remap.WaveformBack(wrep.Waveform.Lane(k, init))
+		lane := res.Remap.WaveformBack(trace.WideWaveform(wrep.Waveform).Lane(k, init))
 		if d := trace.Diff(sres.Waveform, lane, 5); d != "" {
 			return fmt.Sprintf("lane %d waveform vs unoptimized scalar seq:\n%s", k, d)
 		}

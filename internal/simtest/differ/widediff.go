@@ -248,7 +248,7 @@ func (tr *WideTrial) runWide(ws *vectors.WideStimulus) ([]logic.Word, trace.Wide
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := simsync.RunWide(tr.C, ws, tr.Until, simsync.Config{
+		res, err := simsync.RunWide(tr.C, ws, tr.Until, simsync.WideConfig{
 			Partition: part, System: opts.System, Rebalance: tr.Rebalance,
 		})
 		if err != nil {
@@ -269,7 +269,7 @@ func (tr *WideTrial) runWide(ws *vectors.WideStimulus) ([]logic.Word, trace.Wide
 	if err != nil {
 		return nil, nil, err
 	}
-	return rep.Values, rep.Waveform, nil
+	return rep.Values, trace.WideWaveform(rep.Waveform), nil
 }
 
 // shrinkLanes minimizes the failing lane set: first the single known-bad

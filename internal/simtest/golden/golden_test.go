@@ -363,7 +363,7 @@ func checkLanePerCycle(t *testing.T, f *fixture, c *circuit.Circuit, stim *vecto
 		}
 		for k := range stims {
 			for cyc := 0; cyc < f.cycles; cyc++ {
-				got := rep.Waveform.ValueAt(out, k, f.cycleSampleTime(cyc), g.init[name])
+				got := trace.WideWaveform(rep.Waveform).ValueAt(out, k, f.cycleSampleTime(cyc), g.init[name])
 				if want := g.cyc[min(cyc, k)][name]; got != want {
 					t.Errorf("lane %d cycle %d %s = %v, golden %v", k, cyc, name, got, want)
 				}

@@ -72,7 +72,7 @@ func TestGoldenWaveformsWide(t *testing.T) {
 					want := make(trace.Waveform, len(g.samples))
 					copy(want, g.samples)
 					for _, k := range goldenLanes {
-						if d := trace.Diff(want, rep.Waveform.Lane(k, init), 8); d != "" {
+						if d := trace.Diff(want, trace.WideWaveform(rep.Waveform).Lane(k, init), 8); d != "" {
 							t.Errorf("lane %d: waveform differs from golden:\n%s", k, d)
 						}
 						for _, out := range c.Outputs {
@@ -100,7 +100,7 @@ func TestGoldenWaveformsWide(t *testing.T) {
 							t.Errorf("lane %d final %s = %v, golden %v", k, name, got, w)
 						}
 						for cyc := 0; cyc < f.cycles; cyc++ {
-							got := rep.Waveform.ValueAt(out, k, f.cycleSampleTime(cyc), g.init[name])
+							got := trace.WideWaveform(rep.Waveform).ValueAt(out, k, f.cycleSampleTime(cyc), g.init[name])
 							if want := g.cyc[cyc][name]; got != want {
 								t.Errorf("lane %d cycle %d %s = %v, golden %v", k, cyc, name, got, want)
 							}

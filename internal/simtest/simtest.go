@@ -162,11 +162,21 @@ func StandardCorpus(seed int64) ([]Corpus, error) {
 // from boot when non-nil. Every engine's own cut at one of these
 // boundaries must stitch back into exactly this state.
 func ShadowStates(c *circuit.Circuit, stim *vectors.Stimulus, until, every circuit.Tick, sys logic.System, boot *ckpt.State) ([]*ckpt.State, error) {
-	var states []*ckpt.State
-	_, err := seq.Run(c, stim, until, seq.Config{
+	return shadowStates(seq.Run, c, stim, until, every, sys, boot)
+}
+
+// WideShadowStates is ShadowStates on the 64-lane plane.
+func WideShadowStates(c *circuit.Circuit, stim *vectors.WideStimulus, until, every circuit.Tick, sys logic.System, boot *ckpt.WideState) ([]*ckpt.WideState, error) {
+	return shadowStates(seq.RunWide, c, stim, until, every, sys, boot)
+}
+
+func shadowStates[S any, V comparable](run func(*circuit.Circuit, S, circuit.Tick, seq.ConfigT[V]) (*seq.ResultT[V], error),
+	c *circuit.Circuit, stim S, until, every circuit.Tick, sys logic.System, boot *ckpt.StateT[V]) ([]*ckpt.StateT[V], error) {
+	var states []*ckpt.StateT[V]
+	_, err := run(c, stim, until, seq.ConfigT[V]{
 		System:          sys,
 		CheckpointEvery: every,
-		Checkpoint: func(st *ckpt.State) error {
+		Checkpoint: func(st *ckpt.StateT[V]) error {
 			states = append(states, st)
 			return nil
 		},

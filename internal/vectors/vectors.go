@@ -105,6 +105,24 @@ func (s *Stimulus) Projected(c *circuit.Circuit, sys logic.System) ([]Change, er
 	return out, nil
 }
 
+// Source is a stimulus of either plane, as the engines take it: Projected
+// validates the schedule against c and returns its changes in the value
+// domain of a run under sys.
+type Source[V any] interface {
+	Projected(c *circuit.Circuit, sys logic.System) ([]ChangeT[V], error)
+}
+
+// Schedule is the preamble of every engine entry point on either plane: it
+// resolves the run's logic system on plane pl (zero selects the plane's
+// default) and returns the stimulus's changes in the run's value domain.
+func Schedule[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, s Source[V], sys *logic.System) ([]ChangeT[V], error) {
+	var err error
+	if *sys, err = pl.System(*sys); err != nil {
+		return nil, err
+	}
+	return s.Projected(c, *sys)
+}
+
 // NumVectors counts the distinct change times (vector boundaries).
 func (s *Stimulus) NumVectors() int { return numVectors(s.Changes) }
 

@@ -29,6 +29,15 @@ func (s *WideStimulus) Validate(c *circuit.Circuit) error {
 	return validateChanges(c, s.Changes, s.End)
 }
 
+// Projected is Validate as a Source: a lane is projected when it is
+// packed, so the changes are already in the run's value domain.
+func (s *WideStimulus) Projected(c *circuit.Circuit, _ logic.System) ([]WideChange, error) {
+	if err := s.Validate(c); err != nil {
+		return nil, err
+	}
+	return s.Changes, nil
+}
+
 // NumVectors counts the distinct change times (vector boundaries) of the
 // wide schedule. The total vector count of a wide run is NumVectors*Lanes.
 func (s *WideStimulus) NumVectors() int { return numVectors(s.Changes) }
