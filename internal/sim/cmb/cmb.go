@@ -35,7 +35,6 @@ package cmb
 import (
 	"fmt"
 	gosync "sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -160,15 +159,14 @@ type outLink struct {
 
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
-	cfg    ConfigT[V]
+	mode   Mode
 	engine string // metrics/supervise label
-	boot   bool
 	until  circuit.Tick
+	chaos  *inject.Hook
 	// net is the LP network. Its Transit counts every message that must be
 	// handled before the system can be quiet: value messages from Send to
 	// handle, and (detect mode) permits from broadcast to handle.
-	net    *lpnet.Net[V]
-	events atomic.Uint64
+	net *lpnet.Net[V]
 
 	// The quiescence ledger (detect mode), guarded by quietMu: blocked
 	// counts LPs between park and wake, next[i] is LP i's earliest pending
@@ -186,20 +184,16 @@ type shared[V comparable] struct {
 	rounds uint64
 }
 
-// clp is one conservative logical process.
+// clp is one conservative logical process: the network's loop drives it,
+// and its methods are the conservative rule (lpnet.Rule).
 type clp[V comparable] struct {
-	id   int
+	lpnet.LP[V, kernel.EventT[V]]
 	sh   *shared[V]
-	k    *kernel.LPT[V]
-	q    eventq.Queue[kernel.EventT[V]]
-	st   *metrics.LPBlock
-	trsh *trace.Shard
-	lvt  circuit.Tick
 	safe circuit.Tick // DeadlockRecovery: permit bound; null modes: derived
 	// bound, last, reqd, and awaiting are dense per-LP-id slices (length =
 	// LP count) rather than maps: the hot promise/handle paths index them
 	// per message, and a handful of words per peer is cheaper than map
-	// hashing — and allocation-free after setup.
+	// hashing.
 	bound []circuit.Tick
 	last  []circuit.Tick // last promise sent per out-link dst
 	out   []outLink
@@ -210,20 +204,6 @@ type clp[V comparable] struct {
 	// the bound, mutual re-requesting among blocked LPs becomes a message
 	// storm that grows with the LP count.
 	awaiting []bool
-	// batch holds outgoing messages per destination until a flush point:
-	// before any WaitDrain, and at termination. Promises only increase, so
-	// it folds a newer null over the batched one and only the strongest
-	// promise per flush reaches the wire.
-	batch *lpnet.Batcher[V]
-	buf   []lpnet.Msg[V]
-	evs   []kernel.EventT[V]
-	end   circuit.Tick
-	// cut is the next checkpoint boundary to capture (ckpt.Never when
-	// checkpointing is off or every boundary is taken).
-	cut circuit.Tick
-	// slot is the watchdog scoreboard entry (nil-safe; nil without a
-	// watchdog).
-	slot *supervise.LPSlot
 }
 
 // checkDist validates a distributed configuration. The null-message
@@ -263,10 +243,10 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 }
 
 // run is the conservative engine over value type V: it derives the LP
-// graph on the shared LP network, runs the LP goroutines to completion,
-// and assembles the result. engine labels the metrics registry and
-// errors, and cfg.Boot, when non-nil, replaces the stimulus and the
-// time-zero settling step.
+// graph on the shared LP network, runs the LPs to completion, and
+// assembles the result. engine labels the metrics registry and errors,
+// and cfg.Boot, when non-nil, replaces the stimulus and the time-zero
+// settling step.
 func run[V comparable](
 	pl *circuit.Plane[V],
 	engine string,
@@ -275,36 +255,37 @@ func run[V comparable](
 	until circuit.Tick,
 	cfg ConfigT[V],
 ) (*ResultT[V], error) {
-	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
-	if err != nil {
-		return nil, err
-	}
 	if err := checkDist(cfg); err != nil {
 		return nil, err
 	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	net, err := lpnet.New(lpnet.Spec[V]{
+	net, err := lpnet.Open(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until, Boot: boot,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until,
 		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
-	})
+		Metrics: cfg.Metrics, Label: engine + "-" + cfg.Mode.String(), Tracer: cfg.Tracer,
+		HangTimeout: cfg.HangTimeout, MaxEvents: cfg.MaxEvents,
+	}, stim, cfg.Boot)
 	if err != nil {
 		return nil, err
 	}
-	sink := cfg.Metrics
-	if sink == nil {
-		sink = metrics.NewRegistry(engine + "-" + cfg.Mode.String())
+
+	n, owner := cfg.Partition.Blocks, cfg.Partition.Assign
+	sh := &shared[V]{mode: cfg.Mode, engine: engine, until: until, chaos: cfg.Chaos, net: net, next: make([]circuit.Tick, n)}
+	// The LP graph: la[src*n+dst] is the lookahead of the link src → dst,
+	// the smallest delay of a gate on src driving one on dst, or infTick
+	// when there is no link.
+	la := make([]circuit.Tick, n*n)
+	for i := range la {
+		la[i] = infTick
 	}
-	start := time.Now()
-
-	p := cfg.Partition
-	n := p.Blocks
-	owner := p.Assign
-
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, until: until, net: net}
+	for g := range c.Gates {
+		src := owner[g]
+		for _, fo := range c.Fanout[g] {
+			if dst := owner[fo]; dst != src {
+				la[src*n+dst] = min(la[src*n+dst], c.Gates[g].Delay)
+			}
+		}
+	}
 	// laBias widens every link lookahead when the chaos hook's sabotage
 	// knob is set: the engine then promises bounds it cannot keep, which
 	// the chaos transport's promise checker must catch.
@@ -312,118 +293,35 @@ func run[V comparable](
 	if cfg.Chaos != nil {
 		laBias = circuit.Tick(cfg.Chaos.LookaheadBias)
 	}
-	// Derive the LP graph: links and lookaheads.
-	type linkKey struct{ src, dst int }
-	la := map[linkKey]circuit.Tick{}
-	for g := range c.Gates {
-		src := owner[g]
-		d := c.Gates[g].Delay
-		for _, fo := range c.Fanout[g] {
-			dst := owner[fo]
-			if dst == src {
-				continue
+	lps := make([]clp[V], n)
+	for i := range lps {
+		l := &lps[i]
+		lpnet.Join(net, &l.LP, i, l, eventq.NewCap[kernel.EventT[V]](cfg.Queue, 128), lpnet.Burst)
+		l.sh, l.safe = sh, 1
+		l.bound, l.last = make([]circuit.Tick, n), make([]circuit.Tick, n)
+		l.reqd, l.awaiting = make([]bool, n), make([]bool, n)
+		for j := 0; j < n; j++ {
+			if d := la[i*n+j]; d != infTick {
+				l.out = append(l.out, outLink{j, d + laBias})
 			}
-			k := linkKey{src, dst}
-			if cur, ok := la[k]; !ok || d < cur {
-				la[k] = d
+			if la[j*n+i] != infTick {
+				l.in = append(l.in, j)
+				l.bound[j] = 1
 			}
 		}
-	}
-
-	// Per-LP in/out degrees, so link lists allocate exactly once.
-	outDeg := make([]int, n)
-	inDeg := make([]int, n)
-	for k2 := range la {
-		outDeg[k2.src]++
-		inDeg[k2.dst]++
-	}
-	// Per-LP working state lives in shared slabs sliced per LP rather than
-	// one small make per field per LP: the structures are fixed-size (length
-	// or capacity known up front), so a single backing array per field class
-	// replaces 10+ allocations per LP. Growable fields (out, in, evs, buf)
-	// use three-index slices so an append past the reserved capacity
-	// reallocates privately instead of clobbering a neighbour.
-	totOut, totIn := 0, 0
-	for i := 0; i < n; i++ {
-		totOut += outDeg[i]
-		totIn += inDeg[i]
-	}
-	var (
-		lpSlab   = make([]clp[V], n)
-		tickSlab = make([]circuit.Tick, 2*n*n+n) // bound + last, then next
-		boolSlab = make([]bool, 2*n*n)           // reqd + awaiting
-		outSlab  = make([]outLink, totOut)
-		inSlab   = make([]int, totIn)
-		evsSlab  = make([]kernel.EventT[V], n*64)
-		bufSlab  = make([]lpnet.Msg[V], n*64)
-	)
-	sh.next = tickSlab[2*n*n:]
-	// Progress watchdog: a scoreboard the LPs publish to, read by a monitor
-	// goroutine that fails the run with a hang report when nothing moves.
-	var board *supervise.Board
-	if cfg.HangTimeout > 0 {
-		board = supervise.NewBoard(n)
-	}
-	outOff, inOff := 0, 0
-	for i := 0; i < n; i++ {
-		l := &lpSlab[i]
-		l.id = i
-		l.sh = sh
-		l.q = eventq.NewCap[kernel.EventT[V]](cfg.Queue, 128)
-		l.bound = tickSlab[(2*i)*n : (2*i+1)*n : (2*i+1)*n]
-		l.last = tickSlab[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n]
-		l.reqd = boolSlab[(2*i)*n : (2*i+1)*n : (2*i+1)*n]
-		l.awaiting = boolSlab[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n]
-		l.batch = net.Batcher(i)
-		l.out = outSlab[outOff : outOff : outOff+outDeg[i]]
-		l.in = inSlab[inOff : inOff : inOff+inDeg[i]]
-		l.evs = evsSlab[i*64 : i*64 : (i+1)*64]
-		l.buf = bufSlab[i*64 : i*64 : (i+1)*64]
-		l.safe = 1
-		l.cut = net.FirstCut()
-		l.st = sink.LP(i)
-		l.trsh = cfg.Tracer.Shard(fmt.Sprintf("lp %d", i))
-		l.slot = board.LP(i)
-		outOff += outDeg[i]
-		inOff += inDeg[i]
-		l.k = net.Kernel(i)
-		l.k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
-			l.q.Push(uint64(t), kernel.EventT[V]{Gate: g, Value: v})
+		l.K.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
+			l.Q.Push(uint64(t), kernel.EventT[V]{Gate: g, Value: v})
 		}
-		l.k.Send = func(dst int, t circuit.Tick, g circuit.GateID, v V) {
+		l.K.Send = func(dst int, t circuit.Tick, g circuit.GateID, v V) {
 			net.Transit.Add(1)
-			l.batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.id, Time: t, Gate: g, Value: v})
+			l.Batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.ID, Time: t, Gate: g, Value: v})
 		}
 	}
-	for k2, d := range la {
-		src, dst := &lpSlab[k2.src], &lpSlab[k2.dst]
-		src.out = append(src.out, outLink{k2.dst, d + laBias})
-		src.last[k2.dst] = 0
-		dst.in = append(dst.in, k2.src)
-		dst.bound[k2.src] = 1
-	}
-	initial := net.Route(changes, func(lp int, t uint64, ev kernel.EventT[V]) {
-		lpSlab[lp].q.Push(t, ev)
-	})
 
-	if err := net.Run(lpnet.Launch{
-		LP:          func(i int) { lpSlab[i].run(initial[i]) },
-		LVT:         func(i int) circuit.Tick { return lpSlab[i].lvt },
-		Sink:        sink,
-		Board:       board,
-		HangTimeout: cfg.HangTimeout,
-		MaxEvents:   cfg.MaxEvents,
-		Progress:    func() (uint64, bool) { return sh.events.Load(), false },
-	}); err != nil {
+	if err := net.Run(lpnet.Launch{}); err != nil {
 		return nil, err
 	}
-
-	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform()}
-	for i := range lpSlab {
-		if end := lpSlab[i].end; end > res.EndTime {
-			res.EndTime = end
-		}
-	}
+	sink := net.Sink()
 	sink.Globals().GVTRounds = sh.rounds
 	// null_ratio is the conservative protocol's headline overhead
 	// (nulls sent per applied event) as a run gauge — the signal the
@@ -432,13 +330,13 @@ func run[V comparable](
 	if tot.EventsApplied > 0 {
 		sink.SetGauge("null_ratio", float64(tot.NullsSent)/float64(tot.EventsApplied))
 	}
-	res.Stats = stats.Collect(sink, time.Since(start))
-	return res, nil
+	out := net.Result()
+	return &ResultT[V]{Values: out.Values, Waveform: out.Waveform, EndTime: out.EndTime, Stats: out.Stats}, nil
 }
 
 // safeTime computes the time strictly below which this LP may process.
 func (l *clp[V]) safeTime() circuit.Tick {
-	if l.sh.cfg.Mode == DeadlockRecovery {
+	if l.sh.mode == DeadlockRecovery {
 		return l.safe
 	}
 	min := infTick
@@ -450,9 +348,9 @@ func (l *clp[V]) safeTime() circuit.Tick {
 	return min
 }
 
-// nextLocal returns the earliest pending event time (infTick if none).
-func (l *clp[V]) nextLocal() circuit.Tick {
-	if t, ok := l.q.PeekTime(); ok {
+// Next returns the earliest pending event time (infTick if none).
+func (l *clp[V]) Next() circuit.Tick {
+	if t, ok := l.Q.PeekTime(); ok {
 		return circuit.Tick(t)
 	}
 	return infTick
@@ -462,7 +360,7 @@ func (l *clp[V]) nextLocal() circuit.Tick {
 // with the given lookahead: its earliest possible next processing time
 // plus the lookahead.
 func (l *clp[V]) promise(la circuit.Tick) circuit.Tick {
-	e := l.nextLocal()
+	e := l.Next()
 	if s := l.safeTime(); s < e {
 		e = s
 	}
@@ -490,33 +388,46 @@ func (l *clp[V]) sendPromises(onlyRequested bool) {
 		}
 		l.last[link.dst] = p
 		l.reqd[link.dst] = false
-		l.st.NullsSent++
-		if l.batch.Put(link.dst, lpnet.Msg[V]{Kind: lpnet.Null, From: l.id, Time: p}) {
-			l.st.NullsFolded++
+		l.St.NullsSent++
+		if l.Batch.Put(link.dst, lpnet.Msg[V]{Kind: lpnet.Null, From: l.ID, Time: p}) {
+			l.St.NullsFolded++
 		}
 	}
 }
 
-// handle processes one inbound message; it returns false on terminate.
+// Pend queues a routed event as it is.
+func (l *clp[V]) Pend(ev kernel.EventT[V]) kernel.EventT[V] { return ev }
+
+// Live holds for every entry: nothing a conservative LP queues is undone.
+func (l *clp[V]) Live(kernel.EventT[V]) bool { return true }
+
+// Begin sends the first promises (null modes).
+func (l *clp[V]) Begin() {
+	if l.sh.mode != DeadlockRecovery {
+		l.sendPromises(false)
+	}
+}
+
+// Handle processes one inbound message; it returns false on terminate.
 // Value messages count transit at their Send site (batch time), so the
 // deadlock-recovery quiescence test cannot pass with unflushed batches.
-func (l *clp[V]) handle(m lpnet.Msg[V]) bool {
+func (l *clp[V]) Handle(m lpnet.Msg[V]) bool {
 	switch m.Kind {
 	case lpnet.Value:
 		l.sh.net.Settle(m.From)
-		l.st.MessagesRecv++
-		if m.Time < l.lvt {
+		l.St.MessagesRecv++
+		if m.Time < l.LVT {
 			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: l.lvt,
+				Engine: l.sh.engine, LP: l.ID, Phase: "handle", ModeledTime: l.LVT,
 				Kind: supervise.KindCausality,
 				Cause: fmt.Errorf("causality violation: lp %d received value for t=%d from lp %d after processing t=%d",
-					l.id, m.Time, m.From, l.lvt),
+					l.ID, m.Time, m.From, l.LVT),
 			})
 			return false
 		}
-		l.q.Push(uint64(m.Time), kernel.EventT[V]{Gate: m.Gate, Value: m.Value})
+		l.Q.Push(uint64(m.Time), kernel.EventT[V]{Gate: m.Gate, Value: m.Value})
 	case lpnet.Null:
-		l.st.NullsRecv++
+		l.St.NullsRecv++
 		l.awaiting[m.From] = false
 		if m.Time > l.bound[m.From] {
 			l.bound[m.From] = m.Time
@@ -541,173 +452,77 @@ func (l *clp[V]) handle(m lpnet.Msg[V]) bool {
 // the LP's earliest pending event, and safe, the bound under which it may
 // still receive one.
 func (l *clp[V]) takeCuts(next, safe circuit.Tick) {
-	net := l.sh.net
-	for l.cut < next && l.cut < safe {
-		net.Emit(lpnet.Capture(net, l.id, l.cut, l.end, l.q, lpnet.Pending[V]))
-		l.cut = net.NextCut(l.cut)
+	for l.Cut < next && l.Cut < safe {
+		l.sh.net.Emit(l.TakeCut(lpnet.Pending[V]))
 	}
 }
 
-// run is the LP goroutine body.
-func (l *clp[V]) run(initialEvents []kernel.EventT[V]) {
-	detect := l.sh.cfg.Mode == DeadlockRecovery
-	demand := l.sh.cfg.Mode == NullDemand
-	l.slot.SetPhase(supervise.PhaseRun)
-	defer l.slot.SetPhase(supervise.PhaseDone)
-
-	if !l.sh.boot {
-		// Time-zero settling step (skipped on restore: the checkpoint's
-		// state is already settled).
-		begin := l.trsh.Now()
-		l.k.Step(0, initialEvents, true, nil, &l.st.LPCounters)
-		l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(initialEvents)))
-		l.trsh.Span(trace.PhaseEvaluate, begin, 0)
+// Ready holds for every step inside the horizon below the safe time; on
+// the way it takes the cuts the step at t leaves behind.
+func (l *clp[V]) Ready(t circuit.Tick) bool {
+	safe := l.safeTime()
+	if t > l.Cut {
+		l.takeCuts(t, safe)
 	}
-	l.end = 0
-	if !detect {
-		l.sendPromises(false)
-	}
-	l.batch.Flush() // initial promises and any settle-step boundary values
+	return t != infTick && t <= l.sh.until && t < safe
+}
 
-	for {
-		if l.sh.net.Aborted() {
-			return
-		}
-		// Drain whatever has arrived.
-		l.buf = l.sh.net.Inboxes[l.id].TryDrain(l.buf[:0])
-		for _, m := range l.buf {
-			if !l.handle(m) {
-				return
-			}
-		}
-		// Process every safe timestep.
-		for {
-			t := l.nextLocal()
-			if t > l.cut {
-				l.takeCuts(t, l.safeTime())
-			}
-			if t == infTick || t > l.sh.until || t >= l.safeTime() {
-				break
-			}
-			l.evs = l.evs[:0]
-			for {
-				pt, ok := l.q.PeekTime()
-				if !ok || circuit.Tick(pt) != t {
-					break
-				}
-				_, ev, _ := l.q.PopMin()
-				l.evs = append(l.evs, ev)
-			}
-			// The shared counter is always maintained — distributed runs
-			// report it in heartbeats — and doubles as the runaway guard.
-			if processed := l.sh.events.Add(uint64(len(l.evs))); l.sh.cfg.MaxEvents > 0 && processed > l.sh.cfg.MaxEvents {
-				l.sh.net.Abort()
-				return
-			}
-			// Publish progress before the step so a single long evaluation
-			// is not mistaken for a hang.
-			l.slot.AddEvents(uint64(len(l.evs)))
-			begin := l.trsh.Now()
-			l.k.Step(t, l.evs, false, nil, &l.st.LPCounters)
-			l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(l.evs)))
-			l.trsh.Span(trace.PhaseEvaluate, begin, t)
-			l.lvt = t
-			l.end = t
-			l.slot.SetLVT(uint64(t))
-		}
-		if err := l.q.Err(); err != nil {
-			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "eventq", ModeledTime: l.lvt,
-				Kind: supervise.KindCausality, Cause: err,
-			})
-			return
-		}
-		l.sh.cfg.Chaos.Stall(l.id, inject.PhaseEvaluate)
-		if !detect {
-			// Push promises eagerly, or answer outstanding requests only
-			// (demand mode); either way only increases are transmitted.
-			l.sendPromises(demand)
-		}
-		// Done? (Null modes only: in DeadlockRecovery the LP that finds
-		// quiescence with nothing left inside the horizon terminates the
-		// run, and until then LPs just keep parking.)
-		if !detect && l.nextLocal() > l.sh.until && l.safeTime() > l.sh.until {
+// Step executes the step at t; nothing is saved.
+func (l *clp[V]) Step(t circuit.Tick, evs []kernel.EventT[V]) {
+	l.K.Step(t, evs, false, nil, &l.St.LPCounters)
+}
+
+// Idle follows every burst of safe steps. The null modes push promises
+// — eagerly, or (demand mode) only to outstanding requests; either way
+// only increases are transmitted — and finish once nothing is left inside
+// the horizon; a demand LP asks each in-link it waits on for a promise
+// before it parks. In DeadlockRecovery the LP that finds quiescence with
+// nothing left inside the horizon terminates the run, and until then LPs
+// just keep parking.
+func (l *clp[V]) Idle(t circuit.Tick) lpnet.Verdict {
+	if l.sh.mode != DeadlockRecovery {
+		demand := l.sh.mode == NullDemand
+		l.sendPromises(demand)
+		if t > l.sh.until && l.safeTime() > l.sh.until {
 			// Final promises are already infTick via promise().
 			l.sendPromises(false)
-			l.batch.Flush()
-			return
+			return lpnet.Done
 		}
-		if !detect && l.nextLocal() < l.safeTime() && l.nextLocal() <= l.sh.until {
-			// More work became processable from the drained messages.
-			continue
-		}
-		// Blocked: wait for news.
 		if demand {
 			for _, src := range l.in {
 				if l.awaiting[src] || l.bound[src] > l.sh.until {
 					continue
 				}
 				l.awaiting[src] = true
-				l.batch.Put(src, lpnet.Msg[V]{Kind: lpnet.Request, From: l.id})
+				l.Batch.Put(src, lpnet.Msg[V]{Kind: lpnet.Request, From: l.ID})
 			}
-		}
-		// About to park: everything batched — values, folded promises,
-		// promise requests — must be on the wire first.
-		l.batch.Flush()
-		l.sh.cfg.Chaos.Stall(l.id, inject.PhaseBlock)
-		l.st.Blocks++
-		l.slot.SetNext(uint64(l.nextLocal()))
-		l.slot.SetBound(uint64(l.safeTime()))
-		l.slot.SetPhase(supervise.PhaseBlock)
-		blockBegin := l.trsh.Now()
-		if detect {
-			l.park()
-		}
-		var ok bool
-		l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
-		if detect {
-			// Leave the blocked count before touching transit (which
-			// happens when the drained messages are handled below).
-			l.sh.cfg.Chaos.Stall(l.id, inject.PhaseWake)
-			l.sh.quietMu.Lock()
-			l.sh.blocked--
-			l.sh.quietMu.Unlock()
-		}
-		l.trsh.Span(trace.PhaseBlock, blockBegin, trace.NoTick)
-		l.slot.SetPhase(supervise.PhaseRun)
-		if !ok {
-			return
-		}
-		keep := true
-		for _, m := range l.buf {
-			if !l.handle(m) {
-				keep = false
-			}
-		}
-		if !keep {
-			return
 		}
 	}
+	l.Slot.SetBound(uint64(l.safeTime()))
+	return lpnet.Park
 }
 
-// park enters this LP on the quiescence ledger (DeadlockRecovery mode).
+// Park enters this LP on the quiescence ledger (DeadlockRecovery mode).
 // The LP whose entry makes every LP blocked with nothing in transit has
 // found the deadlock, and recovers from it itself: it grants a permit
 // advancing the safe time to the global minimum pending event or, when
 // nothing remains inside the horizon, terminates the run. Its own copy
 // of the broadcast is what its WaitDrain then returns with.
 //
-// Exact: an LP between WaitDrain returning and its blocked-- holds at
-// least one unhandled message (or a poke that changed nothing), which
-// transit still counts, so the test cannot pass around it; and every
-// permit is in transit until handled, so no round starts before the
+// Exact: an LP between WaitDrain returning and its blocked-- (Wake)
+// holds at least one unhandled message (or a poke that changed nothing),
+// which transit still counts, so the test cannot pass around it; and
+// every permit is in transit until handled, so no round starts before the
 // previous one has reached every LP. Live: whoever takes transit to zero
 // is awake, and the last awake LP to park sees blocked == n.
-func (l *clp[V]) park() {
+func (l *clp[V]) Park() {
 	sh := l.sh
+	if sh.mode != DeadlockRecovery {
+		return
+	}
 	sh.quietMu.Lock()
 	defer sh.quietMu.Unlock()
-	sh.next[l.id] = l.nextLocal()
+	sh.next[l.ID] = l.Next()
 	sh.blocked++
 	if sh.blocked < len(sh.next) || sh.net.Transit.Load() != 0 {
 		return
@@ -724,9 +539,21 @@ func (l *clp[V]) park() {
 		sh.rounds++
 		sh.net.Transit.Add(int64(len(sh.net.Inboxes)))
 	}
-	begin := l.trsh.Now()
+	begin := l.Trace.Now()
 	for _, ib := range sh.net.Inboxes {
 		ib.Put(grant)
 	}
-	l.trsh.Span(trace.PhaseGVT, begin, gmin)
+	l.Trace.Span(trace.PhaseGVT, begin, gmin)
+}
+
+// Wake leaves the quiescence ledger (DeadlockRecovery mode), before the
+// LP touches transit by handling what woke it.
+func (l *clp[V]) Wake() {
+	if l.sh.mode != DeadlockRecovery {
+		return
+	}
+	l.sh.chaos.Stall(l.ID, inject.PhaseWake)
+	l.sh.quietMu.Lock()
+	l.sh.blocked--
+	l.sh.quietMu.Unlock()
 }

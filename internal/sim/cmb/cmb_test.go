@@ -1,6 +1,7 @@
 package cmb
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	"repro/internal/sim/supervise"
 	"repro/internal/simtest"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
@@ -306,10 +308,12 @@ func TestMaxEventsAborts(t *testing.T) {
 	}
 	p, _ := partition.New(partition.MethodContiguous, c, 4, partition.Options{})
 	for _, mode := range allModes {
-		if _, err := Run(c, stim, seq.Horizon(c, stim), Config{
+		_, err := Run(c, stim, seq.Horizon(c, stim), Config{
 			Partition: p, Mode: mode, System: logic.TwoValued, MaxEvents: 100,
-		}); err == nil {
-			t.Fatalf("%v: event limit not enforced", mode)
+		})
+		var se *supervise.SimError
+		if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit || se.LP < 0 || se.ModeledTime == 0 {
+			t.Fatalf("%v: Run = %v, want an event-limit SimError naming the LP and the step time", mode, err)
 		}
 	}
 }

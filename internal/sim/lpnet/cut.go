@@ -18,35 +18,36 @@ func (n *Net[V]) NextCut(b circuit.Tick) circuit.Tick { return n.cuts.Next(b, n.
 func (n *Net[V]) Emit(c *ckpt.Cut[V]) { n.cuts.Sink(c) }
 
 // Pending reports every queue entry of an LP that holds plain events as
-// live, for Capture.
+// live, for TakeCut.
 func Pending[V comparable](ev kernel.EventT[V]) (kernel.EventT[V], bool) { return ev, true }
 
-// Capture takes LP lp's part of the cut at boundary b. The caller
-// guarantees the LP has executed every step at or before b and none after,
-// with end the last of them. The pending set q is read the way every
-// engine reads its own (eventq.Each); event projects a queue entry onto
-// its event and reports whether it is live.
-func Capture[V comparable, E any](n *Net[V], lp int, b, end circuit.Tick, q eventq.Queue[E],
-	event func(E) (kernel.EventT[V], bool)) *ckpt.Cut[V] {
-	k := n.lps[lp].k
-	gates := k.OwnGates()
+// TakeCut captures the LP's part of the cut at its next boundary, Cut,
+// and moves Cut on to the boundary after it. The caller guarantees the LP
+// has executed every step at or before Cut and none after, the last of
+// them at LVT. The pending set is read the way every engine reads its own
+// (eventq.Each); event projects a queue entry onto its event and reports
+// whether it is live.
+func (l *LP[V, E]) TakeCut(event func(E) (kernel.EventT[V], bool)) *ckpt.Cut[V] {
+	n, b := l.net, l.Cut
+	l.Cut = n.NextCut(b)
+	gates := l.K.OwnGates()
 	c := &ckpt.Cut[V]{
-		LP: lp, Time: b, EndTime: end, Gates: gates,
+		LP: l.ID, Time: b, EndTime: l.LVT, Gates: gates,
 		Vals:      make([]V, len(gates)),
 		PrevClk:   make([]V, len(gates)),
 		Projected: make([]V, len(gates)),
 	}
 	for i, g := range gates {
-		c.Vals[i], c.PrevClk[i], c.Projected[i] = k.Entry(g)
+		c.Vals[i], c.PrevClk[i], c.Projected[i] = l.K.Entry(g)
 	}
-	eventq.Each(q, func(t uint64, e E) {
-		if ev, live := event(e); live && n.p.Assign[ev.Gate] == lp {
+	eventq.Each(l.Q, func(t uint64, e E) {
+		if ev, live := event(e); live && n.p.Assign[ev.Gate] == l.ID {
 			c.Events = append(c.Events, ckpt.EventT[V]{Time: t, Gate: ev.Gate, Value: ev.Value})
 		}
 	})
-	prefix := n.lps[lp].prefix
-	c.Waveform = append(make([]trace.SampleT[V], 0, len(prefix)+n.lps[lp].rec.Len()), prefix...)
-	for _, sm := range n.lps[lp].rec.Samples() {
+	own := &n.lps[l.ID]
+	c.Waveform = append(make([]trace.SampleT[V], 0, len(own.prefix)+own.rec.Len()), own.prefix...)
+	for _, sm := range own.rec.Samples() {
 		if sm.Time > b {
 			break
 		}

@@ -1,54 +1,44 @@
 package lpnet
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/metrics"
+	"repro/internal/sim/kernel"
 	"repro/internal/sim/supervise"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Launch configures Run.
 type Launch struct {
-	// LP is the goroutine body of one logical process.
-	LP func(lp int)
-	// LVT reads an LP's modeled time for its panic report; Run calls it
-	// on the panicking LP's own goroutine.
-	LVT func(lp int) circuit.Tick
 	// Coordinate, when non-nil, runs on the calling goroutine while the
 	// LPs do (Time Warp's GVT loop).
 	Coordinate func()
-	// Sink carries the pprof labels of every goroutine Run starts.
-	Sink metrics.Sink
-	// Board is the scoreboard the LPs publish to; nil runs without one.
-	Board *supervise.Board
-	// HangTimeout, when positive with a Board, arms the progress watchdog.
-	HangTimeout time.Duration
-	// MaxEvents names the limit in the error of an abort that recorded
-	// none.
-	MaxEvents uint64
-	// Progress is the distributed heartbeat's probe: cumulative processed
-	// events and whether every local LP is parked.
-	Progress func() (events uint64, idle bool)
+	// Idle, when non-nil, reports whether every local LP is parked; the
+	// distributed heartbeat carries it beside the event count.
+	Idle func() bool
 }
 
-// Run runs every local LP on its own goroutine until all return, under
-// the watchdog when one is armed, and maps an aborted run to its error:
-// the one the latch recorded, or else the event limit. A panicking LP
-// fails the run cleanly — the abort wakes and drains every sibling —
-// instead of crashing the process. Remote LPs are marked done on the
-// scoreboard, so a hang report shows them as not ours rather than stuck
-// at init.
+// Run routes the stimulus and drives every local LP on its own goroutine
+// until all return, under the watchdog when one is armed, and returns the
+// error the latch recorded if the run was aborted. Every LP must have
+// joined. A panicking LP fails the run cleanly — the abort wakes and
+// drains every sibling — instead of crashing the process. Remote LPs are
+// marked done on the scoreboard, so a hang report shows them as not ours
+// rather than stuck at init.
 func (n *Net[V]) Run(l Launch) error {
 	if n.seam != nil {
-		defer n.bindSeam(l.Progress)()
+		defer n.bindSeam(func() (uint64, bool) {
+			return n.events.Load(), l.Idle != nil && l.Idle()
+		})()
 	}
 	var wd *supervise.Watchdog
-	if l.HangTimeout > 0 {
+	if n.hang > 0 {
 		wcfg := supervise.WatchConfig{
-			Engine: n.engine, Timeout: l.HangTimeout, Board: l.Board,
+			Engine: n.engine, Timeout: n.hang, Board: n.board,
 			QueueDepth: func(i int) int { return n.Inboxes[i].Len() },
 			OnHang:     n.Fail,
 		}
@@ -59,10 +49,10 @@ func (n *Net[V]) Run(l Launch) error {
 		defer wd.Stop()
 	}
 
+	initial := n.Route(n.changes, func(lp int, t uint64, ev kernel.EventT[V]) { n.lps[lp].drv.push(t, ev) })
 	var wg sync.WaitGroup
-	body, lvt, sink := l.LP, l.LVT, l.Sink
-	for i := range n.Inboxes {
-		slot := l.Board.LP(i)
+	for i := range n.lps {
+		slot := n.board.LP(i)
 		if !n.Local(i) {
 			slot.SetPhase(supervise.PhaseDone)
 			continue
@@ -70,17 +60,18 @@ func (n *Net[V]) Run(l Launch) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			drv := n.lps[i].drv
 			defer func() {
 				if r := recover(); r != nil {
 					slot.SetPhase(supervise.PhaseDone)
-					n.Fail(supervise.FromPanic(n.engine, i, "run", lvt(i), r))
+					n.Fail(supervise.FromPanic(n.engine, i, "run", drv.lvt(), r))
 				}
 			}()
-			metrics.Do(sink, n.engine, i, "run", func() { body(i) })
+			metrics.Do(n.sink, n.engine, i, "run", func() { drv.drive(initial[i]) })
 		}(i)
 	}
 	if l.Coordinate != nil {
-		metrics.Do(l.Sink, n.engine, -1, "coordinate", func() {
+		metrics.Do(n.sink, n.engine, -1, "coordinate", func() {
 			defer func() {
 				if r := recover(); r != nil {
 					n.Fail(supervise.FromPanic(n.engine, -1, "coordinate", 0, r))
@@ -96,13 +87,34 @@ func (n *Net[V]) Run(l Launch) error {
 		return nil
 	}
 	n.mu.Lock()
-	err := n.err
-	n.mu.Unlock()
-	if err != nil {
-		return err
+	defer n.mu.Unlock()
+	return n.err
+}
+
+// Result is what a finished run reports.
+type Result[V comparable] struct {
+	Values []V
+	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	Waveform []trace.SampleT[V]
+	EndTime  circuit.Tick
+	Stats    stats.RunStats
+}
+
+// Result reads a finished run: every net's final value from the LP that
+// owns it, every LP's samples merged, the last step any LP executed, and
+// the sink's statistics over the wall time since the network was built.
+// The engine sets its own gauges first.
+func (n *Net[V]) Result() Result[V] {
+	r := Result[V]{Values: make([]V, len(n.c.Gates))}
+	for g := range r.Values {
+		r.Values[g] = n.lps[n.p.Assign[g]].k.Value(circuit.GateID(g))
 	}
-	return &supervise.SimError{
-		Engine: n.engine, LP: -1, Phase: "run", Kind: supervise.KindEventLimit,
-		Cause: fmt.Errorf("event limit %d exceeded", l.MaxEvents),
+	recs := make([]*trace.RecorderT[V], len(n.lps))
+	for i := range n.lps {
+		recs[i] = &n.lps[i].rec
+		r.EndTime = max(r.EndTime, n.lps[i].drv.lvt())
 	}
+	r.Waveform = trace.Merge(recs...)
+	r.Stats = stats.Collect(n.sink, time.Since(n.start))
+	return r
 }

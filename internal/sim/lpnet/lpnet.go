@@ -4,24 +4,28 @@
 // message type and its chaos role and wire codec; every LP's mailbox
 // (mpsc, chaos-wrapped, or a socket outbox for an LP on another shard),
 // kernel, recorder and send batcher; the routing of stimulus and
-// checkpoint events; the failure latch; and the launcher. The engines
-// keep what differs between protocols — when to block, promise, roll back
-// or find GVT — and where they count transit and flush batches, because
-// both are part of each protocol's quiescence argument.
+// checkpoint events; the failure latch; the one LP loop (drive) and the
+// launcher. An engine supplies a Rule per LP — when to step, block,
+// promise, roll back or find GVT — and counts transit on its own send
+// paths, because that is part of each protocol's quiescence argument.
 package lpnet
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/mpsc"
 	"repro/internal/partition"
 	"repro/internal/sim/ckpt"
 	"repro/internal/sim/kernel"
+	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -121,6 +125,20 @@ type Spec[V comparable] struct {
 	// run: remote LPs' mailboxes are socket outboxes, and Run binds the
 	// seam's inbound batches to the local ones. Scalar values only.
 	Seam *wire.Seam
+	// Metrics receives the per-LP counters; nil uses a private registry
+	// named Label, or Engine when Label is empty.
+	Metrics metrics.Sink
+	Label   string
+	// Tracer, when non-nil, records every LP's spans.
+	Tracer *trace.Tracer
+	// HangTimeout, when positive, arms the progress watchdog over a
+	// scoreboard the LPs publish to; Scoreboard keeps the scoreboard
+	// without a watchdog.
+	HangTimeout time.Duration
+	Scoreboard  bool
+	// MaxEvents ends a runaway run with an event-limit error once the LPs
+	// have executed more events than this; 0 means no limit.
+	MaxEvents uint64
 }
 
 // Net is the LP network of one run.
@@ -144,10 +162,21 @@ type Net[V comparable] struct {
 	lps    []lp[V]
 	// cuts configures native checkpoints (off when nil or Every is 0).
 	cuts *ckpt.Cuts[V]
+	// changes is the scheduled stimulus Open hands to Run's router.
+	changes []vectors.ChangeT[V]
 
-	abort atomic.Bool
-	mu    sync.Mutex
-	err   error
+	sink      metrics.Sink
+	tracer    *trace.Tracer
+	board     *supervise.Board
+	hang      time.Duration
+	maxEvents uint64
+	// events counts the events every local LP has executed.
+	events atomic.Uint64
+	start  time.Time
+
+	aborted atomic.Bool
+	mu      sync.Mutex
+	err     error
 }
 
 // lp is the network's part of one logical process.
@@ -158,6 +187,26 @@ type lp[V comparable] struct {
 	// prefix is the boot waveform restricted to the LP's gates, the front
 	// of every cut it captures.
 	prefix []trace.SampleT[V]
+	drv    runner[V]
+}
+
+// Open is the preamble of a run: it schedules the stimulus (resolving
+// s.System), seeds the boot cut from the snapshot when there is one, and
+// builds the network.
+func Open[V comparable](s Spec[V], stim vectors.Source[V], snap *ckpt.StateT[V]) (*Net[V], error) {
+	changes, err := vectors.Schedule(s.Plane, s.Circuit, stim, &s.System)
+	if err != nil {
+		return nil, err
+	}
+	if s.Boot, err = snap.Seed(s.Circuit, s.System); err != nil {
+		return nil, err
+	}
+	n, err := New(s)
+	if err != nil {
+		return nil, err
+	}
+	n.changes = changes
+	return n, nil
 }
 
 // New validates the run's partition and builds its network: mailboxes,
@@ -173,7 +222,16 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	if err := c.CheckEventDriven(); err != nil {
 		return nil, err
 	}
-	n := &Net[V]{engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos, cuts: s.Cuts}
+	n := &Net[V]{
+		engine: s.Engine, c: c, p: p, until: s.Until, boot: s.Boot, seam: s.Seam, chaos: s.Chaos, cuts: s.Cuts,
+		sink: s.Metrics, tracer: s.Tracer, hang: s.HangTimeout, maxEvents: s.MaxEvents,
+	}
+	if n.sink == nil {
+		n.sink = metrics.NewRegistry(cmp.Or(s.Label, s.Engine))
+	}
+	if s.HangTimeout > 0 || s.Scoreboard {
+		n.board = supervise.NewBoard(p.Blocks)
+	}
 	lps := p.Blocks
 	n.Inboxes = make([]mpsc.Transport[Msg[V]], lps)
 	n.locals = make([]int, 0, lps)
@@ -220,6 +278,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		}
 	}
 	n.initBatchers()
+	n.start = time.Now()
 	return n, nil
 }
 
@@ -230,15 +289,20 @@ func (n *Net[V]) Local(lp int) bool { return n.seam == nil || n.seam.Local(lp) }
 // Locals lists the LPs that run in this process, in order.
 func (n *Net[V]) Locals() []int { return n.locals }
 
-// Kernel is LP lp's timestep executor. The engine installs its Schedule
-// and Send hooks; Record is already wired to the LP's recorder.
-func (n *Net[V]) Kernel(lp int) *kernel.LPT[V] { return n.lps[lp].k }
-
 // Recorder is LP lp's waveform recorder.
 func (n *Net[V]) Recorder(lp int) *trace.RecorderT[V] { return &n.lps[lp].rec }
 
 // Batcher is LP lp's outgoing message batcher.
 func (n *Net[V]) Batcher(lp int) *Batcher[V] { return &n.lps[lp].batch }
+
+// Sink is the run's metrics sink.
+func (n *Net[V]) Sink() metrics.Sink { return n.sink }
+
+// Board is the run's scoreboard, nil without one.
+func (n *Net[V]) Board() *supervise.Board { return n.board }
+
+// Events is the number of events the local LPs have executed so far.
+func (n *Net[V]) Events() uint64 { return n.events.Load() }
 
 // Settle takes a handled value or anti-message off the transit ledger. A
 // remote sender's message never entered this process's ledger — it left
@@ -258,16 +322,15 @@ func (n *Net[V]) Fail(err error) {
 		n.err = err
 	}
 	n.mu.Unlock()
-	n.Abort()
+	n.abort()
 }
 
-// Abort stops the run and wakes every LP so it can see the flag. It
+// abort stops the run and wakes every LP so it can see the flag. It
 // releases a chaos-injected hang, so a parked LP cannot outlive the
 // abort, and unblocks a distributed GVT loop waiting on a hub that will
-// never answer a dead run. An abort with no error recorded is the event
-// limit tripping.
-func (n *Net[V]) Abort() {
-	n.abort.Store(true)
+// never answer a dead run.
+func (n *Net[V]) abort() {
+	n.aborted.Store(true)
 	n.chaos.Release()
 	if n.seam != nil {
 		n.seam.CancelWait()
@@ -278,25 +341,7 @@ func (n *Net[V]) Abort() {
 }
 
 // Aborted reports whether the run has been aborted.
-func (n *Net[V]) Aborted() bool { return n.abort.Load() }
-
-// Values reads the final value of every net from the LP that owns it.
-func (n *Net[V]) Values() []V {
-	vals := make([]V, len(n.c.Gates))
-	for g := range vals {
-		vals[g] = n.lps[n.p.Assign[g]].k.Value(circuit.GateID(g))
-	}
-	return vals
-}
-
-// Waveform merges every LP's recorded samples.
-func (n *Net[V]) Waveform() []trace.SampleT[V] {
-	recs := make([]*trace.RecorderT[V], len(n.lps))
-	for i := range n.lps {
-		recs[i] = &n.lps[i].rec
-	}
-	return trace.Merge(recs...)
-}
+func (n *Net[V]) Aborted() bool { return n.aborted.Load() }
 
 // Route hands each stimulus change inside the horizon — or, when the run
 // boots from a checkpoint, each checkpoint event — to every local LP in

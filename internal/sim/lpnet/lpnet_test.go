@@ -4,12 +4,14 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/dist/wire"
+	"repro/internal/eventq"
 	"repro/internal/logic"
 	"repro/internal/mpsc"
 	"repro/internal/partition"
@@ -246,36 +248,223 @@ func TestFailLatch(t *testing.T) {
 	}
 }
 
+// script is a scripted rule: its LP steps through whatever the test queued
+// and discards what a step produces, and the test decides what the LP does
+// when idle, on a message and on parking.
+type script struct {
+	LP[logic.Value, kernel.Event]
+	idle    func(s *script) Verdict
+	handle  func(s *script, m Msg[logic.Value]) bool
+	park    func(s *script)
+	stepped []circuit.Tick
+}
+
+func (s *script) Pend(ev kernel.Event) kernel.Event { return ev }
+func (s *script) Begin()                            {}
+func (s *script) Live(kernel.Event) bool            { return true }
+func (s *script) Ready(t circuit.Tick) bool         { return t != ckpt.Never }
+func (s *script) Wake()                             {}
+
+func (s *script) Next() circuit.Tick {
+	if t, ok := s.Q.PeekTime(); ok {
+		return circuit.Tick(t)
+	}
+	return ckpt.Never
+}
+
+func (s *script) Step(t circuit.Tick, _ []kernel.Event) { s.stepped = append(s.stepped, t) }
+
+func (s *script) Handle(m Msg[logic.Value]) bool {
+	if s.handle == nil {
+		return m.Kind != Terminate
+	}
+	return s.handle(s, m)
+}
+
+func (s *script) Idle(circuit.Tick) Verdict {
+	if s.idle == nil {
+		return Park
+	}
+	return s.idle(s)
+}
+
+func (s *script) Park() {
+	if s.park != nil {
+		s.park(s)
+	}
+}
+
+// scripted joins a script to every LP of n.
+func scripted(n *Net[logic.Value], p Pace) []*script {
+	ss := make([]*script, len(n.lps))
+	for i := range ss {
+		s := &script{}
+		Join(n, &s.LP, i, s, eventq.New[kernel.Event](eventq.ImplHeap), p)
+		s.K.Schedule = func(circuit.Tick, circuit.GateID, logic.Value) {}
+		s.K.Send = func(int, circuit.Tick, circuit.GateID, logic.Value) {}
+		ss[i] = s
+	}
+	return ss
+}
+
+// runWithin runs n and fails the test if it does not return in time.
+func runWithin(t *testing.T, n *Net[logic.Value]) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- n.Run(Launch{}) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return")
+		return nil
+	}
+}
+
 func TestRunIsolatesPanics(t *testing.T) {
-	n := newNet(t, Spec[logic.Value]{})
-	var exited atomic.Int32
-	err := n.Run(Launch{
-		LP: func(i int) {
-			if i == 1 {
-				panic("boom")
-			}
-			for !n.Aborted() {
-				n.Inboxes[i].WaitDrain(nil)
-			}
-			exited.Add(1)
-		},
-		LVT:   func(i int) circuit.Tick { return circuit.Tick(10 + i) },
-		Board: supervise.NewBoard(3),
-	})
+	n := newNet(t, Spec[logic.Value]{Scoreboard: true})
+	ss := scripted(n, Burst)
+	var woke atomic.Int32
+	for i, s := range ss {
+		s.LVT = circuit.Tick(10 + i)
+		s.handle = func(*script, Msg[logic.Value]) bool { woke.Add(1); return true }
+	}
+	ss[1].idle = func(*script) Verdict { panic("boom") }
+	err := runWithin(t, n)
 	var se *supervise.SimError
 	if !errors.As(err, &se) || se.Kind != supervise.KindPanic || se.Engine != "eng" || se.LP != 1 ||
 		se.Phase != "run" || se.ModeledTime != 11 {
 		t.Fatalf("Run = %v, want a panic SimError for eng lp 1 in run at t=11", err)
 	}
-	if got := exited.Load(); got != 2 {
-		t.Fatalf("%d siblings exited, want 2", got)
+	if got := woke.Load(); got != 0 {
+		t.Fatalf("siblings handled %d messages; the abort must end them, not feed them", got)
 	}
+}
 
-	// An abort with nothing latched is the event limit.
-	n = newNet(t, Spec[logic.Value]{})
-	err = n.Run(Launch{LP: func(int) { n.Abort() }, LVT: func(int) circuit.Tick { return 0 }, MaxEvents: 9})
-	if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit || se.Error() == "" {
-		t.Fatalf("Run after a bare abort = %v, want an event-limit SimError", err)
+// TestEventLimitNamesLPAndTime: the loop's runaway guard fails the run
+// with an event-limit SimError naming the LP and the step that crossed
+// the limit.
+func TestEventLimitNamesLPAndTime(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{MaxEvents: 3})
+	ss := scripted(n, Burst)
+	for _, tm := range []uint64{2, 3, 3, 3, 9} {
+		ss[2].Q.Push(tm, kernel.Event{Gate: gX})
+	}
+	err := runWithin(t, n)
+	var se *supervise.SimError
+	if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit || se.LP != 2 || se.ModeledTime != 3 ||
+		se.Phase != "run" || se.Engine != "eng" {
+		t.Fatalf("Run = %v, want an event-limit SimError for eng lp 2 at t=3", err)
+	}
+	if want := []circuit.Tick{2}; !reflect.DeepEqual(ss[2].stepped, want) {
+		t.Fatalf("lp 2 stepped at %v, want %v: the step over the limit must not run", ss[2].stepped, want)
+	}
+}
+
+// TestLoopFlushesBeforePark: a message an LP batches just before it parks
+// reaches a peer that is itself parked, so neither sleeps forever. The
+// watchdog turns a lost message into a hang error instead of a stuck test.
+func TestLoopFlushesBeforePark(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{HangTimeout: 2 * time.Second})
+	ss := scripted(n, Burst)
+	parked := make(chan struct{})
+	var once sync.Once
+	ss[1].park = func(*script) { once.Do(func() { close(parked) }) }
+	sent := false
+	ss[0].idle = func(s *script) Verdict {
+		if !sent {
+			<-parked
+			s.Batch.Put(1, Msg[logic.Value]{Kind: Value, From: 0, Time: 5, Gate: gX})
+			sent = true
+		}
+		return Park
+	}
+	got := false
+	ss[1].handle = func(_ *script, m Msg[logic.Value]) bool {
+		got = got || m.Kind == Value
+		return true
+	}
+	ss[1].idle = func(s *script) Verdict {
+		if !got {
+			return Park
+		}
+		s.Batch.Put(0, Msg[logic.Value]{Kind: Terminate})
+		s.Batch.Put(2, Msg[logic.Value]{Kind: Terminate})
+		return Done
+	}
+	if err := runWithin(t, n); err != nil {
+		t.Fatalf("Run = %v, want a clean finish", err)
+	}
+}
+
+// TestFailWakesParkedLPs: Fail from outside the LPs wakes every parked LP,
+// and Run returns the latched error.
+func TestFailWakesParkedLPs(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{})
+	ss := scripted(n, Eager)
+	var parked sync.WaitGroup
+	parked.Add(len(ss))
+	for _, s := range ss {
+		var once sync.Once
+		s.park = func(*script) { once.Do(parked.Done) }
+	}
+	boom := errors.New("boom")
+	go func() {
+		parked.Wait()
+		n.Fail(boom)
+	}()
+	if err := runWithin(t, n); err != boom {
+		t.Fatalf("Run = %v, want the latched %v", err, boom)
+	}
+}
+
+// TestTerminateEndsOneLP: a Handle that returns false ends its own LP and
+// no other; the ended LP handles nothing after it.
+func TestTerminateEndsOneLP(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{})
+	ss := scripted(n, Burst)
+	var mu sync.Mutex
+	handled := make([][]Kind, len(ss))
+	var parked sync.WaitGroup
+	parked.Add(len(ss))
+	ended := make(chan struct{})
+	for i, s := range ss {
+		var once sync.Once
+		s.park = func(*script) { once.Do(parked.Done) }
+		s.handle = func(_ *script, m Msg[logic.Value]) bool {
+			mu.Lock()
+			handled[i] = append(handled[i], m.Kind)
+			mu.Unlock()
+			if m.Kind == Terminate && i == 1 {
+				close(ended)
+			}
+			return m.Kind != Terminate
+		}
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- n.Run(Launch{}) }()
+	parked.Wait()
+	n.Inboxes[1].Put(Msg[logic.Value]{Kind: Terminate})
+	<-ended
+	n.Inboxes[1].Put(Msg[logic.Value]{Kind: Value, Time: 4, Gate: gX})
+	mu.Lock()
+	if len(handled[0])+len(handled[2]) != 0 {
+		t.Errorf("other LPs handled %v and %v", handled[0], handled[2])
+	}
+	mu.Unlock()
+	n.Inboxes[0].Put(Msg[logic.Value]{Kind: Terminate})
+	n.Inboxes[2].Put(Msg[logic.Value]{Kind: Terminate})
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Run = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return")
+	}
+	want := [][]Kind{{Terminate}, {Terminate}, {Terminate}}
+	if !reflect.DeepEqual(handled, want) {
+		t.Fatalf("handled %v, want one terminate each and nothing after lp 1's", handled)
 	}
 }
 

@@ -2,7 +2,6 @@ package timewarp
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/circuit"
@@ -65,19 +64,13 @@ type lazyRec[V comparable] struct {
 	createdAt circuit.Tick
 }
 
-// tlp is one Time Warp logical process.
+// tlp is one Time Warp logical process: the network's loop drives it,
+// and its methods are the optimistic rule (lpnet.Rule).
 type tlp[V comparable] struct {
-	id   int
-	sh   *shared[V]
-	cfg  ConfigT[V]
-	k    *kernel.LPT[V]
-	q    eventq.Queue[qevent[V]]
-	rec  *trace.RecorderT[V]
-	st   *metrics.LPBlock
-	trsh *trace.Shard
-	slot *supervise.LPSlot // watchdog scoreboard entry; nil-safe when unwatched
+	lpnet.LP[V, qevent[V]]
+	sh  *shared[V]
+	rec *trace.RecorderT[V]
 
-	lvt         circuit.Tick
 	gvt         circuit.Tick // last observed GVT
 	fossilFloor circuit.Tick // history below this time has been collected
 	floorEnd    circuit.Tick // time of the newest collected step
@@ -97,23 +90,15 @@ type tlp[V comparable] struct {
 	seq         uint64
 	relevant    []circuit.GateID
 
-	// cut is the next checkpoint boundary to capture (ckpt.Never when
-	// checkpointing is off or every boundary is taken); held are the cuts
-	// captured speculatively below it that GVT has not yet passed, oldest
-	// first and one per boundary.
-	cut  circuit.Tick
+	// held are the cuts captured speculatively below Cut that GVT has not
+	// yet passed, oldest first and one per boundary.
 	held []*ckpt.Cut[V]
 
 	curStep      *step[V]
 	handledSince uint64
-	// batch holds outgoing messages per destination until the next flush:
-	// after every step and every drain, and before every park. Transit is
-	// counted at send time, so GVT quiescence (handled==0 && transit==0)
-	// cannot conclude while any batch is unflushed.
-	batch *lpnet.Batcher[V]
-	buf   []lpnet.Msg[V]
-	evs   []qevent[V]
-	kevs  []kernel.EventT[V]
+	// paused is set when Ready found processing frozen for a GVT round.
+	paused bool
+	kevs   []kernel.EventT[V]
 
 	// Free-lists for the per-step history records. Steps, undo logs, and
 	// snapshots are recycled here at rollback and fossil collection instead
@@ -131,39 +116,35 @@ type tlp[V comparable] struct {
 	critEval float64
 }
 
-func newTLP[V comparable](sh *shared[V], id int, cfg ConfigT[V]) *tlp[V] {
-	k := sh.net.Kernel(id)
+// newTLP joins LP id to the run's network. Transit is counted at send
+// time and the eager pace flushes after every step and every drain, so GVT
+// quiescence (handled==0 && transit==0) cannot conclude while any batch is
+// unflushed.
+func newTLP[V comparable](sh *shared[V], id int) *tlp[V] {
+	cfg := sh.cfg
 	l := &tlp[V]{
-		id:    id,
-		sh:    sh,
-		cfg:   cfg,
-		k:     k,
-		rec:   sh.net.Recorder(id),
-		batch: sh.net.Batcher(id),
-		q:     eventq.NewCap[qevent[V]](cfg.Queue, 128),
-		dead:  map[uint64]bool{},
-		evs:   make([]qevent[V], 0, 32),
-		kevs:  make([]kernel.EventT[V], 0, 32),
-		buf:   make([]lpnet.Msg[V], 0, 64),
-		st:    sh.sink.LP(id),
-		trsh:  sh.tracer.Shard(fmt.Sprintf("lp %d", id)),
-		cut:   sh.net.FirstCut(),
+		sh:   sh,
+		rec:  sh.net.Recorder(id),
+		dead: map[uint64]bool{},
+		kevs: make([]kernel.EventT[V], 0, 32),
 	}
+	lpnet.Join(sh.net, &l.LP, id, l, eventq.NewCap[qevent[V]](cfg.Queue, 128), lpnet.Eager)
+	k := l.K
 	if cfg.StateSaving == FullCopy {
 		l.relevant = k.RelevantNets()
 	}
 	if cfg.IntraWorkers > 1 {
-		l.pool = phase.New(cfg.IntraWorkers, sh.engine, sh.sink, k.EvalPart)
+		l.pool = phase.New(cfg.IntraWorkers, sh.engine, sh.net.Sink(), k.EvalPart)
 	}
 	k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 		ev := qevent[V]{gate: g, value: v, id: l.newID()}
-		l.q.Push(uint64(t), ev)
+		l.Q.Push(uint64(t), ev)
 		if l.curStep != nil {
 			l.createdLog = append(l.createdLog, ev.id)
 		}
 	}
 	k.Send = func(dst int, t circuit.Tick, g circuit.GateID, v V) {
-		if l.cfg.Cancellation == Lazy && len(l.lazyPending) > 0 {
+		if l.sh.cfg.Cancellation == Lazy && len(l.lazyPending) > 0 {
 			// Lazy cancellation: a regenerated message equal to one already
 			// delivered is suppressed — the receiver's copy stays valid —
 			// but it keeps its original id so this step's own rollback can
@@ -181,7 +162,7 @@ func newTLP[V comparable](sh *shared[V], id int, cfg ConfigT[V]) *tlp[V] {
 		rec := sentRec[V]{dst: dst, id: l.newID(), time: t, gate: g, value: v}
 		l.sentLog = append(l.sentLog, rec)
 		l.sh.net.Transit.Add(1)
-		l.batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.id, ID: rec.id, Time: t, Gate: g, Value: v})
+		l.Batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Value, From: l.ID, ID: rec.id, Time: t, Gate: g, Value: v})
 	}
 	return l
 }
@@ -189,7 +170,7 @@ func newTLP[V comparable](sh *shared[V], id int, cfg ConfigT[V]) *tlp[V] {
 // newID mints a run-unique event/message id.
 func (l *tlp[V]) newID() uint64 {
 	l.seq++
-	return uint64(l.id)<<40 | l.seq
+	return uint64(l.ID)<<40 | l.seq
 }
 
 // getStep acquires a cleared step record, reusing a recycled one (and its
@@ -200,10 +181,10 @@ func (l *tlp[V]) getStep(t circuit.Tick) *step[V] {
 		l.stepPool[n-1] = nil
 		l.stepPool = l.stepPool[:n-1]
 		s.time = t
-		l.st.PoolHits++
+		l.St.PoolHits++
 		return s
 	}
-	l.st.PoolMisses++
+	l.St.PoolMisses++
 	return &step[V]{time: t}
 }
 
@@ -215,8 +196,7 @@ func (l *tlp[V]) beginStep(s *step[V]) {
 }
 
 // endStep closes the executing step's ranges. A step that is not kept in
-// the history (the time-zero settling step is never rolled back) gives
-// its log entries back.
+// the history gives its log entries back.
 func (l *tlp[V]) endStep(s *step[V], keep bool) {
 	l.curStep = nil
 	if !keep {
@@ -259,10 +239,10 @@ func (l *tlp[V]) getUndo() *kernel.UndoT[V] {
 		l.undoPool[n-1] = nil
 		l.undoPool = l.undoPool[:n-1]
 		u.Reset()
-		l.st.PoolHits++
+		l.St.PoolHits++
 		return u
 	}
-	l.st.PoolMisses++
+	l.St.PoolMisses++
 	return kernel.NewUndo[V](32, 8, 32)
 }
 
@@ -273,23 +253,32 @@ func (l *tlp[V]) getSnap() *kernel.SnapshotT[V] {
 		s := l.snapPool[n-1]
 		l.snapPool[n-1] = nil
 		l.snapPool = l.snapPool[:n-1]
-		l.st.PoolHits++
+		l.St.PoolHits++
 		return s
 	}
-	l.st.PoolMisses++
+	l.St.PoolMisses++
 	return &kernel.SnapshotT[V]{}
 }
 
-// nextLive returns the earliest non-annihilated pending event time,
+// Pend queues a routed event under a fresh id.
+func (l *tlp[V]) Pend(ev kernel.EventT[V]) qevent[V] {
+	return qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()}
+}
+
+// Begin gives back the sends the settling step logged: it is never rolled
+// back, since every cross-LP message carries a time of at least 1.
+func (l *tlp[V]) Begin() { l.sentLog = l.sentLog[:0] }
+
+// Next returns the earliest non-annihilated pending event time,
 // discarding annihilated entries it passes over.
-func (l *tlp[V]) nextLive() circuit.Tick {
+func (l *tlp[V]) Next() circuit.Tick {
 	for {
-		t, v, ok := l.q.Peek()
+		t, v, ok := l.Q.Peek()
 		if !ok {
 			return infTick
 		}
 		if l.dead[v.id] {
-			l.q.PopMin()
+			l.Q.PopMin()
 			delete(l.dead, v.id)
 			continue
 		}
@@ -297,27 +286,59 @@ func (l *tlp[V]) nextLive() circuit.Tick {
 	}
 }
 
-// popBatch removes all live events at exactly time t.
-func (l *tlp[V]) popBatch(t circuit.Tick) []qevent[V] {
-	l.evs = l.evs[:0]
-	for {
-		pt, v, ok := l.q.Peek()
-		if !ok || circuit.Tick(pt) != t {
-			break
-		}
-		l.q.PopMin()
-		if l.dead[v.id] {
-			delete(l.dead, v.id)
-			continue
-		}
-		l.evs = append(l.evs, v)
+// Live reports whether a popped entry escaped annihilation, forgetting
+// its tombstone if not.
+func (l *tlp[V]) Live(e qevent[V]) bool {
+	if l.dead[e.id] {
+		delete(l.dead, e.id)
+		return false
 	}
-	return l.evs
+	return true
 }
 
-// execStep speculatively executes the events at time t.
-func (l *tlp[V]) execStep(t circuit.Tick, events []qevent[V], initial bool) {
-	begin := l.trsh.Now()
+// Ready holds unless processing is frozen for a GVT round or t lies past
+// the horizon or the optimism window. The effective window is the
+// narrowest of the configured window, the adaptive controller's output,
+// and any memory-throttle clamp the coordinator imposed; the clamp folds
+// last so it wins regardless of what the controller asked for. Before a
+// step past a checkpoint boundary it holds the boundary's cut.
+func (l *tlp[V]) Ready(t circuit.Tick) bool {
+	if l.paused = l.sh.paused.Load(); l.paused {
+		return false
+	}
+	win := l.sh.cfg.Window
+	if aw := circuit.Tick(l.sh.adaptWin.Load()); aw != 0 && (win == 0 || aw < win) {
+		win = aw
+	}
+	if cl := circuit.Tick(l.sh.clamp.Load()); cl != 0 && (win == 0 || cl < win) {
+		win = cl
+	}
+	if t == infTick || t > l.sh.until || (win > 0 && l.gvt < infTick-win && t > l.gvt+win) {
+		return false
+	}
+	if t > l.Cut {
+		l.holdCuts(t)
+	}
+	return true
+}
+
+// Idle waits out a GVT pause in the barrier phase, serving rounds until
+// released. Otherwise nothing is executable: it cancels the lazy sends
+// now provably wrong and parks until messages or a GVT round arrive.
+func (l *tlp[V]) Idle(circuit.Tick) lpnet.Verdict {
+	if l.paused {
+		return lpnet.Pause
+	}
+	l.flushLazyBelowNext()
+	return lpnet.Park
+}
+
+// Park and Wake keep the count of idle LPs the coordinator paces on.
+func (l *tlp[V]) Park() { l.sh.idle.Add(1) }
+func (l *tlp[V]) Wake() { l.sh.idle.Add(-1) }
+
+// Step speculatively executes the events at time t.
+func (l *tlp[V]) Step(t circuit.Tick, events []qevent[V]) {
 	s := l.getStep(t)
 	s.inputs.lo = len(l.inLog)
 	l.inLog = append(l.inLog, events...)
@@ -325,72 +346,52 @@ func (l *tlp[V]) execStep(t circuit.Tick, events []qevent[V], initial bool) {
 	for _, ev := range events {
 		l.kevs = append(l.kevs, kernel.EventT[V]{Gate: ev.gate, Value: ev.value})
 	}
-	if !initial && l.cfg.StateSaving == FullCopy {
-		snapBegin := l.trsh.Now()
+	if l.sh.cfg.StateSaving == FullCopy {
+		snapBegin := l.Trace.Now()
 		s.snap = l.getSnap()
-		l.k.TakeSnapshot(l.relevant, s.snap)
-		l.st.StateSaves++
-		l.st.StateSavedWords += s.snap.Words()
-		l.trsh.Span(trace.PhaseStateSave, snapBegin, t)
+		l.K.TakeSnapshot(l.relevant, s.snap)
+		l.St.StateSaves++
+		l.St.StateSavedWords += s.snap.Words()
+		l.Trace.Span(trace.PhaseStateSave, snapBegin, t)
 	}
 	l.beginStep(s)
 	var undo *kernel.UndoT[V]
-	if !initial && l.cfg.StateSaving == Incremental {
+	if l.sh.cfg.StateSaving == Incremental {
 		undo = l.getUndo()
 		s.undo = undo
 	}
 	if l.pool != nil {
-		maxChunk, err := l.k.StepParallel(t, l.kevs, initial, undo, &l.st.LPCounters, l.pool)
+		maxChunk, err := l.K.StepParallel(t, l.kevs, false, undo, &l.St.LPCounters, l.pool)
 		if err != nil {
 			// A sub-worker panicked and nothing was committed: the run is
 			// over, and the LP stops at its next abort check.
 			l.sh.net.Fail(err)
 			return
 		}
-		l.critEval += float64(maxChunk)*l.cfg.Cost.EvalCost + l.cfg.Cost.Barrier(l.cfg.IntraWorkers)
+		l.critEval += float64(maxChunk)*l.sh.cfg.Cost.EvalCost + l.sh.cfg.Cost.Barrier(l.sh.cfg.IntraWorkers)
 	} else {
-		l.k.Step(t, l.kevs, initial, undo, &l.st.LPCounters)
+		l.K.Step(t, l.kevs, false, undo, &l.St.LPCounters)
 	}
 	if undo != nil {
-		l.st.StateSaves++
-		l.st.StateSavedWords += undo.Words()
+		l.St.StateSaves++
+		l.St.StateSavedWords += undo.Words()
 	}
-	l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(events)))
-	l.trsh.Span(trace.PhaseEvaluate, begin, t)
-	l.endStep(s, !initial)
-	if !initial {
-		if l.sh.cfg.HistoryLimit > 0 {
-			w := uint64(s.inputs.len() + s.sent.len() + s.created.len())
-			if s.undo != nil {
-				w += s.undo.Words()
-			}
-			if s.snap != nil {
-				w += s.snap.Words()
-			}
-			s.words = w
-			l.sh.histWords.Add(int64(w))
+	l.endStep(s, true)
+	if l.sh.cfg.HistoryLimit > 0 {
+		w := uint64(s.inputs.len() + s.sent.len() + s.created.len())
+		if s.undo != nil {
+			w += s.undo.Words()
 		}
-		l.steps = append(l.steps, s)
-	} else {
-		l.putStep(s)
+		if s.snap != nil {
+			w += s.snap.Words()
+		}
+		s.words = w
+		l.sh.histWords.Add(int64(w))
 	}
-	l.lvt = t
+	l.steps = append(l.steps, s)
 	// Lazy messages from steps at or before t that re-execution did not
 	// regenerate are now provably wrong: cancel them.
 	l.cancelLazyThrough(t)
-}
-
-// execInitial runs the time-zero settling step (never rolled back: all
-// cross-LP messages carry times >= 1, so no straggler can target time 0).
-func (l *tlp[V]) execInitial(events []kernel.EventT[V]) {
-	s := &step[V]{time: 0}
-	l.beginStep(s)
-	begin := l.trsh.Now()
-	l.k.Step(0, events, true, nil, &l.st.LPCounters)
-	l.st.Hist(metrics.HistStepEvents).Observe(uint64(len(events)))
-	l.trsh.Span(trace.PhaseEvaluate, begin, 0)
-	l.endStep(s, false)
-	l.lvt = 0
 }
 
 // rollback restores the LP to just before the earliest step at or after ts
@@ -402,29 +403,29 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	}
 	if l.steps[idx].time < l.fossilFloor {
 		l.sh.net.Fail(&supervise.SimError{
-			Engine: l.sh.engine, LP: l.id, Phase: "rollback", ModeledTime: ts,
+			Engine: l.sh.engine, LP: l.ID, Phase: "rollback", ModeledTime: ts,
 			Kind:  supervise.KindCausality,
 			Cause: fmt.Errorf("rollback to %d below GVT %d", ts, l.fossilFloor),
 		})
 		return
 	}
 	suffix := l.steps[idx:]
-	l.st.Rollbacks++
-	begin := l.trsh.Now()
-	undoneBefore := l.st.EventsRolledBack
+	l.St.Rollbacks++
+	begin := l.Trace.Now()
+	undoneBefore := l.St.EventsRolledBack
 
 	// Restore state.
-	if l.cfg.StateSaving == FullCopy {
-		l.k.RestoreSnapshot(l.relevant, suffix[0].snap)
+	if l.sh.cfg.StateSaving == FullCopy {
+		l.K.RestoreSnapshot(l.relevant, suffix[0].snap)
 		for _, s := range suffix {
-			l.st.EventsRolledBack += uint64(s.inputs.len())
+			l.St.EventsRolledBack += uint64(s.inputs.len())
 		}
 	} else {
 		undos := l.undoScratch[:0]
 		for _, s := range suffix {
 			undos = append(undos, s.undo)
 		}
-		l.k.Rollback(undos, &l.st.LPCounters)
+		l.K.Rollback(undos, &l.St.LPCounters)
 		for i := range undos {
 			undos[i] = nil
 		}
@@ -437,7 +438,7 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 			l.dead[id] = true
 		}
 		for _, sr := range l.sentLog[s.sent.lo:s.sent.hi] {
-			if l.cfg.Cancellation == Lazy {
+			if l.sh.cfg.Cancellation == Lazy {
 				l.lazyPending = append(l.lazyPending, lazyRec[V]{sentRec: sr, createdAt: s.time})
 			} else {
 				l.sendAnti(sr)
@@ -446,14 +447,14 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	}
 	// Requeue the rolled-back inputs (except ones just retracted or
 	// previously annihilated).
-	l.q.ResetFloor()
+	l.Q.ResetFloor()
 	for _, s := range suffix {
 		for _, in := range l.inLog[s.inputs.lo:s.inputs.hi] {
 			if l.dead[in.id] {
 				delete(l.dead, in.id)
 				continue
 			}
-			l.q.Push(uint64(s.time), in)
+			l.Q.Push(uint64(s.time), in)
 		}
 	}
 	l.rec.TruncateFrom(suffix[0].time)
@@ -467,25 +468,25 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	}
 	l.steps = l.steps[:idx]
 	if idx > 0 {
-		l.lvt = l.steps[idx-1].time
+		l.LVT = l.steps[idx-1].time
 	} else {
-		l.lvt = l.floorEnd
+		l.LVT = l.floorEnd
 	}
 	if len(l.held) > 0 {
-		l.dropCuts(l.lvt + 1)
+		l.dropCuts(l.LVT + 1)
 	}
-	l.st.Hist(metrics.HistRollbackDepth).Observe(l.st.EventsRolledBack - undoneBefore)
-	l.trsh.Span(trace.PhaseRollback, begin, ts)
-	l.cfg.Chaos.Stall(l.id, inject.PhaseRollback)
+	l.St.Hist(metrics.HistRollbackDepth).Observe(l.St.EventsRolledBack - undoneBefore)
+	l.Trace.Span(trace.PhaseRollback, begin, ts)
+	l.sh.cfg.Chaos.Stall(l.ID, inject.PhaseRollback)
 }
 
 // sendAnti queues an anti-message for a previously sent message; the batch
 // is delivered at the next flush. Link FIFO, which the batcher preserves,
 // puts it behind its original.
 func (l *tlp[V]) sendAnti(sr sentRec[V]) {
-	l.st.AntiMessagesSent++
+	l.St.AntiMessagesSent++
 	l.sh.net.Transit.Add(1)
-	l.batch.Put(sr.dst, lpnet.Msg[V]{Kind: lpnet.Anti, From: l.id, ID: sr.id, Time: sr.time, Gate: sr.gate, Value: sr.value})
+	l.Batch.Put(sr.dst, lpnet.Msg[V]{Kind: lpnet.Anti, From: l.ID, ID: sr.id, Time: sr.time, Gate: sr.gate, Value: sr.value})
 }
 
 // cancelLazyThrough cancels pending lazy messages whose originating step
@@ -514,7 +515,7 @@ func (l *tlp[V]) flushLazyBelowNext() {
 	if len(l.lazyPending) == 0 {
 		return
 	}
-	next := l.nextLive()
+	next := l.Next()
 	kept := l.lazyPending[:0]
 	for _, p := range l.lazyPending {
 		if p.createdAt < next {
@@ -530,7 +531,7 @@ func (l *tlp[V]) flushLazyBelowNext() {
 // event, lower-bounded by any still-pending lazy cancellation (whose
 // eventual anti-message may roll the destination back to that time).
 func (l *tlp[V]) localMin() circuit.Tick {
-	m := l.nextLive()
+	m := l.Next()
 	for _, p := range l.lazyPending {
 		if p.time < m {
 			m = p.time
@@ -543,7 +544,7 @@ func (l *tlp[V]) localMin() circuit.Tick {
 func (l *tlp[V]) fossilCollect(gvt circuit.Tick) {
 	l.gvt = gvt
 	l.fossilFloor = gvt
-	l.slot.SetBound(uint64(gvt))
+	l.Slot.SetBound(uint64(gvt))
 	idx := sort.Search(len(l.steps), func(i int) bool { return l.steps[i].time >= gvt })
 	if idx > 0 {
 		l.floorEnd = l.steps[idx-1].time
@@ -572,10 +573,8 @@ func (l *tlp[V]) liveEvent(e qevent[V]) (kernel.EventT[V], bool) {
 // the step the LP is about to execute: every step at or before them has
 // run and none after.
 func (l *tlp[V]) holdCuts(t circuit.Tick) {
-	net := l.sh.net
-	for l.cut < t {
-		l.held = append(l.held, lpnet.Capture(net, l.id, l.cut, l.lvt, l.q, l.liveEvent))
-		l.cut = net.NextCut(l.cut)
+	for l.Cut < t {
+		l.held = append(l.held, l.TakeCut(l.liveEvent))
 	}
 }
 
@@ -586,7 +585,7 @@ func (l *tlp[V]) holdCuts(t circuit.Tick) {
 // one then always rolls the LP back, and never arrives unnoticed.
 func (l *tlp[V]) dropCuts(t circuit.Tick) {
 	for n := len(l.held); n > 0 && l.held[n-1].Time >= t; n-- {
-		l.cut = l.held[n-1].Time
+		l.Cut = l.held[n-1].Time
 		l.held[n-1] = nil
 		l.held = l.held[:n-1]
 	}
@@ -603,9 +602,8 @@ func (l *tlp[V]) commitCuts(gvt circuit.Tick) {
 		l.held[i] = nil
 	}
 	l.held = l.held[:copy(l.held, l.held[i:])]
-	for l.cut < gvt {
-		net.Emit(lpnet.Capture(net, l.id, l.cut, l.lvt, l.q, l.liveEvent))
-		l.cut = net.NextCut(l.cut)
+	for l.Cut < gvt {
+		net.Emit(l.TakeCut(l.liveEvent))
 	}
 }
 
@@ -630,45 +628,38 @@ func (l *tlp[V]) dropLogPrefix() {
 	}
 }
 
-// handle processes one inbound message; it returns false on terminate.
-func (l *tlp[V]) handle(m lpnet.Msg[V]) bool {
+// Handle processes one inbound message; it returns false on terminate.
+func (l *tlp[V]) Handle(m lpnet.Msg[V]) bool {
 	switch m.Kind {
-	case lpnet.Value:
+	case lpnet.Value, lpnet.Anti:
 		l.sh.net.Settle(m.From)
-		l.st.MessagesRecv++
 		l.handledSince++
+		what := "message"
+		if m.Kind == lpnet.Anti {
+			what = "anti-message"
+		}
 		if m.Time < l.fossilFloor {
 			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.Time,
+				Engine: l.sh.engine, LP: l.ID, Phase: "handle", ModeledTime: m.Time,
 				Kind:  supervise.KindCausality,
-				Cause: fmt.Errorf("received message at %d below GVT %d", m.Time, l.fossilFloor),
+				Cause: fmt.Errorf("received %s at %d below GVT %d", what, m.Time, l.fossilFloor),
 			})
 			return false
 		}
-		if m.Time <= l.lvt {
+		if m.Time <= l.LVT {
 			l.rollback(m.Time)
 		}
-		l.q.ResetFloor()
-		l.q.Push(uint64(m.Time), qevent[V]{gate: m.Gate, value: m.Value, id: m.ID})
-	case lpnet.Anti:
-		l.sh.net.Settle(m.From)
-		l.st.AntiMessagesRecv++
-		l.handledSince++
-		if m.Time < l.fossilFloor {
-			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "handle", ModeledTime: m.Time,
-				Kind:  supervise.KindCausality,
-				Cause: fmt.Errorf("received anti-message at %d below GVT %d", m.Time, l.fossilFloor),
-			})
-			return false
+		if m.Kind == lpnet.Anti {
+			// The original is now unprocessed (FIFO per link guarantees it
+			// arrived first; if it had been processed, the rollback above
+			// just requeued it). Tombstone it.
+			l.St.AntiMessagesRecv++
+			l.dead[m.ID] = true
+			break
 		}
-		if m.Time <= l.lvt {
-			l.rollback(m.Time)
-		}
-		// The original is now unprocessed (FIFO per link guarantees it
-		// arrived first; if it had been processed, the rollback above just
-		// requeued it). Tombstone it.
-		l.dead[m.ID] = true
+		l.St.MessagesRecv++
+		l.Q.ResetFloor()
+		l.Q.Push(uint64(m.Time), qevent[V]{gate: m.Gate, value: m.Value, id: m.ID})
 	case lpnet.GVTRound:
 		l.sh.replies <- gvtReply{handled: l.handledSince, localMin: l.localMin()}
 		l.handledSince = 0
@@ -680,125 +671,4 @@ func (l *tlp[V]) handle(m lpnet.Msg[V]) bool {
 		return false
 	}
 	return true
-}
-
-// handleAll processes a batch; it returns false on terminate.
-func (l *tlp[V]) handleAll(batch []lpnet.Msg[V]) bool {
-	for _, m := range batch {
-		if !l.handle(m) {
-			return false
-		}
-	}
-	return true
-}
-
-// run is the LP goroutine body. Batched sends obey one rule: every path
-// that can reach WaitDrain (or park the LP in any way) flushes first, so no
-// message sits in a local batch while its sender sleeps — GVT quiescence
-// and deadlock-freedom both depend on it.
-func (l *tlp[V]) run(initial []kernel.EventT[V]) {
-	l.slot.SetPhase(supervise.PhaseRun)
-	defer l.slot.SetPhase(supervise.PhaseDone)
-	defer l.pool.Close()
-	if !l.sh.boot {
-		l.execInitial(initial)
-		l.batch.Flush()
-	}
-	for {
-		if l.sh.net.Aborted() {
-			return
-		}
-		l.buf = l.sh.net.Inboxes[l.id].TryDrain(l.buf[:0])
-		if !l.handleAll(l.buf) {
-			return
-		}
-		l.batch.Flush() // anti-messages from straggler-induced rollbacks
-		if l.sh.paused.Load() {
-			// Processing is frozen during GVT computation; keep serving
-			// rounds until released.
-			begin := l.trsh.Now()
-			l.slot.SetPhase(supervise.PhaseBarrier)
-			var ok bool
-			l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
-			l.slot.SetPhase(supervise.PhaseRun)
-			l.trsh.Span(trace.PhaseBarrier, begin, trace.NoTick)
-			if !ok || !l.handleAll(l.buf) {
-				return
-			}
-			l.batch.Flush()
-			continue
-		}
-		t := l.nextLive()
-		// The effective optimism window is the narrowest of the configured
-		// window, the adaptive controller's output, and any memory-throttle
-		// clamp the coordinator imposed. The clamp folds last so it wins
-		// regardless of what the controller asked for.
-		win := l.cfg.Window
-		if aw := circuit.Tick(l.sh.adaptWin.Load()); aw != 0 && (win == 0 || aw < win) {
-			win = aw
-		}
-		if cl := circuit.Tick(l.sh.clamp.Load()); cl != 0 && (win == 0 || cl < win) {
-			win = cl
-		}
-		blocked := t == infTick || t > l.sh.until ||
-			(win > 0 && l.gvt < infTick-win && t > l.gvt+win)
-		if blocked {
-			// Nothing executable: flush provably wrong lazy sends, then
-			// sleep until messages (or a GVT round) arrive.
-			l.st.Blocks++
-			l.flushLazyBelowNext()
-			l.batch.Flush()
-			l.cfg.Chaos.Stall(l.id, inject.PhaseBlock)
-			begin := l.trsh.Now()
-			l.slot.SetNext(uint64(t))
-			l.slot.SetPhase(supervise.PhaseBlock)
-			l.sh.idle.Add(1)
-			var ok bool
-			l.buf, ok = l.sh.net.Inboxes[l.id].WaitDrain(l.buf[:0])
-			l.sh.idle.Add(-1)
-			l.slot.SetPhase(supervise.PhaseRun)
-			l.trsh.Span(trace.PhaseBlock, begin, trace.NoTick)
-			if !ok || !l.handleAll(l.buf) {
-				return
-			}
-			l.batch.Flush()
-			continue
-		}
-		if t > l.cut {
-			l.holdCuts(t)
-		}
-		events := l.popBatch(t)
-		if len(events) == 0 {
-			continue
-		}
-		processed := l.sh.events.Add(uint64(len(events)))
-		if max := l.sh.cfg.MaxEvents; max > 0 && processed > max {
-			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "run", ModeledTime: t,
-				Kind:  supervise.KindEventLimit,
-				Cause: fmt.Errorf("event limit %d exceeded at time %d", max, t),
-			})
-			return
-		}
-		// Publish the event count before executing so a long evaluation is
-		// still visible to the watchdog as progress.
-		l.slot.AddEvents(uint64(len(events)))
-		l.execStep(t, events, false)
-		l.slot.SetLVT(uint64(l.lvt))
-		if err := l.q.Err(); err != nil {
-			l.sh.net.Fail(&supervise.SimError{
-				Engine: l.sh.engine, LP: l.id, Phase: "eventq", ModeledTime: l.lvt,
-				Kind: supervise.KindCausality, Cause: err,
-			})
-			return
-		}
-		l.batch.Flush()
-		l.cfg.Chaos.Stall(l.id, inject.PhaseEvaluate)
-		// Yield between speculative steps. Without this, a single-core
-		// scheduler lets one LP race arbitrarily far ahead before its
-		// neighbours run at all, and the eventual stragglers roll back
-		// nearly everything — optimism thrash that exists only as a
-		// scheduling artifact.
-		runtime.Gosched()
-	}
 }

@@ -42,9 +42,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sim/adapt"
 	"repro/internal/sim/ckpt"
-	"repro/internal/sim/kernel"
 	"repro/internal/sim/lpnet"
-	"repro/internal/sim/supervise"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -252,17 +250,13 @@ type gvtReply struct {
 type shared[V comparable] struct {
 	cfg    ConfigT[V]
 	engine string // supervise/metrics label
-	boot   bool   // resuming from a checkpoint (skip the settling step)
 	c      *circuit.Circuit
 	until  circuit.Tick
 	// net is the LP network. Its Transit counts values and anti-messages
 	// from the send that batches them to the handler that consumes them.
 	net     *lpnet.Net[V]
-	sink    metrics.Sink
-	tracer  *trace.Tracer
 	coShard *trace.Shard
 	replies chan gvtReply
-	events  atomic.Uint64
 	paused  atomic.Bool
 	// idle counts LPs parked with nothing executable; when every LP is
 	// idle the coordinator starts a GVT round immediately (fast
@@ -283,12 +277,11 @@ type shared[V comparable] struct {
 	// controller's current output (0 = unbounded), published by the
 	// coordinator after each GVT round and folded into every LP's
 	// effective window alongside the clamp; winChanges is
-	// coordinator-owned and read only after it returns. board is the
-	// per-LP utilization scoreboard, always populated so the adaptive
-	// sampler (and any watchdog) can read live progress.
+	// coordinator-owned and read only after it returns. The network's
+	// scoreboard is always kept, so the adaptive sampler (and any
+	// watchdog) can read live progress.
 	adaptWin   atomic.Uint64
 	winChanges uint64
-	board      *supervise.Board
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
@@ -318,30 +311,19 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 // replaces the stimulus and the time-zero settling step.
 func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, stim vectors.Source[V],
 	until circuit.Tick, cfg ConfigT[V]) (*ResultT[V], error) {
-	changes, err := vectors.Schedule(pl, c, stim, &cfg.System)
-	if err != nil {
-		return nil, err
-	}
 	if err := checkDist(cfg); err != nil {
 		return nil, err
 	}
-	boot, err := cfg.Boot.Seed(c, cfg.System)
-	if err != nil {
-		return nil, err
-	}
-	net, err := lpnet.New(lpnet.Spec[V]{
+	net, err := lpnet.Open(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until, Boot: boot,
+		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until,
 		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
-	})
+		Metrics: cfg.Metrics, Tracer: cfg.Tracer,
+		HangTimeout: cfg.HangTimeout, Scoreboard: true, MaxEvents: cfg.MaxEvents,
+	}, stim, cfg.Boot)
 	if err != nil {
 		return nil, err
 	}
-	sink := cfg.Metrics
-	if sink == nil {
-		sink = metrics.NewRegistry(engine)
-	}
-	start := time.Now()
 	if cfg.GVTInterval == 0 {
 		cfg.GVTInterval = 50 * time.Millisecond
 	}
@@ -350,34 +332,20 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 
 	n := cfg.Partition.Blocks
-	localLPs := net.Locals()
-	sh := &shared[V]{cfg: cfg, engine: engine, boot: boot != nil, c: c, until: until, net: net, sink: sink, tracer: cfg.Tracer}
+	sh := &shared[V]{cfg: cfg, engine: engine, c: c, until: until, net: net}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
 	sh.replies = make(chan gvtReply, n)
-
-	// The scoreboard is always created: it costs n cache lines and
-	// feeds both the watchdog (when armed) and the adaptive sampler's
-	// per-LP utilization view.
-	board := supervise.NewBoard(n)
-	sh.board = board
 	if cfg.Adapt != nil {
 		sh.adaptWin.Store(cfg.Adapt.Window())
 	}
 	lps := make([]*tlp[V], n)
 	for i := range lps {
-		lps[i] = newTLP(sh, i, cfg)
-		lps[i].slot = board.LP(i)
+		lps[i] = newTLP(sh, i)
 	}
-	initial := net.Route(changes, func(lp int, t uint64, ev kernel.EventT[V]) {
-		l := lps[lp]
-		l.q.Push(t, qevent[V]{gate: ev.Gate, value: ev.Value, id: l.newID()})
-	})
 
 	var gvtRounds uint64
 	var finalGVT circuit.Tick
-	if err := net.Run(lpnet.Launch{
-		LP:  func(i int) { lps[i].run(initial[i]) },
-		LVT: func(i int) circuit.Tick { return lps[i].lvt },
+	err = net.Run(lpnet.Launch{
 		Coordinate: func() {
 			if cfg.Dist != nil {
 				gvtRounds, finalGVT = distCoordinate(sh)
@@ -385,28 +353,20 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 				gvtRounds, finalGVT = coordinate(sh)
 			}
 		},
-		Sink:        sink,
-		Board:       board,
-		HangTimeout: cfg.HangTimeout,
-		MaxEvents:   cfg.MaxEvents,
 		// The heartbeat probe carries the all-idle flag the hub paces GVT
 		// rounds on.
-		Progress: func() (uint64, bool) {
-			return sh.events.Load(), sh.idle.Load() == int64(len(localLPs))
-		},
-	}); err != nil {
+		Idle: func() bool { return sh.idle.Load() == int64(len(net.Locals())) },
+	})
+	// A cluster's pool outlives its LP's goroutine; close every pool once
+	// no LP can step, on every exit path.
+	for _, l := range lps {
+		l.pool.Close()
+	}
+	if err != nil {
 		return nil, err
 	}
 
-	res := &ResultT[V]{Values: net.Values(), Waveform: net.Waveform(), GVT: finalGVT, workers: max(cfg.IntraWorkers, 1)}
-	for _, l := range lps {
-		if cfg.IntraWorkers > 1 {
-			res.IntraCritical = append(res.IntraCritical, l.critEval)
-		}
-		if l.lvt != infTick && l.lvt > res.EndTime {
-			res.EndTime = l.lvt
-		}
-	}
+	sink := net.Sink()
 	sink.Globals().GVTRounds = gvtRounds
 	if finalGVT != infTick {
 		sink.SetGauge("final_gvt", float64(finalGVT))
@@ -419,7 +379,14 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		sink.SetGauge("adapt_window_changes", float64(sh.winChanges))
 		sink.SetGauge("adapt_final_window", float64(sh.adaptWin.Load()))
 	}
-	res.Stats = stats.Collect(sink, time.Since(start))
+	out := net.Result()
+	res := &ResultT[V]{Values: out.Values, Waveform: out.Waveform, EndTime: out.EndTime, Stats: out.Stats,
+		GVT: finalGVT, workers: max(cfg.IntraWorkers, 1)}
+	if cfg.IntraWorkers > 1 {
+		for _, l := range lps {
+			res.IntraCritical = append(res.IntraCritical, l.critEval)
+		}
+	}
 	return res, nil
 }
 
@@ -490,7 +457,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 				break
 			}
 			if sh.net.Aborted() || sh.idle.Load() == int64(n) ||
-				sh.events.Load()-lastEvents >= threshold {
+				sh.net.Events()-lastEvents >= threshold {
 				break
 			}
 			time.Sleep(100 * time.Microsecond)
@@ -498,7 +465,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 		if sh.net.Aborted() {
 			return rounds, gvt
 		}
-		lastEvents = sh.events.Load()
+		lastEvents = sh.net.Events()
 		// Freeze processing, then repeat handling rounds to quiescence.
 		roundBegin := sh.coShard.Now()
 		sh.paused.Store(true)
@@ -526,7 +493,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 			// message, so the reply-channel receives above are the
 			// happens-before edge. Sampled after throttle so the controller
 			// sees the clamp it must yield to.
-			tot := metrics.SinkTotals(sh.sink)
+			tot := metrics.SinkTotals(sh.net.Sink())
 			s := adapt.Sample{
 				Round:            int(rounds),
 				WallMs:           float64(time.Since(start).Microseconds()) / 1e3,
@@ -536,7 +503,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 				Rollbacks:        tot.Rollbacks,
 				MessagesSent:     tot.MessagesSent,
 				Clamp:            sh.clamp.Load(),
-				PerLPEvals:       sh.board.Utilization(),
+				PerLPEvals:       sh.net.Board().Utilization(),
 			}
 			if gvt != infTick {
 				s.GVT = uint64(gvt)

@@ -1,12 +1,14 @@
 package timewarp
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	"repro/internal/sim/supervise"
 	"repro/internal/simtest"
 	"repro/internal/trace"
 	"repro/internal/vectors"
@@ -210,10 +212,12 @@ func TestMaxEventsAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := partition.New(partition.MethodContiguous, c, 4, partition.Options{})
-	if _, err := Run(c, stim, seq.Horizon(c, stim), Config{
+	_, err = Run(c, stim, seq.Horizon(c, stim), Config{
 		Partition: p, System: logic.TwoValued, MaxEvents: 100,
-	}); err == nil {
-		t.Fatal("event limit not enforced")
+	})
+	var se *supervise.SimError
+	if !errors.As(err, &se) || se.Kind != supervise.KindEventLimit || se.LP < 0 || se.ModeledTime == 0 {
+		t.Fatalf("Run = %v, want an event-limit SimError naming the LP and the step time", err)
 	}
 }
 
