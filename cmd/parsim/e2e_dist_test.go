@@ -326,7 +326,7 @@ func TestDistHonoursFlags(t *testing.T) {
 		{"all-timewarp", "timewarp", []string{"-opt", "-cone-split", "-presim", "-restore", optRestore}, optimized, 4},
 		{"queue", "timewarp", []string{"-queue", "calendar"}, plain, 1},
 		{"window", "timewarp", []string{"-window", "7"}, plain, 1},
-		{"lazy", "timewarp", []string{"-lazy"}, plain, 1},
+		{"lazy", "timewarp-lazy", nil, plain, 1},
 		{"full-copy", "timewarp", []string{"-full-copy"}, plain, 1},
 		{"watchdog", "cmb", []string{"-watchdog", "30s"}, plain, 1},
 		{"partition", "cmb", []string{"-partition", "kl", "-seed", "1"}, plain, 1},

@@ -150,6 +150,26 @@ func TestSupervisedPanicRetrySucceeds(t *testing.T) {
 	}
 }
 
+// TestRetriesAndFallbackImplySupervise: -retries and -fallback only mean
+// something under supervision, so giving either one in-process supervises
+// the run, as -watchdog does: the one-shot panic is retried away instead
+// of ending the run with exit 4.
+func TestRetriesAndFallbackImplySupervise(t *testing.T) {
+	for _, flag := range [][]string{{"-retries", "3"}, {"-fallback=false"}} {
+		t.Run(flag[0], func(t *testing.T) {
+			args := append([]string{"-circuit", "dag500", "-engine", "cmb", "-lps", "2", "-vectors", "10",
+				"-fault-panic-lp", "1"}, flag...)
+			stdout, stderr, code := run(t, args...)
+			if code != 0 {
+				t.Fatalf("exit %d, want a supervised recovery:\n%s", code, stderr)
+			}
+			if !strings.Contains(stdout, "recoveries=1") {
+				t.Errorf("stdout missing the recovery summary:\n%s", stdout)
+			}
+		})
+	}
+}
+
 // readFile is a fatal-on-error file slurp for waveform comparisons.
 func readFile(t *testing.T, path string) string {
 	t.Helper()
@@ -442,7 +462,9 @@ func TestOptPassesImpliesOpt(t *testing.T) {
 }
 
 // TestConeSplitRuns: -cone-split packs whole cones onto LPs; the hybrid
-// run completes and reports the cone_count gauge.
+// run completes and reports the cone_count gauge. -cone-split is short for
+// -partition cone-split: on cmb the two spellings give the same waveform,
+// the same evaluations (the block sweep armed by both) and a cone_count.
 func TestConeSplitRuns(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
@@ -454,6 +476,34 @@ func TestConeSplitRuns(t *testing.T) {
 	}
 	if !strings.Contains(readFile(t, mpath), "cone_count") {
 		t.Error("metrics JSON missing the cone_count gauge")
+	}
+
+	var vcds [2]string
+	var evals [2]uint64
+	for i, spelling := range [][]string{{"-cone-split"}, {"-partition", "cone-split"}} {
+		vcd, mpath := filepath.Join(dir, fmt.Sprint(i, ".vcd")), filepath.Join(dir, fmt.Sprint(i, ".json"))
+		args := append([]string{"-circuit", "seq2000", "-engine", "cmb", "-lps", "2", "-vectors", "30",
+			"-vcd", vcd, "-metrics-out", mpath, "-q"}, spelling...)
+		if _, stderr, code := run(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", spelling, code, stderr)
+		}
+		var m struct {
+			Totals map[string]uint64
+			Gauges map[string]float64
+		}
+		if err := json.Unmarshal([]byte(readFile(t, mpath)), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Gauges["cone_count"] < 1 {
+			t.Errorf("%v: no cone_count gauge", spelling)
+		}
+		vcds[i], evals[i] = readFile(t, vcd), m.Totals["evaluations"]
+	}
+	if vcds[0] != vcds[1] {
+		t.Error("-partition cone-split and -cone-split wrote different VCDs")
+	}
+	if evals[0] != evals[1] {
+		t.Errorf("-cone-split ran %d evaluations, -partition cone-split %d", evals[0], evals[1])
 	}
 }
 

@@ -57,10 +57,10 @@ func main() {
 		circName   = flag.String("circuit", "c17", "built-in circuit: c17, s27, mulN, rippleN, claN, lfsrN, counterN, shiftN, dagN, seqN")
 		engineName = flag.String("engine", "seq", "engine: seq, oblivious, sync, cmb, cmb-demand, cmb-detect, timewarp, timewarp-lazy, hybrid")
 		lps        = flag.Int("lps", 4, "logical processes / workers")
-		partName   = flag.String("partition", "fm", "partitioner: random, contiguous, strings, cones, levels, kl, fm, anneal, multilevel")
+		partName   = flag.String("partition", "fm", "partitioner: random, contiguous, strings, cones, levels, kl, fm, anneal, multilevel, cone-split")
 		optimize   = flag.Bool("opt", false, "run the netlist optimizer pipeline before simulation")
 		optPasses  = flag.String("opt-passes", "", "comma-separated optimizer passes (implies -opt; default constprop,hash,bufclean,dce; also: invpair, balance)")
-		coneSplit  = flag.Bool("cone-split", false, "group whole combinational cones onto LPs and evaluate each obliviously in one sweep (overrides -partition)")
+		coneSplit  = flag.Bool("cone-split", false, "short for -partition cone-split: group whole combinational cones onto LPs and evaluate each obliviously in one sweep (overrides -partition)")
 		presim     = flag.Bool("presim", false, "weight the partitioner with a pre-simulation profile")
 		system     = flag.Int("system", 9, "logic value system: 2, 4, or 9")
 		queueName  = flag.String("queue", "heap", "pending-event set: heap, calendar, wheel")
@@ -73,7 +73,6 @@ func main() {
 		fineDelays = flag.Uint64("fine-delays", 0, "assign random delays in [1,N] to generated circuits (0 = unit)")
 		window     = flag.Uint64("window", 0, "Time Warp moving window (0 = unbounded)")
 		maxEvents  = flag.Uint64("max-events", 0, "abort with an error after this many events (0 = unlimited)")
-		lazy       = flag.Bool("lazy", false, "Time Warp lazy cancellation")
 		fullCopy   = flag.Bool("full-copy", false, "Time Warp full-copy state saving")
 		vcdPath    = flag.String("vcd", "", "write the output waveform as VCD to this file")
 		metricsOut = flag.String("metrics-out", "", "write the machine-readable metrics report (JSON) to this file")
@@ -83,8 +82,8 @@ func main() {
 
 		supervised = flag.Bool("supervise", false, "run under the supervision layer (panic isolation, retries, fallback)")
 		watchdog   = flag.Duration("watchdog", 0, "abort after this long without progress (implies -supervise)")
-		retries    = flag.Int("retries", 1, "supervised retries of the selected engine before falling back")
-		fallback   = flag.Bool("fallback", true, "supervised: degrade to sync then seq when retries are exhausted")
+		retries    = flag.Int("retries", 1, "supervised retries of the selected engine before falling back (implies -supervise)")
+		fallback   = flag.Bool("fallback", true, "supervised: degrade to sync then seq when retries are exhausted (implies -supervise; under -dist, when the restart budget is)")
 		ckptEvery  = flag.Uint64("checkpoint-every", 0, "write a checkpoint every N ticks of modeled time (0 = off)")
 		ckptDir    = flag.String("checkpoint-dir", "checkpoints", "directory receiving ckpt-<time>.json files")
 		restore    = flag.String("restore", "", "resume from this checkpoint file")
@@ -121,6 +120,9 @@ func main() {
 	}
 	engine, err := core.ParseEngine(*engineName)
 	fatal(err)
+	if *coneSplit {
+		*partName = partition.MethodConeSplit.String()
+	}
 	method, err := partition.ParseMethod(*partName)
 	fatal(err)
 	var sys logic.System
@@ -151,10 +153,6 @@ func main() {
 	if *adaptSpec != "" {
 		*adaptive = true
 	}
-	var cancellation timewarp.Cancellation
-	if *lazy {
-		cancellation = timewarp.Lazy
-	}
 	var stateSaving timewarp.StateSaving
 	if *fullCopy {
 		stateSaving = timewarp.FullCopy
@@ -170,7 +168,7 @@ func main() {
 	// the circuit, so only they pay for weights and a partition.
 	spec := pipeline.Spec{
 		Bench: *benchPath, Circuit: *circName, FineDelays: *fineDelays, Seed: *seed,
-		Opt: *optimize, OptPasses: *optPasses, ConeSplit: *coneSplit,
+		Opt: *optimize, OptPasses: *optPasses,
 		Vectors: *nvectors, Activity: *activity, Period: *period, System: sys,
 		Partition: method, PartitionSeed: *seed,
 	}
@@ -219,9 +217,9 @@ func main() {
 			Shards: *distShards, Engine: *engineName,
 			Bench: spec.Bench, Circuit: spec.Circuit, FineDelays: spec.FineDelays, Seed: spec.Seed,
 			Vectors: spec.Vectors, Activity: spec.Activity, Period: spec.Period,
-			Opt: spec.Opt, OptPasses: spec.OptPasses, ConeSplit: spec.ConeSplit, Presim: spec.Presim,
+			Opt: spec.Opt, OptPasses: spec.OptPasses, Presim: spec.Presim,
 			LPs: *lps, Partition: *partName, PartitionSeed: spec.PartitionSeed, System: sys,
-			Queue: queue, Window: *window, Cancellation: cancellation, StateSaving: stateSaving,
+			Queue: queue, Window: *window, StateSaving: stateSaving,
 			HistoryLimit: *histLimit, MaxEvents: *maxEvents, HangTimeout: *watchdog,
 			Restore: boot, CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
 			Restarts: *distRestarts, Fallback: *fallback,
@@ -233,7 +231,7 @@ func main() {
 
 	opts := core.Options{
 		Engine: engine, LPs: *lps, System: sys, Queue: queue, Window: circuit.Tick(*window),
-		MaxEvents: *maxEvents, Cancellation: cancellation, StateSaving: stateSaving,
+		MaxEvents: *maxEvents, StateSaving: stateSaving,
 		HistoryLimit: *histLimit, Restore: restored, PProfLabels: *cpuProfile != "",
 	}
 	if *traceOut != "" {
@@ -246,7 +244,9 @@ func main() {
 		hook.LookaheadBias = *faultBias
 		opts.Chaos = hook
 	}
-	if *supervised || *watchdog > 0 {
+	// -watchdog, -retries and -fallback only mean anything under
+	// supervision, so giving one asks for it.
+	if *supervised || *watchdog > 0 || set["retries"] || set["fallback"] {
 		opts.Supervise = &core.SuperviseOptions{
 			Watchdog: *watchdog,
 			Retries:  *retries,

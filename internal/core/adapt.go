@@ -120,8 +120,7 @@ func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], err
 		srep       *SupervisionReport
 		// part is the partition the next segment runs on: the prepared
 		// run's to begin with, rebuilt after every rebalance.
-		part      = opts.prebuilt
-		coneCount = opts.prebuiltCones
+		part = opts.prebuilt
 	)
 	opts.prebuilt = nil
 
@@ -153,12 +152,12 @@ func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], err
 		// and share it across segments; a rebalance invalidates it.
 		if part == nil {
 			var err error
-			part, coneCount, err = buildPartition(c, o)
+			part, err = buildPartition(c, o)
 			if err != nil {
 				return nil, err
 			}
 		}
-		o.prebuilt, o.prebuiltCones = part, coneCount
+		o.prebuilt = part
 		segReg := metrics.NewRegistry(engine.String() + j.eng.suffix)
 		if opts.PProfLabels {
 			segReg.EnablePProf()
@@ -233,7 +232,7 @@ func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], err
 				}
 				weights = w
 				rebalances++
-				part, coneCount = nil, 0 // weights changed: repartition next segment
+				part = nil // weights changed: repartition next segment
 			case adapt.KindCommit:
 				committed = true
 			case adapt.KindHold:
@@ -382,7 +381,7 @@ func parseSwitchTarget(name string) (Engine, error) {
 // ran with — the same gate→LP assignment. Returns nil (no error) when
 // the segment has no partition to project through.
 func rebalanceWeights(c *circuit.Circuit, segOpts Options, perLP []uint64) (partition.Weights, error) {
-	part, _, err := buildPartition(c, segOpts)
+	part, err := buildPartition(c, segOpts)
 	if err != nil || part == nil || len(perLP) == 0 {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/circuit"
@@ -99,6 +100,18 @@ func (e Engine) Distributes() bool {
 	return false
 }
 
+// NotDistributed is the refusal of an engine that does not distribute,
+// naming the ones that do.
+func NotDistributed(name string) error {
+	var have []string
+	for _, e := range Engines() {
+		if e.Distributes() {
+			have = append(have, e.String())
+		}
+	}
+	return fmt.Errorf("engine %s does not distribute (%s)", name, strings.Join(have, ", "))
+}
+
 // Options configures a simulation run for any engine.
 type Options struct {
 	// Engine selects the algorithm.
@@ -107,14 +120,12 @@ type Options struct {
 	// worker count for the oblivious engine). Defaults to 4.
 	LPs int
 	// Partition selects the gate-assignment heuristic.
+	// partition.MethodConeSplit makes whole combinational cones (bounded
+	// at sequential elements and sources) fat LPs whose kernels evaluate
+	// obliviously in one levelized sweep once active, so the parallel
+	// engines synchronize only at state-element boundaries. The cmb,
+	// timewarp, and hybrid engines sweep; sync gets the partition only.
 	Partition partition.Method
-	// ConeSplit overrides Partition with the cone-split mode: whole
-	// combinational cones (bounded at sequential elements and sources)
-	// become fat LPs whose kernels evaluate obliviously in one levelized
-	// sweep once active, so the parallel engines synchronize only at
-	// state-element boundaries. Honored by the cmb, timewarp, and hybrid
-	// engines; the sync engine gets the partition but not the sweep.
-	ConeSplit bool
 	// PartitionSeed feeds randomized partitioners.
 	PartitionSeed int64
 	// Weights are pre-simulation load estimates for the partitioner.
@@ -131,11 +142,10 @@ type Options struct {
 	// Cost prices modeled times; the zero value uses the default model.
 	Cost stats.CostModel
 
-	// Cancellation, StateSaving, and Window configure the optimistic
-	// engines.
-	Cancellation timewarp.Cancellation
-	StateSaving  timewarp.StateSaving
-	Window       circuit.Tick
+	// StateSaving and Window configure the optimistic engines; the
+	// cancellation policy is the engine (EngineTimeWarpLazy).
+	StateSaving timewarp.StateSaving
+	Window      circuit.Tick
 	// IntraWorkers is the per-cluster synchronous worker count of the
 	// hybrid engine, Time Warp's timewarp.Config.IntraWorkers (default 2).
 	// The other engines ignore it.
@@ -197,14 +207,13 @@ type Options struct {
 	// winCtl carries the live window controller from the adaptive
 	// supervisor into per-segment engine runs (internal plumbing).
 	winCtl *adapt.WindowController
-	// prebuilt carries an already-built partition (and its cone count)
-	// from the adaptive supervisor into per-segment engine runs, so
-	// short probing segments do not pay the partitioner once per
-	// segment. Engines treat the assignment as read-only (the sync
-	// engine's dynamic balancer mutates a private copy), so sharing one
-	// across segments is safe (internal plumbing).
-	prebuilt      *partition.Partition
-	prebuiltCones int
+	// prebuilt carries an already-built partition from a prepared run or
+	// the adaptive supervisor into engine runs, so short probing segments
+	// do not pay the partitioner once per segment. Engines treat the
+	// assignment as read-only (the sync engine's dynamic balancer mutates
+	// a private copy), so sharing one across segments is safe (internal
+	// plumbing).
+	prebuilt *partition.Partition
 	// seam makes the run one shard of a fleet (set by RunShard): the
 	// asynchronous engines execute only the LPs it maps to this process.
 	seam *wire.Seam
@@ -380,11 +389,12 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		sink = reg
 	}
 
-	part, coneCount, err := buildPartition(c, opts)
+	part, err := buildPartition(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	sweep := opts.ConeSplit
+	// A cone-split partition arms the asynchronous engines' block sweep.
+	sweep := part != nil && part.Cones > 0
 
 	// The engine cuts its own checkpoints. A fleet worker brings the
 	// shard's writer; otherwise this run's writer stitches the cuts,
@@ -479,8 +489,8 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		rep.Modeled = res.Stats.ModeledTime(opts.Cost)
 	case EngineTimeWarp, EngineTimeWarpLazy, EngineHybrid:
 		// Hybrid is Time Warp over synchronous clusters; the flat variants
-		// never get intra-cluster workers.
-		cancel, intra := opts.Cancellation, 0
+		// never get intra-cluster workers. Only timewarp-lazy cancels lazily.
+		cancel, intra := timewarp.Aggressive, 0
 		switch opts.Engine {
 		case EngineTimeWarpLazy:
 			cancel = timewarp.Lazy
@@ -517,14 +527,10 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		reg.SetLabel("engine", label)
 		reg.SetLabel("lps", fmt.Sprint(rep.Processors))
 		if opts.Engine.Parallel() {
-			if opts.ConeSplit {
-				reg.SetLabel("partition", partition.MethodConeSplit.String())
-			} else {
-				reg.SetLabel("partition", opts.Partition.String())
-			}
+			reg.SetLabel("partition", opts.Partition.String())
 		}
-		if coneCount >= 0 {
-			reg.SetGauge("cone_count", float64(coneCount))
+		if sweep {
+			reg.SetGauge("cone_count", float64(part.Cones))
 		}
 		rep.Metrics = reg.Report()
 	}
@@ -533,17 +539,17 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 
 // buildPartition derives the gate→LP assignment an engine run will use
 // (nil for the serial engines): the one a prepared run brought, else
-// pipeline's construction from the options. Shared between job.once
-// and the adaptive rebalancer, which needs the same assignment to
-// translate per-LP utilization into per-gate weights.
-func buildPartition(c *circuit.Circuit, opts Options) (*partition.Partition, int, error) {
+// partition.New from the options. Shared between job.once and the
+// adaptive rebalancer, which needs the same assignment to translate
+// per-LP utilization into per-gate weights.
+func buildPartition(c *circuit.Circuit, opts Options) (*partition.Partition, error) {
 	if !opts.Engine.Parallel() {
-		return nil, -1, nil
+		return nil, nil
 	}
 	if opts.prebuilt != nil {
-		return opts.prebuilt, opts.prebuiltCones, nil
+		return opts.prebuilt, nil
 	}
-	return pipeline.NewPartition(c, opts.LPs, opts.ConeSplit, opts.Partition, partition.Options{
+	return partition.New(opts.Partition, c, opts.LPs, partition.Options{
 		Weights: opts.Weights,
 		Seed:    opts.PartitionSeed,
 	})

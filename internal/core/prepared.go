@@ -10,8 +10,8 @@ import (
 )
 
 // Run simulates a prepared workload on the scalar plane. The workload half
-// of the options — LP count, partition, weights, cone-split — comes from
-// the run; opts supplies the engine and its configuration.
+// of the options — LP count, partition, weights — comes from the run;
+// opts supplies the engine and its configuration.
 func Run(p *pipeline.Prepared, opts Options) (*Report, error) {
 	opts, err := withPrepared(p, opts)
 	if err != nil {
@@ -39,7 +39,7 @@ func RunWide(p *pipeline.Prepared, opts Options) (*WideReport, error) {
 // its local LPs' parts of every checkpoint boundary itself.
 func RunShard(p *pipeline.Prepared, opts Options, seam *wire.Seam, cuts *ckpt.Cuts[logic.Value]) (*Report, error) {
 	if !opts.Engine.Distributes() {
-		return nil, fmt.Errorf("core: engine %v does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", opts.Engine)
+		return nil, fmt.Errorf("core: %w", NotDistributed(opts.Engine.String()))
 	}
 	opts, err := withPrepared(p, opts)
 	if err != nil {
@@ -59,7 +59,6 @@ func withPrepared(p *pipeline.Prepared, opts Options) (Options, error) {
 	}
 	opts.LPs = p.Part.Blocks
 	opts.Partition, opts.PartitionSeed = p.Spec.Partition, p.Spec.PartitionSeed
-	opts.Weights, opts.ConeSplit = p.Weights, p.Sweep
-	opts.prebuilt, opts.prebuiltCones = p.Part, p.ConeCount
+	opts.Weights, opts.prebuilt = p.Weights, p.Part
 	return opts, nil
 }

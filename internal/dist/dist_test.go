@@ -421,8 +421,8 @@ func TestDecodeJobChecksHeaderAgainstRun(t *testing.T) {
 // dropped between the CLI and the shard.
 func TestJobHeaderCarriesEngineConfig(t *testing.T) {
 	h := &hub{opts: Options{
-		Shards: 2, Engine: "timewarp", System: logic.FourValued,
-		Queue: eventq.ImplCalendar, Window: 7, Cancellation: timewarp.Lazy,
+		Shards: 2, Engine: "timewarp-lazy", System: logic.FourValued,
+		Queue: eventq.ImplCalendar, Window: 7,
 		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
 		HangTimeout: 3 * time.Second, HeartbeatEvery: time.Millisecond,
 	}}
@@ -439,8 +439,8 @@ func TestJobHeaderCarriesEngineConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.Options{
-		Engine: core.EngineTimeWarp, System: logic.FourValued,
-		Queue: eventq.ImplCalendar, Window: 7, Cancellation: timewarp.Lazy,
+		Engine: core.EngineTimeWarpLazy, System: logic.FourValued,
+		Queue: eventq.ImplCalendar, Window: 7,
 		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
 		Supervise: &core.SuperviseOptions{Watchdog: 3 * time.Second},
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/dist/wire"
 	"repro/internal/eventq"
 	"repro/internal/logic"
@@ -44,26 +45,25 @@ type Options struct {
 	Activity   float64
 	Period     uint64
 	Until      uint64
-	// Opt / OptPasses, ConeSplit and Presim transform the netlist and the
-	// partition before anything is shipped (see pipeline.Spec).
+	// Opt / OptPasses and Presim transform the netlist and the partition
+	// before anything is shipped (see pipeline.Spec).
 	Opt       bool
 	OptPasses string
-	ConeSplit bool
 	Presim    bool
 
 	// LPs / Partition / PartitionSeed parameterize the gate partition
-	// (default 4 LPs, fm); LPs are then grouped onto shards uniformly.
+	// (default 4 LPs, fm; cone-split arms the workers' block sweep); LPs
+	// are then grouped onto shards uniformly.
 	LPs           int
 	Partition     string
 	PartitionSeed int64
 	// System is the logic value system (default 9-valued).
 	System logic.System
-	// Queue, Window, Cancellation, StateSaving and HistoryLimit configure
-	// the worker engines exactly as the core.Options fields of the same
-	// names configure a single-process run.
+	// Queue, Window, StateSaving and HistoryLimit configure the worker
+	// engines exactly as the core.Options fields of the same names
+	// configure a single-process run.
 	Queue        eventq.Impl
 	Window       uint64
-	Cancellation timewarp.Cancellation
 	StateSaving  timewarp.StateSaving
 	HistoryLimit uint64
 	// MaxEvents aborts runaway shards (0 = unlimited).
@@ -157,11 +157,6 @@ type Result struct {
 const (
 	defaultHeartbeat        = 25 * time.Millisecond
 	defaultHeartbeatTimeout = 1 * time.Second
-	// gvtInterval is the wall-clock ceiling between distributed GVT
-	// cycles for the optimistic engines; like the single-process
-	// coordinator, cycles are normally paced by reported work and by
-	// all-idle heartbeats.
-	gvtInterval = 50 * time.Millisecond
 	// teardownGrace bounds how long the hub waits for workers to exit on
 	// their own (after FDone, or after a kill) before moving on.
 	teardownGrace = 5 * time.Second
@@ -222,6 +217,7 @@ func recoverableDist(err error) bool {
 // hub is the coordinator: listener, workload, and across-attempt state.
 type hub struct {
 	opts      Options
+	engine    core.Engine
 	run       *pipeline.Prepared
 	gateShard []int // gate -> shard
 
@@ -242,7 +238,7 @@ func (o *Options) spec() (pipeline.Spec, error) {
 	}
 	return pipeline.Spec{
 		Bench: o.Bench, Circuit: o.Circuit, FineDelays: o.FineDelays, Seed: o.Seed,
-		Opt: o.Opt, OptPasses: o.OptPasses, ConeSplit: o.ConeSplit, Presim: o.Presim,
+		Opt: o.Opt, OptPasses: o.OptPasses, Presim: o.Presim,
 		Vectors: o.Vectors, Activity: o.Activity, Period: o.Period, Until: o.Until,
 		System: o.System, LPs: o.LPs, Partition: method, PartitionSeed: o.PartitionSeed,
 		Shards: o.Shards,
@@ -256,7 +252,8 @@ func newHub(opts Options) (*hub, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("dist: need at least one shard, got %d", opts.Shards)
 	}
-	if _, err := parseEngine(opts.Engine); err != nil {
+	engine, err := parseEngine(opts.Engine)
+	if err != nil {
 		return nil, err
 	}
 	if opts.System == 0 {
@@ -281,7 +278,7 @@ func newHub(opts Options) (*hub, error) {
 		opts.LPs = 4
 	}
 
-	h := &hub{opts: opts}
+	h := &hub{opts: opts, engine: engine}
 	spec, err := opts.spec()
 	if err != nil {
 		return nil, err
@@ -350,8 +347,7 @@ func (h *hub) jobFor(shard, attempt int, bootPath string) *Job {
 	}
 	return &Job{
 		Engine: o.Engine, System: uint8(o.System), Queue: o.Queue, Window: o.Window,
-		Cancellation: o.Cancellation, StateSaving: o.StateSaving, HistoryLimit: o.HistoryLimit,
-		MaxEvents:     o.MaxEvents,
+		StateSaving: o.StateSaving, HistoryLimit: o.HistoryLimit, MaxEvents: o.MaxEvents,
 		HangTimeoutMs: o.HangTimeout.Milliseconds(),
 		HeartbeatMs:   o.HeartbeatEvery.Milliseconds(),
 		Shards:        o.Shards, Shard: shard, Attempt: attempt,
@@ -467,7 +463,7 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 		link.setProc(proc)
 	}
 
-	if h.opts.Engine == "timewarp" || h.opts.Engine == "timewarp-lazy" {
+	if h.engine == core.EngineTimeWarp || h.engine == core.EngineTimeWarpLazy {
 		go sess.gvtDriver()
 	}
 	go sess.monitor()
@@ -525,8 +521,8 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 	if fulls > 0 && deltas > 0 && fullBytes > 0 {
 		h.gauge("delta_ratio", (float64(deltaBytes)/float64(deltas))/(float64(fullBytes)/float64(fulls)))
 	}
-	if h.run.ConeCount >= 0 {
-		h.gauge("cone_count", float64(h.run.ConeCount))
+	if cones := h.run.Part.Cones; cones > 0 {
+		h.gauge("cone_count", float64(cones))
 	}
 	res.Values = make([]logic.Value, numGates)
 	var n int
@@ -853,32 +849,24 @@ func (s *session) verdict(shard int, kind supervise.Kind, cause error) error {
 }
 
 // gvtDriver is the hub half of distributed GVT for the optimistic
-// engines. Cycles are paced like the single-process coordinator: start
-// once the fleet has processed roughly sixteen events per gate since
-// the last cycle, immediately when every shard reports idle, or at the
-// wall-clock ceiling. Within a cycle, rounds repeat until two
+// engines. Cycles keep the single-process coordinator's pace
+// (timewarp.Pace), fed by the shards' heartbeats: their event counts and
+// idle flags. Within a cycle, rounds repeat until two
 // consecutive rounds are globally quiet with identical, matching
 // cumulative wire counters (Mattern-style message counting made stable
 // under relay latency); the GVT is then the minimum local minimum of
 // the final round.
 func (s *session) gvtDriver() {
-	threshold := uint64(16 * s.h.run.Circuit.NumGates())
-	if threshold < 100_000 {
-		threshold = 100_000
+	pace := timewarp.NewPace(s.h.run.Circuit.NumGates(), 0)
+	probe := func() (uint64, bool, bool) {
+		events, idle := s.progress()
+		return events, idle, s.dead()
 	}
 	var round uint32
-	var lastEvents uint64
 	for {
-		deadline := time.Now().Add(gvtInterval)
-		for {
-			if s.dead() {
-				return
-			}
-			ev, idle := s.progress()
-			if idle || ev-lastEvents >= threshold || !time.Now().Before(deadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		pace.Wait(2*time.Millisecond, probe)
+		if s.dead() {
+			return
 		}
 
 		var gvt uint64
@@ -912,7 +900,8 @@ func (s *session) gvtDriver() {
 			}
 			prev = &tot
 		}
-		lastEvents, _ = s.progress()
+		events, _ := s.progress()
+		pace.Mark(events)
 
 		terminate := gvt > uint64(s.h.run.Until)
 		for _, link := range s.links {

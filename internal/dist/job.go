@@ -54,13 +54,12 @@ type Job struct {
 	Engine string `json:"engine"`
 	// System is the logic value system (2, 4, or 9).
 	System uint8 `json:"system"`
-	// Queue, Window, Cancellation, StateSaving and HistoryLimit are the
-	// core.Options fields of the same names.
-	Queue        eventq.Impl           `json:"queue,omitempty"`
-	Window       uint64                `json:"window,omitempty"`
-	Cancellation timewarp.Cancellation `json:"cancellation,omitempty"`
-	StateSaving  timewarp.StateSaving  `json:"state_saving,omitempty"`
-	HistoryLimit uint64                `json:"history_limit,omitempty"`
+	// Queue, Window, StateSaving and HistoryLimit are the core.Options
+	// fields of the same names.
+	Queue        eventq.Impl          `json:"queue,omitempty"`
+	Window       uint64               `json:"window,omitempty"`
+	StateSaving  timewarp.StateSaving `json:"state_saving,omitempty"`
+	HistoryLimit uint64               `json:"history_limit,omitempty"`
 	// MaxEvents aborts runaway shards (0 = unlimited).
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// HangTimeoutMs arms the worker's progress watchdog (0 = off).
@@ -117,8 +116,7 @@ func (j *Job) engineOptions() (core.Options, error) {
 	}
 	o := core.Options{
 		Engine: engine, Queue: j.Queue, Window: circuit.Tick(j.Window),
-		Cancellation: j.Cancellation, StateSaving: j.StateSaving,
-		HistoryLimit: j.HistoryLimit, MaxEvents: j.MaxEvents,
+		StateSaving: j.StateSaving, HistoryLimit: j.HistoryLimit, MaxEvents: j.MaxEvents,
 	}
 	switch j.System {
 	case 2, 4, 9:
@@ -138,7 +136,7 @@ func (j *Job) engineOptions() (core.Options, error) {
 func parseEngine(name string) (core.Engine, error) {
 	e, err := core.ParseEngine(name)
 	if err != nil || !e.Distributes() {
-		return 0, fmt.Errorf("dist: engine %q does not distribute (cmb, cmb-demand, timewarp, timewarp-lazy)", name)
+		return 0, fmt.Errorf("dist: %w", core.NotDistributed(fmt.Sprintf("%q", name)))
 	}
 	return e, nil
 }

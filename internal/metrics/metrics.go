@@ -141,69 +141,71 @@ type LPCounters struct {
 	PoolMisses uint64
 }
 
-// Get reads one counter by enum.
-func (s *LPCounters) Get(c Counter) uint64 {
+// field is where counter c lives in the block: the one place the enum
+// meets the struct, shared by Get, set, Add and Each (nil for an unknown
+// counter).
+func (s *LPCounters) field(c Counter) *uint64 {
 	switch c {
 	case Evaluations:
-		return s.Evaluations
+		return &s.Evaluations
 	case EventsApplied:
-		return s.EventsApplied
+		return &s.EventsApplied
 	case EventsScheduled:
-		return s.EventsScheduled
+		return &s.EventsScheduled
 	case MessagesSent:
-		return s.MessagesSent
+		return &s.MessagesSent
 	case MessagesRecv:
-		return s.MessagesRecv
+		return &s.MessagesRecv
 	case NullsSent:
-		return s.NullsSent
+		return &s.NullsSent
 	case NullsRecv:
-		return s.NullsRecv
+		return &s.NullsRecv
 	case Rollbacks:
-		return s.Rollbacks
+		return &s.Rollbacks
 	case EventsRolledBack:
-		return s.EventsRolledBack
+		return &s.EventsRolledBack
 	case AntiMessagesSent:
-		return s.AntiMessagesSent
+		return &s.AntiMessagesSent
 	case AntiMessagesRecv:
-		return s.AntiMessagesRecv
+		return &s.AntiMessagesRecv
 	case StateSaves:
-		return s.StateSaves
+		return &s.StateSaves
 	case StateSavedWords:
-		return s.StateSavedWords
+		return &s.StateSavedWords
 	case Steps:
-		return s.Steps
+		return &s.Steps
 	case Blocks:
-		return s.Blocks
+		return &s.Blocks
 	case NullsFolded:
-		return s.NullsFolded
+		return &s.NullsFolded
 	case PoolHits:
-		return s.PoolHits
+		return &s.PoolHits
 	case PoolMisses:
-		return s.PoolMisses
+		return &s.PoolMisses
+	}
+	return nil
+}
+
+// Get reads one counter by enum.
+func (s *LPCounters) Get(c Counter) uint64 {
+	if f := s.field(c); f != nil {
+		return *f
 	}
 	return 0
 }
 
+// set writes one counter by enum (cold path).
+func (s *LPCounters) set(c Counter, v uint64) {
+	if f := s.field(c); f != nil {
+		*f = v
+	}
+}
+
 // Add accumulates other into s.
 func (s *LPCounters) Add(other LPCounters) {
-	s.Evaluations += other.Evaluations
-	s.EventsApplied += other.EventsApplied
-	s.EventsScheduled += other.EventsScheduled
-	s.MessagesSent += other.MessagesSent
-	s.MessagesRecv += other.MessagesRecv
-	s.NullsSent += other.NullsSent
-	s.NullsRecv += other.NullsRecv
-	s.Rollbacks += other.Rollbacks
-	s.EventsRolledBack += other.EventsRolledBack
-	s.AntiMessagesSent += other.AntiMessagesSent
-	s.AntiMessagesRecv += other.AntiMessagesRecv
-	s.StateSaves += other.StateSaves
-	s.StateSavedWords += other.StateSavedWords
-	s.Steps += other.Steps
-	s.Blocks += other.Blocks
-	s.NullsFolded += other.NullsFolded
-	s.PoolHits += other.PoolHits
-	s.PoolMisses += other.PoolMisses
+	for c := Counter(0); c < NumCounters; c++ {
+		*s.field(c) += *other.field(c)
+	}
 }
 
 // Each visits every counter in enum order.
@@ -457,13 +459,7 @@ func SinkTotals(s Sink) LPCounters {
 }
 
 // Totals sums the per-LP counter blocks.
-func (r *Registry) Totals() LPCounters {
-	var t LPCounters
-	for _, b := range r.lps {
-		t.Add(b.LPCounters)
-	}
-	return t
-}
+func (r *Registry) Totals() LPCounters { return SinkTotals(r) }
 
 // ReportSchema identifies the JSON layout of Report; bump on breaking
 // changes.
@@ -575,48 +571,6 @@ func (r *Report) Counters() LPCounters {
 		t.set(c, r.Totals[c.String()])
 	}
 	return t
-}
-
-// set writes one counter by enum (cold path; mirrors Get).
-func (s *LPCounters) set(c Counter, v uint64) {
-	switch c {
-	case Evaluations:
-		s.Evaluations = v
-	case EventsApplied:
-		s.EventsApplied = v
-	case EventsScheduled:
-		s.EventsScheduled = v
-	case MessagesSent:
-		s.MessagesSent = v
-	case MessagesRecv:
-		s.MessagesRecv = v
-	case NullsSent:
-		s.NullsSent = v
-	case NullsRecv:
-		s.NullsRecv = v
-	case Rollbacks:
-		s.Rollbacks = v
-	case EventsRolledBack:
-		s.EventsRolledBack = v
-	case AntiMessagesSent:
-		s.AntiMessagesSent = v
-	case AntiMessagesRecv:
-		s.AntiMessagesRecv = v
-	case StateSaves:
-		s.StateSaves = v
-	case StateSavedWords:
-		s.StateSavedWords = v
-	case Steps:
-		s.Steps = v
-	case Blocks:
-		s.Blocks = v
-	case NullsFolded:
-		s.NullsFolded = v
-	case PoolHits:
-		s.PoolHits = v
-	case PoolMisses:
-		s.PoolMisses = v
-	}
 }
 
 // MergedHist sums one histogram across every LP of a built registry.

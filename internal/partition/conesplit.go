@@ -12,7 +12,8 @@ import (
 // A sequential element joins the cone computing its data input, so the
 // only nets crossing blocks are sequential outputs (and shared primary
 // inputs): exactly the state-element boundaries where the engines must
-// synchronize. The second result is the number of cones found.
+// synchronize. The second result is the number of cones found, which the
+// partition also records as Cones.
 //
 // This is the partitioning half of the cone-split execution mode: each
 // fat block is then evaluated obliviously in one levelized sweep (the
@@ -111,7 +112,7 @@ func ConeSplit(c *circuit.Circuit, k int, w Weights) (*Partition, int) {
 		}
 		return order[a] < order[b]
 	})
-	p := &Partition{Blocks: k, Assign: make([]int, n)}
+	p := &Partition{Blocks: k, Assign: make([]int, n), Cones: cones}
 	loads := make([]float64, k)
 	for _, ci := range order {
 		b := 0

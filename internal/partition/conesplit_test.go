@@ -111,6 +111,31 @@ func TestConeSplitMethodRegistration(t *testing.T) {
 	}
 }
 
+// TestConesRecordedByConeSplitOnly: the partition says what it is. New
+// with MethodConeSplit records the cone count ConeSplit returns, and every
+// other method leaves Cones 0 — the engines arm the block sweep from it.
+func TestConesRecordedByConeSplitOnly(t *testing.T) {
+	c := testCircuit(t)
+	w := WeightsUniform(c)
+	for m := MethodRandom; m <= MethodConeSplit; m++ {
+		p, err := New(m, c, 3, Options{Weights: w, Seed: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		want := 0
+		if m == MethodConeSplit {
+			direct, cones := ConeSplit(c, 3, w)
+			if cones < 1 || direct.Cones != cones {
+				t.Fatalf("ConeSplit returned %d cones and recorded %d", cones, direct.Cones)
+			}
+			want = cones
+		}
+		if p.Cones != want {
+			t.Errorf("%v: Cones = %d, want %d", m, p.Cones, want)
+		}
+	}
+}
+
 // TestLocalCutLinksMultiPin is the regression for the annealing delta bug:
 // a gate reading one net through two pins (the exact shape structural
 // hashing produces when it merges a gate's two fanin drivers) must count

@@ -30,6 +30,10 @@ type Partition struct {
 	Blocks int
 	// Assign maps GateID -> block index in [0, Blocks).
 	Assign []int
+	// Cones is the number of whole combinational cones ConeSplit packed;
+	// every other method leaves it 0. A partition with cones is what arms
+	// the engines' block sweep.
+	Cones int
 
 	// blockGates caches the per-block gate lists: engines ask for them at
 	// every Run, and the partition is immutable once built. Guarded by a

@@ -28,13 +28,13 @@ import (
 //	names         gates × (u16 length + bytes)
 //	stimulus      u64 end, u32 changes, changes × (u64 time, u32 input, u8 value)
 //	until         u64
-//	partition     u32 blocks, then (blocks > 0) gates × u32 assignment, i32 cone count, u8 sweep
+//	partition     u32 blocks, then (blocks > 0) gates × u32 assignment, u32 cone count
 //	shard map     u32 entries (0 or blocks), entries × u32 LP → shard
 //	checksum      u64 fnv64a of everything before it
 //
 // Fanout is not shipped: it is a function of fanin and is rebuilt by the
 // same code that builds it for a parsed netlist.
-const magic = "parsim-run/v1\n"
+const magic = "parsim-run/v2\n"
 
 // ErrCorrupt is the sentinel every Decode failure wraps: a payload that is
 // truncated, bit-flipped, self-inconsistent, or sealed for another circuit.
@@ -96,8 +96,7 @@ func (p *Prepared) Encode() ([]byte, error) {
 		for _, lp := range p.Part.Assign {
 			b = binary.LittleEndian.AppendUint32(b, uint32(lp))
 		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(p.ConeCount)))
-		b = append(b, boolByte(p.Sweep))
+		b = binary.LittleEndian.AppendUint32(b, uint32(p.Part.Cones))
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.ShardOf)))
 	for _, s := range p.ShardOf {
@@ -107,13 +106,6 @@ func (p *Prepared) Encode() ([]byte, error) {
 	h := fnv.New64a()
 	h.Write(b)
 	return binary.LittleEndian.AppendUint64(b, h.Sum64()), nil
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // reader consumes a payload front to back. The first short read sticks: it
@@ -209,12 +201,11 @@ func Decode(payload []byte) (*Prepared, error) {
 			}
 		}
 	}
-	p := &Prepared{Stim: stim, Until: circuit.Tick(r.uint(8)), ConeCount: -1}
+	p := &Prepared{Stim: stim, Until: circuit.Tick(r.uint(8))}
 
 	if blocks := uint32(r.uint(4)); blocks > 0 {
 		p.Part = &partition.Partition{Blocks: int(int32(blocks)), Assign: i32s[int](r, gates)}
-		p.ConeCount = int(int32(r.uint(4)))
-		p.Sweep = r.uint(1) != 0
+		p.Part.Cones = int(r.uint(4))
 	}
 	if n := uint32(r.uint(4)); n > 0 {
 		if p.Part == nil || int(n) != p.Part.Blocks {

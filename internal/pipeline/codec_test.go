@@ -33,15 +33,16 @@ func corpus(t testing.TB) map[string]*pipeline.Prepared {
 		}
 		out[e.Name] = &pipeline.Prepared{
 			Circuit: e.C, Stim: e.Stim, Until: seq.Horizon(e.C, e.Stim),
-			Part: part, ConeCount: -1, ShardOf: part.Group(2, nil),
+			Part: part, ShardOf: part.Group(2, nil),
 		}
 	}
 	base := pipeline.Spec{Seed: 1, Vectors: 10, Activity: 0.5, Period: 40, Partition: partition.MethodFM}
+	cs := partition.MethodConeSplit
 	for name, mutate := range map[string]func(*pipeline.Spec){
 		"c17":        func(s *pipeline.Spec) { s.Circuit, s.LPs, s.Shards = "c17", 2, 2 },
 		"s27":        func(s *pipeline.Spec) { s.Circuit, s.LPs, s.Shards = "s27", 3, 2 },
 		"opt":        func(s *pipeline.Spec) { s.Circuit, s.Opt, s.LPs, s.Shards = "seq300", true, 4, 2 },
-		"cone-split": func(s *pipeline.Spec) { s.Circuit, s.ConeSplit, s.Presim, s.LPs, s.Shards = "seq300", true, true, 4, 3 },
+		"cone-split": func(s *pipeline.Spec) { s.Circuit, s.Partition, s.Presim, s.LPs, s.Shards = "seq300", cs, true, 4, 3 },
 		"serial":     func(s *pipeline.Spec) { s.Circuit, s.FineDelays = "dag200", 5 },
 	} {
 		spec := base
@@ -97,11 +98,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("%s: stimulus or horizon differs", name)
 		}
 		if (run.Part == nil) != (got.Part == nil) ||
-			run.Part != nil && (run.Part.Blocks != got.Part.Blocks || !reflect.DeepEqual(run.Part.Assign, got.Part.Assign)) {
+			run.Part != nil && (run.Part.Blocks != got.Part.Blocks || !reflect.DeepEqual(run.Part.Assign, got.Part.Assign) ||
+				run.Part.Cones != got.Part.Cones) {
 			t.Errorf("%s: partition differs", name)
 		}
-		if run.ConeCount != got.ConeCount || run.Sweep != got.Sweep || !reflect.DeepEqual(run.ShardOf, got.ShardOf) {
-			t.Errorf("%s: cone count, sweep or shard map differs", name)
+		if !reflect.DeepEqual(run.ShardOf, got.ShardOf) {
+			t.Errorf("%s: shard map differs", name)
 		}
 	}
 }

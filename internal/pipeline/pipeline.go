@@ -41,9 +41,6 @@ type Spec struct {
 	// default pipeline).
 	Opt       bool
 	OptPasses string
-	// ConeSplit groups whole combinational cones onto LPs (overriding
-	// Partition) and arms the engines' oblivious block sweep.
-	ConeSplit bool
 	// Presim weights the partitioner with a sequential profiling run.
 	Presim bool
 
@@ -63,7 +60,9 @@ type Spec struct {
 	Lanes int
 
 	// LPs is the block count of the gate partition; 0 prepares none (the
-	// serial engines). Partition and PartitionSeed select the heuristic.
+	// serial engines). Partition and PartitionSeed select the heuristic;
+	// partition.MethodConeSplit packs whole combinational cones, and the
+	// engines then evaluate each in one oblivious sweep.
 	LPs           int
 	Partition     partition.Method
 	PartitionSeed int64
@@ -92,11 +91,7 @@ type Prepared struct {
 	// Weights are the pre-simulation load estimates (nil without Presim).
 	Weights partition.Weights
 	// Part is the gate → LP assignment (nil when Spec.LPs == 0).
-	// ConeCount is the number of cones it packed, -1 unless cone-split;
-	// Sweep tells the engines to arm the block sweep.
-	Part      *partition.Partition
-	ConeCount int
-	Sweep     bool
+	Part *partition.Partition
 	// ShardOf maps LP → shard (nil when Spec.Shards == 0).
 	ShardOf []int
 }
@@ -124,7 +119,7 @@ func Prepare(spec Spec) (*Prepared, error) {
 		}
 		c, ostats = res.Circuit, &res.Stats
 	}
-	p := &Prepared{Spec: spec, Circuit: c, OptStats: ostats, ConeCount: -1}
+	p := &Prepared{Spec: spec, Circuit: c, OptStats: ostats}
 
 	if err := p.stimulate(); err != nil {
 		return nil, err
@@ -143,13 +138,12 @@ func Prepare(spec Spec) (*Prepared, error) {
 		}
 	}
 	if spec.LPs > 0 {
-		p.Part, p.ConeCount, err = NewPartition(c, spec.LPs, spec.ConeSplit, spec.Partition, partition.Options{
+		p.Part, err = partition.New(spec.Partition, c, spec.LPs, partition.Options{
 			Weights: p.Weights, Seed: spec.PartitionSeed,
 		})
 		if err != nil {
 			return nil, err
 		}
-		p.Sweep = spec.ConeSplit
 	}
 	if spec.Shards > 0 {
 		if p.Part == nil {
@@ -227,23 +221,4 @@ func PreSimulate(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick,
 		return nil, err
 	}
 	return partition.WeightsFromProfile(res.EvalsByGate), nil
-}
-
-// NewPartition derives a validated gate → LP assignment over lps blocks:
-// whole combinational cones when coneSplit is set (the count of cones
-// packed is returned; -1 otherwise), else the named heuristic.
-func NewPartition(c *circuit.Circuit, lps int, coneSplit bool, m partition.Method, o partition.Options) (*partition.Partition, int, error) {
-	if coneSplit {
-		w := o.Weights
-		if w == nil {
-			w = partition.WeightsUniform(c)
-		}
-		part, cones := partition.ConeSplit(c, lps, w)
-		if err := part.Validate(c); err != nil {
-			return nil, -1, err
-		}
-		return part, cones, nil
-	}
-	part, err := partition.New(m, c, lps, o)
-	return part, -1, err
 }

@@ -39,7 +39,7 @@ func TestPrepareStimulusAndPartition(t *testing.T) {
 		if !reflect.DeepEqual(run.Stim, want) || run.Until != seq.Horizon(c, want) {
 			t.Errorf("%s: stimulus or horizon differs from the hand-built one", name)
 		}
-		if run.Part != nil || run.ShardOf != nil || run.Weights != nil || run.ConeCount != -1 {
+		if run.Part != nil || run.ShardOf != nil || run.Weights != nil {
 			t.Errorf("%s: a serial spec prepared a partition", name)
 		}
 
@@ -52,13 +52,13 @@ func TestPrepareStimulusAndPartition(t *testing.T) {
 			t.Errorf("%s: wide run's lane 0 is not the scalar stimulus", name)
 		}
 
-		spec.Lanes, spec.LPs, spec.Shards, spec.ConeSplit, spec.Presim = 0, 4, 2, true, true
-		spec.Partition = partition.MethodFM
+		spec.Lanes, spec.LPs, spec.Shards, spec.Presim = 0, 4, 2, true
+		spec.Partition = partition.MethodConeSplit
 		par, err := pipeline.Prepare(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Part == nil || par.Part.Blocks != 4 || len(par.ShardOf) != 4 || !par.Sweep || par.ConeCount < 1 || par.Weights == nil {
+		if par.Part == nil || par.Part.Blocks != 4 || len(par.ShardOf) != 4 || par.Part.Cones < 1 || par.Weights == nil {
 			t.Errorf("%s: cone-split presim spec prepared %+v", name, par)
 		}
 	}

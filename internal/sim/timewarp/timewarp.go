@@ -29,6 +29,7 @@
 package timewarp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -101,14 +102,8 @@ type ConfigT[V comparable] struct {
 	// events later than GVT + Window (the moving-time-window control).
 	Window circuit.Tick
 	// GVTInterval is the wall-clock ceiling between GVT computations; zero
-	// uses a 50ms default. GVT is normally paced by work, not wall time: a
-	// round starts once the run has processed about sixteen events per
-	// gate since the previous round, or immediately when every LP goes
-	// idle (so termination latency never depends on the interval). GVT is
-	// a pause-the-world protocol here and each pause perturbs the LPs'
-	// relative progress enough to induce extra rollback, so pacing by work
-	// keeps the perturbation proportional to useful progress at every
-	// circuit size.
+	// uses a 50ms default. GVT is normally paced by work, not wall time
+	// (see Pace).
 	GVTInterval time.Duration
 	// IntraWorkers, when > 1, makes every LP a synchronous cluster: it
 	// evaluates its per-timestep dirty set across this many sub-workers of
@@ -324,9 +319,6 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.GVTInterval == 0 {
-		cfg.GVTInterval = 50 * time.Millisecond
-	}
 	if cfg.Cost == (stats.CostModel{}) {
 		cfg.Cost = stats.DefaultCostModel()
 	}
@@ -419,6 +411,43 @@ func (sh *shared[V]) poll(lps []int, mins []circuit.Tick) (handled uint64, _ []c
 	return handled, mins, !sh.net.Aborted()
 }
 
+// Pace is when a GVT round is due, the one rule both coordinators keep:
+// this package's in-process one and the fleet hub's. A round is due once
+// the run has applied about sixteen events per gate since the last one
+// (floored at 100 000, so small circuits are not paused constantly), at
+// once when every LP is idle (so termination latency never depends on
+// the interval), and at the latest after the wall-clock interval. Each
+// GVT pause perturbs the LPs' relative progress enough to induce extra
+// rollback, so pacing by work keeps the perturbation proportional to
+// useful progress at every circuit size.
+type Pace struct {
+	threshold, last uint64
+	interval        time.Duration
+}
+
+// NewPace paces GVT rounds over a circuit of the given gate count; a zero
+// interval is the 50ms default.
+func NewPace(gates int, interval time.Duration) *Pace {
+	return &Pace{threshold: max(uint64(16*gates), 100_000), interval: cmp.Or(interval, 50*time.Millisecond)}
+}
+
+// Wait naps until a round is due. probe reports the events applied so
+// far, whether every LP is idle, and whether to stop waiting at once (the
+// run aborted, or a bound forces a round).
+func (p *Pace) Wait(nap time.Duration, probe func() (events uint64, idle, stop bool)) {
+	deadline := time.Now().Add(p.interval)
+	for {
+		events, idle, stop := probe()
+		if stop || idle || events-p.last >= p.threshold || !time.Now().Before(deadline) {
+			return
+		}
+		time.Sleep(nap)
+	}
+}
+
+// Mark counts the next round's progress from events.
+func (p *Pace) Mark(events uint64) { p.last = events }
+
 // coordinate runs the GVT/termination protocol and returns the number of
 // GVT computations performed and the final GVT.
 func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
@@ -427,45 +456,33 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 	start := time.Now()
 	var rounds uint64
 	gvt := circuit.Tick(0)
-	// Work-based pacing: a GVT round per ~16 events of progress per gate,
-	// floored so small circuits are not paused constantly.
-	threshold := uint64(16 * len(sh.c.Gates))
-	if threshold < 100_000 {
-		threshold = 100_000
-	}
+	pace := NewPace(len(sh.c.Gates), sh.cfg.GVTInterval)
+	// Memory throttling: a history bound being exceeded forces an early
+	// GVT round so fossil collection can run. The forced round still waits
+	// out a small air gap so the LPs execute between pauses: with no gap a
+	// persistently-over-limit run would pause back-to-back and never
+	// advance GVT at all.
 	limit := sh.cfg.HistoryLimit
-	var lastEvents uint64
-	for {
-		// Wait for enough progress, an all-idle run, the wall ceiling, or
-		// (memory throttling) the history bound being exceeded — the last
-		// forces an early GVT round so fossil collection can run. The
-		// forced round still waits out a small air gap so the LPs execute
-		// between pauses: with no gap a persistently-over-limit run would
-		// pause back-to-back and never advance GVT at all.
-		deadline := time.Now().Add(sh.cfg.GVTInterval)
-		gapEnd := time.Now().Add(2 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			over := false
-			if limit > 0 {
-				w := uint64(sh.histWords.Load())
-				if w > sh.histPeak {
-					sh.histPeak = w
-				}
-				over = w > limit
+	var gapEnd time.Time
+	probe := func() (uint64, bool, bool) {
+		over := false
+		if limit > 0 {
+			w := uint64(sh.histWords.Load())
+			if w > sh.histPeak {
+				sh.histPeak = w
 			}
-			if over && time.Now().After(gapEnd) {
-				break
-			}
-			if sh.net.Aborted() || sh.idle.Load() == int64(n) ||
-				sh.net.Events()-lastEvents >= threshold {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
+			over = w > limit
 		}
+		stop := sh.net.Aborted() || over && time.Now().After(gapEnd)
+		return sh.net.Events(), sh.idle.Load() == int64(n), stop
+	}
+	for {
+		gapEnd = time.Now().Add(2 * time.Millisecond)
+		pace.Wait(100*time.Microsecond, probe)
 		if sh.net.Aborted() {
 			return rounds, gvt
 		}
-		lastEvents = sh.net.Events()
+		pace.Mark(sh.net.Events())
 		// Freeze processing, then repeat handling rounds to quiescence.
 		roundBegin := sh.coShard.Now()
 		sh.paused.Store(true)

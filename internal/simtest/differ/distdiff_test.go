@@ -98,7 +98,7 @@ func (tr *DistTrial) probe(transforms []string) string {
 		case "opt":
 			opts.Opt = true
 		case "cone-split":
-			opts.ConeSplit = true
+			opts.Partition = "cone-split"
 		case "presim":
 			opts.Presim = true
 		case "mesh":

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/opt"
+	"repro/internal/partition"
 	"repro/internal/sim/seq"
 	"repro/internal/simtest/chaos"
 	"repro/internal/trace"
@@ -108,10 +109,9 @@ func GenOptTrial(cfg OptDiffConfig, i int) (*OptTrial, error) {
 		opts.IntraWorkers = 1 + rng.Intn(3)
 	}
 	// Exercise the cone-split + sweep execution mode against optimized
-	// netlists too: it overrides the partition method.
+	// netlists too: it replaces the sampled partition method.
 	if opts.Engine.Parallel() && rng.Intn(4) == 0 {
-		opts.ConeSplit = true
-		spec.WriteString("; cone-split")
+		opts.Partition = partition.MethodConeSplit
 	}
 	fmt.Fprintf(&spec, "; engine=%v lps=%d partition=%v/seed=%d system=%v",
 		opts.Engine, opts.LPs, opts.Partition, opts.PartitionSeed, opts.System)
