@@ -57,6 +57,7 @@ const (
 	NullsFolded
 	PoolHits
 	PoolMisses
+	Parks
 
 	NumCounters
 )
@@ -80,6 +81,7 @@ var counterNames = [NumCounters]string{
 	"nulls_folded",
 	"pool_hits",
 	"pool_misses",
+	"parks",
 }
 
 // String returns the counter's stable report key.
@@ -139,6 +141,11 @@ type LPCounters struct {
 	// high-water growth.
 	PoolHits   uint64
 	PoolMisses uint64
+	// Parks counts the waits that outlasted the mailbox's spin and slept,
+	// counted by the mailbox and folded in when the run ends. A Time Warp
+	// LP's GVT pauses count too; under cmb every wait is a block, so
+	// Blocks − Parks is the number of waits the spin absorbed.
+	Parks uint64
 }
 
 // field is where counter c lives in the block: the one place the enum
@@ -182,6 +189,8 @@ func (s *LPCounters) field(c Counter) *uint64 {
 		return &s.PoolHits
 	case PoolMisses:
 		return &s.PoolMisses
+	case Parks:
+		return &s.Parks
 	}
 	return nil
 }

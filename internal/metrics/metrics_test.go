@@ -31,6 +31,7 @@ func TestCounterRoundTrip(t *testing.T) {
 	s.NullsFolded = 16
 	s.PoolHits = 17
 	s.PoolMisses = 18
+	s.Parks = 19
 	// Get must agree with the named fields for every enum value: each
 	// counter was set to its ordinal+1.
 	for c := Counter(0); c < NumCounters; c++ {

@@ -21,6 +21,10 @@ type Transport[T any] interface {
 	// items to buf. The second result is false once the transport is
 	// closed and empty.
 	WaitDrain(buf []T) ([]T, bool)
+	// Waiting reports whether the receiver is inside WaitDrain; a sender
+	// holding a batch for it should flush now. A transport whose receiver
+	// lives in another process reports false.
+	Waiting() bool
 	// Poke wakes a blocked receiver without delivering an item.
 	Poke()
 	// Close wakes any blocked receiver and makes future WaitDrain calls

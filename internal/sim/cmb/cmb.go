@@ -472,6 +472,16 @@ func (l *clp[V]) Step(t circuit.Tick, evs []kernel.EventT[V]) {
 	l.K.Step(t, evs, false, nil, &l.St.LPCounters)
 }
 
+// Publish pushes the promises a waiting out-neighbour may be blocked on,
+// mid-burst: to every out-link eagerly, only to requesters in demand
+// mode, and none in deadlock-recovery mode, which sends no promises. A
+// promise is sound between any two steps, not just after the last.
+func (l *clp[V]) Publish() {
+	if l.sh.mode != DeadlockRecovery {
+		l.sendPromises(l.sh.mode == NullDemand)
+	}
+}
+
 // Idle follows every burst of safe steps. The null modes push promises
 // — eagerly, or (demand mode) only to outstanding requests; either way
 // only increases are transmitted — and finish once nothing is left inside

@@ -102,9 +102,13 @@ type Result[V comparable] struct {
 
 // Result reads a finished run: every net's final value from the LP that
 // owns it, every LP's samples merged, the last step any LP executed, and
-// the sink's statistics over the wall time since the network was built.
-// The engine sets its own gauges first.
+// the sink's statistics over the wall time since the network was built,
+// with each local LP's mailbox parks folded in. The engine sets its own
+// gauges first.
 func (n *Net[V]) Result() Result[V] {
+	for _, i := range n.locals {
+		n.sink.LP(i).Parks += n.lps[i].box.Parks()
+	}
 	r := Result[V]{Values: make([]V, len(n.c.Gates))}
 	for g := range r.Values {
 		r.Values[g] = n.lps[n.p.Assign[g]].k.Value(circuit.GateID(g))

@@ -33,9 +33,11 @@ type Pace uint8
 
 // The paces.
 const (
-	// Burst runs every step the rule allows between two drains, and
-	// flushes only before the LP parks or finishes: cmb, whose promises
-	// follow each burst.
+	// Burst runs every step the rule allows between two drains. It
+	// flushes before the LP parks or finishes, and after any step that
+	// leaves one of its out-neighbours waiting in its mailbox, once the
+	// rule has published what that neighbour may be waiting for: cmb,
+	// whose promises follow each burst and, to a waiting peer, each step.
 	Burst Pace = iota
 	// Eager runs one step between two drains, flushes after every drain
 	// and every step, and yields after every step: Time Warp, which must
@@ -61,6 +63,9 @@ type Rule[V comparable, E any] interface {
 	Live(e E) bool
 	// Step executes the step at t on its live entries.
 	Step(t circuit.Tick, evs []E)
+	// Publish batches what a waiting out-neighbour may need from this LP
+	// after a step at the Burst pace, just before the loop flushes.
+	Publish()
 	// Idle decides what the LP does once it cannot step at t.
 	Idle(t circuit.Tick) Verdict
 	// Park and Wake bracket every block-phase wait.
@@ -122,7 +127,9 @@ func (l *LP[V, E]) lvt() circuit.Tick { return l.LVT }
 // rule: every path to a wait or to the end flushes first, so no message
 // sits in a batch while its sender sleeps; quiescence, GVT and
 // deadlock-freedom all depend on it. An eager LP also flushes after every
-// drain and every step.
+// drain and every step; a bursting one after every step that finds an
+// out-neighbour waiting (steps), so the two run at once instead of taking
+// turns.
 func (l *LP[V, E]) drive(initial []kernel.EventT[V]) {
 	n, r := l.net, l.rule
 	l.Slot.SetPhase(supervise.PhaseRun)
@@ -218,7 +225,22 @@ func (l *LP[V, E]) steps() (t circuit.Tick, stepped, ok bool) {
 		if stepped = true; l.pace == Eager {
 			return t, true, true
 		}
+		if l.peerWaiting() {
+			r.Publish()
+			l.Batch.Flush()
+		}
 	}
+}
+
+// peerWaiting reports whether any LP this one's gates drive is inside
+// its mailbox's wait.
+func (l *LP[V, E]) peerWaiting() bool {
+	for _, dst := range l.net.lps[l.ID].out {
+		if l.net.Inboxes[dst].Waiting() {
+			return true
+		}
+	}
+	return false
 }
 
 // observe closes a step's evaluate span and counts its events.

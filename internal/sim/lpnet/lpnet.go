@@ -13,6 +13,8 @@ package lpnet
 import (
 	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,6 +190,11 @@ type lp[V comparable] struct {
 	// of every cut it captures.
 	prefix []trace.SampleT[V]
 	drv    runner[V]
+	// box is the LP's own mailbox under any chaos wrapper, nil for a
+	// remote LP; out lists the LPs its gates drive, the ones it flushes to
+	// early when they wait (none on one core).
+	box *mpsc.Mailbox[Msg[V]]
+	out []int
 }
 
 // Open is the preamble of a run: it schedules the stimulus (resolving
@@ -233,18 +240,26 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		n.board = supervise.NewBoard(p.Blocks)
 	}
 	lps := p.Blocks
+	n.lps = make([]lp[V], lps)
 	n.Inboxes = make([]mpsc.Transport[Msg[V]], lps)
 	n.locals = make([]int, 0, lps)
+	// Two LPs evaluate at once only on two cores. On one, a woken LP runs
+	// only after its sender parks, so neither a spin nor an early flush
+	// buys anything: the mailboxes park at once and no LP flushes early.
+	// A fleet worker shares the host's cores with the hub and the other
+	// shards, so its LPs park at once too.
+	overlap := runtime.GOMAXPROCS(0) > 1
+	newBox := mpsc.NewCap[Msg[V]]
+	if overlap && s.Seam == nil {
+		newBox = mpsc.NewSpinning[Msg[V]]
+	}
 	for i := range n.Inboxes {
 		if !n.Local(i) {
 			continue
 		}
 		n.locals = append(n.locals, i)
-		var mb mpsc.Transport[Msg[V]] = mpsc.NewCap[Msg[V]](64)
-		if s.Chaos != nil {
-			mb = inject.Wrap(s.Chaos, i, mb, Meta[V])
-		}
-		n.Inboxes[i] = mb
+		n.lps[i].box = newBox(64)
+		n.Inboxes[i] = inject.Wrap(s.Chaos, i, mpsc.Transport[Msg[V]](n.lps[i].box), Meta[V])
 	}
 	if s.Seam != nil {
 		// Remote LPs' mailboxes become socket outboxes.
@@ -258,7 +273,15 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		watched = c.Outputs
 	}
 	blockGates := p.BlockGates()
-	n.lps = make([]lp[V], lps)
+	if overlap {
+		for g, src := range p.Assign {
+			for _, fo := range c.Fanout[g] {
+				if dst := p.Assign[fo]; dst != src && !slices.Contains(n.lps[src].out, dst) {
+					n.lps[src].out = append(n.lps[src].out, dst)
+				}
+			}
+		}
+	}
 	for i := range n.lps {
 		k := kernel.NewOn(s.Plane, c, p.Assign, i, s.System, watched, blockGates[i])
 		if s.Sweep {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,7 +122,8 @@ func TestRouteOwnerThenGhosts(t *testing.T) {
 	}
 }
 
-// countingBox records every PutAll it receives.
+// countingBox records every PutAll it receives, and forwards it when it
+// wraps a live mailbox.
 type countingBox struct {
 	mpsc.Transport[Msg[logic.Value]]
 	dst   int
@@ -135,6 +137,9 @@ type putAll struct {
 
 func (c countingBox) PutAll(ms []Msg[logic.Value]) {
 	*c.calls = append(*c.calls, putAll{c.dst, append([]Msg[logic.Value](nil), ms...)})
+	if c.Transport != nil {
+		c.Transport.PutAll(ms)
+	}
 }
 
 func TestBatcherFIFOAndNullFold(t *testing.T) {
@@ -253,10 +258,12 @@ func TestFailLatch(t *testing.T) {
 // when idle, on a message and on parking.
 type script struct {
 	LP[logic.Value, kernel.Event]
-	idle    func(s *script) Verdict
-	handle  func(s *script, m Msg[logic.Value]) bool
-	park    func(s *script)
-	stepped []circuit.Tick
+	idle      func(s *script) Verdict
+	handle    func(s *script, m Msg[logic.Value]) bool
+	park      func(s *script)
+	step      func(s *script, t circuit.Tick)
+	stepped   []circuit.Tick
+	publishes int
 }
 
 func (s *script) Pend(ev kernel.Event) kernel.Event { return ev }
@@ -264,6 +271,7 @@ func (s *script) Begin()                            {}
 func (s *script) Live(kernel.Event) bool            { return true }
 func (s *script) Ready(t circuit.Tick) bool         { return t != ckpt.Never }
 func (s *script) Wake()                             {}
+func (s *script) Publish()                          { s.publishes++ }
 
 func (s *script) Next() circuit.Tick {
 	if t, ok := s.Q.PeekTime(); ok {
@@ -272,7 +280,12 @@ func (s *script) Next() circuit.Tick {
 	return ckpt.Never
 }
 
-func (s *script) Step(t circuit.Tick, _ []kernel.Event) { s.stepped = append(s.stepped, t) }
+func (s *script) Step(t circuit.Tick, _ []kernel.Event) {
+	if s.step != nil {
+		s.step(s, t)
+	}
+	s.stepped = append(s.stepped, t)
+}
 
 func (s *script) Handle(m Msg[logic.Value]) bool {
 	if s.handle == nil {
@@ -394,6 +407,151 @@ func TestLoopFlushesBeforePark(t *testing.T) {
 	}
 	if err := runWithin(t, n); err != nil {
 		t.Fatalf("Run = %v, want a clean finish", err)
+	}
+}
+
+// finish has a Burst LP end the run once its own work is done: it tells
+// the others to terminate and finishes.
+func finish(s *script) Verdict {
+	for dst := range s.net.lps {
+		if dst != s.ID {
+			s.Batch.Put(dst, Msg[logic.Value]{Kind: Terminate})
+		}
+	}
+	return Done
+}
+
+// TestBurstFlushesToAWaitingPeer: a Burst LP whose out-neighbour (LP 0
+// drives LP 2 in fanoutCircuit) waits in its mailbox delivers the promise
+// a step batched before its burst ends, instead of when it parks. The
+// second step waits for the promise to land; without the early flush it
+// never does.
+func TestBurstFlushesToAWaitingPeer(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("on one core the network flushes only at waits (TestOutNeighbours)")
+	}
+	n := newNet(t, Spec[logic.Value]{})
+	ss := scripted(n, Burst)
+	parked := make(chan struct{})
+	var once sync.Once
+	ss[2].park = func(*script) { once.Do(func() { close(parked) }) }
+	got := make(chan struct{})
+	var gotOnce sync.Once
+	ss[2].handle = func(_ *script, m Msg[logic.Value]) bool {
+		if m.Kind == Null {
+			gotOnce.Do(func() { close(got) })
+		}
+		return m.Kind != Terminate
+	}
+	early := false
+	ss[0].step = func(s *script, t circuit.Tick) {
+		switch t {
+		case 2:
+			<-parked
+			for !n.Inboxes[2].Waiting() {
+				runtime.Gosched()
+			}
+			s.Batch.Put(2, Msg[logic.Value]{Kind: Null, From: 0, Time: 3})
+		case 3:
+			select {
+			case <-got:
+				early = true
+			case <-time.After(2 * time.Second):
+			}
+		}
+	}
+	ss[0].idle = finish
+	for _, tm := range []uint64{2, 3} {
+		ss[0].Q.Push(tm, kernel.Event{Gate: gY})
+	}
+	if err := runWithin(t, n); err != nil {
+		t.Fatalf("Run = %v, want a clean finish", err)
+	}
+	if !early {
+		t.Fatal("the promise reached the waiting peer only after the burst")
+	}
+	if ss[0].publishes == 0 {
+		t.Fatal("the rule was not asked to publish before the early flush")
+	}
+}
+
+// TestOutNeighbours: the LPs an LP flushes to early are the ones its
+// gates drive, in first-use order — none on one core, where a woken LP
+// cannot run before its sender parks.
+func TestOutNeighbours(t *testing.T) {
+	outs := func(procs int) [][]int {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		n := newNet(t, Spec[logic.Value]{})
+		var out [][]int
+		for i := range n.lps {
+			out = append(out, n.lps[i].out)
+		}
+		return out
+	}
+	if got, want := outs(2), [][]int{{2}, {2, 0}, nil}; !reflect.DeepEqual(got, want) {
+		t.Errorf("out-neighbours on two cores = %v, want %v", got, want)
+	}
+	if got, want := outs(1), [][]int{nil, nil, nil}; !reflect.DeepEqual(got, want) {
+		t.Errorf("out-neighbours on one core = %v, want %v", got, want)
+	}
+}
+
+// TestBurstFlushesOnceWithNoPeerWaiting: while no out-neighbour waits —
+// LP 2 is busy in a step of its own — a Burst LP holds its whole burst's
+// sends and delivers them in the one flush before it parks, publishing
+// nothing early. Result then folds each mailbox's parks into its LP's
+// counters.
+func TestBurstFlushesOnceWithNoPeerWaiting(t *testing.T) {
+	n := newNet(t, Spec[logic.Value]{})
+	var calls []putAll // only LP 0 sends to LP 2
+	n.Inboxes[2] = countingBox{Transport: n.Inboxes[2], dst: 2, calls: &calls}
+	ss := scripted(n, Burst)
+	busy, released := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ss[0].park = func(*script) { once.Do(func() { close(released) }) }
+	ss[2].step = func(_ *script, t circuit.Tick) {
+		if t == 1 {
+			close(busy)
+			<-released
+		}
+	}
+	ss[0].step = func(s *script, t circuit.Tick) {
+		if t == 2 {
+			<-busy
+		}
+		s.Batch.Put(2, Msg[logic.Value]{Kind: Value, From: 0, Time: t + 1, Gate: gZ})
+	}
+	values := 0
+	ss[2].handle = func(_ *script, m Msg[logic.Value]) bool {
+		if m.Kind == Value {
+			values++
+		}
+		return m.Kind != Terminate
+	}
+	ss[2].idle = func(s *script) Verdict {
+		if values < 3 {
+			return Park
+		}
+		return finish(s)
+	}
+	ss[2].Q.Push(1, kernel.Event{Gate: gX})
+	for _, tm := range []uint64{2, 3, 4} {
+		ss[0].Q.Push(tm, kernel.Event{Gate: gY})
+	}
+	if err := runWithin(t, n); err != nil {
+		t.Fatalf("Run = %v, want a clean finish", err)
+	}
+	if len(calls) != 1 || len(calls[0].ms) != 3 {
+		t.Fatalf("lp 0 delivered %d batches to lp 2 (%v), want its whole burst in one", len(calls), calls)
+	}
+	if ss[0].publishes != 0 {
+		t.Fatalf("lp 0 published %d times with no peer waiting", ss[0].publishes)
+	}
+	n.Result()
+	for i := range n.lps {
+		if got, want := n.Sink().LP(i).Parks, n.lps[i].box.Parks(); got != want {
+			t.Errorf("lp %d: Result folded %d parks, its mailbox counted %d", i, got, want)
+		}
 	}
 }
 

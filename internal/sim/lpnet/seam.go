@@ -53,6 +53,10 @@ func (o *outbox) Poke()    {}
 func (o *outbox) Close()   {}
 func (o *outbox) Len() int { return 0 }
 
+// Waiting is false: a remote receiver's wait is not visible here, and a
+// frame per step would cost more on the wire than the overlap it buys.
+func (o *outbox) Waiting() bool { return false }
+
 // scalar is n itself on the scalar plane, the only one the wire carries.
 func (n *Net[V]) scalar() (*Net[logic.Value], error) {
 	sn, ok := any(n).(*Net[logic.Value])

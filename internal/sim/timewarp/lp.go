@@ -333,6 +333,9 @@ func (l *tlp[V]) Idle(circuit.Tick) lpnet.Verdict {
 	return lpnet.Park
 }
 
+// Publish has nothing to add: an eager LP flushes after every step.
+func (l *tlp[V]) Publish() {}
+
 // Park and Wake keep the count of idle LPs the coordinator paces on.
 func (l *tlp[V]) Park() { l.sh.idle.Add(1) }
 func (l *tlp[V]) Wake() { l.sh.idle.Add(-1) }

@@ -2,6 +2,7 @@ package inject
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -410,5 +411,27 @@ func TestFaultStrings(t *testing.T) {
 		if got := f.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestWaitingForwards: the wrapper reports the inner mailbox's receiver
+// state, so the LP loop's flush to a waiting neighbour runs under chaos.
+func TestWaitingForwards(t *testing.T) {
+	tr, _ := wrapT(t, NewHook(7, nil), 0)
+	if tr.Waiting() {
+		t.Fatal("Waiting with no receiver")
+	}
+	done := make(chan struct{})
+	go func() {
+		tr.WaitDrain(nil)
+		close(done)
+	}()
+	for !tr.Waiting() {
+		runtime.Gosched()
+	}
+	tr.Poke()
+	<-done
+	if tr.Waiting() {
+		t.Fatal("Waiting after the receiver returned")
 	}
 }

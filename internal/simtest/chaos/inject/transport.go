@@ -287,6 +287,10 @@ func (t *transport[T]) reorderRange(ms []T, drainSeq uint64) bool {
 	return true
 }
 
+// Waiting forwards to the inner mailbox, so the LP loop's early flushes
+// run under chaos too.
+func (t *transport[T]) Waiting() bool { return t.inner.Waiting() }
+
 // Poke forwards to the inner mailbox.
 func (t *transport[T]) Poke() { t.inner.Poke() }
 
