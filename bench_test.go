@@ -1,9 +1,10 @@
-// Benchmarks regenerating every experiment table (F1, E2..E14) plus
-// per-engine microbenchmarks. Each BenchmarkFigure1/BenchmarkE* entry runs
-// the corresponding experiment at quick scale and reports headline numbers
-// as custom metrics, so `go test -bench=.` reproduces the full evaluation;
-// `cmd/experiments -full` prints the full-scale tables recorded in
-// EXPERIMENTS.md.
+// Benchmarks regenerating every registered experiment table (F1,
+// E2..E18, E20) plus per-engine and per-partitioner rows. Each experiment
+// benchmark runs the corresponding experiment at quick scale and reports
+// its headline number as a custom metric, so `go test -bench=.` reproduces
+// the full evaluation; `cmd/experiments -full` prints the full-scale
+// tables recorded in EXPERIMENTS.md. End-to-end and per-layer wall-clock
+// numbers come from the benchmark/ harness (bash benchmark/run.sh).
 package repro_test
 
 import (
@@ -11,11 +12,12 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/vectors"
 )
 
@@ -63,19 +65,8 @@ func BenchmarkEventQueues(b *testing.B)       { benchExperiment(b, "E14") }
 func BenchmarkDynamicBalancing(b *testing.B)  { benchExperiment(b, "E15") }
 func BenchmarkCriticalPath(b *testing.B)      { benchExperiment(b, "E16") }
 func BenchmarkWordParallel(b *testing.B)      { benchExperiment(b, "E17") }
-
-// benchEngine measures raw wall-clock throughput (events/sec) of one
-// engine on a fixed mid-sized workload, prepared once.
-func benchEngine(b *testing.B, engine core.Engine) {
-	benchsuite.BenchEngine(b, engine, "dag2000", 20)
-}
-
-func BenchmarkEngineSeq(b *testing.B)       { benchEngine(b, core.EngineSeq) }
-func BenchmarkEngineOblivious(b *testing.B) { benchEngine(b, core.EngineOblivious) }
-func BenchmarkEngineSync(b *testing.B)      { benchEngine(b, core.EngineSync) }
-func BenchmarkEngineCMB(b *testing.B)       { benchEngine(b, core.EngineCMB) }
-func BenchmarkEngineTimeWarp(b *testing.B)  { benchEngine(b, core.EngineTimeWarp) }
-func BenchmarkEngineHybrid(b *testing.B)    { benchEngine(b, core.EngineHybrid) }
+func BenchmarkWideEvaluation(b *testing.B)    { benchExperiment(b, "E18") }
+func BenchmarkAdaptive(b *testing.B)          { benchExperiment(b, "E20") }
 
 // BenchmarkSeqBySize reports sequential engine scaling with circuit size.
 func BenchmarkSeqBySize(b *testing.B) {
@@ -100,13 +91,77 @@ func BenchmarkSeqBySize(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPaths runs the committed wall-clock baseline suite
-// (internal/benchsuite): allocation microbenchmarks for the per-event hot
-// paths, one run per engine and one per partitioner (cut-links and
-// imbalance as extras). cmd/benchbaseline executes the same suite to
-// regenerate BENCH_parsim.json.
-func BenchmarkHotPaths(b *testing.B) {
-	for _, bm := range benchsuite.All() {
-		b.Run(bm.Name, bm.Fn)
+// BenchmarkEngine measures one run of every engine per iteration on a
+// fixed mid-sized workload: dag2000 under 20 random vectors, split 8 ways
+// by FM. Load, stimulus and partition are prepared once, outside the
+// timed loop, so the row measures the engine: allocs/op is its own
+// garbage bill and events/s its throughput.
+func BenchmarkEngine(b *testing.B) {
+	run, err := pipeline.Prepare(pipeline.Spec{
+		Circuit: "dag2000", Seed: 1, Vectors: 20, Period: 40, Activity: 0.5,
+		System: logic.TwoValued, LPs: 8, Partition: partition.MethodFM,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, engine := range core.Engines() {
+		b.Run(engine.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				rep, err := core.Run(run, core.Options{Engine: engine, System: logic.TwoValued})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if engine == core.EngineSeq {
+					events = rep.SeqWork.EventsApplied
+				} else if tot := rep.Stats.Total(); tot.EventsApplied > 0 {
+					events = tot.EventsApplied
+				} else {
+					// The oblivious engine has no events; count evaluations.
+					events = tot.Evaluations
+				}
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(events)*float64(b.N)/sec, "events/s")
+			}
+		})
+	}
+}
+
+// BenchmarkPartition runs every min-cut partitioner and cone-split on a
+// many-way split of a small DAG and a bisection of a large sequential
+// netlist, reporting the two quality metrics (cut-links, imbalance).
+// Annealing runs a fixed 100k-move budget, not its default 60 moves per
+// gate, so its seq40000 row stays under a second.
+func BenchmarkPartition(b *testing.B) {
+	for _, w := range []struct {
+		circuit string
+		k       int
+	}{{"dag1200", 8}, {"seq40000", 2}} {
+		c, err := pipeline.Load(pipeline.Spec{Circuit: w.circuit, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []partition.Method{
+			partition.MethodFM, partition.MethodKL, partition.MethodMultilevel,
+			partition.MethodAnneal, partition.MethodConeSplit,
+		} {
+			b.Run(fmt.Sprintf("%v/%s-k%d", m, w.circuit, w.k), func(b *testing.B) {
+				b.ReportAllocs()
+				var (
+					p   *partition.Partition
+					err error
+				)
+				for i := 0; i < b.N; i++ {
+					if p, err = partition.New(m, c, w.k, partition.Options{Seed: 1, AnnealMoves: 100_000}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(p.CutLinks(c)), "cut-links")
+				b.ReportMetric(p.Imbalance(partition.WeightsUniform(c)), "imbalance")
+			})
+		}
 	}
 }

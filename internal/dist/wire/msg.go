@@ -90,11 +90,3 @@ func BatchDst(p []byte) (int32, error) {
 	}
 	return int32(binary.LittleEndian.Uint32(p[0:4])), nil
 }
-
-// BatchLen peeks a batch payload's message count.
-func BatchLen(p []byte) (int, error) {
-	if len(p) < batchOverhead {
-		return 0, fmt.Errorf("wire: batch payload %d bytes", len(p))
-	}
-	return int(binary.LittleEndian.Uint32(p[4:8])), nil
-}

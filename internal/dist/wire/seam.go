@@ -56,12 +56,11 @@ type Seam struct {
 	// peers holds direct mesh endpoints per destination shard (nil
 	// entries route through the hub). Installed once, before the engine
 	// starts; published atomically so a late engine send cannot race the
-	// install. meshBytes/hubBytes split outbound FBatch payload volume by
-	// route, the data-plane accounting behind the hub_bytes/mesh_bytes
-	// gauges.
+	// install. meshBytes counts outbound FBatch payload volume sent over
+	// mesh links, the data-plane accounting behind the mesh_bytes gauge
+	// (the hub counts what it relays itself).
 	peers     atomic.Pointer[[]*Endpoint]
 	meshBytes atomic.Uint64
-	hubBytes  atomic.Uint64
 
 	gvt        chan GVTCmd
 	cancel     chan struct{}
@@ -138,10 +137,9 @@ func (s *Seam) peerFor(shard int) *Endpoint {
 	return (*p)[shard]
 }
 
-// MeshBytes and HubBytes report outbound FBatch payload volume by
-// route: direct worker-to-worker versus relayed through the hub.
+// MeshBytes reports outbound FBatch payload volume sent directly
+// worker-to-worker.
 func (s *Seam) MeshBytes() uint64 { return s.meshBytes.Load() }
-func (s *Seam) HubBytes() uint64  { return s.hubBytes.Load() }
 
 // Send transmits a batch to a remote LP — directly over the mesh link
 // to the destination's shard when one is installed, through the hub
@@ -157,7 +155,6 @@ func (s *Seam) Send(dst int, ms []Msg) {
 		ep.Send(FBatch, payload)
 		return
 	}
-	s.hubBytes.Add(uint64(len(payload)))
 	s.ep.Send(FBatch, payload)
 }
 

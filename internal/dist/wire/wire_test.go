@@ -293,9 +293,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	if d, _ := BatchDst(p); d != 42 {
 		t.Errorf("BatchDst = %d", d)
 	}
-	if n, _ := BatchLen(p); n != 2 {
-		t.Errorf("BatchLen = %d", n)
-	}
 	if _, _, err := DecodeBatch(p[:len(p)-1]); err == nil {
 		t.Error("truncated batch decoded")
 	}

@@ -4,7 +4,7 @@
 // recorded results) to a Table; the cmd/experiments binary prints them and
 // bench_test.go exercises them under the Go benchmark harness.
 //
-// See DESIGN.md for the experiment index (F1, E2..E14) mapping each table
+// See DESIGN.md for the experiment index (F1, E2..E18, E20) mapping each table
 // to the sentence of the paper it reproduces.
 package experiments
 
@@ -105,6 +105,7 @@ func All() []Experiment {
 		{"E15", "dynamic load balancing", E15Dynamic},
 		{"E16", "critical-path (ideal parallelism) analysis", E16CriticalPath},
 		{"E17", "word-level data parallelism (PPSFP)", E17WordParallel},
+		{"E18", "wide event-driven evaluation (64 vectors per gate op)", E18Wide},
 		{"E20", "static vs adaptive synchronization control", E20Adaptive},
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // warmLP builds a single-LP executor over a mid-sized DAG with two
 // alternating input patterns, so every measured Step changes state — the
-// same shape as the benchsuite kernel fixture.
+// same shape as the benchmark ladder's kernel_step rung.
 func warmLP(t *testing.T) (*LP, [2][]Event) {
 	t.Helper()
 	c, err := gen.RandomDAG(gen.RandomConfig{Gates: 400, Inputs: 16, Outputs: 8, Locality: 0.6, Seed: 7})
