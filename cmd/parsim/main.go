@@ -206,6 +206,7 @@ func main() {
 			{*traceOut != "", "-trace-out", "per-shard timelines are not merged into one trace"},
 			{set["supervise"] || set["retries"], "-supervise/-retries", "a fleet restarts as a whole: use -dist-restarts, -watchdog and -fallback"},
 			{set["checkpoint-dir"], "-checkpoint-dir", "shard checkpoints are written to -dist-workdir"},
+			{*histLimit > 0, "-history-limit", "the Time Warp history throttle runs in-process only"},
 		} {
 			if r.given {
 				fatal(fmt.Errorf("-dist does not support %s: %s", r.flag, r.why))
@@ -220,7 +221,7 @@ func main() {
 			Opt: spec.Opt, OptPasses: spec.OptPasses, Presim: spec.Presim,
 			LPs: *lps, Partition: *partName, PartitionSeed: spec.PartitionSeed, System: sys,
 			Queue: queue, Window: *window, StateSaving: stateSaving,
-			HistoryLimit: *histLimit, MaxEvents: *maxEvents, HangTimeout: *watchdog,
+			MaxEvents: *maxEvents, HangTimeout: *watchdog,
 			Restore: boot, CheckpointEvery: *ckptEvery, WorkDir: *distWorkDir,
 			Restarts: *distRestarts, Fallback: *fallback,
 			HeartbeatTimeout: *distHBTimeout, HeartbeatEvery: *distHBEvery,

@@ -149,8 +149,12 @@ func InitState(c *Circuit, sys logic.System) (val, prevClk []logic.Value) {
 // gate's kind and fanin read straight from the circuit's flat arrays. The
 // n-ary kinds fold over the fanin indices into val, so there is no fanin
 // buffer to gather into; it is the form every engine's evaluation loop
-// calls.
-func EvalGate(c *Circuit, id GateID, val, prevClk []logic.Value) (out, clkSample logic.Value) {
+// calls. held is the value each gate's output is bound for: the last one
+// an event-driven engine projected for it, or val where nothing is
+// pending. A flip-flop or latch that does not load keeps it, so
+// re-evaluating any gate whose inputs did not change reproduces its
+// projected output.
+func EvalGate(c *Circuit, id GateID, val, held, prevClk []logic.Value) (out, clkSample logic.Value) {
 	fin := c.FaninAdj.Row(id)
 	kind, clk := c.Kinds[id], prevClk[id]
 	switch kind {
@@ -204,10 +208,10 @@ func EvalGate(c *Circuit, id GateID, val, prevClk []logic.Value) (out, clkSample
 		}
 		return acc, clk
 	case DFF:
-		return evalDFF(val[fin[0]], val[fin[1]], val[id], clk)
+		return evalDFF(val[fin[0]], val[fin[1]], held[id], clk)
 	case DLatch:
 		en := val[fin[1]]
-		return evalDLatch(val[fin[0]], en, val[id]), en
+		return evalDLatch(val[fin[0]], en, held[id]), en
 	}
 	return logic.X, clk
 }

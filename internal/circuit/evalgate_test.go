@@ -56,7 +56,7 @@ func TestEvalGateMatchesEvaluate(t *testing.T) {
 				val[g] = logic.Value(d % int(logic.NumValues))
 				prevClk[g] = logic.Value(d / int(logic.NumValues))
 				wantOut, wantClk := Evaluate(ka.kind, in, val[g], prevClk[g])
-				out, clk := EvalGate(c, g, val, prevClk)
+				out, clk := EvalGate(c, g, val, val, prevClk)
 				if out != wantOut || clk != wantClk {
 					t.Fatalf("%v/%d in=%v cur=%v clk=%v: EvalGate=(%v,%v) Evaluate=(%v,%v)",
 						ka.kind, arity, in, val[g], prevClk[g], out, clk, wantOut, wantClk)
@@ -96,7 +96,7 @@ func TestEvalGateWideMatchesEvaluateWide(t *testing.T) {
 					val[f] = in[i]
 				}
 				wantOut, wantClk := EvaluateWide(ka.kind, in, val[g], prevClk[g])
-				out, clk := EvalGateWide(c, g, val, prevClk)
+				out, clk := EvalGateWide(c, g, val, val, prevClk)
 				if out != wantOut || clk != wantClk {
 					t.Fatalf("%v/%d base=%d: EvalGateWide=(%v,%v) EvaluateWide=(%v,%v)",
 						ka.kind, arity, base, out, clk, wantOut, wantClk)

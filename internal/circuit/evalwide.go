@@ -129,7 +129,7 @@ func InitStateWide(c *Circuit, sys logic.System) (val, prevClk []logic.Word) {
 
 // EvalGateWide is EvalGate on the wide planes: EvaluateWide with kind and
 // fanin read from the flat arrays and the n-ary kinds folded over val.
-func EvalGateWide(c *Circuit, id GateID, val, prevClk []logic.Word) (out, clkSample logic.Word) {
+func EvalGateWide(c *Circuit, id GateID, val, held, prevClk []logic.Word) (out, clkSample logic.Word) {
 	fin := c.FaninAdj.Row(id)
 	kind, clk := c.Kinds[id], prevClk[id]
 	switch kind {
@@ -183,10 +183,10 @@ func EvalGateWide(c *Circuit, id GateID, val, prevClk []logic.Word) (out, clkSam
 		}
 		return acc, clk
 	case DFF:
-		return evalDFFWide(val[fin[0]], val[fin[1]], val[id], clk)
+		return evalDFFWide(val[fin[0]], val[fin[1]], held[id], clk)
 	case DLatch:
 		en := val[fin[1]]
-		return evalDLatchWide(val[fin[0]], en, val[id]), en
+		return evalDLatchWide(val[fin[0]], en, held[id]), en
 	}
 	return logic.Splat(logic.X), clk
 }

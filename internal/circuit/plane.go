@@ -16,8 +16,9 @@ type Plane[V comparable] struct {
 	Initial func(Kind, logic.System) V
 	// InitState allocates the value and clock-sample planes of a fresh run.
 	InitState func(*Circuit, logic.System) (val, prevClk []V)
-	// EvalGate evaluates gate id against the planes.
-	EvalGate func(c *Circuit, id GateID, val, prevClk []V) (out, clkSample V)
+	// EvalGate evaluates gate id against the planes; see circuit.EvalGate
+	// for held.
+	EvalGate func(c *Circuit, id GateID, val, held, prevClk []V) (out, clkSample V)
 }
 
 // System resolves a run's configured logic system on this plane: zero

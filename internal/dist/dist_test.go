@@ -423,7 +423,7 @@ func TestJobHeaderCarriesEngineConfig(t *testing.T) {
 	h := &hub{opts: Options{
 		Shards: 2, Engine: "timewarp-lazy", System: logic.FourValued,
 		Queue: eventq.ImplCalendar, Window: 7,
-		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
+		StateSaving: timewarp.FullCopy, MaxEvents: 99,
 		HangTimeout: 3 * time.Second, HeartbeatEvery: time.Millisecond,
 	}}
 	p, err := encodeJob(h.jobFor(1, 0, ""), nil)
@@ -441,7 +441,7 @@ func TestJobHeaderCarriesEngineConfig(t *testing.T) {
 	want := core.Options{
 		Engine: core.EngineTimeWarpLazy, System: logic.FourValued,
 		Queue: eventq.ImplCalendar, Window: 7,
-		StateSaving: timewarp.FullCopy, HistoryLimit: 64, MaxEvents: 99,
+		StateSaving: timewarp.FullCopy, MaxEvents: 99,
 		Supervise: &core.SuperviseOptions{Watchdog: 3 * time.Second},
 	}
 	if !reflect.DeepEqual(got, want) {

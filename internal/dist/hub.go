@@ -59,13 +59,12 @@ type Options struct {
 	PartitionSeed int64
 	// System is the logic value system (default 9-valued).
 	System logic.System
-	// Queue, Window, StateSaving and HistoryLimit configure the worker
-	// engines exactly as the core.Options fields of the same names
-	// configure a single-process run.
-	Queue        eventq.Impl
-	Window       uint64
-	StateSaving  timewarp.StateSaving
-	HistoryLimit uint64
+	// Queue, Window and StateSaving configure the worker engines exactly
+	// as the core.Options fields of the same names configure a
+	// single-process run.
+	Queue       eventq.Impl
+	Window      uint64
+	StateSaving timewarp.StateSaving
 	// MaxEvents aborts runaway shards (0 = unlimited).
 	MaxEvents uint64
 	// HangTimeout arms each worker's in-engine progress watchdog.
@@ -347,7 +346,7 @@ func (h *hub) jobFor(shard, attempt int, bootPath string) *Job {
 	}
 	return &Job{
 		Engine: o.Engine, System: uint8(o.System), Queue: o.Queue, Window: o.Window,
-		StateSaving: o.StateSaving, HistoryLimit: o.HistoryLimit, MaxEvents: o.MaxEvents,
+		StateSaving: o.StateSaving, MaxEvents: o.MaxEvents,
 		HangTimeoutMs: o.HangTimeout.Milliseconds(),
 		HeartbeatMs:   o.HeartbeatEvery.Milliseconds(),
 		Shards:        o.Shards, Shard: shard, Attempt: attempt,

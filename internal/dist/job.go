@@ -54,12 +54,11 @@ type Job struct {
 	Engine string `json:"engine"`
 	// System is the logic value system (2, 4, or 9).
 	System uint8 `json:"system"`
-	// Queue, Window, StateSaving and HistoryLimit are the core.Options
-	// fields of the same names.
-	Queue        eventq.Impl          `json:"queue,omitempty"`
-	Window       uint64               `json:"window,omitempty"`
-	StateSaving  timewarp.StateSaving `json:"state_saving,omitempty"`
-	HistoryLimit uint64               `json:"history_limit,omitempty"`
+	// Queue, Window and StateSaving are the core.Options fields of the
+	// same names.
+	Queue       eventq.Impl          `json:"queue,omitempty"`
+	Window      uint64               `json:"window,omitempty"`
+	StateSaving timewarp.StateSaving `json:"state_saving,omitempty"`
 	// MaxEvents aborts runaway shards (0 = unlimited).
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// HangTimeoutMs arms the worker's progress watchdog (0 = off).
@@ -116,7 +115,7 @@ func (j *Job) engineOptions() (core.Options, error) {
 	}
 	o := core.Options{
 		Engine: engine, Queue: j.Queue, Window: circuit.Tick(j.Window),
-		StateSaving: j.StateSaving, HistoryLimit: j.HistoryLimit, MaxEvents: j.MaxEvents,
+		StateSaving: j.StateSaving, MaxEvents: j.MaxEvents,
 	}
 	switch j.System {
 	case 2, 4, 9:

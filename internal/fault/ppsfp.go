@@ -195,7 +195,7 @@ func pack(c *circuit.Circuit, batch [][]bool, val []logic.Word) uint64 {
 // circuit.EvalGateWide.
 func sweep(c *circuit.Circuit, order []circuit.GateID, val, prevClk []logic.Word) {
 	for _, g := range order {
-		val[g], _ = circuit.EvalGateWide(c, g, val, prevClk)
+		val[g], _ = circuit.EvalGateWide(c, g, val, val, prevClk)
 	}
 }
 

@@ -316,7 +316,7 @@ func (lp *LPT[V]) commit(t circuit.Tick, evaluated bool, undo *UndoT[V], st *met
 		if evaluated {
 			out, clkSample = lp.parOut[g], lp.parClk[g]
 		} else {
-			out, clkSample = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
+			out, clkSample = lp.pl.EvalGate(lp.c, g, lp.val, lp.projected, lp.prevClk)
 		}
 		st.Evaluations++
 		if clkSample != lp.prevClk[g] {
@@ -382,7 +382,7 @@ func (lp *LPT[V]) StepParallel(t circuit.Tick, events []EventT[V], initial bool,
 func (lp *LPT[V]) EvalPart(part, parts int) {
 	n := len(lp.dirty)
 	for _, g := range lp.dirty[part*n/parts : (part+1)*n/parts] {
-		lp.parOut[g], lp.parClk[g] = lp.pl.EvalGate(lp.c, g, lp.val, lp.prevClk)
+		lp.parOut[g], lp.parClk[g] = lp.pl.EvalGate(lp.c, g, lp.val, lp.projected, lp.prevClk)
 	}
 }
 

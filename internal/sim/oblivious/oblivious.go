@@ -174,7 +174,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID) {
 		begin := shards[w].Now()
 		for _, g := range gates {
-			newQ[g], newClk[g] = pl.EvalGate(c, g, val, prevClk)
+			newQ[g], newClk[g] = pl.EvalGate(c, g, val, val, prevClk)
 			blocks[w].Evaluations++
 		}
 		shards[w].Span(trace.PhaseEvaluate, begin, t)

@@ -298,7 +298,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 
 		// Phase 2: evaluate affected gates against the settled values.
 		for _, g := range dirty {
-			out, clkSample := pl.EvalGate(c, g, val, prevClk)
+			out, clkSample := pl.EvalGate(c, g, val, projected, prevClk)
 			prevClk[g] = clkSample
 			blk.Evaluations++
 			if cfg.Profile {

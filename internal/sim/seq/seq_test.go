@@ -2,6 +2,7 @@ package seq
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -129,6 +130,56 @@ func TestGlitchPropagationWithUnequalDelays(t *testing.T) {
 	}
 	if d := trace.Diff(want, res.Waveform, 10); d != "" {
 		t.Fatalf("glitch waveform wrong:\n%s", d)
+	}
+}
+
+// TestFlipFlopHoldsPendingLoad: a D change after a clock edge, while the
+// flip-flop's load is still in flight, is a hold — the output keeps the
+// value it is about to take instead of scheduling its stale committed one
+// — so re-evaluating a flip-flop whose clock did not rise never changes
+// its output. On the wide plane that makes every lane exact even when
+// another lane's D change is what re-evaluates it.
+func TestFlipFlopHoldsPendingLoad(t *testing.T) {
+	b := circuit.NewBuilder()
+	d := b.Input("d")
+	clk := b.Input("clk")
+	q := b.GateDelay(circuit.DFF, "q", 5, d, clk)
+	b.Output("y", q)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := stim(12,
+		vectors.Change{Time: 0, Input: d, Value: logic.One},
+		vectors.Change{Time: 0, Input: clk, Value: logic.Zero},
+		vectors.Change{Time: 10, Input: clk, Value: logic.One},
+	)
+	late := stim(12, append(slices.Clone(loads.Changes),
+		vectors.Change{Time: 12, Input: d, Value: logic.Zero})...)
+	want := trace.Waveform{{Time: 15, Gate: q, Value: logic.One}}
+	cfg := Config{System: logic.TwoValued, Watch: []circuit.GateID{q}}
+	for _, s := range []*vectors.Stimulus{loads, late} {
+		res, err := Run(c, s, 40, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := trace.Diff(want, res.Waveform, 5); d != "" {
+			t.Fatalf("scalar flip-flop output:\n%s", d)
+		}
+	}
+	ws, err := vectors.Pack(c, []*vectors.Stimulus{loads, late}, logic.TwoValued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := RunWide(c, ws, 40, WideConfig{System: logic.TwoValued, Watch: []circuit.GateID{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < 2; lane++ {
+		got := trace.WideWaveform(w.Waveform).Lane(lane, laneInitial(c, logic.TwoValued))
+		if d := trace.Diff(want, got, 5); d != "" {
+			t.Fatalf("wide lane %d flip-flop output:\n%s", lane, d)
+		}
 	}
 }
 

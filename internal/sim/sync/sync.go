@@ -315,7 +315,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			}
 		}
 		for _, g := range l.dirty {
-			out, clkSample := pl.EvalGate(c, g, val, prevClk)
+			out, clkSample := pl.EvalGate(c, g, val, projected, prevClk)
 			prevClk[g] = clkSample
 			l.st.Evaluations++
 			if rebalancing {

@@ -26,7 +26,8 @@ func Shrink(plan inject.Plan, fullFailure string, run func(inject.Plan) string, 
 
 // ShrinkIndices is the ddmin core underneath Shrink, generalized to any
 // failure predicate over subsets of the indices [0, n): it is also reused
-// by the optimizer-equivalence suite to minimize failing pass subsets.
+// by the differential harness to minimize failing lane sets and optimizer
+// pass subsets.
 // fails must be deterministic over subsets; budget caps its invocations.
 func ShrinkIndices(size int, fullFailure string, failsFn func([]int) (bool, string), budget int) ([]int, string) {
 	probes := 0

@@ -1,6 +1,7 @@
-// Package differ is the cross-engine differential harness: randomized
-// circuit x stimulus x engine x partition x LP-count trials, each checked
-// for waveform and final-value equality against the sequential reference.
+// Package differ is the differential harness: randomized trials, each
+// one circuit x stimulus x value plane x optimizer pass subset x engine x
+// partition x LP count, checked lane by lane for waveform and final-value
+// equality against the sequential reference of the unoptimized netlist.
 // It lives below simtest (rather than in it) because it must import
 // core — which imports every engine — while the engines' own test files
 // import simtest's circuit helpers.
@@ -15,34 +16,72 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
+	simsync "repro/internal/sim/sync"
 	"repro/internal/sim/timewarp"
+	"repro/internal/simtest/chaos"
+	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
 	"repro/internal/vectors"
 )
 
-// Trials are a pure function of (config seed, trial index), so any
-// failure is reproducible from the two integers in its error message; the
-// message also carries the full generated spec so a failing case can be
-// reconstructed as a standalone test without rerunning the harness.
+// Arm pins one binary choice of a trial; the zero value draws it.
+type Arm int8
 
-// DiffConfig seeds the randomized differential harness.
+const (
+	Draw Arm = iota
+	Off
+	On
+)
+
+// draw resolves the arm: a pinned arm as pinned, a drawn one true with
+// probability 1/n.
+func (a Arm) draw(rng *rand.Rand, n int) bool {
+	if a == Draw {
+		return rng.Intn(n) == 0
+	}
+	return a == On
+}
+
+// DiffConfig seeds the differential harness. Every arm of a trial is
+// drawn independently unless the config pins it.
 type DiffConfig struct {
 	// Seed is the master seed; every trial derives its own seed from it.
 	Seed int64
-	// MaxGates bounds generated circuit size (default 400).
+	// MaxGates bounds generated circuit size (default 400). It must
+	// exceed minGates, the random DAG and sequential families' floor.
 	MaxGates int
-	// Engines limits the engines exercised; nil means every parallel
-	// event-driven engine (sync, cmb variants, timewarp variants, hybrid).
+	// Engines limits the engines exercised; nil means DiffEngines.
 	Engines []core.Engine
+	// Methods limits the partition methods drawn; nil means diffMethods.
+	Methods []partition.Method
+	// Wide pins the value plane: Off is the scalar plane (2- or
+	// 9-valued), On the wide plane (2- or 4-valued; 1, partial or 64
+	// lanes, each its own stimulus).
+	Wide Arm
+	// Opt pins whether the netlist is optimized before the engine runs;
+	// Passes, when non-empty, pins the pass subset and implies On.
+	Opt    Arm
+	Passes []string
+	// ChaosFaults, when positive, runs every trial under a seeded inject
+	// plan of that many transport faults and stalls; the asynchronous
+	// engines (cmb, timewarp, hybrid) honor it.
+	ChaosFaults int
+	// Rebalance, when its Interval is positive, turns dynamic load
+	// balancing on in a trial that drew the sync engine. core does not
+	// expose it, so such a trial calls the engine directly.
+	Rebalance simsync.RebalanceConfig
 }
 
+// minGates is the random DAG and sequential families' smallest circuit.
+const minGates = 50
+
 // DiffEngines is the default engine set: every parallel event-driven
-// engine, which must reproduce the sequential reference waveform exactly.
-// (The oblivious engine is cycle-based — it settles per boundary rather
-// than reproducing transients — so its equivalence suites compare settled
-// values, not waveforms, and live elsewhere.)
+// engine, each of which must reproduce the sequential reference waveform
+// exactly on either plane. (The cycle-based oblivious engine settles per
+// boundary instead; its equivalence suites compare settled values.)
 var DiffEngines = []core.Engine{
 	core.EngineSync,
 	core.EngineCMB, core.EngineCMBDemand, core.EngineCMBDetect,
@@ -50,61 +89,81 @@ var DiffEngines = []core.Engine{
 	core.EngineHybrid,
 }
 
-// diffMethods are the partition heuristics the harness samples.
-// MethodAnneal is excluded: its move budget makes trial cost dominated by
-// partitioning rather than simulation.
+// diffMethods are the partition methods the harness samples: eight
+// heuristics, then cone-split's fat sweeping LPs. MethodAnneal is
+// excluded: its move budget makes trial cost dominated by partitioning
+// rather than simulation.
 var diffMethods = []partition.Method{
 	partition.MethodRandom, partition.MethodContiguous, partition.MethodStrings,
 	partition.MethodCones, partition.MethodLevels, partition.MethodKL,
-	partition.MethodFM, partition.MethodMultilevel,
+	partition.MethodFM, partition.MethodMultilevel, partition.MethodConeSplit,
 }
 
-// Trial is one fully-specified differential check. All fields are derived
-// deterministically from (DiffConfig.Seed, Index).
+// Trial is one fully-specified differential check, a pure function of
+// (DiffConfig, Index): a failure is reproducible from its repro line, and
+// its spec is enough to rebuild the case as a standalone test.
 type Trial struct {
+	cfg   DiffConfig
 	Index int
 	Seed  int64
-	// Spec describes how the circuit and stimulus were generated,
-	// precisely enough to reconstruct them by hand.
+	// Spec names every arm the trial drew, precisely enough to
+	// reconstruct the circuit and stimulus by hand.
 	Spec string
 	C    *circuit.Circuit
-	Stim *vectors.Stimulus
+	// Stims holds one scalar stimulus per lane; a scalar trial has one.
+	// Wide trials run them packed on the wide plane.
+	Stims []*vectors.Stimulus
+	Wide  bool
 	// Until is the simulation horizon.
 	Until circuit.Tick
+	// Passes is the optimizer pipeline under test, nil for none (a subset
+	// of opt.DefaultPasses, so the exactness contract applies).
+	Passes []string
 	// Opts is the engine configuration under test.
 	Opts core.Options
+	// Plan and Rebalance carry the DiffConfig arms; every run gets a
+	// fresh chaos hook over Plan.
+	Plan      inject.Plan
+	Rebalance simsync.RebalanceConfig
 }
 
-// GenTrial deterministically derives trial i from the config.
+// GenTrial deterministically derives trial i from the config. The
+// circuit, stimulus, engine and partition come from one random stream and
+// the plane, system and optimizer arms from a second, so pinning or
+// drawing those never changes a trial's circuit, engine or partition.
 func GenTrial(cfg DiffConfig, i int) (*Trial, error) {
-	if cfg.MaxGates <= 0 {
-		cfg.MaxGates = 400
+	maxGates := cfg.MaxGates
+	if maxGates == 0 {
+		maxGates = 400
 	}
-	engines := cfg.Engines
+	if maxGates <= minGates {
+		return nil, fmt.Errorf("differ: MaxGates %d must exceed the random families' floor of %d gates", maxGates, minGates)
+	}
+	engines, methods := cfg.Engines, cfg.Methods
 	if engines == nil {
 		engines = DiffEngines
 	}
+	if methods == nil {
+		methods = diffMethods
+	}
 	seed := cfg.Seed*1_000_003 + int64(i)
 	rng := rand.New(rand.NewSource(seed))
-	tr := &Trial{Index: i, Seed: seed}
+	arms := rand.New(rand.NewSource(^seed))
+	tr := &Trial{cfg: cfg, Index: i, Seed: seed}
 
 	var spec strings.Builder
-	c, stim, err := genWorkload(rng, cfg.MaxGates, seed, &spec)
+	c, stimulus, err := genWorkload(rng, maxGates, seed, &spec)
 	if err != nil {
 		return nil, fmt.Errorf("differ: trial %d (seed %d): %w", i, seed, err)
 	}
-	tr.C, tr.Stim = c, stim
-	tr.Until = seq.Horizon(c, stim)
+	tr.C = c
 
 	opts := core.Options{
 		Engine:        engines[rng.Intn(len(engines))],
 		LPs:           1 + rng.Intn(8),
-		Partition:     diffMethods[rng.Intn(len(diffMethods))],
+		Partition:     methods[rng.Intn(len(methods))],
 		PartitionSeed: rng.Int63n(1 << 30),
 		System:        logic.TwoValued,
-	}
-	if rng.Intn(4) == 0 {
-		opts.System = logic.NineValued
 	}
 	switch opts.Engine {
 	case core.EngineTimeWarp, core.EngineTimeWarpLazy:
@@ -117,8 +176,55 @@ func GenTrial(cfg DiffConfig, i int) (*Trial, error) {
 	case core.EngineHybrid:
 		opts.IntraWorkers = 1 + rng.Intn(3)
 	}
-	fmt.Fprintf(&spec, "; engine=%v lps=%d partition=%v/seed=%d system=%v",
-		opts.Engine, opts.LPs, opts.Partition, opts.PartitionSeed, opts.System)
+
+	lanes := 1
+	if tr.Wide = cfg.Wide.draw(arms, 2); tr.Wide {
+		// Lane counts sample the edges and the middle: a single lane (wide
+		// machinery, scalar workload), a partial word, and the full word.
+		lanes = []int{1, 2 + arms.Intn(62), logic.Lanes}[arms.Intn(3)]
+		fmt.Fprintf(&spec, "; plane=wide lanes=%d (lane k seeded %d+k)", lanes, seed)
+	} else {
+		spec.WriteString("; plane=scalar")
+	}
+	if arms.Intn(2) == 0 {
+		opts.System = logic.NineValued
+		if tr.Wide {
+			opts.System = logic.FourValued
+		}
+	}
+	for k := 0; k < lanes; k++ {
+		s, err := stimulus(seed + int64(k))
+		if err != nil {
+			return nil, fmt.Errorf("differ: trial %d (seed %d) lane %d: %w", i, seed, k, err)
+		}
+		tr.Stims = append(tr.Stims, s)
+		tr.Until = max(tr.Until, seq.HorizonFrom(c, s.End))
+	}
+
+	switch {
+	case len(cfg.Passes) > 0:
+		tr.Passes = cfg.Passes
+	case !cfg.Opt.draw(arms, 2):
+	case arms.Intn(2) == 0:
+		// The full default pipeline half the time (the case users run),
+		// otherwise a random non-empty subset in pipeline order.
+		tr.Passes = append([]string(nil), opt.DefaultPasses...)
+	default:
+		for len(tr.Passes) == 0 {
+			for _, p := range opt.DefaultPasses {
+				if arms.Intn(2) == 0 {
+					tr.Passes = append(tr.Passes, p)
+				}
+			}
+		}
+	}
+
+	optName := "none"
+	if tr.Passes != nil {
+		optName = fmt.Sprint(tr.Passes)
+	}
+	fmt.Fprintf(&spec, " system=%v; opt=%s; engine=%v lps=%d partition=%v/seed=%d",
+		opts.System, optName, opts.Engine, opts.LPs, opts.Partition, opts.PartitionSeed)
 	if opts.StateSaving == timewarp.FullCopy {
 		spec.WriteString(" statesaving=full-copy")
 	}
@@ -128,14 +234,23 @@ func GenTrial(cfg DiffConfig, i int) (*Trial, error) {
 	if opts.Engine == core.EngineHybrid {
 		fmt.Fprintf(&spec, " intraworkers=%d", opts.IntraWorkers)
 	}
+	if cfg.ChaosFaults > 0 {
+		tr.Plan = inject.NewPlan(uint64(seed), opts.LPs, cfg.ChaosFaults)
+		fmt.Fprintf(&spec, " chaos=%d faults", cfg.ChaosFaults)
+	}
+	if opts.Engine == core.EngineSync && cfg.Rebalance.Interval > 0 {
+		tr.Rebalance = cfg.Rebalance
+		fmt.Fprintf(&spec, " rebalance=every %d steps", tr.Rebalance.Interval)
+	}
 	tr.Opts = opts
 	tr.Spec = spec.String()
 	return tr, nil
 }
 
-// genWorkload picks a circuit family and a stimulus, recording the
-// generation parameters in spec.
-func genWorkload(rng *rand.Rand, maxGates int, seed int64, spec *strings.Builder) (*circuit.Circuit, *vectors.Stimulus, error) {
+// genWorkload picks a circuit family and a stimulus shape, recording the
+// generation parameters in spec. It returns the circuit and the stimulus
+// generator for a lane seed.
+func genWorkload(rng *rand.Rand, maxGates int, seed int64, spec *strings.Builder) (*circuit.Circuit, func(int64) (*vectors.Stimulus, error), error) {
 	delays := gen.Unit
 	delayName := "unit"
 	if rng.Intn(2) == 0 {
@@ -159,14 +274,14 @@ func genWorkload(rng *rand.Rand, maxGates int, seed int64, spec *strings.Builder
 		fmt.Fprintf(spec, "mul%d delays=%s", n, delayName)
 		c, err = gen.ArrayMultiplier(n, delays)
 	case 2:
-		gates := 50 + rng.Intn(maxGates-50)
+		gates := minGates + rng.Intn(maxGates-minGates)
 		loc := rng.Float64()
 		fmt.Fprintf(spec, "dag{gates=%d,in=10,out=8,seed=%d,loc=%.2f} delays=%s", gates, seed, loc, delayName)
 		c, err = gen.RandomDAG(gen.RandomConfig{
 			Gates: gates, Inputs: 10, Outputs: 8, Seed: seed, Locality: loc, Delays: delays,
 		})
 	case 3:
-		gates := 50 + rng.Intn(maxGates-50)
+		gates := minGates + rng.Intn(maxGates-minGates)
 		ff := 0.05 + 0.2*rng.Float64()
 		fmt.Fprintf(spec, "seq{gates=%d,in=8,out=6,seed=%d,ff=%.2f} delays=%s", gates, seed, ff, delayName)
 		c, err = gen.RandomSeq(gen.RandomConfig{
@@ -188,59 +303,237 @@ func genWorkload(rng *rand.Rand, maxGates int, seed int64, spec *strings.Builder
 		return nil, nil, err
 	}
 
-	var stim *vectors.Stimulus
 	if seqC {
 		cycles := 8 + rng.Intn(15)
 		half := 20 + rng.Intn(30)
 		act := 0.2 + 0.8*rng.Float64()
 		fmt.Fprintf(spec, "; clocked{cycles=%d,half=%d,act=%.2f,seed=%d}", cycles, half, act, seed)
-		stim, err = vectors.Clocked(c, vectors.ClockedConfig{
-			Clock: "clk", Cycles: cycles, HalfPeriod: circuit.Tick(half), Activity: act, Seed: seed,
+		return c, func(s int64) (*vectors.Stimulus, error) {
+			return vectors.Clocked(c, vectors.ClockedConfig{
+				Clock: "clk", Cycles: cycles, HalfPeriod: circuit.Tick(half), Activity: act, Seed: s,
+			})
+		}, nil
+	}
+	vecs := 5 + rng.Intn(20)
+	period := 20 + rng.Intn(50)
+	act := 0.05 + 0.95*rng.Float64()
+	fmt.Fprintf(spec, "; random{vecs=%d,period=%d,act=%.2f,seed=%d}", vecs, period, act, seed)
+	return c, func(s int64) (*vectors.Stimulus, error) {
+		return vectors.Random(c, vectors.RandomConfig{
+			Vectors: vecs, Period: circuit.Tick(period), Activity: act, Seed: s,
 		})
-	} else {
-		vecs := 5 + rng.Intn(20)
-		period := 20 + rng.Intn(50)
-		act := 0.05 + 0.95*rng.Float64()
-		fmt.Fprintf(spec, "; random{vecs=%d,period=%d,act=%.2f,seed=%d}", vecs, period, act, seed)
-		stim, err = vectors.Random(c, vectors.RandomConfig{
-			Vectors: vecs, Period: circuit.Tick(period), Activity: act, Seed: seed,
+	}, nil
+}
+
+// Check optimizes with the trial's pass subset (if any), runs the engine
+// on its plane, and compares every lane against the sequential reference
+// of the unoptimized netlist through the remap: the waveform, and the
+// final value of every net (of the primary outputs when optimized). On a
+// mismatch one ddmin shrinks the lane set and then the pass subset, so
+// the report carries the smallest failing batch and pipeline.
+func (tr *Trial) Check() error {
+	lanes := make([]int, len(tr.Stims))
+	for k := range lanes {
+		lanes[k] = k
+	}
+	failure := tr.probe(lanes, tr.Passes)
+	if failure == "" {
+		return nil
+	}
+	if len(lanes) > 1 {
+		lanes, failure = chaos.ShrinkIndices(len(lanes), failure, func(idx []int) (bool, string) {
+			f := tr.probe(idx, tr.Passes)
+			return f != "", f
+		}, 32)
+	}
+	passes := tr.Passes
+	if len(passes) > 0 {
+		var idx []int
+		idx, failure = chaos.ShrinkIndices(len(passes), failure, func(idx []int) (bool, string) {
+			f := tr.probe(lanes, pick(tr.Passes, idx))
+			return f != "", f
+		}, 32)
+		passes = pick(tr.Passes, idx)
+	}
+	return tr.fail("mismatch (minimal failing lanes %v of %d, passes %v of %v):\n%s",
+		lanes, len(tr.Stims), passes, tr.Passes, failure)
+}
+
+// pick returns xs at the given indices, never nil: an empty pass subset
+// means "optimize with no passes" (the ddmin baseline), not "no optimizer".
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = xs[j]
+	}
+	return out
+}
+
+// probe runs one comparison over the given lanes under the given pass
+// subset (nil: no optimizer) and returns "" on success or a divergence
+// description.
+func (tr *Trial) probe(lanes []int, passes []string) string {
+	if len(lanes) == 0 {
+		return ""
+	}
+	c, stims := tr.C, pick(tr.Stims, lanes)
+	back := func(w trace.Waveform) trace.Waveform { return w }
+	net := func(g circuit.GateID) (circuit.GateID, bool) { return g, true }
+	nets := make([]circuit.GateID, len(c.Gates))
+	for g := range nets {
+		nets[g] = circuit.GateID(g)
+	}
+	if passes != nil {
+		res, err := opt.Optimize(tr.C, opt.Options{Passes: passes})
+		if err != nil {
+			return fmt.Sprintf("Optimize(%v) failed: %v", passes, err)
+		}
+		for i, s := range stims {
+			if stims[i], err = res.Remap.Stimulus(s); err != nil {
+				return fmt.Sprintf("lane %d stimulus remap failed: %v", lanes[i], err)
+			}
+		}
+		c, back, net, nets = res.Circuit, res.Remap.WaveformBack, res.Remap.Gate, tr.C.Outputs
+	}
+	value, wave, err := tr.run(c, stims)
+	if err != nil {
+		return fmt.Sprintf("engine run failed: %v", err)
+	}
+	for i, k := range lanes {
+		ref, err := seq.Run(tr.C, tr.Stims[k], tr.Until, seq.Config{System: tr.Opts.System})
+		if err != nil {
+			return fmt.Sprintf("lane %d sequential reference failed: %v", k, err)
+		}
+		if d := trace.Diff(ref.Waveform, back(wave(i)), 5); d != "" {
+			return fmt.Sprintf("lane %d waveform mismatch vs seq:\n%s", k, d)
+		}
+		for _, g := range nets {
+			ng, ok := net(g)
+			if !ok {
+				return fmt.Sprintf("primary output %d (%q) eliminated by %v", g, tr.C.Gates[g].Name, passes)
+			}
+			want := ref.Values[g]
+			if tr.Wide {
+				want = want.ToX01Z()
+			}
+			if got := value(i, ng); got != want {
+				return fmt.Sprintf("lane %d final value mismatch at net %d (%q): seq=%v got=%v",
+					k, g, tr.C.Gates[g].Name, want, got)
+			}
+		}
+	}
+	return ""
+}
+
+// run executes the trial's engine on netlist c over the lane stimuli —
+// the one lane alone on the scalar plane, packed on the wide plane — and
+// returns each lane's final net values and waveform.
+func (tr *Trial) run(c *circuit.Circuit, stims []*vectors.Stimulus) (func(k int, g circuit.GateID) logic.Value, func(k int) trace.Waveform, error) {
+	if !tr.Wide {
+		values, wf, err := runPlane(tr, c, stims[0], core.Simulate, simsync.Run)
+		return func(_ int, g circuit.GateID) logic.Value { return values[g] },
+			func(int) trace.Waveform { return wf }, err
+	}
+	ws, err := vectors.Pack(c, stims, tr.Opts.System)
+	if err != nil {
+		return nil, nil, err
+	}
+	values, wf, err := runPlane(tr, c, ws, core.SimulateWide, simsync.RunWide)
+	init := func(g circuit.GateID) logic.Value {
+		return tr.Opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
+	}
+	return func(k int, g circuit.GateID) logic.Value { return values[g].Get(k) },
+		func(k int) trace.Waveform { return trace.WideWaveform(wf).Lane(k, init) }, err
+}
+
+// runPlane runs the trial's engine on one plane: through core, or, for a
+// rebalancing trial, on the sync engine directly.
+func runPlane[V comparable, S any](tr *Trial, c *circuit.Circuit, stim S,
+	simulate func(*circuit.Circuit, S, circuit.Tick, core.Options) (*core.ReportT[V], error),
+	rebalanced func(*circuit.Circuit, S, circuit.Tick, simsync.ConfigT[V]) (*simsync.ResultT[V], error),
+) ([]V, trace.WaveformT[V], error) {
+	opts := tr.Opts
+	if tr.Rebalance.Interval > 0 {
+		part, err := partition.New(opts.Partition, c, opts.LPs, partition.Options{Seed: opts.PartitionSeed})
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := rebalanced(c, stim, tr.Until, simsync.ConfigT[V]{
+			Partition: part, System: opts.System, Rebalance: tr.Rebalance,
 		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Values, res.Waveform, nil
+	}
+	if tr.Plan != nil {
+		opts.Chaos = inject.NewHook(uint64(tr.Seed), tr.Plan)
+	}
+	rep, err := simulate(c, stim, tr.Until, opts)
+	if opts.Chaos != nil {
+		// Checked before the engine error: a violation is the cause.
+		if v := opts.Chaos.Violations(); len(v) > 0 {
+			return nil, nil, fmt.Errorf("chaos transport protocol violation: %s", v[0])
+		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return c, stim, nil
-}
-
-// Check runs the trial's engine and the sequential reference and compares
-// waveforms and final values. A non-nil error carries a self-contained
-// repro: the trial coordinates, the generation spec, and the first
-// divergences.
-func (tr *Trial) Check() error {
-	ref, err := core.Simulate(tr.C, tr.Stim, tr.Until, core.Options{
-		Engine: core.EngineSeq, System: tr.Opts.System,
-	})
-	if err != nil {
-		return tr.fail("sequential reference failed: %v", err)
-	}
-	rep, err := core.Simulate(tr.C, tr.Stim, tr.Until, tr.Opts)
-	if err != nil {
-		return tr.fail("engine run failed: %v", err)
-	}
-	if d := trace.Diff(ref.Waveform, rep.Waveform, 5); d != "" {
-		return tr.fail("waveform mismatch vs seq:\n%s", d)
-	}
-	for g := range ref.Values {
-		if ref.Values[g] != rep.Values[g] {
-			return tr.fail("final value mismatch at gate %d (%q): seq=%v got=%v",
-				g, tr.C.Gates[g].Name, ref.Values[g], rep.Values[g])
-		}
-	}
-	return nil
+	return rep.Values, rep.Waveform, nil
 }
 
 // fail wraps a mismatch with everything needed to reproduce the trial.
 func (tr *Trial) fail(format string, argv ...any) error {
-	return fmt.Errorf("differential trial %d (seed %d)\n  spec: %s\n  repro: differ.GenTrial(differ.DiffConfig{Seed: <master>}, %d) with trial seed %d\n  %s",
-		tr.Index, tr.Seed, tr.Spec, tr.Index, tr.Seed, fmt.Sprintf(format, argv...))
+	return fmt.Errorf("differential trial %d (seed %d)\n  spec: %s\n  repro: %s\n  %s",
+		tr.Index, tr.Seed, tr.Spec, tr.Repro(), fmt.Sprintf(format, argv...))
+}
+
+// Repro is the Go expression that regenerates the trial: the master seed
+// and every pinned arm of its config, and its index.
+func (tr *Trial) Repro() string {
+	return fmt.Sprintf("differ.GenTrial(%#v, %d)", tr.cfg, tr.Index)
+}
+
+// GoString prints the config as the Go expression that rebuilds it,
+// listing only the fields set.
+func (cfg DiffConfig) GoString() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "differ.DiffConfig{Seed: %d", cfg.Seed)
+	if cfg.MaxGates != 0 {
+		fmt.Fprintf(&b, ", MaxGates: %d", cfg.MaxGates)
+	}
+	if cfg.Engines != nil {
+		fmt.Fprintf(&b, ", Engines: []core.Engine{%s}", goList(cfg.Engines))
+	}
+	if cfg.Methods != nil {
+		fmt.Fprintf(&b, ", Methods: []partition.Method{%s}", goList(cfg.Methods))
+	}
+	for _, a := range []struct {
+		field string
+		arm   Arm
+	}{{"Wide", cfg.Wide}, {"Opt", cfg.Opt}} {
+		if a.arm != Draw {
+			fmt.Fprintf(&b, ", %s: differ.%s", a.field, [...]string{"Draw", "Off", "On"}[a.arm])
+		}
+	}
+	if cfg.Passes != nil {
+		fmt.Fprintf(&b, ", Passes: %#v", cfg.Passes)
+	}
+	if cfg.ChaosFaults != 0 {
+		fmt.Fprintf(&b, ", ChaosFaults: %d", cfg.ChaosFaults)
+	}
+	if cfg.Rebalance.Interval != 0 {
+		fmt.Fprintf(&b, ", Rebalance: simsync.RebalanceConfig{Interval: %d}", cfg.Rebalance.Interval)
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+// goList prints enum values as Go literals, each annotated with its name.
+func goList[E ~uint8](xs []E) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprintf("%d /* %v */", x, x)
+	}
+	return strings.Join(parts, ", ")
 }

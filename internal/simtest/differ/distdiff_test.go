@@ -59,7 +59,7 @@ type DistTrial struct {
 }
 
 // Check runs the trial; on a divergence the transform set is ddmin-shrunk
-// (as OptTrial.Check shrinks its pass list) so the report names the
+// (as Trial.Check shrinks its pass subset) so the report names the
 // smallest set of switches that still breaks equivalence.
 func (tr *DistTrial) Check() error {
 	failure := tr.probe(tr.Transforms)

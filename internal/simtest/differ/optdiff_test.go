@@ -7,25 +7,18 @@ import (
 	"repro/internal/opt"
 )
 
-// TestOptimizerEquivalence is the optimizer property suite: randomized
-// netlists, pass subsets, engines (scalar and wide paths), partitions, and
-// value systems — every trial's optimized primary-output waveform must be
-// bit-identical to the unoptimized sequential reference.
+// TestOptimizerEquivalence is the optimizer property suite: the
+// differential harness with the optimizer pinned on, over randomized
+// netlists, pass subsets, planes, engines, partitions, and value systems
+// — every trial's optimized primary-output waveform must be bit-identical
+// to the unoptimized sequential reference. Failures ddmin to a minimal
+// failing pass subset.
 func TestOptimizerEquivalence(t *testing.T) {
 	trials := 48
 	if testing.Short() {
 		trials = 12
 	}
-	cfg := OptDiffConfig{Seed: 20260808}
-	for i := 0; i < trials; i++ {
-		tr, err := GenOptTrial(cfg, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Check(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkTrials(t, DiffConfig{Seed: 20260808, Opt: On}, trials)
 }
 
 // TestOptimizerEquivalencePerPass pins each exact pass individually on
@@ -43,12 +36,10 @@ func TestOptimizerEquivalencePerPass(t *testing.T) {
 		pass := pass
 		t.Run(pass, func(t *testing.T) {
 			for ei, engine := range engines {
-				cfg := OptDiffConfig{Seed: 77, Engines: []core.Engine{engine}}
-				tr, err := GenOptTrial(cfg, ei)
+				tr, err := GenTrial(DiffConfig{Seed: 77, Engines: []core.Engine{engine}, Passes: []string{pass}}, ei)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.Passes = []string{pass}
 				if err := tr.Check(); err != nil {
 					t.Fatalf("engine %v: %v", engine, err)
 				}

@@ -2,26 +2,50 @@ package differ
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	simsync "repro/internal/sim/sync"
 )
 
-// TestWideLockstepCrossEngine is the wide-plane conformance suite: every
-// trial generates a fresh circuit, a batch of independent per-lane scalar
-// stimuli, and a wide engine configuration, then checks that every lane of
-// the wide run reproduces — sample for sample — the scalar sequential
-// reference of that lane's stimulus. Failures shrink to a minimal lane set
+// wideSchedule is the engine and partition heuristic of each wide
+// cross-engine trial: the pairs the suite's trial IDs have always named.
+var wideSchedule = strings.Fields(`
+	cmb/cones cmb-detect/contiguous cmb-detect/fm hybrid/cones cmb-demand/contiguous
+	cmb-demand/strings hybrid/random cmb-demand/levels timewarp/kl sync/levels
+	sync/kl cmb-demand/random timewarp-lazy/random sync/levels cmb-detect/fm
+	timewarp/levels cmb-demand/contiguous cmb-detect/fm timewarp-lazy/random cmb-demand/multilevel
+	timewarp-lazy/cones cmb/cones sync/cones hybrid/random sync/kl
+	cmb-demand/kl sync/kl timewarp-lazy/multilevel cmb/multilevel hybrid/cones
+	cmb/contiguous timewarp/random timewarp-lazy/cones hybrid/random cmb-detect/random
+	hybrid/strings timewarp-lazy/random cmb/cones timewarp-lazy/multilevel cmb/strings`)
+
+// TestWideLockstepCrossEngine is the wide-plane conformance suite: the
+// differential harness with the plane pinned wide, so every trial runs a
+// batch of independent per-lane scalar stimuli packed into one wide run,
+// and every lane must reproduce — sample for sample — the scalar
+// sequential reference of that lane's stimulus. Each trial pins its
+// engine and heuristic from wideSchedule, so its ID keeps naming the same
+// pair; the other arms are drawn. Failures shrink to a minimal lane set
 // and carry a self-contained repro.
 func TestWideLockstepCrossEngine(t *testing.T) {
-	trials := 40
+	trials := len(wideSchedule)
 	if testing.Short() {
 		trials = 8
 	}
-	cfg := WideDiffConfig{Seed: 64}
-	for i := 0; i < trials; i++ {
-		tr, err := GenWideTrial(cfg, i)
+	for i, pair := range wideSchedule[:trials] {
+		name, method, _ := strings.Cut(pair, "/")
+		eng, err := core.ParseEngine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := partition.ParseMethod(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := GenTrial(DiffConfig{Seed: 64, Wide: On, Engines: []core.Engine{eng}, Methods: []partition.Method{m}}, i)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
@@ -34,30 +58,19 @@ func TestWideLockstepCrossEngine(t *testing.T) {
 	}
 }
 
-// TestWideLockstepPerEngineCoverage pins one deterministic batch per wide
+// TestWideLockstepPerEngineCoverage pins one deterministic wide batch per
 // engine, so a regression in a single engine's wide path is reported by
-// name even if the randomized mix under-samples it. The sequential and
-// oblivious wide paths, which the lockstep trials use differently or not
-// at all, get explicit entries.
+// name even if the randomized mix under-samples it.
 func TestWideLockstepPerEngineCoverage(t *testing.T) {
 	per := 4
 	if testing.Short() {
 		per = 2
 	}
-	for _, eng := range WideDiffEngines {
+	for _, eng := range DiffEngines {
 		eng := eng
 		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := WideDiffConfig{Seed: 400 + int64(eng), Engines: []core.Engine{eng}}
-			for i := 0; i < per; i++ {
-				tr, err := GenWideTrial(cfg, i)
-				if err != nil {
-					t.Fatalf("trial %d: %v", i, err)
-				}
-				if err := tr.Check(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			checkTrials(t, DiffConfig{Seed: 400 + int64(eng), Engines: []core.Engine{eng}, Wide: On}, per)
 		})
 	}
 }
@@ -75,16 +88,7 @@ func TestWideLockstepChaos(t *testing.T) {
 		eng := eng
 		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := WideDiffConfig{Seed: 700 + int64(eng), Engines: []core.Engine{eng}, ChaosFaults: 12}
-			for i := 0; i < per; i++ {
-				tr, err := GenWideTrial(cfg, i)
-				if err != nil {
-					t.Fatalf("trial %d: %v", i, err)
-				}
-				if err := tr.Check(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			checkTrials(t, DiffConfig{Seed: 700 + int64(eng), Engines: []core.Engine{eng}, Wide: On, ChaosFaults: 12}, per)
 		})
 	}
 }
@@ -94,53 +98,33 @@ func TestWideLockstepChaos(t *testing.T) {
 // change a sample in any lane.
 func TestWideLockstepRebalance(t *testing.T) {
 	for _, interval := range []uint64{1, 7} {
-		cfg := WideDiffConfig{Seed: 31, Engines: []core.Engine{core.EngineSync}, Rebalance: simsync.RebalanceConfig{Interval: interval}}
-		for i := 0; i < 4; i++ {
-			tr, err := GenWideTrial(cfg, i)
-			if err != nil {
-				t.Fatalf("trial %d: %v", i, err)
-			}
-			if err := tr.Check(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		checkTrials(t, DiffConfig{Seed: 31, Engines: []core.Engine{core.EngineSync}, Wide: On,
+			Rebalance: simsync.RebalanceConfig{Interval: interval}}, 4)
 	}
 }
 
 // TestWideSeqLockstep covers the wide sequential engine itself through the
 // same generator (the cross-engine trials use it only as the reference).
 func TestWideSeqLockstep(t *testing.T) {
-	cfg := WideDiffConfig{Seed: 11, Engines: []core.Engine{core.EngineSeq}}
-	for i := 0; i < 4; i++ {
-		tr, err := GenWideTrial(cfg, i)
+	checkTrials(t, DiffConfig{Seed: 11, Engines: []core.Engine{core.EngineSeq}, Wide: On}, 4)
+}
+
+// TestGenWideTrialDeterministic guards the repro contract on the wide
+// plane: the same (seed, index) must regenerate the identical trial.
+func TestGenWideTrialDeterministic(t *testing.T) {
+	sameTrial(t, DiffConfig{Seed: 99, Wide: On}, 2)
+}
+
+// checkTrials generates and checks trials 0..n-1 of cfg.
+func checkTrials(t *testing.T, cfg DiffConfig, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		tr, err := GenTrial(cfg, i)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
 		if err := tr.Check(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestGenWideTrialDeterministic guards the repro contract: the same
-// (seed, index) must regenerate the identical wide trial.
-func TestGenWideTrialDeterministic(t *testing.T) {
-	cfg := WideDiffConfig{Seed: 99}
-	a, err := GenWideTrial(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenWideTrial(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Spec != b.Spec || a.Seed != b.Seed {
-		t.Fatalf("wide trial not deterministic:\n%s\n%s", a.Spec, b.Spec)
-	}
-	if fmt.Sprintf("%+v", a.Opts) != fmt.Sprintf("%+v", b.Opts) {
-		t.Fatalf("options not deterministic: %+v vs %+v", a.Opts, b.Opts)
-	}
-	if len(a.Wide.Changes) != len(b.Wide.Changes) || a.Wide.Lanes != b.Wide.Lanes {
-		t.Fatalf("wide stimulus not deterministic")
 	}
 }
