@@ -685,6 +685,16 @@ func TestAdaptFlagMatrix(t *testing.T) {
 			t.Errorf("stderr does not classify the read failure:\n%s", stderr)
 		}
 	})
+	t.Run("rejects-unknown-key", func(t *testing.T) {
+		_, stderr, code := run(t,
+			"-circuit", "ripple8", "-engine", "cmb", "-lps", "2", "-adapt-spec", `{"max_probe":2}`, "-q")
+		if code != 1 {
+			t.Fatalf("exit code %d, want 1: a misspelt key must not leave the default in force:\n%s", code, stderr)
+		}
+		if !strings.Contains(stderr, "max_probe") {
+			t.Errorf("stderr does not name the unknown key:\n%s", stderr)
+		}
+	})
 	t.Run("event-limit-exit-code", func(t *testing.T) {
 		_, stderr, code := run(t,
 			"-circuit", "ripple8", "-engine", "cmb", "-lps", "2", "-adapt", "-max-events", "10", "-q")

@@ -79,15 +79,15 @@ func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], err
 
 	var winCtl *adapt.WindowController
 	if !spec.NoWindow {
-		winCtl = adapt.NewWindowController(spec.Window)
+		winCtl = adapt.NewWindowController()
 	}
 	var swCtl *adapt.SwitchController
 	if !spec.NoSwitch {
-		swCtl = adapt.NewSwitchController(spec.Switch)
+		swCtl = adapt.NewSwitchController()
 	}
 	var rbCtl *adapt.Rebalancer
 	if !spec.NoRebalance {
-		rbCtl = adapt.NewRebalancer(spec.Rebalance)
+		rbCtl = adapt.NewRebalancer()
 	}
 
 	// One cut interval serves the probes and the checkpoint files.

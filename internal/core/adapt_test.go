@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -253,8 +254,9 @@ func TestAdaptiveRejections(t *testing.T) {
 func TestAdaptiveProbeBudget(t *testing.T) {
 	c, stim, until := workload(t)
 	opts := adaptOpts(EngineCMB)
-	// Huge SettleAfter so the switch controller never commits on its own.
-	opts.Adapt = &adapt.Spec{Every: 100, MaxProbes: 2, Switch: adapt.SwitchConfig{SettleAfter: 1000}}
+	// No switch controller (which would commit on its own once the engine
+	// settles) and no rebalancer: the probe budget alone ends probing.
+	opts.Adapt = &adapt.Spec{Every: 100, MaxProbes: 2, NoSwitch: true, NoRebalance: true}
 	rep, err := Simulate(c, stim, until, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -265,13 +267,13 @@ func TestAdaptiveProbeBudget(t *testing.T) {
 	if !rep.Adapt.Committed {
 		t.Fatal("probe budget did not commit")
 	}
-	var commits int
+	var commits []adapt.Decision
 	for _, d := range rep.Adapt.Decisions {
 		if d.Kind == adapt.KindCommit {
-			commits++
+			commits = append(commits, d)
 		}
 	}
-	if commits != 1 {
-		t.Fatalf("commit decisions = %d, want 1: %v", commits, rep.Adapt.Decisions)
+	if len(commits) != 1 || commits[0].Round != 1 || !strings.Contains(commits[0].Reason, "probe budget (2 segments)") {
+		t.Fatalf("want one probe-budget commit after 2 probes: %v", rep.Adapt.Decisions)
 	}
 }

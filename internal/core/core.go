@@ -135,8 +135,6 @@ type Options struct {
 	System logic.System
 	// Queue selects the pending-event set implementation.
 	Queue eventq.Impl
-	// Watch lists nets to record; nil watches primary outputs.
-	Watch []circuit.GateID
 	// MaxEvents bounds runaway simulations.
 	MaxEvents uint64
 	// Cost prices modeled times; the zero value uses the default model.
@@ -432,7 +430,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	switch opts.Engine {
 	case EngineSeq:
 		res, err := eng.seq(c, stim, until, seq.ConfigT[V]{
-			System: opts.System, Queue: opts.Queue, Watch: opts.Watch, MaxEvents: opts.MaxEvents,
+			System: opts.System, Queue: opts.Queue, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
@@ -446,7 +444,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 			res.Counters.Evaluations, res.Counters.EventsApplied, res.Counters.EventsScheduled)
 	case EngineOblivious:
 		res, err := eng.oblivious(c, stim, oblivious.Config{
-			System: opts.System, Workers: opts.LPs, Watch: opts.Watch, Cost: opts.Cost,
+			System: opts.System, Workers: opts.LPs, Cost: opts.Cost,
 			Metrics: sink, Tracer: opts.Tracer,
 		})
 		if err != nil {
@@ -458,7 +456,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	case EngineSync:
 		res, err := eng.sync(c, stim, until, sync.ConfigT[V]{
 			Partition: part, System: opts.System, Queue: opts.Queue,
-			Watch: opts.Watch, Cost: opts.Cost, MaxEvents: opts.MaxEvents,
+			Cost: opts.Cost, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
@@ -477,8 +475,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		}
 		res, err := eng.cmb(c, stim, until, cmb.ConfigT[V]{
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
-			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
+			MaxEvents: opts.MaxEvents, Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, Boot: boot, Sweep: sweep, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
@@ -500,8 +497,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		res, err := eng.timewarp(c, stim, until, timewarp.ConfigT[V]{
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
 			Window: opts.Window, IntraWorkers: intra, Cost: opts.Cost,
-			System: opts.System, Queue: opts.Queue,
-			Watch: opts.Watch, MaxEvents: opts.MaxEvents,
+			System: opts.System, Queue: opts.Queue, MaxEvents: opts.MaxEvents,
 			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: boot,
 			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: cuts,

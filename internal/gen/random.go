@@ -20,8 +20,6 @@ type RandomConfig struct {
 	Outputs int
 	// MaxFanin bounds multi-input gate fanin (>= 2; default 4).
 	MaxFanin int
-	// Layers shapes the DAG depth; 0 derives roughly sqrt(Gates) layers.
-	Layers int
 	// Locality in [0,1] biases fanin selection toward recent layers; 0 is
 	// uniform over all earlier gates, 1 draws almost exclusively from the
 	// previous layer. Structure is a primary performance factor in the
@@ -50,15 +48,6 @@ func (cfg RandomConfig) withDefaults() (RandomConfig, error) {
 	}
 	if cfg.MaxFanin < 2 {
 		return cfg, fmt.Errorf("gen: MaxFanin must be >= 2")
-	}
-	if cfg.Layers == 0 {
-		cfg.Layers = int(math.Sqrt(float64(cfg.Gates)))
-		if cfg.Layers < 1 {
-			cfg.Layers = 1
-		}
-	}
-	if cfg.Layers > cfg.Gates {
-		cfg.Layers = cfg.Gates
 	}
 	if cfg.Locality < 0 || cfg.Locality > 1 {
 		return cfg, fmt.Errorf("gen: Locality %f outside [0,1]", cfg.Locality)
@@ -149,9 +138,11 @@ func randomCircuit(cfg RandomConfig, seq bool) (*circuit.Circuit, error) {
 		return candidates[idx].id
 	}
 
-	// Distribute gates across layers as evenly as possible.
-	perLayer := cfg.Gates / cfg.Layers
-	extra := cfg.Gates % cfg.Layers
+	// Distribute gates across floor(sqrt(Gates)) layers, which is at
+	// least one and at most Gates, as evenly as possible.
+	layers := int(math.Sqrt(float64(cfg.Gates)))
+	perLayer := cfg.Gates / layers
+	extra := cfg.Gates % layers
 
 	type ffPatch struct {
 		id circuit.GateID
@@ -160,7 +151,7 @@ func randomCircuit(cfg RandomConfig, seq bool) (*circuit.Circuit, error) {
 	var allGates []circuit.GateID
 
 	created := 0
-	for layer := 1; layer <= cfg.Layers; layer++ {
+	for layer := 1; layer <= layers; layer++ {
 		n := perLayer
 		if layer <= extra {
 			n++

@@ -61,9 +61,10 @@ type Options struct {
 	// are never dropped, merged away, or re-timed. Primary inputs and
 	// Output gates are always kept implicitly.
 	Keep []circuit.GateID
-	// MaxRounds bounds the pipeline fixpoint iteration; 0 means 10.
-	MaxRounds int
 }
+
+// maxRounds bounds the pipeline fixpoint iteration.
+const maxRounds = 10
 
 // Stats reports what an optimization run did.
 type Stats struct {
@@ -133,11 +134,6 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		fns[i] = fn
 	}
-	maxRounds := o.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
-
 	w := newWork(c, o.Keep)
 	st := &w.stats
 	st.GatesBefore = len(c.Gates)
@@ -208,24 +204,6 @@ func (r Remap) Stimulus(s *vectors.Stimulus) (*vectors.Stimulus, error) {
 		out.Changes[i] = vectors.Change{Time: ch.Time, Input: ng, Value: ch.Value}
 	}
 	out.Sort()
-	return out, nil
-}
-
-// Watch rewrites a watch list of original GateIDs. Nets on the Keep list,
-// primary inputs, and Output gates always survive; other nets may have
-// been eliminated, which is an error here.
-func (r Remap) Watch(gates []circuit.GateID) ([]circuit.GateID, error) {
-	if gates == nil {
-		return nil, nil
-	}
-	out := make([]circuit.GateID, len(gates))
-	for i, g := range gates {
-		ng, ok := r.Gate(g)
-		if !ok {
-			return nil, fmt.Errorf("opt: watched net %d was eliminated (pass it in Options.Keep)", g)
-		}
-		out[i] = ng
-	}
 	return out, nil
 }
 

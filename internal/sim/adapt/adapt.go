@@ -7,6 +7,9 @@
 // from the per-LP utilization scoreboard. The source paper's future
 // directions ask for exactly this: dynamic load estimation and runtime
 // control of the synchronization mechanism instead of static flags.
+// Each control law's thresholds are package constants, one documented
+// const block beside its controller; Spec carries only what a run
+// varies.
 //
 // # Determinism model
 //
@@ -28,8 +31,10 @@
 package adapt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -110,7 +115,7 @@ func (d Decision) String() string {
 
 // Spec is the adaptive-control configuration, parseable from the
 // -adapt-spec JSON. The zero value (plus WithDefaults) enables all
-// three controllers with conservative defaults.
+// three controllers, whose thresholds are package constants.
 type Spec struct {
 	// Every is the adaptation cadence in modeled time: segment
 	// boundaries where the engine-switch and rebalance controllers may
@@ -131,10 +136,6 @@ type Spec struct {
 	NoSwitch    bool `json:"no_switch,omitempty"`
 	NoRebalance bool `json:"no_rebalance,omitempty"`
 
-	Window    WindowConfig    `json:"window,omitempty"`
-	Switch    SwitchConfig    `json:"switch,omitempty"`
-	Rebalance RebalanceConfig `json:"rebalance,omitempty"`
-
 	// Script, when non-empty, replaces the boundary controllers with a
 	// forced decision sequence: the entry whose Round equals the
 	// segment-boundary index fires verbatim. The test harness uses it
@@ -154,9 +155,6 @@ func (sp Spec) WithDefaults(until uint64) Spec {
 	if sp.MaxProbes == 0 {
 		sp.MaxProbes = 4
 	}
-	sp.Window = sp.Window.withDefaults()
-	sp.Switch = sp.Switch.withDefaults()
-	sp.Rebalance = sp.Rebalance.withDefaults()
 	return sp
 }
 
@@ -174,7 +172,8 @@ func (sp *Spec) Scripted(seg int) (Decision, bool) {
 }
 
 // ParseSpec parses an -adapt-spec argument: inline JSON (first byte
-// '{') or a path to a JSON file.
+// '{') or a path to a JSON file. A key Spec does not have is an error
+// naming the key, not a setting silently ignored.
 func ParseSpec(arg string) (*Spec, error) {
 	data := []byte(arg)
 	if len(arg) == 0 {
@@ -188,8 +187,13 @@ func ParseSpec(arg string) (*Spec, error) {
 		data = b
 	}
 	sp := &Spec{}
-	if err := json.Unmarshal(data, sp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(sp); err != nil {
 		return nil, fmt.Errorf("adapt: parse spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("adapt: parse spec: data after the JSON object")
 	}
 	return sp, nil
 }

@@ -6,41 +6,34 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden decision logs from current controller behavior")
 
-// goldenCases pairs each recorded trace with the controller (and
-// config) that replays it. Traces are JSON []Sample in testdata/;
+// goldenCases pairs each recorded trace with the controller that
+// replays it. Traces are JSON []Sample in testdata/;
 // goldens are the decision logs the replay must reproduce exactly.
 var goldenCases = []struct {
 	name   string
 	replay func([]Sample) []Decision
 }{
-	{"window_rollback_storm", func(tr []Sample) []Decision {
-		return ReplayWindow(WindowConfig{}, tr)
-	}},
-	{"window_clamped", func(tr []Sample) []Decision {
-		return ReplayWindow(WindowConfig{}, tr)
-	}},
-	// Small Max so the trace can walk additive increase all the way to
-	// the release-to-unbounded transition.
+	{"window_rollback_storm", ReplayWindow},
+	{"window_clamped", ReplayWindow},
+	// Small bounds so the trace can walk additive increase all the way
+	// to the release-to-unbounded transition.
 	{"window_calm_release", func(tr []Sample) []Decision {
-		return ReplayWindow(WindowConfig{Initial: 256, Max: 600, Step: 128}, tr)
+		w := newWindowController(256, 600)
+		for _, s := range tr {
+			w.Observe(s)
+		}
+		return w.Decisions()
 	}},
-	{"window_throughput_guard", func(tr []Sample) []Decision {
-		return ReplayWindow(WindowConfig{}, tr)
-	}},
-	{"switch_null_flood", func(tr []Sample) []Decision {
-		return ReplaySwitch(SwitchConfig{}, tr)
-	}},
-	{"switch_rollback_thrash", func(tr []Sample) []Decision {
-		return ReplaySwitch(SwitchConfig{}, tr)
-	}},
-	{"rebalance_imbalance", func(tr []Sample) []Decision {
-		return ReplayRebalance(RebalanceConfig{}, tr)
-	}},
+	{"window_throughput_guard", ReplayWindow},
+	{"switch_null_flood", ReplaySwitch},
+	{"switch_rollback_thrash", ReplaySwitch},
+	{"rebalance_imbalance", ReplayRebalance},
 }
 
 // TestGoldenDecisions drives every controller open-loop from its
@@ -104,7 +97,7 @@ func TestClampAlwaysWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWindowController(WindowConfig{})
+	w := NewWindowController()
 	var prevWin uint64
 	for i, s := range tr {
 		win, _ := w.Observe(s)
@@ -131,7 +124,7 @@ func TestClampAlwaysWins(t *testing.T) {
 // and hold), not oscillate or ratchet — an oscillating target would
 // chase the engine-side clamp in circles.
 func TestClampLivelockGuard(t *testing.T) {
-	w := NewWindowController(WindowConfig{})
+	w := NewWindowController()
 	s := Sample{Round: 0, WallMs: 10, EventsApplied: 1000, Clamp: 64}
 	var last uint64
 	for i := 0; i < 50; i++ {
@@ -155,7 +148,7 @@ func TestClampLivelockGuard(t *testing.T) {
 // TestWindowIdleRoundsHold verifies rounds with no applied events
 // carry no signal.
 func TestWindowIdleRoundsHold(t *testing.T) {
-	w := NewWindowController(WindowConfig{})
+	w := NewWindowController()
 	w.Observe(Sample{Round: 0, WallMs: 10, EventsApplied: 1000, EventsRolledBack: 900})
 	w.Observe(Sample{Round: 1, WallMs: 20, EventsApplied: 3000, EventsRolledBack: 2700})
 	engaged := w.Window()
@@ -173,7 +166,7 @@ func TestWindowIdleRoundsHold(t *testing.T) {
 // reset, the first sample of the new run (whose counters restarted
 // from zero) must not be differenced against the old run's totals.
 func TestResetEpoch(t *testing.T) {
-	w := NewWindowController(WindowConfig{})
+	w := NewWindowController()
 	w.Observe(Sample{Round: 0, WallMs: 10, EventsApplied: 100000, EventsRolledBack: 90000})
 	w.Observe(Sample{Round: 1, WallMs: 20, EventsApplied: 200000, EventsRolledBack: 180000})
 	win := w.Window()
@@ -191,8 +184,7 @@ func TestResetEpoch(t *testing.T) {
 // TestSwitchTargetsParse pins the migration targets to names the core
 // engine parser accepts (the supervisor ParseEngines these verbatim).
 func TestSwitchTargetsParse(t *testing.T) {
-	cfg := SwitchConfig{}.withDefaults()
-	for _, name := range []string{cfg.Conservative, cfg.Optimistic} {
+	for _, name := range []string{switchConservative, switchOptimistic} {
 		if !conservativeEngine(name) && !optimisticEngine(name) {
 			t.Errorf("default target %q is not classified by the controller itself", name)
 		}
@@ -233,6 +225,21 @@ func TestSpecRoundTrip(t *testing.T) {
 	if _, err := ParseSpec("/nonexistent/spec.json"); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
+	if _, err := ParseSpec(`{"every": 100} {}`); err == nil {
+		t.Fatal("data after the spec accepted")
+	}
+	// A key Spec does not have is refused by name, so a typo or a
+	// retired threshold never silently leaves the default in force.
+	for _, tc := range []struct{ spec, key string }{
+		{`{"max_probe": 2}`, "max_probe"},
+		{`{"every": 100, "null_hi": 9}`, "null_hi"},
+		{`{"switch": {"null_hi": 9}}`, "switch"},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("ParseSpec(%s) = %v, want an error naming %q", tc.spec, err, tc.key)
+		}
+	}
 }
 
 // TestWithDefaults pins the derived defaults.
@@ -240,9 +247,6 @@ func TestWithDefaults(t *testing.T) {
 	sp := Spec{}.WithDefaults(1000)
 	if sp.Every != 250 || sp.MaxProbes != 4 {
 		t.Fatalf("defaults: %+v", sp)
-	}
-	if sp.Window.Initial == 0 || sp.Switch.Conservative == "" || sp.Rebalance.ImbalanceHi == 0 {
-		t.Fatalf("controller defaults not filled: %+v", sp)
 	}
 	if sp = (Spec{}).WithDefaults(2); sp.Every != 1 {
 		t.Fatalf("tiny-horizon Every = %d, want 1", sp.Every)

@@ -5,78 +5,42 @@ import (
 	"strings"
 )
 
-// SwitchConfig parameterizes the engine-switch supervisor.
-type SwitchConfig struct {
-	// NullHi is the nulls-per-applied-event ratio above which a
-	// conservative engine is judged null-bound and migrated to the
-	// optimistic target.
-	NullHi float64 `json:"null_hi,omitempty"`
-	// RollbackHi is the rolled-back-per-applied-event ratio above which
-	// an optimistic engine is judged rollback-bound and migrated to the
-	// conservative target.
-	RollbackHi float64 `json:"rollback_hi,omitempty"`
-	// Patience is how many consecutive breaching segments are required
-	// before switching.
-	Patience int `json:"patience,omitempty"`
-	// Cooldown is how many boundary decisions are skipped after a
-	// switch, so the new engine's first segments are not judged while
-	// it warms up.
-	Cooldown int `json:"cooldown,omitempty"`
-	// SettleAfter commits the current engine (ending probing, and with
-	// it all segmentation overhead) after this many consecutive
-	// in-band segments.
-	SettleAfter int `json:"settle_after,omitempty"`
-	// MinEvents ignores segments with fewer applied events — too
-	// little signal to act on.
-	MinEvents uint64 `json:"min_events,omitempty"`
-	// Conservative and Optimistic name the migration targets.
-	Conservative string `json:"conservative,omitempty"`
-	Optimistic   string `json:"optimistic,omitempty"`
-}
-
-func (c SwitchConfig) withDefaults() SwitchConfig {
-	if c.NullHi == 0 {
-		c.NullHi = 4.0
-	}
-	if c.RollbackHi == 0 {
-		c.RollbackHi = 0.35
-	}
-	if c.Patience == 0 {
-		c.Patience = 1
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 1
-	}
-	if c.SettleAfter == 0 {
-		c.SettleAfter = 2
-	}
-	if c.MinEvents == 0 {
-		c.MinEvents = 64
-	}
-	if c.Conservative == "" {
-		c.Conservative = "cmb"
-	}
-	if c.Optimistic == "" {
-		c.Optimistic = "timewarp"
-	}
-	return c
-}
+// The engine-switch supervisor's control law. A segment of a conservative
+// engine with more than switchNullHi nulls per applied event is null-bound
+// and migrates to switchOptimistic; one of an optimistic engine with more
+// than switchRollbackHi events rolled back per applied event is
+// rollback-bound and migrates to switchConservative. A switch needs
+// switchPatience consecutive breaching segments and is followed by
+// switchCooldown boundaries that are not judged while the new engine warms
+// up. switchSettleAfter consecutive in-band segments commit the current
+// engine, ending probing and with it all segmentation overhead. Segments
+// with fewer than switchMinEvents applied events carry too little signal
+// to act on.
+const (
+	switchNullHi       = 4.0
+	switchRollbackHi   = 0.35
+	switchPatience     = 1
+	switchCooldown     = 1
+	switchSettleAfter  = 2
+	switchMinEvents    = 64
+	switchConservative = "cmb"
+	switchOptimistic   = "timewarp"
+)
 
 // SwitchController decides engine migrations at segment boundaries
 // from per-segment samples (counters are segment totals, not
 // cumulative). Like every controller here it is a pure function of
 // its sample stream.
 type SwitchController struct {
-	cfg      SwitchConfig
 	strikes  int // consecutive breaching segments
 	stays    int // consecutive in-band segments
 	cooldown int
 	log      []Decision
 }
 
-// NewSwitchController builds a controller; zero config fields default.
-func NewSwitchController(cfg SwitchConfig) *SwitchController {
-	return &SwitchController{cfg: cfg.withDefaults()}
+// NewSwitchController builds a controller.
+func NewSwitchController() *SwitchController {
+	return &SwitchController{}
 }
 
 // Decisions returns the accumulated decision log (including holds).
@@ -104,7 +68,7 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 		c.cooldown--
 		return hold("cooling down after switch")
 	}
-	if s.EventsApplied < c.cfg.MinEvents {
+	if s.EventsApplied < switchMinEvents {
 		return hold(fmt.Sprintf("only %d events in segment: no signal", s.EventsApplied))
 	}
 	nullR := ratio(s.NullsSent, s.EventsApplied)
@@ -112,19 +76,19 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 	var breach bool
 	var target, why string
 	switch {
-	case conservativeEngine(s.Engine) && nullR > c.cfg.NullHi:
+	case conservativeEngine(s.Engine) && nullR > switchNullHi:
 		breach = true
-		target = c.cfg.Optimistic
-		why = fmt.Sprintf("null ratio %.1f > %.1f", nullR, c.cfg.NullHi)
-	case optimisticEngine(s.Engine) && rollR > c.cfg.RollbackHi:
+		target = switchOptimistic
+		why = fmt.Sprintf("null ratio %.1f > %.1f", nullR, switchNullHi)
+	case optimisticEngine(s.Engine) && rollR > switchRollbackHi:
 		breach = true
-		target = c.cfg.Conservative
-		why = fmt.Sprintf("rollback ratio %.2f > %.2f", rollR, c.cfg.RollbackHi)
+		target = switchConservative
+		why = fmt.Sprintf("rollback ratio %.2f > %.2f", rollR, switchRollbackHi)
 	}
 	if !breach {
 		c.strikes = 0
 		c.stays++
-		if c.stays >= c.cfg.SettleAfter {
+		if c.stays >= switchSettleAfter {
 			d := Decision{Round: s.Round, Kind: KindCommit,
 				Reason: fmt.Sprintf("%s in band for %d segments: commit", s.Engine, c.stays)}
 			c.log = append(c.log, d)
@@ -134,14 +98,14 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 	}
 	c.stays = 0
 	c.strikes++
-	if c.strikes < c.cfg.Patience {
-		return hold(why + fmt.Sprintf(" (strike %d/%d)", c.strikes, c.cfg.Patience))
+	if c.strikes < switchPatience {
+		return hold(why + fmt.Sprintf(" (strike %d/%d)", c.strikes, switchPatience))
 	}
 	if target == s.Engine {
 		return hold(why + ": already on target engine")
 	}
 	c.strikes = 0
-	c.cooldown = c.cfg.Cooldown
+	c.cooldown = switchCooldown
 	d := Decision{Round: s.Round, Kind: KindSwitch, From: s.Engine, To: target, Reason: why}
 	c.log = append(c.log, d)
 	return d, true
@@ -149,8 +113,8 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 
 // ReplaySwitch drives a fresh switch controller over a recorded trace
 // and returns its decision log.
-func ReplaySwitch(cfg SwitchConfig, tr []Sample) []Decision {
-	c := NewSwitchController(cfg)
+func ReplaySwitch(tr []Sample) []Decision {
+	c := NewSwitchController()
 	for _, s := range tr {
 		c.Observe(s)
 	}

@@ -2,34 +2,17 @@ package adapt
 
 import "fmt"
 
-// RebalanceConfig parameterizes the load rebalancer.
-type RebalanceConfig struct {
-	// ImbalanceHi triggers a rebalance when the busiest LP's
-	// evaluation count exceeds this multiple of the mean.
-	ImbalanceHi float64 `json:"imbalance_hi,omitempty"`
-	// MinEvals ignores segments with less total work than this.
-	MinEvals uint64 `json:"min_evals,omitempty"`
-	// Cooldown skips this many boundary decisions after a rebalance.
-	Cooldown int `json:"cooldown,omitempty"`
-	// MaxMoves bounds how many rebalances a run may perform.
-	MaxMoves int `json:"max_moves,omitempty"`
-}
-
-func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	if c.ImbalanceHi == 0 {
-		c.ImbalanceHi = 1.5
-	}
-	if c.MinEvals == 0 {
-		c.MinEvals = 256
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 1
-	}
-	if c.MaxMoves == 0 {
-		c.MaxMoves = 2
-	}
-	return c
-}
+// The load rebalancer's control law. A segment whose busiest LP carries
+// more than rebalanceImbalanceHi times the mean evaluation count triggers
+// a rebalance, unless the segment's total work is under rebalanceMinEvals.
+// After a rebalance rebalanceCooldown boundaries are skipped, and a run
+// rebalances at most rebalanceMaxMoves times.
+const (
+	rebalanceImbalanceHi = 1.5
+	rebalanceMinEvals    = 256
+	rebalanceCooldown    = 1
+	rebalanceMaxMoves    = 2
+)
 
 // Rebalancer decides LP migrations at segment boundaries from the
 // per-LP utilization scoreboard (Sample.PerLPEvals, segment totals).
@@ -38,15 +21,14 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 // the next segment's partition spreads observed load instead of
 // static estimates. A pure function of its sample stream.
 type Rebalancer struct {
-	cfg      RebalanceConfig
 	cooldown int
 	moves    int
 	log      []Decision
 }
 
-// NewRebalancer builds a rebalancer; zero config fields default.
-func NewRebalancer(cfg RebalanceConfig) *Rebalancer {
-	return &Rebalancer{cfg: cfg.withDefaults()}
+// NewRebalancer builds a rebalancer.
+func NewRebalancer() *Rebalancer {
+	return &Rebalancer{}
 }
 
 // Decisions returns the accumulated decision log.
@@ -64,7 +46,7 @@ func (r *Rebalancer) Observe(s Sample) (Decision, bool) {
 		r.cooldown--
 		return hold("cooling down after rebalance")
 	}
-	if r.moves >= r.cfg.MaxMoves {
+	if r.moves >= rebalanceMaxMoves {
 		return hold("rebalance budget exhausted")
 	}
 	if len(s.PerLPEvals) < 2 {
@@ -78,15 +60,15 @@ func (r *Rebalancer) Observe(s Sample) (Decision, bool) {
 			max, busiest = v, i
 		}
 	}
-	if total < r.cfg.MinEvals {
+	if total < rebalanceMinEvals {
 		return hold(fmt.Sprintf("only %d evaluations in segment: no signal", total))
 	}
 	mean := float64(total) / float64(len(s.PerLPEvals))
 	imb := float64(max) / mean
-	if imb <= r.cfg.ImbalanceHi {
-		return hold(fmt.Sprintf("imbalance %.2f within %.2f", imb, r.cfg.ImbalanceHi))
+	if imb <= rebalanceImbalanceHi {
+		return hold(fmt.Sprintf("imbalance %.2f within %.2f", imb, rebalanceImbalanceHi))
 	}
-	r.cooldown = r.cfg.Cooldown
+	r.cooldown = rebalanceCooldown
 	r.moves++
 	d := Decision{Round: s.Round, Kind: KindRebalance,
 		Reason: fmt.Sprintf("lp %d carries %.2fx the mean load: repartition on measured weights", busiest, imb)}
@@ -96,8 +78,8 @@ func (r *Rebalancer) Observe(s Sample) (Decision, bool) {
 
 // ReplayRebalance drives a fresh rebalancer over a recorded trace and
 // returns its decision log.
-func ReplayRebalance(cfg RebalanceConfig, tr []Sample) []Decision {
-	r := NewRebalancer(cfg)
+func ReplayRebalance(tr []Sample) []Decision {
+	r := NewRebalancer()
 	for _, s := range tr {
 		r.Observe(s)
 	}

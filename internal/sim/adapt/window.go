@@ -2,53 +2,25 @@ package adapt
 
 import "fmt"
 
-// WindowConfig parameterizes the AIMD optimism-window controller.
-type WindowConfig struct {
-	// Initial is the window adopted when the controller first engages
-	// (first multiplicative decrease from the unbounded state).
-	Initial uint64 `json:"initial,omitempty"`
-	// Min and Max bound the adapted window. When additive increase
-	// reaches Max the controller releases the window back to unbounded.
-	Min uint64 `json:"min,omitempty"`
-	Max uint64 `json:"max,omitempty"`
-	// Step is the additive increase per calm sample.
-	Step uint64 `json:"step,omitempty"`
-	// RollbackHi triggers multiplicative decrease when the per-sample
-	// rollback ratio (events rolled back / events applied) exceeds it;
-	// RollbackLo permits additive increase below it. The band between
-	// the two is the hysteresis deadband where the window holds.
-	RollbackHi float64 `json:"rollback_hi,omitempty"`
-	RollbackLo float64 `json:"rollback_lo,omitempty"`
-	// GuardPct is the throughput guard: if committed-events/sec drops
-	// by more than this fraction in the sample after an increase, the
-	// increase is rolled back even inside the deadband.
-	GuardPct float64 `json:"guard_pct,omitempty"`
-}
-
-func (c WindowConfig) withDefaults() WindowConfig {
-	if c.Initial == 0 {
-		c.Initial = 1024
-	}
-	if c.Min == 0 {
-		c.Min = 16
-	}
-	if c.Max == 0 {
-		c.Max = 1 << 20
-	}
-	if c.Step == 0 {
-		c.Step = 128
-	}
-	if c.RollbackHi == 0 {
-		c.RollbackHi = 0.25
-	}
-	if c.RollbackLo == 0 {
-		c.RollbackLo = 0.10
-	}
-	if c.GuardPct == 0 {
-		c.GuardPct = 0.30
-	}
-	return c
-}
+// The window controller's control law. A first multiplicative decrease
+// from the unbounded state adopts windowInitial; the adapted window then
+// stays within [windowMin, windowMax), and additive increase that reaches
+// windowMax releases it back to unbounded. A per-sample rollback ratio
+// (events rolled back / events applied) above windowRollbackHi halves the
+// window, one below windowRollbackLo widens it by windowStep, and the band
+// between the two is the hysteresis deadband where the window holds. The
+// throughput guard undoes an increase, even inside the deadband, when
+// committed-events/sec drops by more than windowGuardPct in the sample
+// after it.
+const (
+	windowInitial    = 1024
+	windowMin        = 16
+	windowMax        = 1 << 20
+	windowStep       = 128
+	windowRollbackHi = 0.25
+	windowRollbackLo = 0.10
+	windowGuardPct   = 0.30
+)
 
 // WindowController is the hysteretic throughput-seeking optimism-window
 // controller: AIMD on the rollback ratio, with committed-events/sec as
@@ -64,7 +36,7 @@ func (c WindowConfig) withDefaults() WindowConfig {
 // randomness. The coordinator calls it from a single goroutine, once
 // per GVT round.
 type WindowController struct {
-	cfg WindowConfig
+	initial, max uint64 // windowInitial and windowMax outside this package's tests
 
 	win      uint64 // current adapted window; 0 = unbounded
 	have     bool   // prev is valid
@@ -77,9 +49,15 @@ type WindowController struct {
 	log     []Decision
 }
 
-// NewWindowController builds a controller; zero config fields default.
-func NewWindowController(cfg WindowConfig) *WindowController {
-	return &WindowController{cfg: cfg.withDefaults()}
+// NewWindowController builds a controller in the unbounded state.
+func NewWindowController() *WindowController {
+	return newWindowController(windowInitial, windowMax)
+}
+
+// newWindowController is NewWindowController with other engage and
+// release bounds, so a short trace can reach the release transition.
+func newWindowController(initial, max uint64) *WindowController {
+	return &WindowController{initial: initial, max: max}
 }
 
 // Window reports the current adapted window (0 = unbounded).
@@ -142,36 +120,36 @@ func (w *WindowController) Observe(s Sample) (uint64, bool) {
 			reason = fmt.Sprintf("memory clamp %d in force: adopt it", s.Clamp)
 		}
 		w.grew = false
-	case rollback > w.cfg.RollbackHi:
+	case rollback > windowRollbackHi:
 		if w.win == 0 {
-			w.win = w.cfg.Initial
+			w.win = w.initial
 		} else {
 			w.win /= 2
 		}
-		if w.win < w.cfg.Min {
-			w.win = w.cfg.Min
+		if w.win < windowMin {
+			w.win = windowMin
 		}
-		reason = fmt.Sprintf("rollback ratio %.2f > %.2f: multiplicative decrease", rollback, w.cfg.RollbackHi)
+		reason = fmt.Sprintf("rollback ratio %.2f > %.2f: multiplicative decrease", rollback, windowRollbackHi)
 		w.grew = false
-	case w.grew && hadRate && prevRate > 0 && rate < prevRate*(1-w.cfg.GuardPct):
+	case w.grew && hadRate && prevRate > 0 && rate < prevRate*(1-windowGuardPct):
 		// The last increase cost throughput even though rollbacks stayed
 		// in band; undo it.
 		w.win /= 2
-		if w.win < w.cfg.Min {
-			w.win = w.cfg.Min
+		if w.win < windowMin {
+			w.win = windowMin
 		}
 		reason = fmt.Sprintf("committed rate fell %.0f%% after increase: back off",
 			100*(1-rate/prevRate))
 		w.grew = false
-	case rollback < w.cfg.RollbackLo && w.win != 0:
-		w.win += w.cfg.Step
+	case rollback < windowRollbackLo && w.win != 0:
+		w.win += windowStep
 		w.grew = true
-		if w.win >= w.cfg.Max {
+		if w.win >= w.max {
 			w.win = 0
 			w.grew = false
-			reason = fmt.Sprintf("rollback ratio %.2f < %.2f at max: release to unbounded", rollback, w.cfg.RollbackLo)
+			reason = fmt.Sprintf("rollback ratio %.2f < %.2f at max: release to unbounded", rollback, windowRollbackLo)
 		} else {
-			reason = fmt.Sprintf("rollback ratio %.2f < %.2f: additive increase", rollback, w.cfg.RollbackLo)
+			reason = fmt.Sprintf("rollback ratio %.2f < %.2f: additive increase", rollback, windowRollbackLo)
 		}
 	default:
 		// Hysteresis deadband (or already unbounded and calm): hold.
@@ -187,8 +165,8 @@ func (w *WindowController) Observe(s Sample) (uint64, bool) {
 
 // ReplayWindow drives a fresh window controller over a recorded trace
 // and returns its decision log — the open-loop harness entry point.
-func ReplayWindow(cfg WindowConfig, tr []Sample) []Decision {
-	w := NewWindowController(cfg)
+func ReplayWindow(tr []Sample) []Decision {
+	w := NewWindowController()
 	for _, s := range tr {
 		w.Observe(s)
 	}

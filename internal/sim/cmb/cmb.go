@@ -86,8 +86,6 @@ type ConfigT[V comparable] struct {
 	System logic.System
 	// Queue selects each LP's pending-event set implementation.
 	Queue eventq.Impl
-	// Watch lists nets to record; nil watches primary outputs.
-	Watch []circuit.GateID
 	// MaxEvents aborts runaway simulations; 0 means no limit.
 	MaxEvents uint64
 	// Metrics receives per-LP counters and quiescence-round globals; nil
@@ -134,7 +132,8 @@ type ConfigT[V comparable] struct {
 // ResultT is the outcome of a conservative run over value type V.
 type ResultT[V comparable] struct {
 	Values []V
-	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	// Waveform records the primary outputs; it converts to trace.Waveform
+	// or trace.WideWaveform.
 	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	Stats    stats.RunStats
@@ -260,7 +259,7 @@ func run[V comparable](
 	}
 	net, err := lpnet.Open(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until,
+		System: cfg.System, Sweep: cfg.Sweep, Until: until,
 		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
 		Metrics: cfg.Metrics, Label: engine + "-" + cfg.Mode.String(), Tracer: cfg.Tracer,
 		HangTimeout: cfg.HangTimeout, MaxEvents: cfg.MaxEvents,

@@ -113,9 +113,8 @@ type Spec[V comparable] struct {
 	Circuit   *circuit.Circuit
 	Partition *partition.Partition
 	System    logic.System
-	Watch     []circuit.GateID // nets to record; nil records primary outputs
-	Sweep     bool             // arms every kernel's oblivious block sweep
-	Until     circuit.Tick     // the horizon: last simulated time, inclusive
+	Sweep     bool         // arms every kernel's oblivious block sweep
+	Until     circuit.Tick // the horizon: last simulated time, inclusive
 	// Boot, when non-nil, seeds every kernel from a checkpoint, and Route
 	// routes its events instead of the stimulus.
 	Boot  *ckpt.Cut[V]
@@ -268,10 +267,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 		}
 	}
 
-	watched := s.Watch
-	if watched == nil {
-		watched = c.Outputs
-	}
+	watched := c.Outputs
 	blockGates := p.BlockGates()
 	if overlap {
 		for g, src := range p.Assign {

@@ -42,8 +42,6 @@ type Config struct {
 	// Workers is the number of parallel evaluators per level; 0 or 1 runs
 	// serially.
 	Workers int
-	// Watch lists nets to sample at each boundary; nil watches outputs.
-	Watch []circuit.GateID
 	// Cost prices per-level work for the modeled critical path.
 	Cost stats.CostModel
 	// Metrics receives per-worker counters and barrier globals; nil uses a
@@ -57,8 +55,8 @@ type Config struct {
 type ResultT[V comparable] struct {
 	// Values holds the settled value of every net after the last boundary.
 	Values []V
-	// Waveform holds the settled values of watched nets sampled at each
-	// stimulus boundary where they changed (a word: in any lane). It
+	// Waveform holds the settled values of the primary outputs sampled at
+	// each stimulus boundary where they changed (a word: in any lane). It
 	// converts to trace.Waveform or trace.WideWaveform.
 	Waveform []trace.SampleT[V]
 	// Cycles is the number of boundaries evaluated.
@@ -115,10 +113,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	start := time.Now()
 
 	val, prevClk := pl.InitState(c, cfg.System)
-	watched := cfg.Watch
-	if watched == nil {
-		watched = c.Outputs
-	}
+	watched := c.Outputs
 
 	// Split levels: sequential gates live in the dedicated final level (by
 	// construction of Levelize) and are evaluated before the combinational

@@ -297,22 +297,14 @@ func (l *tlp[V]) Live(e qevent[V]) bool {
 }
 
 // Ready holds unless processing is frozen for a GVT round or t lies past
-// the horizon or the optimism window. The effective window is the
-// narrowest of the configured window, the adaptive controller's output,
-// and any memory-throttle clamp the coordinator imposed; the clamp folds
-// last so it wins regardless of what the controller asked for. Before a
-// step past a checkpoint boundary it holds the boundary's cut.
+// the horizon or the effective optimism window the coordinator published
+// (see publishWindow). Before a step past a checkpoint boundary it holds
+// the boundary's cut.
 func (l *tlp[V]) Ready(t circuit.Tick) bool {
 	if l.paused = l.sh.paused.Load(); l.paused {
 		return false
 	}
-	win := l.sh.cfg.Window
-	if aw := circuit.Tick(l.sh.adaptWin.Load()); aw != 0 && (win == 0 || aw < win) {
-		win = aw
-	}
-	if cl := circuit.Tick(l.sh.clamp.Load()); cl != 0 && (win == 0 || cl < win) {
-		win = cl
-	}
+	win := circuit.Tick(l.sh.win.Load())
 	if t == infTick || t > l.sh.until || (win > 0 && l.gvt < infTick-win && t > l.gvt+win) {
 		return false
 	}

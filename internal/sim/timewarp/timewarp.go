@@ -119,8 +119,6 @@ type ConfigT[V comparable] struct {
 	System logic.System
 	// Queue selects each LP's pending-event set implementation.
 	Queue eventq.Impl
-	// Watch lists nets to record; nil watches primary outputs.
-	Watch []circuit.GateID
 	// MaxEvents aborts runaway simulations; 0 means no limit.
 	MaxEvents uint64
 	// Metrics receives per-LP counters and GVT globals; nil uses a private
@@ -186,7 +184,8 @@ type ConfigT[V comparable] struct {
 // ResultT is the outcome of an optimistic run over value type V.
 type ResultT[V comparable] struct {
 	Values []V
-	// Waveform converts to trace.Waveform or trace.WideWaveform.
+	// Waveform records the primary outputs; it converts to trace.Waveform
+	// or trace.WideWaveform.
 	Waveform []trace.SampleT[V]
 	EndTime  circuit.Tick
 	GVT      circuit.Tick
@@ -258,25 +257,45 @@ type shared[V comparable] struct {
 	// termination) instead of waiting out the interval.
 	idle atomic.Int64
 
+	// win is the effective optimism window every LP's Ready reads (0 =
+	// unbounded): the narrowest of the configured window, the adapted
+	// window and the memory-throttle clamp. The coordinator publishes it
+	// once at start and once after every GVT round, the only times its
+	// inputs change.
+	win atomic.Uint64
+
 	// Memory-throttle state (HistoryLimit > 0). histWords is the live
 	// total of saved-history words across LPs; clamp, when non-zero, is a
 	// coordinator-imposed optimism window that overrides any wider
-	// configured window. throttleRounds and histPeak are coordinator-owned
-	// and read only after it returns.
+	// configured window. clamp, throttleRounds and histPeak are
+	// coordinator-owned and read by others only after it returns.
 	histWords      atomic.Int64
-	clamp          atomic.Uint64
+	clamp          uint64
 	throttleRounds uint64
 	histPeak       uint64
 
 	// Adaptive-window state (cfg.Adapt != nil). adaptWin is the
-	// controller's current output (0 = unbounded), published by the
-	// coordinator after each GVT round and folded into every LP's
-	// effective window alongside the clamp; winChanges is
-	// coordinator-owned and read only after it returns. The network's
-	// scoreboard is always kept, so the adaptive sampler (and any
-	// watchdog) can read live progress.
-	adaptWin   atomic.Uint64
+	// controller's current output (0 = unbounded), folded into win after
+	// each GVT round. adaptWin and winChanges are coordinator-owned and
+	// read by others only after it returns. The network's scoreboard is
+	// always kept, so the adaptive sampler (and any watchdog) can read
+	// live progress.
+	adaptWin   uint64
 	winChanges uint64
+}
+
+// publishWindow folds the configured window, the adapted window and the
+// clamp into win; the clamp folds last, so it wins regardless of what the
+// controller asked for.
+func (sh *shared[V]) publishWindow() {
+	win := sh.cfg.Window
+	if aw := circuit.Tick(sh.adaptWin); aw != 0 && (win == 0 || aw < win) {
+		win = aw
+	}
+	if cl := circuit.Tick(sh.clamp); cl != 0 && (win == 0 || cl < win) {
+		win = cl
+	}
+	sh.win.Store(uint64(win))
 }
 
 // Run simulates c under the stimulus until the given time (inclusive).
@@ -311,7 +330,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	net, err := lpnet.Open(lpnet.Spec[V]{
 		Engine: engine, Plane: pl, Circuit: c, Partition: cfg.Partition,
-		System: cfg.System, Watch: cfg.Watch, Sweep: cfg.Sweep, Until: until,
+		System: cfg.System, Sweep: cfg.Sweep, Until: until,
 		Chaos: cfg.Chaos, Seam: cfg.Dist, Cuts: cfg.Cuts,
 		Metrics: cfg.Metrics, Tracer: cfg.Tracer,
 		HangTimeout: cfg.HangTimeout, Scoreboard: true, MaxEvents: cfg.MaxEvents,
@@ -328,8 +347,9 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	sh.coShard = cfg.Tracer.Shard("coordinator")
 	sh.replies = make(chan gvtReply, n)
 	if cfg.Adapt != nil {
-		sh.adaptWin.Store(cfg.Adapt.Window())
+		sh.adaptWin = cfg.Adapt.Window()
 	}
+	sh.publishWindow()
 	lps := make([]*tlp[V], n)
 	for i := range lps {
 		lps[i] = newTLP(sh, i)
@@ -369,7 +389,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	if cfg.Adapt != nil {
 		sink.SetGauge("adapt_window_changes", float64(sh.winChanges))
-		sink.SetGauge("adapt_final_window", float64(sh.adaptWin.Load()))
+		sink.SetGauge("adapt_final_window", float64(sh.adaptWin))
 	}
 	out := net.Result()
 	res := &ResultT[V]{Values: out.Values, Waveform: out.Waveform, EndTime: out.EndTime, Stats: out.Stats,
@@ -519,18 +539,19 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 				EventsRolledBack: tot.EventsRolledBack,
 				Rollbacks:        tot.Rollbacks,
 				MessagesSent:     tot.MessagesSent,
-				Clamp:            sh.clamp.Load(),
+				Clamp:            sh.clamp,
 				PerLPEvals:       sh.net.Board().Utilization(),
 			}
 			if gvt != infTick {
 				s.GVT = uint64(gvt)
 			}
 			win, changed := ad.Observe(s)
-			sh.adaptWin.Store(win)
+			sh.adaptWin = win
 			if changed {
 				sh.winChanges++
 			}
 		}
+		sh.publishWindow()
 		if gvt == infTick {
 			sh.coShard.Span(trace.PhaseGVT, roundBegin, trace.NoTick)
 		} else {
@@ -561,7 +582,7 @@ func throttle[V comparable](sh *shared[V], localMins []circuit.Tick, gvt circuit
 	switch {
 	case w > limit:
 		sh.throttleRounds++
-		cl := sh.clamp.Load()
+		cl := sh.clamp
 		if cl == 0 {
 			// First clamp: half the spread between GVT and the most
 			// optimistic LP's next event.
@@ -580,8 +601,8 @@ func throttle[V comparable](sh *shared[V], localMins []circuit.Tick, gvt circuit
 		if cl < 1 {
 			cl = 1
 		}
-		sh.clamp.Store(cl)
+		sh.clamp = cl
 	case w < limit/2:
-		sh.clamp.Store(0)
+		sh.clamp = 0
 	}
 }

@@ -56,11 +56,10 @@ type Config struct {
 	// deliberately breaks the conservative engines' promises (harness
 	// self-tests only).
 	LookaheadBias uint64
-	// NoShrink disables failure minimization.
-	NoShrink bool
-	// ShrinkBudget caps shrinking probes per failure (default 120).
-	ShrinkBudget int
 }
+
+// shrinkBudget caps the shrinking probes spent on one failure.
+const shrinkBudget = 120
 
 func (cfg *Config) fill() {
 	if cfg.LPs <= 0 {
@@ -71,9 +70,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 5_000_000
-	}
-	if cfg.ShrinkBudget <= 0 {
-		cfg.ShrinkBudget = 120
 	}
 	if cfg.Seeds == nil {
 		cfg.Seeds = DefaultSeeds
@@ -150,12 +146,7 @@ func exploreOne(cfg Config, w *Workload, ref *core.Report, eng core.Engine, seed
 	if o.Failure == "" {
 		return o
 	}
-	if cfg.NoShrink {
-		o.Keep = allIndices(len(plan))
-		o.MinFailure = o.Failure
-	} else {
-		o.Keep, o.MinFailure = Shrink(plan, o.Failure, run, cfg.ShrinkBudget)
-	}
+	o.Keep, o.MinFailure = Shrink(plan, o.Failure, run, shrinkBudget)
 	o.Repro = reproLine(cfg, &o)
 	return o
 }
