@@ -592,9 +592,10 @@ type shardLink struct {
 
 	// frames counts inbound frames relayed/handled from this shard;
 	// faults lists the plan entries scoped to this shard and attempt, in
-	// plan order, each fired at most once. fmu guards frames and fired:
-	// the endpoint calls the handler from a reconnect's new read loop
-	// while the old one may still be inside it.
+	// plan order, each fired at most once. fmu guards frames and fired.
+	// The endpoint makes one Handler call at a time, across reconnects
+	// too, so the lock is uncontended there; it keeps handle safe for a
+	// caller that runs it from several goroutines.
 	fmu    sync.Mutex
 	frames uint64
 	faults []netfault.Fault

@@ -9,10 +9,10 @@ import (
 )
 
 // TestHandleConcurrentFramesOneLink calls one link's frame handler from
-// several goroutines at once, as the endpoint does when a reconnect's new
-// read loop starts while the old one is still inside the handler. Under
-// -race the frame counter and the fired flags must be guarded; every
-// frame must be counted and every due fault fired.
+// several goroutines at once. The endpoint serializes its Handler calls,
+// but handle must not depend on it: under -race the frame counter and the
+// fired flags must be guarded; every frame must be counted and every due
+// fault fired.
 func TestHandleConcurrentFramesOneLink(t *testing.T) {
 	const readers, frames = 4, 200
 	var plan netfault.Plan

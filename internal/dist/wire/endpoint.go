@@ -40,7 +40,8 @@ type Config struct {
 	// (jittered uniformly in [d/2, d)).
 	RedialBase, RedialCap time.Duration
 	// Handler receives every delivered frame (sequenced frames exactly
-	// once, in order, plus heartbeats), on the endpoint's read goroutine.
+	// once, in order, plus heartbeats), on the endpoint's read goroutine,
+	// one call at a time even across reconnects.
 	Handler func(kind byte, payload []byte)
 	// OnDown fires once when the link permanently fails.
 	OnDown func(err error)
@@ -63,6 +64,11 @@ type savedFrame struct {
 type Endpoint struct {
 	cfg Config
 
+	// deliverMu serializes delivery across read loops: a reconnect starts
+	// a new loop while the old one may sit between its dedup decision and
+	// its Handler call, and the next frame must not overtake it. It is
+	// taken before mu and held through the Handler, which may call Send.
+	deliverMu      sync.Mutex
 	mu             sync.Mutex
 	conn           net.Conn
 	connGen        uint64
@@ -323,6 +329,7 @@ func (e *Endpoint) readLoop(c net.Conn, gen uint64) {
 			return
 		}
 		e.lastRecvNano.Store(time.Now().UnixNano())
+		e.deliverMu.Lock()
 		e.mu.Lock()
 		e.pruneLocked(ack)
 		deliver := true
@@ -338,6 +345,7 @@ func (e *Endpoint) readLoop(c net.Conn, gen uint64) {
 				if seq != e.recvSeq+1 {
 					c.Close()
 					e.mu.Unlock()
+					e.deliverMu.Unlock()
 					continue
 				}
 				e.recvSeq = seq
@@ -351,6 +359,7 @@ func (e *Endpoint) readLoop(c net.Conn, gen uint64) {
 		if deliver && e.cfg.Handler != nil {
 			e.cfg.Handler(kind, payload)
 		}
+		e.deliverMu.Unlock()
 		if needAck {
 			e.SendUnseq(FAck, nil)
 		}

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -240,6 +242,64 @@ func TestSocketTransportSurvivesChaosFaults(t *testing.T) {
 	}
 	close(stop)
 	chaosWG.Wait()
+}
+
+// TestReconnectKeepsDeliveryOrder: a reconnect starts a new read loop
+// while the old one is still inside the Handler with frame 1. Frame 2,
+// retransmitted on the new connection, must not reach the Handler until
+// frame 1's call has returned.
+func TestReconnectKeepsDeliveryOrder(t *testing.T) {
+	started := make(chan uint64, 2)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
+	var done1 atomic.Bool
+	ep := New(Config{Shard: 0, Handler: func(kind byte, payload []byte) {
+		n := uint64(payload[0])
+		if n == 2 && !done1.Load() {
+			t.Error("frame 2 delivered while frame 1's handler was running")
+		}
+		started <- n
+		if n == 1 {
+			<-release
+			done1.Store(true)
+		}
+	}})
+	defer ep.Close()
+	attach := func() net.Conn {
+		peer, local := net.Pipe()
+		go io.Copy(io.Discard, peer) // hello-ok and acks
+		if err := ep.Attach(local, 0); err != nil {
+			t.Fatal(err)
+		}
+		return peer
+	}
+
+	if err := writeFrame(attach(), FBatch, 1, 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-started; n != 1 {
+		t.Fatalf("first delivery was frame %d", n)
+	}
+	// The reconnect: the peer learned recvSeq 1 and sends frame 2 next.
+	if err := writeFrame(attach(), FBatch, 2, 0, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-started:
+		t.Fatalf("frame %d delivered while frame 1's handler was blocked", n)
+	case <-time.After(100 * time.Millisecond):
+	}
+	free()
+	select {
+	case n := <-started:
+		if n != 2 {
+			t.Fatalf("second delivery was frame %d", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame 2 never delivered after frame 1's handler returned")
+	}
 }
 
 // TestRedialSleepCappedFromFirstRetry is the regression test for the

@@ -19,11 +19,11 @@ import (
 // pipeline the sequential engine's primary-output waveform is
 // bit-identical to the unoptimized run.
 func FuzzOptimize(f *testing.F) {
-	f.Add(int64(1), uint16(60), uint8(0), uint8(0b1111), uint8(3))
-	f.Add(int64(7), uint16(200), uint8(30), uint8(0b0101), uint8(0))
-	f.Add(int64(42), uint16(120), uint8(60), uint8(0b0010), uint8(255))
-	f.Add(int64(-9), uint16(17), uint8(100), uint8(0b1000), uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, gatesRaw uint16, ffPct, passMask, keepSel uint8) {
+	f.Add(int64(1), uint16(60), uint8(0), uint8(0b1111))
+	f.Add(int64(7), uint16(200), uint8(30), uint8(0b0101))
+	f.Add(int64(42), uint16(120), uint8(60), uint8(0b0010))
+	f.Add(int64(-9), uint16(17), uint8(100), uint8(0b1000))
+	f.Fuzz(func(t *testing.T, seed int64, gatesRaw uint16, ffPct, passMask uint8) {
 		gates := int(gatesRaw)%280 + 20
 		var c *circuit.Circuit
 		var err error
@@ -41,10 +41,6 @@ func FuzzOptimize(f *testing.F) {
 			t.Skip("generator rejected config")
 		}
 
-		var keep []circuit.GateID
-		if keepSel > 0 {
-			keep = append(keep, circuit.GateID(int(keepSel)%c.NumGates()))
-		}
 		var passes []string
 		for i, name := range DefaultPasses {
 			if passMask&(1<<i) != 0 {
@@ -52,7 +48,7 @@ func FuzzOptimize(f *testing.F) {
 			}
 		}
 
-		res, err := Optimize(c, Options{Passes: passes, Keep: keep})
+		res, err := Optimize(c, Options{Passes: passes})
 		if err != nil {
 			t.Fatalf("Optimize: %v", err)
 		}
@@ -60,7 +56,7 @@ func FuzzOptimize(f *testing.F) {
 
 		// The full registry (including the settled-only opt-ins) must still
 		// produce a structurally valid netlist and remap.
-		all, err := Optimize(c, Options{Passes: AllPasses, Keep: keep})
+		all, err := Optimize(c, Options{Passes: AllPasses})
 		if err != nil {
 			t.Fatalf("Optimize(AllPasses): %v", err)
 		}

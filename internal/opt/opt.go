@@ -56,11 +56,6 @@ type Options struct {
 	// Passes names the passes to run, in order, per round; nil means
 	// DefaultPasses. See AllPasses for the registry.
 	Passes []string
-	// Keep lists original-netlist gates whose nets must survive with their
-	// exact event trajectories (e.g. externally watched nets). Kept gates
-	// are never dropped, merged away, or re-timed. Primary inputs and
-	// Output gates are always kept implicitly.
-	Keep []circuit.GateID
 }
 
 // maxRounds bounds the pipeline fixpoint iteration.
@@ -134,7 +129,7 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 		fns[i] = fn
 	}
-	w := newWork(c, o.Keep)
+	w := newWork(c)
 	st := &w.stats
 	st.GatesBefore = len(c.Gates)
 	if lv, err := c.Levelize(); err == nil {

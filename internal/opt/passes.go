@@ -19,12 +19,12 @@ type work struct {
 	fwd  []circuit.GateID
 	back []circuit.GateID
 	// keep marks gates that must survive with their exact trajectory:
-	// primary inputs, Output gates, and the caller's Keep list.
+	// primary inputs and Output gates.
 	keep  []bool
 	stats Stats
 }
 
-func newWork(c *circuit.Circuit, keepList []circuit.GateID) *work {
+func newWork(c *circuit.Circuit) *work {
 	n := len(c.Gates)
 	w := &work{
 		gates:   make([]circuit.Gate, n),
@@ -49,11 +49,6 @@ func newWork(c *circuit.Circuit, keepList []circuit.GateID) *work {
 	}
 	for _, g := range c.Outputs {
 		w.keep[g] = true
-	}
-	for _, g := range keepList {
-		if 0 <= int(g) && int(g) < n {
-			w.keep[g] = true
-		}
 	}
 	return w
 }

@@ -9,17 +9,16 @@ import (
 // engine with more than switchNullHi nulls per applied event is null-bound
 // and migrates to switchOptimistic; one of an optimistic engine with more
 // than switchRollbackHi events rolled back per applied event is
-// rollback-bound and migrates to switchConservative. A switch needs
-// switchPatience consecutive breaching segments and is followed by
-// switchCooldown boundaries that are not judged while the new engine warms
-// up. switchSettleAfter consecutive in-band segments commit the current
+// rollback-bound and migrates to switchConservative. A switch fires on
+// the first breaching segment and is followed by switchCooldown
+// boundaries that are not judged while the new engine warms up.
+// switchSettleAfter consecutive in-band segments commit the current
 // engine, ending probing and with it all segmentation overhead. Segments
 // with fewer than switchMinEvents applied events carry too little signal
 // to act on.
 const (
 	switchNullHi       = 4.0
 	switchRollbackHi   = 0.35
-	switchPatience     = 1
 	switchCooldown     = 1
 	switchSettleAfter  = 2
 	switchMinEvents    = 64
@@ -32,7 +31,6 @@ const (
 // cumulative). Like every controller here it is a pure function of
 // its sample stream.
 type SwitchController struct {
-	strikes  int // consecutive breaching segments
 	stays    int // consecutive in-band segments
 	cooldown int
 	log      []Decision
@@ -86,7 +84,6 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 		why = fmt.Sprintf("rollback ratio %.2f > %.2f", rollR, switchRollbackHi)
 	}
 	if !breach {
-		c.strikes = 0
 		c.stays++
 		if c.stays >= switchSettleAfter {
 			d := Decision{Round: s.Round, Kind: KindCommit,
@@ -97,14 +94,9 @@ func (c *SwitchController) Observe(s Sample) (Decision, bool) {
 		return hold(fmt.Sprintf("%s in band (nulls %.1f/evt, rollback %.2f)", s.Engine, nullR, rollR))
 	}
 	c.stays = 0
-	c.strikes++
-	if c.strikes < switchPatience {
-		return hold(why + fmt.Sprintf(" (strike %d/%d)", c.strikes, switchPatience))
-	}
 	if target == s.Engine {
 		return hold(why + ": already on target engine")
 	}
-	c.strikes = 0
 	c.cooldown = switchCooldown
 	d := Decision{Round: s.Round, Kind: KindSwitch, From: s.Engine, To: target, Reason: why}
 	c.log = append(c.log, d)

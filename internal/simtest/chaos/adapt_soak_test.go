@@ -27,18 +27,15 @@ func TestAdaptiveRecoverySoak(t *testing.T) {
 	}
 	const lps = 4
 	var recoveries, fallbacks, switches, segments uint64
-	for _, wlName := range DefaultWorkloads {
-		wl, err := WorkloadByName(wlName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := core.Simulate(wl.C, wl.Stim, wl.Until, core.Options{
+	for _, wl := range soakCorpus(t) {
+		wlName, until := wl.Name, core.Horizon(wl.C, wl.Stim)
+		base, err := core.Simulate(wl.C, wl.Stim, until, core.Options{
 			Engine: core.EngineSeq, System: logic.NineValued,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		every := uint64(wl.Until) / 4
+		every := uint64(until) / 4
 		if every == 0 {
 			every = 1
 		}
@@ -52,7 +49,7 @@ func TestAdaptiveRecoverySoak(t *testing.T) {
 					} else {
 						hook.HangLP = lp
 					}
-					rep, err := core.Simulate(wl.C, wl.Stim, wl.Until, core.Options{
+					rep, err := core.Simulate(wl.C, wl.Stim, until, core.Options{
 						Engine: engine, LPs: lps, Partition: partition.MethodFM,
 						PartitionSeed: int64(seed), System: logic.NineValued,
 						Chaos: hook,

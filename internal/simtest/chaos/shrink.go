@@ -1,3 +1,15 @@
+// Package chaos holds the delta-debugging shrinker the randomized
+// harnesses share, above its two fault sources: inject, the seeded
+// in-process plans (message delays, batch splits, cross-sender reorders,
+// LP stalls) that the differential harness's chaos arm runs every
+// asynchronous engine under, and netfault, the socket fleet's link
+// faults.
+//
+// Shrinking needs a deterministic verdict per subset. A plan is a pure
+// function of its seed, and the checks that catch a broken protocol fire
+// at the transport, where they do not depend on the schedule. Which
+// faults happen to fire can vary with runtime scheduling (batch
+// boundaries are timing-dependent); verdicts never derive from it.
 package chaos
 
 import "repro/internal/simtest/chaos/inject"
@@ -80,4 +92,13 @@ func ShrinkIndices(size int, fullFailure string, failsFn func([]int) (bool, stri
 		}
 	}
 	return cur, curFailure
+}
+
+// allIndices returns [0, n).
+func allIndices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }

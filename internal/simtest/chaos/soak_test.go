@@ -8,9 +8,33 @@ import (
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/partition"
+	"repro/internal/simtest"
 	"repro/internal/simtest/chaos/inject"
 	"repro/internal/trace"
 )
+
+// soakCorpus is the soaks' workload set from the standard corpus: a
+// fine-delay adder (null-message heavy), a fine-delay random DAG
+// (irregular cross-LP traffic) and a clocked counter (low activity,
+// blocking-dominated).
+func soakCorpus(t *testing.T) []simtest.Corpus {
+	t.Helper()
+	corpus, err := simtest.StandardCorpus(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []simtest.Corpus
+	for _, cs := range corpus {
+		switch cs.Name {
+		case "ripple8-fine", "dag200-fine", "counter6-fine":
+			out = append(out, cs)
+		}
+	}
+	if len(out) != 3 {
+		t.Fatalf("soak corpus: found %d of 3 workloads", len(out))
+	}
+	return out
+}
 
 // TestSupervisedRecoverySoak is the supervised-recovery soak for the
 // chaos-nightly CI job: it sweeps seeds injecting one-shot panics and
@@ -25,12 +49,9 @@ func TestSupervisedRecoverySoak(t *testing.T) {
 	}
 	const lps = 4
 	var recoveries, fallbacks uint64
-	for _, wlName := range DefaultWorkloads {
-		wl, err := WorkloadByName(wlName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := core.Simulate(wl.C, wl.Stim, wl.Until, core.Options{
+	for _, wl := range soakCorpus(t) {
+		wlName, until := wl.Name, core.Horizon(wl.C, wl.Stim)
+		base, err := core.Simulate(wl.C, wl.Stim, until, core.Options{
 			Engine: core.EngineSeq, System: logic.NineValued,
 		})
 		if err != nil {
@@ -46,7 +67,7 @@ func TestSupervisedRecoverySoak(t *testing.T) {
 					} else {
 						hook.HangLP = lp
 					}
-					rep, err := core.Simulate(wl.C, wl.Stim, wl.Until, core.Options{
+					rep, err := core.Simulate(wl.C, wl.Stim, until, core.Options{
 						Engine: engine, LPs: lps, Partition: partition.MethodFM,
 						PartitionSeed: int64(seed), System: logic.NineValued,
 						Chaos: hook,

@@ -1,7 +1,9 @@
 // Package differ is the differential harness: randomized trials, each
 // one circuit x stimulus x value plane x optimizer pass subset x engine x
-// partition x LP count, checked lane by lane for waveform and final-value
-// equality against the sequential reference of the unoptimized netlist.
+// partition x LP count, optionally under a seeded chaos fault plan,
+// checked lane by lane for waveform and final-value equality against the
+// sequential reference of the unoptimized netlist, and checked for the
+// counter conservation laws every engine's metrics obey.
 // It lives below simtest (rather than in it) because it must import
 // core — which imports every engine — while the engines' own test files
 // import simtest's circuit helpers.
@@ -16,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/sim/seq"
@@ -69,6 +72,10 @@ type DiffConfig struct {
 	// plan of that many transport faults and stalls; the asynchronous
 	// engines (cmb, timewarp, hybrid) honor it.
 	ChaosFaults int
+	// LookaheadBias is handed to the chaos hook, which then inflates every
+	// conservative link's lookahead by it: a deliberately broken promise,
+	// for the harness self-test only.
+	LookaheadBias uint64
 	// Rebalance, when its Interval is positive, turns dynamic load
 	// balancing on in a trial that drew the sync engine. core does not
 	// expose it, so such a trial calls the engine directly.
@@ -122,7 +129,7 @@ type Trial struct {
 	// Opts is the engine configuration under test.
 	Opts core.Options
 	// Plan and Rebalance carry the DiffConfig arms; every run gets a
-	// fresh chaos hook over Plan.
+	// fresh chaos hook over Plan, or over the subset being shrunk.
 	Plan      inject.Plan
 	Rebalance simsync.RebalanceConfig
 }
@@ -237,6 +244,9 @@ func GenTrial(cfg DiffConfig, i int) (*Trial, error) {
 	if cfg.ChaosFaults > 0 {
 		tr.Plan = inject.NewPlan(uint64(seed), opts.LPs, cfg.ChaosFaults)
 		fmt.Fprintf(&spec, " chaos=%d faults", cfg.ChaosFaults)
+		if cfg.LookaheadBias > 0 {
+			fmt.Fprintf(&spec, " lookahead-bias=%d", cfg.LookaheadBias)
+		}
 	}
 	if opts.Engine == core.EngineSync && cfg.Rebalance.Interval > 0 {
 		tr.Rebalance = cfg.Rebalance
@@ -326,23 +336,25 @@ func genWorkload(rng *rand.Rand, maxGates int, seed int64, spec *strings.Builder
 }
 
 // Check optimizes with the trial's pass subset (if any), runs the engine
-// on its plane, and compares every lane against the sequential reference
-// of the unoptimized netlist through the remap: the waveform, and the
-// final value of every net (of the primary outputs when optimized). On a
-// mismatch one ddmin shrinks the lane set and then the pass subset, so
-// the report carries the smallest failing batch and pipeline.
+// on its plane under its chaos plan (if any), and compares every lane
+// against the sequential reference of the unoptimized netlist through the
+// remap: the waveform, and the final value of every net (of the primary
+// outputs when optimized). The run's counters must obey the conservation
+// laws, and, where it is defined, the evaluation law. On a failure one
+// ddmin shrinks the lane set, then the pass subset, then the fault plan,
+// so the report carries the smallest failing batch, pipeline and plan.
 func (tr *Trial) Check() error {
 	lanes := make([]int, len(tr.Stims))
 	for k := range lanes {
 		lanes[k] = k
 	}
-	failure := tr.probe(lanes, tr.Passes)
+	failure := tr.probe(lanes, tr.Passes, tr.Plan)
 	if failure == "" {
 		return nil
 	}
 	if len(lanes) > 1 {
 		lanes, failure = chaos.ShrinkIndices(len(lanes), failure, func(idx []int) (bool, string) {
-			f := tr.probe(idx, tr.Passes)
+			f := tr.probe(idx, tr.Passes, tr.Plan)
 			return f != "", f
 		}, 32)
 	}
@@ -350,13 +362,24 @@ func (tr *Trial) Check() error {
 	if len(passes) > 0 {
 		var idx []int
 		idx, failure = chaos.ShrinkIndices(len(passes), failure, func(idx []int) (bool, string) {
-			f := tr.probe(lanes, pick(tr.Passes, idx))
+			f := tr.probe(lanes, pick(tr.Passes, idx), tr.Plan)
 			return f != "", f
 		}, 32)
 		passes = pick(tr.Passes, idx)
 	}
-	return tr.fail("mismatch (minimal failing lanes %v of %d, passes %v of %v):\n%s",
-		lanes, len(tr.Stims), passes, tr.Passes, failure)
+	var faults strings.Builder
+	if len(tr.Plan) > 0 {
+		var idx []int
+		idx, failure = chaos.Shrink(tr.Plan, failure, func(p inject.Plan) string {
+			return tr.probe(lanes, passes, p)
+		}, 120)
+		fmt.Fprintf(&faults, ", faults %v of %d", idx, len(tr.Plan))
+		for _, i := range idx {
+			fmt.Fprintf(&faults, "\n    [%d] %s", i, tr.Plan[i])
+		}
+	}
+	return tr.fail("check failed (minimal failing lanes %v of %d, passes %v of %v%s):\n%s",
+		lanes, len(tr.Stims), passes, tr.Passes, faults.String(), failure)
 }
 
 // pick returns xs at the given indices, never nil: an empty pass subset
@@ -370,9 +393,9 @@ func pick[T any](xs []T, idx []int) []T {
 }
 
 // probe runs one comparison over the given lanes under the given pass
-// subset (nil: no optimizer) and returns "" on success or a divergence
-// description.
-func (tr *Trial) probe(lanes []int, passes []string) string {
+// subset (nil: no optimizer) and chaos plan (nil: none) and returns "" on
+// success or a divergence description.
+func (tr *Trial) probe(lanes []int, passes []string, plan inject.Plan) string {
 	if len(lanes) == 0 {
 		return ""
 	}
@@ -395,14 +418,18 @@ func (tr *Trial) probe(lanes []int, passes []string) string {
 		}
 		c, back, net, nets = res.Circuit, res.Remap.WaveformBack, res.Remap.Gate, tr.C.Outputs
 	}
-	value, wave, err := tr.run(c, stims)
+	value, wave, tot, err := tr.run(c, stims, plan)
 	if err != nil {
 		return fmt.Sprintf("engine run failed: %v", err)
 	}
+	var seqEvals uint64
 	for i, k := range lanes {
 		ref, err := seq.Run(tr.C, tr.Stims[k], tr.Until, seq.Config{System: tr.Opts.System})
 		if err != nil {
 			return fmt.Sprintf("lane %d sequential reference failed: %v", k, err)
+		}
+		if i == 0 {
+			seqEvals = ref.Counters.Evaluations
 		}
 		if d := trace.Diff(ref.Waveform, back(wave(i)), 5); d != "" {
 			return fmt.Sprintf("lane %d waveform mismatch vs seq:\n%s", k, d)
@@ -422,64 +449,113 @@ func (tr *Trial) probe(lanes []int, passes []string) string {
 			}
 		}
 	}
+	if f := conservation(tr.Opts.Engine, tot); f != "" {
+		return f
+	}
+	// The evaluation law compares with one scalar lane of the unoptimized
+	// netlist; a block sweep evaluates whole cones where the event loop
+	// would not.
+	sweep := tr.Opts.Partition == partition.MethodConeSplit && tr.Opts.Engine != core.EngineSync
+	if tr.Wide || passes != nil || sweep {
+		return ""
+	}
+	switch tr.Opts.Engine {
+	case core.EngineTimeWarp, core.EngineTimeWarpLazy, core.EngineHybrid:
+		if tot.Evaluations < seqEvals {
+			return fmt.Sprintf("evaluations %d < sequential %d (lost work)", tot.Evaluations, seqEvals)
+		}
+	default:
+		if tot.Evaluations != seqEvals {
+			return fmt.Sprintf("evaluations %d != sequential %d", tot.Evaluations, seqEvals)
+		}
+	}
+	return ""
+}
+
+// conservation checks the laws every engine's counters obey under any
+// schedule, partition or fault plan, and returns the first one broken.
+// Every message received was sent; lazy cancellation counts a suppressed
+// regeneration as sent, so only >= holds there. Nulls folded inside a
+// send batch count as sent but never reach the wire.
+func conservation(eng core.Engine, tot metrics.LPCounters) string {
+	switch {
+	case eng == core.EngineTimeWarpLazy && tot.MessagesSent < tot.MessagesRecv:
+		return fmt.Sprintf("messages recv %d exceed sent %d", tot.MessagesRecv, tot.MessagesSent)
+	case eng != core.EngineTimeWarpLazy && tot.MessagesSent != tot.MessagesRecv:
+		return fmt.Sprintf("messages sent %d != recv %d", tot.MessagesSent, tot.MessagesRecv)
+	case tot.NullsFolded > tot.NullsSent:
+		return fmt.Sprintf("nulls folded %d exceed sent %d", tot.NullsFolded, tot.NullsSent)
+	case tot.NullsRecv > tot.NullsSent-tot.NullsFolded:
+		return fmt.Sprintf("nulls recv %d exceed transmitted %d (sent %d, folded %d)",
+			tot.NullsRecv, tot.NullsSent-tot.NullsFolded, tot.NullsSent, tot.NullsFolded)
+	case tot.AntiMessagesSent != tot.AntiMessagesRecv:
+		return fmt.Sprintf("anti-messages sent %d != recv %d", tot.AntiMessagesSent, tot.AntiMessagesRecv)
+	case tot.EventsRolledBack > 0 && tot.Rollbacks == 0:
+		return fmt.Sprintf("%d events rolled back in zero rollbacks", tot.EventsRolledBack)
+	}
 	return ""
 }
 
 // run executes the trial's engine on netlist c over the lane stimuli —
-// the one lane alone on the scalar plane, packed on the wide plane — and
-// returns each lane's final net values and waveform.
-func (tr *Trial) run(c *circuit.Circuit, stims []*vectors.Stimulus) (func(k int, g circuit.GateID) logic.Value, func(k int) trace.Waveform, error) {
+// the one lane alone on the scalar plane, packed on the wide plane —
+// under the chaos plan, and returns each lane's final net values and
+// waveform and the run's counter totals.
+func (tr *Trial) run(c *circuit.Circuit, stims []*vectors.Stimulus, plan inject.Plan) (func(k int, g circuit.GateID) logic.Value, func(k int) trace.Waveform, metrics.LPCounters, error) {
 	if !tr.Wide {
-		values, wf, err := runPlane(tr, c, stims[0], core.Simulate, simsync.Run)
+		values, wf, tot, err := runPlane(tr, c, stims[0], plan, core.Simulate, simsync.Run)
 		return func(_ int, g circuit.GateID) logic.Value { return values[g] },
-			func(int) trace.Waveform { return wf }, err
+			func(int) trace.Waveform { return wf }, tot, err
 	}
 	ws, err := vectors.Pack(c, stims, tr.Opts.System)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, metrics.LPCounters{}, err
 	}
-	values, wf, err := runPlane(tr, c, ws, core.SimulateWide, simsync.RunWide)
+	values, wf, tot, err := runPlane(tr, c, ws, plan, core.SimulateWide, simsync.RunWide)
 	init := func(g circuit.GateID) logic.Value {
 		return tr.Opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
 	}
 	return func(k int, g circuit.GateID) logic.Value { return values[g].Get(k) },
-		func(k int) trace.Waveform { return trace.WideWaveform(wf).Lane(k, init) }, err
+		func(k int) trace.Waveform { return trace.WideWaveform(wf).Lane(k, init) }, tot, err
 }
 
 // runPlane runs the trial's engine on one plane: through core, or, for a
 // rebalancing trial, on the sync engine directly.
-func runPlane[V comparable, S any](tr *Trial, c *circuit.Circuit, stim S,
+func runPlane[V comparable, S any](tr *Trial, c *circuit.Circuit, stim S, plan inject.Plan,
 	simulate func(*circuit.Circuit, S, circuit.Tick, core.Options) (*core.ReportT[V], error),
 	rebalanced func(*circuit.Circuit, S, circuit.Tick, simsync.ConfigT[V]) (*simsync.ResultT[V], error),
-) ([]V, trace.WaveformT[V], error) {
+) ([]V, trace.WaveformT[V], metrics.LPCounters, error) {
 	opts := tr.Opts
 	if tr.Rebalance.Interval > 0 {
 		part, err := partition.New(opts.Partition, c, opts.LPs, partition.Options{Seed: opts.PartitionSeed})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, metrics.LPCounters{}, err
 		}
+		reg := metrics.NewRegistry(opts.Engine.String())
 		res, err := rebalanced(c, stim, tr.Until, simsync.ConfigT[V]{
-			Partition: part, System: opts.System, Rebalance: tr.Rebalance,
+			Partition: part, System: opts.System, Rebalance: tr.Rebalance, Metrics: reg,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, metrics.LPCounters{}, err
 		}
-		return res.Values, res.Waveform, nil
+		return res.Values, res.Waveform, reg.Report().Counters(), nil
 	}
-	if tr.Plan != nil {
-		opts.Chaos = inject.NewHook(uint64(tr.Seed), tr.Plan)
+	if plan != nil {
+		opts.Chaos = inject.NewHook(uint64(tr.Seed), plan)
+		opts.Chaos.LookaheadBias = tr.cfg.LookaheadBias
 	}
 	rep, err := simulate(c, stim, tr.Until, opts)
 	if opts.Chaos != nil {
-		// Checked before the engine error: a violation is the cause.
+		// Checked before the engine error: a violation is the cause, and
+		// unlike the engine's own failure mode it does not depend on the
+		// schedule, so a shrunk plan fails the same way.
 		if v := opts.Chaos.Violations(); len(v) > 0 {
-			return nil, nil, fmt.Errorf("chaos transport protocol violation: %s", v[0])
+			return nil, nil, metrics.LPCounters{}, fmt.Errorf("chaos transport protocol violation: %s", v[0])
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, metrics.LPCounters{}, err
 	}
-	return rep.Values, rep.Waveform, nil
+	return rep.Values, rep.Waveform, rep.Metrics.Counters(), nil
 }
 
 // fail wraps a mismatch with everything needed to reproduce the trial.
@@ -521,6 +597,9 @@ func (cfg DiffConfig) GoString() string {
 	}
 	if cfg.ChaosFaults != 0 {
 		fmt.Fprintf(&b, ", ChaosFaults: %d", cfg.ChaosFaults)
+	}
+	if cfg.LookaheadBias != 0 {
+		fmt.Fprintf(&b, ", LookaheadBias: %d", cfg.LookaheadBias)
 	}
 	if cfg.Rebalance.Interval != 0 {
 		fmt.Fprintf(&b, ", Rebalance: simsync.RebalanceConfig{Interval: %d}", cfg.Rebalance.Interval)

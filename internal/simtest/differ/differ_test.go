@@ -99,7 +99,7 @@ func TestGenTrialDeterministic(t *testing.T) {
 }
 
 // sameTrial generates trial i twice and requires the same spec, options,
-// passes and stimuli.
+// passes, plan and stimuli.
 func sameTrial(t *testing.T, cfg DiffConfig, i int) {
 	t.Helper()
 	a, err := GenTrial(cfg, i)
@@ -113,8 +113,8 @@ func sameTrial(t *testing.T, cfg DiffConfig, i int) {
 	if a.Spec != b.Spec || a.Seed != b.Seed {
 		t.Fatalf("trial not deterministic:\n%s\n%s", a.Spec, b.Spec)
 	}
-	if fmt.Sprintf("%+v %v", a.Opts, a.Passes) != fmt.Sprintf("%+v %v", b.Opts, b.Passes) {
-		t.Fatalf("options not deterministic: %+v %v vs %+v %v", a.Opts, a.Passes, b.Opts, b.Passes)
+	if fmt.Sprintf("%+v %v %v", a.Opts, a.Passes, a.Plan) != fmt.Sprintf("%+v %v %v", b.Opts, b.Passes, b.Plan) {
+		t.Fatalf("options not deterministic: %+v %v %v vs %+v %v %v", a.Opts, a.Passes, a.Plan, b.Opts, b.Passes, b.Plan)
 	}
 	if len(a.Stims) != len(b.Stims) {
 		t.Fatalf("lane count not deterministic: %d vs %d", len(a.Stims), len(b.Stims))
@@ -148,7 +148,7 @@ func TestReproLine(t *testing.T) {
 		{Seed: 1995},
 		{Seed: 1995, MaxGates: 120, Engines: []core.Engine{core.EngineCMB, core.EngineSync},
 			Methods: []partition.Method{partition.MethodConeSplit}, Wide: On, Opt: Off,
-			Passes: []string{"dce"}, ChaosFaults: 12},
+			Passes: []string{"dce"}, ChaosFaults: 12, LookaheadBias: 1},
 	} {
 		tr, err := GenTrial(cfg, 5)
 		if err != nil {
@@ -163,7 +163,7 @@ func TestReproLine(t *testing.T) {
 		}
 		if cfg.Engines != nil {
 			for _, want := range []string{"MaxGates: 120", "3 /* cmb */, 2 /* sync */", "Wide: differ.On", "Opt: differ.Off",
-				"Methods: []partition.Method{9 /* cone-split */}", `Passes: []string{"dce"}`, "ChaosFaults: 12"} {
+				"Methods: []partition.Method{9 /* cone-split */}", `Passes: []string{"dce"}`, "ChaosFaults: 12", "LookaheadBias: 1"} {
 				if !strings.Contains(line, want) {
 					t.Fatalf("repro %q lacks pinned arm %q", line, want)
 				}

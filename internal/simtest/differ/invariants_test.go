@@ -72,39 +72,14 @@ func TestMetricsInvariants(t *testing.T) {
 				}
 				tot := rep.Metrics.Counters()
 
-				// Conservation: every receive has a matching send. The
-				// reverse is not exact everywhere — conservative runs
-				// terminate with a few nulls still in flight, and lazy
-				// cancellation counts a regenerated duplicate as sent while
-				// suppressing its transmission — so those sides are
-				// inequalities with tight slack.
-				if eng == core.EngineTimeWarpLazy {
-					if tot.MessagesSent < tot.MessagesRecv {
-						t.Errorf("%v: messages recv %d exceed sent %d (%s)",
-							eng, tot.MessagesRecv, tot.MessagesSent, rep.Metrics.Summary())
-					}
-				} else if tot.MessagesSent != tot.MessagesRecv {
-					t.Errorf("%v: messages sent %d != recv %d (%s)",
-						eng, tot.MessagesSent, tot.MessagesRecv, rep.Metrics.Summary())
-				}
-				// Nulls folded inside a send batch count as sent (the
-				// protocol work happened) but never reach the wire, so the
-				// transmitted count is sent − folded.
-				if tot.NullsFolded > tot.NullsSent {
-					t.Errorf("%v: nulls folded %d exceed sent %d", eng, tot.NullsFolded, tot.NullsSent)
-				}
-				transmitted := tot.NullsSent - tot.NullsFolded
-				if tot.NullsRecv > transmitted {
-					t.Errorf("%v: nulls recv %d exceed transmitted %d (sent %d, folded %d)",
-						eng, tot.NullsRecv, transmitted, tot.NullsSent, tot.NullsFolded)
-				}
-				if undelivered := transmitted - tot.NullsRecv; undelivered > 4*4 {
-					t.Errorf("%v: %d nulls undelivered at termination (transmitted %d, recv %d)",
-						eng, undelivered, transmitted, tot.NullsRecv)
-				}
-				if tot.AntiMessagesSent != tot.AntiMessagesRecv {
-					t.Errorf("%v: anti-messages sent %d != recv %d",
-						eng, tot.AntiMessagesSent, tot.AntiMessagesRecv)
+				// Conservation: the laws every differential trial checks,
+				// plus one only a fault-free run obeys: conservative runs
+				// terminate with at most a few nulls still in flight.
+				if f := conservation(eng, tot); f != "" {
+					t.Errorf("%v: %s (%s)", eng, f, rep.Metrics.Summary())
+				} else if undelivered := tot.NullsSent - tot.NullsFolded - tot.NullsRecv; undelivered > 4*4 {
+					t.Errorf("%v: %d nulls undelivered at termination (sent %d, folded %d, recv %d)",
+						eng, undelivered, tot.NullsSent, tot.NullsFolded, tot.NullsRecv)
 				}
 
 				// Work accounting: conservative and synchronous engines do
@@ -128,17 +103,10 @@ func TestMetricsInvariants(t *testing.T) {
 				}
 
 				// Rollback accounting only exists on optimistic engines.
-				switch eng {
-				case core.EngineTimeWarp, core.EngineTimeWarpLazy, core.EngineHybrid:
-					if tot.EventsRolledBack > 0 && tot.Rollbacks == 0 {
-						t.Errorf("%v: %d events rolled back in zero episodes",
-							eng, tot.EventsRolledBack)
-					}
-				default:
-					if tot.Rollbacks != 0 || tot.AntiMessagesSent != 0 {
-						t.Errorf("%v: non-optimistic engine reported rollbacks=%d antis=%d",
-							eng, tot.Rollbacks, tot.AntiMessagesSent)
-					}
+				optimistic := eng == core.EngineTimeWarp || eng == core.EngineTimeWarpLazy || eng == core.EngineHybrid
+				if !optimistic && (tot.Rollbacks != 0 || tot.AntiMessagesSent != 0) {
+					t.Errorf("%v: non-optimistic engine reported rollbacks=%d antis=%d",
+						eng, tot.Rollbacks, tot.AntiMessagesSent)
 				}
 
 				// The synchronous engine advances all LPs in lockstep: every
