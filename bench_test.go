@@ -10,12 +10,15 @@ package repro_test
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/vectors"
@@ -127,6 +130,41 @@ func BenchmarkEngine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSetup measures the set-up layers ahead of partitioning on
+// seq40000 (40 951 gates): "read" parses the netlist's .bench text the
+// way a run reads its file, and "optimize" runs the default optimizer
+// pipeline over the parsed circuit.
+func BenchmarkSetup(b *testing.B) {
+	c, err := pipeline.Load(pipeline.Spec{Circuit: "seq40000", Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	text, err := bench.WriteString(c, "seq40000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	parsed, err := bench.ReadString(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.Read(strings.NewReader(text)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("optimize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := opt.Optimize(parsed, opt.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPartition runs every min-cut partitioner and cone-split on a

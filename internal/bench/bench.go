@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/circuit"
 )
@@ -80,158 +81,132 @@ var opByKind = map[circuit.Kind]string{
 	circuit.ConstX:  "CONSTX",
 }
 
-// def is one parsed gate definition awaiting wiring.
-type def struct {
-	name string
-	op   string // upper-cased
-	args []string
-	line int
-}
-
-// hasPrefixFold reports whether s begins with the upper-case ASCII keyword
-// kw, in any letter case.
-func hasPrefixFold(s, kw string) bool {
-	return len(s) >= len(kw) && strings.EqualFold(s[:len(kw)], kw)
-}
-
-// Read parses a .bench netlist.
+// Read parses a .bench netlist. The reader is read once, into one string.
 func Read(r io.Reader) (*circuit.Circuit, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-
-	var inputs, outputs []string
-	var defs []def
-	delays := map[string]circuit.Tick{}
-	lineNo := 0
-
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#@") {
-			// Extension directive.
-			fields := strings.Fields(strings.TrimPrefix(line, "#@"))
-			if len(fields) == 3 && fields[0] == "delay" {
-				d, err := strconv.ParseUint(fields[2], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bench: line %d: bad delay: %v", lineNo, err)
-				}
-				delays[fields[1]] = circuit.Tick(d)
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		switch {
-		case hasPrefixFold(line, "INPUT"):
-			name, err := parseIODecl(line, "INPUT")
-			if err != nil {
-				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
-			}
-			inputs = append(inputs, name)
-		case hasPrefixFold(line, "OUTPUT"):
-			name, err := parseIODecl(line, "OUTPUT")
-			if err != nil {
-				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
-			}
-			outputs = append(outputs, name)
-		default:
-			d, err := parseDef(line)
-			if err != nil {
-				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
-			}
-			d.line = lineNo
-			defs = append(defs, d)
-		}
-	}
-	if err := scanner.Err(); err != nil {
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-
-	b := circuit.NewBuilder()
-	ids := make(map[string]circuit.GateID, lineNo+1) // a line defines at most one signal; +1 for CLK
-
-	// The format has no clock pins, so sequential gates need an implicit
-	// clock. A signal named CLK in the netlist (an input or a defined
-	// gate) is reused — this is what keeps write/read round trips stable —
-	// and otherwise a CLK primary input is synthesized.
-	needsClk := false
-	for _, d := range defs {
-		if d.op == "DFF" || d.op == "DLATCH" {
-			needsClk = true
-		}
-	}
-	declaresClk := false
-	for _, in := range inputs {
-		if in == clkName {
-			declaresClk = true
-		}
-	}
-	for _, d := range defs {
-		if d.name == clkName {
-			declaresClk = true
-		}
-	}
-	if needsClk && !declaresClk {
-		ids[clkName] = b.Input(clkName)
-	}
-	for _, in := range inputs {
-		if _, dup := ids[in]; dup {
-			return nil, fmt.Errorf("bench: duplicate input %q", in)
-		}
-		ids[in] = b.Input(in)
-	}
-	// First pass: declare every defined gate with empty fanin.
-	for _, d := range defs {
-		kind, ok := kindByOp[d.op]
-		if !ok {
-			return nil, fmt.Errorf("bench: line %d: unknown operator %q", d.line, d.op)
-		}
-		if _, dup := ids[d.name]; dup {
-			return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", d.line, d.name)
-		}
-		delay := circuit.Tick(1)
-		if dd, ok := delays[d.name]; ok {
-			delay = dd
-		}
-		ids[d.name] = b.GateDelay(kind, d.name, delay)
-	}
-	// Second pass: wire fanin, resolving forward references.
-	for _, d := range defs {
-		id := ids[d.name]
-		fanin := make([]circuit.GateID, 0, len(d.args)+1)
-		for _, a := range d.args {
-			src, ok := ids[a]
-			if !ok {
-				return nil, fmt.Errorf("bench: line %d: %q references undefined signal %q", d.line, d.name, a)
-			}
-			fanin = append(fanin, src)
-		}
-		switch d.op {
-		case "DFF", "DLATCH":
-			if len(fanin) != 1 {
-				return nil, fmt.Errorf("bench: line %d: %s takes one input", d.line, d.op)
-			}
-			fanin = append(fanin, ids[clkName])
-		}
-		b.SetFanin(id, fanin)
-	}
-	for _, out := range outputs {
-		src, ok := ids[out]
-		if !ok {
-			return nil, fmt.Errorf("bench: OUTPUT(%s) references undefined signal", out)
-		}
-		b.Output(out+outputSuffix, src)
-	}
-	return b.Build()
+	return ReadString(sb.String())
 }
 
-// ReadString parses a .bench netlist held in a string.
-func ReadString(s string) (*circuit.Circuit, error) {
-	return Read(strings.NewReader(s))
+// ReadString parses a .bench netlist held in a string. The circuit does
+// not keep the text: its gate names are copied into one string of their
+// own.
+func ReadString(text string) (*circuit.Circuit, error) {
+	var p parser
+	if err := p.scan(text); err != nil {
+		return nil, err
+	}
+	return p.build()
+}
+
+// decl is a signal named on a line: an INPUT, an OUTPUT, or the target of
+// a delay directive.
+type decl struct {
+	name  string
+	line  int
+	delay circuit.Tick // delay directives only
+}
+
+// def is one gate definition awaiting wiring; its arguments are
+// args[lo:hi] of the parser's flat argument list.
+type def struct {
+	name   string
+	kind   circuit.Kind
+	lo, hi int32
+	line   int
+}
+
+// parser holds one netlist's lines, parsed but not yet numbered. Every
+// string in it is a substring of the text.
+type parser struct {
+	inputs, outputs, delays []decl
+	defs                    []def
+	args                    []string
+	seqGates                int // DFF and DLATCH definitions
+	declaresClk             bool
+}
+
+// scan splits text into lines and parses each, in file order.
+func (p *parser) scan(text string) error {
+	// Every definition holds one '=' and one argument more than its
+	// commas, so these counts bound both lists.
+	p.defs = make([]def, 0, strings.Count(text, "="))
+	p.args = make([]string, 0, strings.Count(text, ",")+cap(p.defs))
+	for lineNo, rest := 1, text; rest != ""; lineNo++ {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		line = strings.TrimSpace(line)
+		var err error
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#@"):
+			err = p.directive(line[2:], lineNo)
+		case line[0] == '#':
+		case isDecl(line, "INPUT"):
+			var name string
+			if name, err = parseIODecl(line, "INPUT"); err == nil {
+				p.inputs = append(p.inputs, decl{name: name, line: lineNo})
+				p.declaresClk = p.declaresClk || name == clkName
+			}
+		case isDecl(line, "OUTPUT"):
+			var name string
+			if name, err = parseIODecl(line, "OUTPUT"); err == nil {
+				p.outputs = append(p.outputs, decl{name: name, line: lineNo})
+			}
+		default:
+			err = p.parseDef(line, lineNo)
+		}
+		if err != nil {
+			return fmt.Errorf("bench: line %d: %v", lineNo, err)
+		}
+	}
+	return nil
+}
+
+// directive records a "#@ delay <name> <ticks>" extension. A directive of
+// any other shape is a comment.
+func (p *parser) directive(s string, lineNo int) error {
+	var f [3]string
+	n := 0
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			break
+		}
+		if n == len(f) {
+			return nil // more than three fields
+		}
+		end := strings.IndexFunc(s, unicode.IsSpace)
+		if end < 0 {
+			end = len(s)
+		}
+		f[n], s = s[:end], s[end:]
+		n++
+	}
+	if n != 3 || f[0] != "delay" {
+		return nil
+	}
+	d, err := strconv.ParseUint(f[2], 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad delay: %v", err)
+	}
+	p.delays = append(p.delays, decl{name: f[1], line: lineNo, delay: circuit.Tick(d)})
+	return nil
+}
+
+// isDecl reports whether line declares an INPUT or OUTPUT: the upper-case
+// keyword kw in any letter case, then optional blanks, then "(". A line
+// defining a signal whose name begins with the keyword
+// ("input_buf = BUFF(a)") is a definition.
+func isDecl(line, kw string) bool {
+	return len(line) >= len(kw) && strings.EqualFold(line[:len(kw)], kw) &&
+		strings.HasPrefix(strings.TrimSpace(line[len(kw):]), "(")
 }
 
 // parseIODecl extracts the name from "INPUT(x)" / "OUTPUT(x)".
@@ -247,31 +222,165 @@ func parseIODecl(line, kw string) (string, error) {
 	return name, nil
 }
 
-// parseDef parses "name = OP(a, b, ...)".
-func parseDef(line string) (def, error) {
-	eq := strings.Index(line, "=")
+// parseDef parses "name = OP(a, b, ...)", appending the arguments to the
+// flat list.
+func (p *parser) parseDef(line string, lineNo int) error {
+	eq := strings.IndexByte(line, '=')
 	if eq < 0 {
-		return def{}, fmt.Errorf("expected gate definition, got %q", line)
+		return fmt.Errorf("expected gate definition, got %q", line)
 	}
 	name := strings.TrimSpace(line[:eq])
 	rhs := strings.TrimSpace(line[eq+1:])
-	open := strings.Index(rhs, "(")
+	open := strings.IndexByte(rhs, '(')
 	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return def{}, fmt.Errorf("malformed gate expression %q", rhs)
+		return fmt.Errorf("malformed gate expression %q", rhs)
 	}
-	op := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-	argStr := rhs[open+1 : len(rhs)-1]
-	var args []string
-	for _, a := range strings.Split(argStr, ",") {
-		a = strings.TrimSpace(a)
-		if a != "" {
-			args = append(args, a)
+	op := strings.TrimSpace(rhs[:open])
+	if name == "" || op == "" {
+		return fmt.Errorf("malformed definition %q", line)
+	}
+	op = strings.ToUpper(op) // allocates only for an operator with lower case
+	kind, ok := kindByOp[op]
+	if !ok {
+		return fmt.Errorf("unknown operator %q", op)
+	}
+	lo := int32(len(p.args))
+	for a := rhs[open+1 : len(rhs)-1]; ; {
+		arg := a
+		comma := strings.IndexByte(a, ',')
+		if comma >= 0 {
+			arg, a = a[:comma], a[comma+1:]
+		}
+		if arg = strings.TrimSpace(arg); arg != "" {
+			p.args = append(p.args, arg)
+		}
+		if comma < 0 {
+			break
 		}
 	}
-	if name == "" || op == "" {
-		return def{}, fmt.Errorf("malformed definition %q", line)
+	p.defs = append(p.defs, def{name: name, kind: kind, lo: lo, hi: int32(len(p.args)), line: lineNo})
+	if kind.Sequential() {
+		p.seqGates++
 	}
-	return def{name: name, op: op, args: args}, nil
+	p.declaresClk = p.declaresClk || name == clkName
+	return nil
+}
+
+// build numbers the gates — the implicit CLK when one is synthesized,
+// then the inputs, the definitions and the OUTPUT markers, each in file
+// order — and hands the flat arrays and the name table to the circuit.
+func (p *parser) build() (*circuit.Circuit, error) {
+	// The format has no clock pins, so sequential gates need an implicit
+	// clock. A signal named CLK in the netlist (an input or a defined
+	// gate) is reused — this is what keeps write/read round trips stable —
+	// and otherwise a CLK primary input is synthesized.
+	synthClk := p.seqGates > 0 && !p.declaresClk
+	n := len(p.inputs) + len(p.defs) + len(p.outputs)
+	if synthClk {
+		n++
+	}
+	kinds := make([]circuit.Kind, n)
+	delays := make([]circuit.Tick, n)
+	names := make([]string, n)
+	byName := make(map[string]circuit.GateID, n)
+	inputs := make([]circuit.GateID, 0, len(p.inputs)+1)
+	// Every name, the $out markers' included, is a substring of one
+	// string sized up front, so the circuit keeps only the names' bytes
+	// and not the file's.
+	size := len(clkName) + len(p.outputs)*len(outputSuffix)
+	for _, list := range [][]decl{p.inputs, p.outputs} {
+		for _, d := range list {
+			size += len(d.name)
+		}
+	}
+	for _, d := range p.defs {
+		size += len(d.name)
+	}
+	var pool strings.Builder
+	pool.Grow(size)
+	intern := func(name, suffix string) string {
+		start := pool.Len()
+		pool.WriteString(name)
+		pool.WriteString(suffix)
+		return pool.String()[start:]
+	}
+	id := circuit.GateID(0)
+	declare := func(kind circuit.Kind, name string) {
+		name = intern(name, "")
+		kinds[id], delays[id], names[id] = kind, 1, name
+		byName[name] = id
+		id++
+	}
+	if synthClk {
+		inputs = append(inputs, id)
+		declare(circuit.Input, clkName)
+	}
+	for _, in := range p.inputs {
+		if _, dup := byName[in.name]; dup {
+			return nil, fmt.Errorf("bench: line %d: duplicate input %q", in.line, in.name)
+		}
+		inputs = append(inputs, id)
+		declare(circuit.Input, in.name)
+	}
+	firstDef := id
+	for _, d := range p.defs {
+		if _, dup := byName[d.name]; dup {
+			return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", d.line, d.name)
+		}
+		declare(d.kind, d.name)
+	}
+	// A delay directive retimes a defined gate: the last one naming it
+	// wins, and one naming anything else is ignored.
+	for _, dd := range p.delays {
+		if g, ok := byName[dd.name]; ok && g >= firstDef {
+			delays[g] = dd.delay
+		}
+	}
+
+	// Wire the fanin in gate order, resolving forward references. The
+	// OUTPUT markers read signals, never each other, so every source is
+	// resolved before a marker joins the name table.
+	off := make([]int32, n+1)
+	idx := make([]circuit.GateID, 0, len(p.args)+p.seqGates+len(p.outputs))
+	clk := byName[clkName]
+	for k, d := range p.defs {
+		off[int(firstDef)+k] = int32(len(idx))
+		for _, a := range p.args[d.lo:d.hi] {
+			src, ok := byName[a]
+			if !ok {
+				return nil, fmt.Errorf("bench: line %d: %q references undefined signal %q", d.line, d.name, a)
+			}
+			idx = append(idx, src)
+		}
+		if d.kind.Sequential() {
+			if d.hi-d.lo != 1 {
+				return nil, fmt.Errorf("bench: line %d: %s takes one input", d.line, opByKind[d.kind])
+			}
+			idx = append(idx, clk)
+		}
+	}
+	outputs := make([]circuit.GateID, len(p.outputs))
+	for k, out := range p.outputs {
+		src, ok := byName[out.name]
+		if !ok {
+			return nil, fmt.Errorf("bench: line %d: OUTPUT(%s) references undefined signal", out.line, out.name)
+		}
+		outputs[k] = id
+		off[id] = int32(len(idx))
+		idx = append(idx, src)
+		kinds[id], delays[id], names[id] = circuit.Output, 1, intern(out.name, outputSuffix)
+		id++
+	}
+	off[n] = int32(len(idx))
+	for k, out := range p.outputs {
+		g := outputs[k]
+		if prev, dup := byName[names[g]]; dup {
+			return nil, fmt.Errorf("bench: line %d: OUTPUT(%s) marker %q duplicates gate %q",
+				out.line, out.name, names[g], names[prev])
+		}
+		byName[names[g]] = g
+	}
+	return circuit.FromFlat(kinds, delays, names, circuit.Adj{Off: off, Idx: idx}, inputs, outputs, byName)
 }
 
 // Write emits a circuit as a .bench netlist, including the delay extension

@@ -112,6 +112,8 @@ func TestRoundTripGeneratedCircuits(t *testing.T) {
 		{"seq", func() (*circuit.Circuit, error) {
 			return gen.RandomSeq(gen.RandomConfig{Gates: 120, Inputs: 6, Outputs: 4, Seed: 3, FFRatio: 0.2})
 		}},
+		{"dag-fine", func() (*circuit.Circuit, error) { return gen.ByName("dag2000", gen.Fine(4, 1), 1) }},
+		{"seq-fine", func() (*circuit.Circuit, error) { return gen.ByName("seq4000", gen.Fine(4, 2), 2) }},
 	}
 	for _, m := range mk {
 		orig, err := m.c()
@@ -125,6 +127,14 @@ func TestRoundTripGeneratedCircuits(t *testing.T) {
 		back, err := bench.ReadString(text)
 		if err != nil {
 			t.Fatalf("%s reread: %v\n%s", m.name, err, text)
+		}
+		// Same gates in the same order as the reference reader builds.
+		ref, err := readReference(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s reference: %v", m.name, err)
+		}
+		if structure(back) != structure(ref) {
+			t.Fatalf("%s: Read and the reference disagree", m.name)
 		}
 		so, sb := orig.ComputeStats(), back.ComputeStats()
 		if so.Outputs != sb.Outputs || so.FlipFlops != sb.FlipFlops {
@@ -155,23 +165,45 @@ func TestRoundTripGeneratedCircuits(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"INPUT A\n",                                // malformed INPUT
-		"OUTPUT()\n",                               // empty OUTPUT name
-		"G1 = FROB(A)\nINPUT(A)\n",                 // unknown op
-		"INPUT(A)\nG1 = NOT(B)\n",                  // undefined signal
-		"INPUT(A)\nINPUT(A)\n",                     // duplicate input
-		"INPUT(A)\nG1 = NOT(A)\nG1 = NOT(A)\n",     // duplicate def
-		"INPUT(A)\nOUTPUT(Q)\n",                    // undefined output
-		"garbage here\n",                           // no '='
-		"G1 = NOT A\nINPUT(A)\n",                   // missing parens
-		"INPUT(A)\nG1 = DFF(A, A)\n",               // DFF arity
-		"INPUT(A)\n#@ delay G1 xyz\nG1 = NOT(A)\n", // bad delay number
+// TestKeywordPrefixedNames: a signal whose name begins with INPUT or
+// OUTPUT is defined like any other; only the keyword followed by "("
+// declares.
+func TestKeywordPrefixedNames(t *testing.T) {
+	c, err := bench.ReadString("INPUT(a)\ninput_buf = BUFF(a)\nOUTPUTEN = NOT(a)\nOUTPUT(input_buf)\nOUTPUT (OUTPUTEN)\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, src := range cases {
-		if _, err := bench.ReadString(src); err == nil {
-			t.Errorf("case %d accepted:\n%s", i, src)
+	for name, kind := range map[string]circuit.Kind{"input_buf": circuit.Buf, "OUTPUTEN": circuit.Not} {
+		id, ok := c.ByName(name)
+		if !ok || c.Kinds[id] != kind {
+			t.Fatalf("%s: defined %v, kind %v", name, ok, c.Kinds[id])
+		}
+	}
+	if len(c.Inputs) != 1 || len(c.Outputs) != 2 {
+		t.Fatalf("io = %d/%d, want 1/2", len(c.Inputs), len(c.Outputs))
+	}
+}
+
+// TestParseErrors: each malformed netlist is refused, and the error names
+// the line at fault.
+func TestParseErrors(t *testing.T) {
+	cases := []struct{ src, line string }{
+		{"INPUT A\n", "line 1:"},                                // malformed INPUT
+		{"OUTPUT()\n", "line 1:"},                               // empty OUTPUT name
+		{"G1 = FROB(A)\nINPUT(A)\n", "line 1:"},                 // unknown op
+		{"INPUT(A)\nG1 = NOT(B)\n", "line 2:"},                  // undefined signal
+		{"INPUT(A)\nINPUT(A)\n", "line 2:"},                     // duplicate input
+		{"INPUT(A)\nG1 = NOT(A)\nG1 = NOT(A)\n", "line 3:"},     // duplicate def
+		{"INPUT(A)\nOUTPUT(Q)\n", "line 2:"},                    // undefined output
+		{"INPUT(A)\nOUTPUT(A)\nOUTPUT(A)\n", "line 3:"},         // duplicate output marker
+		{"garbage here\n", "line 1:"},                           // no '='
+		{"G1 = NOT A\nINPUT(A)\n", "line 1:"},                   // missing parens
+		{"INPUT(A)\nG1 = DFF(A, A)\n", "line 2:"},               // DFF arity
+		{"INPUT(A)\n#@ delay G1 xyz\nG1 = NOT(A)\n", "line 2:"}, // bad delay number
+	}
+	for _, tc := range cases {
+		if _, err := bench.ReadString(tc.src); err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("%q: error %v, want one naming %s", tc.src, err, tc.line)
 		}
 	}
 }

@@ -9,10 +9,12 @@ import (
 	"repro/internal/circuit"
 )
 
-// FuzzRead checks the .bench reader never panics and that every accepted
-// netlist survives a write/read round trip with the same gate count.
-// The seed corpus covers the syntax variants and known edge cases; run
-// with `go test -fuzz=FuzzRead ./internal/bench` to explore further.
+// FuzzRead checks the .bench reader never panics, that it accepts exactly
+// what readReference accepts and builds the same gates in the same order,
+// and that every accepted netlist survives a write/read round trip with
+// the same gate count. The seed corpus covers the syntax variants and
+// known edge cases; run with `go test -fuzz=FuzzRead ./internal/bench` to
+// explore further.
 func FuzzRead(f *testing.F) {
 	seeds := []string{
 		bench.C17,
@@ -30,14 +32,31 @@ func FuzzRead(f *testing.F) {
 		"G1 = NOT(G2)\nG2 = NOT(G1)\n", // combinational cycle
 		"INPUT(A)\n#@ delay A 99999999999999999999\n",
 		"OUTPUT(A)\nINPUT(A)\n",
+		"INPUT(a)\ninput_buf = BUFF(a)\nOUTPUT(input_buf)\n", // keyword-prefixed names
+		"INPUT(a)\nOUTPUTEN = NOT(a)\nOUTPUT(OUTPUTEN)\n",
+		"input (a)\nOutput\t(y)\ny = nand(a, a)\n",
+		"INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n",                // duplicate marker
+		"INPUT(a)\na$out = NOT(a)\nOUTPUT(a)\n",           // marker name taken
+		"INPUT(a)\nOUTPUT(a)\nOUTPUT(a$out)\n",            // a marker is no signal
+		"INPUT(a)\nq = DFF(a)\nCLK = NOT(a)\nOUTPUT(q)\n", // defined clock
+		"INPUT(a)\ng = tr\u0131(a, a)\nOUTPUT(g)\n",       // Unicode upper-casing
+		"INPUT(a)\ng = NOT(a)\n#@ delay g 3\n#@ delay g 5\n#@ delay a 7\n#@  delay\tg 2 x\n",
+		"INPUT(a)\r\ng = NOT(a)\r\nOUTPUT(g)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := bench.ReadString(src)
+		ref, refErr := readReference(strings.NewReader(src))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Read error %v, reference error %v\ninput: %q", err, refErr, src)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if a, b := structure(c), structure(ref); a != b {
+			t.Fatalf("Read and the reference disagree:\nRead:\n%s\nreference:\n%s\ninput: %q", a, b, src)
 		}
 		text, err := bench.WriteString(c, "fuzz")
 		if err != nil {

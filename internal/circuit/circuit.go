@@ -199,7 +199,7 @@ func (c *Circuit) MaxDelay() Tick {
 // pass.
 func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
 	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs}
-	if err := c.index(); err != nil {
+	if err := c.index(nil); err != nil {
 		return nil, err
 	}
 	c.flatten()
@@ -207,12 +207,16 @@ func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
 }
 
 // FromFlat constructs a circuit over flat storage that already exists —
-// the form a netlist has on the wire: dense kinds, delays and names, and
-// the fanin adjacency in pin order. The arrays are adopted, not copied
-// (Kinds, Delays and FaninAdj are the arguments, Gate.Fanin views them),
-// and checked like any other construction: the input comes from outside
-// the process, so nothing is indexed before it is bounded.
-func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, outputs []GateID) (*Circuit, error) {
+// the form a netlist has on the wire or straight out of the .bench
+// reader: dense kinds, delays and names, and the fanin adjacency in pin
+// order. The arrays are adopted, not copied (Kinds, Delays and FaninAdj
+// are the arguments, Gate.Fanin views them), and checked like any other
+// construction: the input comes from outside the process, so nothing is
+// indexed before it is bounded. A caller that has already built the
+// name table passes it as byName, which is adopted after the same
+// checks (it must map exactly the gates' names, each to its own gate);
+// with byName nil the table is built here.
+func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, outputs []GateID, byName map[string]GateID) (*Circuit, error) {
 	n := len(kinds)
 	if len(delays) != n || len(names) != n || len(fanin.Off) != n+1 {
 		return nil, fmt.Errorf("circuit: flat arrays disagree: %d kinds, %d delays, %d names, %d offsets",
@@ -230,32 +234,52 @@ func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, ou
 		gates[g] = Gate{Kind: kinds[g], Name: names[g], Fanin: faninView(fanin.Idx, lo, hi), Delay: delays[g]}
 	}
 	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs, FaninAdj: fanin, Kinds: kinds, Delays: delays}
-	if err := c.index(); err != nil {
+	if err := c.index(byName); err != nil {
 		return nil, err
 	}
 	c.buildFanout()
 	return c, nil
 }
 
-// index builds the name table and checks everything a complete gate list
-// must satisfy: unique non-empty names, I/O lists inside the circuit, and
-// validate's arity, reference and cycle rules.
-func (c *Circuit) index() error {
-	c.byName = make(map[string]GateID, len(c.Gates))
+// index installs the name table and checks everything a complete gate
+// list must satisfy: unique non-empty names, I/O lists that name Input
+// and Output gates of the circuit, and validate's arity, reference and
+// cycle rules. A given byName is adopted only after the same check: it
+// must hold exactly the gates' names, each mapped to its own gate.
+func (c *Circuit) index(byName map[string]GateID) error {
+	adopt := byName != nil
+	if !adopt {
+		byName = make(map[string]GateID, len(c.Gates))
+	}
 	for id := range c.Gates {
 		name := c.Gates[id].Name
 		if name == "" {
 			return fmt.Errorf("circuit: gate %d has empty name", id)
 		}
-		if prev, dup := c.byName[name]; dup {
+		prev, seen := byName[name]
+		switch {
+		case adopt && (!seen || prev != GateID(id)):
+			return fmt.Errorf("circuit: name table does not map %q to gate %d", name, id)
+		case seen && !adopt:
 			return fmt.Errorf("circuit: duplicate gate name %q (gates %d and %d)", name, prev, id)
+		case !adopt:
+			byName[name] = GateID(id)
 		}
-		c.byName[name] = GateID(id)
 	}
-	for _, io := range [2][]GateID{c.Inputs, c.Outputs} {
-		for _, g := range io {
+	if len(byName) != len(c.Gates) {
+		return fmt.Errorf("circuit: name table has %d entries for %d gates", len(byName), len(c.Gates))
+	}
+	c.byName = byName
+	for _, io := range [2]struct {
+		list []GateID
+		kind Kind
+	}{{c.Inputs, Input}, {c.Outputs, Output}} {
+		for _, g := range io.list {
 			if g < 0 || int(g) >= len(c.Gates) {
 				return fmt.Errorf("circuit: io list references undefined gate %d", g)
+			}
+			if k := c.Gates[g].Kind; k != io.kind {
+				return fmt.Errorf("circuit: gate %q (%v) listed as %v", c.Gates[g].Name, k, io.kind)
 			}
 		}
 	}

@@ -537,6 +537,12 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(good, nil, []GateID{-1}); err == nil {
 		t.Error("bad output id accepted")
 	}
+	if _, err := New(good, []GateID{1}, nil); err == nil {
+		t.Error("non-Input gate listed as an input accepted")
+	}
+	if _, err := New(good, nil, []GateID{1}); err == nil {
+		t.Error("non-Output gate listed as an output accepted")
+	}
 	cyc := []Gate{
 		{Kind: Input, Name: "a", Delay: 1},
 		{Kind: Not, Name: "x", Fanin: []GateID{2}, Delay: 1},

@@ -100,3 +100,85 @@ func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestFromFlatAdoptsNameTable: a name table passed to FromFlat becomes the
+// circuit's, and one that does not map exactly the gates' names to their
+// own gates is refused.
+func TestFromFlatAdoptsNameTable(t *testing.T) {
+	build := func(byName map[string]circuit.GateID) (*circuit.Circuit, error) {
+		return circuit.FromFlat(
+			[]circuit.Kind{circuit.Input, circuit.Not, circuit.Output},
+			[]circuit.Tick{1, 2, 1},
+			[]string{"a", "n", "y"},
+			circuit.Adj{Off: []int32{0, 0, 1, 2}, Idx: []circuit.GateID{0, 1}},
+			[]circuit.GateID{0}, []circuit.GateID{2}, byName)
+	}
+	c, err := build(map[string]circuit.GateID{"a": 0, "n": 1, "y": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := c.ByName("n"); !ok || id != 1 {
+		t.Fatalf("ByName(n) = %d, %v", id, ok)
+	}
+	for _, bad := range []map[string]circuit.GateID{
+		{"a": 0, "n": 1},                 // a gate missing
+		{"a": 0, "n": 2, "y": 1},         // names swapped
+		{"a": 0, "n": 1, "y": 2, "z": 1}, // an extra name
+		{"a": 0, "n": 1, "y": 7},         // an ID out of range
+	} {
+		if _, err := build(bad); err == nil {
+			t.Fatalf("name table %v was accepted", bad)
+		}
+	}
+	if c, err := build(nil); err != nil || c.NumGates() != 3 {
+		t.Fatalf("built table: %v", err)
+	}
+}
+
+// TestLevelizeLevels checks Levelize's contract on the generator corpus:
+// every non-source gate appears once, ascending within its level; a
+// combinational gate sits one level past its deepest combinational
+// driver; and the sequential gates form the last level.
+func TestLevelizeLevels(t *testing.T) {
+	for _, name := range []string{"c17", "s27", "mul6", "counter8", "dag300", "seq400"} {
+		c, err := gen.ByName(name, gen.Fine(4, 1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels, err := c.Levelize()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		at := make([]int, c.NumGates()) // 1-based level, 0 = not placed
+		for l, lv := range levels {
+			for i, g := range lv {
+				if at[g] != 0 || (i > 0 && lv[i-1] >= g) {
+					t.Fatalf("%s: gate %d placed twice or out of order", name, g)
+				}
+				at[g] = l + 1
+			}
+		}
+		for id, k := range c.Kinds {
+			switch {
+			case k.Source():
+				if at[id] != 0 {
+					t.Fatalf("%s: source %d placed", name, id)
+				}
+			case k.Sequential():
+				if at[id] != len(levels) {
+					t.Fatalf("%s: sequential gate %d at level %d of %d", name, id, at[id], len(levels))
+				}
+			default:
+				want := 1
+				for _, f := range c.FaninAdj.Row(circuit.GateID(id)) {
+					if fk := c.Kinds[f]; !fk.Source() && !fk.Sequential() && at[f]+1 > want {
+						want = at[f] + 1
+					}
+				}
+				if at[id] != want {
+					t.Fatalf("%s: gate %d at level %d, want %d", name, id, at[id], want)
+				}
+			}
+		}
+	}
+}

@@ -17,27 +17,28 @@ import "fmt"
 // zero-delay evaluation cycle: combinational logic settles, then state
 // elements sample their settled inputs.
 func (c *Circuit) Levelize() ([][]GateID, error) {
-	n := len(c.Gates)
-	level := make([]int, n)
-	indeg := make([]int, n)
+	n := len(c.Kinds)
+	level := make([]int32, n)
+	indeg := make([]int32, n)
 	// Combinational in-degree: number of distinct fanin nets whose driver
 	// is a non-source combinational gate. Distinctness matters because the
 	// fanout lists used for decrementing are deduplicated: a gate reading
-	// the same net through two pins is only one graph edge.
-	seen := make(map[GateID]bool)
+	// the same net through two pins is only one graph edge. lastReader[f]
+	// is the last gate that counted net f, so a repeat pin is skipped.
+	lastReader := make([]GateID, n)
+	for i := range lastReader {
+		lastReader[i] = -1
+	}
 	for id := 0; id < n; id++ {
-		g := &c.Gates[id]
-		if g.Kind.Source() {
+		if c.Kinds[id].Source() {
 			continue
 		}
-		clear(seen)
-		for _, f := range g.Fanin {
-			if seen[f] {
+		for _, f := range c.FaninAdj.Row(GateID(id)) {
+			if lastReader[f] == GateID(id) {
 				continue
 			}
-			seen[f] = true
-			fg := &c.Gates[f]
-			if !fg.Kind.Source() && !fg.Kind.Sequential() {
+			lastReader[f] = GateID(id)
+			if k := c.Kinds[f]; !k.Source() && !k.Sequential() {
 				indeg[id]++
 			}
 		}
@@ -45,26 +46,23 @@ func (c *Circuit) Levelize() ([][]GateID, error) {
 	// Kahn's algorithm over combinational edges.
 	queue := make([]GateID, 0, n)
 	for id := 0; id < n; id++ {
-		if !c.Gates[id].Kind.Source() && indeg[id] == 0 {
+		if !c.Kinds[id].Source() && indeg[id] == 0 {
 			queue = append(queue, GateID(id))
 			level[id] = 1
 		}
 	}
-	maxLevel := 0
-	processed := 0
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		processed++
+	var maxLevel int32
+	for head := 0; head < len(queue); head++ {
+		g := queue[head]
 		if level[g] > maxLevel {
 			maxLevel = level[g]
 		}
-		if c.Gates[g].Kind.Sequential() {
+		if c.Kinds[g].Sequential() {
 			// Do not propagate through state elements.
 			continue
 		}
-		for _, out := range c.Fanout[g] {
-			if c.Gates[out].Kind.Source() {
+		for _, out := range c.FanoutAdj.Row(g) {
+			if c.Kinds[out].Source() {
 				continue
 			}
 			if l := level[g] + 1; l > level[out] {
@@ -78,41 +76,49 @@ func (c *Circuit) Levelize() ([][]GateID, error) {
 	}
 	want := 0
 	for id := 0; id < n; id++ {
-		if !c.Gates[id].Kind.Source() {
+		if !c.Kinds[id].Source() {
 			want++
 		}
 	}
-	if processed != want {
-		return nil, fmt.Errorf("circuit: levelize: combinational cycle (processed %d of %d gates)", processed, want)
+	if len(queue) != want {
+		return nil, fmt.Errorf("circuit: levelize: combinational cycle (processed %d of %d gates)", len(queue), want)
 	}
 	// Pin sequential gates to a dedicated final level.
 	seqLevel := maxLevel + 1
-	hasSeq := false
 	for id := 0; id < n; id++ {
-		if c.Gates[id].Kind.Sequential() {
+		if c.Kinds[id].Sequential() {
 			level[id] = seqLevel
-			hasSeq = true
+			maxLevel = seqLevel
 		}
 	}
-	if hasSeq {
-		maxLevel = seqLevel
-	}
-	levels := make([][]GateID, maxLevel)
+	// Carve the levels out of one array, each in ascending ID order, and
+	// drop empty ones (possible when the only gates were sequential).
+	off := make([]int32, maxLevel+1)
 	for id := 0; id < n; id++ {
-		if c.Gates[id].Kind.Source() {
-			continue
-		}
-		l := level[id]
-		levels[l-1] = append(levels[l-1], GateID(id))
-	}
-	// Drop empty levels (possible when the only gates were sequential).
-	out := levels[:0]
-	for _, l := range levels {
-		if len(l) > 0 {
-			out = append(out, l)
+		if !c.Kinds[id].Source() {
+			off[level[id]]++
 		}
 	}
-	return out, nil
+	levels := make([][]GateID, 0, maxLevel)
+	for l, at := int32(1), int32(0); l <= maxLevel; l++ {
+		size := off[l]
+		off[l] = at
+		at += size
+	}
+	for id := 0; id < n; id++ {
+		if !c.Kinds[id].Source() {
+			queue[off[level[id]]] = GateID(id)
+			off[level[id]]++
+		}
+	}
+	lo := int32(0)
+	for l := int32(1); l <= maxLevel; l++ {
+		if hi := off[l]; hi > lo {
+			levels = append(levels, queue[lo:hi:hi])
+			lo = hi
+		}
+	}
+	return levels, nil
 }
 
 // TopoOrder returns all non-source gates in a valid combinational

@@ -145,7 +145,9 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, faults 
 	if cfg.System == 0 {
 		cfg.System = logic.TwoValued
 	}
-	seqCfg := seq.Config{System: cfg.System, MaxEvents: cfg.MaxEvents}
+	// Every run watches the good circuit's outputs: a faulted Output
+	// marker leaves the faulty circuit's output list but is still sampled.
+	seqCfg := seq.Config{System: cfg.System, MaxEvents: cfg.MaxEvents, Watch: c.Outputs}
 	good, err := seq.Run(c, stim, until, seqCfg)
 	if err != nil {
 		return nil, fmt.Errorf("fault: good-circuit run: %w", err)
@@ -223,7 +225,9 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, faults 
 
 // inject builds the faulty circuit: the faulted gate is replaced by a
 // constant driving the stuck value. Faulting a primary input also removes
-// it from the input list and the stimulus.
+// it from the input list and the stimulus, and faulting an Output marker
+// removes it from the output list (a circuit lists only Input and Output
+// gates there).
 func inject(c *circuit.Circuit, stim *vectors.Stimulus, f Fault) (*circuit.Circuit, *vectors.Stimulus, error) {
 	gates := make([]circuit.Gate, len(c.Gates))
 	copy(gates, c.Gates)
@@ -236,16 +240,23 @@ func inject(c *circuit.Circuit, stim *vectors.Stimulus, f Fault) (*circuit.Circu
 	}
 	fg.Fanin = nil
 
-	inputs := c.Inputs
-	if faultedInput {
-		inputs = make([]circuit.GateID, 0, len(c.Inputs)-1)
-		for _, in := range c.Inputs {
-			if in != f.Gate {
-				inputs = append(inputs, in)
+	without := func(list []circuit.GateID) []circuit.GateID {
+		out := make([]circuit.GateID, 0, len(list))
+		for _, g := range list {
+			if g != f.Gate {
+				out = append(out, g)
 			}
 		}
+		return out
 	}
-	fc, err := circuit.New(gates, inputs, c.Outputs)
+	inputs, outputs := c.Inputs, c.Outputs
+	if faultedInput {
+		inputs = without(inputs)
+	}
+	if c.Gates[f.Gate].Kind == circuit.Output {
+		outputs = without(outputs)
+	}
+	fc, err := circuit.New(gates, inputs, outputs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -19,7 +19,7 @@ const maxBalanceFanin = 32
 // settled clock edges, and settled primary outputs — is preserved. It
 // must be requested explicitly via Options.Passes.
 func passBalance(w *work) bool {
-	fo := w.distinctFanout()
+	sole := w.soleReaders()
 	changed := 0
 	for i := range w.gates {
 		g := &w.gates[i]
@@ -34,23 +34,23 @@ func passBalance(w *work) bool {
 		default:
 			continue
 		}
-		out := make([]circuit.GateID, 0, len(g.Fanin))
+		var out []circuit.GateID // nil until a child is inlined
 		width := len(g.Fanin)
-		did := false
-		for _, f := range g.Fanin {
+		for p, f := range g.Fanin {
 			fg := &w.gates[f]
-			if fg.Kind == inner && !w.keep[f] &&
-				len(fo[f]) == 1 && fo[f][0] == circuit.GateID(i) &&
+			if fg.Kind == inner && sole[f] == circuit.GateID(i) &&
 				width+len(fg.Fanin)-1 <= maxBalanceFanin {
+				if out == nil {
+					out = append(make([]circuit.GateID, 0, len(g.Fanin)+len(fg.Fanin)-1), g.Fanin[:p]...)
+				}
 				out = append(out, fg.Fanin...)
 				width += len(fg.Fanin) - 1
-				did = true
 				changed++
-			} else {
+			} else if out != nil {
 				out = append(out, f)
 			}
 		}
-		if did {
+		if out != nil {
 			g.Fanin = out
 		}
 	}

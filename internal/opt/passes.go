@@ -1,27 +1,34 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 )
 
-// work is the mutable pipeline representation: a deep copy of the gate
-// array plus the evolving original<->current GateID bridge. Passes mutate
-// gates in place and retire gates through compact, which applies a
-// substitution, renumbers densely, and composes the remap.
+// work is the mutable pipeline representation: a copy of the gate array
+// over one copy of the fanin pins, plus the evolving original<->current
+// GateID bridge. Passes mutate gates in place and retire gates through
+// compact, which applies a substitution, renumbers densely in place, and
+// composes the remap.
 type work struct {
 	gates   []circuit.Gate
 	inputs  []circuit.GateID
 	outputs []circuit.GateID
 	// fwd maps original IDs to current ones (-1 = eliminated); back maps
 	// current IDs to the original gate they descend from.
-	fwd  []circuit.GateID
-	back []circuit.GateID
-	// keep marks gates that must survive with their exact trajectory:
-	// primary inputs and Output gates.
-	keep  []bool
+	fwd   []circuit.GateID
+	back  []circuit.GateID
 	stats Stats
+
+	// Scratch sized for the original netlist and reused by every pass
+	// (the netlist only shrinks): identity's substitution and drop set,
+	// compact's renumbering, soleReaders' answer, and passHash's table.
+	repl  []circuit.GateID
+	drop  []bool
+	newID []circuit.GateID
+	sole  []circuit.GateID
+	hash  hashTable
 }
 
 func newWork(c *circuit.Circuit) *work {
@@ -32,51 +39,64 @@ func newWork(c *circuit.Circuit) *work {
 		outputs: append([]circuit.GateID(nil), c.Outputs...),
 		fwd:     make([]circuit.GateID, n),
 		back:    make([]circuit.GateID, n),
-		keep:    make([]bool, n),
+		repl:    make([]circuit.GateID, n),
+		drop:    make([]bool, n),
+		newID:   make([]circuit.GateID, n),
+		sole:    make([]circuit.GateID, n),
+		hash:    hashTable{canon: make([]circuit.GateID, 0, len(c.FaninAdj.Idx))},
 	}
+	// Every gate's fanin is a capped row of one copy of the pins, so a
+	// pass may rewrite a row in place but never append into the next.
+	pins := append([]circuit.GateID(nil), c.FaninAdj.Idx...)
+	off := c.FaninAdj.Off
 	for i := range c.Gates {
 		g := c.Gates[i]
-		g.Fanin = append([]circuit.GateID(nil), g.Fanin...)
+		g.Fanin = nil
+		if lo, hi := off[i], off[i+1]; lo < hi {
+			g.Fanin = pins[lo:hi:hi]
+		}
 		w.gates[i] = g
 		w.fwd[i] = circuit.GateID(i)
 		w.back[i] = circuit.GateID(i)
-		if g.Kind == circuit.Input || g.Kind == circuit.Output {
-			w.keep[i] = true
-		}
-	}
-	for _, g := range c.Inputs {
-		w.keep[g] = true
-	}
-	for _, g := range c.Outputs {
-		w.keep[g] = true
 	}
 	return w
 }
 
-// distinctFanout lists, per net, the gates reading it, each reader once
-// even when it reads the net through several pins.
-func (w *work) distinctFanout() [][]circuit.GateID {
-	fo := make([][]circuit.GateID, len(w.gates))
-	last := make([]circuit.GateID, len(w.gates))
-	for i := range last {
-		last[i] = -1
+// Sole-reader answers: a net no gate reads, and a net two or more read.
+const (
+	noReader    circuit.GateID = -1
+	manyReaders circuit.GateID = -2
+)
+
+// soleReaders returns, per net, the one gate reading it (however many of
+// its pins do), noReader, or manyReaders. The slice is scratch: valid
+// until the next call.
+func (w *work) soleReaders() []circuit.GateID {
+	sole := w.sole[:len(w.gates)]
+	for i := range sole {
+		sole[i] = noReader
 	}
 	for i := range w.gates {
+		r := circuit.GateID(i)
 		for _, f := range w.gates[i].Fanin {
-			if last[f] != circuit.GateID(i) {
-				last[f] = circuit.GateID(i)
-				fo[f] = append(fo[f], circuit.GateID(i))
+			switch sole[f] {
+			case noReader:
+				sole[f] = r
+			case r, manyReaders:
+			default:
+				sole[f] = manyReaders
 			}
 		}
 	}
-	return fo
+	return sole
 }
 
 // compact applies a substitution (repl, with repl[g] != g meaning "net g
 // is now driven by net repl[g]") and a drop set, rewrites every surviving
 // fanin, renumbers densely, and composes the remap. Every replaced gate
 // must also be dropped, and no survivor may reference a gate that is
-// dropped without a replacement.
+// dropped without a replacement. Survivors only move left, so the gate
+// and back arrays are compacted in place.
 func (w *work) compact(repl []circuit.GateID, drop []bool) {
 	n := len(w.gates)
 	res := func(g circuit.GateID) circuit.GateID {
@@ -85,7 +105,7 @@ func (w *work) compact(repl []circuit.GateID, drop []bool) {
 		}
 		return g
 	}
-	newID := make([]circuit.GateID, n)
+	newID := w.newID[:n]
 	id := circuit.GateID(0)
 	for i := 0; i < n; i++ {
 		if drop[i] {
@@ -95,9 +115,6 @@ func (w *work) compact(repl []circuit.GateID, drop []bool) {
 		newID[i] = id
 		id++
 	}
-	gates := make([]circuit.Gate, 0, id)
-	back := make([]circuit.GateID, 0, id)
-	keep := make([]bool, 0, id)
 	for i := 0; i < n; i++ {
 		if drop[i] {
 			continue
@@ -106,10 +123,10 @@ func (w *work) compact(repl []circuit.GateID, drop []bool) {
 		for p, f := range g.Fanin {
 			g.Fanin[p] = newID[res(f)]
 		}
-		gates = append(gates, g)
-		back = append(back, w.back[i])
-		keep = append(keep, w.keep[i])
+		w.gates[newID[i]] = g
+		w.back[newID[i]] = w.back[i]
 	}
+	w.gates, w.back = w.gates[:id], w.back[:id]
 	for i, in := range w.inputs {
 		w.inputs[i] = newID[res(in)]
 	}
@@ -122,15 +139,18 @@ func (w *work) compact(repl []circuit.GateID, drop []bool) {
 		}
 		w.fwd[o] = newID[res(w.fwd[o])]
 	}
-	w.gates, w.back, w.keep = gates, back, keep
 }
 
+// identity returns the scratch substitution and drop set, reset to "no
+// change" over the current gates.
 func (w *work) identity() ([]circuit.GateID, []bool) {
-	repl := make([]circuit.GateID, len(w.gates))
+	n := len(w.gates)
+	repl, drop := w.repl[:n], w.drop[:n]
 	for i := range repl {
 		repl[i] = circuit.GateID(i)
 	}
-	return repl, make([]bool, len(w.gates))
+	clear(drop)
+	return repl, drop
 }
 
 // ---------------------------------------------------------------- constprop
@@ -183,6 +203,9 @@ func (w *work) foldDominated(g *circuit.Gate, dominating, identity circuit.Kind)
 			return true
 		}
 	}
+	if !w.readsKind(g, identity, identity) {
+		return false
+	}
 	kept := g.Fanin[:0:0]
 	var dropped circuit.GateID = -1
 	for _, f := range g.Fanin {
@@ -210,6 +233,9 @@ func (w *work) foldDominated(g *circuit.Gate, dominating, identity circuit.Kind)
 // which is exact because xor-with-One acts as a fixed involution on the
 // fold accumulator for every logic value. At least one fanin is retained.
 func (w *work) foldXor(g *circuit.Gate) bool {
+	if !w.readsKind(g, circuit.Const0, circuit.Const1) {
+		return false
+	}
 	kept := g.Fanin[:0:0]
 	flips := 0
 	var c0, c1 circuit.GateID = -1, -1
@@ -249,6 +275,17 @@ func (w *work) foldXor(g *circuit.Gate) bool {
 		}
 	}
 	return true
+}
+
+// readsKind reports whether any of g's fanin is a gate of kind a or b; the
+// folds check it before building a new fanin list.
+func (w *work) readsKind(g *circuit.Gate, a, b circuit.Kind) bool {
+	for _, f := range g.Fanin {
+		if k := w.gates[f].Kind; k == a || k == b {
+			return true
+		}
+	}
+	return false
 }
 
 // foldMux reduces Mux2 to Buf when the select is a known constant (the
@@ -309,23 +346,26 @@ func commutativeKind(k circuit.Kind) bool {
 	return false
 }
 
-type hashKey struct {
-	kind  circuit.Kind
-	delay circuit.Tick
-	fanin string
+// hashTable is passHash's scratch: an open-addressing table of
+// representative gates keyed by a 64-bit structural hash, and the
+// representatives' canonical fanins in one flat array.
+type hashTable struct {
+	slots  []hashSlot
+	canon  []circuit.GateID // canonical fanins, representatives' rows
+	lo, hi []int32          // per representative, its row of canon
 }
 
-func faninKey(fanin []circuit.GateID, commutative bool) string {
-	ids := fanin
-	if commutative && !sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] }) {
-		ids = append([]circuit.GateID(nil), fanin...)
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	}
-	buf := make([]byte, 0, 4*len(ids))
-	for _, f := range ids {
-		buf = append(buf, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
-	}
-	return string(buf)
+// hashSlot is one table entry: a representative (-1 = empty) and its
+// hash, side by side so a probe touches one cache line.
+type hashSlot struct {
+	hash uint64
+	gate circuit.GateID
+}
+
+// hashMix folds v into a running 64-bit hash.
+func hashMix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // passHash merges structurally identical gates: same kind, same delay,
@@ -334,39 +374,69 @@ func faninKey(fanin []circuit.GateID, commutative bool) string {
 // including identical sequential state evolution for twin DFF/DLatch
 // pairs — so redirecting readers to one representative is exact. Constant
 // sources merge by kind alone (their nets carry the constant from t=0
-// regardless of delay). Inputs and Output gates never merge; a kept gate
-// can serve as a representative but is never merged away.
+// regardless of delay). Inputs and Output gates never merge. The
+// representative is the first gate in ID order; a hash match is merged
+// only after a full comparison of kind, delay and canonical fanin.
 func passHash(w *work) bool {
+	n := len(w.gates)
+	t := &w.hash
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	if len(t.slots) < size {
+		t.slots = make([]hashSlot, size)
+		t.lo, t.hi = make([]int32, n), make([]int32, n)
+	}
+	slots, mask := t.slots[:size], uint64(size-1)
+	for i := range slots {
+		slots[i].gate = -1
+	}
+	canon := t.canon[:0]
 	repl, drop := w.identity()
-	reps := make(map[hashKey]circuit.GateID, len(w.gates))
 	merged := 0
 	for i := range w.gates {
 		g := &w.gates[i]
 		if g.Kind == circuit.Input || g.Kind == circuit.Output {
 			continue
 		}
-		var k hashKey
-		if g.Kind.Source() {
-			k = hashKey{kind: g.Kind}
-		} else {
-			k = hashKey{g.Kind, g.Delay, faninKey(g.Fanin, commutativeKind(g.Kind))}
+		// The key: constants by kind alone, every other gate by kind,
+		// delay and canonical fanin (sorted for commutative folds).
+		lo := int32(len(canon))
+		h := hashMix(0, uint64(g.Kind))
+		var delay circuit.Tick
+		if !g.Kind.Source() {
+			delay = g.Delay
+			canon = append(canon, g.Fanin...)
+			if commutativeKind(g.Kind) {
+				slices.Sort(canon[lo:])
+			}
+			h = hashMix(h, uint64(delay))
+			for _, f := range canon[lo:] {
+				h = hashMix(h, uint64(f))
+			}
 		}
-		rep, ok := reps[k]
-		if !ok {
-			reps[k] = circuit.GateID(i)
+		row := canon[lo:]
+		s := h & mask
+		rep := circuit.GateID(-1)
+		for ; slots[s].gate >= 0; s = (s + 1) & mask {
+			j := slots[s].gate
+			if slots[s].hash == h && w.gates[j].Kind == g.Kind &&
+				(g.Kind.Source() || w.gates[j].Delay == delay && slices.Equal(canon[t.lo[j]:t.hi[j]], row)) {
+				rep = j
+				break
+			}
+		}
+		if rep < 0 {
+			slots[s] = hashSlot{hash: h, gate: circuit.GateID(i)}
+			t.lo[i], t.hi[i] = lo, int32(len(canon))
 			continue
 		}
-		switch {
-		case w.keep[i] && w.keep[rep]:
-			continue // two pinned nets: both must survive
-		case w.keep[i]:
-			repl[rep], drop[rep] = circuit.GateID(i), true
-			reps[k] = circuit.GateID(i)
-		default:
-			repl[i], drop[i] = rep, true
-		}
+		canon = canon[:lo]
+		repl[i], drop[i] = rep, true
 		merged++
 	}
+	t.canon = canon
 	if merged == 0 {
 		return false
 	}
@@ -406,20 +476,17 @@ func absorbableDriver(k circuit.Kind) bool {
 // class described on absorbableDriver.
 func passBufClean(w *work) bool {
 	changed := false
-	fo := w.distinctFanout()
+	sole := w.soleReaders()
 	repl, drop := w.identity()
 	touched := make([]bool, len(w.gates))
 	absorbed := 0
 	for i := range w.gates {
 		g := &w.gates[i]
-		if g.Kind != circuit.Buf || w.keep[i] || touched[i] {
+		if g.Kind != circuit.Buf || touched[i] {
 			continue
 		}
 		x := g.Fanin[0]
-		if w.keep[x] || touched[x] || !absorbableDriver(w.gates[x].Kind) {
-			continue
-		}
-		if readers := fo[x]; len(readers) != 1 || readers[0] != circuit.GateID(i) {
+		if touched[x] || !absorbableDriver(w.gates[x].Kind) || sole[x] != circuit.GateID(i) {
 			continue
 		}
 		w.gates[x].Delay += g.Delay
@@ -450,7 +517,7 @@ func passInvPair(w *work) bool {
 	changed := false
 	for i := range w.gates {
 		g := &w.gates[i]
-		if g.Kind != circuit.Not || w.keep[i] {
+		if g.Kind != circuit.Not {
 			continue
 		}
 		inner := &w.gates[g.Fanin[0]]
@@ -458,7 +525,7 @@ func passInvPair(w *work) bool {
 			continue
 		}
 		g.Kind = circuit.And
-		g.Fanin = []circuit.GateID{inner.Fanin[0]}
+		g.Fanin[0] = inner.Fanin[0]
 		g.Delay += inner.Delay
 		w.stats.InvPairs++
 		changed = true
@@ -469,34 +536,32 @@ func passInvPair(w *work) bool {
 // ---------------------------------------------------------------------- dce
 
 // passDCE drops every gate outside the backward support cone of the
-// observation roots: Output gates, sequential elements, and kept nets
-// (primary inputs are kept, so stimuli always resolve). Removing a gate
-// no root transitively reads cannot affect any observed trajectory.
+// observation roots: primary inputs (so stimuli always resolve), Output
+// gates and sequential elements. Removing a gate no root transitively
+// reads cannot affect any observed trajectory.
 func passDCE(w *work) bool {
-	n := len(w.gates)
-	live := make([]bool, n)
-	stack := make([]circuit.GateID, 0, n)
+	repl, drop := w.identity()
+	stack := make([]circuit.GateID, 0, len(w.gates))
 	for i := range w.gates {
-		if w.keep[i] || w.gates[i].Kind == circuit.Output || w.gates[i].Kind.Sequential() {
-			live[i] = true
+		if k := w.gates[i].Kind; k == circuit.Input || k == circuit.Output || k.Sequential() {
 			stack = append(stack, circuit.GateID(i))
+		} else {
+			drop[i] = true // dead until the search reaches it
 		}
 	}
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, f := range w.gates[g].Fanin {
-			if !live[f] {
-				live[f] = true
+			if drop[f] {
+				drop[f] = false
 				stack = append(stack, f)
 			}
 		}
 	}
-	repl, drop := w.identity()
 	dead := 0
-	for i := range live {
-		if !live[i] {
-			drop[i] = true
+	for _, d := range drop {
+		if d {
 			dead++
 		}
 	}

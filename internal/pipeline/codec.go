@@ -221,7 +221,7 @@ func Decode(payload []byte) (*Prepared, error) {
 	}
 
 	var err error
-	if p.Circuit, err = circuit.FromFlat(kinds, delays, names, fanin, inputs, outputs); err != nil {
+	if p.Circuit, err = circuit.FromFlat(kinds, delays, names, fanin, inputs, outputs, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if got := ckpt.Fingerprint(p.Circuit); got != fp {
