@@ -124,30 +124,32 @@ func (a *Adj) Row(g GateID) []GateID { return a.Idx[a.Off[g]:a.Off[g+1]] }
 // Circuit is an immutable gate-level netlist.
 //
 // The connectivity is stored once, flat: FaninAdj and FanoutAdj hold every
-// edge in two contiguous index arrays, and Gate.Fanin and Fanout[g] are
-// sub-slices of them. The engines' per-event loops read the flat arrays
-// (Adj.Row, Kinds, Delays) so one evaluation touches a few dense cache
-// lines instead of a 64-byte Gate and a separately allocated fanin slice;
-// everything else keeps the per-gate views.
+// edge in two contiguous index arrays, and Gate.Fanin is a sub-slice of
+// FaninAdj. The engines' per-event loops read the flat arrays (Adj.Row,
+// Kinds, Delays) so one evaluation touches a few dense cache lines instead
+// of a 64-byte Gate and a separately allocated fanin slice; everything
+// else keeps the per-gate views.
 type Circuit struct {
 	// Gates is indexed by GateID.
 	Gates []Gate
-	// Fanout[g] lists the gates reading net g, in ascending ID order with
-	// duplicates removed (a gate appears once even if it reads g twice).
-	// It is FanoutAdj.Row(g) (nil when empty).
-	Fanout [][]GateID
 	// Inputs and Outputs list the primary input and output gates in
 	// declaration order.
 	Inputs  []GateID
 	Outputs []GateID
 
-	// FaninAdj rows are the gates' fanin lists in pin order; FanoutAdj
-	// rows are the fanout lists described at Fanout.
+	// FaninAdj rows are the gates' fanin lists in pin order. FanoutAdj
+	// row g lists the gates reading net g, in ascending ID order with
+	// duplicates removed (a gate appears once even if it reads g twice).
 	FaninAdj  Adj
 	FanoutAdj Adj
 	// Kinds[g] and Delays[g] are Gates[g].Kind and Gates[g].Delay, dense.
 	Kinds  []Kind
 	Delays []Tick
+	// Levels is the circuit's levelization, computed once at construction
+	// (see levelize): every non-source gate in exactly one level, each
+	// level in ascending ID order, the sequential gates in the last. Like
+	// the arrays above it is shared and must not be written.
+	Levels [][]GateID
 
 	byName map[string]GateID
 }
@@ -203,7 +205,7 @@ func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
 		return nil, err
 	}
 	c.flatten()
-	return c, nil
+	return c.seal()
 }
 
 // FromFlat constructs a circuit over flat storage that already exists —
@@ -237,14 +239,13 @@ func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, ou
 	if err := c.index(byName); err != nil {
 		return nil, err
 	}
-	c.buildFanout()
-	return c, nil
+	return c.seal()
 }
 
 // index installs the name table and checks everything a complete gate
 // list must satisfy: unique non-empty names, I/O lists that name Input
-// and Output gates of the circuit, and validate's arity, reference and
-// cycle rules. A given byName is adopted only after the same check: it
+// and Output gates of the circuit, and validate's arity and reference
+// rules. A given byName is adopted only after the same check: it
 // must hold exactly the gates' names, each mapped to its own gate.
 func (c *Circuit) index(byName map[string]GateID) error {
 	adopt := byName != nil
@@ -421,6 +422,17 @@ func (b *Builder) Build() (*Circuit, error) {
 		return nil, err
 	}
 	c.flatten()
+	return c.seal()
+}
+
+// seal is the tail every constructor ends in, once the gate list is
+// validated and flat: it derives the fanout adjacency and levelizes, which
+// refuses a combinational cycle.
+func (c *Circuit) seal() (*Circuit, error) {
+	c.buildFanout()
+	if err := c.levelize(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -442,14 +454,8 @@ func (c *Circuit) validate() error {
 				return fmt.Errorf("circuit: gate %q references undefined gate %d", g.Name, f)
 			}
 		}
-		if !g.Kind.Source() && g.Delay == 0 {
-			// Zero delays are permitted at build time (the oblivious engine
-			// does not use them) but flagged by CheckEventDriven below, so
-			// nothing to do here.
-			_ = g
-		}
 	}
-	return c.checkCombinationalCycles()
+	return nil
 }
 
 // CheckEventDriven verifies the circuit satisfies the constraints of the
@@ -466,59 +472,9 @@ func (c *Circuit) CheckEventDriven() error {
 	return nil
 }
 
-// checkCombinationalCycles rejects cycles that pass only through
-// combinational gates. Cycles through DFFs are legal (that is what
-// sequential circuits are); purely combinational feedback with discrete
-// delays can oscillate forever, so it is rejected at build time.
-// Cross-coupled latch structures must therefore be expressed with the
-// DLatch primitive.
-func (c *Circuit) checkCombinationalCycles() error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, len(c.Gates))
-	// Iterative DFS to survive deep circuits.
-	type frame struct {
-		id   GateID
-		next int
-	}
-	var stack []frame
-	for start := range c.Gates {
-		if color[start] != white {
-			continue
-		}
-		stack = append(stack[:0], frame{GateID(start), 0})
-		color[start] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			g := &c.Gates[f.id]
-			// Sequential gates break combinational cycles: do not traverse
-			// through their fanin (their output is a state element).
-			if g.Kind.Sequential() || f.next >= len(g.Fanin) {
-				color[f.id] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			child := g.Fanin[f.next]
-			f.next++
-			switch color[child] {
-			case white:
-				color[child] = gray
-				stack = append(stack, frame{child, 0})
-			case gray:
-				return fmt.Errorf("circuit: combinational cycle through gate %q", c.Gates[child].Name)
-			}
-		}
-	}
-	return nil
-}
-
 // flatten builds the circuit's flat storage from the validated gate list:
 // the fanin index array with its offsets, the dense kind and delay arrays,
-// and the per-gate Gate.Fanin views into them; buildFanout derives the
-// rest.
+// and the per-gate Gate.Fanin views into them; seal derives the rest.
 func (c *Circuit) flatten() {
 	n := len(c.Gates)
 	c.Kinds = make([]Kind, n)
@@ -540,7 +496,6 @@ func (c *Circuit) flatten() {
 		g.Fanin = faninView(inIdx, lo, hi)
 	}
 	c.FaninAdj = Adj{Off: inOff, Idx: inIdx}
-	c.buildFanout()
 }
 
 // faninView is the Gate.Fanin slice for the row idx[lo:hi]: capped so an
@@ -552,7 +507,7 @@ func faninView(idx []GateID, lo, hi int32) []GateID {
 	return idx[lo:hi:hi]
 }
 
-// buildFanout derives FanoutAdj and the Fanout views from FaninAdj.
+// buildFanout derives FanoutAdj from FaninAdj.
 //
 // Fanout rows come out ascending and deduplicated without a sort: gates
 // are visited in ID order, so each row is filled in ascending order, and a
@@ -592,12 +547,6 @@ func (c *Circuit) buildFanout() {
 		}
 	}
 	c.FanoutAdj = Adj{Off: outOff, Idx: outIdx}
-	c.Fanout = make([][]GateID, n)
-	for g := range c.Fanout {
-		if lo, hi := outOff[g], outOff[g+1]; lo < hi {
-			c.Fanout[g] = outIdx[lo:hi:hi]
-		}
-	}
 }
 
 // Stats summarizes circuit structure; the paper lists circuit structure as
@@ -629,6 +578,7 @@ func (c *Circuit) ComputeStats() Stats {
 		TotalNets: len(c.Gates),
 		MinDelay:  c.MinDelay(),
 		MaxDelay:  c.MaxDelay(),
+		CombDepth: len(c.Levels),
 	}
 	totalFanout := 0
 	for id := range c.Gates {
@@ -641,7 +591,7 @@ func (c *Circuit) ComputeStats() Stats {
 		if g.Kind == DLatch {
 			s.Latches++
 		}
-		fo := len(c.Fanout[id])
+		fo := len(c.FanoutAdj.Row(GateID(id)))
 		totalFanout += fo
 		if fo > s.MaxFanout {
 			s.MaxFanout = fo
@@ -649,9 +599,6 @@ func (c *Circuit) ComputeStats() Stats {
 	}
 	if len(c.Gates) > 0 {
 		s.AvgFanout = float64(totalFanout) / float64(len(c.Gates))
-	}
-	if levels, err := c.Levelize(); err == nil {
-		s.CombDepth = len(levels)
 	}
 	return s
 }

@@ -157,9 +157,9 @@ func TestFanoutComputedAndDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	fo := c.Fanout[a]
+	fo := c.FanoutAdj.Row(a)
 	if len(fo) != 2 || fo[0] != x || fo[1] != y {
-		t.Fatalf("Fanout[a] = %v, want [%d %d]", fo, x, y)
+		t.Fatalf("fanout of a = %v, want [%d %d]", fo, x, y)
 	}
 }
 
@@ -331,10 +331,7 @@ func TestLevelizeChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, err := c.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	levels := c.Levels
 	if len(levels) != 4 {
 		t.Fatalf("chain of 3 + output: %d levels, want 4", len(levels))
 	}
@@ -357,10 +354,7 @@ func TestLevelizeRespectsDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, err := c.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	levels := c.Levels
 	pos := map[GateID]int{}
 	for i, l := range levels {
 		for _, g := range l {
@@ -397,10 +391,7 @@ func TestLevelizeSequentialLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, err := c.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	levels := c.Levels
 	last := levels[len(levels)-1]
 	foundFF := false
 	for _, g := range last {
@@ -418,11 +409,11 @@ func TestLevelizeSequentialLast(t *testing.T) {
 	}
 }
 
-func TestTopoOrderCoversAllNonSources(t *testing.T) {
+func TestLevelsCoverAllNonSources(t *testing.T) {
 	c := buildNand2(t)
-	order, err := c.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
+	placed := 0
+	for _, l := range c.Levels {
+		placed += len(l)
 	}
 	want := 0
 	for id := range c.Gates {
@@ -430,8 +421,8 @@ func TestTopoOrderCoversAllNonSources(t *testing.T) {
 			want++
 		}
 	}
-	if len(order) != want {
-		t.Fatalf("TopoOrder has %d gates, want %d", len(order), want)
+	if placed != want {
+		t.Fatalf("Levels hold %d gates, want %d", placed, want)
 	}
 }
 
@@ -511,8 +502,8 @@ func TestNewDirectConstructor(t *testing.T) {
 		t.Fatal("byName not built")
 	}
 	// Fanout computed: gate 1 (q) feeds nq and y.
-	if len(c.Fanout[1]) != 2 {
-		t.Fatalf("fanout of q = %v", c.Fanout[1])
+	if fo := c.FanoutAdj.Row(1); len(fo) != 2 {
+		t.Fatalf("fanout of q = %v", fo)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // a deep copy of its gate list and checks the flat storage against the
 // per-gate construction it replaced: fanin rows keep pin order, fanout
 // rows are the readers of each net ascending with duplicates removed,
-// Gate.Fanin and Fanout are views of the same rows, and the dense kind and
+// Gate.Fanin is a view of its row, and the dense kind and
 // delay arrays repeat the gate fields.
 func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
 	names := []string{"c17", "s27", "ripple8", "cla12", "mul6", "lfsr9", "counter8", "shift16", "dag300", "seq400"}
@@ -74,7 +74,7 @@ func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
 			t.Fatalf("corpus %d: %v", ci, err)
 		}
 		n := len(c.Gates)
-		if len(c.Fanout) != n || len(c.Kinds) != n || len(c.Delays) != n ||
+		if len(c.Kinds) != n || len(c.Delays) != n ||
 			len(c.FaninAdj.Off) != n+1 || len(c.FanoutAdj.Off) != n+1 {
 			t.Fatalf("corpus %d: flat array lengths do not match %d gates", ci, n)
 		}
@@ -84,14 +84,11 @@ func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
 			if !slices.Equal(c.FaninAdj.Row(g), wantFanin[id]) || !slices.Equal(c.Gates[id].Fanin, wantFanin[id]) {
 				t.Fatalf("%s: fanin row %v, view %v, want %v", where, c.FaninAdj.Row(g), c.Gates[id].Fanin, wantFanin[id])
 			}
-			if !slices.Equal(c.FanoutAdj.Row(g), want[id]) || !slices.Equal(c.Fanout[id], want[id]) {
-				t.Fatalf("%s: fanout row %v, view %v, want %v", where, c.FanoutAdj.Row(g), c.Fanout[id], want[id])
+			if !slices.Equal(c.FanoutAdj.Row(g), want[id]) {
+				t.Fatalf("%s: fanout row %v, want %v", where, c.FanoutAdj.Row(g), want[id])
 			}
 			if len(wantFanin[id]) > 0 && &c.Gates[id].Fanin[0] != &c.FaninAdj.Row(g)[0] {
 				t.Fatalf("%s: Gate.Fanin is a copy, not a view of the flat array", where)
-			}
-			if len(want[id]) > 0 && &c.Fanout[id][0] != &c.FanoutAdj.Row(g)[0] {
-				t.Fatalf("%s: Fanout is a copy, not a view of the flat array", where)
 			}
 			if c.Kinds[id] != c.Gates[id].Kind || c.Delays[id] != c.Gates[id].Delay {
 				t.Fatalf("%s: dense kind/delay (%v,%d) differ from the gate's (%v,%d)",
@@ -135,19 +132,21 @@ func TestFromFlatAdoptsNameTable(t *testing.T) {
 	}
 }
 
-// TestLevelizeLevels checks Levelize's contract on the generator corpus:
-// every non-source gate appears once, ascending within its level; a
-// combinational gate sits one level past its deepest combinational
-// driver; and the sequential gates form the last level.
+// TestLevelizeLevels checks the Levels contract on the generator corpus:
+// they equal the reference levelization; every non-source gate appears
+// once, ascending within its level; a combinational gate sits one level
+// past its deepest combinational driver; and the sequential gates form
+// the last level.
 func TestLevelizeLevels(t *testing.T) {
 	for _, name := range []string{"c17", "s27", "mul6", "counter8", "dag300", "seq400"} {
 		c, err := gen.ByName(name, gen.Fine(4, 1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		levels, err := c.Levelize()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		levels := c.Levels
+		want, err := levelizeReference(c.Gates)
+		if err != nil || !equalLevels(levels, want) {
+			t.Fatalf("%s: Levels differ from the reference levelization (%v)", name, err)
 		}
 		at := make([]int, c.NumGates()) // 1-based level, 0 = not placed
 		for l, lv := range levels {

@@ -171,7 +171,12 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer h.close()
+	return h.supervise()
+}
 
+// supervise runs attempts until one succeeds or the restart budget is
+// spent, then falls back to in-process simulation when the options allow.
+func (h *hub) supervise() (*Result, error) {
 	var lastErr error
 	for attempt := 0; attempt <= h.opts.Restarts; attempt++ {
 		res, err := h.runAttempt(attempt)
@@ -575,10 +580,12 @@ type session struct {
 type shardLink struct {
 	ep *wire.Endpoint
 
-	// pmu guards proc: the spawner's worker can connect and trigger a
-	// chaos kill before runAttempt stores the Proc handle.
-	pmu  sync.Mutex
-	proc Proc
+	// pmu guards proc and killDue: the spawner's worker can connect and
+	// trigger a chaos kill before runAttempt stores the Proc handle, and
+	// that kill is then held in killDue for setProc to apply.
+	pmu     sync.Mutex
+	proc    Proc
+	killDue bool
 
 	result  atomic.Pointer[shardResult]
 	reports chan wire.GVTReport
@@ -602,10 +609,29 @@ type shardLink struct {
 	fired  []bool
 }
 
+// setProc stores the shard's worker handle and applies a kill that fell
+// due before it existed.
 func (l *shardLink) setProc(p Proc) {
 	l.pmu.Lock()
 	l.proc = p
+	due := l.killDue
 	l.pmu.Unlock()
+	if due {
+		p.Kill()
+	}
+}
+
+// kill kills the shard's worker, or, when the spawner has not returned
+// its handle yet, leaves the kill for setProc: a due kill is never
+// dropped.
+func (l *shardLink) kill() {
+	l.pmu.Lock()
+	p := l.proc
+	l.killDue = p == nil
+	l.pmu.Unlock()
+	if p != nil {
+		p.Kill()
+	}
 }
 
 func (l *shardLink) getProc() Proc {
@@ -765,9 +791,7 @@ func (s *session) fire(link *shardLink, f netfault.Fault) {
 		link.ep.FreezeOut(d)
 		link.ep.FreezeIn(d)
 	case netfault.OpKill:
-		if p := link.getProc(); p != nil {
-			p.Kill()
-		}
+		link.kill()
 	}
 }
 

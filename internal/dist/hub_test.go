@@ -3,6 +3,7 @@ package dist
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist/wire"
 	"repro/internal/simtest/chaos/netfault"
@@ -42,4 +43,59 @@ func TestHandleConcurrentFramesOneLink(t *testing.T) {
 			t.Fatalf("fault %d (after %d frames) never fired", i, link.faults[i].AfterFrames)
 		}
 	}
+}
+
+// firstFrameSpawner starts workers in process, but returns the handle of
+// one shard's first worker only once the hub has handled that worker's
+// first frame, a batch (the session counts a batch's bytes after firing
+// the frame's faults). A kill planted at that frame falls due while the
+// hub holds no handle to kill.
+type firstFrameSpawner struct {
+	h     *hub
+	shard int
+}
+
+func (s *firstFrameSpawner) Spawn(network, addr string, shard, attempt int) (Proc, error) {
+	p, err := InProcSpawner{}.Spawn(network, addr, shard, attempt)
+	if err != nil || shard != s.shard || attempt != 0 {
+		return p, err
+	}
+	s.h.mu.Lock()
+	sess := s.h.sess
+	s.h.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); sess.hubDataBytes.Load() == 0 && time.Now().Before(deadline); {
+		select {
+		case <-p.Done():
+			return p, nil
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return p, nil
+}
+
+// TestKillDueBeforeSpawnReturnsRecovers plants a kill at shard 0's first
+// frame and lets that frame be handled before the spawner returns the
+// worker's handle: the kill must still land and cost one recovery.
+func TestKillDueBeforeSpawnReturnsRecovers(t *testing.T) {
+	until, ref := golden(t)
+	opts := baseOpts(t, "cmb", 2, until)
+	opts.Restarts = 1
+	opts.HeartbeatEvery = time.Hour
+	opts.Plan = netfault.Plan{{Op: netfault.OpKill, Shard: 0, AfterFrames: 0, Attempt: 0}}
+	sp := &firstFrameSpawner{shard: 0}
+	opts.Spawn = sp
+	h, err := newHub(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.close()
+	sp.h = h
+	res, err := h.supervise()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", res.Recoveries)
+	}
+	checkMatchesGolden(t, res, ref)
 }

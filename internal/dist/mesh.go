@@ -50,7 +50,7 @@ func meshNeighbors(c *circuit.Circuit, assign []int, shardOf []int, shards int) 
 	}
 	for g := 0; g < c.NumGates(); g++ {
 		sg := shardOf[assign[g]]
-		for _, fo := range c.Fanout[g] {
+		for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			if sf := shardOf[assign[fo]]; sf != sg {
 				adj[sg][sf] = true
 				adj[sf][sg] = true

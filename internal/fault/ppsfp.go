@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	gosync "sync"
 
 	"repro/internal/circuit"
@@ -169,11 +170,7 @@ func sweepOrder(c *circuit.Circuit) ([]circuit.GateID, error) {
 			return nil, fmt.Errorf("fault: PPSFP is two-valued; gate %q (%v) is not", c.Gates[id].Name, k)
 		}
 	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, fmt.Errorf("fault: %w", err)
-	}
-	return order, nil
+	return slices.Concat(c.Levels...), nil
 }
 
 // pack drives a batch of at most logic.Lanes patterns onto the inputs of

@@ -132,9 +132,7 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 	w := newWork(c)
 	st := &w.stats
 	st.GatesBefore = len(c.Gates)
-	if lv, err := c.Levelize(); err == nil {
-		st.LevelsBefore = len(lv)
-	}
+	st.LevelsBefore = len(c.Levels)
 
 	for round := 0; round < maxRounds; round++ {
 		changed := false
@@ -157,9 +155,7 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 	}
 	st.GatesAfter = len(oc.Gates)
 	st.GatesRemoved = st.GatesBefore - st.GatesAfter
-	if lv, err := oc.Levelize(); err == nil {
-		st.LevelsAfter = len(lv)
-	}
+	st.LevelsAfter = len(oc.Levels)
 	return &Result{
 		Circuit: oc,
 		Remap:   Remap{Fwd: w.fwd, Back: w.back},

@@ -104,14 +104,14 @@ type blockSet struct {
 func newBlockSet(blocks int) *blockSet { return &blockSet{stamp: make([]int, blocks)} }
 
 // netCutLinks counts the cut links of net src under assign: the number of
-// distinct consumer blocks other than the driver's own. Circuit.Fanout is
+// distinct consumer blocks other than the driver's own. Fanout rows are
 // already deduplicated, so a consumer reading src through several pins
 // contributes its block once. seen is scratch.
 func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen *blockSet) int {
 	cut := 0
 	seen.gen++
 	sb := assign[src]
-	for _, dst := range c.Fanout[src] {
+	for _, dst := range c.FanoutAdj.Row(src) {
 		if db := assign[dst]; db != sb && seen.stamp[db] != seen.gen {
 			seen.stamp[db] = seen.gen
 			cut++
@@ -121,12 +121,12 @@ func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen *blo
 }
 
 // localCutLinks sums the cut links of every net incident to gate g: its
-// own output net plus each distinct fanin net. Gate.Fanin, unlike
-// Circuit.Fanout, is NOT deduplicated — a gate may read one net through
-// two pins (structural hashing produces exactly that shape when it merges
-// a gate's two fanin drivers) — so duplicate fanin entries must be
-// skipped or the net's contribution is double-counted, biasing every
-// annealing accept/reject delta on such circuits.
+// own output net plus each distinct fanin net. Gate.Fanin, unlike a
+// fanout row, is NOT deduplicated — a gate may read one net through two
+// pins (structural hashing produces exactly that shape when it merges a
+// gate's two fanin drivers) — so duplicate fanin entries must be skipped
+// or the net's contribution is double-counted, biasing every annealing
+// accept/reject delta on such circuits.
 func localCutLinks(c *circuit.Circuit, assign []int, g circuit.GateID, seen *blockSet) int {
 	cut := netCutLinks(c, assign, g, seen)
 	fanin := c.Gates[g].Fanin

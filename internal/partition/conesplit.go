@@ -54,7 +54,7 @@ func ConeSplit(c *circuit.Circuit, k int, w Weights) (*Partition, int) {
 			continue
 		}
 		votes := make(map[int]int)
-		for _, dst := range c.Fanout[g] {
+		for _, dst := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			votes[uf.find(int(dst))]++
 		}
 		best, bestVotes := -1, 0

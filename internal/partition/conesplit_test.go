@@ -28,7 +28,7 @@ func TestConeSplitBoundaryProperty(t *testing.T) {
 			for g := range c.Gates {
 				src := circuit.GateID(g)
 				kind := c.Gates[g].Kind
-				for _, dst := range c.Fanout[src] {
+				for _, dst := range c.FanoutAdj.Row(src) {
 					if p.Assign[src] == p.Assign[dst] {
 						continue
 					}
@@ -160,7 +160,7 @@ func TestLocalCutLinksMultiPin(t *testing.T) {
 	if got := localCutLinks(c, assign, y, seen); got != 1 {
 		t.Fatalf("localCutLinks(y) = %d, want 1 (multi-pin fanin double-counted)", got)
 	}
-	// The same quantity via the deduplicated Circuit.Fanout agrees.
+	// The same quantity via the deduplicated fanout row agrees.
 	if got := netCutLinks(c, assign, x, seen); got != 1 {
 		t.Fatalf("netCutLinks(x) = %d, want 1", got)
 	}

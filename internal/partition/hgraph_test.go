@@ -47,7 +47,7 @@ func refNets(c *circuit.Circuit, verts []circuit.GateID) [][]int32 {
 	for i, v := range verts {
 		cells := []int32{int32(i)}
 		seen := map[int32]bool{int32(i): true}
-		for _, dst := range c.Fanout[v] {
+		for _, dst := range c.FanoutAdj.Row(v) {
 			if j, ok := index[dst]; ok && !seen[j] {
 				seen[j] = true
 				cells = append(cells, j)

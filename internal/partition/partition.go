@@ -111,7 +111,7 @@ func (a *Audience) Of(g circuit.GateID) []int {
 	start := len(a.dst)
 	a.seen[a.owner[g]] = true
 	a.dst = append(a.dst, a.owner[g])
-	for _, fo := range a.c.Fanout[g] {
+	for _, fo := range a.c.FanoutAdj.Row(g) {
 		if b := a.owner[fo]; !a.seen[b] {
 			a.seen[b] = true
 			a.dst = append(a.dst, b)
@@ -319,7 +319,6 @@ func New(m Method, c *circuit.Circuit, k int, opts Options) (*Partition, error) 
 		return nil, fmt.Errorf("partition: %d weights for %d gates", len(opts.Weights), c.NumGates())
 	}
 	var p *Partition
-	var err error
 	switch m {
 	case MethodRandom:
 		p = Random(c, k, opts.Seed)
@@ -330,7 +329,7 @@ func New(m Method, c *circuit.Circuit, k int, opts Options) (*Partition, error) 
 	case MethodCones:
 		p = Cones(c, k, opts.Weights)
 	case MethodLevels:
-		p, err = Levels(c, k, opts.Weights)
+		p = Levels(c, k, opts.Weights)
 	case MethodKL:
 		p = KL(c, k, opts.Weights, opts.Seed)
 	case MethodFM:
@@ -343,9 +342,6 @@ func New(m Method, c *circuit.Circuit, k int, opts Options) (*Partition, error) 
 		p, _ = ConeSplit(c, k, opts.Weights)
 	default:
 		return nil, fmt.Errorf("partition: unknown method %v", m)
-	}
-	if err != nil {
-		return nil, err
 	}
 	if err := p.Validate(c); err != nil {
 		return nil, err

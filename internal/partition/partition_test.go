@@ -286,10 +286,7 @@ func TestLevelsSpreadsLevelsAcrossBlocks(t *testing.T) {
 		b.Gate(circuit.And, nameN("g", i), a, bb)
 	}
 	g0, _ := b.Build()
-	p, err := Levels(g0, 4, WeightsUniform(g0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Levels(g0, 4, WeightsUniform(g0))
 	counts := make([]int, 4)
 	for g := range g0.Gates {
 		if g0.Gates[g].Kind == circuit.And {
@@ -428,7 +425,7 @@ func TestAudienceIsOwnerThenGhosts(t *testing.T) {
 	want := func(g circuit.GateID) []int {
 		dsts := []int{p.Assign[g]}
 		seen := map[int]bool{p.Assign[g]: true}
-		for _, fo := range c.Fanout[g] {
+		for _, fo := range c.FanoutAdj.Row(g) {
 			if b := p.Assign[fo]; !seen[b] {
 				seen[b] = true
 				dsts = append(dsts, b)

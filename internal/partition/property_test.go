@@ -52,7 +52,7 @@ var imbalanceBound = map[Method]float64{
 func recountCut(c *circuit.Circuit, p *Partition) int {
 	pairs := map[int]struct{}{}
 	for g := range c.Gates {
-		for _, dst := range c.Fanout[g] {
+		for _, dst := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			if p.Assign[dst] != p.Assign[g] {
 				pairs[g*p.Blocks+p.Assign[dst]] = struct{}{}
 			}

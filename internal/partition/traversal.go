@@ -29,7 +29,7 @@ func Strings(c *circuit.Circuit, k int, w Weights) *Partition {
 			p.Assign[g] = block
 			loads[block] += w[g]
 			next := circuit.GateID(-1)
-			for _, out := range c.Fanout[g] {
+			for _, out := range c.FanoutAdj.Row(g) {
 				if p.Assign[out] < 0 {
 					next = out
 					break
@@ -53,7 +53,7 @@ func Strings(c *circuit.Circuit, k int, w Weights) *Partition {
 	for {
 		grew := false
 		for _, in := range c.Inputs {
-			for _, out := range c.Fanout[in] {
+			for _, out := range c.FanoutAdj.Row(in) {
 				if p.Assign[out] < 0 {
 					assignString(out)
 					grew = true
@@ -127,11 +127,7 @@ func Cones(c *circuit.Circuit, k int, w Weights) *Partition {
 // every simulated time — the objective synchronous simulation cares about
 // most. The deal is weight-aware (each level's gates go to the lightest
 // blocks first).
-func Levels(c *circuit.Circuit, k int, w Weights) (*Partition, error) {
-	levels, err := c.Levelize()
-	if err != nil {
-		return nil, err
-	}
+func Levels(c *circuit.Circuit, k int, w Weights) *Partition {
 	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
 	for g := range p.Assign {
 		p.Assign[g] = -1
@@ -142,7 +138,7 @@ func Levels(c *circuit.Circuit, k int, w Weights) (*Partition, error) {
 		p.Assign[g] = b
 		loads[b] += w[g]
 	}
-	for _, level := range levels {
+	for _, level := range c.Levels {
 		for _, g := range level {
 			place(g)
 		}
@@ -155,7 +151,7 @@ func Levels(c *circuit.Circuit, k int, w Weights) (*Partition, error) {
 		}
 		counts := make(map[int]int)
 		best, bestN := -1, -1
-		for _, out := range c.Fanout[g] {
+		for _, out := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			if b := p.Assign[out]; b >= 0 {
 				counts[b]++
 				if counts[b] > bestN {
@@ -169,5 +165,5 @@ func Levels(c *circuit.Circuit, k int, w Weights) (*Partition, error) {
 		p.Assign[g] = best
 		loads[best] += w[g]
 	}
-	return p, nil
+	return p
 }

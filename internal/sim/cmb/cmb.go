@@ -279,7 +279,7 @@ func run[V comparable](
 	}
 	for g := range c.Gates {
 		src := owner[g]
-		for _, fo := range c.Fanout[g] {
+		for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			if dst := owner[fo]; dst != src {
 				la[src*n+dst] = min(la[src*n+dst], c.Gates[g].Delay)
 			}

@@ -182,19 +182,11 @@ func (lp *LPT[V]) EnableSweep(threshold int) {
 	for _, g := range lp.ownGates {
 		own[g] = true
 	}
-	if levels, err := lp.c.Levelize(); err == nil {
-		for _, level := range levels {
-			for _, g := range level {
-				if own[g] && !lp.c.Kinds[g].Source() {
-					lp.sweepGates = append(lp.sweepGates, g)
-				}
+	for _, level := range lp.c.Levels {
+		for _, g := range level {
+			if own[g] {
+				lp.sweepGates = append(lp.sweepGates, g)
 			}
-		}
-		return
-	}
-	for _, g := range lp.ownGates {
-		if !lp.c.Kinds[g].Source() {
-			lp.sweepGates = append(lp.sweepGates, g)
 		}
 	}
 }

@@ -271,7 +271,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	blockGates := p.BlockGates()
 	if overlap {
 		for g, src := range p.Assign {
-			for _, fo := range c.Fanout[g] {
+			for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
 				if dst := p.Assign[fo]; dst != src && !slices.Contains(n.lps[src].out, dst) {
 					n.lps[src].out = append(n.lps[src].out, dst)
 				}

@@ -106,32 +106,19 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if st.Latches > 0 {
 		return nil, fmt.Errorf("oblivious: transparent latches are not supported by cycle-based evaluation")
 	}
-	levels, err := c.Levelize()
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
 
 	val, prevClk := pl.InitState(c, cfg.System)
 	watched := c.Outputs
 
-	// Split levels: sequential gates live in the dedicated final level (by
-	// construction of Levelize) and are evaluated before the combinational
+	// Split levels: sequential gates form the dedicated final level of the
+	// circuit's levelization and are evaluated before the combinational
 	// sweep of each boundary.
 	var seqGates []circuit.GateID
-	combLevels := levels
-	if st.FlipFlops > 0 && len(levels) > 0 {
-		last := levels[len(levels)-1]
-		allSeq := true
-		for _, g := range last {
-			if !c.Kinds[g].Sequential() {
-				allSeq = false
-			}
-		}
-		if allSeq {
-			seqGates = last
-			combLevels = levels[:len(levels)-1]
-		}
+	combLevels := c.Levels
+	if st.FlipFlops > 0 {
+		seqGates = c.Levels[len(c.Levels)-1]
+		combLevels = c.Levels[:len(c.Levels)-1]
 	}
 
 	res := &ResultT[V]{}

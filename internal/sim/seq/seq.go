@@ -402,13 +402,6 @@ func Horizon(c *circuit.Circuit, stim *vectors.Stimulus) circuit.Tick {
 // for the last vector to propagate to the outputs through any path, plus
 // slack for sequential feedback).
 func HorizonFrom(c *circuit.Circuit, stimEnd circuit.Tick) circuit.Tick {
-	depth := circuit.Tick(1)
-	if levels, err := c.Levelize(); err == nil {
-		depth = circuit.Tick(len(levels) + 2)
-	}
-	max := c.MaxDelay()
-	if max == 0 {
-		max = 1
-	}
-	return stimEnd + 4*depth*max
+	depth := circuit.Tick(len(c.Levels) + 2)
+	return stimEnd + 4*depth*max(c.MaxDelay(), 1)
 }
