@@ -273,10 +273,8 @@ func main() {
 
 	run, err := pipeline.Prepare(spec)
 	fatal(err)
-	// The structure statistics are computed even under -q, as they always
-	// were: benchmark/pipeline.go's replica of this file counts on it.
-	if st := run.Circuit.ComputeStats(); !*quiet {
-		printWorkload(run, st)
+	if !*quiet {
+		printWorkload(run, run.Circuit.ComputeStats())
 	}
 
 	var rep *metrics.Report

@@ -293,7 +293,7 @@ func run[V comparable](
 		laBias = circuit.Tick(cfg.Chaos.LookaheadBias)
 	}
 	lps := make([]clp[V], n)
-	for i := range lps {
+	for _, i := range net.Locals() {
 		l := &lps[i]
 		lpnet.Join(net, &l.LP, i, l, eventq.NewCap[kernel.EventT[V]](cfg.Queue, 128), lpnet.Burst)
 		l.sh, l.safe = sh, 1

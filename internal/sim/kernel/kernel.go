@@ -10,8 +10,8 @@
 // is what makes all engines produce identical waveforms.
 //
 // Steps can capture an undo log of every state write, which is exactly the
-// incremental state saving Time Warp needs: rolling back a step replays its
-// undo log in reverse.
+// incremental state saving Time Warp needs: consecutive steps append to one
+// log, and rolling back to a mark replays the log after it in reverse.
 //
 // The executor is generic over the value type V and built on a
 // circuit.Plane[V]: logic.Value for scalar runs (the LP/Event/Undo aliases
@@ -25,6 +25,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/metrics"
@@ -86,24 +88,52 @@ func (u *UndoT[V]) Reset() {
 	u.projs = u.projs[:0]
 }
 
+// UndoMark is a position in an undo log that several steps append to:
+// the length of each of its three change logs. The zero mark is the start
+// of the log.
+type UndoMark struct{ vals, clks, projs int }
+
+// Mark is the current end of the log.
+func (u *UndoT[V]) Mark() UndoMark { return UndoMark{len(u.vals), len(u.clks), len(u.projs)} }
+
+// Words is the volume logged before the mark, in value-words.
+func (m UndoMark) Words() uint64 { return uint64(m.vals + m.clks + m.projs) }
+
+// Minus moves the mark down by base, for a log whose entries before base
+// were dropped.
+func (m UndoMark) Minus(base UndoMark) UndoMark {
+	return UndoMark{m.vals - base.vals, m.clks - base.clks, m.projs - base.projs}
+}
+
+// DropBefore discards the entries logged before m, compacting the log in
+// place; marks taken after m must be moved down by m (Minus).
+func (u *UndoT[V]) DropBefore(m UndoMark) {
+	u.vals = u.vals[:copy(u.vals, u.vals[m.vals:])]
+	u.clks = u.clks[:copy(u.clks, u.clks[m.clks:])]
+	u.projs = u.projs[:copy(u.projs, u.projs[m.projs:])]
+}
+
 // LPT is the state of one logical process over value type V.
 type LPT[V comparable] struct {
-	// Self is this LP's block index; Owner maps gate -> block.
-	Self  int
-	Owner []int
-
 	c         *circuit.Circuit
 	val       []V
 	prevClk   []V
 	projected []V
-	isWatched []bool
+	isWatched []bool // watched nets the LP owns
 	ownGates  []circuit.GateID
 	pl        *circuit.Plane[V]
 
-	stamp   []uint64
-	epoch   uint64
-	dirty   []circuit.GateID
-	dstSeen []bool
+	// fan and dsts are the LP's two views of c.FanoutAdj, compiled once:
+	// fan's row of net g lists the fanouts of g the LP owns, which a change
+	// of g dirties; dsts' row of an owned gate lists the remote LPs that
+	// read it, once each, in fanout order, which its output changes are
+	// sent to.
+	fan  circuit.Adj
+	dsts lpAdj
+
+	stamp []uint32
+	epoch uint32
+	dirty []circuit.GateID
 
 	sweep      int
 	sweepGates []circuit.GateID
@@ -119,6 +149,15 @@ type LPT[V comparable] struct {
 	Record func(t circuit.Tick, g circuit.GateID, v V)
 }
 
+// lpAdj is a compressed-sparse-row map from gates to LP indices: the LPs
+// of gate g are Idx[Off[g]:Off[g+1]].
+type lpAdj struct {
+	Off []int32
+	Idx []int32
+}
+
+func (a *lpAdj) row(g circuit.GateID) []int32 { return a.Idx[a.Off[g]:a.Off[g+1]] }
+
 // LP is the scalar logical-process executor.
 type LP = LPT[logic.Value]
 
@@ -126,24 +165,18 @@ type LP = LPT[logic.Value]
 type WideLP = LPT[logic.Word]
 
 // NewOn builds an LP executor on plane pl for block self of the
-// partition-owner map.
+// partition-owner map. The owner map is read here, to compile the LP's
+// fanout views, and never again.
 func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
 	val, prevClk := pl.InitState(c, sys)
 	projected := make([]V, len(val))
 	copy(projected, val)
-	isWatched := make([]bool, len(c.Gates))
+	isWatched := make([]bool, len(c.Kinds))
 	for _, g := range watched {
-		isWatched[g] = true
+		isWatched[g] = owner[g] == self
 	}
-	nBlocks := 0
-	for _, o := range owner {
-		if o+1 > nBlocks {
-			nBlocks = o + 1
-		}
-	}
+	fan, dsts := views(c, owner, self)
 	return &LPT[V]{
-		Self:      self,
-		Owner:     owner,
 		c:         c,
 		val:       val,
 		prevClk:   prevClk,
@@ -151,10 +184,51 @@ func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, 
 		isWatched: isWatched,
 		ownGates:  ownGates,
 		pl:        pl,
-		stamp:     make([]uint64, len(c.Gates)),
+		fan:       fan,
+		dsts:      dsts,
+		stamp:     make([]uint32, len(c.Kinds)),
 		dirty:     make([]circuit.GateID, 0, 64),
-		dstSeen:   make([]bool, nBlocks),
 	}
+}
+
+// views compiles block self's two views of c.FanoutAdj: the owned fanouts
+// of every net, and the distinct remote readers of every owned gate in
+// first-encounter order. Each is counted, then filled, so its arrays are
+// allocated once at their exact size.
+func views(c *circuit.Circuit, owner []int, self int) (fan circuit.Adj, dsts lpAdj) {
+	n := len(c.Kinds)
+	fan.Off = make([]int32, n+1)
+	dsts.Off = make([]int32, n+1)
+	var nfan, ndst int32
+	for g := range n {
+		row, own := c.FanoutAdj.Row(circuit.GateID(g)), owner[g] == self
+		for i, out := range row {
+			if d := owner[out]; d == self {
+				nfan++
+			} else if own && !readsBefore(owner, row[:i], d) {
+				ndst++
+			}
+		}
+		fan.Off[g+1], dsts.Off[g+1] = nfan, ndst
+	}
+	fan.Idx = make([]circuit.GateID, 0, nfan)
+	dsts.Idx = make([]int32, 0, ndst)
+	for g := range n {
+		row, own := c.FanoutAdj.Row(circuit.GateID(g)), owner[g] == self
+		for i, out := range row {
+			if d := owner[out]; d == self {
+				fan.Idx = append(fan.Idx, out)
+			} else if own && !readsBefore(owner, row[:i], d) {
+				dsts.Idx = append(dsts.Idx, int32(d))
+			}
+		}
+	}
+	return fan, dsts
+}
+
+// readsBefore reports whether block d owns any of the fanouts in prev.
+func readsBefore(owner []int, prev []circuit.GateID, d int) bool {
+	return slices.ContainsFunc(prev, func(out circuit.GateID) bool { return owner[out] == d })
 }
 
 // New builds a scalar LP executor.
@@ -178,7 +252,7 @@ func (lp *LPT[V]) EnableSweep(threshold int) {
 	if threshold <= 0 || lp.sweepGates != nil {
 		return
 	}
-	own := make([]bool, len(lp.c.Gates))
+	own := make([]bool, len(lp.c.Kinds))
 	for _, g := range lp.ownGates {
 		own[g] = true
 	}
@@ -250,7 +324,11 @@ func (lp *LPT[V]) SeedState(vals, prevClk, projected []V) {
 // net, the whole owned block on the initial step, or the levelized block
 // when the sweep threshold is met.
 func (lp *LPT[V]) apply(t circuit.Tick, events []EventT[V], initial bool, undo *UndoT[V], st *metrics.LPCounters) {
-	lp.epoch++
+	if lp.epoch++; lp.epoch == 0 {
+		// The stamps wrapped: forget every old epoch.
+		clear(lp.stamp)
+		lp.epoch = 1
+	}
 	lp.dirty = lp.dirty[:0]
 	st.Steps++
 
@@ -263,13 +341,10 @@ func (lp *LPT[V]) apply(t circuit.Tick, events []EventT[V], initial bool, undo *
 			undo.vals = append(undo.vals, valChange[V]{ev.Gate, lp.val[ev.Gate]})
 		}
 		lp.val[ev.Gate] = ev.Value
-		if lp.Owner[ev.Gate] == lp.Self && lp.isWatched[ev.Gate] && lp.Record != nil {
+		if lp.isWatched[ev.Gate] && lp.Record != nil {
 			lp.Record(t, ev.Gate, ev.Value)
 		}
-		for _, out := range lp.c.FanoutAdj.Row(ev.Gate) {
-			if lp.Owner[out] != lp.Self {
-				continue
-			}
+		for _, out := range lp.fan.Row(ev.Gate) {
 			if lp.stamp[out] != lp.epoch {
 				lp.stamp[out] = lp.epoch
 				lp.dirty = append(lp.dirty, out)
@@ -328,16 +403,11 @@ func (lp *LPT[V]) commit(t circuit.Tick, evaluated bool, undo *UndoT[V], st *met
 		lp.Schedule(due, g, out)
 		st.EventsScheduled++
 		// Remote consumers get one message per destination LP.
-		clear(lp.dstSeen)
-		for _, dst := range lp.c.FanoutAdj.Row(g) {
-			db := lp.Owner[dst]
-			if db == lp.Self || lp.dstSeen[db] {
-				continue
-			}
-			lp.dstSeen[db] = true
-			lp.Send(db, due, g, out)
-			st.MessagesSent++
+		dsts := lp.dsts.row(g)
+		for _, dst := range dsts {
+			lp.Send(int(dst), due, g, out)
 		}
+		st.MessagesSent += uint64(len(dsts))
 	}
 }
 
@@ -378,22 +448,22 @@ func (lp *LPT[V]) EvalPart(part, parts int) {
 	}
 }
 
-// Rollback undoes a sequence of steps by replaying their undo logs in
-// reverse order (most recent first).
-func (lp *LPT[V]) Rollback(undos []*UndoT[V], st *metrics.LPCounters) {
-	for i := len(undos) - 1; i >= 0; i-- {
-		u := undos[i]
-		for j := len(u.projs) - 1; j >= 0; j-- {
-			lp.projected[u.projs[j].gate] = u.projs[j].old
-		}
-		for j := len(u.clks) - 1; j >= 0; j-- {
-			lp.prevClk[u.clks[j].gate] = u.clks[j].old
-		}
-		for j := len(u.vals) - 1; j >= 0; j-- {
-			lp.val[u.vals[j].gate] = u.vals[j].old
-		}
-		st.EventsRolledBack += uint64(len(u.vals))
+// Rollback undoes every write logged into u after mark, newest first, and
+// truncates u back to mark: the LP's state is then what it was when mark
+// was taken. The three logs write disjoint planes, so each is replayed in
+// reverse on its own.
+func (lp *LPT[V]) Rollback(u *UndoT[V], mark UndoMark, st *metrics.LPCounters) {
+	for j := len(u.projs) - 1; j >= mark.projs; j-- {
+		lp.projected[u.projs[j].gate] = u.projs[j].old
 	}
+	for j := len(u.clks) - 1; j >= mark.clks; j-- {
+		lp.prevClk[u.clks[j].gate] = u.clks[j].old
+	}
+	for j := len(u.vals) - 1; j >= mark.vals; j-- {
+		lp.val[u.vals[j].gate] = u.vals[j].old
+	}
+	st.EventsRolledBack += uint64(len(u.vals) - mark.vals)
+	u.vals, u.clks, u.projs = u.vals[:mark.vals], u.clks[:mark.clks], u.projs[:mark.projs]
 }
 
 // SnapshotT copies the LP-relevant state (own gates and ghost nets) for

@@ -142,21 +142,22 @@ func TestUndoRoundTrip(t *testing.T) {
 	lp.TakeSnapshot(nets, &before)
 
 	clk, _ := c.ByName("clk")
-	var undos []*Undo
+	var u Undo
 	evs := [][]Event{
 		{{clk, logic.One}},
 		{{clk, logic.Zero}, {c.Inputs[1], logic.One}},
 		{{clk, logic.One}},
 	}
 	for i, e := range evs {
-		u := &Undo{}
-		lp.Step(circuit.Tick(10*(i+1)), e, false, u, &st)
-		undos = append(undos, u)
+		lp.Step(circuit.Tick(10*(i+1)), e, false, &u, &st)
 		if i == 0 && u.Words() == 0 {
 			t.Fatal("no undo captured for a clock edge")
 		}
 	}
-	lp.Rollback(undos, &st)
+	lp.Rollback(&u, UndoMark{}, &st)
+	if u.Words() != 0 {
+		t.Fatalf("undo log holds %d words after rolling back to its start", u.Words())
+	}
 	var after Snapshot
 	lp.TakeSnapshot(nets, &after)
 	for i := range before.val {

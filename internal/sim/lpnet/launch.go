@@ -101,22 +101,23 @@ type Result[V comparable] struct {
 }
 
 // Result reads a finished run: every net's final value from the LP that
-// owns it, every LP's samples merged, the last step any LP executed, and
-// the sink's statistics over the wall time since the network was built,
-// with each local LP's mailbox parks folded in. The engine sets its own
-// gauges first.
+// owns it, every local LP's samples merged, the last step any local LP
+// executed, and the sink's statistics over the wall time since the
+// network was built, with each local LP's mailbox parks folded in. A net
+// whose owner runs on another shard keeps the zero value: a fleet's hub
+// takes each net from its owner's shard. The engine sets its own gauges
+// first.
 func (n *Net[V]) Result() Result[V] {
+	r := Result[V]{Values: make([]V, len(n.c.Kinds))}
+	recs := make([]*trace.RecorderT[V], 0, len(n.locals))
 	for _, i := range n.locals {
-		n.sink.LP(i).Parks += n.lps[i].box.Parks()
-	}
-	r := Result[V]{Values: make([]V, len(n.c.Gates))}
-	for g := range r.Values {
-		r.Values[g] = n.lps[n.p.Assign[g]].k.Value(circuit.GateID(g))
-	}
-	recs := make([]*trace.RecorderT[V], len(n.lps))
-	for i := range n.lps {
-		recs[i] = &n.lps[i].rec
-		r.EndTime = max(r.EndTime, n.lps[i].drv.lvt())
+		l := &n.lps[i]
+		n.sink.LP(i).Parks += l.box.Parks()
+		for _, g := range l.k.OwnGates() {
+			r.Values[g] = l.k.Value(g)
+		}
+		recs = append(recs, &l.rec)
+		r.EndTime = max(r.EndTime, l.drv.lvt())
 	}
 	r.Waveform = trace.Merge(recs...)
 	r.Stats = stats.Collect(n.sink, time.Since(n.start))

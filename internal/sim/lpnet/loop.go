@@ -107,7 +107,7 @@ type runner[V comparable] interface {
 }
 
 // Join makes l LP id of n, run by rule r at pace p over the pending-event
-// set q.
+// set q. Only an LP that runs in this process (Net.Local) joins.
 func Join[V comparable, E any](n *Net[V], l *LP[V, E], id int, r Rule[V, E], q eventq.Queue[E], p Pace) {
 	*l = LP[V, E]{
 		ID: id, K: n.lps[id].k, Q: q, St: n.sink.LP(id),

@@ -182,7 +182,7 @@ type Net[V comparable] struct {
 
 // lp is the network's part of one logical process.
 type lp[V comparable] struct {
-	k     *kernel.LPT[V]
+	k     *kernel.LPT[V] // nil for a remote LP
 	rec   trace.RecorderT[V]
 	batch Batcher[V]
 	// prefix is the boot waveform restricted to the LP's gates, the front
@@ -216,7 +216,8 @@ func Open[V comparable](s Spec[V], stim vectors.Source[V], snap *ckpt.StateT[V])
 }
 
 // New validates the run's partition and builds its network: mailboxes,
-// kernels, recorders and batchers for every LP.
+// recorders and batchers for every LP, and kernels for the LPs that run
+// in this process.
 func New[V comparable](s Spec[V]) (*Net[V], error) {
 	c, p := s.Circuit, s.Partition
 	if p == nil {
@@ -278,7 +279,7 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 			}
 		}
 	}
-	for i := range n.lps {
+	for _, i := range n.locals {
 		k := kernel.NewOn(s.Plane, c, p.Assign, i, s.System, watched, blockGates[i])
 		if s.Sweep {
 			k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))

@@ -24,6 +24,7 @@ package oblivious
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/circuit"
@@ -102,8 +103,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if sink == nil {
 		sink = metrics.NewRegistry(engine)
 	}
-	st := c.ComputeStats()
-	if st.Latches > 0 {
+	if slices.Contains(c.Kinds, circuit.DLatch) {
 		return nil, fmt.Errorf("oblivious: transparent latches are not supported by cycle-based evaluation")
 	}
 	start := time.Now()
@@ -116,7 +116,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	// sweep of each boundary.
 	var seqGates []circuit.GateID
 	combLevels := c.Levels
-	if st.FlipFlops > 0 {
+	if slices.Contains(c.Kinds, circuit.DFF) {
 		seqGates = c.Levels[len(c.Levels)-1]
 		combLevels = c.Levels[:len(c.Levels)-1]
 	}

@@ -19,6 +19,12 @@ import (
 // qevent is one pending input event. Every event carries a globally unique
 // id so anti-messages can annihilate their originals and rollbacks can
 // retract internally scheduled events.
+//
+// An id is its minting LP's index above idShift and that LP's sequence
+// number below. The sequence only grows, and after launch (Pend) an LP
+// mints only inside steps, which run in list order: a rollback therefore
+// retracts exactly the ids minted since the first step it undoes, one
+// closed range of sequence numbers.
 type qevent[V comparable] struct {
 	gate  circuit.GateID
 	value V
@@ -34,6 +40,23 @@ type sentRec[V comparable] struct {
 	value V
 }
 
+// idShift places the minting LP's index above the sequence number in an
+// id; seqMask extracts the sequence number.
+const (
+	idShift = 40
+	seqMask = 1<<idShift - 1
+)
+
+// seqRange is a closed range of local sequence numbers that rollbacks
+// retired: every local event minted in it is cancelled. due bounds the
+// times of the events its steps scheduled; once the queue holds nothing
+// due at or before it, none of them is still queued and the range is
+// forgotten.
+type seqRange struct {
+	lo, hi uint64
+	due    circuit.Tick
+}
+
 // span is a half-open range of one of an LP's history logs.
 type span struct{ lo, hi int }
 
@@ -44,17 +67,18 @@ func (r *span) rebase(base int) { r.lo, r.hi = r.lo-base, r.hi-base }
 
 // step is the saved history of one executed timestep: everything needed to
 // undo it (state log or snapshot), re-execute it (consumed inputs), and
-// cancel its effects (sent messages, created internal events). The last
-// three are ranges of the LP's history logs (tlp.inLog, sentLog,
-// createdLog), not slices of the step's own.
+// cancel its effects (sent messages, and the internal events it created,
+// which are the local ids it minted from firstSeq on). Inputs, sends and
+// state writes are ranges of the LP's history logs (tlp.inLog, sentLog,
+// undo), not slices of the step's own.
 type step[V comparable] struct {
-	time    circuit.Tick
-	inputs  span
-	undo    *kernel.UndoT[V]     // incremental state saving
-	snap    *kernel.SnapshotT[V] // full-copy state saving (state before the step)
-	sent    span
-	created span
-	words   uint64 // history words charged to the memory throttle
+	time     circuit.Tick
+	inputs   span
+	sent     span
+	undo     kernel.UndoMark      // incremental state saving: the step's writes start here in tlp.undo
+	snap     *kernel.SnapshotT[V] // full-copy state saving (state before the step)
+	firstSeq uint64               // the first sequence number the step could mint
+	words    uint64               // history words charged to the memory throttle
 }
 
 // lazyRec is a message awaiting lazy cancellation: sent by a rolled-back
@@ -74,41 +98,43 @@ type tlp[V comparable] struct {
 	gvt         circuit.Tick // last observed GVT
 	fossilFloor circuit.Tick // history below this time has been collected
 	floorEnd    circuit.Tick // time of the newest collected step
-	steps       []*step[V]
-	// History logs: the consumed inputs, sent messages and created event
-	// ids of every step in steps, oldest first. Steps execute in time
-	// order, roll back as a suffix and are fossil-collected as a prefix,
-	// so each log is truncated at one end and compacted at the other, and
-	// holds exactly the history in flight. (Per-step slices, recycled with
-	// the records, each kept the capacity of the largest step they had
-	// ever served: 2.5x the bytes on a 12k-gate run.)
-	inLog       []qevent[V]
-	sentLog     []sentRec[V]
-	createdLog  []uint64
+	steps       []step[V]
+	// History logs: the consumed inputs, sent messages and state writes
+	// (incremental saving) of every step in steps, oldest first. Steps
+	// execute in time order, roll back as a suffix and are
+	// fossil-collected as a prefix, so each log is truncated at one end
+	// and compacted at the other, and holds exactly the history in flight.
+	// (Per-step slices, recycled with the records, each kept the capacity
+	// of the largest step they had ever served: 2.5x the bytes on a
+	// 12k-gate run.)
+	inLog   []qevent[V]
+	sentLog []sentRec[V]
+	undo    kernel.UndoT[V]
+	// retired lists the sequence ranges rollbacks retracted, sorted and
+	// disjoint, and retiredDue is the earliest of their due times; dead
+	// holds the ids of remote events anti-messages annihilated that are
+	// still queued.
+	retired     []seqRange
+	retiredDue  circuit.Tick
 	dead        map[uint64]bool
 	lazyPending []lazyRec[V]
 	seq         uint64
+	maxDelay    circuit.Tick // the longest delay of an owned gate
 	relevant    []circuit.GateID
 
 	// held are the cuts captured speculatively below Cut that GVT has not
 	// yet passed, oldest first and one per boundary.
 	held []*ckpt.Cut[V]
 
-	curStep      *step[V]
 	handledSince uint64
 	// paused is set when Ready found processing frozen for a GVT round.
 	paused bool
 	kevs   []kernel.EventT[V]
 
-	// Free-lists for the per-step history records. Steps, undo logs, and
-	// snapshots are recycled here at rollback and fossil collection instead
-	// of being dropped for the GC; reuse keeps the undo logs' and
-	// snapshots' grown capacity, so a warm LP executes timesteps without
-	// allocating.
-	stepPool    []*step[V]
-	undoPool    []*kernel.UndoT[V]
-	snapPool    []*kernel.SnapshotT[V]
-	undoScratch []*kernel.UndoT[V]
+	// snapPool recycles full-copy snapshots at rollback and fossil
+	// collection instead of dropping them for the GC; reuse keeps their
+	// grown capacity, so a warm LP executes timesteps without allocating.
+	snapPool []*kernel.SnapshotT[V]
 
 	// Cluster mode (IntraWorkers > 1): the cluster's sub-workers and its
 	// modeled evaluation critical path.
@@ -123,25 +149,31 @@ type tlp[V comparable] struct {
 func newTLP[V comparable](sh *shared[V], id int) *tlp[V] {
 	cfg := sh.cfg
 	l := &tlp[V]{
-		sh:   sh,
-		rec:  sh.net.Recorder(id),
-		dead: map[uint64]bool{},
-		kevs: make([]kernel.EventT[V], 0, 32),
+		sh:         sh,
+		rec:        sh.net.Recorder(id),
+		dead:       map[uint64]bool{},
+		kevs:       make([]kernel.EventT[V], 0, 32),
+		retiredDue: infTick,
 	}
 	lpnet.Join(sh.net, &l.LP, id, l, eventq.NewCap[qevent[V]](cfg.Queue, 128), lpnet.Eager)
 	k := l.K
-	if cfg.StateSaving == FullCopy {
+	own := k.OwnGates()
+	for _, g := range own {
+		l.maxDelay = max(l.maxDelay, sh.c.Delays[g])
+	}
+	switch cfg.StateSaving {
+	case FullCopy:
 		l.relevant = k.RelevantNets()
+	case Incremental:
+		// Sized to the block: a step writes each owned net's value and
+		// projection at most once, and a few clock samples.
+		l.undo = *kernel.NewUndo[V](len(own), len(own)/8, len(own))
 	}
 	if cfg.IntraWorkers > 1 {
 		l.pool = phase.New(cfg.IntraWorkers, sh.engine, sh.net.Sink(), k.EvalPart)
 	}
 	k.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
-		ev := qevent[V]{gate: g, value: v, id: l.newID()}
-		l.Q.Push(uint64(t), ev)
-		if l.curStep != nil {
-			l.createdLog = append(l.createdLog, ev.id)
-		}
+		l.Q.Push(uint64(t), qevent[V]{gate: g, value: v, id: l.newID()})
 	}
 	k.Send = func(dst int, t circuit.Tick, g circuit.GateID, v V) {
 		if l.sh.cfg.Cancellation == Lazy && len(l.lazyPending) > 0 {
@@ -170,80 +202,104 @@ func newTLP[V comparable](sh *shared[V], id int) *tlp[V] {
 // newID mints a run-unique event/message id.
 func (l *tlp[V]) newID() uint64 {
 	l.seq++
-	return uint64(l.ID)<<40 | l.seq
+	return uint64(l.ID)<<idShift | l.seq
 }
 
-// getStep acquires a cleared step record, reusing a recycled one (and its
-// grown slice capacity) when available.
-func (l *tlp[V]) getStep(t circuit.Tick) *step[V] {
-	if n := len(l.stepPool); n > 0 {
-		s := l.stepPool[n-1]
-		l.stepPool[n-1] = nil
-		l.stepPool = l.stepPool[:n-1]
-		s.time = t
-		l.St.PoolHits++
-		return s
+// retire cancels every local id minted from sequence number first on,
+// the ids of a rolled-back suffix whose last step ran at last. Later
+// ranges only ever start higher, so a new range either extends the list
+// or swallows its tail.
+func (l *tlp[V]) retire(first uint64, last circuit.Tick) {
+	if first > l.seq {
+		return // the suffix minted nothing
 	}
-	l.St.PoolMisses++
-	return &step[V]{time: t}
+	r := seqRange{lo: first, hi: l.seq, due: last + l.maxDelay}
+	n := len(l.retired)
+	for ; n > 0 && l.retired[n-1].hi+1 >= r.lo; n-- {
+		r.lo, r.due = min(r.lo, l.retired[n-1].lo), max(r.due, l.retired[n-1].due)
+	}
+	l.retired = append(l.retired[:n], r)
+	l.retiredDue = min(l.retiredDue, r.due)
 }
 
-// beginStep makes s the executing step: its sent and created ranges open
-// at the current ends of the logs, which Send and Schedule append to.
-func (l *tlp[V]) beginStep(s *step[V]) {
-	s.sent.lo, s.created.lo = len(l.sentLog), len(l.createdLog)
-	l.curStep = s
+// retiredSeq reports whether local sequence number q was retired. The
+// newest range is the likely one, so it is tried first.
+func (l *tlp[V]) retiredSeq(q uint64) bool {
+	n := len(l.retired)
+	if n == 0 {
+		return false
+	}
+	if r := l.retired[n-1]; q >= r.lo {
+		return q <= r.hi
+	}
+	lo, hi := 0, n-1 // the first range ending at or after q is in [lo, hi)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); l.retired[m].hi < q {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < n-1 && l.retired[lo].lo <= q
 }
 
-// endStep closes the executing step's ranges. A step that is not kept in
-// the history gives its log entries back.
-func (l *tlp[V]) endStep(s *step[V], keep bool) {
-	l.curStep = nil
-	if !keep {
-		l.truncateLogs(s)
+// cancelled reports whether a queued event with this id was cancelled: a
+// local one by a rollback, a remote one by an anti-message.
+func (l *tlp[V]) cancelled(id uint64) bool {
+	if id>>idShift == uint64(l.ID) {
+		return l.retiredSeq(id & seqMask)
+	}
+	return len(l.dead) > 0 && l.dead[id]
+}
+
+// drop is cancelled for an entry leaving the queue: it also forgets an
+// annihilated remote entry's tombstone.
+func (l *tlp[V]) drop(id uint64) bool {
+	if !l.cancelled(id) {
+		return false
+	}
+	if id>>idShift != uint64(l.ID) {
+		delete(l.dead, id)
+	}
+	return true
+}
+
+// forgetRetired drops the ranges whose events are all due before t, once
+// every queue entry before t has been popped: at a step at t, and at
+// fossil collection below GVT t. A retired id is never queued again — a
+// rollback requeues only inputs of the steps it undoes, and it retires
+// every id those steps minted — so none of the dropped ids is queued.
+func (l *tlp[V]) forgetRetired(t circuit.Tick) {
+	if t <= l.retiredDue {
 		return
 	}
-	s.inputs.hi, s.sent.hi, s.created.hi = len(l.inLog), len(l.sentLog), len(l.createdLog)
+	kept, due := l.retired[:0], infTick
+	for _, r := range l.retired {
+		if r.due >= t {
+			kept = append(kept, r)
+			due = min(due, r.due)
+		}
+	}
+	l.retired, l.retiredDue = kept, due
 }
 
 // truncateLogs drops the log entries of s and of every later step.
 func (l *tlp[V]) truncateLogs(s *step[V]) {
 	l.inLog = l.inLog[:s.inputs.lo]
 	l.sentLog = l.sentLog[:s.sent.lo]
-	l.createdLog = l.createdLog[:s.created.lo]
 }
 
-// putStep recycles a step record and its undo/snapshot into the free-lists.
-// The record's log ranges are the caller's to release (truncateLogs at
-// rollback, dropLogPrefix at fossil collection).
-func (l *tlp[V]) putStep(s *step[V]) {
+// release gives back what a step record holds outside the logs: its
+// throttle charge and its snapshot. Its log ranges are the caller's to
+// release (truncateLogs at rollback, dropLogPrefix at fossil collection).
+func (l *tlp[V]) release(s *step[V]) {
 	if s.words != 0 {
 		l.sh.histWords.Add(-int64(s.words))
-		s.words = 0
-	}
-	if s.undo != nil {
-		l.undoPool = append(l.undoPool, s.undo)
-		s.undo = nil
 	}
 	if s.snap != nil {
 		l.snapPool = append(l.snapPool, s.snap)
-		s.snap = nil
 	}
-	l.stepPool = append(l.stepPool, s)
-}
-
-// getUndo acquires a reset undo log from the free-list.
-func (l *tlp[V]) getUndo() *kernel.UndoT[V] {
-	if n := len(l.undoPool); n > 0 {
-		u := l.undoPool[n-1]
-		l.undoPool[n-1] = nil
-		l.undoPool = l.undoPool[:n-1]
-		u.Reset()
-		l.St.PoolHits++
-		return u
-	}
-	l.St.PoolMisses++
-	return kernel.NewUndo[V](32, 8, 32)
+	*s = step[V]{}
 }
 
 // getSnap acquires a snapshot buffer from the free-list; TakeSnapshot
@@ -269,32 +325,24 @@ func (l *tlp[V]) Pend(ev kernel.EventT[V]) qevent[V] {
 // back, since every cross-LP message carries a time of at least 1.
 func (l *tlp[V]) Begin() { l.sentLog = l.sentLog[:0] }
 
-// Next returns the earliest non-annihilated pending event time,
-// discarding annihilated entries it passes over.
+// Next returns the earliest live pending event time, discarding the
+// cancelled entries it passes over.
 func (l *tlp[V]) Next() circuit.Tick {
 	for {
 		t, v, ok := l.Q.Peek()
 		if !ok {
 			return infTick
 		}
-		if l.dead[v.id] {
+		if l.drop(v.id) {
 			l.Q.PopMin()
-			delete(l.dead, v.id)
 			continue
 		}
 		return circuit.Tick(t)
 	}
 }
 
-// Live reports whether a popped entry escaped annihilation, forgetting
-// its tombstone if not.
-func (l *tlp[V]) Live(e qevent[V]) bool {
-	if l.dead[e.id] {
-		delete(l.dead, e.id)
-		return false
-	}
-	return true
-}
+// Live reports whether a popped entry escaped cancellation.
+func (l *tlp[V]) Live(e qevent[V]) bool { return !l.drop(e.id) }
 
 // Ready holds unless processing is frozen for a GVT round or t lies past
 // the horizon or the effective optimism window the coordinator published
@@ -334,7 +382,8 @@ func (l *tlp[V]) Wake() { l.sh.idle.Add(-1) }
 
 // Step speculatively executes the events at time t.
 func (l *tlp[V]) Step(t circuit.Tick, events []qevent[V]) {
-	s := l.getStep(t)
+	l.forgetRetired(t)
+	s := step[V]{time: t, firstSeq: l.seq + 1}
 	s.inputs.lo = len(l.inLog)
 	l.inLog = append(l.inLog, events...)
 	l.kevs = l.kevs[:0]
@@ -349,12 +398,13 @@ func (l *tlp[V]) Step(t circuit.Tick, events []qevent[V]) {
 		l.St.StateSavedWords += s.snap.Words()
 		l.Trace.Span(trace.PhaseStateSave, snapBegin, t)
 	}
-	l.beginStep(s)
+	s.sent.lo = len(l.sentLog)
 	var undo *kernel.UndoT[V]
 	if l.sh.cfg.StateSaving == Incremental {
-		undo = l.getUndo()
-		s.undo = undo
+		undo = &l.undo
+		s.undo = undo.Mark()
 	}
+	scheduled := l.St.EventsScheduled
 	if l.pool != nil {
 		maxChunk, err := l.K.StepParallel(t, l.kevs, false, undo, &l.St.LPCounters, l.pool)
 		if err != nil {
@@ -367,21 +417,20 @@ func (l *tlp[V]) Step(t circuit.Tick, events []qevent[V]) {
 	} else {
 		l.K.Step(t, l.kevs, false, undo, &l.St.LPCounters)
 	}
+	var saved uint64
 	if undo != nil {
+		saved = undo.Words() - s.undo.Words()
 		l.St.StateSaves++
-		l.St.StateSavedWords += undo.Words()
+		l.St.StateSavedWords += saved
 	}
-	l.endStep(s, true)
+	s.inputs.hi, s.sent.hi = len(l.inLog), len(l.sentLog)
 	if l.sh.cfg.HistoryLimit > 0 {
-		w := uint64(s.inputs.len() + s.sent.len() + s.created.len())
-		if s.undo != nil {
-			w += s.undo.Words()
-		}
+		// Inputs, sends, created events and saved state.
+		s.words = uint64(s.inputs.len()+s.sent.len()) + (l.St.EventsScheduled - scheduled) + saved
 		if s.snap != nil {
-			w += s.snap.Words()
+			s.words += s.snap.Words()
 		}
-		s.words = w
-		l.sh.histWords.Add(int64(w))
+		l.sh.histWords.Add(int64(s.words))
 	}
 	l.steps = append(l.steps, s)
 	// Lazy messages from steps at or before t that re-execution did not
@@ -405,33 +454,23 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 		return
 	}
 	suffix := l.steps[idx:]
+	first := &suffix[0]
 	l.St.Rollbacks++
 	begin := l.Trace.Now()
 	undoneBefore := l.St.EventsRolledBack
 
 	// Restore state.
 	if l.sh.cfg.StateSaving == FullCopy {
-		l.K.RestoreSnapshot(l.relevant, suffix[0].snap)
-		for _, s := range suffix {
-			l.St.EventsRolledBack += uint64(s.inputs.len())
-		}
+		l.K.RestoreSnapshot(l.relevant, first.snap)
+		l.St.EventsRolledBack += uint64(len(l.inLog) - first.inputs.lo)
 	} else {
-		undos := l.undoScratch[:0]
-		for _, s := range suffix {
-			undos = append(undos, s.undo)
-		}
-		l.K.Rollback(undos, &l.St.LPCounters)
-		for i := range undos {
-			undos[i] = nil
-		}
-		l.undoScratch = undos[:0]
+		l.K.Rollback(&l.undo, first.undo, &l.St.LPCounters)
 	}
 
 	// Retract internally scheduled events and cancel sent messages.
-	for _, s := range suffix {
-		for _, id := range l.createdLog[s.created.lo:s.created.hi] {
-			l.dead[id] = true
-		}
+	l.retire(first.firstSeq, suffix[len(suffix)-1].time)
+	for i := range suffix {
+		s := &suffix[i]
 		for _, sr := range l.sentLog[s.sent.lo:s.sent.hi] {
 			if l.sh.cfg.Cancellation == Lazy {
 				l.lazyPending = append(l.lazyPending, lazyRec[V]{sentRec: sr, createdAt: s.time})
@@ -443,23 +482,21 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	// Requeue the rolled-back inputs (except ones just retracted or
 	// previously annihilated).
 	l.Q.ResetFloor()
-	for _, s := range suffix {
+	for i := range suffix {
+		s := &suffix[i]
 		for _, in := range l.inLog[s.inputs.lo:s.inputs.hi] {
-			if l.dead[in.id] {
-				delete(l.dead, in.id)
-				continue
+			if !l.drop(in.id) {
+				l.Q.Push(uint64(s.time), in)
 			}
-			l.Q.Push(uint64(s.time), in)
 		}
 	}
-	l.rec.TruncateFrom(suffix[0].time)
+	l.rec.TruncateFrom(first.time)
 	// Everything the suffix logged has been copied out (inputs into the
-	// queue, sent records into lazyPending or anti-messages, created ids
-	// into the tombstone set), so its log entries and records are released.
-	l.truncateLogs(suffix[0])
-	for i, s := range suffix {
-		l.putStep(s)
-		suffix[i] = nil
+	// queue, sent records into lazyPending or anti-messages), so its log
+	// entries and records are released.
+	l.truncateLogs(first)
+	for i := range suffix {
+		l.release(&suffix[i])
 	}
 	l.steps = l.steps[:idx]
 	if idx > 0 {
@@ -543,25 +580,24 @@ func (l *tlp[V]) fossilCollect(gvt circuit.Tick) {
 	idx := sort.Search(len(l.steps), func(i int) bool { return l.steps[i].time >= gvt })
 	if idx > 0 {
 		l.floorEnd = l.steps[idx-1].time
-		// Recycle the collected prefix and compact in place, keeping the
+		// Release the collected prefix and compact in place, keeping the
 		// slice's capacity instead of reallocating every collection.
-		for _, s := range l.steps[:idx] {
-			l.putStep(s)
+		for i := range l.steps[:idx] {
+			l.release(&l.steps[i])
 		}
 		n := copy(l.steps, l.steps[idx:])
-		for i := n; i < len(l.steps); i++ {
-			l.steps[i] = nil
-		}
+		clear(l.steps[n:])
 		l.steps = l.steps[:n]
 		l.dropLogPrefix()
 	}
+	l.forgetRetired(gvt)
 	l.commitCuts(gvt)
 }
 
-// liveEvent projects a queue entry for capture: tombstoned entries are
-// not pending.
+// liveEvent projects a queue entry for capture: cancelled entries are not
+// pending.
 func (l *tlp[V]) liveEvent(e qevent[V]) (kernel.EventT[V], bool) {
-	return kernel.EventT[V]{Gate: e.gate, Value: e.value}, !l.dead[e.id]
+	return kernel.EventT[V]{Gate: e.gate, Value: e.value}, !l.cancelled(e.id)
 }
 
 // holdCuts captures, speculatively, every boundary below t, the time of
@@ -606,20 +642,21 @@ func (l *tlp[V]) commitCuts(gvt circuit.Tick) {
 // steps still held, after a prefix of the steps was collected.
 func (l *tlp[V]) dropLogPrefix() {
 	base := step[V]{
-		inputs:  span{lo: len(l.inLog)},
-		sent:    span{lo: len(l.sentLog)},
-		created: span{lo: len(l.createdLog)},
+		inputs: span{lo: len(l.inLog)},
+		sent:   span{lo: len(l.sentLog)},
+		undo:   l.undo.Mark(),
 	}
 	if len(l.steps) > 0 {
-		base = *l.steps[0]
+		base = l.steps[0]
 	}
 	l.inLog = l.inLog[:copy(l.inLog, l.inLog[base.inputs.lo:])]
 	l.sentLog = l.sentLog[:copy(l.sentLog, l.sentLog[base.sent.lo:])]
-	l.createdLog = l.createdLog[:copy(l.createdLog, l.createdLog[base.created.lo:])]
-	for _, s := range l.steps {
+	l.undo.DropBefore(base.undo)
+	for i := range l.steps {
+		s := &l.steps[i]
 		s.inputs.rebase(base.inputs.lo)
 		s.sent.rebase(base.sent.lo)
-		s.created.rebase(base.created.lo)
+		s.undo = s.undo.Minus(base.undo)
 	}
 }
 
@@ -647,7 +684,8 @@ func (l *tlp[V]) Handle(m lpnet.Msg[V]) bool {
 		if m.Kind == lpnet.Anti {
 			// The original is now unprocessed (FIFO per link guarantees it
 			// arrived first; if it had been processed, the rollback above
-			// just requeued it). Tombstone it.
+			// just requeued it). Tombstone it: its id is remote, so no
+			// retired range can cover it.
 			l.St.AntiMessagesRecv++
 			l.dead[m.ID] = true
 			break

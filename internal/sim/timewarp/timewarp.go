@@ -350,9 +350,9 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 		sh.adaptWin = cfg.Adapt.Window()
 	}
 	sh.publishWindow()
-	lps := make([]*tlp[V], n)
-	for i := range lps {
-		lps[i] = newTLP(sh, i)
+	lps := make([]*tlp[V], 0, len(net.Locals()))
+	for _, i := range net.Locals() {
+		lps = append(lps, newTLP(sh, i))
 	}
 
 	var gvtRounds uint64
