@@ -15,9 +15,9 @@ import (
 
 // E17WordParallel measures the word-level form of data parallelism: PPSFP
 // fault grading (64 patterns per machine word, fault dropping) against the
-// event-driven serial-fault grader on the same circuit, patterns, and
-// fault list. Where E13 fans faults across goroutines, this experiment
-// fans patterns across bit lanes — the two compose.
+// event-driven parallel-fault grader on the same circuit, patterns, and
+// fault list. Where E13 puts faults in the bit lanes, this experiment puts
+// patterns there.
 func E17WordParallel(s Scale) (*Table, error) {
 	bits := 5
 	npat := 96
@@ -46,7 +46,7 @@ func E17WordParallel(s Scale) (*Table, error) {
 		Header: []string{"grader", "coverage", "wall", "speedup"},
 	}
 
-	// Event-driven serial-fault baseline on the identical patterns.
+	// Event-driven parallel-fault baseline on the identical patterns.
 	stim := &vectors.Stimulus{End: circuit.Tick(npat-1) * 200}
 	for k, pat := range patterns {
 		tm := circuit.Tick(k) * 200

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/eventq"
-	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/vectors"
 )
@@ -60,14 +58,4 @@ func skewedWorkload(c *circuit.Circuit, vecs int, period circuit.Tick, seed int6
 	}
 	stim.Sort()
 	return &workload{c: c, stim: stim, until: core.Horizon(c, stim)}, nil
-}
-
-// timedFaultRun runs a fault campaign and formats its wall time.
-func timedFaultRun(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, faults []fault.Fault, workers int) (*fault.Result, string, error) {
-	start := time.Now()
-	res, err := fault.Run(c, stim, until, faults, fault.Config{Workers: workers})
-	if err != nil {
-		return nil, "", err
-	}
-	return res, fmt.Sprintf("%.1fms", float64(time.Since(start).Microseconds())/1000), nil
 }

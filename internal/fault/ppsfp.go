@@ -40,7 +40,7 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 	}
 	// after[g] is where the sweep below a stuck g starts: just past g in
 	// the order, or at its start for a source. Nothing before it reads g.
-	after := make([]int, c.NumGates())
+	after := make([]int, len(c.Kinds))
 	for i, g := range order {
 		after[g] = i + 1
 	}
@@ -151,7 +151,7 @@ func GradeBitParallel(c *circuit.Circuit, patterns [][]bool, faults []Fault, wor
 	for f, pat := range firstPattern {
 		res.Detections = append(res.Detections, Detection{Fault: f, Time: circuit.Tick(pat)})
 	}
-	sortDetections(res.Detections)
+	slices.SortFunc(res.Detections, compareDetections)
 	if res.Total > 0 {
 		res.Coverage = float64(res.Detected) / float64(res.Total)
 	}
@@ -193,20 +193,5 @@ func pack(c *circuit.Circuit, batch [][]bool, val []logic.Word) uint64 {
 func sweep(c *circuit.Circuit, order []circuit.GateID, val, prevClk []logic.Word) {
 	for _, g := range order {
 		val[g], _ = circuit.EvalGateWide(c, g, val, val, prevClk)
-	}
-}
-
-// sortDetections orders by (pattern/time, gate).
-func sortDetections(ds []Detection) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ds[j-1], ds[j]
-			if b.Time < a.Time || (b.Time == a.Time && b.Fault.Gate < a.Fault.Gate) ||
-				(b.Time == a.Time && b.Fault.Gate == a.Fault.Gate && b.Fault.StuckAt < a.Fault.StuckAt) {
-				ds[j-1], ds[j] = b, a
-			} else {
-				break
-			}
-		}
 	}
 }

@@ -133,7 +133,14 @@ func Run(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick, cfg Con
 // under unchanged inputs, each lane of the resulting waveform is exactly
 // the scalar reference waveform for that lane's stimulus.
 func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
-	return run(circuit.Wide, "seq-wide", c, stim, until, cfg)
+	return RunWideOn(circuit.Wide, c, stim, until, cfg)
+}
+
+// RunWideOn is RunWide on the caller's 64-lane plane pl: a copy of
+// circuit.Wide whose InitState and EvalGate the caller wraps, as the fault
+// grader does to pin one stuck net per lane. The loop is RunWide's.
+func RunWideOn(pl *circuit.Plane[logic.Word], c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick, cfg WideConfig) (*WideResult, error) {
+	return run(pl, "seq-wide", c, stim, until, cfg)
 }
 
 // run is the sequential engine over value type V. engine labels the
