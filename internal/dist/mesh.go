@@ -7,8 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/dist/wire"
+	"repro/internal/partition"
 	"repro/internal/simtest/chaos/netfault"
 )
 
@@ -22,7 +22,7 @@ import (
 // worker opens a mesh listener and announces its address (FMeshAddr);
 // the hub collects all addresses and broadcasts the routing table
 // (FMeshTable); workers then connect to exactly the neighbors the
-// partition's cut edges dictate. Both sides derive the neighbor set
+// partition's LP graph links them to. Both sides derive the neighbor set
 // independently from the deterministic partition — the table carries
 // only addresses, never topology — so a disagreement is impossible.
 // For a neighbor pair (i, j) with i < j, the higher shard dials and
@@ -38,26 +38,26 @@ import (
 // fleet.
 const meshSetupWait = 30 * time.Second
 
-// meshNeighbors derives the shard adjacency matrix from the partition's
-// cut edges: shards i and j are neighbors iff some gate owned by one
-// fans out to a gate owned by the other. Cross-shard event traffic
-// flows only along gate fanout edges (stimulus and boot routing are
-// shard-local), so these are exactly the links the data plane needs.
-func meshNeighbors(c *circuit.Circuit, assign []int, shardOf []int, shards int) [][]bool {
-	adj := make([][]bool, shards)
-	for i := range adj {
-		adj[i] = make([]bool, shards)
-	}
-	for g := 0; g < c.NumGates(); g++ {
-		sg := shardOf[assign[g]]
-		for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
-			if sf := shardOf[assign[fo]]; sf != sg {
-				adj[sg][sf] = true
-				adj[sf][sg] = true
+// meshPeers lists the shards that shard self exchanges events with: the
+// ones holding an LP linked, in either direction, to one of its own in the
+// partition's LP graph. Cross-shard event traffic flows only along those
+// links (stimulus and boot routing are shard-local), so these are exactly
+// the peers the data plane needs.
+func meshPeers(g *partition.Graph, shardOf []int, self, shards int) []bool {
+	peers := make([]bool, shards)
+	for lp, s := range shardOf {
+		if s != self {
+			continue
+		}
+		for _, links := range [][]partition.Link{g.Out[lp], g.In[lp]} {
+			for _, l := range links {
+				if p := shardOf[l.Peer]; p != self {
+					peers[p] = true
+				}
 			}
 		}
 	}
-	return adj
+	return peers
 }
 
 // meshNet is one worker's half of the mesh: its listener, its per-peer

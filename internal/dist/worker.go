@@ -230,12 +230,12 @@ func (w *Worker) Run() error {
 	}()
 
 	// Mesh handshake: announce the listener, wait for the hub's routing
-	// table, then connect exactly the cut-edge neighbors. This completes
+	// table, then connect exactly the linked neighbors. This completes
 	// before the engine starts, so every FBatch it sends already has its
 	// direct route installed.
 	if job.Mesh && job.Shards > 1 {
-		adj := meshNeighbors(c, part.Assign, shardOf, job.Shards)
-		m, err := newMeshNet(w.network, job.MeshDir, job, seam, adj[job.Shard])
+		peers := meshPeers(part.Graph(c), shardOf, job.Shard, job.Shards)
+		m, err := newMeshNet(w.network, job.MeshDir, job, seam, peers)
 		if err != nil {
 			return w.sendError(err)
 		}
@@ -256,7 +256,7 @@ func (w *Worker) Run() error {
 		case <-time.After(meshSetupWait):
 			return w.sendError(fmt.Errorf("dist: shard %d: no mesh table within %v", job.Shard, meshSetupWait))
 		}
-		if err := m.connect(w.network, table, adj[job.Shard], deadline); err != nil {
+		if err := m.connect(w.network, table, peers, deadline); err != nil {
 			return w.sendError(err)
 		}
 	}

@@ -106,18 +106,6 @@ func Pack(vs []Value) Word {
 	return w
 }
 
-// Unpack expands lanes [0, n) of w into a slice of scalar values.
-func (w Word) Unpack(n int) []Value {
-	if n > Lanes {
-		n = Lanes
-	}
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = w.Get(i)
-	}
-	return out
-}
-
 // PackBits builds a two-valued word from a plain bit mask: lane k is One
 // where bit k of bits is set, Zero elsewhere.
 func PackBits(bits uint64) Word {

@@ -23,14 +23,14 @@ import (
 // imbalance <= 2.0 for the generator corpus at realistic move budgets.
 func Anneal(c *circuit.Circuit, k int, w Weights, seed int64, moves int) *Partition {
 	if moves <= 0 {
-		moves = 60 * c.NumGates()
+		moves = 60 * len(c.Kinds)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	p := Contiguous(c, k, w)
 	if k < 2 {
 		return p
 	}
-	n := c.NumGates()
+	n := len(c.Kinds)
 
 	// Incremental cut bookkeeping: cutOf(g) = number of distinct foreign
 	// blocks among g's consumers plus, for each fanin driver, whether g is
@@ -99,29 +99,20 @@ func Anneal(c *circuit.Circuit, k int, w Weights, seed int64, moves int) *Partit
 type blockSet struct {
 	stamp []int
 	gen   int
+	row   []int32 // netCutLinks' scratch reader row
 }
 
 func newBlockSet(blocks int) *blockSet { return &blockSet{stamp: make([]int, blocks)} }
 
 // netCutLinks counts the cut links of net src under assign: the number of
-// distinct consumer blocks other than the driver's own. Fanout rows are
-// already deduplicated, so a consumer reading src through several pins
-// contributes its block once. seen is scratch.
+// its readers (see appendReaders). seen is scratch.
 func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen *blockSet) int {
-	cut := 0
-	seen.gen++
-	sb := assign[src]
-	for _, dst := range c.FanoutAdj.Row(src) {
-		if db := assign[dst]; db != sb && seen.stamp[db] != seen.gen {
-			seen.stamp[db] = seen.gen
-			cut++
-		}
-	}
-	return cut
+	seen.row = appendReaders(seen.row[:0], c, assign, src, seen)
+	return len(seen.row)
 }
 
 // localCutLinks sums the cut links of every net incident to gate g: its
-// own output net plus each distinct fanin net. Gate.Fanin, unlike a
+// own output net plus each distinct fanin net. A fanin row, unlike a
 // fanout row, is NOT deduplicated — a gate may read one net through two
 // pins (structural hashing produces exactly that shape when it merges a
 // gate's two fanin drivers) — so duplicate fanin entries must be skipped
@@ -129,7 +120,7 @@ func netCutLinks(c *circuit.Circuit, assign []int, src circuit.GateID, seen *blo
 // accept/reject delta on such circuits.
 func localCutLinks(c *circuit.Circuit, assign []int, g circuit.GateID, seen *blockSet) int {
 	cut := netCutLinks(c, assign, g, seen)
-	fanin := c.Gates[g].Fanin
+	fanin := c.FaninAdj.Row(g)
 	for pi, f := range fanin {
 		dup := false
 		for _, prev := range fanin[:pi] {

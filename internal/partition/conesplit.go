@@ -21,26 +21,26 @@ import (
 // conservative engines exchange lookahead for whole-cone evaluation and
 // the null-message volume drops with the block count.
 func ConeSplit(c *circuit.Circuit, k int, w Weights) (*Partition, int) {
-	n := c.NumGates()
+	n := len(c.Kinds)
 	uf := newUnionFind(n)
 
 	// Union combinational gates with their combinational fanin; a
 	// sequential gate joins its data cone but sequential OUTPUTS never
 	// merge their readers (that is the synchronization boundary).
 	for g := 0; g < n; g++ {
-		kind := c.Gates[g].Kind
+		kind := c.Kinds[g]
 		if kind.Source() {
 			continue
 		}
-		fanin := c.Gates[g].Fanin
+		fanin := c.FaninAdj.Row(circuit.GateID(g))
 		if kind.Sequential() {
-			if d := fanin[0]; !c.Gates[d].Kind.Source() && !c.Gates[d].Kind.Sequential() {
+			if d := fanin[0]; !c.Kinds[d].Source() && !c.Kinds[d].Sequential() {
 				uf.union(g, int(d))
 			}
 			continue
 		}
 		for _, f := range fanin {
-			if fk := c.Gates[f].Kind; !fk.Source() && !fk.Sequential() {
+			if fk := c.Kinds[f]; !fk.Source() && !fk.Sequential() {
 				uf.union(g, int(f))
 			}
 		}
@@ -50,7 +50,7 @@ func ConeSplit(c *circuit.Circuit, k int, w Weights) (*Partition, int) {
 	// is replicated traffic either way, but the heaviest consumer saves
 	// the most link crossings.
 	for g := 0; g < n; g++ {
-		if !c.Gates[g].Kind.Source() {
+		if !c.Kinds[g].Source() {
 			continue
 		}
 		votes := make(map[int]int)
@@ -85,7 +85,7 @@ func ConeSplit(c *circuit.Circuit, k int, w Weights) (*Partition, int) {
 	cones := 0
 	for _, comp := range comps {
 		for _, g := range comp {
-			if !c.Gates[g].Kind.Source() {
+			if !c.Kinds[g].Source() {
 				cones++
 				break
 			}

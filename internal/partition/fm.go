@@ -29,7 +29,7 @@ type bisector func(a *arena, g *hgraph, targetA float64, rng *rand.Rand)
 // recursiveBisect builds a k-way partition by recursively splitting the
 // vertex set with the given 2-way refiner.
 func recursiveBisect(c *circuit.Circuit, k int, w Weights, seed int64, refine bisector) *Partition {
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	rng := rand.New(rand.NewSource(seed))
 	a := newArena(c)
 
@@ -52,7 +52,7 @@ func recursiveBisect(c *circuit.Circuit, k int, w Weights, seed int64, refine bi
 		rec(verts[:nA], firstBlock, blocksA)
 		rec(verts[nA:], firstBlock+blocksA, numBlocks-blocksA)
 	}
-	all := make([]circuit.GateID, c.NumGates())
+	all := make([]circuit.GateID, len(c.Kinds))
 	for i := range all {
 		all[i] = circuit.GateID(i)
 	}

@@ -62,7 +62,7 @@ type arena struct {
 }
 
 func newArena(c *circuit.Circuit) *arena {
-	n := c.NumGates()
+	n := len(c.Kinds)
 	a := &arena{index: make([]int32, n), stamp: make([]int32, n), mark: 1, rest: make([]circuit.GateID, 0, n)}
 	for i := range a.index {
 		a.index[i] = -1

@@ -40,6 +40,9 @@ type Partition struct {
 	// Once so a partition shared across concurrent runs stays race-free.
 	bgOnce     sync.Once
 	blockGates [][]circuit.GateID
+	// graph caches the LP graph the same way (see Graph).
+	graphOnce sync.Once
+	graph     *Graph
 }
 
 // Validate checks the partition covers the circuit.
@@ -47,8 +50,8 @@ func (p *Partition) Validate(c *circuit.Circuit) error {
 	if p.Blocks < 1 {
 		return fmt.Errorf("partition: %d blocks", p.Blocks)
 	}
-	if len(p.Assign) != c.NumGates() {
-		return fmt.Errorf("partition: assignment covers %d of %d gates", len(p.Assign), c.NumGates())
+	if len(p.Assign) != len(c.Kinds) {
+		return fmt.Errorf("partition: assignment covers %d of %d gates", len(p.Assign), len(c.Kinds))
 	}
 	for g, b := range p.Assign {
 		if b < 0 || b >= p.Blocks {
@@ -76,52 +79,6 @@ func (p *Partition) BlockGates() [][]circuit.GateID {
 		p.blockGates = out
 	})
 	return p.blockGates
-}
-
-// Audience answers which blocks must see an event on a gate: the gate's
-// owner first, then every other block owning one of its consumers (each
-// keeps a ghost copy of the net), in fanout order. The asynchronous
-// engines route stimulus changes and checkpoint events with it. Lists
-// are computed on first request and kept back to back in one flat array;
-// not safe for concurrent use.
-type Audience struct {
-	c     *circuit.Circuit
-	owner []int
-	span  [][2]int32 // per gate: its list is dst[span[0]:span[1]]; zero until asked
-	dst   []int
-	seen  []bool // per block, all false between calls
-}
-
-// Audience returns the event-routing view of the partition over c.
-func (p *Partition) Audience(c *circuit.Circuit) *Audience {
-	return &Audience{
-		c:     c,
-		owner: p.Assign,
-		span:  make([][2]int32, len(c.Gates)),
-		seen:  make([]bool, p.Blocks),
-	}
-}
-
-// Of returns the blocks that must see an event on gate g. The result is
-// read-only and stays valid for the Audience's lifetime.
-func (a *Audience) Of(g circuit.GateID) []int {
-	if sp := a.span[g]; sp[1] > 0 {
-		return a.dst[sp[0]:sp[1]]
-	}
-	start := len(a.dst)
-	a.seen[a.owner[g]] = true
-	a.dst = append(a.dst, a.owner[g])
-	for _, fo := range a.c.FanoutAdj.Row(g) {
-		if b := a.owner[fo]; !a.seen[b] {
-			a.seen[b] = true
-			a.dst = append(a.dst, b)
-		}
-	}
-	for _, b := range a.dst[start:] {
-		a.seen[b] = false
-	}
-	a.span[g] = [2]int32{int32(start), int32(len(a.dst))}
-	return a.dst[start:]
 }
 
 // Group folds the partition's LPs into contiguous, load-balanced shard
@@ -177,7 +134,7 @@ func (p *Partition) Group(shards int, w Weights) []int {
 func (p *Partition) CutLinks(c *circuit.Circuit) int {
 	cut := 0
 	seen := newBlockSet(p.Blocks)
-	for g := range c.Gates {
+	for g := range c.Kinds {
 		cut += netCutLinks(c, p.Assign, circuit.GateID(g), seen)
 	}
 	return cut
@@ -188,7 +145,7 @@ type Weights []float64
 
 // WeightsUniform weights every gate equally (structural balance).
 func WeightsUniform(c *circuit.Circuit) Weights {
-	w := make(Weights, c.NumGates())
+	w := make(Weights, len(c.Kinds))
 	for i := range w {
 		w[i] = 1
 	}
@@ -315,8 +272,8 @@ func New(m Method, c *circuit.Circuit, k int, opts Options) (*Partition, error) 
 	if opts.Weights == nil {
 		opts.Weights = WeightsUniform(c)
 	}
-	if len(opts.Weights) != c.NumGates() {
-		return nil, fmt.Errorf("partition: %d weights for %d gates", len(opts.Weights), c.NumGates())
+	if len(opts.Weights) != len(c.Kinds) {
+		return nil, fmt.Errorf("partition: %d weights for %d gates", len(opts.Weights), len(c.Kinds))
 	}
 	var p *Partition
 	switch m {
@@ -353,7 +310,7 @@ func New(m Method, c *circuit.Circuit, k int, opts Options) (*Partition, error) 
 // implicit baseline that every heuristic must beat on cut size.
 func Random(c *circuit.Circuit, k int, seed int64) *Partition {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	for g := range p.Assign {
 		p.Assign[g] = rng.Intn(k)
 	}
@@ -365,7 +322,7 @@ func Random(c *circuit.Circuit, k int, seed int64) *Partition {
 // therefore with structural locality, making this a surprisingly strong
 // cheap heuristic for generated circuits.
 func Contiguous(c *circuit.Circuit, k int, w Weights) *Partition {
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	var total float64
 	for _, x := range w {
 		total += x

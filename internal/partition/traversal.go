@@ -16,7 +16,7 @@ import (
 // are short on realistic circuits (fanout chains dead-end quickly), so the
 // property suite asserts imbalance <= 1.25 for the generator corpus.
 func Strings(c *circuit.Circuit, k int, w Weights) *Partition {
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	for g := range p.Assign {
 		p.Assign[g] = -1
 	}
@@ -85,7 +85,7 @@ func Strings(c *circuit.Circuit, k int, w Weights) *Partition {
 // imbalance <= 1 + maxConeWeight/meanLoad. The property suite asserts
 // exactly that bound with an independently recomputed cone weight.
 func Cones(c *circuit.Circuit, k int, w Weights) *Partition {
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	for g := range p.Assign {
 		p.Assign[g] = -1
 	}
@@ -102,7 +102,7 @@ func Cones(c *circuit.Circuit, k int, w Weights) *Partition {
 		for len(queue) > 0 {
 			g := queue[0]
 			queue = queue[1:]
-			for _, f := range c.Gates[g].Fanin {
+			for _, f := range c.FaninAdj.Row(g) {
 				if p.Assign[f] < 0 {
 					p.Assign[f] = block
 					loads[block] += w[f]
@@ -115,7 +115,7 @@ func Cones(c *circuit.Circuit, k int, w Weights) *Partition {
 	for _, out := range c.Outputs {
 		assignCone(out)
 	}
-	for g := c.NumGates() - 1; g >= 0; g-- {
+	for g := len(c.Kinds) - 1; g >= 0; g-- {
 		assignCone(circuit.GateID(g))
 	}
 	return p
@@ -128,7 +128,7 @@ func Cones(c *circuit.Circuit, k int, w Weights) *Partition {
 // most. The deal is weight-aware (each level's gates go to the lightest
 // blocks first).
 func Levels(c *circuit.Circuit, k int, w Weights) *Partition {
-	p := &Partition{Blocks: k, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: k, Assign: make([]int, len(c.Kinds))}
 	for g := range p.Assign {
 		p.Assign[g] = -1
 	}

@@ -150,18 +150,16 @@ type (
 // infTick is the "never" timestamp.
 const infTick = circuit.Tick(^uint64(0))
 
-// outLink is one cross-LP edge with its lookahead.
-type outLink struct {
-	dst int
-	la  circuit.Tick
-}
-
 // shared bundles cross-goroutine state of a run.
 type shared[V comparable] struct {
 	mode   Mode
 	engine string // metrics/supervise label
 	until  circuit.Tick
 	chaos  *inject.Hook
+	// laBias widens every link lookahead when the chaos hook's sabotage
+	// knob is set: the engine then promises bounds it cannot keep, which
+	// the chaos transport's promise checker must catch.
+	laBias circuit.Tick
 	// net is the LP network. Its Transit counts every message that must be
 	// handled before the system can be quiet: value messages from Send to
 	// handle, and (detect mode) permits from broadcast to handle.
@@ -195,9 +193,10 @@ type clp[V comparable] struct {
 	// hashing.
 	bound []circuit.Tick
 	last  []circuit.Tick // last promise sent per out-link dst
-	out   []outLink
-	in    []int
-	reqd  []bool // dsts that requested a promise (demand mode)
+	// out and in are the LP's links in the partition's LP graph.
+	out  []partition.Link
+	in   []partition.Link
+	reqd []bool // dsts that requested a promise (demand mode)
 	// awaiting tracks in-links with an outstanding promise request, so a
 	// blocked LP keeps at most one request in flight per source; without
 	// the bound, mutual re-requesting among blocked LPs becomes a message
@@ -241,11 +240,11 @@ func RunWide(c *circuit.Circuit, stim *vectors.WideStimulus, until circuit.Tick,
 	return run(circuit.Wide, "cmb-wide", c, stim, until, cfg)
 }
 
-// run is the conservative engine over value type V: it derives the LP
-// graph on the shared LP network, runs the LPs to completion, and
-// assembles the result. engine labels the metrics registry and errors,
-// and cfg.Boot, when non-nil, replaces the stimulus and the time-zero
-// settling step.
+// run is the conservative engine over value type V: it joins its LPs to
+// the shared LP network along the partition's LP graph, runs them to
+// completion, and assembles the result. engine labels the metrics
+// registry and errors, and cfg.Boot, when non-nil, replaces the stimulus
+// and the time-zero settling step.
 func run[V comparable](
 	pl *circuit.Plane[V],
 	engine string,
@@ -268,29 +267,10 @@ func run[V comparable](
 		return nil, err
 	}
 
-	n, owner := cfg.Partition.Blocks, cfg.Partition.Assign
+	n, links := cfg.Partition.Blocks, cfg.Partition.Graph(c)
 	sh := &shared[V]{mode: cfg.Mode, engine: engine, until: until, chaos: cfg.Chaos, net: net, next: make([]circuit.Tick, n)}
-	// The LP graph: la[src*n+dst] is the lookahead of the link src → dst,
-	// the smallest delay of a gate on src driving one on dst, or infTick
-	// when there is no link.
-	la := make([]circuit.Tick, n*n)
-	for i := range la {
-		la[i] = infTick
-	}
-	for g := range c.Gates {
-		src := owner[g]
-		for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
-			if dst := owner[fo]; dst != src {
-				la[src*n+dst] = min(la[src*n+dst], c.Gates[g].Delay)
-			}
-		}
-	}
-	// laBias widens every link lookahead when the chaos hook's sabotage
-	// knob is set: the engine then promises bounds it cannot keep, which
-	// the chaos transport's promise checker must catch.
-	laBias := circuit.Tick(0)
 	if cfg.Chaos != nil {
-		laBias = circuit.Tick(cfg.Chaos.LookaheadBias)
+		sh.laBias = circuit.Tick(cfg.Chaos.LookaheadBias)
 	}
 	lps := make([]clp[V], n)
 	for _, i := range net.Locals() {
@@ -299,14 +279,9 @@ func run[V comparable](
 		l.sh, l.safe = sh, 1
 		l.bound, l.last = make([]circuit.Tick, n), make([]circuit.Tick, n)
 		l.reqd, l.awaiting = make([]bool, n), make([]bool, n)
-		for j := 0; j < n; j++ {
-			if d := la[i*n+j]; d != infTick {
-				l.out = append(l.out, outLink{j, d + laBias})
-			}
-			if la[j*n+i] != infTick {
-				l.in = append(l.in, j)
-				l.bound[j] = 1
-			}
+		l.out, l.in = links.Out[i], links.In[i]
+		for _, link := range l.in {
+			l.bound[link.Peer] = 1
 		}
 		l.K.Schedule = func(t circuit.Tick, g circuit.GateID, v V) {
 			l.Q.Push(uint64(t), kernel.EventT[V]{Gate: g, Value: v})
@@ -339,8 +314,8 @@ func (l *clp[V]) safeTime() circuit.Tick {
 		return l.safe
 	}
 	min := infTick
-	for _, src := range l.in {
-		if b := l.bound[src]; b < min {
+	for _, link := range l.in {
+		if b := l.bound[link.Peer]; b < min {
 			min = b
 		}
 	}
@@ -378,17 +353,18 @@ func (l *clp[V]) promise(la circuit.Tick) circuit.Tick {
 // never reaches the wire.
 func (l *clp[V]) sendPromises(onlyRequested bool) {
 	for _, link := range l.out {
-		if onlyRequested && !l.reqd[link.dst] {
+		dst := link.Peer
+		if onlyRequested && !l.reqd[dst] {
 			continue
 		}
-		p := l.promise(link.la)
-		if p <= l.last[link.dst] {
+		p := l.promise(link.Lookahead + l.sh.laBias)
+		if p <= l.last[dst] {
 			continue
 		}
-		l.last[link.dst] = p
-		l.reqd[link.dst] = false
+		l.last[dst] = p
+		l.reqd[dst] = false
 		l.St.NullsSent++
-		if l.Batch.Put(link.dst, lpnet.Msg[V]{Kind: lpnet.Null, From: l.ID, Time: p}) {
+		if l.Batch.Put(dst, lpnet.Msg[V]{Kind: lpnet.Null, From: l.ID, Time: p}) {
 			l.St.NullsFolded++
 		}
 	}
@@ -498,7 +474,8 @@ func (l *clp[V]) Idle(t circuit.Tick) lpnet.Verdict {
 			return lpnet.Done
 		}
 		if demand {
-			for _, src := range l.in {
+			for _, link := range l.in {
+				src := link.Peer
 				if l.awaiting[src] || l.bound[src] > l.sh.until {
 					continue
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 )
 
 // warmWideLP is warmLP on the 64-lane plane: the same mid-sized DAG with
@@ -18,12 +19,9 @@ func warmWideLP(t *testing.T, sweep bool) (*WideLP, [2][]WideEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, len(c.Gates))
-	own := make([]circuit.GateID, len(c.Gates))
-	for g := range own {
-		own[g] = circuit.GateID(g)
-	}
-	lp := NewOn(circuit.Wide, c, owner, 0, logic.TwoValued, nil, own)
+	p := &partition.Partition{Blocks: 1, Assign: make([]int, len(c.Kinds))}
+	own := p.BlockGates()[0]
+	lp := NewOn(circuit.Wide, c, p, 0, logic.TwoValued, nil, own)
 	if sweep {
 		lp.EnableSweep(SweepThreshold(len(own)))
 	}

@@ -25,11 +25,10 @@
 package kernel
 
 import (
-	"slices"
-
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/sim/phase"
 )
 
@@ -123,13 +122,11 @@ type LPT[V comparable] struct {
 	ownGates  []circuit.GateID
 	pl        *circuit.Plane[V]
 
-	// fan and dsts are the LP's two views of c.FanoutAdj, compiled once:
-	// fan's row of net g lists the fanouts of g the LP owns, which a change
-	// of g dirties; dsts' row of an owned gate lists the remote LPs that
-	// read it, once each, in fanout order, which its output changes are
-	// sent to.
-	fan  circuit.Adj
-	dsts lpAdj
+	// fan is the LP's view of c.FanoutAdj, compiled once: its row of net g
+	// lists the fanouts of g the LP owns, which a change of g dirties. An
+	// owned gate's output changes are sent to its readers in graph.
+	fan   circuit.Adj
+	graph *partition.Graph
 
 	stamp []uint32
 	epoch uint32
@@ -149,33 +146,23 @@ type LPT[V comparable] struct {
 	Record func(t circuit.Tick, g circuit.GateID, v V)
 }
 
-// lpAdj is a compressed-sparse-row map from gates to LP indices: the LPs
-// of gate g are Idx[Off[g]:Off[g+1]].
-type lpAdj struct {
-	Off []int32
-	Idx []int32
-}
-
-func (a *lpAdj) row(g circuit.GateID) []int32 { return a.Idx[a.Off[g]:a.Off[g+1]] }
-
 // LP is the scalar logical-process executor.
 type LP = LPT[logic.Value]
 
 // WideLP is the 64-lane logical-process executor.
 type WideLP = LPT[logic.Word]
 
-// NewOn builds an LP executor on plane pl for block self of the
-// partition-owner map. The owner map is read here, to compile the LP's
-// fanout views, and never again.
-func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
+// NewOn builds an LP executor on plane pl for block self of partition p.
+// The owner map is read here, to compile the LP's fanout view, and never
+// again.
+func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, p *partition.Partition, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LPT[V] {
 	val, prevClk := pl.InitState(c, sys)
 	projected := make([]V, len(val))
 	copy(projected, val)
 	isWatched := make([]bool, len(c.Kinds))
 	for _, g := range watched {
-		isWatched[g] = owner[g] == self
+		isWatched[g] = p.Assign[g] == self
 	}
-	fan, dsts := views(c, owner, self)
 	return &LPT[V]{
 		c:         c,
 		val:       val,
@@ -184,56 +171,42 @@ func NewOn[V comparable](pl *circuit.Plane[V], c *circuit.Circuit, owner []int, 
 		isWatched: isWatched,
 		ownGates:  ownGates,
 		pl:        pl,
-		fan:       fan,
-		dsts:      dsts,
+		fan:       ownedFanouts(c, p.Assign, self),
+		graph:     p.Graph(c),
 		stamp:     make([]uint32, len(c.Kinds)),
 		dirty:     make([]circuit.GateID, 0, 64),
 	}
 }
 
-// views compiles block self's two views of c.FanoutAdj: the owned fanouts
-// of every net, and the distinct remote readers of every owned gate in
-// first-encounter order. Each is counted, then filled, so its arrays are
-// allocated once at their exact size.
-func views(c *circuit.Circuit, owner []int, self int) (fan circuit.Adj, dsts lpAdj) {
-	n := len(c.Kinds)
-	fan.Off = make([]int32, n+1)
-	dsts.Off = make([]int32, n+1)
-	var nfan, ndst int32
-	for g := range n {
-		row, own := c.FanoutAdj.Row(circuit.GateID(g)), owner[g] == self
-		for i, out := range row {
-			if d := owner[out]; d == self {
-				nfan++
-			} else if own && !readsBefore(owner, row[:i], d) {
-				ndst++
-			}
-		}
-		fan.Off[g+1], dsts.Off[g+1] = nfan, ndst
-	}
-	fan.Idx = make([]circuit.GateID, 0, nfan)
-	dsts.Idx = make([]int32, 0, ndst)
-	for g := range n {
-		row, own := c.FanoutAdj.Row(circuit.GateID(g)), owner[g] == self
-		for i, out := range row {
-			if d := owner[out]; d == self {
-				fan.Idx = append(fan.Idx, out)
-			} else if own && !readsBefore(owner, row[:i], d) {
-				dsts.Idx = append(dsts.Idx, int32(d))
+// ownedFanouts compiles block self's view of c.FanoutAdj: the fanouts of
+// every net that self owns. The rows are counted, then filled from the
+// flat fanout array, so its arrays are allocated once at their exact size.
+func ownedFanouts(c *circuit.Circuit, owner []int, self int) circuit.Adj {
+	fan := circuit.Adj{Off: make([]int32, len(c.Kinds)+1)}
+	for g := range c.Kinds {
+		fan.Off[g+1] = fan.Off[g]
+		for _, out := range c.FanoutAdj.Row(circuit.GateID(g)) {
+			if owner[out] == self {
+				fan.Off[g+1]++
 			}
 		}
 	}
-	return fan, dsts
+	fan.Idx = make([]circuit.GateID, 0, fan.Off[len(c.Kinds)])
+	for _, out := range c.FanoutAdj.Idx {
+		if owner[out] == self {
+			fan.Idx = append(fan.Idx, out)
+		}
+	}
+	return fan
 }
 
-// readsBefore reports whether block d owns any of the fanouts in prev.
-func readsBefore(owner []int, prev []circuit.GateID, d int) bool {
-	return slices.ContainsFunc(prev, func(out circuit.GateID) bool { return owner[out] == d })
-}
-
-// New builds a scalar LP executor.
+// New builds a scalar LP executor for block self of an owner map.
 func New(c *circuit.Circuit, owner []int, self int, sys logic.System, watched []circuit.GateID, ownGates []circuit.GateID) *LP {
-	return NewOn(circuit.Scalar, c, owner, self, sys, watched, ownGates)
+	p := &partition.Partition{Blocks: self + 1, Assign: owner}
+	for _, b := range owner {
+		p.Blocks = max(p.Blocks, b+1)
+	}
+	return NewOn(circuit.Scalar, c, p, self, sys, watched, ownGates)
 }
 
 // EnableSweep arms the oblivious block sweep: whenever a step's dirty set
@@ -402,12 +375,12 @@ func (lp *LPT[V]) commit(t circuit.Tick, evaluated bool, undo *UndoT[V], st *met
 		due := t + lp.c.Delays[g]
 		lp.Schedule(due, g, out)
 		st.EventsScheduled++
-		// Remote consumers get one message per destination LP.
-		dsts := lp.dsts.row(g)
-		for _, dst := range dsts {
+		// Remote consumers get one message per reading LP.
+		readers := lp.graph.Readers(g)
+		for _, dst := range readers {
 			lp.Send(int(dst), due, g, out)
 		}
-		st.MessagesSent += uint64(len(dsts))
+		st.MessagesSent += uint64(len(readers))
 	}
 }
 

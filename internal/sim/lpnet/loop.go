@@ -235,8 +235,8 @@ func (l *LP[V, E]) steps() (t circuit.Tick, stepped, ok bool) {
 // peerWaiting reports whether any LP this one's gates drive is inside
 // its mailbox's wait.
 func (l *LP[V, E]) peerWaiting() bool {
-	for _, dst := range l.net.lps[l.ID].out {
-		if l.net.Inboxes[dst].Waiting() {
+	for _, link := range l.net.lps[l.ID].out {
+		if l.net.Inboxes[link.Peer].Waiting() {
 			return true
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,10 +189,10 @@ type lp[V comparable] struct {
 	prefix []trace.SampleT[V]
 	drv    runner[V]
 	// box is the LP's own mailbox under any chaos wrapper, nil for a
-	// remote LP; out lists the LPs its gates drive, the ones it flushes to
-	// early when they wait (none on one core).
+	// remote LP; out is its out-links in the LP graph, to the LPs it
+	// flushes to early when they wait (none on one core).
 	box *mpsc.Mailbox[Msg[V]]
-	out []int
+	out []partition.Link
 }
 
 // Open is the preamble of a run: it schedules the stimulus (resolving
@@ -269,18 +268,12 @@ func New[V comparable](s Spec[V]) (*Net[V], error) {
 	}
 
 	watched := c.Outputs
-	blockGates := p.BlockGates()
-	if overlap {
-		for g, src := range p.Assign {
-			for _, fo := range c.FanoutAdj.Row(circuit.GateID(g)) {
-				if dst := p.Assign[fo]; dst != src && !slices.Contains(n.lps[src].out, dst) {
-					n.lps[src].out = append(n.lps[src].out, dst)
-				}
-			}
-		}
-	}
+	blockGates, links := p.BlockGates(), p.Graph(c).Out
 	for _, i := range n.locals {
-		k := kernel.NewOn(s.Plane, c, p.Assign, i, s.System, watched, blockGates[i])
+		if overlap {
+			n.lps[i].out = links[i]
+		}
+		k := kernel.NewOn(s.Plane, c, p, i, s.System, watched, blockGates[i])
 		if s.Sweep {
 			k.EnableSweep(kernel.SweepThreshold(len(blockGates[i])))
 		}
@@ -364,30 +357,34 @@ func (n *Net[V]) abort() {
 func (n *Net[V]) Aborted() bool { return n.aborted.Load() }
 
 // Route hands each stimulus change inside the horizon — or, when the run
-// boots from a checkpoint, each checkpoint event — to every local LP in
-// its gate's audience: the owner first, then every LP holding a ghost of
-// the net, in fanout order. Remote LPs are skipped: each shard holds the
-// full schedule and routes to its own. push queues a future event on an
-// LP; time-zero events feed the settle step and are returned per LP
-// instead. A checkpoint's events all lie after its boundary, so none is
-// time zero. Like the sequential engine, the run routes the changes past
-// the horizon too — it never reaches them, but every cut holds them as
-// pending, so a cut does not depend on the horizon of the run that took
-// it — and the owner of an input notes its last change as the input's
-// projection.
+// boots from a checkpoint, each checkpoint event — to every local LP that
+// must see its gate: the owner first, then the gate's readers in the LP
+// graph, each holding a ghost of the net. Remote LPs are skipped: each
+// shard holds the full schedule and routes to its own. push queues a
+// future event on an LP; time-zero events feed the settle step and are
+// returned per LP instead. A checkpoint's events all lie after its
+// boundary, so none is time zero. Like the sequential engine, the run
+// routes the changes past the horizon too — it never reaches them, but
+// every cut holds them as pending, so a cut does not depend on the
+// horizon of the run that took it — and the owner of an input notes its
+// last change as the input's projection.
 func (n *Net[V]) Route(changes []vectors.ChangeT[V], push func(lp int, t uint64, ev kernel.EventT[V])) (initial [][]kernel.EventT[V]) {
 	initial = make([][]kernel.EventT[V], len(n.Inboxes))
-	aud := n.p.Audience(n.c)
+	readers := n.p.Graph(n.c).Readers
+	deliver := func(dst int, t uint64, ev kernel.EventT[V]) {
+		if !n.Local(dst) {
+			return
+		}
+		if t == 0 {
+			initial[dst] = append(initial[dst], ev)
+		} else {
+			push(dst, t, ev)
+		}
+	}
 	route := func(t uint64, ev kernel.EventT[V]) {
-		for _, dst := range aud.Of(ev.Gate) {
-			if !n.Local(dst) {
-				continue
-			}
-			if t == 0 {
-				initial[dst] = append(initial[dst], ev)
-			} else {
-				push(dst, t, ev)
-			}
+		deliver(n.p.Assign[ev.Gate], t, ev)
+		for _, dst := range readers(ev.Gate) {
+			deliver(int(dst), t, ev)
 		}
 	}
 	if n.boot != nil {

@@ -476,19 +476,21 @@ func TestBurstFlushesToAWaitingPeer(t *testing.T) {
 }
 
 // TestOutNeighbours: the LPs an LP flushes to early are the ones its
-// gates drive, in first-use order — none on one core, where a woken LP
-// cannot run before its sender parks.
+// gates drive, its out-links in ascending order — none on one core, where
+// a woken LP cannot run before its sender parks.
 func TestOutNeighbours(t *testing.T) {
 	outs := func(procs int) [][]int {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		n := newNet(t, Spec[logic.Value]{})
-		var out [][]int
+		out := make([][]int, len(n.lps))
 		for i := range n.lps {
-			out = append(out, n.lps[i].out)
+			for _, link := range n.lps[i].out {
+				out[i] = append(out[i], link.Peer)
+			}
 		}
 		return out
 	}
-	if got, want := outs(2), [][]int{{2}, {2, 0}, nil}; !reflect.DeepEqual(got, want) {
+	if got, want := outs(2), [][]int{{2}, {0, 2}, nil}; !reflect.DeepEqual(got, want) {
 		t.Errorf("out-neighbours on two cores = %v, want %v", got, want)
 	}
 	if got, want := outs(1), [][]int{nil, nil, nil}; !reflect.DeepEqual(got, want) {

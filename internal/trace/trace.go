@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 
@@ -71,17 +72,36 @@ func (r *RecorderT[V]) Len() int { return len(r.samples) }
 // be written.
 func (r *RecorderT[V]) Samples() []SampleT[V] { return r.samples }
 
-// Merge combines recorder shards into one canonical waveform.
+// Merge combines recorder shards into one canonical waveform. Each
+// recorder is already in time order, so the shards merge by time, and only
+// each run of samples at one time is sorted, by gate.
 func Merge[V comparable](recs ...*RecorderT[V]) WaveformT[V] {
 	var n int
 	for _, r := range recs {
 		n += len(r.samples)
 	}
 	w := make(WaveformT[V], 0, n)
-	for _, r := range recs {
-		w = append(w, r.samples...)
+	next := make([]int, len(recs)) // per recorder, its first unmerged sample
+	for len(w) < n {
+		t := circuit.Tick(math.MaxUint64)
+		for i, r := range recs {
+			if next[i] < len(r.samples) {
+				t = min(t, r.samples[next[i]].Time)
+			}
+		}
+		run := len(w)
+		for i, r := range recs {
+			j := next[i]
+			for j < len(r.samples) && r.samples[j].Time == t {
+				j++
+			}
+			w = append(w, r.samples[next[i]:j]...)
+			next[i] = j
+		}
+		if len(w)-run > 1 {
+			slices.SortFunc(w[run:], func(a, b SampleT[V]) int { return cmp.Compare(a.Gate, b.Gate) })
+		}
 	}
-	Sort(w)
 	return w
 }
 

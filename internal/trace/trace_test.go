@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -24,6 +25,34 @@ func TestRecorderAndMerge(t *testing.T) {
 	}
 	if a.Len() != 2 || b.Len() != 2 {
 		t.Fatal("recorder lengths wrong")
+	}
+}
+
+// TestMergeMatchesSort: merging time-ordered recorders, several of which
+// record at the same times, gives what a full Sort of their samples gives.
+func TestMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		recs := make([]*Recorder, 1+rng.Intn(8))
+		for i := range recs {
+			recs[i] = new(Recorder)
+		}
+		// Each gate belongs to one recorder and changes at most once per
+		// time, as a watched net does under its owning LP.
+		gates := 1 + rng.Intn(40)
+		for tm := circuit.Tick(0); tm < circuit.Tick(1+rng.Intn(30)); tm += circuit.Tick(1 + rng.Intn(3)) {
+			for _, g := range rng.Perm(gates)[:rng.Intn(gates+1)] {
+				recs[g%len(recs)].Record(tm, circuit.GateID(g), logic.Value(rng.Intn(2)))
+			}
+		}
+		var all Waveform
+		for _, r := range recs {
+			all = append(all, r.Samples()...)
+		}
+		Sort(all)
+		if got := Merge(recs...); !Equal(got, all) {
+			t.Fatalf("trial %d: %s", trial, Diff(all, got, 5))
+		}
 	}
 }
 
