@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -134,8 +135,10 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkSetup measures the set-up layers ahead of partitioning on
 // seq40000 (40 951 gates): "read" parses the netlist's .bench text the
-// way a run reads its file, and "optimize" runs the default optimizer
-// pipeline over the parsed circuit.
+// way a run reads its file, "live" reports the heap a freshly read
+// circuit holds (live-B: the live heap after a GC with the circuit
+// reachable, less the live heap before the read), and "optimize" runs
+// the default optimizer pipeline over the parsed circuit.
 func BenchmarkSetup(b *testing.B) {
 	c, err := pipeline.Load(pipeline.Spec{Circuit: "seq40000", Seed: 1})
 	if err != nil {
@@ -156,6 +159,21 @@ func BenchmarkSetup(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("live", func(b *testing.B) {
+		var before, after runtime.MemStats
+		for i := 0; i < b.N; i++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			c, err := bench.Read(strings.NewReader(text))
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(c)
+		}
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "live-B")
 	})
 	b.Run("optimize", func(b *testing.B) {
 		b.ReportAllocs()

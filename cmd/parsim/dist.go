@@ -54,7 +54,7 @@ func runDist(opts dist.Options, exec string, chaosSeed uint64, chaosFaults int, 
 		}
 		fmt.Printf("final outputs:")
 		for _, o := range c.Outputs {
-			fmt.Printf(" %s=%v", c.Gate(o).Name, res.Values[o])
+			fmt.Printf(" %s=%v", c.Name(o), res.Values[o])
 		}
 		fmt.Println()
 	}

@@ -336,7 +336,7 @@ func runScalar(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet 
 		}
 		fmt.Printf("final outputs:")
 		for _, o := range c.Outputs {
-			fmt.Printf(" %s=%v", c.Gate(o).Name, rep.Values[o])
+			fmt.Printf(" %s=%v", c.Name(o), rep.Values[o])
 		}
 		fmt.Println()
 	}
@@ -360,13 +360,13 @@ func runWide(run *pipeline.Prepared, opts core.Options, vcdPath string, quiet bo
 		}
 		fmt.Printf("final outputs (lane 0):")
 		for _, o := range c.Outputs {
-			fmt.Printf(" %s=%v", c.Gate(o).Name, rep.Values[o].Get(0))
+			fmt.Printf(" %s=%v", c.Name(o), rep.Values[o].Get(0))
 		}
 		fmt.Println()
 	}
 	if vcdPath != "" {
 		init := func(g circuit.GateID) logic.Value {
-			return opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
+			return opts.System.Project(circuit.InitialValue(c.Kinds[g]))
 		}
 		writeVCD(vcdPath, c, trace.WideWaveform(rep.Waveform).Lane(0, init), "lane-0 waveform", quiet)
 	}

@@ -73,7 +73,7 @@ func main() {
 	for _, f := range collapsed {
 		if !detected[f] {
 			if missed < 10 {
-				fmt.Printf("  undetected: gate %q %s\n", c.Gate(f.Gate).Name, f)
+				fmt.Printf("  undetected: gate %q %s\n", c.Name(f.Gate), f)
 			}
 			missed++
 		}

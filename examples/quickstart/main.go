@@ -69,6 +69,6 @@ func main() {
 
 	// 6. Final output values by name.
 	for _, o := range c.Outputs {
-		fmt.Printf("  output %s = %v\n", c.Gate(o).Name, ref.Values[o])
+		fmt.Printf("  output %s = %v\n", c.Name(o), ref.Values[o])
 	}
 }

@@ -281,12 +281,12 @@ func (p *parser) build() (*circuit.Circuit, error) {
 	}
 	kinds := make([]circuit.Kind, n)
 	delays := make([]circuit.Tick, n)
-	names := make([]string, n)
+	nameOff := make([]int32, n+1)
 	byName := make(map[string]circuit.GateID, n)
 	inputs := make([]circuit.GateID, 0, len(p.inputs)+1)
-	// Every name, the $out markers' included, is a substring of one
-	// string sized up front, so the circuit keeps only the names' bytes
-	// and not the file's.
+	// Every name, the $out markers' included, is written in gate order
+	// into one string sized up front, which the circuit adopts with an
+	// offset per gate: it keeps only the names' bytes and not the file's.
 	size := len(clkName) + len(p.outputs)*len(outputSuffix)
 	for _, list := range [][]decl{p.inputs, p.outputs} {
 		for _, d := range list {
@@ -298,18 +298,19 @@ func (p *parser) build() (*circuit.Circuit, error) {
 	}
 	var pool strings.Builder
 	pool.Grow(size)
-	intern := func(name, suffix string) string {
+	id := circuit.GateID(0)
+	// intern numbers the next gate, a unit-delay one of the given kind,
+	// and returns its name as a substring of the pool.
+	intern := func(kind circuit.Kind, name, suffix string) string {
 		start := pool.Len()
 		pool.WriteString(name)
 		pool.WriteString(suffix)
+		kinds[id], delays[id], nameOff[id+1] = kind, 1, int32(pool.Len())
+		id++
 		return pool.String()[start:]
 	}
-	id := circuit.GateID(0)
 	declare := func(kind circuit.Kind, name string) {
-		name = intern(name, "")
-		kinds[id], delays[id], names[id] = kind, 1, name
-		byName[name] = id
-		id++
+		byName[intern(kind, name, "")] = id - 1
 	}
 	if synthClk {
 		inputs = append(inputs, id)
@@ -368,19 +369,20 @@ func (p *parser) build() (*circuit.Circuit, error) {
 		outputs[k] = id
 		off[id] = int32(len(idx))
 		idx = append(idx, src)
-		kinds[id], delays[id], names[id] = circuit.Output, 1, intern(out.name, outputSuffix)
-		id++
+		intern(circuit.Output, out.name, outputSuffix)
 	}
 	off[n] = int32(len(idx))
+	names := pool.String()
+	name := func(g circuit.GateID) string { return names[nameOff[g]:nameOff[g+1]] }
 	for k, out := range p.outputs {
 		g := outputs[k]
-		if prev, dup := byName[names[g]]; dup {
+		if prev, dup := byName[name(g)]; dup {
 			return nil, fmt.Errorf("bench: line %d: OUTPUT(%s) marker %q duplicates gate %q",
-				out.line, out.name, names[g], names[prev])
+				out.line, out.name, name(g), name(prev))
 		}
-		byName[names[g]] = g
+		byName[name(g)] = g
 	}
-	return circuit.FromFlat(kinds, delays, names, circuit.Adj{Off: off, Idx: idx}, inputs, outputs, byName)
+	return circuit.FromFlat(kinds, delays, names, nameOff, circuit.Adj{Off: off, Idx: idx}, inputs, outputs, byName)
 }
 
 // Write emits a circuit as a .bench netlist, including the delay extension
@@ -393,39 +395,39 @@ func Write(w io.Writer, c *circuit.Circuit, title string) error {
 	if title != "" {
 		fmt.Fprintf(bw, "# %s\n", title)
 	}
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", len(c.Inputs), len(c.Outputs), c.NumGates())
+	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", len(c.Inputs), len(c.Outputs), len(c.Kinds))
 	for _, in := range c.Inputs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gate(in).Name)
+		fmt.Fprintf(bw, "INPUT(%s)\n", c.Name(in))
 	}
 	for _, out := range c.Outputs {
-		g := c.Gate(out)
-		if g.Kind != circuit.Output || len(g.Fanin) != 1 {
-			return fmt.Errorf("bench: output gate %q is not a simple marker", g.Name)
+		fanin := c.FaninAdj.Row(out)
+		if c.Kinds[out] != circuit.Output || len(fanin) != 1 {
+			return fmt.Errorf("bench: output gate %q is not a simple marker", c.Name(out))
 		}
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gate(g.Fanin[0]).Name)
+		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Name(fanin[0]))
 	}
 	var delayLines []string
-	for id := range c.Gates {
-		g := c.Gate(circuit.GateID(id))
-		switch g.Kind {
+	for id, kind := range c.Kinds {
+		g := circuit.GateID(id)
+		switch kind {
 		case circuit.Input, circuit.Output:
 			continue
 		}
-		op, ok := opByKind[g.Kind]
+		op, ok := opByKind[kind]
 		if !ok {
-			return fmt.Errorf("bench: gate %q has unwritable kind %v", g.Name, g.Kind)
+			return fmt.Errorf("bench: gate %q has unwritable kind %v", c.Name(g), kind)
 		}
-		args := make([]string, 0, len(g.Fanin))
-		fanin := g.Fanin
-		if g.Kind == circuit.DFF || g.Kind == circuit.DLatch {
+		fanin := c.FaninAdj.Row(g)
+		if kind.Sequential() {
 			fanin = fanin[:1] // the implicit clock is not written
 		}
+		args := make([]string, 0, len(fanin))
 		for _, f := range fanin {
-			args = append(args, c.Gate(f).Name)
+			args = append(args, c.Name(f))
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, op, strings.Join(args, ", "))
-		if g.Delay != 1 {
-			delayLines = append(delayLines, fmt.Sprintf("#@ delay %s %d", g.Name, g.Delay))
+		fmt.Fprintf(bw, "%s = %s(%s)\n", c.Name(g), op, strings.Join(args, ", "))
+		if d := c.Delays[g]; d != 1 {
+			delayLines = append(delayLines, fmt.Sprintf("#@ delay %s %d", c.Name(g), d))
 		}
 	}
 	sort.Strings(delayLines)

@@ -50,7 +50,7 @@ func TestReadS27(t *testing.T) {
 	if !ok {
 		t.Fatal("no synthesized CLK input")
 	}
-	for id := range c.Gates {
+	for id := range c.Kinds {
 		g := c.Gate(circuit.GateID(id))
 		if g.Kind == circuit.DFF && g.Fanin[1] != clk {
 			t.Fatalf("DFF %q not clocked by CLK", g.Name)
@@ -72,8 +72,8 @@ G3 = BUFF(A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumGates() != 4 {
-		t.Fatalf("gates = %d", c.NumGates())
+	if len(c.Kinds) != 4 {
+		t.Fatalf("gates = %d", len(c.Kinds))
 	}
 }
 
@@ -89,8 +89,8 @@ Y = NAND(A, B)
 		t.Fatal(err)
 	}
 	y, _ := c.ByName("Y")
-	if c.Gate(y).Delay != 7 {
-		t.Fatalf("delay = %d, want 7", c.Gate(y).Delay)
+	if c.Delays[y] != 7 {
+		t.Fatalf("delay = %d, want 7", c.Delays[y])
 	}
 	out, err := bench.WriteString(c, "t")
 	if err != nil {
@@ -148,18 +148,18 @@ func TestRoundTripGeneratedCircuits(t *testing.T) {
 			t.Fatalf("%s: gate count %d -> %d", m.name, so.Gates, sb.Gates)
 		}
 		// Every named original gate must exist with the same kind & delay.
-		for id := range orig.Gates {
-			g := orig.Gate(circuit.GateID(id))
-			if g.Kind == circuit.Input || g.Kind == circuit.Output {
+		for id, k := range orig.Kinds {
+			if k == circuit.Input || k == circuit.Output {
 				continue
 			}
-			bid, ok := back.ByName(g.Name)
+			g := circuit.GateID(id)
+			name := orig.Name(g)
+			bg, ok := back.ByName(name)
 			if !ok {
-				t.Fatalf("%s: gate %q lost", m.name, g.Name)
+				t.Fatalf("%s: gate %q lost", m.name, name)
 			}
-			bg := back.Gate(bid)
-			if bg.Kind != g.Kind || bg.Delay != g.Delay {
-				t.Fatalf("%s: gate %q changed: %v/%d -> %v/%d", m.name, g.Name, g.Kind, g.Delay, bg.Kind, bg.Delay)
+			if back.Kinds[bg] != k || back.Delays[bg] != orig.Delays[g] {
+				t.Fatalf("%s: gate %q changed: %v/%d -> %v/%d", m.name, name, k, orig.Delays[g], back.Kinds[bg], back.Delays[bg])
 			}
 		}
 	}
@@ -228,7 +228,7 @@ Q = DFF(D)
 		t.Fatal("fallback clock synthesized despite declared CLK")
 	}
 	q, _ := c.ByName("Q")
-	if c.Gate(q).Fanin[1] != clk {
+	if c.FaninAdj.Row(q)[1] != clk {
 		t.Fatal("DFF not wired to the declared CLK")
 	}
 	// Round trip preserves the gate population exactly.
@@ -240,8 +240,8 @@ Q = DFF(D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumGates() != c.NumGates() {
-		t.Fatalf("round trip changed gate count %d -> %d", c.NumGates(), back.NumGates())
+	if len(back.Kinds) != len(c.Kinds) {
+		t.Fatalf("round trip changed gate count %d -> %d", len(c.Kinds), len(back.Kinds))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestWriteRejectsExoticOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumGates() != c.NumGates() {
+	if len(back.Kinds) != len(c.Kinds) {
 		t.Fatal("extension round trip changed gate count")
 	}
 }

@@ -15,12 +15,13 @@ package circuit
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/logic"
 )
 
 // GateID identifies a gate (equivalently, the net the gate drives).
-// IDs are dense indices into Circuit.Gates.
+// IDs are dense indices into the circuit's per-gate arrays.
 type GateID int32
 
 // Tick is a point in (or duration of) discrete simulated time.
@@ -98,8 +99,10 @@ func (k Kind) arity() (min, max int) {
 	return 0, 0
 }
 
-// Gate is one circuit element. Fanin order is significant for Mux2
-// (sel, d0, d1), Tri (en, d), DFF (d, clk) and DLatch (d, en).
+// Gate is one circuit element as a record: what Builder and New take, and
+// what Circuit.Gate assembles from the flat arrays. Fanin order is
+// significant for Mux2 (sel, d0, d1), Tri (en, d), DFF (d, clk) and
+// DLatch (d, en).
 type Gate struct {
 	Kind  Kind
 	Name  string
@@ -110,10 +113,13 @@ type Gate struct {
 	Delay Tick
 }
 
+// GateKind is one entry of Circuit.Gates: a gate's kind and nothing else.
+type GateKind struct{ Kind Kind }
+
 // Adj is a compressed-sparse-row adjacency over gates: the neighbours of
 // gate g are Idx[Off[g]:Off[g+1]], all rows contiguous in gate order.
 type Adj struct {
-	Off []int32 // len(Gates)+1 row offsets into Idx
+	Off []int32 // one row offset per gate, plus the end, into Idx
 	Idx []GateID
 }
 
@@ -123,15 +129,15 @@ func (a *Adj) Row(g GateID) []GateID { return a.Idx[a.Off[g]:a.Off[g+1]] }
 
 // Circuit is an immutable gate-level netlist.
 //
-// The connectivity is stored once, flat: FaninAdj and FanoutAdj hold every
-// edge in two contiguous index arrays, and Gate.Fanin is a sub-slice of
-// FaninAdj. The engines' per-event loops read the flat arrays (Adj.Row,
-// Kinds, Delays) so one evaluation touches a few dense cache lines instead
-// of a 64-byte Gate and a separately allocated fanin slice; everything
-// else keeps the per-gate views.
+// Every gate attribute is stored once, flat, in gate order: the dense
+// Kinds and Delays, every edge in the two index arrays of FaninAdj and
+// FanoutAdj, and every name in one string read through Name. One
+// evaluation touches a few dense cache lines, and a gate costs no object
+// of its own.
 type Circuit struct {
-	// Gates is indexed by GateID.
-	Gates []Gate
+	// Gates repeats Kinds, one GateKind per gate, for the readers that
+	// still index it.
+	Gates []GateKind
 	// Inputs and Outputs list the primary input and output gates in
 	// declaration order.
 	Inputs  []GateID
@@ -142,7 +148,7 @@ type Circuit struct {
 	// duplicates removed (a gate appears once even if it reads g twice).
 	FaninAdj  Adj
 	FanoutAdj Adj
-	// Kinds[g] and Delays[g] are Gates[g].Kind and Gates[g].Delay, dense.
+	// Kinds[g] and Delays[g] are gate g's kind and propagation delay.
 	Kinds  []Kind
 	Delays []Tick
 	// Levels is the circuit's levelization, computed once at construction
@@ -151,14 +157,29 @@ type Circuit struct {
 	// the arrays above it is shared and must not be written.
 	Levels [][]GateID
 
-	byName map[string]GateID
+	// names holds every gate's name back to back: gate g's is
+	// names[nameOff[g]:nameOff[g+1]].
+	names   string
+	nameOff []int32
+	byName  map[string]GateID
 }
 
 // NumGates returns the number of gates (and nets).
-func (c *Circuit) NumGates() int { return len(c.Gates) }
+func (c *Circuit) NumGates() int { return len(c.Kinds) }
 
-// Gate returns the gate with the given ID.
-func (c *Circuit) Gate(id GateID) *Gate { return &c.Gates[id] }
+// Name returns gate g's name.
+func (c *Circuit) Name(g GateID) string { return c.names[c.nameOff[g]:c.nameOff[g+1]] }
+
+// Gate assembles gate id's record from the flat arrays. Its Fanin is the
+// gate's FaninAdj row, nil for a source and capped so that an append
+// copies; like the row, it must not be written.
+func (c *Circuit) Gate(id GateID) Gate {
+	g := Gate{Kind: c.Kinds[id], Name: c.Name(id), Delay: c.Delays[id]}
+	if row := c.FaninAdj.Row(id); len(row) > 0 {
+		g.Fanin = row[:len(row):len(row)]
+	}
+	return g
+}
 
 // ByName looks a gate up by name.
 func (c *Circuit) ByName(name string) (GateID, bool) {
@@ -170,12 +191,8 @@ func (c *Circuit) ByName(name string) (GateID, bool) {
 // circuit). It bounds the lookahead available to conservative simulation.
 func (c *Circuit) MinDelay() Tick {
 	var min Tick
-	for i := range c.Gates {
-		if c.Gates[i].Kind.Source() {
-			continue
-		}
-		d := c.Gates[i].Delay
-		if min == 0 || d < min {
+	for g, d := range c.Delays {
+		if !c.Kinds[g].Source() && (min == 0 || d < min) {
 			min = d
 		}
 	}
@@ -184,76 +201,108 @@ func (c *Circuit) MinDelay() Tick {
 
 // MaxDelay returns the largest gate delay in the circuit.
 func (c *Circuit) MaxDelay() Tick {
-	var max Tick
-	for i := range c.Gates {
-		if d := c.Gates[i].Delay; d > max {
-			max = d
-		}
+	var hi Tick
+	for _, d := range c.Delays {
+		hi = max(hi, d)
 	}
-	return max
+	return hi
 }
 
-// New constructs a circuit directly from complete gate, input, and output
-// lists, running the same validation and fanout computation as the
-// builder. It is the path for programmatic netlist transformations (e.g.
-// fault injection) that already have a consistent gate array, including
+// New constructs a circuit from complete gate, input and output lists.
+// It is the path for programmatic netlist transformations (the
+// optimizer's) that already hold a consistent gate array, including
 // feedback fanin references the incremental builder cannot express in one
-// pass.
+// pass. The records are copied into flat storage, which is then checked
+// like any other; gates is not retained.
 func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
-	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs}
-	if err := c.index(nil); err != nil {
-		return nil, err
-	}
-	c.flatten()
-	return c.seal()
+	return fromGates(gates, inputs, outputs, nil)
 }
 
-// FromFlat constructs a circuit over flat storage that already exists —
-// the form a netlist has on the wire or straight out of the .bench
-// reader: dense kinds, delays and names, and the fanin adjacency in pin
-// order. The arrays are adopted, not copied (Kinds, Delays and FaninAdj
-// are the arguments, Gate.Fanin views them), and checked like any other
-// construction: the input comes from outside the process, so nothing is
-// indexed before it is bounded. A caller that has already built the
-// name table passes it as byName, which is adopted after the same
-// checks (it must map exactly the gates' names, each to its own gate);
-// with byName nil the table is built here.
-func FromFlat(kinds []Kind, delays []Tick, names []string, fanin Adj, inputs, outputs []GateID, byName map[string]GateID) (*Circuit, error) {
+// fromGates copies a gate list into flat storage and hands it to FromFlat,
+// with the name table byName (nil to build one).
+func fromGates(gates []Gate, inputs, outputs []GateID, byName map[string]GateID) (*Circuit, error) {
+	n := len(gates)
+	kinds := make([]Kind, n)
+	delays := make([]Tick, n)
+	faninOff := make([]int32, n+1)
+	nameOff := make([]int32, n+1)
+	for i := range gates {
+		g := &gates[i]
+		kinds[i], delays[i] = g.Kind, g.Delay
+		faninOff[i+1] = faninOff[i] + int32(len(g.Fanin))
+		nameOff[i+1] = nameOff[i] + int32(len(g.Name))
+	}
+	idx := make([]GateID, 0, faninOff[n])
+	var names strings.Builder
+	names.Grow(int(nameOff[n]))
+	for i := range gates {
+		idx = append(idx, gates[i].Fanin...)
+		names.WriteString(gates[i].Name)
+	}
+	return FromFlat(kinds, delays, names.String(), nameOff, Adj{Off: faninOff, Idx: idx}, inputs, outputs, byName)
+}
+
+// FromFlat constructs a circuit over flat storage — the form a netlist
+// has on the wire or straight out of the .bench reader: dense kinds and
+// delays, the names back to back in one string with an offset per gate
+// plus the end, and the fanin adjacency in pin order. The arrays and the
+// string are adopted, not copied. It is the one checked path every
+// constructor ends in: the input may come from outside the process, so
+// nothing is indexed before it is bounded. A caller that has already
+// built the name table passes it as byName, which is adopted after the
+// same checks (it must map exactly the gates' names, each to its own
+// gate); with byName nil the table is built here. The circuit's fanout
+// adjacency and levelization are derived last, and the levelization
+// refuses a combinational cycle.
+func FromFlat(kinds []Kind, delays []Tick, names string, nameOff []int32, fanin Adj, inputs, outputs []GateID, byName map[string]GateID) (*Circuit, error) {
 	n := len(kinds)
-	if len(delays) != n || len(names) != n || len(fanin.Off) != n+1 {
-		return nil, fmt.Errorf("circuit: flat arrays disagree: %d kinds, %d delays, %d names, %d offsets",
-			n, len(delays), len(names), len(fanin.Off))
+	if len(delays) != n || len(nameOff) != n+1 || len(fanin.Off) != n+1 {
+		return nil, fmt.Errorf("circuit: flat arrays disagree: %d kinds, %d delays, %d name offsets, %d fanin offsets",
+			n, len(delays), len(nameOff), len(fanin.Off))
 	}
 	if fanin.Off[0] != 0 || int(fanin.Off[n]) != len(fanin.Idx) {
 		return nil, fmt.Errorf("circuit: fanin offsets span [%d,%d] over %d pins", fanin.Off[0], fanin.Off[n], len(fanin.Idx))
 	}
-	gates := make([]Gate, n)
-	for g := range gates {
-		lo, hi := fanin.Off[g], fanin.Off[g+1]
-		if lo > hi || int(hi) > len(fanin.Idx) {
-			return nil, fmt.Errorf("circuit: gate %d has fanin offsets [%d,%d) over %d pins", g, lo, hi, len(fanin.Idx))
-		}
-		gates[g] = Gate{Kind: kinds[g], Name: names[g], Fanin: faninView(fanin.Idx, lo, hi), Delay: delays[g]}
+	if nameOff[0] != 0 || int(nameOff[n]) != len(names) {
+		return nil, fmt.Errorf("circuit: name offsets span [%d,%d] over %d bytes", nameOff[0], nameOff[n], len(names))
 	}
-	c := &Circuit{Gates: gates, Inputs: inputs, Outputs: outputs, FaninAdj: fanin, Kinds: kinds, Delays: delays}
-	if err := c.index(byName); err != nil {
+	c := &Circuit{Inputs: inputs, Outputs: outputs, FaninAdj: fanin, Kinds: kinds, Delays: delays, names: names, nameOff: nameOff}
+	if err := c.check(byName); err != nil {
 		return nil, err
 	}
-	return c.seal()
+	c.Gates = make([]GateKind, n)
+	for g, k := range kinds {
+		c.Gates[g].Kind = k
+	}
+	c.buildFanout()
+	if err := c.levelize(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// index installs the name table and checks everything a complete gate
-// list must satisfy: unique non-empty names, I/O lists that name Input
-// and Output gates of the circuit, and validate's arity and reference
-// rules. A given byName is adopted only after the same check: it
-// must hold exactly the gates' names, each mapped to its own gate.
-func (c *Circuit) index(byName map[string]GateID) error {
+// check installs the name table and checks everything a netlist must
+// satisfy, offsets whose ends FromFlat has bounded: every gate's fanin
+// and name offsets in order, unique non-empty names, I/O lists that name
+// Input and Output gates of the circuit, and each gate's kind, arity and
+// fanin references. A given byName is adopted only after the same check:
+// it must hold exactly the gates' names, each mapped to its own gate.
+func (c *Circuit) check(byName map[string]GateID) error {
+	n := len(c.Kinds)
+	for g := 0; g < n; g++ {
+		if lo, hi := c.FaninAdj.Off[g], c.FaninAdj.Off[g+1]; lo > hi {
+			return fmt.Errorf("circuit: gate %d has fanin offsets [%d,%d) over %d pins", g, lo, hi, len(c.FaninAdj.Idx))
+		}
+		if lo, hi := c.nameOff[g], c.nameOff[g+1]; lo > hi {
+			return fmt.Errorf("circuit: gate %d has name offsets [%d,%d) over %d bytes", g, lo, hi, len(c.names))
+		}
+	}
 	adopt := byName != nil
 	if !adopt {
-		byName = make(map[string]GateID, len(c.Gates))
+		byName = make(map[string]GateID, n)
 	}
-	for id := range c.Gates {
-		name := c.Gates[id].Name
+	for id := 0; id < n; id++ {
+		name := c.Name(GateID(id))
 		if name == "" {
 			return fmt.Errorf("circuit: gate %d has empty name", id)
 		}
@@ -267,8 +316,8 @@ func (c *Circuit) index(byName map[string]GateID) error {
 			byName[name] = GateID(id)
 		}
 	}
-	if len(byName) != len(c.Gates) {
-		return fmt.Errorf("circuit: name table has %d entries for %d gates", len(byName), len(c.Gates))
+	if len(byName) != n {
+		return fmt.Errorf("circuit: name table has %d entries for %d gates", len(byName), n)
 	}
 	c.byName = byName
 	for _, io := range [2]struct {
@@ -276,15 +325,32 @@ func (c *Circuit) index(byName map[string]GateID) error {
 		kind Kind
 	}{{c.Inputs, Input}, {c.Outputs, Output}} {
 		for _, g := range io.list {
-			if g < 0 || int(g) >= len(c.Gates) {
+			if g < 0 || int(g) >= n {
 				return fmt.Errorf("circuit: io list references undefined gate %d", g)
 			}
-			if k := c.Gates[g].Kind; k != io.kind {
-				return fmt.Errorf("circuit: gate %q (%v) listed as %v", c.Gates[g].Name, k, io.kind)
+			if k := c.Kinds[g]; k != io.kind {
+				return fmt.Errorf("circuit: gate %q (%v) listed as %v", c.Name(g), k, io.kind)
 			}
 		}
 	}
-	return c.validate()
+	for id, k := range c.Kinds {
+		g := GateID(id)
+		if !k.Valid() {
+			return fmt.Errorf("circuit: gate %q: invalid kind", c.Name(g))
+		}
+		fanin := c.FaninAdj.Row(g)
+		min, max := k.arity()
+		if len(fanin) < min || (max >= 0 && len(fanin) > max) {
+			return fmt.Errorf("circuit: gate %q (%v): fanin count %d outside [%d,%d]",
+				c.Name(g), k, len(fanin), min, max)
+		}
+		for _, f := range fanin {
+			if f < 0 || int(f) >= n {
+				return fmt.Errorf("circuit: gate %q references undefined gate %d", c.Name(g), f)
+			}
+		}
+	}
+	return nil
 }
 
 // Builder incrementally constructs a Circuit. The zero value is not usable;
@@ -397,65 +463,13 @@ func (b *Builder) FaninOf(id GateID) []GateID {
 	return b.gates[id].Fanin
 }
 
-// SetDelay overrides the delay of an already-declared gate.
-func (b *Builder) SetDelay(id GateID, delay Tick) {
-	if id < 0 || int(id) >= len(b.gates) {
-		b.failf("circuit: SetDelay on undefined gate %d", id)
-		return
-	}
-	b.gates[id].Delay = delay
-}
-
-// Build validates the netlist, computes fanout lists, and freezes the
-// circuit. The builder must not be reused afterwards.
+// Build checks the netlist and freezes it into a circuit, adopting the
+// builder's name table. The builder must not be reused afterwards.
 func (b *Builder) Build() (*Circuit, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	c := &Circuit{
-		Gates:   b.gates,
-		Inputs:  b.inputs,
-		Outputs: b.outputs,
-		byName:  b.byName,
-	}
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	c.flatten()
-	return c.seal()
-}
-
-// seal is the tail every constructor ends in, once the gate list is
-// validated and flat: it derives the fanout adjacency and levelizes, which
-// refuses a combinational cycle.
-func (c *Circuit) seal() (*Circuit, error) {
-	c.buildFanout()
-	if err := c.levelize(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// validate checks arities and fanin references.
-func (c *Circuit) validate() error {
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		if !g.Kind.Valid() {
-			return fmt.Errorf("circuit: gate %q: invalid kind", g.Name)
-		}
-		min, max := g.Kind.arity()
-		n := len(g.Fanin)
-		if n < min || (max >= 0 && n > max) {
-			return fmt.Errorf("circuit: gate %q (%v): fanin count %d outside [%d,%d]",
-				g.Name, g.Kind, n, min, max)
-		}
-		for _, f := range g.Fanin {
-			if f < 0 || int(f) >= len(c.Gates) {
-				return fmt.Errorf("circuit: gate %q references undefined gate %d", g.Name, f)
-			}
-		}
-	}
-	return nil
+	return fromGates(b.gates, b.inputs, b.outputs, b.byName)
 }
 
 // CheckEventDriven verifies the circuit satisfies the constraints of the
@@ -463,48 +477,12 @@ func (c *Circuit) validate() error {
 // lookahead that two-phase timestep semantics and conservative null
 // messages rely on).
 func (c *Circuit) CheckEventDriven() error {
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		if !g.Kind.Source() && g.Delay == 0 {
-			return fmt.Errorf("circuit: gate %q has zero delay; event-driven engines require delay >= 1", g.Name)
+	for id, k := range c.Kinds {
+		if !k.Source() && c.Delays[id] == 0 {
+			return fmt.Errorf("circuit: gate %q has zero delay; event-driven engines require delay >= 1", c.Name(GateID(id)))
 		}
 	}
 	return nil
-}
-
-// flatten builds the circuit's flat storage from the validated gate list:
-// the fanin index array with its offsets, the dense kind and delay arrays,
-// and the per-gate Gate.Fanin views into them; seal derives the rest.
-func (c *Circuit) flatten() {
-	n := len(c.Gates)
-	c.Kinds = make([]Kind, n)
-	c.Delays = make([]Tick, n)
-	inOff := make([]int32, n+1)
-	pins := int32(0)
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		c.Kinds[id], c.Delays[id] = g.Kind, g.Delay
-		inOff[id] = pins
-		pins += int32(len(g.Fanin))
-	}
-	inOff[n] = pins
-	inIdx := make([]GateID, pins)
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		lo, hi := inOff[id], inOff[id+1]
-		copy(inIdx[lo:hi], g.Fanin)
-		g.Fanin = faninView(inIdx, lo, hi)
-	}
-	c.FaninAdj = Adj{Off: inOff, Idx: inIdx}
-}
-
-// faninView is the Gate.Fanin slice for the row idx[lo:hi]: capped so an
-// append cannot run into the next row, nil when the gate is a source.
-func faninView(idx []GateID, lo, hi int32) []GateID {
-	if lo == hi {
-		return nil
-	}
-	return idx[lo:hi:hi]
 }
 
 // buildFanout derives FanoutAdj from FaninAdj.
@@ -514,7 +492,7 @@ func faninView(idx []GateID, lo, hi int32) []GateID {
 // gate reading one net through several pins is caught by remembering the
 // last reader recorded for that net.
 func (c *Circuit) buildFanout() {
-	n := len(c.Gates)
+	n := len(c.Kinds)
 	outOff := make([]int32, n+1)
 	lastReader := make([]GateID, n)
 	for i := range lastReader {
@@ -570,35 +548,30 @@ type Stats struct {
 
 // ComputeStats derives structure statistics.
 func (c *Circuit) ComputeStats() Stats {
+	n := len(c.Kinds)
 	s := Stats{
-		Gates:     len(c.Gates),
-		ByKind:    make(map[Kind]int),
-		Inputs:    len(c.Inputs),
-		Outputs:   len(c.Outputs),
-		TotalNets: len(c.Gates),
-		MinDelay:  c.MinDelay(),
-		MaxDelay:  c.MaxDelay(),
-		CombDepth: len(c.Levels),
+		Gates:      n,
+		ByKind:     make(map[Kind]int),
+		Inputs:     len(c.Inputs),
+		Outputs:    len(c.Outputs),
+		TotalNets:  n,
+		MinDelay:   c.MinDelay(),
+		MaxDelay:   c.MaxDelay(),
+		CombDepth:  len(c.Levels),
+		TotalConns: len(c.FaninAdj.Idx),
 	}
-	totalFanout := 0
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		s.ByKind[g.Kind]++
-		s.TotalConns += len(g.Fanin)
-		if g.Kind == DFF {
+	for id, k := range c.Kinds {
+		s.ByKind[k]++
+		if k == DFF {
 			s.FlipFlops++
 		}
-		if g.Kind == DLatch {
+		if k == DLatch {
 			s.Latches++
 		}
-		fo := len(c.FanoutAdj.Row(GateID(id)))
-		totalFanout += fo
-		if fo > s.MaxFanout {
-			s.MaxFanout = fo
-		}
+		s.MaxFanout = max(s.MaxFanout, len(c.FanoutAdj.Row(GateID(id))))
 	}
-	if len(c.Gates) > 0 {
-		s.AvgFanout = float64(totalFanout) / float64(len(c.Gates))
+	if n > 0 {
+		s.AvgFanout = float64(len(c.FanoutAdj.Idx)) / float64(n)
 	}
 	return s
 }

@@ -23,8 +23,8 @@ func buildNand2(t *testing.T) *Circuit {
 
 func TestBuilderBasics(t *testing.T) {
 	c := buildNand2(t)
-	if c.NumGates() != 4 {
-		t.Fatalf("NumGates = %d, want 4", c.NumGates())
+	if len(c.Kinds) != 4 {
+		t.Fatalf("gates = %d, want 4", len(c.Kinds))
 	}
 	if len(c.Inputs) != 2 || len(c.Outputs) != 1 {
 		t.Fatalf("IO counts wrong: %d in, %d out", len(c.Inputs), len(c.Outputs))
@@ -33,8 +33,8 @@ func TestBuilderBasics(t *testing.T) {
 	if !ok {
 		t.Fatal("ByName(n1) missing")
 	}
-	if c.Gate(id).Kind != Nand {
-		t.Fatalf("gate n1 kind = %v", c.Gate(id).Kind)
+	if c.Kinds[id] != Nand {
+		t.Fatalf("gate n1 kind = %v", c.Kinds[id])
 	}
 	if _, ok := c.ByName("nope"); ok {
 		t.Fatal("ByName(nope) found")
@@ -361,19 +361,17 @@ func TestLevelizeRespectsDependencies(t *testing.T) {
 			pos[g] = i
 		}
 	}
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		if g.Kind.Source() || g.Kind.Sequential() {
+	for id, k := range c.Kinds {
+		if k.Source() || k.Sequential() {
 			continue
 		}
-		for _, f := range g.Fanin {
-			fg := &c.Gates[f]
-			if fg.Kind.Source() || fg.Kind.Sequential() {
+		for _, f := range c.FaninAdj.Row(GateID(id)) {
+			if fk := c.Kinds[f]; fk.Source() || fk.Sequential() {
 				continue
 			}
 			if pos[f] >= pos[GateID(id)] {
 				t.Fatalf("gate %q at level %d not after fanin %q at level %d",
-					g.Name, pos[GateID(id)], fg.Name, pos[f])
+					c.Name(GateID(id)), pos[GateID(id)], c.Name(f), pos[f])
 			}
 		}
 	}
@@ -416,8 +414,8 @@ func TestLevelsCoverAllNonSources(t *testing.T) {
 		placed += len(l)
 	}
 	want := 0
-	for id := range c.Gates {
-		if !c.Gates[id].Kind.Source() {
+	for id := range c.Kinds {
+		if !c.Kinds[id].Source() {
 			want++
 		}
 	}
@@ -467,19 +465,8 @@ func TestConstBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Gate(c0).Kind != Const0 || c.Gate(c1).Kind != Const1 || c.Gate(cx).Kind != ConstX {
+	if c.Kinds[c0] != Const0 || c.Kinds[c1] != Const1 || c.Kinds[cx] != ConstX {
 		t.Fatal("Const kinds wrong")
-	}
-}
-
-func TestSetDelay(t *testing.T) {
-	b := NewBuilder()
-	a := b.Input("a")
-	g := b.Gate(Not, "g", a)
-	b.SetDelay(g, 5)
-	b.SetDelay(GateID(99), 5) // out of range: recorded as error
-	if _, err := b.Build(); err == nil {
-		t.Fatal("SetDelay out of range accepted")
 	}
 }
 
@@ -495,8 +482,8 @@ func TestNewDirectConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumGates() != 5 || len(c.Inputs) != 2 || len(c.Outputs) != 1 {
-		t.Fatalf("shape wrong: %d gates", c.NumGates())
+	if len(c.Kinds) != 5 || len(c.Inputs) != 2 || len(c.Outputs) != 1 {
+		t.Fatalf("shape wrong: %d gates", len(c.Kinds))
 	}
 	if id, ok := c.ByName("nq"); !ok || id != 2 {
 		t.Fatal("byName not built")

@@ -136,10 +136,10 @@ func InitialValue(kind Kind) logic.Value {
 // InitState allocates and initializes the value and clock-sample vectors
 // for a fresh simulation of c under the given value system.
 func InitState(c *Circuit, sys logic.System) (val, prevClk []logic.Value) {
-	val = make([]logic.Value, len(c.Gates))
-	prevClk = make([]logic.Value, len(c.Gates))
-	for id := range c.Gates {
-		val[id] = sys.Project(InitialValue(c.Gates[id].Kind))
+	val = make([]logic.Value, len(c.Kinds))
+	prevClk = make([]logic.Value, len(c.Kinds))
+	for id, k := range c.Kinds {
+		val[id] = sys.Project(InitialValue(k))
 		prevClk[id] = sys.Project(logic.U)
 	}
 	return val, prevClk

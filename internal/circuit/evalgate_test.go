@@ -38,8 +38,8 @@ func TestEvalGateMatchesEvaluate(t *testing.T) {
 	for _, ka := range kindArities {
 		for _, arity := range ka.arities {
 			c, g, fanin := oneGate(t, ka.kind, arity)
-			val := make([]logic.Value, len(c.Gates))
-			prevClk := make([]logic.Value, len(c.Gates))
+			val := make([]logic.Value, len(c.Kinds))
+			prevClk := make([]logic.Value, len(c.Kinds))
 			in := make([]logic.Value, arity)
 			// Digits of n in base 9: fanin values, then cur, then prevClk.
 			combos := 1
@@ -74,8 +74,8 @@ func TestEvalGateWideMatchesEvaluateWide(t *testing.T) {
 	for _, ka := range kindArities {
 		for _, arity := range ka.arities {
 			c, g, fanin := oneGate(t, ka.kind, arity)
-			val := make([]logic.Word, len(c.Gates))
-			prevClk := make([]logic.Word, len(c.Gates))
+			val := make([]logic.Word, len(c.Kinds))
+			prevClk := make([]logic.Word, len(c.Kinds))
 			in := make([]logic.Word, arity)
 			combos := 1 << (2 * (arity + 2))
 			for base := 0; base < combos; base += logic.Lanes {

@@ -117,11 +117,11 @@ func InitialWide(kind Kind, sys logic.System) logic.Word {
 // planes for a fresh wide simulation of c: every lane starts from the same
 // projected initial value, exactly like InitState does for one lane.
 func InitStateWide(c *Circuit, sys logic.System) (val, prevClk []logic.Word) {
-	val = make([]logic.Word, len(c.Gates))
-	prevClk = make([]logic.Word, len(c.Gates))
+	val = make([]logic.Word, len(c.Kinds))
+	prevClk = make([]logic.Word, len(c.Kinds))
 	clk0 := logic.Splat(sys.Project(logic.U))
-	for id := range c.Gates {
-		val[id] = InitialWide(c.Gates[id].Kind, sys)
+	for id, k := range c.Kinds {
+		val[id] = InitialWide(k, sys)
 		prevClk[id] = clk0
 	}
 	return val, prevClk

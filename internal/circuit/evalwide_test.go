@@ -87,7 +87,7 @@ func TestInitStateWideMatchesScalar(t *testing.T) {
 	for _, sys := range []logic.System{logic.TwoValued, logic.FourValued} {
 		val, prevClk := InitState(c, sys)
 		wval, wclk := InitStateWide(c, sys)
-		for id := range c.Gates {
+		for id := range c.Kinds {
 			for lane := 0; lane < logic.Lanes; lane += 17 {
 				if got, want := wval[id].Get(lane), val[id].ToX01Z(); got != want {
 					t.Errorf("%v: gate %d lane %d val %v, scalar %v", sys, id, lane, got, want)

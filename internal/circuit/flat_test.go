@@ -2,30 +2,93 @@ package circuit_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
-	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/gen"
 )
 
-// TestFlatViewsMatchPerGateConstruction rebuilds each corpus circuit from
-// a deep copy of its gate list and checks the flat storage against the
-// per-gate construction it replaced: fanin rows keep pin order, fanout
-// rows are the readers of each net ascending with duplicates removed,
-// Gate.Fanin is a view of its row, and the dense kind and
-// delay arrays repeat the gate fields.
-func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
-	names := []string{"c17", "s27", "ripple8", "cla12", "mul6", "lfsr9", "counter8", "shift16", "dag300", "seq400"}
-	var corpus []*circuit.Circuit
-	for _, name := range names {
-		for seed := int64(1); seed <= 3; seed++ {
+// records lists c's gates as the records Builder and New take: each
+// fanin a copy, nil for a source.
+func records(c *circuit.Circuit) []circuit.Gate {
+	gates := make([]circuit.Gate, len(c.Kinds))
+	for id := range gates {
+		g := circuit.GateID(id)
+		gates[id] = circuit.Gate{Kind: c.Kinds[g], Name: c.Name(g), Delay: c.Delays[g]}
+		if row := c.FaninAdj.Row(g); len(row) > 0 {
+			gates[id].Fanin = slices.Clone(row)
+		}
+	}
+	return gates
+}
+
+// viaFlat builds gates through FromFlat, laying the records out flat the
+// way the .bench reader and the codec do.
+func viaFlat(gates []circuit.Gate, inputs, outputs []circuit.GateID) (*circuit.Circuit, error) {
+	kinds := make([]circuit.Kind, len(gates))
+	delays := make([]circuit.Tick, len(gates))
+	nameOff := []int32{0}
+	fanin := circuit.Adj{Off: []int32{0}, Idx: []circuit.GateID{}}
+	var names strings.Builder
+	for id, g := range gates {
+		kinds[id], delays[id] = g.Kind, g.Delay
+		names.WriteString(g.Name)
+		nameOff = append(nameOff, int32(names.Len()))
+		fanin.Idx = append(fanin.Idx, g.Fanin...)
+		fanin.Off = append(fanin.Off, int32(len(fanin.Idx)))
+	}
+	return circuit.FromFlat(kinds, delays, names.String(), nameOff, fanin, inputs, outputs, nil)
+}
+
+// viaBuilder declares gates through a Builder in ID order and wires every
+// fanin afterwards, so feedback and forward references are expressible.
+// An Output marker is declared with its source, which must come first.
+func viaBuilder(gates []circuit.Gate) (*circuit.Circuit, error) {
+	b := circuit.NewBuilder()
+	for _, g := range gates {
+		switch g.Kind {
+		case circuit.Input:
+			b.Input(g.Name)
+		case circuit.Const0, circuit.Const1, circuit.ConstX:
+			b.Const(g.Name, circuit.InitialValue(g.Kind))
+		case circuit.Output:
+			b.Output(g.Name, g.Fanin[0])
+		default:
+			b.GateDelay(g.Kind, g.Name, g.Delay)
+		}
+	}
+	for id, g := range gates {
+		if g.Kind != circuit.Output && len(g.Fanin) > 0 {
+			b.SetFanin(circuit.GateID(id), g.Fanin)
+		}
+	}
+	return b.Build()
+}
+
+// TestConstructorsAgree builds each corpus netlist from one list of gate
+// records three ways — through Builder, New and FromFlat — and checks
+// that the circuits agree on every array and accessor, that Gate(id)
+// gives back the record fed in, and that each fanout row lists the
+// readers of its net ascending with duplicates removed.
+func TestConstructorsAgree(t *testing.T) {
+	corpus := map[string]*circuit.Circuit{}
+	for _, name := range []string{"c17", "s27"} {
+		c, err := gen.ByName(name, gen.Unit, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[name] = c
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, name := range []string{"dag60", "dag300", "seq80", "seq400"} {
 			c, err := gen.ByName(name, gen.Fine(4, seed), seed)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			corpus = append(corpus, c)
+			corpus[fmt.Sprintf("%s/%d", name, seed)] = c
 		}
 	}
 	// A gate reading one net through several pins, and a net nobody reads.
@@ -40,59 +103,57 @@ func TestFlatViewsMatchPerGateConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus = append(corpus, dup)
+	corpus["repeated-pins"] = dup
 
-	for ci, src := range corpus {
-		gates := make([]circuit.Gate, len(src.Gates))
-		for i, sg := range src.Gates {
-			gates[i] = sg
-			gates[i].Fanin = append([]circuit.GateID(nil), sg.Fanin...)
-		}
-		want := make([][]circuit.GateID, len(gates)) // the old computeFanout
-		for id := range gates {
-			for _, f := range gates[id].Fanin {
-				want[f] = append(want[f], circuit.GateID(id))
+	for name, src := range corpus {
+		gates := records(src)
+		built := map[string]*circuit.Circuit{}
+		var errs [3]error
+		built["Builder"], errs[0] = viaBuilder(gates)
+		built["New"], errs[1] = circuit.New(slices.Clone(gates), src.Inputs, src.Outputs)
+		built["FromFlat"], errs[2] = viaFlat(gates, src.Inputs, src.Outputs)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		for i, fo := range want {
-			sort.Slice(fo, func(a, b int) bool { return fo[a] < fo[b] })
-			out := fo[:0]
-			for j, g := range fo {
-				if j == 0 || g != fo[j-1] {
-					out = append(out, g)
+		fanout := make([][]circuit.GateID, len(gates))
+		for id, g := range gates {
+			for _, f := range g.Fanin {
+				if row := fanout[f]; !slices.Contains(row, circuit.GateID(id)) {
+					fanout[f] = append(row, circuit.GateID(id))
 				}
 			}
-			want[i] = out
 		}
-		wantFanin := make([][]circuit.GateID, len(gates))
-		for i := range gates {
-			wantFanin[i] = append([]circuit.GateID(nil), gates[i].Fanin...)
-		}
-
-		c, err := circuit.New(gates, src.Inputs, src.Outputs)
-		if err != nil {
-			t.Fatalf("corpus %d: %v", ci, err)
-		}
-		n := len(c.Gates)
-		if len(c.Kinds) != n || len(c.Delays) != n ||
-			len(c.FaninAdj.Off) != n+1 || len(c.FanoutAdj.Off) != n+1 {
-			t.Fatalf("corpus %d: flat array lengths do not match %d gates", ci, n)
-		}
-		for id := 0; id < n; id++ {
-			g := circuit.GateID(id)
-			where := fmt.Sprintf("corpus %d gate %q", ci, c.Gates[id].Name)
-			if !slices.Equal(c.FaninAdj.Row(g), wantFanin[id]) || !slices.Equal(c.Gates[id].Fanin, wantFanin[id]) {
-				t.Fatalf("%s: fanin row %v, view %v, want %v", where, c.FaninAdj.Row(g), c.Gates[id].Fanin, wantFanin[id])
+		ref := built["New"]
+		for via, c := range built {
+			where := name + " via " + via
+			if c.NumGates() != len(gates) || len(c.Gates) != len(gates) {
+				t.Fatalf("%s: %d gates, %d entries, want %d", where, c.NumGates(), len(c.Gates), len(gates))
 			}
-			if !slices.Equal(c.FanoutAdj.Row(g), want[id]) {
-				t.Fatalf("%s: fanout row %v, want %v", where, c.FanoutAdj.Row(g), want[id])
+			if !slices.Equal(c.Kinds, ref.Kinds) || !slices.Equal(c.Delays, ref.Delays) ||
+				!reflect.DeepEqual(c.FaninAdj, ref.FaninAdj) || !reflect.DeepEqual(c.FanoutAdj, ref.FanoutAdj) ||
+				!reflect.DeepEqual(c.Levels, ref.Levels) ||
+				!slices.Equal(c.Inputs, src.Inputs) || !slices.Equal(c.Outputs, src.Outputs) {
+				t.Fatalf("%s: flat arrays differ from New's", where)
 			}
-			if len(wantFanin[id]) > 0 && &c.Gates[id].Fanin[0] != &c.FaninAdj.Row(g)[0] {
-				t.Fatalf("%s: Gate.Fanin is a copy, not a view of the flat array", where)
+			for id, want := range gates {
+				g := circuit.GateID(id)
+				if got := c.Gate(g); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Gate(%d) = %+v, fed %+v", where, id, got, want)
+				}
+				if c.Name(g) != ref.Name(g) || c.Gates[g].Kind != want.Kind {
+					t.Fatalf("%s: gate %d named %q, kind entry %v", where, id, c.Name(g), c.Gates[g].Kind)
+				}
+				if by, ok := c.ByName(want.Name); !ok || by != g {
+					t.Fatalf("%s: ByName(%q) = %d, %v", where, want.Name, by, ok)
+				}
+				if !slices.Equal(c.FanoutAdj.Row(g), fanout[id]) {
+					t.Fatalf("%s: fanout row %d = %v, want %v", where, id, c.FanoutAdj.Row(g), fanout[id])
+				}
 			}
-			if c.Kinds[id] != c.Gates[id].Kind || c.Delays[id] != c.Gates[id].Delay {
-				t.Fatalf("%s: dense kind/delay (%v,%d) differ from the gate's (%v,%d)",
-					where, c.Kinds[id], c.Delays[id], c.Gates[id].Kind, c.Gates[id].Delay)
+			if _, ok := c.ByName("no such gate"); ok {
+				t.Fatalf("%s: ByName found a name no gate has", where)
 			}
 		}
 	}
@@ -106,7 +167,7 @@ func TestFromFlatAdoptsNameTable(t *testing.T) {
 		return circuit.FromFlat(
 			[]circuit.Kind{circuit.Input, circuit.Not, circuit.Output},
 			[]circuit.Tick{1, 2, 1},
-			[]string{"a", "n", "y"},
+			"any", []int32{0, 1, 2, 3},
 			circuit.Adj{Off: []int32{0, 0, 1, 2}, Idx: []circuit.GateID{0, 1}},
 			[]circuit.GateID{0}, []circuit.GateID{2}, byName)
 	}
@@ -127,7 +188,7 @@ func TestFromFlatAdoptsNameTable(t *testing.T) {
 			t.Fatalf("name table %v was accepted", bad)
 		}
 	}
-	if c, err := build(nil); err != nil || c.NumGates() != 3 {
+	if c, err := build(nil); err != nil || len(c.Kinds) != 3 {
 		t.Fatalf("built table: %v", err)
 	}
 }
@@ -144,11 +205,11 @@ func TestLevelizeLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		levels := c.Levels
-		want, err := levelizeReference(c.Gates)
+		want, err := levelizeReference(records(c))
 		if err != nil || !equalLevels(levels, want) {
 			t.Fatalf("%s: Levels differ from the reference levelization (%v)", name, err)
 		}
-		at := make([]int, c.NumGates()) // 1-based level, 0 = not placed
+		at := make([]int, len(c.Kinds)) // 1-based level, 0 = not placed
 		for l, lv := range levels {
 			for i, g := range lv {
 				if at[g] != 0 || (i > 0 && lv[i-1] >= g) {
@@ -178,6 +239,42 @@ func TestLevelizeLevels(t *testing.T) {
 					t.Fatalf("%s: gate %d at level %d, want %d", name, id, at[id], want)
 				}
 			}
+		}
+	}
+}
+
+// TestRefusalsAgree pins each refusal's message and requires New and
+// FromFlat, and Builder where it can express the netlist, to give it.
+func TestRefusalsAgree(t *testing.T) {
+	in := func(name string) circuit.Gate { return circuit.Gate{Kind: circuit.Input, Name: name, Delay: 1} }
+	not := func(name string, fanin ...circuit.GateID) circuit.Gate {
+		return circuit.Gate{Kind: circuit.Not, Name: name, Fanin: fanin, Delay: 1}
+	}
+	for _, tc := range []struct {
+		gates           []circuit.Gate
+		inputs, outputs []circuit.GateID
+		builder         bool
+		want            string
+	}{
+		{[]circuit.Gate{in("")}, nil, nil, true, `circuit: gate 0 has empty name`},
+		{[]circuit.Gate{in("a"), in("a")}, nil, nil, true, `circuit: duplicate gate name "a" (gates 0 and 1)`},
+		{[]circuit.Gate{in("a"), not("n", 0)}, []circuit.GateID{9}, nil, false, `circuit: io list references undefined gate 9`},
+		{[]circuit.Gate{in("a"), not("n", 0)}, []circuit.GateID{1}, nil, false, `circuit: gate "n" (NOT) listed as INPUT`},
+		{[]circuit.Gate{in("a"), not("n", 0)}, nil, []circuit.GateID{0}, false, `circuit: gate "a" (INPUT) listed as OUTPUT`},
+		{[]circuit.Gate{{Kind: 99, Name: "k", Delay: 1}}, nil, nil, false, `circuit: gate "k": invalid kind`},
+		{[]circuit.Gate{in("a"), not("n", 0, 0)}, nil, nil, true, `circuit: gate "n" (NOT): fanin count 2 outside [1,1]`},
+		{[]circuit.Gate{in("a"), not("n", 9)}, nil, nil, false, `circuit: gate "n" references undefined gate 9`},
+		{[]circuit.Gate{in("a"), not("x", 2), not("y", 1)}, nil, nil, true, `circuit: combinational cycle through gate "x"`},
+	} {
+		c, err := circuit.New(slices.Clone(tc.gates), tc.inputs, tc.outputs)
+		if c != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("New: %v, want %s", err, tc.want)
+		}
+		if _, err := viaFlat(tc.gates, tc.inputs, tc.outputs); err == nil || err.Error() != tc.want {
+			t.Errorf("FromFlat: %v, want %s", err, tc.want)
+		}
+		if _, err := viaBuilder(tc.gates); tc.builder && (err == nil || err.Error() != tc.want) {
+			t.Errorf("Builder: %v, want %s", err, tc.want)
 		}
 	}
 }

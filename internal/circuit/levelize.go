@@ -69,7 +69,7 @@ func (c *Circuit) levelize() error {
 	}
 	// A gate the pass never released still waits on a driver.
 	if g := slices.IndexFunc(indeg, func(d int32) bool { return d > 0 }); g >= 0 {
-		return fmt.Errorf("circuit: combinational cycle through gate %q", c.Gates[c.cycleGate(GateID(g), indeg)].Name)
+		return fmt.Errorf("circuit: combinational cycle through gate %q", c.Name(c.cycleGate(GateID(g), indeg)))
 	}
 	lo := len(queue)
 	for id, k := range c.Kinds {

@@ -329,7 +329,7 @@ func (j *job[S, V]) adaptive(until circuit.Tick, opts Options) (*ReportT[V], err
 		Adapt:       ar,
 	}
 	rep.Stats = stats.Collect(master, wall)
-	if ext, ok := opts.Metrics.(*metrics.Registry); ok {
+	if ext := opts.Metrics; ext != nil {
 		// The caller brought its own registry: fold the run into it and
 		// report through it, mirroring the static path.
 		ext.Absorb(master)
@@ -391,7 +391,7 @@ func rebalanceWeights(c *circuit.Circuit, segOpts Options, perLP []uint64) (part
 			counts[lp]++
 		}
 	}
-	w := make(partition.Weights, len(c.Gates))
+	w := make(partition.Weights, len(c.Kinds))
 	for g, lp := range part.Assign {
 		if lp < 0 || lp >= len(perLP) || counts[lp] == 0 {
 			w[g] = 1

@@ -150,9 +150,8 @@ type Options struct {
 	IntraWorkers int
 
 	// Metrics, when non-nil, receives the run's work counters instead of
-	// the private registry Simulate otherwise creates. Report.Metrics is
-	// only populated for *metrics.Registry sinks.
-	Metrics metrics.Sink
+	// the private registry Simulate otherwise creates.
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records per-LP lifecycle spans (see
 	// trace.Tracer.WriteJSON for the Chrome trace_event export).
 	Tracer *trace.Tracer
@@ -378,13 +377,12 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	if opts.Engine == EngineOblivious && (boot != nil || opts.CheckpointEvery > 0) {
 		return nil, fmt.Errorf("core: the oblivious engine is cycle-based: it has no event cut to resume from or checkpoint")
 	}
-	sink := opts.Metrics
-	if sink == nil {
-		reg := metrics.NewRegistry(label)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry(label)
 		if opts.PProfLabels {
 			reg.EnablePProf()
 		}
-		sink = reg
 	}
 
 	part, err := buildPartition(c, opts)
@@ -411,7 +409,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 			}
 			return fmt.Sprintf("ckpt-%08d.json", t)
 		}
-		w := ckpt.NewWriter(dir, name, len(c.Gates), len(c.Gates), false, ckpt.StateT[V]{
+		w := ckpt.NewWriter(dir, name, len(c.Kinds), len(c.Kinds), false, ckpt.StateT[V]{
 			Fingerprint: ckpt.Fingerprint(c), Until: uint64(max(until, opts.cutUntil)), System: uint8(opts.System),
 		})
 		cuts = &ckpt.Cuts[V]{Every: every, Sink: w.Put}
@@ -431,7 +429,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	case EngineSeq:
 		res, err := eng.seq(c, stim, until, seq.ConfigT[V]{
 			System: opts.System, Queue: opts.Queue, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
+			Metrics: reg, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -445,7 +443,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	case EngineOblivious:
 		res, err := eng.oblivious(c, stim, oblivious.Config{
 			System: opts.System, Workers: opts.LPs, Cost: opts.Cost,
-			Metrics: sink, Tracer: opts.Tracer,
+			Metrics: reg, Tracer: opts.Tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -457,7 +455,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		res, err := eng.sync(c, stim, until, sync.ConfigT[V]{
 			Partition: part, System: opts.System, Queue: opts.Queue,
 			Cost: opts.Cost, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
+			Metrics: reg, Tracer: opts.Tracer, Boot: boot, Cuts: cuts,
 		})
 		if err != nil {
 			return nil, err
@@ -475,7 +473,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 		}
 		res, err := eng.cmb(c, stim, until, cmb.ConfigT[V]{
 			Partition: part, Mode: mode, System: opts.System, Queue: opts.Queue,
-			MaxEvents: opts.MaxEvents, Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
+			MaxEvents: opts.MaxEvents, Metrics: reg, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, Boot: boot, Sweep: sweep, Dist: opts.seam, Cuts: cuts,
 		})
 		if err != nil {
@@ -498,7 +496,7 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 			Partition: part, Cancellation: cancel, StateSaving: opts.StateSaving,
 			Window: opts.Window, IntraWorkers: intra, Cost: opts.Cost,
 			System: opts.System, Queue: opts.Queue, MaxEvents: opts.MaxEvents,
-			Metrics: sink, Tracer: opts.Tracer, Chaos: opts.Chaos,
+			Metrics: reg, Tracer: opts.Tracer, Chaos: opts.Chaos,
 			HangTimeout: hangTimeout, HistoryLimit: opts.HistoryLimit, Boot: boot,
 			Sweep: sweep, Adapt: opts.winCtl, Dist: opts.seam, Cuts: cuts,
 		})
@@ -518,18 +516,16 @@ func (j *job[S, V]) once(until circuit.Tick, opts Options, hangTimeout time.Dura
 	// core sees it. The serial engine keeps no clock of its own, and the
 	// parallel engines' own figures start after their set-up.
 	rep.Stats.Wall = time.Since(start)
-	sink.Globals().WallNs = rep.Stats.Wall.Nanoseconds()
-	if reg, ok := sink.(*metrics.Registry); ok {
-		reg.SetLabel("engine", label)
-		reg.SetLabel("lps", fmt.Sprint(rep.Processors))
-		if opts.Engine.Parallel() {
-			reg.SetLabel("partition", opts.Partition.String())
-		}
-		if sweep {
-			reg.SetGauge("cone_count", float64(part.Cones))
-		}
-		rep.Metrics = reg.Report()
+	reg.Globals().WallNs = rep.Stats.Wall.Nanoseconds()
+	reg.SetLabel("engine", label)
+	reg.SetLabel("lps", fmt.Sprint(rep.Processors))
+	if opts.Engine.Parallel() {
+		reg.SetLabel("partition", opts.Partition.String())
 	}
+	if sweep {
+		reg.SetGauge("cone_count", float64(part.Cones))
+	}
+	rep.Metrics = reg.Report()
 	return rep, nil
 }
 

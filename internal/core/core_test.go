@@ -145,8 +145,8 @@ func TestPreSimulateProducesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w) != c.NumGates() {
-		t.Fatalf("weights cover %d of %d gates", len(w), c.NumGates())
+	if len(w) != len(c.Kinds) {
+		t.Fatalf("weights cover %d of %d gates", len(w), len(c.Kinds))
 	}
 	// Weighted partitioning must accept them.
 	if _, err := Simulate(c, stim, Horizon(c, stim), Options{
@@ -194,7 +194,7 @@ func TestInvalidStimulusRejectedByEveryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Gates))} {
+	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Kinds))} {
 		bad := &vectors.Stimulus{End: 10, Changes: []vectors.Change{{Time: 0, Input: g, Value: logic.One}}}
 		wbad := &vectors.WideStimulus{End: 10, Lanes: 1,
 			Changes: []vectors.WideChange{{Time: 0, Input: g, Value: logic.Splat(logic.One)}}}

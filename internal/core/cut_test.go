@@ -230,7 +230,7 @@ func (r *wideCutRef) checkFiles(t *testing.T, dir string) {
 func (r *wideCutRef) checkWave(t *testing.T, what string, got trace.WaveformT[logic.Word]) {
 	t.Helper()
 	init := func(g circuit.GateID) logic.Value {
-		return logic.FourValued.Project(circuit.InitialValue(r.run.Circuit.Gates[g].Kind))
+		return logic.FourValued.Project(circuit.InitialValue(r.run.Circuit.Kinds[g]))
 	}
 	for k := 0; k < r.run.WideStim.Lanes; k++ {
 		want := trace.WideWaveform(r.golden).Lane(k, init)
@@ -365,7 +365,7 @@ func TestAdaptiveWide(t *testing.T) {
 	}
 	t.Logf("%d segments, %d samples", rep.Adapt.Segments, len(rep.Waveform))
 	init := func(g circuit.GateID) logic.Value {
-		return logic.TwoValued.Project(circuit.InitialValue(c.Gates[g].Kind))
+		return logic.TwoValued.Project(circuit.InitialValue(c.Kinds[g]))
 	}
 	for k, stim := range lanes {
 		ref, err := Simulate(c, stim, until, Options{Engine: EngineSeq, System: logic.TwoValued})

@@ -58,7 +58,7 @@ func prepareSpec(t *testing.T, spec pipeline.Spec) *pipeline.Prepared {
 
 // gateShards is the gate -> shard map of a prepared, sharded run.
 func gateShards(run *pipeline.Prepared) []int {
-	out := make([]int, run.Circuit.NumGates())
+	out := make([]int, len(run.Circuit.Kinds))
 	for g := range out {
 		out[g] = run.ShardOf[run.Part.Assign[g]]
 	}
@@ -278,7 +278,7 @@ func TestLatestBoundarySkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	for _, st := range states {
 		for s := 0; s < 2; s++ {
-			owned := ownedGates(part.Assign, shardOf, s, c.NumGates())
+			owned := ownedGates(part.Assign, shardOf, s, len(c.Kinds))
 			if err := ckpt.WriteFile(filepath.Join(dir, shardCkptName(s, st.Time)),
 				restrictToShard(st, owned)); err != nil {
 				t.Fatal(err)
@@ -343,7 +343,7 @@ func TestMergeRoundTrip(t *testing.T) {
 
 	states := make([]*ckpt.State, 3)
 	for s := 0; s < 3; s++ {
-		states[s] = restrictToShard(st, ownedGates(part.Assign, shardOf, s, c.NumGates()))
+		states[s] = restrictToShard(st, ownedGates(part.Assign, shardOf, s, len(c.Kinds)))
 	}
 	merged, err := mergeShardStates(states, gateShard)
 	if err != nil {

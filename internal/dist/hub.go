@@ -123,7 +123,7 @@ type Options struct {
 	Spawn Spawner
 
 	// Metrics receives dist_* gauges (nil discards them).
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 }
 
 // Result is the outcome of a distributed run.
@@ -295,7 +295,7 @@ func newHub(opts Options) (*hub, error) {
 			return nil, err
 		}
 	}
-	h.gateShard = make([]int, h.run.Circuit.NumGates())
+	h.gateShard = make([]int, len(h.run.Circuit.Kinds))
 	for g := range h.gateShard {
 		h.gateShard[g] = h.run.ShardOf[h.run.Part.Assign[g]]
 	}
@@ -485,7 +485,7 @@ func (h *hub) runAttempt(attempt int) (*Result, error) {
 	}
 
 	res := &Result{Shards: h.opts.Shards, Prepared: h.run}
-	numGates := h.run.Circuit.NumGates()
+	numGates := len(h.run.Circuit.Kinds)
 	shardRes := make([]*shardResult, len(sess.links))
 	var reconnects uint64
 	var meshBytes, fullBytes, deltaBytes, fulls, deltas uint64
@@ -881,7 +881,7 @@ func (s *session) verdict(shard int, kind supervise.Kind, cause error) error {
 // under relay latency); the GVT is then the minimum local minimum of
 // the final round.
 func (s *session) gvtDriver() {
-	pace := timewarp.NewPace(s.h.run.Circuit.NumGates(), 0)
+	pace := timewarp.NewPace(len(s.h.run.Circuit.Kinds), 0)
 	probe := func() (uint64, bool, bool) {
 		events, idle := s.progress()
 		return events, idle, s.dead()

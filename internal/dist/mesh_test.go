@@ -227,7 +227,7 @@ func TestDeltaChainRestore(t *testing.T) {
 
 	deltaDir, fullDir := t.TempDir(), t.TempDir()
 	for s := 0; s < 2; s++ {
-		owned := ownedGates(part.Assign, shardOf, s, c.NumGates())
+		owned := ownedGates(part.Assign, shardOf, s, len(c.Kinds))
 		writeShardChain(t, deltaDir, s, states, owned)
 		for _, st := range states {
 			if err := ckpt.WriteFile(filepath.Join(fullDir, shardCkptName(s, st.Time)),
@@ -271,7 +271,7 @@ func TestDeltaChainCorruptFallsBack(t *testing.T) {
 
 	dir := t.TempDir()
 	for s := 0; s < 2; s++ {
-		writeShardChain(t, dir, s, states, ownedGates(part.Assign, shardOf, s, c.NumGates()))
+		writeShardChain(t, dir, s, states, ownedGates(part.Assign, shardOf, s, len(c.Kinds)))
 	}
 
 	// The corruption itself must surface as the structured ckpt.ErrCorrupt

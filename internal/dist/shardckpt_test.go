@@ -110,7 +110,7 @@ func nativeCuts(t *testing.T, run *pipeline.Prepared, e cutEngine, q eventq.Impl
 				cover++
 			}
 		}
-		writers[s] = newShardWriter(dir, s, run.Circuit.NumGates(), cover, delta, head)
+		writers[s] = newShardWriter(dir, s, len(run.Circuit.Kinds), cover, delta, head)
 	}
 	err := e.run(run, q, boot, chaos, &ckpt.Cuts[logic.Value]{Every: every, Sink: func(c *ckpt.Cut[logic.Value]) {
 		writers[run.ShardOf[c.LP]].Put(c)

@@ -275,7 +275,7 @@ func (w *Worker) Run() error {
 		}
 	}
 	opts.Restore = boot
-	owned := ownedGates(part.Assign, shardOf, job.Shard, c.NumGates())
+	owned := ownedGates(part.Assign, shardOf, job.Shard, len(c.Kinds))
 
 	// The engine captures its local LPs' parts of every boundary; the
 	// writer stitches and persists them off the LP goroutines.
@@ -288,7 +288,7 @@ func (w *Worker) Run() error {
 				cover++
 			}
 		}
-		cw = newShardWriter(job.CheckpointDir, job.Shard, c.NumGates(), cover, job.CkptDelta, ckpt.State{
+		cw = newShardWriter(job.CheckpointDir, job.Shard, len(c.Kinds), cover, job.CkptDelta, ckpt.State{
 			Fingerprint: run.Fingerprint, Until: uint64(run.Until), System: uint8(opts.System),
 		})
 		cuts = &ckpt.Cuts[logic.Value]{Every: circuit.Tick(job.CheckpointEvery), Sink: cw.Put}

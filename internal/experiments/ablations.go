@@ -195,7 +195,7 @@ func E5Granularity(s Scale) (*Table, error) {
 		Header: []string{"LPs", "gates/LP", "tw-speedup", "proc-imbalance", "msgs/event"},
 	}
 	for _, lps := range []int{8, 16, 32, 64, 128, 256, 512} {
-		if lps > c.NumGates()/2 {
+		if lps > len(c.Kinds)/2 {
 			break
 		}
 		_, rep, err := speedupOf(w, base, core.Options{
@@ -223,7 +223,7 @@ func E5Granularity(s Scale) (*Table, error) {
 			msgsPerEvent = float64(tot.MessagesSent) / float64(tot.EventsApplied)
 		}
 		t.Rows = append(t.Rows, []string{
-			d(lps), d(c.NumGates() / lps), f2(stats.Speedup(seqTime, worst)), f2(imb), f2(msgsPerEvent),
+			d(lps), d(len(c.Kinds) / lps), f2(stats.Speedup(seqTime, worst)), f2(imb), f2(msgsPerEvent),
 		})
 	}
 	t.Notes = append(t.Notes, "few LPs: hot chains trapped per processor; many LPs: chain traffic becomes messages")

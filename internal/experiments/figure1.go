@@ -42,7 +42,7 @@ func Figure1(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := []string{d(c.NumGates()), d(base.SeqWork.EventsApplied)}
+		row := []string{d(len(c.Kinds)), d(base.SeqWork.EventsApplied)}
 		for _, eng := range []core.Engine{core.EngineSync, core.EngineCMB, core.EngineTimeWarp} {
 			sp, _, err := speedupOf(w, base, core.Options{
 				Engine: eng, LPs: lps, Partition: partition.MethodFM, PartitionSeed: 1,

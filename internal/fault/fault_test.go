@@ -23,7 +23,7 @@ func TestUniverseSize(t *testing.T) {
 		if f.StuckAt != logic.Zero && f.StuckAt != logic.One {
 			t.Fatalf("fault %v has non-binary stuck value", f)
 		}
-		k := c.Gate(f.Gate).Kind
+		k := c.Kinds[f.Gate]
 		if k == circuit.Output || k == circuit.Const0 || k == circuit.Const1 {
 			t.Fatalf("fault %v on excluded site %v", f, k)
 		}
@@ -73,14 +73,14 @@ func TestGradersRejectBadFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	patterns := [][]bool{make([]bool, len(c.Inputs))}
-	last := circuit.GateID(c.NumGates() - 1)
+	last := circuit.GateID(len(c.Kinds) - 1)
 	for _, tc := range []struct {
 		name  string
 		fault Fault
 		ok    bool
 	}{
 		{"valid", Fault{last, logic.One}, true},
-		{"gate past the end", Fault{circuit.GateID(c.NumGates()), logic.Zero}, false},
+		{"gate past the end", Fault{circuit.GateID(len(c.Kinds)), logic.Zero}, false},
 		{"negative gate", Fault{-1, logic.One}, false},
 		{"stuck at X", Fault{last, logic.X}, false},
 		{"stuck at Z", Fault{last, logic.Z}, false},

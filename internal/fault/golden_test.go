@@ -62,7 +62,7 @@ func renderCampaign(name string, c *circuit.Circuit, nPatterns int, res *Result)
 	fmt.Fprintf(&b, "patterns=%d total=%d detected=%d coverage=%.4f\n",
 		nPatterns, res.Total, res.Detected, res.Coverage)
 	for _, d := range res.Detections {
-		name := c.Gates[d.Fault.Gate].Name
+		name := c.Name(d.Fault.Gate)
 		if name == "" {
 			name = "-"
 		}

@@ -39,7 +39,7 @@ func everySite(c *circuit.Circuit) []Fault {
 // c's logic, so constant sites are graded too.
 func withConstants(t testing.TB, c *circuit.Circuit) *circuit.Circuit {
 	t.Helper()
-	gates := slices.Clone(c.Gates)
+	gates := records(c)
 	k0 := circuit.GateID(len(gates))
 	gates = append(gates,
 		circuit.Gate{Kind: circuit.Const0, Name: "k0"},
@@ -48,7 +48,7 @@ func withConstants(t testing.TB, c *circuit.Circuit) *circuit.Circuit {
 	for id := range gates[:k0] {
 		switch gates[id].Kind {
 		case circuit.And, circuit.Nand, circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor:
-			gates[id].Fanin = append(slices.Clone(gates[id].Fanin), k0+circuit.GateID(fed))
+			gates[id].Fanin = append(gates[id].Fanin, k0+circuit.GateID(fed))
 			fed++
 		}
 		if fed == 2 {

@@ -165,9 +165,9 @@ func sweepOrder(c *circuit.Circuit) ([]circuit.GateID, error) {
 	for id, k := range c.Kinds {
 		switch k {
 		case circuit.DFF, circuit.DLatch:
-			return nil, fmt.Errorf("fault: PPSFP handles combinational circuits; gate %q is a %v", c.Gates[id].Name, k)
+			return nil, fmt.Errorf("fault: PPSFP handles combinational circuits; gate %q is a %v", c.Name(circuit.GateID(id)), k)
 		case circuit.Tri, circuit.Resolve, circuit.ConstX:
-			return nil, fmt.Errorf("fault: PPSFP is two-valued; gate %q (%v) is not", c.Gates[id].Name, k)
+			return nil, fmt.Errorf("fault: PPSFP is two-valued; gate %q (%v) is not", c.Name(circuit.GateID(id)), k)
 		}
 	}
 	return slices.Concat(c.Levels...), nil

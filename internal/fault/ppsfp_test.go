@@ -249,15 +249,15 @@ func TestPPSFPLanesMatchScalar(t *testing.T) {
 	for k, pat := range patterns {
 		assign := map[string]logic.Value{}
 		for i, in := range c.Inputs {
-			assign[c.Gate(in).Name] = logic.FromBool(pat[i])
+			assign[c.Name(in)] = logic.FromBool(pat[i])
 		}
 		want, err := simtest.Settle(c, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for g := range c.Gates {
+		for g := range c.Kinds {
 			if got := val[g].Get(k); got != want[g] {
-				t.Fatalf("pattern %d gate %d (%s): sweep %v, scalar %v", k, g, c.Gates[g].Name, got, want[g])
+				t.Fatalf("pattern %d gate %d (%s): sweep %v, scalar %v", k, g, c.Name(circuit.GateID(g)), got, want[g])
 			}
 		}
 	}
@@ -278,7 +278,7 @@ func TestPPSFPMultiplierLanes(t *testing.T) {
 		a[k], b[k] = rng.Uint64()&(1<<width-1), rng.Uint64()&(1<<width-1)
 		patterns[k] = make([]bool, len(c.Inputs))
 		for i, in := range c.Inputs {
-			name := c.Gate(in).Name
+			name := c.Name(in)
 			bit, err := strconv.Atoi(name[1:])
 			if err != nil {
 				t.Fatal(err)

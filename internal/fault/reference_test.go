@@ -116,14 +116,24 @@ func runReference(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	return out, nil
 }
 
+// records lists c's gates as the records circuit.New takes, each fanin
+// its own copy.
+func records(c *circuit.Circuit) []circuit.Gate {
+	gates := make([]circuit.Gate, len(c.Kinds))
+	for id := range gates {
+		g := circuit.GateID(id)
+		gates[id] = circuit.Gate{Kind: c.Kinds[g], Name: c.Name(g), Fanin: slices.Clone(c.FaninAdj.Row(g)), Delay: c.Delays[g]}
+	}
+	return gates
+}
+
 // inject builds the faulty circuit: the faulted gate is replaced by a
 // constant driving the stuck value. Faulting a primary input also removes
 // it from the input list and the stimulus, and faulting an Output marker
 // removes it from the output list (a circuit lists only Input and Output
 // gates there).
 func inject(c *circuit.Circuit, stim *vectors.Stimulus, f Fault) (*circuit.Circuit, *vectors.Stimulus, error) {
-	gates := make([]circuit.Gate, len(c.Gates))
-	copy(gates, c.Gates)
+	gates := records(c)
 	fg := &gates[f.Gate]
 	faultedInput := fg.Kind == circuit.Input
 	if f.StuckAt == logic.One {
@@ -146,7 +156,7 @@ func inject(c *circuit.Circuit, stim *vectors.Stimulus, f Fault) (*circuit.Circu
 	if faultedInput {
 		inputs = without(inputs)
 	}
-	if c.Gates[f.Gate].Kind == circuit.Output {
+	if c.Kinds[f.Gate] == circuit.Output {
 		outputs = without(outputs)
 	}
 	fc, err := circuit.New(gates, inputs, outputs)

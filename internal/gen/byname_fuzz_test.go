@@ -44,7 +44,7 @@ func FuzzGenByName(f *testing.F) {
 		if c == nil {
 			t.Fatalf("ByName(%q) returned nil circuit without error", name)
 		}
-		if c.NumGates() == 0 {
+		if len(c.Kinds) == 0 {
 			t.Fatalf("ByName(%q) built an empty circuit", name)
 		}
 		if len(c.Inputs) == 0 || len(c.Outputs) == 0 {
@@ -54,9 +54,9 @@ func FuzzGenByName(f *testing.F) {
 			t.Fatalf("ByName(%q) with unit delays: %v", name, err)
 		}
 		// Wiring invariants: fanin in range, fanout consistent with fanin.
-		for id := range c.Gates {
-			for _, fi := range c.Gates[id].Fanin {
-				if fi < 0 || int(fi) >= c.NumGates() {
+		for id := range c.Kinds {
+			for _, fi := range c.FaninAdj.Row(circuit.GateID(id)) {
+				if fi < 0 || int(fi) >= len(c.Kinds) {
 					t.Fatalf("ByName(%q): gate %d fanin %d out of range", name, id, fi)
 				}
 				found := false

@@ -208,10 +208,10 @@ func TestRandomSeqStructure(t *testing.T) {
 	}
 	// Every DFF's clock pin must be the clk input.
 	clk, _ := c.ByName("clk")
-	for id := range c.Gates {
-		g := c.Gate(circuit.GateID(id))
-		if g.Kind == circuit.DFF && g.Fanin[1] != clk {
-			t.Fatalf("DFF %q clocked by %d, not clk", g.Name, g.Fanin[1])
+	for id, k := range c.Kinds {
+		g := circuit.GateID(id)
+		if fin := c.FaninAdj.Row(g); k == circuit.DFF && fin[1] != clk {
+			t.Fatalf("DFF %q clocked by %d, not clk", c.Name(g), fin[1])
 		}
 	}
 }
@@ -226,12 +226,13 @@ func TestRandomDAGDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.NumGates() != c2.NumGates() {
+	if len(c1.Kinds) != len(c2.Kinds) {
 		t.Fatal("same seed produced different circuits")
 	}
-	for i := range c1.Gates {
-		g1, g2 := c1.Gates[i], c2.Gates[i]
-		if g1.Kind != g2.Kind || g1.Name != g2.Name || g1.Delay != g2.Delay || len(g1.Fanin) != len(g2.Fanin) {
+	for i := range c1.Kinds {
+		g := circuit.GateID(i)
+		if c1.Kinds[g] != c2.Kinds[g] || c1.Name(g) != c2.Name(g) || c1.Delays[g] != c2.Delays[g] ||
+			len(c1.FaninAdj.Row(g)) != len(c2.FaninAdj.Row(g)) {
 			t.Fatalf("gate %d differs between identical seeds", i)
 		}
 	}
@@ -311,8 +312,8 @@ func TestByName(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cs.name, err)
 		}
-		if c.NumGates() < cs.gates {
-			t.Fatalf("%s: %d gates, want >= %d", cs.name, c.NumGates(), cs.gates)
+		if len(c.Kinds) < cs.gates {
+			t.Fatalf("%s: %d gates, want >= %d", cs.name, len(c.Kinds), cs.gates)
 		}
 	}
 	for _, bad := range []string{"", "frob", "mul", "12", "dag-5", "mulx4", "mul999999999999999999999"} {

@@ -73,15 +73,6 @@ func Parse(c byte) (Value, error) {
 	return U, fmt.Errorf("logic: invalid value character %q", c)
 }
 
-// MustParse is Parse but panics on invalid input; for tests and literals.
-func MustParse(c byte) Value {
-	v, err := Parse(c)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // FromBool converts a Go bool into a strong logic level.
 func FromBool(b bool) Value {
 	if b {
@@ -258,33 +249,3 @@ func ResolveN(vs ...Value) Value {
 // and the new value is high. Only 0/L -> 1/H counts; transitions through X
 // are not edges, which keeps flip-flops conservative under unknowns.
 func RisingEdge(prev, cur Value) bool { return prev.IsLow() && cur.IsHigh() }
-
-// FallingEdge reports whether prev -> cur is a falling edge (1/H -> 0/L).
-func FallingEdge(prev, cur Value) bool { return prev.IsHigh() && cur.IsLow() }
-
-// FormatVector renders a slice of values as a compact string such as
-// "01XZ10".
-func FormatVector(vs []Value) string {
-	buf := make([]byte, len(vs))
-	for i, v := range vs {
-		if v < NumValues {
-			buf[i] = valueRunes[v]
-		} else {
-			buf[i] = '?'
-		}
-	}
-	return string(buf)
-}
-
-// ParseVector parses a string produced by FormatVector.
-func ParseVector(s string) ([]Value, error) {
-	out := make([]Value, len(s))
-	for i := 0; i < len(s); i++ {
-		v, err := Parse(s[i])
-		if err != nil {
-			return nil, fmt.Errorf("logic: vector position %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}

@@ -97,15 +97,6 @@ func WideXor(a, b Word) Word {
 	return Word{L: k&^d | ^k, H: k&d | ^k}
 }
 
-// WideNand, WideNor and WideXnor are the complemented forms.
-func WideNand(a, b Word) Word { return WideNot(WideAnd(a, b)) }
-
-// WideNor is the complemented WideOr.
-func WideNor(a, b Word) Word { return WideNot(WideOr(a, b)) }
-
-// WideXnor is the complemented WideXor.
-func WideXnor(a, b Word) Word { return WideNot(WideXor(a, b)) }
-
 // WideResolve combines two simultaneous drivers lane-wise. On the raw
 // encoding the {X,0,1,Z} resolution function is exactly a plane OR: a
 // floating lane (0,0) yields the other driver, agreeing drivers idempote,

@@ -126,12 +126,6 @@ func (w Word) IsHigh() uint64 { return w.H &^ w.L }
 // IsLow returns the mask of lanes driven 0.
 func (w Word) IsLow() uint64 { return w.L &^ w.H }
 
-// IsX returns the mask of unknown lanes.
-func (w Word) IsX() uint64 { return w.L & w.H }
-
-// IsZ returns the mask of floating lanes.
-func (w Word) IsZ() uint64 { return ^(w.L | w.H) }
-
 // Known returns the mask of lanes driven 0 or 1.
 func (w Word) Known() uint64 { return w.L ^ w.H }
 
@@ -153,9 +147,4 @@ func Select(mask uint64, a, b Word) Word {
 		L: a.L&mask | b.L&^mask,
 		H: a.H&mask | b.H&^mask,
 	}
-}
-
-// Equal64 reports per-lane equality of a and b as a mask.
-func Equal64(a, b Word) uint64 {
-	return ^((a.L ^ b.L) | (a.H ^ b.H))
 }

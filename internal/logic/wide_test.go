@@ -14,9 +14,6 @@ var scalarOps = []struct {
 	{"and", WideAnd, And},
 	{"or", WideOr, Or},
 	{"xor", WideXor, Xor},
-	{"nand", WideNand, Nand},
-	{"nor", WideNor, Nor},
-	{"xnor", WideXnor, Xnor},
 	{"resolve", WideResolve, Resolve},
 }
 
@@ -135,25 +132,12 @@ func TestWordMasks(t *testing.T) {
 		if got := w.IsLow()&bit != 0; got != (v == Zero) {
 			t.Errorf("IsLow lane %d: %v for %v", lane, got, v)
 		}
-		if got := w.IsX()&bit != 0; got != (v == X) {
-			t.Errorf("IsX lane %d: %v for %v", lane, got, v)
-		}
-		if got := w.IsZ()&bit != 0; got != (v == Z) {
-			t.Errorf("IsZ lane %d: %v for %v", lane, got, v)
-		}
 		if got := w.Known()&bit != 0; got != (v == Zero || v == One) {
 			t.Errorf("Known lane %d: %v for %v", lane, got, v)
 		}
 	}
 	a := Pack([]Value{Zero, One, X, Z})
 	b := Pack([]Value{Zero, X, X, One})
-	eq := Equal64(a, b)
-	for lane := 0; lane < 4; lane++ {
-		want := a.Get(lane) == b.Get(lane)
-		if got := eq&(1<<uint(lane)) != 0; got != want {
-			t.Errorf("Equal64 lane %d = %v, want %v", lane, got, want)
-		}
-	}
 	sel := Select(0b0101, a, b)
 	for lane := 0; lane < 4; lane++ {
 		want := b.Get(lane)

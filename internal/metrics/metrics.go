@@ -6,7 +6,7 @@
 // per-LP work accounting — events, null messages, rollbacks, barrier
 // waits — so those counters are first-class here rather than ad-hoc
 // per-engine structs. The design keeps the hot path allocation-free: an
-// engine asks its Sink once, at setup, for one *LPBlock per logical
+// engine asks its Registry once, at setup, for one *LPBlock per logical
 // process, and every subsequent increment is a plain add on a struct field
 // the LP goroutine exclusively owns. No atomics, no maps, no interface
 // calls per event. Aggregation (totals, reports, cost-model pricing)
@@ -286,14 +286,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 func (h *Histogram) Sum() uint64   { return h.sum }
 func (h *Histogram) Max() uint64   { return h.max }
 
-// Mean reports the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // merge accumulates other into h.
 func (h *Histogram) merge(other *Histogram) {
 	for i := range h.buckets {
@@ -357,22 +349,6 @@ type Globals struct {
 	WallNs int64
 }
 
-// Sink is what an engine needs from the instrumentation layer. *Registry
-// implements it; tests may substitute their own.
-type Sink interface {
-	// LP returns logical process i's block, growing the registry as
-	// needed. Call during single-threaded setup only.
-	LP(i int) *LPBlock
-	// NumLPs reports how many blocks have been handed out.
-	NumLPs() int
-	// Globals returns the run-level counter block.
-	Globals() *Globals
-	// SetGauge records a named run-level measurement (cold path).
-	SetGauge(name string, v float64)
-	// PProfEnabled reports whether goroutine pprof labels should be set.
-	PProfEnabled() bool
-}
-
 // Registry is the per-run metrics store: one LPBlock per logical process,
 // the run globals, gauges, and identifying labels.
 type Registry struct {
@@ -392,7 +368,8 @@ func NewRegistry(engine string) *Registry {
 // Engine reports the engine name the registry was created for.
 func (r *Registry) Engine() string { return r.engine }
 
-// LP returns (allocating on first use) logical process i's block.
+// LP returns (allocating on first use) logical process i's block. Call
+// during single-threaded setup only.
 func (r *Registry) LP(i int) *LPBlock {
 	for len(r.lps) <= i {
 		r.lps = append(r.lps, &LPBlock{})
@@ -426,7 +403,7 @@ func (r *Registry) SetLabel(key, value string) {
 // registry.
 func (r *Registry) EnablePProf() { r.pprof = true }
 
-// PProfEnabled implements Sink.
+// PProfEnabled reports whether goroutine pprof labels should be set.
 func (r *Registry) PProfEnabled() bool { return r.pprof }
 
 // Absorb folds another registry into r: per-LP counters and histograms
@@ -455,20 +432,16 @@ func (r *Registry) Absorb(o *Registry) {
 	}
 }
 
-// SinkTotals sums a sink's per-LP counter blocks — the registry-free
-// aggregation path for engines that only hold the Sink interface.
-// Cold path; the caller must ensure the LP goroutines' writes are
-// visible (joined, or frozen behind a synchronization edge).
-func SinkTotals(s Sink) LPCounters {
+// Totals sums the per-LP counter blocks. Cold path; the caller must
+// ensure the LP goroutines' writes are visible (joined, or frozen behind
+// a synchronization edge).
+func (r *Registry) Totals() LPCounters {
 	var t LPCounters
-	for i := 0; i < s.NumLPs(); i++ {
-		t.Add(s.LP(i).LPCounters)
+	for _, b := range r.lps {
+		t.Add(b.LPCounters)
 	}
 	return t
 }
-
-// Totals sums the per-LP counter blocks.
-func (r *Registry) Totals() LPCounters { return SinkTotals(r) }
 
 // ReportSchema identifies the JSON layout of Report; bump on breaking
 // changes.
@@ -580,15 +553,6 @@ func (r *Report) Counters() LPCounters {
 		t.set(c, r.Totals[c.String()])
 	}
 	return t
-}
-
-// MergedHist sums one histogram across every LP of a built registry.
-func (r *Registry) MergedHist(h Hist) Histogram {
-	var out Histogram
-	for _, b := range r.lps {
-		out.merge(&b.hists[h])
-	}
-	return out
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -8,7 +8,7 @@ import (
 
 // Do runs f with goroutine pprof labels attributing CPU samples to
 // engine/lp/phase, so `go tool pprof -tags` splits a profile by logical
-// process and synchronization role. When the sink has labeling disabled
+// process and synchronization role. When the registry has labeling disabled
 // (the default) it calls f directly — label maps cost an allocation per
 // call, which the barrier engines' phase pool would pay per phase.
 //
@@ -20,7 +20,7 @@ import (
 // helper's stack, each started on a fresh 2 KiB stack — a fat frame here
 // pushes their evaluation chain over the first stack growth, which then
 // costs a stack copy per goroutine.
-func Do(m Sink, engine string, lp int, phase string, f func()) {
+func Do(m *Registry, engine string, lp int, phase string, f func()) {
 	if m == nil || !m.PProfEnabled() {
 		f()
 		return

@@ -91,25 +91,25 @@ func FuzzOptimize(f *testing.F) {
 func checkOptimizedInvariants(t *testing.T, c *circuit.Circuit, res *Result) {
 	t.Helper()
 	oc := res.Circuit
-	if oc.NumGates() == 0 {
+	if len(oc.Kinds) == 0 {
 		t.Fatal("optimized to an empty circuit")
 	}
 	if err := oc.CheckEventDriven(); err != nil {
 		t.Fatalf("optimized delays: %v", err)
 	}
-	for id := range oc.Gates {
-		for _, fi := range oc.Gates[id].Fanin {
-			if fi < 0 || int(fi) >= oc.NumGates() {
+	for id := range oc.Kinds {
+		for _, fi := range oc.FaninAdj.Row(circuit.GateID(id)) {
+			if fi < 0 || int(fi) >= len(oc.Kinds) {
 				t.Fatalf("gate %d fanin %d out of range", id, fi)
 			}
 		}
 	}
-	if len(res.Remap.Fwd) != c.NumGates() || len(res.Remap.Back) != oc.NumGates() {
+	if len(res.Remap.Fwd) != len(c.Kinds) || len(res.Remap.Back) != len(oc.Kinds) {
 		t.Fatalf("remap sized %d/%d for %d->%d gates",
-			len(res.Remap.Fwd), len(res.Remap.Back), c.NumGates(), oc.NumGates())
+			len(res.Remap.Fwd), len(res.Remap.Back), len(c.Kinds), len(oc.Kinds))
 	}
 	for ng, og := range res.Remap.Back {
-		if og < 0 || int(og) >= c.NumGates() {
+		if og < 0 || int(og) >= len(c.Kinds) {
 			t.Fatalf("Back[%d]=%d out of range", ng, og)
 		}
 		if res.Remap.Fwd[og] != circuit.GateID(ng) {
@@ -120,7 +120,7 @@ func checkOptimizedInvariants(t *testing.T, c *circuit.Circuit, res *Result) {
 		if ng < 0 {
 			continue
 		}
-		if int(ng) >= oc.NumGates() {
+		if int(ng) >= len(oc.Kinds) {
 			t.Fatalf("Fwd[%d]=%d out of range", og, ng)
 		}
 	}

@@ -25,9 +25,9 @@ var goldenPath = filepath.Join("testdata", "optimize.golden")
 // name, kind, delay and fanin IDs in ID order, then the I/O lists.
 func netlistText(c *circuit.Circuit) string {
 	var sb strings.Builder
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		fmt.Fprintf(&sb, "%d %s %v %d %v\n", id, g.Name, g.Kind, g.Delay, g.Fanin)
+	for id, k := range c.Kinds {
+		g := circuit.GateID(id)
+		fmt.Fprintf(&sb, "%d %s %v %d %v\n", id, c.Name(g), k, c.Delays[g], c.FaninAdj.Row(g))
 	}
 	fmt.Fprintf(&sb, "in %v\nout %v\n", c.Inputs, c.Outputs)
 	return sb.String()

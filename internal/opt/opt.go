@@ -131,7 +131,7 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 	}
 	w := newWork(c)
 	st := &w.stats
-	st.GatesBefore = len(c.Gates)
+	st.GatesBefore = len(c.Kinds)
 	st.LevelsBefore = len(c.Levels)
 
 	for round := 0; round < maxRounds; round++ {
@@ -147,13 +147,11 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 	}
 
-	outGates := make([]circuit.Gate, len(w.gates))
-	copy(outGates, w.gates)
-	oc, err := circuit.New(outGates, w.inputs, w.outputs)
+	oc, err := circuit.New(w.gates, w.inputs, w.outputs)
 	if err != nil {
 		return nil, fmt.Errorf("opt: optimized netlist invalid: %w", err)
 	}
-	st.GatesAfter = len(oc.Gates)
+	st.GatesAfter = len(oc.Kinds)
 	st.GatesRemoved = st.GatesBefore - st.GatesAfter
 	st.LevelsAfter = len(oc.Levels)
 	return &Result{

@@ -196,7 +196,7 @@ func TestOptimizePipeline(t *testing.T) {
 		if !ok {
 			t.Fatalf("input %d eliminated", in)
 		}
-		if res.Circuit.Gates[ng].Name != c.Gates[in].Name {
+		if res.Circuit.Name(ng) != c.Name(in) {
 			t.Fatalf("input %d name mismatch", in)
 		}
 	}
@@ -222,7 +222,7 @@ func TestOptimizePipeline(t *testing.T) {
 	}
 	nr, ok := res.Remap.Gate(reader)
 	if ok { // reader may itself fold further; if it survives, check pins
-		fan := res.Circuit.Gates[nr].Fanin
+		fan := res.Circuit.FaninAdj.Row(nr)
 		if len(fan) == 2 && fan[0] != fan[1] {
 			t.Fatalf("twins not merged: reader fanin %v", fan)
 		}
@@ -306,8 +306,8 @@ func TestInvPairEquivalence(t *testing.T) {
 	if !ok {
 		t.Fatal("collapsed pair's outer gate eliminated")
 	}
-	if g := res.Circuit.Gates[ng]; g.Kind != circuit.And || len(g.Fanin) != 1 {
-		t.Fatalf("outer inverter rewrote to %v/%d fanin, want single-fanin And", g.Kind, len(g.Fanin))
+	if k, fin := res.Circuit.Kinds[ng], res.Circuit.FaninAdj.Row(ng); k != circuit.And || len(fin) != 1 {
+		t.Fatalf("outer inverter rewrote to %v/%d fanin, want single-fanin And", k, len(fin))
 	}
 	checkWaveformEquivalentOn(t, c, res, logic.NineValued)
 
@@ -405,7 +405,7 @@ func TestKeepPinsNet(t *testing.T) {
 	}
 	for _, g := range []circuit.GateID{unused, out} {
 		if _, ok := res.Remap.Gate(g); !ok {
-			t.Fatalf("kept net %q eliminated", c.Gates[g].Name)
+			t.Fatalf("kept net %q eliminated", c.Name(g))
 		}
 	}
 	if _, ok := res.Circuit.ByName("dead"); ok {

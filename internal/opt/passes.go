@@ -32,7 +32,7 @@ type work struct {
 }
 
 func newWork(c *circuit.Circuit) *work {
-	n := len(c.Gates)
+	n := len(c.Kinds)
 	w := &work{
 		gates:   make([]circuit.Gate, n),
 		inputs:  append([]circuit.GateID(nil), c.Inputs...),
@@ -49,9 +49,8 @@ func newWork(c *circuit.Circuit) *work {
 	// pass may rewrite a row in place but never append into the next.
 	pins := append([]circuit.GateID(nil), c.FaninAdj.Idx...)
 	off := c.FaninAdj.Off
-	for i := range c.Gates {
-		g := c.Gates[i]
-		g.Fanin = nil
+	for i, k := range c.Kinds {
+		g := circuit.Gate{Kind: k, Name: c.Name(circuit.GateID(i)), Delay: c.Delays[i]}
 		if lo, hi := off[i], off[i+1]; lo < hi {
 			g.Fanin = pins[lo:hi:hi]
 		}

@@ -25,18 +25,18 @@ func TestConeSplitBoundaryProperty(t *testing.T) {
 			if cones < 1 {
 				t.Fatalf("k=%d: %d cones", k, cones)
 			}
-			for g := range c.Gates {
+			for g := range c.Kinds {
 				src := circuit.GateID(g)
-				kind := c.Gates[g].Kind
+				kind := c.Kinds[g]
 				for _, dst := range c.FanoutAdj.Row(src) {
 					if p.Assign[src] == p.Assign[dst] {
 						continue
 					}
-					if kind.Source() || kind.Sequential() || c.Gates[dst].Kind.Sequential() {
+					if kind.Source() || kind.Sequential() || c.Kinds[dst].Sequential() {
 						continue
 					}
 					t.Fatalf("k=%d: combinational net %d (%v) crosses to combinational gate %d (%v)",
-						k, src, kind, dst, c.Gates[dst].Kind)
+						k, src, kind, dst, c.Kinds[dst])
 				}
 			}
 		}
@@ -59,12 +59,12 @@ func TestConeSplitExactCoverAndDeterminism(t *testing.T) {
 		}
 	}
 	// Whole-cone packing: both endpoints of a comb-comb edge share a block.
-	for g := range c.Gates {
-		if c.Gates[g].Kind.Source() || c.Gates[g].Kind.Sequential() {
+	for g := range c.Kinds {
+		if c.Kinds[g].Source() || c.Kinds[g].Sequential() {
 			continue
 		}
-		for _, f := range c.Gates[g].Fanin {
-			if fk := c.Gates[f].Kind; fk.Source() || fk.Sequential() {
+		for _, f := range c.FaninAdj.Row(circuit.GateID(g)) {
+			if fk := c.Kinds[f]; fk.Source() || fk.Sequential() {
 				continue
 			}
 			if p1.Assign[g] != p1.Assign[f] {
@@ -151,7 +151,7 @@ func TestLocalCutLinksMultiPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	o, _ := c.ByName("o")
-	assign := make([]int, c.NumGates())
+	assign := make([]int, len(c.Kinds))
 	assign[a], assign[x] = 0, 0
 	assign[y], assign[o] = 1, 1
 	seen := newBlockSet(2)

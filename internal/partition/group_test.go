@@ -21,7 +21,7 @@ func TestGroupLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := make(Weights, c.NumGates())
+		w := make(Weights, len(c.Kinds))
 		for g := range w {
 			w[g] = 0.25 + rng.Float64()
 		}

@@ -27,7 +27,7 @@ func cutOf(g *hgraph) int {
 // recursion hands them down.
 func randomSubset(c *circuit.Circuit, keep float64, rng *rand.Rand) []circuit.GateID {
 	var verts []circuit.GateID
-	for g := 0; g < c.NumGates(); g++ {
+	for g := 0; g < len(c.Kinds); g++ {
 		if rng.Float64() < keep {
 			verts = append(verts, circuit.GateID(g))
 		}
@@ -101,7 +101,7 @@ func checkGraph(t *testing.T, g *hgraph, nets [][]int32, w []float64) {
 func TestFlatHypergraphMatchesCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for ci, c := range propertyCorpus(t) {
-		w := make(Weights, c.NumGates())
+		w := make(Weights, len(c.Kinds))
 		for i := range w {
 			w[i] = 0.1 + float64(rng.Intn(40))
 		}
@@ -175,7 +175,7 @@ func TestFMPassGainIsCutDelta(t *testing.T) {
 		}
 	}
 	for _, c := range propertyCorpus(t) {
-		skewed := make(Weights, c.NumGates())
+		skewed := make(Weights, len(c.Kinds))
 		for i := range skewed {
 			skewed[i] = 0.1 + float64(rng.Intn(7)*rng.Intn(7))
 		}

@@ -129,9 +129,9 @@ func TestKLBalanced(t *testing.T) {
 func TestWeightedBalanceUsesWeights(t *testing.T) {
 	c := testCircuit(t)
 	// Skewed weights: first half of gates are 10x heavier.
-	w := make(Weights, c.NumGates())
+	w := make(Weights, len(c.Kinds))
 	for i := range w {
-		if i < c.NumGates()/2 {
+		if i < len(c.Kinds)/2 {
 			w[i] = 10
 		} else {
 			w[i] = 1
@@ -234,7 +234,7 @@ func TestPartitionInvariantsQuick(t *testing.T) {
 		for _, bg := range blocks {
 			total += len(bg)
 		}
-		if total != c.NumGates() {
+		if total != len(c.Kinds) {
 			return false
 		}
 		// Cut of a 1-block partition is zero.
@@ -263,7 +263,7 @@ func TestCutLinksManual(t *testing.T) {
 		t.Fatal(err)
 	}
 	o, _ := c.ByName("o")
-	p := &Partition{Blocks: 2, Assign: make([]int, c.NumGates())}
+	p := &Partition{Blocks: 2, Assign: make([]int, len(c.Kinds))}
 	p.Assign[a], p.Assign[x], p.Assign[y], p.Assign[o] = 0, 0, 1, 1
 	if cut := p.CutLinks(c); cut != 2 {
 		t.Fatalf("cut = %d, want 2", cut)
@@ -288,8 +288,8 @@ func TestLevelsSpreadsLevelsAcrossBlocks(t *testing.T) {
 	g0, _ := b.Build()
 	p := Levels(g0, 4, WeightsUniform(g0))
 	counts := make([]int, 4)
-	for g := range g0.Gates {
-		if g0.Gates[g].Kind == circuit.And {
+	for g := range g0.Kinds {
+		if g0.Kinds[g] == circuit.And {
 			counts[p.Assign[g]]++
 		}
 	}
@@ -353,7 +353,7 @@ func BenchmarkStrings8Way(b *testing.B) {
 
 func TestMultilevelCoarseningInvariants(t *testing.T) {
 	c := testCircuit(t)
-	verts := make([]circuit.GateID, c.NumGates())
+	verts := make([]circuit.GateID, len(c.Kinds))
 	for i := range verts {
 		verts[i] = circuit.GateID(i)
 	}

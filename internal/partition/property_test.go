@@ -51,7 +51,7 @@ var imbalanceBound = map[Method]float64{
 // consumer block) pair with the consumer in a foreign block.
 func recountCut(c *circuit.Circuit, p *Partition) int {
 	pairs := map[int]struct{}{}
-	for g := range c.Gates {
+	for g := range c.Kinds {
 		for _, dst := range c.FanoutAdj.Row(circuit.GateID(g)) {
 			if p.Assign[dst] != p.Assign[g] {
 				pairs[g*p.Blocks+p.Assign[dst]] = struct{}{}
@@ -67,8 +67,8 @@ func recountCut(c *circuit.Circuit, p *Partition) int {
 // placed item from above.
 func maxConeWeight(c *circuit.Circuit, w Weights) float64 {
 	var best float64
-	mark := make([]int, c.NumGates())
-	for root := 0; root < c.NumGates(); root++ {
+	mark := make([]int, len(c.Kinds))
+	for root := 0; root < len(c.Kinds); root++ {
 		stamp := root + 1
 		var sum float64
 		stack := []circuit.GateID{circuit.GateID(root)}
@@ -77,7 +77,7 @@ func maxConeWeight(c *circuit.Circuit, w Weights) float64 {
 			g := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			sum += w[g]
-			for _, f := range c.Gates[g].Fanin {
+			for _, f := range c.FaninAdj.Row(g) {
 				if mark[f] != stamp {
 					mark[f] = stamp
 					stack = append(stack, f)
@@ -110,7 +110,7 @@ func TestPartitionProperties(t *testing.T) {
 	for ci, c := range propertyCorpus(t) {
 		w := WeightsUniform(c)
 		maxCone := maxConeWeight(c, w)
-		total := float64(c.NumGates())
+		total := float64(len(c.Kinds))
 		for _, m := range methods {
 			for _, k := range ks {
 				p, err := New(m, c, k, Options{Seed: int64(ci) + 1, AnnealMoves: 4000})
@@ -126,7 +126,7 @@ func TestPartitionProperties(t *testing.T) {
 
 				// Exact disjoint cover: each gate appears in exactly the
 				// block Assign names, and nowhere else.
-				seen := make([]int, c.NumGates())
+				seen := make([]int, len(c.Kinds))
 				for b, gates := range p.BlockGates() {
 					for _, g := range gates {
 						seen[g]++

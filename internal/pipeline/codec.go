@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -47,7 +48,7 @@ func (p *Prepared) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("pipeline: a wide run has no wire form")
 	}
 	c := p.Circuit
-	n := len(c.Gates)
+	n := len(c.Kinds)
 	b := append(make([]byte, 0, 64+n*32+len(p.Stim.Changes)*13), magic...)
 	fp := ckpt.Fingerprint(c)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(fp)))
@@ -69,8 +70,8 @@ func (p *Prepared) Encode() ([]byte, error) {
 			b = binary.LittleEndian.AppendUint32(b, uint32(g))
 		}
 	}
-	for i := range c.Gates {
-		name := c.Gates[i].Name
+	for g := range c.Kinds {
+		name := c.Name(circuit.GateID(g))
 		if len(name) > math.MaxUint16 {
 			return nil, fmt.Errorf("pipeline: gate name of %d bytes does not fit the wire form", len(name))
 		}
@@ -182,11 +183,13 @@ func Decode(payload []byte) (*Prepared, error) {
 	}
 	kinds := make([]circuit.Kind, gates)
 	delays := make([]circuit.Tick, gates)
-	names := make([]string, gates)
+	nameOff := make([]int32, gates+1)
+	var names strings.Builder
 	for g := range kinds {
 		kinds[g] = circuit.Kind(rawKinds[g])
 		delays[g] = circuit.Tick(binary.LittleEndian.Uint64(rawDelays[8*g:]))
-		names[g] = string(r.take(uint64(r.uint(2))))
+		names.Write(r.take(r.uint(2)))
+		nameOff[g+1] = int32(names.Len())
 	}
 
 	stim := &vectors.Stimulus{End: circuit.Tick(r.uint(8))}
@@ -221,7 +224,7 @@ func Decode(payload []byte) (*Prepared, error) {
 	}
 
 	var err error
-	if p.Circuit, err = circuit.FromFlat(kinds, delays, names, fanin, inputs, outputs, nil); err != nil {
+	if p.Circuit, err = circuit.FromFlat(kinds, delays, names.String(), nameOff, fanin, inputs, outputs, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if got := ckpt.Fingerprint(p.Circuit); got != fp {

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/partition"
@@ -58,8 +57,8 @@ func corpus(t testing.TB) map[string]*pipeline.Prepared {
 
 // TestEncodeDecodeRoundTrip: decoding an encoded run yields the same
 // circuit, stimulus, horizon, partition and shard map; the decoded
-// circuit's per-gate views alias its flat arrays, as a built circuit's do,
-// and it has the fingerprint the original has.
+// circuit's names and name table match, and it has the fingerprint the
+// original has.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for name, run := range corpus(t) {
 		payload, err := run.Encode()
@@ -71,20 +70,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		c, d := run.Circuit, got.Circuit
-		if !reflect.DeepEqual(c.Gates, d.Gates) || !reflect.DeepEqual(c.Inputs, d.Inputs) || !reflect.DeepEqual(c.Outputs, d.Outputs) {
-			t.Errorf("%s: gates or I/O lists differ", name)
+		if !reflect.DeepEqual(c.Inputs, d.Inputs) || !reflect.DeepEqual(c.Outputs, d.Outputs) {
+			t.Errorf("%s: I/O lists differ", name)
 		}
 		if !reflect.DeepEqual(c.Kinds, d.Kinds) || !reflect.DeepEqual(c.Delays, d.Delays) ||
 			!reflect.DeepEqual(c.FaninAdj, d.FaninAdj) || !reflect.DeepEqual(c.FanoutAdj, d.FanoutAdj) ||
 			!reflect.DeepEqual(c.Levels, d.Levels) {
 			t.Errorf("%s: flat arrays differ", name)
 		}
-		for g := range d.Gates {
+		for g := range d.Kinds {
 			id := circuit.GateID(g)
-			if row := d.FaninAdj.Row(id); len(row) > 0 && unsafe.SliceData(d.Gates[g].Fanin) != unsafe.SliceData(row) {
-				t.Fatalf("%s: gate %d fanin is a copy, not a view of FaninAdj", name, g)
+			if d.Name(id) != c.Name(id) {
+				t.Fatalf("%s: gate %d named %q, was %q", name, g, d.Name(id), c.Name(id))
 			}
-			if by, ok := d.ByName(d.Gates[g].Name); !ok || by != id {
+			if by, ok := d.ByName(d.Name(id)); !ok || by != id {
 				t.Fatalf("%s: name table lost gate %d", name, g)
 			}
 		}
@@ -156,15 +155,15 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint32(p[counts+4:], 0x7FFFFFFF)
 	cases["inflated pins"] = reseal(p)
 
-	n := run.Circuit.NumGates()
+	n := len(run.Circuit.Kinds)
 	names := counts + 16 + n + 8*n + 4*(n+1) + 4*len(run.Circuit.FaninAdj.Idx) + 4*len(run.Circuit.Inputs) + 4*len(run.Circuit.Outputs)
 	p = clone()
 	binary.LittleEndian.PutUint16(p[names:], 0xFFFF)
 	cases["inflated name"] = reseal(p)
 
 	stim := names
-	for g := range run.Circuit.Gates {
-		stim += 2 + len(run.Circuit.Gates[g].Name)
+	for g := range run.Circuit.Kinds {
+		stim += 2 + len(run.Circuit.Name(circuit.GateID(g)))
 	}
 	p = clone()
 	binary.LittleEndian.PutUint32(p[stim+8:], 0xFFFFFFFF)

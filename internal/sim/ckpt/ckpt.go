@@ -208,20 +208,19 @@ func As[V comparable](s Snapshot, sys logic.System) (*StateT[V], error) {
 func Fingerprint(c *circuit.Circuit) string {
 	d := newDigest()
 	d.str("gates=")
-	d.int(int64(len(c.Gates)))
+	d.int(int64(len(c.Kinds)))
 	d.str(" in=")
 	d.int(int64(len(c.Inputs)))
 	d.str(" out=")
 	d.int(int64(len(c.Outputs)))
 	d.end('\n')
-	for i := range c.Gates {
-		g := &c.Gates[i]
+	for i, k := range c.Kinds {
 		d.int(int64(i))
 		d.char(' ')
-		d.uint(uint64(g.Kind))
+		d.uint(uint64(k))
 		d.char(' ')
-		d.uint(uint64(g.Delay))
-		for _, f := range g.Fanin {
+		d.uint(uint64(c.Delays[i]))
+		for _, f := range c.FaninAdj.Row(circuit.GateID(i)) {
 			d.char(' ')
 			d.int(int64(f))
 		}
@@ -249,7 +248,7 @@ func (s *StateT[V]) CheckPrint(fp string, c *circuit.Circuit, sys logic.System) 
 	if s.System != uint8(sys) {
 		return fmt.Errorf("ckpt: captured under %d-valued logic, restoring under %d-valued", s.System, uint8(sys))
 	}
-	n := len(c.Gates)
+	n := len(c.Kinds)
 	if len(s.Vals) != n || len(s.PrevClk) != n || len(s.Projected) != n {
 		return fmt.Errorf("ckpt: value planes sized %d/%d/%d, want %d",
 			len(s.Vals), len(s.PrevClk), len(s.Projected), n)

@@ -17,7 +17,7 @@ func sample(t *testing.T) (*circuit.Circuit, *State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(c.Gates)
+	n := len(c.Kinds)
 	mk := func(v logic.Value) []logic.Value {
 		s := make([]logic.Value, n)
 		for i := range s {
@@ -79,7 +79,7 @@ func TestCheckRejections(t *testing.T) {
 		{"system", func(s *State) {}, c, logic.TwoValued, "logic"},
 		{"planes", func(s *State) { s.Vals = s.Vals[:1] }, c, logic.NineValued, "planes"},
 		{"event-time", func(s *State) { s.Events[0].Time = 100 }, c, logic.NineValued, "boundary"},
-		{"event-gate", func(s *State) { s.Events[0].Gate = circuit.GateID(len(c.Gates)) }, c, logic.NineValued, "outside"},
+		{"event-gate", func(s *State) { s.Events[0].Gate = circuit.GateID(len(c.Kinds)) }, c, logic.NineValued, "outside"},
 	}
 	for _, tc := range cases {
 		_, st := sample(t)

@@ -39,11 +39,10 @@ func fmtStateSum(s *ckpt.State) string {
 
 func fmtFingerprint(c *circuit.Circuit) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "gates=%d in=%d out=%d\n", len(c.Gates), len(c.Inputs), len(c.Outputs))
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		fmt.Fprintf(h, "%d %d %d", i, g.Kind, g.Delay)
-		for _, f := range g.Fanin {
+	fmt.Fprintf(h, "gates=%d in=%d out=%d\n", len(c.Kinds), len(c.Inputs), len(c.Outputs))
+	for i, k := range c.Kinds {
+		fmt.Fprintf(h, "%d %d %d", i, k, c.Delays[i])
+		for _, f := range c.FaninAdj.Row(circuit.GateID(i)) {
 			fmt.Fprintf(h, " %d", f)
 		}
 		fmt.Fprintln(h)

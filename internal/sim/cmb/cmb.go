@@ -90,7 +90,7 @@ type ConfigT[V comparable] struct {
 	MaxEvents uint64
 	// Metrics receives per-LP counters and quiescence-round globals; nil
 	// uses a private registry.
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records per-LP evaluate/block spans, and a gvt
 	// span per permit round on the timeline of the LP that granted it.
 	Tracer *trace.Tracer
@@ -300,7 +300,7 @@ func run[V comparable](
 	// null_ratio is the conservative protocol's headline overhead
 	// (nulls sent per applied event) as a run gauge — the signal the
 	// adaptive engine-switch controller thresholds on.
-	tot := metrics.SinkTotals(sink)
+	tot := sink.Totals()
 	if tot.EventsApplied > 0 {
 		sink.SetGauge("null_ratio", float64(tot.NullsSent)/float64(tot.EventsApplied))
 	}

@@ -19,8 +19,8 @@ func warmLP(t *testing.T) (*LP, [2][]Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, len(c.Gates))
-	own := make([]circuit.GateID, len(c.Gates))
+	owner := make([]int, len(c.Kinds))
+	own := make([]circuit.GateID, len(c.Kinds))
 	for g := range own {
 		own[g] = circuit.GateID(g)
 	}

@@ -69,7 +69,7 @@ func twoLPCircuit(t *testing.T) (*circuit.Circuit, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, c.NumGates())
+	owner := make([]int, len(c.Kinds))
 	andID, _ := c.ByName("and")
 	yID, _ := c.ByName("y")
 	owner[andID], owner[yID], owner[bb] = 1, 1, 1
@@ -121,7 +121,7 @@ func TestUndoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, c.NumGates())
+	owner := make([]int, len(c.Kinds))
 	var own []circuit.GateID
 	for g := range owner {
 		own = append(own, circuit.GateID(g))
@@ -175,7 +175,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, c.NumGates())
+	owner := make([]int, len(c.Kinds))
 	var own []circuit.GateID
 	for g := range owner {
 		own = append(own, circuit.GateID(g))
@@ -209,7 +209,7 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := make([]int, c.NumGates())
+	owner := make([]int, len(c.Kinds))
 	var own []circuit.GateID
 	for g := range owner {
 		own = append(own, circuit.GateID(g))

@@ -127,7 +127,7 @@ type Spec[V comparable] struct {
 	Seam *wire.Seam
 	// Metrics receives the per-LP counters; nil uses a private registry
 	// named Label, or Engine when Label is empty.
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	Label   string
 	// Tracer, when non-nil, records every LP's spans.
 	Tracer *trace.Tracer
@@ -165,7 +165,7 @@ type Net[V comparable] struct {
 	// changes is the scheduled stimulus Open hands to Run's router.
 	changes []vectors.ChangeT[V]
 
-	sink      metrics.Sink
+	sink      *metrics.Registry
 	tracer    *trace.Tracer
 	board     *supervise.Board
 	hang      time.Duration
@@ -309,7 +309,7 @@ func (n *Net[V]) Recorder(lp int) *trace.RecorderT[V] { return &n.lps[lp].rec }
 func (n *Net[V]) Batcher(lp int) *Batcher[V] { return &n.lps[lp].batch }
 
 // Sink is the run's metrics sink.
-func (n *Net[V]) Sink() metrics.Sink { return n.sink }
+func (n *Net[V]) Sink() *metrics.Registry { return n.sink }
 
 // Board is the run's scoreboard, nil without one.
 func (n *Net[V]) Board() *supervise.Board { return n.board }

@@ -47,7 +47,7 @@ type Config struct {
 	Cost stats.CostModel
 	// Metrics receives per-worker counters and barrier globals; nil uses a
 	// private registry.
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records one evaluate span per worker per level.
 	Tracer *trace.Tracer
 }
@@ -132,7 +132,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	// lastRec dedupes the boundary samples into genuine changes (per-lane
 	// deduplication of a word happens in WideWaveform.Lane).
 	var rec trace.RecorderT[V]
-	lastRec := make([]V, len(c.Gates))
+	lastRec := make([]V, len(c.Kinds))
 	for id := range lastRec {
 		lastRec[id] = pl.Initial(c.Kinds[id], cfg.System)
 	}
@@ -151,8 +151,8 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 
 	// evalSlice evaluates one contiguous chunk of a level into newVals.
-	newQ := make([]V, len(c.Gates))
-	newClk := make([]V, len(c.Gates))
+	newQ := make([]V, len(c.Kinds))
+	newClk := make([]V, len(c.Kinds))
 	evalSlice := func(w int, t circuit.Tick, gates []circuit.GateID) {
 		begin := shards[w].Now()
 		for _, g := range gates {

@@ -24,7 +24,7 @@ func settleMatch(t *testing.T, c *circuit.Circuit, stim *vectors.Stimulus, worke
 	for g := range ref.Values {
 		if ref.Values[g] != ob.Values[g] {
 			t.Fatalf("gate %d (%s): oblivious %v, event-driven %v",
-				g, c.Gates[g].Name, ob.Values[g], ref.Values[g])
+				g, c.Name(circuit.GateID(g)), ob.Values[g], ref.Values[g])
 		}
 	}
 	return ob, ref
@@ -85,8 +85,8 @@ func TestEvaluationCountIsOblivious(t *testing.T) {
 	// Every non-source gate is evaluated at every boundary regardless of
 	// activity — that is the definition of oblivious simulation.
 	nonSource := 0
-	for g := range c.Gates {
-		if !c.Gates[g].Kind.Source() {
+	for g := range c.Kinds {
+		if !c.Kinds[g].Source() {
 			nonSource++
 		}
 	}

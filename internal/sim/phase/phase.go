@@ -23,7 +23,7 @@ import (
 // Pool is a fixed set of persistent helpers running one body.
 type Pool struct {
 	engine string
-	sink   metrics.Sink
+	sink   *metrics.Registry
 	wake   []chan struct{}
 	// done is the barrier: the last part to finish wakes the caller, once
 	// per phase.
@@ -41,7 +41,7 @@ type Pool struct {
 // New starts size helpers, each running body(part, parts) for its own
 // part whenever Run releases it. engine labels panics and pprof samples;
 // sink decides whether pprof labels are set.
-func New(size int, engine string, sink metrics.Sink, body func(part, parts int)) *Pool {
+func New(size int, engine string, sink *metrics.Registry, body func(part, parts int)) *Pool {
 	p := &Pool{engine: engine, sink: sink, wake: make([]chan struct{}, size)}
 	p.exited.Add(size)
 	for part := range p.wake {

@@ -61,7 +61,7 @@ type ConfigT[V comparable] struct {
 	MaxEvents uint64
 	// Metrics receives the run's work counters; nil uses a private
 	// registry (the counters still come back in Result.Counters).
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records one evaluate span per timestep.
 	Tracer *trace.Tracer
 
@@ -193,7 +193,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if watched == nil {
 		watched = c.Outputs
 	}
-	isWatched := make([]bool, len(c.Gates))
+	isWatched := make([]bool, len(c.Kinds))
 	for _, g := range watched {
 		isWatched[g] = true
 	}
@@ -219,7 +219,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 
 	res := &ResultT[V]{}
 	if cfg.Profile {
-		res.EvalsByGate = make([]uint64, len(c.Gates))
+		res.EvalsByGate = make([]uint64, len(c.Kinds))
 	}
 	var rec trace.RecorderT[V]
 	// Critical-path state: lastCompl[g] is the ideal-machine completion
@@ -231,14 +231,14 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	var lastCompl []float64
 	var pendCompl [][]float64
 	if cfg.CriticalPath {
-		lastCompl = make([]float64, len(c.Gates))
-		pendCompl = make([][]float64, len(c.Gates))
+		lastCompl = make([]float64, len(c.Kinds))
+		pendCompl = make([][]float64, len(c.Kinds))
 	}
 	// evalStep is the ideal cost of one apply-evaluate-schedule unit.
 	evalStep := cfg.Cost.EvalCost + 2*cfg.Cost.EventCost
 
 	// dirty tracking: stamp[g] == epoch marks g already queued this step.
-	stamp := make([]uint64, len(c.Gates))
+	stamp := make([]uint64, len(c.Kinds))
 	var epoch uint64
 	var dirty []circuit.GateID
 	var endTime circuit.Tick

@@ -35,7 +35,7 @@ func run2(t *testing.T, c *circuit.Circuit, s *vectors.Stimulus, until circuit.T
 // lanes and identical to the scalar engine's initial committed value.
 func laneInitial(c *circuit.Circuit, sys logic.System) func(circuit.GateID) logic.Value {
 	return func(g circuit.GateID) logic.Value {
-		return sys.Project(circuit.InitialValue(c.Gates[g].Kind))
+		return sys.Project(circuit.InitialValue(c.Kinds[g]))
 	}
 }
 
@@ -478,7 +478,7 @@ func TestInvalidStimulusRejected(t *testing.T) {
 	}
 	// A non-input gate, and a gate id beyond the circuit: either would
 	// index the value planes unchecked if it reached the engine.
-	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Gates))} {
+	for _, g := range []circuit.GateID{c.Outputs[0], circuit.GateID(len(c.Kinds))} {
 		bad := stim(10, vectors.Change{Time: 0, Input: g, Value: logic.One})
 		if _, err := Run(c, bad, 10, Config{}); err == nil {
 			t.Fatalf("scalar: stimulus driving gate %d accepted", g)

@@ -52,7 +52,7 @@ type ConfigT[V comparable] struct {
 	MaxEvents uint64
 	// Metrics receives per-LP counters and barrier globals; nil uses a
 	// private registry.
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records per-LP apply/evaluate spans and
 	// coordinator barrier spans.
 	Tracer *trace.Tracer
@@ -191,7 +191,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if watched == nil {
 		watched = c.Outputs
 	}
-	isWatched := make([]bool, len(c.Gates))
+	isWatched := make([]bool, len(c.Kinds))
 	for _, g := range watched {
 		isWatched[g] = true
 	}
@@ -204,7 +204,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	}
 	var windowEvals []uint32
 	if rebalancing {
-		windowEvals = make([]uint32, len(c.Gates))
+		windowEvals = make([]uint32, len(c.Kinds))
 	}
 	var migrations uint64
 
@@ -215,7 +215,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			id:     i,
 			gates:  blockGates[i],
 			q:      eventq.New[event[V]](cfg.Queue),
-			stamp:  make([]uint64, len(c.Gates)),
+			stamp:  make([]uint64, len(c.Kinds)),
 			outbox: make([][]circuit.GateID, numLPs),
 			st:     sink.LP(i),
 			sh:     cfg.Tracer.Shard(fmt.Sprintf("lp %d", i)),
@@ -421,7 +421,7 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 			}
 			var cands []hg
 			for g, o := range owner {
-				if o == hot && windowEvals[g] > 0 && !c.Gates[g].Kind.Source() {
+				if o == hot && windowEvals[g] > 0 && !c.Kinds[g].Source() {
 					cands = append(cands, hg{circuit.GateID(g), windowEvals[g]})
 				}
 			}

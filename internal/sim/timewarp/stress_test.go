@@ -114,7 +114,7 @@ func TestManyLPsSparseGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lps := c.NumGates() / 2
+	lps := len(c.Kinds) / 2
 	p, err := partition.New(partition.MethodRandom, c, lps, partition.Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ type ConfigT[V comparable] struct {
 	MaxEvents uint64
 	// Metrics receives per-LP counters and GVT globals; nil uses a private
 	// registry.
-	Metrics metrics.Sink
+	Metrics *metrics.Registry
 	// Tracer, when non-nil, records per-LP evaluate/rollback/block spans
 	// and coordinator GVT spans.
 	Tracer *trace.Tracer
@@ -476,7 +476,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 	start := time.Now()
 	var rounds uint64
 	gvt := circuit.Tick(0)
-	pace := NewPace(len(sh.c.Gates), sh.cfg.GVTInterval)
+	pace := NewPace(len(sh.c.Kinds), sh.cfg.GVTInterval)
 	// Memory throttling: a history bound being exceeded forces an early
 	// GVT round so fossil collection can run. The forced round still waits
 	// out a small air gap so the LPs execute between pauses: with no gap a
@@ -530,7 +530,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 			// message, so the reply-channel receives above are the
 			// happens-before edge. Sampled after throttle so the controller
 			// sees the clamp it must yield to.
-			tot := metrics.SinkTotals(sh.net.Sink())
+			tot := sh.net.Sink().Totals()
 			s := adapt.Sample{
 				Round:            int(rounds),
 				WallMs:           float64(time.Since(start).Microseconds()) / 1e3,

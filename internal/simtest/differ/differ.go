@@ -402,7 +402,7 @@ func (tr *Trial) probe(lanes []int, passes []string, plan inject.Plan) string {
 	c, stims := tr.C, pick(tr.Stims, lanes)
 	back := func(w trace.Waveform) trace.Waveform { return w }
 	net := func(g circuit.GateID) (circuit.GateID, bool) { return g, true }
-	nets := make([]circuit.GateID, len(c.Gates))
+	nets := make([]circuit.GateID, len(c.Kinds))
 	for g := range nets {
 		nets[g] = circuit.GateID(g)
 	}
@@ -437,7 +437,7 @@ func (tr *Trial) probe(lanes []int, passes []string, plan inject.Plan) string {
 		for _, g := range nets {
 			ng, ok := net(g)
 			if !ok {
-				return fmt.Sprintf("primary output %d (%q) eliminated by %v", g, tr.C.Gates[g].Name, passes)
+				return fmt.Sprintf("primary output %d (%q) eliminated by %v", g, tr.C.Name(g), passes)
 			}
 			want := ref.Values[g]
 			if tr.Wide {
@@ -445,7 +445,7 @@ func (tr *Trial) probe(lanes []int, passes []string, plan inject.Plan) string {
 			}
 			if got := value(i, ng); got != want {
 				return fmt.Sprintf("lane %d final value mismatch at net %d (%q): seq=%v got=%v",
-					k, g, tr.C.Gates[g].Name, want, got)
+					k, g, tr.C.Name(g), want, got)
 			}
 		}
 	}
@@ -512,7 +512,7 @@ func (tr *Trial) run(c *circuit.Circuit, stims []*vectors.Stimulus, plan inject.
 	}
 	values, wf, tot, err := runPlane(tr, c, ws, plan, core.SimulateWide, simsync.RunWide)
 	init := func(g circuit.GateID) logic.Value {
-		return tr.Opts.System.Project(circuit.InitialValue(c.Gates[g].Kind))
+		return tr.Opts.System.Project(circuit.InitialValue(c.Kinds[g]))
 	}
 	return func(k int, g circuit.GateID) logic.Value { return values[g].Get(k) },
 		func(k int) trace.Waveform { return trace.WideWaveform(wf).Lane(k, init) }, tot, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/dist"
 	"repro/internal/logic"
 	"repro/internal/sim/seq"
@@ -122,7 +123,7 @@ func (tr *DistTrial) probe(transforms []string) string {
 	}
 	for g, v := range ref.Values {
 		if res.Values[g] != v {
-			return fmt.Sprintf("final value of gate %d (%q): fleet=%v seq=%v", g, run.Circuit.Gates[g].Name, res.Values[g], v)
+			return fmt.Sprintf("final value of gate %d (%q): fleet=%v seq=%v", g, run.Circuit.Name(circuit.GateID(g)), res.Values[g], v)
 		}
 	}
 	return ""

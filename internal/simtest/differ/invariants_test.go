@@ -128,10 +128,13 @@ func TestMetricsInvariants(t *testing.T) {
 				// The step-events histogram observes exactly the applied
 				// events, so its sum must match the counter.
 				if eng != core.EngineOblivious {
-					h := reg.MergedHist(metrics.HistStepEvents)
-					if h.Sum() != tot.EventsApplied {
+					var sum uint64
+					for lp := 0; lp < reg.NumLPs(); lp++ {
+						sum += reg.LP(lp).Hist(metrics.HistStepEvents).Sum()
+					}
+					if sum != tot.EventsApplied {
 						t.Errorf("%v: step-events histogram sum %d != events applied %d",
-							eng, h.Sum(), tot.EventsApplied)
+							eng, sum, tot.EventsApplied)
 					}
 				}
 

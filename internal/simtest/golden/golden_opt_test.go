@@ -129,7 +129,7 @@ func compareOptimized(t *testing.T, label string, g *golden, c *circuit.Circuit,
 		t.Errorf("%s: optimized waveform differs from golden:\n%s", label, d)
 	}
 	for _, out := range c.Outputs {
-		name := c.Gate(out).Name
+		name := c.Name(out)
 		np, ok := res.Remap.Gate(out)
 		if !ok {
 			t.Fatalf("%s: output %s eliminated", label, name)

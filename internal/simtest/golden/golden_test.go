@@ -236,21 +236,21 @@ func buildGolden(t *testing.T, f *fixture, c *circuit.Circuit, stim *vectors.Sti
 	// reconstructing watched values at any later time from the samples.
 	rep0 := runEngine(t, core.EngineSeq, c, stim, 0)
 	for _, out := range c.Outputs {
-		g.init[c.Gate(out).Name] = rep0.Values[out]
+		g.init[c.Name(out)] = rep0.Values[out]
 	}
 	rep := runEngine(t, core.EngineSeq, c, stim, until)
 	for _, s := range rep.Waveform {
 		g.samples = append(g.samples, s)
-		g.names = append(g.names, c.Gate(s.Gate).Name)
+		g.names = append(g.names, c.Name(s.Gate))
 	}
 	for _, out := range c.Outputs {
-		g.finals[c.Gate(out).Name] = rep.Values[out]
+		g.finals[c.Name(out)] = rep.Values[out]
 	}
 	for k := 0; k < f.cycles; k++ {
 		row := map[string]logic.Value{}
 		ts := f.cycleSampleTime(k)
 		for _, out := range c.Outputs {
-			name := c.Gate(out).Name
+			name := c.Name(out)
 			row[name] = rep.Waveform.ValueAt(out, ts, g.init[name])
 		}
 		g.cyc[k] = row
@@ -266,7 +266,7 @@ func compareWaveform(t *testing.T, label string, g *golden, c *circuit.Circuit, 
 		t.Errorf("%s: waveform differs from golden:\n%s", label, d)
 	}
 	for _, out := range c.Outputs {
-		name := c.Gate(out).Name
+		name := c.Name(out)
 		if got := rep.Values[out]; got != g.finals[name] {
 			t.Errorf("%s: final %s = %v, golden %v", label, name, got, g.finals[name])
 		}
@@ -311,7 +311,7 @@ func TestGoldenWaveforms(t *testing.T) {
 				// Cycle-based: settled values per boundary, no transient
 				// waveform. Every boundary and the final state must agree.
 				for _, out := range c.Outputs {
-					name := c.Gate(out).Name
+					name := c.Name(out)
 					if got := rep.Values[out]; got != g.finals[name] {
 						t.Errorf("final %s = %v, golden %v", name, got, g.finals[name])
 					}
@@ -357,7 +357,7 @@ func checkLanePerCycle(t *testing.T, f *fixture, c *circuit.Circuit, stim *vecto
 	}
 	last := f.cycles - 1
 	for _, out := range c.Outputs {
-		name := c.Gate(out).Name
+		name := c.Name(out)
 		if got, w := rep.Values[out].Get(last), g.finals[name].ToX01Z(); got != w {
 			t.Errorf("lane %d final %s = %v, golden %v", last, name, got, w)
 		}

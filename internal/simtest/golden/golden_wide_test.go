@@ -54,7 +54,7 @@ func TestGoldenWaveformsWide(t *testing.T) {
 				t.Fatal(err)
 			}
 			init := func(gid circuit.GateID) logic.Value {
-				return logic.TwoValued.Project(circuit.InitialValue(c.Gates[gid].Kind))
+				return logic.TwoValued.Project(circuit.InitialValue(c.Kinds[gid]))
 			}
 			for _, e := range wideEventEngines {
 				e := e
@@ -76,7 +76,7 @@ func TestGoldenWaveformsWide(t *testing.T) {
 							t.Errorf("lane %d: waveform differs from golden:\n%s", k, d)
 						}
 						for _, out := range c.Outputs {
-							name := c.Gate(out).Name
+							name := c.Name(out)
 							if got, w := rep.Values[out].Get(k), g.finals[name].ToX01Z(); got != w {
 								t.Errorf("lane %d: final %s = %v, golden %v", k, name, got, w)
 							}
@@ -94,7 +94,7 @@ func TestGoldenWaveformsWide(t *testing.T) {
 				// Cycle-based: settled values per boundary in every checked
 				// lane must match the golden cyc rows.
 				for _, out := range c.Outputs {
-					name := c.Gate(out).Name
+					name := c.Name(out)
 					for _, k := range goldenLanes {
 						if got, w := rep.Values[out].Get(k), g.finals[name].ToX01Z(); got != w {
 							t.Errorf("lane %d final %s = %v, golden %v", k, name, got, w)

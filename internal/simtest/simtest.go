@@ -21,7 +21,7 @@ func Assign(c *circuit.Circuit, values map[string]logic.Value) (*vectors.Stimulu
 	s := &vectors.Stimulus{End: 0}
 	seen := make(map[string]bool, len(values))
 	for _, in := range c.Inputs {
-		name := c.Gate(in).Name
+		name := c.Name(in)
 		v, ok := values[name]
 		if !ok {
 			return nil, fmt.Errorf("simtest: no value for input %q", name)

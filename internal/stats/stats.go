@@ -133,7 +133,7 @@ type RunStats struct {
 // Collect snapshots a metrics sink into RunStats and stamps the wall time
 // into the sink's globals. Engines call it once, after their worker
 // goroutines have joined.
-func Collect(m metrics.Sink, wall time.Duration) RunStats {
+func Collect(m *metrics.Registry, wall time.Duration) RunStats {
 	g := m.Globals()
 	g.WallNs = wall.Nanoseconds()
 	rs := RunStats{

@@ -191,7 +191,7 @@ func WriteVCD(w io.Writer, c *circuit.Circuit, watched []circuit.GateID, wf Wave
 		// VCD identifier codes: printable ASCII starting at '!'.
 		code := vcdCode(i)
 		ids[g] = code
-		name := c.Gate(g).Name
+		name := c.Name(g)
 		if _, err := fmt.Fprintf(w, "$var wire 1 %s %s $end\n", code, name); err != nil {
 			return err
 		}

@@ -266,33 +266,6 @@ func Clocked(c *circuit.Circuit, cfg ClockedConfig) (*Stimulus, error) {
 	return s, nil
 }
 
-// WalkingOnes generates the classic walking-ones pattern: all inputs start
-// at 0 and a single 1 marches across the inputs, one position per period.
-// It produces low, perfectly regular activity, useful as a partitioning and
-// debug workload.
-func WalkingOnes(c *circuit.Circuit, period circuit.Tick) (*Stimulus, error) {
-	if period == 0 {
-		return nil, fmt.Errorf("vectors: WalkingOnes: period must be >= 1")
-	}
-	n := len(c.Inputs)
-	s := &Stimulus{End: circuit.Tick(n+1) * period}
-	for _, in := range c.Inputs {
-		s.Changes = append(s.Changes, Change{Time: 0, Input: in, Value: logic.Zero})
-	}
-	for i, in := range c.Inputs {
-		on := circuit.Tick(i+1) * period
-		s.Changes = append(s.Changes, Change{Time: on, Input: in, Value: logic.One})
-		if off := on + period; off <= s.End {
-			s.Changes = append(s.Changes, Change{Time: off, Input: in, Value: logic.Zero})
-		}
-	}
-	sortChanges(s.Changes)
-	// The walking bit turning off coincides with the next bit turning on;
-	// dedupe is unnecessary because they target different inputs, but a
-	// final input's off event may fall exactly at End, which is fine.
-	return s, nil
-}
-
 // Exhaustive enumerates all 2^n input combinations in Gray-code order (one
 // input change per step), for circuits with few inputs. It errors beyond
 // maxInputs to avoid accidental explosion.

@@ -170,33 +170,6 @@ func TestClockedErrors(t *testing.T) {
 	}
 }
 
-func TestWalkingOnes(t *testing.T) {
-	c := buildSmall(t)
-	s, err := WalkingOnes(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(c); err != nil {
-		t.Fatal(err)
-	}
-	// At each boundary k (1-based), input k-1 turns on.
-	onTimes := map[circuit.GateID]circuit.Tick{}
-	for _, ch := range s.Changes {
-		if ch.Value == logic.One {
-			onTimes[ch.Input] = ch.Time
-		}
-	}
-	for i, in := range c.Inputs {
-		want := circuit.Tick(i+1) * 10
-		if onTimes[in] != want {
-			t.Fatalf("input %d turns on at %d, want %d", i, onTimes[in], want)
-		}
-	}
-	if _, err := WalkingOnes(c, 0); err == nil {
-		t.Error("period 0 accepted")
-	}
-}
-
 func TestExhaustiveGray(t *testing.T) {
 	c, err := gen.RippleAdder(1, gen.Unit) // 3 inputs: a0, b0, cin
 	if err != nil {
