@@ -99,7 +99,9 @@ func BenchmarkSeqBySize(b *testing.B) {
 // fixed mid-sized workload: dag2000 under 20 random vectors, split 8 ways
 // by FM. Load, stimulus and partition are prepared once, outside the
 // timed loop, so the row measures the engine: allocs/op is its own
-// garbage bill and events/s its throughput.
+// garbage bill and events/s its throughput. The Time Warp rows also
+// report history-words, the most rollback history the run's LPs held at
+// once (the history_peak_words gauge), which bounds their logs.
 func BenchmarkEngine(b *testing.B) {
 	run, err := pipeline.Prepare(pipeline.Spec{
 		Circuit: "dag2000", Seed: 1, Vectors: 20, Period: 40, Activity: 0.5,
@@ -112,6 +114,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.Run(engine.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
+			peak, optimistic := 0.0, false
 			for i := 0; i < b.N; i++ {
 				rep, err := core.Run(run, core.Options{Engine: engine, System: logic.TwoValued})
 				if err != nil {
@@ -125,6 +128,12 @@ func BenchmarkEngine(b *testing.B) {
 					// The oblivious engine has no events; count evaluations.
 					events = tot.Evaluations
 				}
+				if w, ok := rep.Metrics.Gauges["history_peak_words"]; ok {
+					peak, optimistic = max(peak, w), true
+				}
+			}
+			if optimistic {
+				b.ReportMetric(peak, "history-words")
 			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(float64(events)*float64(b.N)/sec, "events/s")

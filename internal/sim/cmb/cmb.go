@@ -374,7 +374,7 @@ func (l *clp[V]) sendPromises(onlyRequested bool) {
 func (l *clp[V]) Pend(ev kernel.EventT[V]) kernel.EventT[V] { return ev }
 
 // Live holds for every entry: nothing a conservative LP queues is undone.
-func (l *clp[V]) Live(kernel.EventT[V]) bool { return true }
+func (l *clp[V]) Live(circuit.Tick, kernel.EventT[V]) bool { return true }
 
 // Begin sends the first promises (null modes).
 func (l *clp[V]) Begin() {

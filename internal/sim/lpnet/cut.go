@@ -19,15 +19,17 @@ func (n *Net[V]) Emit(c *ckpt.Cut[V]) { n.cuts.Sink(c) }
 
 // Pending reports every queue entry of an LP that holds plain events as
 // live, for TakeCut.
-func Pending[V comparable](ev kernel.EventT[V]) (kernel.EventT[V], bool) { return ev, true }
+func Pending[V comparable](_ circuit.Tick, ev kernel.EventT[V]) (kernel.EventT[V], bool) {
+	return ev, true
+}
 
 // TakeCut captures the LP's part of the cut at its next boundary, Cut,
 // and moves Cut on to the boundary after it. The caller guarantees the LP
 // has executed every step at or before Cut and none after, the last of
 // them at LVT. The pending set is read the way every engine reads its own
-// (eventq.Each); event projects a queue entry onto its event and reports
-// whether it is live.
-func (l *LP[V, E]) TakeCut(event func(E) (kernel.EventT[V], bool)) *ckpt.Cut[V] {
+// (eventq.Each); event projects a queue entry at its time onto its event
+// and reports whether it is live.
+func (l *LP[V, E]) TakeCut(event func(circuit.Tick, E) (kernel.EventT[V], bool)) *ckpt.Cut[V] {
 	n, b := l.net, l.Cut
 	l.Cut = n.NextCut(b)
 	gates := l.K.OwnGates()
@@ -41,7 +43,7 @@ func (l *LP[V, E]) TakeCut(event func(E) (kernel.EventT[V], bool)) *ckpt.Cut[V] 
 		c.Vals[i], c.PrevClk[i], c.Projected[i] = l.K.Entry(g)
 	}
 	eventq.Each(l.Q, func(t uint64, e E) {
-		if ev, live := event(e); live && n.p.Assign[ev.Gate] == l.ID {
+		if ev, live := event(circuit.Tick(t), e); live && n.p.Assign[ev.Gate] == l.ID {
 			c.Events = append(c.Events, ckpt.EventT[V]{Time: t, Gate: ev.Gate, Value: ev.Value})
 		}
 	})

@@ -59,8 +59,8 @@ type Rule[V comparable, E any] interface {
 	// Ready reports whether the LP may execute its step at t now, after
 	// capturing the checkpoint boundaries its protocol lets it.
 	Ready(t circuit.Tick) bool
-	// Live reports whether a popped entry is still to be executed.
-	Live(e E) bool
+	// Live reports whether an entry popped at t is still to be executed.
+	Live(t circuit.Tick, e E) bool
 	// Step executes the step at t on its live entries.
 	Step(t circuit.Tick, evs []E)
 	// Publish batches what a waiting out-neighbour may need from this LP
@@ -200,7 +200,7 @@ func (l *LP[V, E]) steps() (t circuit.Tick, stepped, ok bool) {
 			if !ok || circuit.Tick(pt) != t {
 				break
 			}
-			if _, e, _ := l.Q.PopMin(); r.Live(e) {
+			if _, e, _ := l.Q.PopMin(); r.Live(t, e) {
 				l.evs = append(l.evs, e)
 			}
 		}

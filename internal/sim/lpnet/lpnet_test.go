@@ -266,12 +266,12 @@ type script struct {
 	publishes int
 }
 
-func (s *script) Pend(ev kernel.Event) kernel.Event { return ev }
-func (s *script) Begin()                            {}
-func (s *script) Live(kernel.Event) bool            { return true }
-func (s *script) Ready(t circuit.Tick) bool         { return t != ckpt.Never }
-func (s *script) Wake()                             {}
-func (s *script) Publish()                          { s.publishes++ }
+func (s *script) Pend(ev kernel.Event) kernel.Event    { return ev }
+func (s *script) Begin()                               {}
+func (s *script) Live(circuit.Tick, kernel.Event) bool { return true }
+func (s *script) Ready(t circuit.Tick) bool            { return t != ckpt.Never }
+func (s *script) Wake()                                {}
+func (s *script) Publish()                             { s.publishes++ }
 
 func (s *script) Next() circuit.Tick {
 	if t, ok := s.Q.PeekTime(); ok {

@@ -112,11 +112,12 @@ type tlp[V comparable] struct {
 	undo    kernel.UndoT[V]
 	// retired lists the sequence ranges rollbacks retracted, sorted and
 	// disjoint, and retiredDue is the earliest of their due times; dead
-	// holds the ids of remote events anti-messages annihilated that are
-	// still queued.
+	// holds the tombstones of remote entries anti-messages annihilated
+	// that are still queued, and buried is a cut capture's sorted copy.
 	retired     []seqRange
 	retiredDue  circuit.Tick
-	dead        map[uint64]bool
+	dead        tombs
+	buried      []tomb
 	lazyPending []lazyRec[V]
 	seq         uint64
 	maxDelay    circuit.Tick // the longest delay of an owned gate
@@ -151,7 +152,6 @@ func newTLP[V comparable](sh *shared[V], id int) *tlp[V] {
 	l := &tlp[V]{
 		sh:         sh,
 		rec:        sh.net.Recorder(id),
-		dead:       map[uint64]bool{},
 		kevs:       make([]kernel.EventT[V], 0, 32),
 		retiredDue: infTick,
 	}
@@ -243,25 +243,14 @@ func (l *tlp[V]) retiredSeq(q uint64) bool {
 	return lo < n-1 && l.retired[lo].lo <= q
 }
 
-// cancelled reports whether a queued event with this id was cancelled: a
-// local one by a rollback, a remote one by an anti-message.
-func (l *tlp[V]) cancelled(id uint64) bool {
+// drop reports whether the entry (t, id) leaving the queue was cancelled:
+// a local one by a rollback, a remote one by an anti-message, whose
+// tombstone it forgets.
+func (l *tlp[V]) drop(t circuit.Tick, id uint64) bool {
 	if id>>idShift == uint64(l.ID) {
 		return l.retiredSeq(id & seqMask)
 	}
-	return len(l.dead) > 0 && l.dead[id]
-}
-
-// drop is cancelled for an entry leaving the queue: it also forgets an
-// annihilated remote entry's tombstone.
-func (l *tlp[V]) drop(id uint64) bool {
-	if !l.cancelled(id) {
-		return false
-	}
-	if id>>idShift != uint64(l.ID) {
-		delete(l.dead, id)
-	}
-	return true
+	return l.dead.take(tomb{t, id})
 }
 
 // forgetRetired drops the ranges whose events are all due before t, once
@@ -294,7 +283,7 @@ func (l *tlp[V]) truncateLogs(s *step[V]) {
 // release (truncateLogs at rollback, dropLogPrefix at fossil collection).
 func (l *tlp[V]) release(s *step[V]) {
 	if s.words != 0 {
-		l.sh.histWords.Add(-int64(s.words))
+		l.sh.hold(-int64(s.words))
 	}
 	if s.snap != nil {
 		l.snapPool = append(l.snapPool, s.snap)
@@ -333,7 +322,7 @@ func (l *tlp[V]) Next() circuit.Tick {
 		if !ok {
 			return infTick
 		}
-		if l.drop(v.id) {
+		if l.drop(circuit.Tick(t), v.id) {
 			l.Q.PopMin()
 			continue
 		}
@@ -341,8 +330,8 @@ func (l *tlp[V]) Next() circuit.Tick {
 	}
 }
 
-// Live reports whether a popped entry escaped cancellation.
-func (l *tlp[V]) Live(e qevent[V]) bool { return !l.drop(e.id) }
+// Live reports whether an entry popped at t escaped cancellation.
+func (l *tlp[V]) Live(t circuit.Tick, e qevent[V]) bool { return !l.drop(t, e.id) }
 
 // Ready holds unless processing is frozen for a GVT round or t lies past
 // the horizon or the effective optimism window the coordinator published
@@ -424,14 +413,13 @@ func (l *tlp[V]) Step(t circuit.Tick, events []qevent[V]) {
 		l.St.StateSavedWords += saved
 	}
 	s.inputs.hi, s.sent.hi = len(l.inLog), len(l.sentLog)
-	if l.sh.cfg.HistoryLimit > 0 {
-		// Inputs, sends, created events and saved state.
-		s.words = uint64(s.inputs.len()+s.sent.len()) + (l.St.EventsScheduled - scheduled) + saved
-		if s.snap != nil {
-			s.words += s.snap.Words()
-		}
-		l.sh.histWords.Add(int64(s.words))
+	// The history the step holds until it is collected or rolled back:
+	// inputs, sends, created events and saved state.
+	s.words = uint64(s.inputs.len()+s.sent.len()) + (l.St.EventsScheduled - scheduled) + saved
+	if s.snap != nil {
+		s.words += s.snap.Words()
 	}
+	l.sh.hold(int64(s.words))
 	l.steps = append(l.steps, s)
 	// Lazy messages from steps at or before t that re-execution did not
 	// regenerate are now provably wrong: cancel them.
@@ -485,7 +473,7 @@ func (l *tlp[V]) rollback(ts circuit.Tick) {
 	for i := range suffix {
 		s := &suffix[i]
 		for _, in := range l.inLog[s.inputs.lo:s.inputs.hi] {
-			if !l.drop(in.id) {
+			if !l.drop(s.time, in.id) {
 				l.Q.Push(uint64(s.time), in)
 			}
 		}
@@ -594,16 +582,22 @@ func (l *tlp[V]) fossilCollect(gvt circuit.Tick) {
 	l.commitCuts(gvt)
 }
 
-// liveEvent projects a queue entry for capture: cancelled entries are not
-// pending.
-func (l *tlp[V]) liveEvent(e qevent[V]) (kernel.EventT[V], bool) {
-	return kernel.EventT[V]{Gate: e.gate, Value: e.value}, !l.cancelled(e.id)
+// liveEvent projects a queue entry at t for capture: entries a rollback
+// retired or an anti-message annihilated are not pending. The caller
+// sorted the tombstones into buried.
+func (l *tlp[V]) liveEvent(t circuit.Tick, e qevent[V]) (kernel.EventT[V], bool) {
+	ev := kernel.EventT[V]{Gate: e.gate, Value: e.value}
+	if e.id>>idShift == uint64(l.ID) {
+		return ev, !l.retiredSeq(e.id & seqMask)
+	}
+	return ev, !has(l.buried, tomb{t, e.id})
 }
 
 // holdCuts captures, speculatively, every boundary below t, the time of
 // the step the LP is about to execute: every step at or before them has
 // run and none after.
 func (l *tlp[V]) holdCuts(t circuit.Tick) {
+	l.buried = l.dead.sorted(l.buried)
 	for l.Cut < t {
 		l.held = append(l.held, l.TakeCut(l.liveEvent))
 	}
@@ -633,6 +627,9 @@ func (l *tlp[V]) commitCuts(gvt circuit.Tick) {
 		l.held[i] = nil
 	}
 	l.held = l.held[:copy(l.held, l.held[i:])]
+	if l.Cut < gvt {
+		l.buried = l.dead.sorted(l.buried)
+	}
 	for l.Cut < gvt {
 		net.Emit(l.TakeCut(l.liveEvent))
 	}
@@ -687,7 +684,7 @@ func (l *tlp[V]) Handle(m lpnet.Msg[V]) bool {
 			// just requeued it). Tombstone it: its id is remote, so no
 			// retired range can cover it.
 			l.St.AntiMessagesRecv++
-			l.dead[m.ID] = true
+			l.dead.bury(tomb{m.Time, m.ID})
 			break
 		}
 		l.St.MessagesRecv++

@@ -87,7 +87,7 @@ func (r *rig) runTo(until circuit.Tick) {
 			if !ok || circuit.Tick(pt) != t {
 				break
 			}
-			if _, e, _ := r.Q.PopMin(); r.Live(e) {
+			if _, e, _ := r.Q.PopMin(); r.Live(t, e) {
 				evs = append(evs, e)
 			}
 		}
@@ -170,8 +170,8 @@ func (r *rig) matches(ref *rig) {
 	if r.LVT != ref.LVT {
 		r.t.Fatalf("clock %d, straight run %d", r.LVT, ref.LVT)
 	}
-	if len(r.dead) != 0 || len(r.retired) != 0 {
-		r.t.Fatalf("finished with %d tombstones and retired ranges %v", len(r.dead), r.retired)
+	if r.dead.len() != 0 || len(r.retired) != 0 {
+		r.t.Fatalf("finished with %d tombstones and retired ranges %v", r.dead.len(), r.retired)
 	}
 }
 
@@ -249,7 +249,7 @@ func TestAntiForRequeuedOriginal(t *testing.T) {
 		r.recv(lpnet.Value, 1, 30, g, logic.One)
 		r.runTo(60)
 		r.recv(lpnet.Anti, 1, 30, g, logic.One)
-		if !r.dead[1<<idShift|1] || r.LVT >= 30 {
+		if !has(r.dead.sorted(nil), tomb{30, 1<<idShift | 1}) || r.LVT >= 30 {
 			t.Fatalf("after the anti-message: tombstones %v, clock %d", r.dead, r.LVT)
 		}
 		r.recv(lpnet.Value, 2, 80, g, logic.One)

@@ -102,8 +102,8 @@ type ConfigT[V comparable] struct {
 	// events later than GVT + Window (the moving-time-window control).
 	Window circuit.Tick
 	// GVTInterval is the wall-clock ceiling between GVT computations; zero
-	// uses a 50ms default. GVT is normally paced by work, not wall time
-	// (see Pace).
+	// uses a 50ms default. GVT is normally paced by the history the LPs
+	// hold, not by wall time (see coordinate).
 	GVTInterval time.Duration
 	// IntraWorkers, when > 1, makes every LP a synchronous cluster: it
 	// evaluates its per-timestep dirty set across this many sub-workers of
@@ -139,9 +139,9 @@ type ConfigT[V comparable] struct {
 	HangTimeout time.Duration
 	// HistoryLimit, when non-zero, bounds the total words of saved
 	// rollback history (undo logs, snapshots, step records) across all
-	// LPs. When the bound is exceeded the coordinator forces an immediate
-	// GVT round (aggressive fossil collection) and clamps the optimism
-	// window until memory falls below half the limit.
+	// LPs. It tightens the history budget that paces GVT rounds to the
+	// limit, and while a round finds the bound exceeded the coordinator
+	// clamps the optimism window, until memory falls below half the limit.
 	HistoryLimit uint64
 	// Boot, when non-nil, resumes from a checkpoint instead of time zero:
 	// LP state planes are seeded from the snapshot, the pending-event
@@ -264,15 +264,20 @@ type shared[V comparable] struct {
 	// inputs change.
 	win atomic.Uint64
 
-	// Memory-throttle state (HistoryLimit > 0). histWords is the live
-	// total of saved-history words across LPs; clamp, when non-zero, is a
-	// coordinator-imposed optimism window that overrides any wider
-	// configured window. clamp, throttleRounds and histPeak are
+	// histWords is the live total of saved-history words across LPs, the
+	// measure the coordinator paces GVT rounds on, and histPeak its
+	// high-water mark; the LPs keep both (hold), and wake the coordinator
+	// once histWords reaches dueWords, the level its budget last set (no
+	// level: a fleet's hub paces its rounds). Under a HistoryLimit,
+	// clamp, when non-zero, is a coordinator-imposed optimism window that
+	// overrides any wider configured window; clamp and throttleRounds are
 	// coordinator-owned and read by others only after it returns.
 	histWords      atomic.Int64
+	histPeak       atomic.Uint64
+	dueWords       atomic.Uint64
+	wake           chan struct{}
 	clamp          uint64
 	throttleRounds uint64
-	histPeak       uint64
 
 	// Adaptive-window state (cfg.Adapt != nil). adaptWin is the
 	// controller's current output (0 = unbounded), folded into win after
@@ -346,6 +351,8 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	sh := &shared[V]{cfg: cfg, engine: engine, c: c, until: until, net: net}
 	sh.coShard = cfg.Tracer.Shard("coordinator")
 	sh.replies = make(chan gvtReply, n)
+	sh.dueWords.Store(^uint64(0))
+	sh.wake = make(chan struct{}, 1)
 	if cfg.Adapt != nil {
 		sh.adaptWin = cfg.Adapt.Window()
 	}
@@ -383,9 +390,9 @@ func run[V comparable](pl *circuit.Plane[V], engine string, c *circuit.Circuit, 
 	if finalGVT != infTick {
 		sink.SetGauge("final_gvt", float64(finalGVT))
 	}
+	sink.SetGauge("history_peak_words", float64(sh.histPeak.Load()))
 	if cfg.HistoryLimit > 0 {
 		sink.SetGauge("mem_throttle_rounds", float64(sh.throttleRounds))
-		sink.SetGauge("history_peak_words", float64(sh.histPeak))
 	}
 	if cfg.Adapt != nil {
 		sink.SetGauge("adapt_window_changes", float64(sh.winChanges))
@@ -416,30 +423,94 @@ func (sh *shared[V]) tell(lps []int, m lpnet.Msg[V]) {
 // abort-aware rather than block on the channel forever.
 func (sh *shared[V]) poll(lps []int, mins []circuit.Tick) (handled uint64, _ []circuit.Tick, ok bool) {
 	sh.tell(lps, lpnet.Msg[V]{Kind: lpnet.GVTRound})
+	check := time.NewTimer(5 * time.Millisecond)
+	defer check.Stop()
 	for k := 0; k < len(lps); {
 		select {
 		case r := <-sh.replies:
 			handled += r.handled
 			mins = append(mins, r.localMin)
 			k++
-		case <-time.After(5 * time.Millisecond):
+		case <-check.C:
 			if sh.net.Aborted() {
 				return 0, mins, false
 			}
+			check.Reset(5 * time.Millisecond)
 		}
 	}
 	return handled, mins, !sh.net.Aborted()
 }
 
-// Pace is when a GVT round is due, the one rule both coordinators keep:
-// this package's in-process one and the fleet hub's. A round is due once
-// the run has applied about sixteen events per gate since the last one
+// hold adds w words to the held history (negative w releases them),
+// keeps its high-water mark, and wakes the coordinator once it reaches the
+// level at which a round is due.
+func (sh *shared[V]) hold(w int64) {
+	n := uint64(sh.histWords.Add(w))
+	if w <= 0 {
+		return
+	}
+	for peak := sh.histPeak.Load(); n > peak && !sh.histPeak.CompareAndSwap(peak, n); {
+		peak = sh.histPeak.Load()
+	}
+	if n >= sh.dueWords.Load() {
+		select {
+		case sh.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// held is the history the LPs hold, in words.
+func (sh *shared[V]) held() uint64 { return uint64(sh.histWords.Load()) }
+
+// The in-process coordinator's history budget: budgetPerGate words of
+// held history per gate, floored at budgetFloor so that small circuits
+// are not paused constantly. DESIGN.md records the sweep that chose them.
+const (
+	budgetPerGate = 8
+	budgetFloor   = 20_000
+)
+
+// budget is the in-process coordinator's round rule over the history the
+// LPs hold (see coordinate).
+type budget struct {
+	words  uint64 // the budget
+	trough uint64 // the least held history seen since the last round
+}
+
+// newBudget is the history budget of a circuit of the given gate count,
+// tightened by a history limit.
+func newBudget(gates int, limit uint64) *budget {
+	b := &budget{words: max(uint64(budgetPerGate*gates), budgetFloor)}
+	if limit > 0 {
+		b.words = min(b.words, limit)
+	}
+	return b
+}
+
+// due reports whether a round is due with held words of history held:
+// they reach the budget, and have grown by half of it since their low
+// point after the last round.
+func (b *budget) due(held uint64) bool {
+	b.trough = min(b.trough, held)
+	return held >= b.level()
+}
+
+// level is the held history at which a round is due.
+func (b *budget) level() uint64 { return max(b.words, b.trough+b.words/2) }
+
+// mark counts the next round's growth from held, the history held as a
+// round ends, before the LPs collect below its GVT.
+func (b *budget) mark(held uint64) { b.trough = held }
+
+// Pace is when the fleet hub starts a GVT round. A round is due once the
+// fleet has applied about sixteen events per gate since the last one
 // (floored at 100 000, so small circuits are not paused constantly), at
 // once when every LP is idle (so termination latency never depends on
-// the interval), and at the latest after the wall-clock interval. Each
-// GVT pause perturbs the LPs' relative progress enough to induce extra
-// rollback, so pacing by work keeps the perturbation proportional to
-// useful progress at every circuit size.
+// the interval), and at the latest after the wall-clock interval. A
+// fleet's round is a socket round trip, dearer than the in-process
+// coordinator's pause, which is paced by held history instead (see
+// coordinate).
 type Pace struct {
 	threshold, last uint64
 	interval        time.Duration
@@ -453,7 +524,7 @@ func NewPace(gates int, interval time.Duration) *Pace {
 
 // Wait naps until a round is due. probe reports the events applied so
 // far, whether every LP is idle, and whether to stop waiting at once (the
-// run aborted, or a bound forces a round).
+// run aborted).
 func (p *Pace) Wait(nap time.Duration, probe func() (events uint64, idle, stop bool)) {
 	deadline := time.Now().Add(p.interval)
 	for {
@@ -470,43 +541,52 @@ func (p *Pace) Mark(events uint64) { p.last = events }
 
 // coordinate runs the GVT/termination protocol and returns the number of
 // GVT computations performed and the final GVT.
+//
+// A round is due once the LPs hold the history budget (newBudget),
+// at once when every LP is idle, and at the latest after the wall-clock
+// interval. Held history is what a round frees: between two rounds each
+// LP logs the inputs, sends and state writes of every step it runs, and
+// only fossil collection below a new GVT gives them back, so pacing by
+// held history bounds the memory a run needs, at every circuit size and
+// degree of optimism. A history-paced round also waits for the held
+// history to have grown by half the budget since its low point after the
+// last round: the collection a round triggers lands only after the round,
+// and history the LPs hold above GVT cannot be collected at all, so
+// without that growth a run would pause back to back without progress.
 func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 	lps := sh.net.Locals()
 	n := len(lps)
 	start := time.Now()
 	var rounds uint64
 	gvt := circuit.Tick(0)
-	pace := NewPace(len(sh.c.Kinds), sh.cfg.GVTInterval)
-	// Memory throttling: a history bound being exceeded forces an early
-	// GVT round so fossil collection can run. The forced round still waits
-	// out a small air gap so the LPs execute between pauses: with no gap a
-	// persistently-over-limit run would pause back-to-back and never
-	// advance GVT at all.
-	limit := sh.cfg.HistoryLimit
-	var gapEnd time.Time
-	probe := func() (uint64, bool, bool) {
-		over := false
-		if limit > 0 {
-			w := uint64(sh.histWords.Load())
-			if w > sh.histPeak {
-				sh.histPeak = w
-			}
-			over = w > limit
-		}
-		stop := sh.net.Aborted() || over && time.Now().After(gapEnd)
-		return sh.net.Events(), sh.idle.Load() == int64(n), stop
+	interval := cmp.Or(sh.cfg.GVTInterval, 50*time.Millisecond)
+	pace := newBudget(len(sh.c.Kinds), sh.cfg.HistoryLimit)
+	due := func() bool {
+		d := pace.due(sh.held())
+		sh.dueWords.Store(pace.level())
+		return d || sh.idle.Load() == int64(n) || sh.net.Aborted()
 	}
+	probe := time.NewTicker(100 * time.Microsecond)
+	defer probe.Stop()
+	localMins := make([]circuit.Tick, 0, n)
 	for {
-		gapEnd = time.Now().Add(2 * time.Millisecond)
-		pace.Wait(100*time.Microsecond, probe)
+		// Wait for a round: an LP wakes the coordinator as its step takes
+		// held history to the budget's level, and the probe catches idle
+		// LPs and an abort.
+		deadline := time.Now().Add(interval)
+		for !due() && time.Now().Before(deadline) {
+			select {
+			case <-sh.wake:
+			case <-probe.C:
+			}
+		}
 		if sh.net.Aborted() {
 			return rounds, gvt
 		}
-		pace.Mark(sh.net.Events())
 		// Freeze processing, then repeat handling rounds to quiescence.
 		roundBegin := sh.coShard.Now()
+		sh.coShard.Sample("held_history", float64(sh.held()))
 		sh.paused.Store(true)
-		var localMins []circuit.Tick
 		for {
 			var handled uint64
 			var ok bool
@@ -520,7 +600,8 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 		}
 		rounds++
 		gvt = slices.Min(localMins)
-		if limit > 0 {
+		pace.mark(sh.held())
+		if sh.cfg.HistoryLimit > 0 {
 			throttle(sh, localMins, gvt)
 		}
 		if ad := sh.cfg.Adapt; ad != nil {
@@ -574,10 +655,7 @@ func coordinate[V comparable](sh *shared[V]) (uint64, circuit.Tick) {
 // near GVT so fossil collection can keep up. Under half the limit: release
 // the clamp. The hysteresis band avoids oscillating at the boundary.
 func throttle[V comparable](sh *shared[V], localMins []circuit.Tick, gvt circuit.Tick) {
-	w := uint64(sh.histWords.Load())
-	if w > sh.histPeak {
-		sh.histPeak = w
-	}
+	w := sh.held()
 	limit := sh.cfg.HistoryLimit
 	switch {
 	case w > limit:
