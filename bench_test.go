@@ -144,45 +144,36 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkSetup measures the set-up layers ahead of partitioning on
 // seq40000 (40 951 gates): "read" parses the netlist's .bench text the
-// way a run reads its file, "live" reports the heap a freshly read
-// circuit holds (live-B: the live heap after a GC with the circuit
-// reachable, less the live heap before the read), and "optimize" runs
-// the default optimizer pipeline over the parsed circuit.
+// way a run reads its file, "read-fine" does the same for par.cmb's input
+// (dag12000 with delays 1-4, a delay directive for most gates), "live"
+// reports the heap a freshly read circuit holds, and "optimize" runs the
+// default optimizer pipeline over the parsed circuit. The live-B metric
+// of "live" and "optimize" is the live heap after a GC with the result
+// reachable, less the live heap before the call, so each layer shows what
+// it allocates against what it keeps.
 func BenchmarkSetup(b *testing.B) {
-	c, err := pipeline.Load(pipeline.Spec{Circuit: "seq40000", Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	text, err := bench.WriteString(c, "seq40000")
-	if err != nil {
-		b.Fatal(err)
-	}
+	text := benchText(b, gen.Unit, "seq40000")
+	fine := benchText(b, gen.Fine(4, 1), "dag12000")
 	parsed, err := bench.ReadString(text)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("read", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.Read(strings.NewReader(text)); err != nil {
-				b.Fatal(err)
+	for _, row := range []struct{ name, text string }{{"read", text}, {"read-fine", fine}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.Read(strings.NewReader(row.text)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("live", func(b *testing.B) {
-		var before, after runtime.MemStats
+		var live float64
 		for i := 0; i < b.N; i++ {
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			c, err := bench.Read(strings.NewReader(text))
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			runtime.KeepAlive(c)
+			live = liveBytes(b, func() (any, error) { return bench.Read(strings.NewReader(text)) })
 		}
-		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "live-B")
+		b.ReportMetric(live, "live-B")
 	})
 	b.Run("optimize", func(b *testing.B) {
 		b.ReportAllocs()
@@ -191,7 +182,40 @@ func BenchmarkSetup(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		b.ReportMetric(liveBytes(b, func() (any, error) { return opt.Optimize(parsed, opt.Options{}) }), "live-B")
 	})
+}
+
+// benchText generates a netlist the way benchmark/ writes its workloads'
+// inputs (generator seed 1) and renders it as .bench text.
+func benchText(b *testing.B, delays gen.DelaySpec, name string) string {
+	c, err := gen.ByName(name, delays, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	text, err := bench.WriteString(c, name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return text
+}
+
+// liveBytes reports the heap that build's result keeps reachable: the
+// live heap after a GC with the result held, less the live heap after a
+// GC before the call.
+func liveBytes(b *testing.B, build func() (any, error)) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
 }
 
 // BenchmarkPartition runs every min-cut partitioner and cone-split on a

@@ -12,8 +12,8 @@
 // The format has no clocks (ISCAS-89 assumes one implicit global clock), so
 // the reader wires every DFF/DLATCH to a signal named CLK — reusing one
 // the netlist declares, or synthesizing a primary input of that name.
-// Signals may be referenced before they are defined; the reader resolves
-// forward references in a second pass.
+// Signals may be referenced before they are defined; the reader fixes
+// such references up once every signal is numbered.
 //
 // Two documented extensions keep round-trips lossless for circuits this
 // repository builds natively: extra gate operators (BUF, MUX, TRI, RESOLVE,
@@ -23,8 +23,10 @@ package bench
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,28 +42,7 @@ const outputSuffix = "$out"
 // clkName is the synthesized clock input for DFF/DLATCH gates.
 const clkName = "CLK"
 
-// kindByOp maps .bench operators to gate kinds.
-var kindByOp = map[string]circuit.Kind{
-	"AND":     circuit.And,
-	"NAND":    circuit.Nand,
-	"OR":      circuit.Or,
-	"NOR":     circuit.Nor,
-	"XOR":     circuit.Xor,
-	"XNOR":    circuit.Xnor,
-	"NOT":     circuit.Not,
-	"BUFF":    circuit.Buf,
-	"BUF":     circuit.Buf,
-	"DFF":     circuit.DFF,
-	"DLATCH":  circuit.DLatch,
-	"MUX":     circuit.Mux2,
-	"TRI":     circuit.Tri,
-	"RESOLVE": circuit.Resolve,
-	"CONST0":  circuit.Const0,
-	"CONST1":  circuit.Const1,
-	"CONSTX":  circuit.ConstX,
-}
-
-// opByKind is the inverse mapping used by the writer.
+// opByKind names the operator of each kind the format writes.
 var opByKind = map[circuit.Kind]string{
 	circuit.And:     "AND",
 	circuit.Nand:    "NAND",
@@ -81,9 +62,25 @@ var opByKind = map[circuit.Kind]string{
 	circuit.ConstX:  "CONSTX",
 }
 
-// Read parses a .bench netlist. The reader is read once, into one string.
+// kindByOp maps upper-case operators to kinds: opByKind inverted, and BUF
+// for BUFF.
+var kindByOp = func() map[string]circuit.Kind {
+	m := map[string]circuit.Kind{"BUF": circuit.Buf}
+	for k, op := range opByKind {
+		m[op] = k
+	}
+	return m
+}()
+
+// Read parses a .bench netlist. The reader is read once, into one string,
+// reserved at the file's size when r is a regular file.
 func Read(r io.Reader) (*circuit.Circuit, error) {
 	var sb strings.Builder
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			sb.Grow(int(fi.Size()))
+		}
+	}
 	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
@@ -93,85 +90,132 @@ func Read(r io.Reader) (*circuit.Circuit, error) {
 // ReadString parses a .bench netlist held in a string. The circuit does
 // not keep the text: its gate names are copied into one string of their
 // own.
+//
+// One walk over the lines numbers the gates and fills the flat arrays,
+// in storage reserved from a layout guessed from the text. A netlist the
+// guess does not fit — one that declares an input after a definition,
+// belies the clock guess or outgrows the reservation — is walked again,
+// with the layout the first walk learned.
 func ReadString(text string) (*circuit.Circuit, error) {
-	var p parser
-	if err := p.scan(text); err != nil {
-		return nil, err
+	p := parser{layout: guessLayout(text)}
+	c, err := p.read(text)
+	if err == errRelayout {
+		p = parser{layout: p.learned()}
+		c, err = p.read(text)
 	}
-	return p.build()
+	return c, err
 }
 
-// decl is a signal named on a line: an INPUT, an OUTPUT, or the target of
-// a delay directive.
-type decl struct {
-	name  string
-	line  int
-	delay circuit.Tick // delay directives only
+// errRelayout reports a walk whose layout did not fit the netlist.
+var errRelayout = errors.New("bench: netlist does not fit its layout")
+
+// layout is what numbering a netlist needs before its first line: whether
+// a CLK input is synthesized (it takes ID 0, ahead of the inputs), whether
+// the inputs are numbered in a walk of their own (an INPUT line follows a
+// definition), and the gates, pins and name bytes to reserve.
+type layout struct {
+	synthClk, lateInput    bool
+	gates, pins, nameBytes int
 }
 
-// def is one gate definition awaiting wiring; its arguments are
-// args[lo:hi] of the parser's flat argument list.
-type def struct {
-	name   string
-	kind   circuit.Kind
-	lo, hi int32
-	line   int
-}
-
-// parser holds one netlist's lines, parsed but not yet numbered. Every
-// string in it is a substring of the text.
-type parser struct {
-	inputs, outputs, delays []decl
-	defs                    []def
-	args                    []string
-	seqGates                int // DFF and DLATCH definitions
-	declaresClk             bool
-}
-
-// scan splits text into lines and parses each, in file order.
-func (p *parser) scan(text string) error {
-	// Every definition holds one '=' and one argument more than its
-	// commas, so these counts bound both lists.
-	p.defs = make([]def, 0, strings.Count(text, "="))
-	p.args = make([]string, 0, strings.Count(text, ",")+cap(p.defs))
-	for lineNo, rest := 1, text; rest != ""; lineNo++ {
-		line := rest
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		line = strings.TrimSpace(line)
-		var err error
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "#@"):
-			err = p.directive(line[2:], lineNo)
-		case line[0] == '#':
-		case isDecl(line, "INPUT"):
-			var name string
-			if name, err = parseIODecl(line, "INPUT"); err == nil {
-				p.inputs = append(p.inputs, decl{name: name, line: lineNo})
-				p.declaresClk = p.declaresClk || name == clkName
+// guessLayout bounds a netlist's layout with counts over its text: every
+// gate's line (INPUT, OUTPUT or definition) holds a '(', every argument
+// but a definition's last ends at a comma, and every sequential gate (an
+// operator DFF or DLATCH after the '=') adds a clock pin. A definition's
+// name is what precedes the first '=' on its line; a line without one is
+// parsed if it holds a '(' and may be a declaration. The guess fits the
+// upper-case form Write emits.
+func guessLayout(text string) layout {
+	l := layout{nameBytes: len(clkName)}
+	seqOps := 0
+	for rest := text; rest != ""; {
+		var line string
+		line, rest = cutLine(rest)
+		if eq := strings.IndexByte(line, '='); eq >= 0 {
+			l.nameBytes += len(trimBlanks(line[:eq]))
+			if op := trimBlanks(line[eq+1:]); strings.HasPrefix(op, "DFF") || strings.HasPrefix(op, "DLATCH") {
+				seqOps++
 			}
-		case isDecl(line, "OUTPUT"):
-			var name string
-			if name, err = parseIODecl(line, "OUTPUT"); err == nil {
-				p.outputs = append(p.outputs, decl{name: name, line: lineNo})
+		} else if strings.IndexByte(line, '(') >= 0 {
+			switch s, _ := parseLine(strings.TrimSpace(line)); s.shape {
+			case inputLine:
+				l.nameBytes += len(s.name)
+			case outputLine:
+				l.nameBytes += len(s.name) + len(outputSuffix)
 			}
-		default:
-			err = p.parseDef(line, lineNo)
-		}
-		if err != nil {
-			return fmt.Errorf("bench: line %d: %v", lineNo, err)
 		}
 	}
-	return nil
+	parens := strings.Count(text, "(")
+	l.synthClk = seqOps > 0 && !strings.Contains(text, clkName)
+	l.gates = parens + 1
+	l.pins = strings.Count(text, ",") + parens + seqOps
+	return l
 }
 
-// directive records a "#@ delay <name> <ticks>" extension. A directive of
-// any other shape is a comment.
-func (p *parser) directive(s string, lineNo int) error {
+// cutLine splits text's first line from the rest.
+func cutLine(text string) (line, rest string) {
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, ""
+}
+
+// trimBlanks trims ASCII blanks, all guessLayout needs: a name with
+// another space around it is overestimated, not missed.
+func trimBlanks(s string) string {
+	for s != "" && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
+	}
+	for s != "" && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
+		s = s[:len(s)-1]
+	}
+	return s
+}
+
+// shape is what a line of a netlist is.
+type shape uint8
+
+const (
+	skipLine   shape = iota // blank, a comment, or a directive of another shape
+	delayLine               // "#@ delay <name> <ticks>"
+	inputLine               // INPUT(name)
+	outputLine              // OUTPUT(name)
+	defLine                 // name = OP(args)
+)
+
+// stmt is one parsed line. Its strings are substrings of the line.
+type stmt struct {
+	shape shape
+	name  string       // the declared, defined or retimed signal
+	kind  circuit.Kind // definitions
+	args  string       // definitions: the text between the parentheses
+	delay circuit.Tick // delay directives
+}
+
+// parseLine parses one trimmed line.
+func parseLine(line string) (stmt, error) {
+	var s stmt
+	var err error
+	switch {
+	case line == "":
+	case strings.HasPrefix(line, "#@"):
+		s, err = parseDirective(line[2:])
+	case line[0] == '#':
+	case isDecl(line, "INPUT"):
+		s.shape = inputLine
+		s.name, err = parseIODecl(line, "INPUT")
+	case isDecl(line, "OUTPUT"):
+		s.shape = outputLine
+		s.name, err = parseIODecl(line, "OUTPUT")
+	default:
+		s, err = parseDef(line)
+	}
+	return s, err
+}
+
+// parseDirective parses a "#@ delay <name> <ticks>" extension. A
+// directive of any other shape is a comment.
+func parseDirective(s string) (stmt, error) {
 	var f [3]string
 	n := 0
 	for {
@@ -180,7 +224,7 @@ func (p *parser) directive(s string, lineNo int) error {
 			break
 		}
 		if n == len(f) {
-			return nil // more than three fields
+			return stmt{}, nil // more than three fields
 		}
 		end := strings.IndexFunc(s, unicode.IsSpace)
 		if end < 0 {
@@ -190,14 +234,13 @@ func (p *parser) directive(s string, lineNo int) error {
 		n++
 	}
 	if n != 3 || f[0] != "delay" {
-		return nil
+		return stmt{}, nil
 	}
 	d, err := strconv.ParseUint(f[2], 10, 64)
 	if err != nil {
-		return fmt.Errorf("bad delay: %v", err)
+		return stmt{}, fmt.Errorf("bad delay: %v", err)
 	}
-	p.delays = append(p.delays, decl{name: f[1], line: lineNo, delay: circuit.Tick(d)})
-	return nil
+	return stmt{shape: delayLine, name: f[1], delay: circuit.Tick(d)}, nil
 }
 
 // isDecl reports whether line declares an INPUT or OUTPUT: the upper-case
@@ -222,167 +265,255 @@ func parseIODecl(line, kw string) (string, error) {
 	return name, nil
 }
 
-// parseDef parses "name = OP(a, b, ...)", appending the arguments to the
-// flat list.
-func (p *parser) parseDef(line string, lineNo int) error {
+// parseDef parses "name = OP(a, b, ...)".
+func parseDef(line string) (stmt, error) {
 	eq := strings.IndexByte(line, '=')
 	if eq < 0 {
-		return fmt.Errorf("expected gate definition, got %q", line)
+		return stmt{}, fmt.Errorf("expected gate definition, got %q", line)
 	}
 	name := strings.TrimSpace(line[:eq])
 	rhs := strings.TrimSpace(line[eq+1:])
 	open := strings.IndexByte(rhs, '(')
 	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return fmt.Errorf("malformed gate expression %q", rhs)
+		return stmt{}, fmt.Errorf("malformed gate expression %q", rhs)
 	}
 	op := strings.TrimSpace(rhs[:open])
 	if name == "" || op == "" {
-		return fmt.Errorf("malformed definition %q", line)
+		return stmt{}, fmt.Errorf("malformed definition %q", line)
 	}
 	op = strings.ToUpper(op) // allocates only for an operator with lower case
 	kind, ok := kindByOp[op]
 	if !ok {
-		return fmt.Errorf("unknown operator %q", op)
+		return stmt{}, fmt.Errorf("unknown operator %q", op)
 	}
-	lo := int32(len(p.args))
-	for a := rhs[open+1 : len(rhs)-1]; ; {
-		arg := a
-		comma := strings.IndexByte(a, ',')
-		if comma >= 0 {
-			arg, a = a[:comma], a[comma+1:]
-		}
-		if arg = strings.TrimSpace(arg); arg != "" {
-			p.args = append(p.args, arg)
-		}
-		if comma < 0 {
-			break
-		}
-	}
-	p.defs = append(p.defs, def{name: name, kind: kind, lo: lo, hi: int32(len(p.args)), line: lineNo})
-	if kind.Sequential() {
-		p.seqGates++
-	}
-	p.declaresClk = p.declaresClk || name == clkName
-	return nil
+	return stmt{shape: defLine, name: name, kind: kind, args: rhs[open+1 : len(rhs)-1]}, nil
 }
 
-// build numbers the gates — the implicit CLK when one is synthesized,
-// then the inputs, the definitions and the OUTPUT markers, each in file
-// order — and hands the flat arrays and the name table to the circuit.
-func (p *parser) build() (*circuit.Circuit, error) {
-	// The format has no clock pins, so sequential gates need an implicit
-	// clock. A signal named CLK in the netlist (an input or a defined
-	// gate) is reused — this is what keeps write/read round trips stable —
-	// and otherwise a CLK primary input is synthesized.
-	synthClk := p.seqGates > 0 && !p.declaresClk
-	n := len(p.inputs) + len(p.defs) + len(p.outputs)
-	if synthClk {
-		n++
-	}
-	kinds := make([]circuit.Kind, n)
-	delays := make([]circuit.Tick, n)
-	nameOff := make([]int32, n+1)
-	byName := make(map[string]circuit.GateID, n)
-	inputs := make([]circuit.GateID, 0, len(p.inputs)+1)
-	// Every name, the $out markers' included, is written in gate order
-	// into one string sized up front, which the circuit adopts with an
-	// offset per gate: it keeps only the names' bytes and not the file's.
-	size := len(clkName) + len(p.outputs)*len(outputSuffix)
-	for _, list := range [][]decl{p.inputs, p.outputs} {
-		for _, d := range list {
-			size += len(d.name)
-		}
-	}
-	for _, d := range p.defs {
-		size += len(d.name)
-	}
-	var pool strings.Builder
-	pool.Grow(size)
-	id := circuit.GateID(0)
-	// intern numbers the next gate, a unit-delay one of the given kind,
-	// and returns its name as a substring of the pool.
-	intern := func(kind circuit.Kind, name, suffix string) string {
-		start := pool.Len()
-		pool.WriteString(name)
-		pool.WriteString(suffix)
-		kinds[id], delays[id], nameOff[id+1] = kind, 1, int32(pool.Len())
-		id++
-		return pool.String()[start:]
-	}
-	declare := func(kind circuit.Kind, name string) {
-		byName[intern(kind, name, "")] = id - 1
-	}
-	if synthClk {
-		inputs = append(inputs, id)
-		declare(circuit.Input, clkName)
-	}
-	for _, in := range p.inputs {
-		if _, dup := byName[in.name]; dup {
-			return nil, fmt.Errorf("bench: line %d: duplicate input %q", in.line, in.name)
-		}
-		inputs = append(inputs, id)
-		declare(circuit.Input, in.name)
-	}
-	firstDef := id
-	for _, d := range p.defs {
-		if _, dup := byName[d.name]; dup {
-			return nil, fmt.Errorf("bench: line %d: duplicate definition of %q", d.line, d.name)
-		}
-		declare(d.kind, d.name)
-	}
-	// A delay directive retimes a defined gate: the last one naming it
-	// wins, and one naming anything else is ignored.
-	for _, dd := range p.delays {
-		if g, ok := byName[dd.name]; ok && g >= firstDef {
-			delays[g] = dd.delay
-		}
-	}
+// parser numbers one netlist's gates in a walk over its lines, in the
+// reader's order: the implicit CLK when one is synthesized, then the
+// inputs, the definitions and the OUTPUT markers, each in file order. A
+// gate's ID is final when it is numbered; a pin naming a signal further
+// down is fixed up once every signal is numbered.
+type parser struct {
+	layout
+	kinds   []circuit.Kind
+	delays  []circuit.Tick
+	nameOff []int32
+	off     []int32 // fanin offsets
+	idx     []circuit.GateID
+	ins     []circuit.GateID
+	pool    strings.Builder // every name, back to back
+	byName  map[string]circuit.GateID
+	// fixups are the pins naming a signal not yet numbered, outs the
+	// OUTPUT lines, and retimed the last delay a directive gave a signal
+	// not yet numbered.
+	fixups, outs []fixup
+	retimed      map[string]circuit.Tick
+	// What the walk learns for the layout.
+	seqGates             int
+	declaresClk, sawLate bool
+}
 
-	// Wire the fanin in gate order, resolving forward references. The
-	// OUTPUT markers read signals, never each other, so every source is
-	// resolved before a marker joins the name table.
-	off := make([]int32, n+1)
-	idx := make([]circuit.GateID, 0, len(p.args)+p.seqGates+len(p.outputs))
-	clk := byName[clkName]
-	for k, d := range p.defs {
-		off[int(firstDef)+k] = int32(len(idx))
-		for _, a := range p.args[d.lo:d.hi] {
-			src, ok := byName[a]
-			if !ok {
-				return nil, fmt.Errorf("bench: line %d: %q references undefined signal %q", d.line, d.name, a)
-			}
-			idx = append(idx, src)
-		}
-		if d.kind.Sequential() {
-			if d.hi-d.lo != 1 {
-				return nil, fmt.Errorf("bench: line %d: %s takes one input", d.line, opByKind[d.kind])
-			}
-			idx = append(idx, clk)
+// fixup is a signal named on a line before it was numbered: the fanin
+// pin idx[pin], or an OUTPUT line.
+type fixup struct {
+	name      string
+	pin, line int32
+}
+
+// read walks the text (inputs first under lateInput) into the storage
+// the layout reserves, and hands the flat arrays and the name table to
+// the circuit. It returns errRelayout, before resolving a fix-up, when
+// the netlist does not fit the layout.
+func (p *parser) read(text string) (*circuit.Circuit, error) {
+	p.kinds = make([]circuit.Kind, 0, p.gates)
+	p.delays = make([]circuit.Tick, 0, p.gates)
+	p.nameOff = append(make([]int32, 0, p.gates+1), 0)
+	p.off = make([]int32, 0, p.gates+1)
+	p.idx = make([]circuit.GateID, 0, p.pins)
+	p.byName = make(map[string]circuit.GateID, p.gates)
+	// The pool does not grow in a walk that fits, so every name the
+	// table holds is a substring of the string the circuit keeps.
+	p.pool.Grow(p.nameBytes)
+	if p.synthClk {
+		p.ins = append(p.ins, p.declare(circuit.Input, clkName))
+	}
+	if p.lateInput {
+		if err := p.walk(text, true); err != nil {
+			return nil, err
 		}
 	}
-	outputs := make([]circuit.GateID, len(p.outputs))
-	for k, out := range p.outputs {
-		src, ok := byName[out.name]
+	if err := p.walk(text, false); err != nil {
+		return nil, err
+	}
+	if need := p.learned(); need.synthClk != p.synthClk || need.lateInput != p.lateInput ||
+		need.gates > p.gates || need.pins > p.pins || need.nameBytes > p.nameBytes {
+		return nil, errRelayout
+	}
+	for _, f := range p.fixups {
+		src, ok := p.byName[f.name]
+		if !ok {
+			g := sort.Search(len(p.off), func(g int) bool { return p.off[g] > f.pin }) - 1
+			return nil, fmt.Errorf("bench: line %d: %q references undefined signal %q", f.line, p.name(circuit.GateID(g)), f.name)
+		}
+		p.idx[f.pin] = src
+	}
+	// The OUTPUT markers read signals, never each other, so every source
+	// is resolved before a marker joins the name table.
+	outputs := make([]circuit.GateID, len(p.outs))
+	for k, out := range p.outs {
+		src, ok := p.byName[out.name]
 		if !ok {
 			return nil, fmt.Errorf("bench: line %d: OUTPUT(%s) references undefined signal", out.line, out.name)
 		}
-		outputs[k] = id
-		off[id] = int32(len(idx))
-		idx = append(idx, src)
-		intern(circuit.Output, out.name, outputSuffix)
+		outputs[k] = p.add(circuit.Output, out.name, outputSuffix)
+		p.idx = append(p.idx, src)
 	}
-	off[n] = int32(len(idx))
-	names := pool.String()
-	name := func(g circuit.GateID) string { return names[nameOff[g]:nameOff[g+1]] }
-	for k, out := range p.outputs {
+	for k, out := range p.outs {
 		g := outputs[k]
-		if prev, dup := byName[name(g)]; dup {
+		if prev, dup := p.byName[p.name(g)]; dup {
 			return nil, fmt.Errorf("bench: line %d: OUTPUT(%s) marker %q duplicates gate %q",
-				out.line, out.name, name(g), name(prev))
+				out.line, out.name, p.name(g), p.name(prev))
 		}
-		byName[name(g)] = g
+		p.byName[p.name(g)] = g
 	}
-	return circuit.FromFlat(kinds, delays, names, nameOff, circuit.Adj{Off: off, Idx: idx}, inputs, outputs, byName)
+	p.off = append(p.off, int32(len(p.idx)))
+	return circuit.FromFlat(p.kinds, p.delays, p.pool.String(), p.nameOff,
+		circuit.Adj{Off: p.off, Idx: p.idx}, p.ins, outputs, p.byName)
+}
+
+// learned is the layout the walk found, the markers still to come
+// counted in. The format has no clock pins, so sequential gates need an
+// implicit clock: a signal named CLK in the netlist (an input or a defined
+// gate) is reused — this is what keeps write/read round trips stable —
+// and otherwise a CLK primary input is synthesized. Like a guess, the
+// layout leaves room for one.
+func (p *parser) learned() layout {
+	l := layout{
+		synthClk:  p.seqGates > 0 && !p.declaresClk,
+		lateInput: p.lateInput || p.sawLate,
+		gates:     len(p.kinds) + len(p.outs),
+		pins:      len(p.idx) + len(p.outs),
+		nameBytes: p.pool.Len(),
+	}
+	if !p.synthClk {
+		l.gates++
+		l.nameBytes += len(clkName)
+	}
+	for _, out := range p.outs {
+		l.nameBytes += len(out.name) + len(outputSuffix)
+	}
+	return l
+}
+
+// walk steps through every line of text, trimmed, and stops at the first
+// error, which it prefixes with the line's number.
+func (p *parser) walk(text string, inputs bool) error {
+	for no, rest := 1, text; rest != ""; no++ {
+		var line string
+		line, rest = cutLine(rest)
+		if err := p.step(strings.TrimSpace(line), no, inputs); err != nil {
+			return fmt.Errorf("bench: line %d: %v", no, err)
+		}
+	}
+	return nil
+}
+
+// step numbers one line's gate. With inputs set it numbers only the INPUT
+// lines; otherwise it numbers everything else, and the INPUT lines too
+// unless they have a walk of their own.
+func (p *parser) step(line string, no int, inputs bool) error {
+	s, err := parseLine(line)
+	if err != nil || (s.shape == inputLine) != inputs && (inputs || p.lateInput) {
+		return err // a line numbered by the other walk is skipped
+	}
+	switch s.shape {
+	case inputLine:
+		p.sawLate = p.sawLate || len(p.kinds) != len(p.ins)
+		g := p.declare(circuit.Input, s.name)
+		if g < 0 {
+			return fmt.Errorf("duplicate input %q", s.name)
+		}
+		p.ins = append(p.ins, g)
+		p.declaresClk = p.declaresClk || s.name == clkName
+	case outputLine:
+		p.outs = append(p.outs, fixup{name: s.name, line: int32(no)})
+	case delayLine:
+		// A delay directive retimes a defined gate: the last one naming
+		// it wins, and one naming anything else is ignored.
+		if g, ok := p.byName[s.name]; !ok {
+			if p.retimed == nil {
+				p.retimed = make(map[string]circuit.Tick)
+			}
+			p.retimed[s.name] = s.delay
+		} else if p.kinds[g] != circuit.Input {
+			p.delays[g] = s.delay
+		}
+	case defLine:
+		g := p.declare(s.kind, s.name)
+		if g < 0 {
+			return fmt.Errorf("duplicate definition of %q", s.name)
+		}
+		p.declaresClk = p.declaresClk || s.name == clkName
+		if d, ok := p.retimed[s.name]; ok {
+			p.delays[g] = d
+		}
+		lo := len(p.idx)
+		for a := s.args; a != ""; {
+			var arg string
+			arg, a, _ = strings.Cut(a, ",")
+			if arg = strings.TrimSpace(arg); arg != "" {
+				p.pin(arg, no)
+			}
+		}
+		if s.kind.Sequential() {
+			if len(p.idx)-lo != 1 {
+				return fmt.Errorf("%s takes one input", opByKind[s.kind])
+			}
+			p.seqGates++
+			p.pin(clkName, no)
+		}
+	}
+	return nil
+}
+
+// add numbers the next gate, a unit-delay one of the given kind named
+// name+suffix, and returns its ID.
+func (p *parser) add(kind circuit.Kind, name, suffix string) circuit.GateID {
+	g := circuit.GateID(len(p.kinds))
+	p.pool.WriteString(name)
+	p.pool.WriteString(suffix)
+	p.kinds = append(p.kinds, kind)
+	p.delays = append(p.delays, 1)
+	p.nameOff = append(p.nameOff, int32(p.pool.Len()))
+	p.off = append(p.off, int32(len(p.idx)))
+	return g
+}
+
+// declare numbers a signal and enters it in the name table. It returns
+// -1 when the name is taken.
+func (p *parser) declare(kind circuit.Kind, name string) circuit.GateID {
+	g := p.add(kind, name, "")
+	size := len(p.byName)
+	if p.byName[p.name(g)] = g; len(p.byName) == size {
+		return -1
+	}
+	return g
+}
+
+// name returns gate g's name, a substring of the pool.
+func (p *parser) name(g circuit.GateID) string {
+	return p.pool.String()[p.nameOff[g]:p.nameOff[g+1]]
+}
+
+// pin appends a fanin pin reading the signal named src, or a fix-up when
+// src is not numbered yet.
+func (p *parser) pin(src string, no int) {
+	id, ok := p.byName[src]
+	if !ok {
+		p.fixups = append(p.fixups, fixup{name: src, pin: int32(len(p.idx)), line: int32(no)})
+	}
+	p.idx = append(p.idx, id)
 }
 
 // Write emits a circuit as a .bench netlist, including the delay extension

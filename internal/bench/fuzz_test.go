@@ -42,6 +42,14 @@ func FuzzRead(f *testing.F) {
 		"INPUT(a)\ng = tr\u0131(a, a)\nOUTPUT(g)\n",       // Unicode upper-casing
 		"INPUT(a)\ng = NOT(a)\n#@ delay g 3\n#@ delay g 5\n#@ delay a 7\n#@  delay\tg 2 x\n",
 		"INPUT(a)\r\ng = NOT(a)\r\nOUTPUT(g)",
+		// Netlists whose layout guess misses, read in a second walk.
+		"INPUT(a)\ng = NOT(b)\nINPUT(b)\nOUTPUT(g)\n",                                 // an input after a definition
+		"INPUT(a)\nq = dff(a)\nOUTPUT(q)\n",                                           // a lower-case flip-flop
+		"INPUT(a)\nq = DFF(a)\ng = AND(q, CLK)\nOUTPUT(g)\n",                          // CLK named but synthesized
+		"INPUT(a)\n# x = DFF(a)\ng = NOT(a)\nOUTPUT(g)\n",                             // a flip-flop in a comment
+		"input(a)\noutput(g)\ng = NOT(a)\n#@ delay g 3\n",                             // lower-case declarations
+		"INPUT(a)\ng = NOT(a)\nOUTPUT(g)\nOUTPUT(a)\n#@ delay g 2\n",                  // an output after a definition
+		"#@ delay g 4\nINPUT(a)\n#@ delay g 5\ng = NOT(a)\n#@ delay a 2\nOUTPUT(g)\n", // retimed before its definition
 	}
 	for _, s := range seeds {
 		f.Add(s)

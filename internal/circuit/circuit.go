@@ -99,8 +99,8 @@ func (k Kind) arity() (min, max int) {
 	return 0, 0
 }
 
-// Gate is one circuit element as a record: what Builder and New take, and
-// what Circuit.Gate assembles from the flat arrays. Fanin order is
+// Gate is one circuit element as a record: what Builder holds, and what
+// Circuit.Gate assembles from the flat arrays. Fanin order is
 // significant for Mux2 (sel, d0, d1), Tri (en, d), DFF (d, clk) and
 // DLatch (d, en).
 type Gate struct {
@@ -208,16 +208,6 @@ func (c *Circuit) MaxDelay() Tick {
 	return hi
 }
 
-// New constructs a circuit from complete gate, input and output lists.
-// It is the path for programmatic netlist transformations (the
-// optimizer's) that already hold a consistent gate array, including
-// feedback fanin references the incremental builder cannot express in one
-// pass. The records are copied into flat storage, which is then checked
-// like any other; gates is not retained.
-func New(gates []Gate, inputs, outputs []GateID) (*Circuit, error) {
-	return fromGates(gates, inputs, outputs, nil)
-}
-
 // fromGates copies a gate list into flat storage and hands it to FromFlat,
 // with the name table byName (nil to build one).
 func fromGates(gates []Gate, inputs, outputs []GateID, byName map[string]GateID) (*Circuit, error) {
@@ -274,8 +264,9 @@ func FromFlat(kinds []Kind, delays []Tick, names string, nameOff []int32, fanin 
 	for g, k := range kinds {
 		c.Gates[g].Kind = k
 	}
-	c.buildFanout()
-	if err := c.levelize(); err != nil {
+	scratch := make([]int32, n) // shared by the two derivations
+	c.buildFanout(scratch)
+	if err := c.levelize(scratch); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -293,31 +284,37 @@ func (c *Circuit) check(byName map[string]GateID) error {
 		if lo, hi := c.FaninAdj.Off[g], c.FaninAdj.Off[g+1]; lo > hi {
 			return fmt.Errorf("circuit: gate %d has fanin offsets [%d,%d) over %d pins", g, lo, hi, len(c.FaninAdj.Idx))
 		}
-		if lo, hi := c.nameOff[g], c.nameOff[g+1]; lo > hi {
+		switch lo, hi := c.nameOff[g], c.nameOff[g+1]; {
+		case lo > hi:
 			return fmt.Errorf("circuit: gate %d has name offsets [%d,%d) over %d bytes", g, lo, hi, len(c.names))
+		case lo == hi:
+			return fmt.Errorf("circuit: gate %d has empty name", g)
 		}
 	}
-	adopt := byName != nil
-	if !adopt {
+	if byName == nil {
 		byName = make(map[string]GateID, n)
-	}
-	for id := 0; id < n; id++ {
-		name := c.Name(GateID(id))
-		if name == "" {
-			return fmt.Errorf("circuit: gate %d has empty name", id)
+		for id := 0; id < n; id++ {
+			name := c.Name(GateID(id))
+			if byName[name] = GateID(id); len(byName) <= id {
+				prev := 0
+				for c.Name(GateID(prev)) != name {
+					prev++
+				}
+				return fmt.Errorf("circuit: duplicate gate name %q (gates %d and %d)", name, prev, id)
+			}
 		}
-		prev, seen := byName[name]
-		switch {
-		case adopt && (!seen || prev != GateID(id)):
-			return fmt.Errorf("circuit: name table does not map %q to gate %d", name, id)
-		case seen && !adopt:
-			return fmt.Errorf("circuit: duplicate gate name %q (gates %d and %d)", name, prev, id)
-		case !adopt:
-			byName[name] = GateID(id)
+	} else {
+		// A table of n entries, each mapping a gate's name to that gate,
+		// maps n distinct gates, so it maps every gate's name to its own
+		// gate, and no two gates share a name.
+		if len(byName) != n {
+			return fmt.Errorf("circuit: name table has %d entries for %d gates", len(byName), n)
 		}
-	}
-	if len(byName) != n {
-		return fmt.Errorf("circuit: name table has %d entries for %d gates", len(byName), n)
+		for name, g := range byName {
+			if g < 0 || int(g) >= n || c.Name(g) != name {
+				return fmt.Errorf("circuit: name table maps %q to gate %d", name, g)
+			}
+		}
 	}
 	c.byName = byName
 	for _, io := range [2]struct {
@@ -485,46 +482,49 @@ func (c *Circuit) CheckEventDriven() error {
 	return nil
 }
 
-// buildFanout derives FanoutAdj from FaninAdj.
+// buildFanout derives FanoutAdj from FaninAdj, using the first n entries
+// of scratch.
 //
 // Fanout rows come out ascending and deduplicated without a sort: gates
 // are visited in ID order, so each row is filled in ascending order, and a
 // gate reading one net through several pins is caught by remembering the
 // last reader recorded for that net.
-func (c *Circuit) buildFanout() {
+func (c *Circuit) buildFanout(scratch []int32) {
 	n := len(c.Kinds)
-	outOff := make([]int32, n+1)
-	lastReader := make([]GateID, n)
-	for i := range lastReader {
-		lastReader[i] = -1
-	}
-	for id := 0; id < n; id++ {
-		for _, f := range c.FaninAdj.Row(GateID(id)) {
-			if lastReader[f] != GateID(id) {
-				lastReader[f] = GateID(id)
-				outOff[f+1]++
+	off := make([]int32, n+1)
+	lastReader := scratch[:n]
+	var idx []GateID
+	for pass := 0; pass < 2; pass++ {
+		for i := range lastReader {
+			lastReader[i] = -1
+		}
+		for id := 0; id < n; id++ {
+			for _, f := range c.FaninAdj.Row(GateID(id)) {
+				if lastReader[f] == int32(id) {
+					continue
+				}
+				lastReader[f] = int32(id)
+				if idx == nil {
+					off[f+1]++
+				} else {
+					idx[off[f]] = GateID(id)
+					off[f]++
+				}
 			}
 		}
-	}
-	for g := 0; g < n; g++ {
-		outOff[g+1] += outOff[g]
-	}
-	outIdx := make([]GateID, outOff[n])
-	fill := make([]int32, n) // next free position of each fanout row
-	copy(fill, outOff)
-	for i := range lastReader {
-		lastReader[i] = -1
-	}
-	for id := 0; id < n; id++ {
-		for _, f := range c.FaninAdj.Row(GateID(id)) {
-			if lastReader[f] != GateID(id) {
-				lastReader[f] = GateID(id)
-				outIdx[fill[f]] = GateID(id)
-				fill[f]++
+		if idx == nil {
+			// Row f starts at off[f]. The second pass fills it, moving
+			// off[f] to its end, where row f+1 starts; a shift by one
+			// then restores the offsets.
+			for g := 0; g < n; g++ {
+				off[g+1] += off[g]
 			}
+			idx = make([]GateID, off[n])
 		}
 	}
-	c.FanoutAdj = Adj{Off: outOff, Idx: outIdx}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	c.FanoutAdj = Adj{Off: off, Idx: idx}
 }
 
 // Stats summarizes circuit structure; the paper lists circuit structure as

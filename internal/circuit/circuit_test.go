@@ -470,7 +470,9 @@ func TestConstBuilder(t *testing.T) {
 	}
 }
 
-func TestNewDirectConstructor(t *testing.T) {
+// TestGateRecordsConstructor builds a circuit from gate records with
+// forward references, the way Builder.Build does.
+func TestGateRecordsConstructor(t *testing.T) {
 	gates := []Gate{
 		{Kind: Input, Name: "a", Delay: 1},
 		{Kind: DFF, Name: "q", Fanin: []GateID{2, 3}, Delay: 1}, // forward refs
@@ -478,7 +480,7 @@ func TestNewDirectConstructor(t *testing.T) {
 		{Kind: Input, Name: "clk", Delay: 1},
 		{Kind: Output, Name: "y", Fanin: []GateID{1}, Delay: 1},
 	}
-	c, err := New(gates, []GateID{0, 3}, []GateID{4})
+	c, err := fromGates(gates, []GateID{0, 3}, []GateID{4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,31 +496,31 @@ func TestNewDirectConstructor(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadInputs(t *testing.T) {
+func TestGateRecordsRejected(t *testing.T) {
 	good := []Gate{
 		{Kind: Input, Name: "a", Delay: 1},
 		{Kind: Not, Name: "n", Fanin: []GateID{0}, Delay: 1},
 	}
-	if _, err := New([]Gate{{Kind: Input, Name: "", Delay: 1}}, nil, nil); err == nil {
+	if _, err := fromGates([]Gate{{Kind: Input, Name: "", Delay: 1}}, nil, nil, nil); err == nil {
 		t.Error("empty name accepted")
 	}
 	dup := []Gate{
 		{Kind: Input, Name: "a", Delay: 1},
 		{Kind: Input, Name: "a", Delay: 1},
 	}
-	if _, err := New(dup, nil, nil); err == nil {
+	if _, err := fromGates(dup, nil, nil, nil); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := New(good, []GateID{9}, nil); err == nil {
+	if _, err := fromGates(good, []GateID{9}, nil, nil); err == nil {
 		t.Error("bad input id accepted")
 	}
-	if _, err := New(good, nil, []GateID{-1}); err == nil {
+	if _, err := fromGates(good, nil, []GateID{-1}, nil); err == nil {
 		t.Error("bad output id accepted")
 	}
-	if _, err := New(good, []GateID{1}, nil); err == nil {
+	if _, err := fromGates(good, []GateID{1}, nil, nil); err == nil {
 		t.Error("non-Input gate listed as an input accepted")
 	}
-	if _, err := New(good, nil, []GateID{1}); err == nil {
+	if _, err := fromGates(good, nil, []GateID{1}, nil); err == nil {
 		t.Error("non-Output gate listed as an output accepted")
 	}
 	cyc := []Gate{
@@ -526,7 +528,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 		{Kind: Not, Name: "x", Fanin: []GateID{2}, Delay: 1},
 		{Kind: Not, Name: "y", Fanin: []GateID{1}, Delay: 1},
 	}
-	if _, err := New(cyc, nil, nil); err == nil {
+	if _, err := fromGates(cyc, nil, nil, nil); err == nil {
 		t.Error("combinational cycle accepted")
 	}
 }

@@ -23,7 +23,7 @@ func oneGate(t *testing.T, kind Kind, arity int) (*Circuit, GateID, []GateID) {
 	if kind == Input {
 		ins = append(ins, g)
 	}
-	c, err := New(gates, ins, nil)
+	c, err := fromGates(gates, ins, nil, nil)
 	if err != nil {
 		t.Fatalf("%v/%d: %v", kind, arity, err)
 	}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/gen"
 )
 
-// records lists c's gates as the records Builder and New take: each
-// fanin a copy, nil for a source.
+// records lists c's gates as the records Builder takes: each fanin a
+// copy, nil for a source.
 func records(c *circuit.Circuit) []circuit.Gate {
 	gates := make([]circuit.Gate, len(c.Kinds))
 	for id := range gates {
@@ -69,10 +69,11 @@ func viaBuilder(gates []circuit.Gate) (*circuit.Circuit, error) {
 }
 
 // TestConstructorsAgree builds each corpus netlist from one list of gate
-// records three ways — through Builder, New and FromFlat — and checks
-// that the circuits agree on every array and accessor, that Gate(id)
-// gives back the record fed in, and that each fanout row lists the
-// readers of its net ascending with duplicates removed.
+// records two ways — through Builder and FromFlat — and checks that the
+// circuits agree with each other and with the source on every array and
+// accessor, that Gate(id) gives back the record fed in, and that each
+// fanout row lists the readers of its net ascending with duplicates
+// removed.
 func TestConstructorsAgree(t *testing.T) {
 	corpus := map[string]*circuit.Circuit{}
 	for _, name := range []string{"c17", "s27"} {
@@ -108,10 +109,9 @@ func TestConstructorsAgree(t *testing.T) {
 	for name, src := range corpus {
 		gates := records(src)
 		built := map[string]*circuit.Circuit{}
-		var errs [3]error
+		var errs [2]error
 		built["Builder"], errs[0] = viaBuilder(gates)
-		built["New"], errs[1] = circuit.New(slices.Clone(gates), src.Inputs, src.Outputs)
-		built["FromFlat"], errs[2] = viaFlat(gates, src.Inputs, src.Outputs)
+		built["FromFlat"], errs[1] = viaFlat(gates, src.Inputs, src.Outputs)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -125,24 +125,23 @@ func TestConstructorsAgree(t *testing.T) {
 				}
 			}
 		}
-		ref := built["New"]
 		for via, c := range built {
 			where := name + " via " + via
 			if c.NumGates() != len(gates) || len(c.Gates) != len(gates) {
 				t.Fatalf("%s: %d gates, %d entries, want %d", where, c.NumGates(), len(c.Gates), len(gates))
 			}
-			if !slices.Equal(c.Kinds, ref.Kinds) || !slices.Equal(c.Delays, ref.Delays) ||
-				!reflect.DeepEqual(c.FaninAdj, ref.FaninAdj) || !reflect.DeepEqual(c.FanoutAdj, ref.FanoutAdj) ||
-				!reflect.DeepEqual(c.Levels, ref.Levels) ||
+			if !slices.Equal(c.Kinds, src.Kinds) || !slices.Equal(c.Delays, src.Delays) ||
+				!reflect.DeepEqual(c.FaninAdj, src.FaninAdj) || !reflect.DeepEqual(c.FanoutAdj, src.FanoutAdj) ||
+				!reflect.DeepEqual(c.Levels, src.Levels) ||
 				!slices.Equal(c.Inputs, src.Inputs) || !slices.Equal(c.Outputs, src.Outputs) {
-				t.Fatalf("%s: flat arrays differ from New's", where)
+				t.Fatalf("%s: flat arrays differ from the source's", where)
 			}
 			for id, want := range gates {
 				g := circuit.GateID(id)
 				if got := c.Gate(g); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: Gate(%d) = %+v, fed %+v", where, id, got, want)
 				}
-				if c.Name(g) != ref.Name(g) || c.Gates[g].Kind != want.Kind {
+				if c.Name(g) != src.Name(g) || c.Gates[g].Kind != want.Kind {
 					t.Fatalf("%s: gate %d named %q, kind entry %v", where, id, c.Name(g), c.Gates[g].Kind)
 				}
 				if by, ok := c.ByName(want.Name); !ok || by != g {
@@ -243,8 +242,8 @@ func TestLevelizeLevels(t *testing.T) {
 	}
 }
 
-// TestRefusalsAgree pins each refusal's message and requires New and
-// FromFlat, and Builder where it can express the netlist, to give it.
+// TestRefusalsAgree pins each refusal's message and requires FromFlat,
+// and Builder where it can express the netlist, to give it.
 func TestRefusalsAgree(t *testing.T) {
 	in := func(name string) circuit.Gate { return circuit.Gate{Kind: circuit.Input, Name: name, Delay: 1} }
 	not := func(name string, fanin ...circuit.GateID) circuit.Gate {
@@ -266,11 +265,7 @@ func TestRefusalsAgree(t *testing.T) {
 		{[]circuit.Gate{in("a"), not("n", 9)}, nil, nil, false, `circuit: gate "n" references undefined gate 9`},
 		{[]circuit.Gate{in("a"), not("x", 2), not("y", 1)}, nil, nil, true, `circuit: combinational cycle through gate "x"`},
 	} {
-		c, err := circuit.New(slices.Clone(tc.gates), tc.inputs, tc.outputs)
-		if c != nil || err == nil || err.Error() != tc.want {
-			t.Errorf("New: %v, want %s", err, tc.want)
-		}
-		if _, err := viaFlat(tc.gates, tc.inputs, tc.outputs); err == nil || err.Error() != tc.want {
+		if c, err := viaFlat(tc.gates, tc.inputs, tc.outputs); c != nil || err == nil || err.Error() != tc.want {
 			t.Errorf("FromFlat: %v, want %s", err, tc.want)
 		}
 		if _, err := viaBuilder(tc.gates); tc.builder && (err == nil || err.Error() != tc.want) {

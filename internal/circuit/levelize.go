@@ -26,15 +26,25 @@ import (
 // with discrete delays can oscillate forever, so a circuit whose
 // combinational edges do not all levelize is refused. Cross-coupled latch
 // structures must therefore be expressed with the DLatch primitive.
-func (c *Circuit) levelize() error {
+//
+// scratch holds at least len(c.Kinds) entries, which levelize may
+// overwrite. The queue of released gates is the array the levels are
+// carved from: it is rewritten in ID order at the end.
+func (c *Circuit) levelize(scratch []int32) error {
 	n := len(c.Kinds)
 	// Combinational in-degree: the number of distinct fanin nets driven by
 	// a combinational gate. FanoutAdj rows are deduplicated, so a gate
 	// reading one net through two pins counts it once, and sources, having
 	// no fanin, are in no row.
-	indeg := make([]int32, n)
+	indeg := scratch[:n]
+	clear(indeg)
+	placed := 0 // non-source gates
 	for f, k := range c.Kinds {
-		if k.Source() || k.Sequential() {
+		if k.Source() {
+			continue
+		}
+		placed++
+		if k.Sequential() {
 			continue
 		}
 		for _, out := range c.FanoutAdj.Row(GateID(f)) {
@@ -46,15 +56,16 @@ func (c *Circuit) levelize() error {
 	// released with its last, deepest driver. Sequential gates are
 	// released but not queued: they do not propagate, and they form the
 	// final level on their own.
-	queue := make([]GateID, 0, n)
+	queue := make([]GateID, 0, placed)
 	for id, k := range c.Kinds {
 		if !k.Source() && !k.Sequential() && indeg[id] == 0 {
 			queue = append(queue, GateID(id))
 		}
 	}
-	var levels [][]GateID
+	var size []int32 // size[l] is level l's; the sequential level's is last
 	for lo := 0; lo < len(queue); {
 		hi := len(queue)
+		size = append(size, int32(hi-lo))
 		for _, g := range queue[lo:hi] {
 			for _, out := range c.FanoutAdj.Row(g) {
 				indeg[out]--
@@ -63,22 +74,44 @@ func (c *Circuit) levelize() error {
 				}
 			}
 		}
-		slices.Sort(queue[lo:hi])
-		levels = append(levels, queue[lo:hi:hi])
 		lo = hi
 	}
 	// A gate the pass never released still waits on a driver.
 	if g := slices.IndexFunc(indeg, func(d int32) bool { return d > 0 }); g >= 0 {
 		return fmt.Errorf("circuit: combinational cycle through gate %q", c.Name(c.cycleGate(GateID(g), indeg)))
 	}
-	lo := len(queue)
-	for id, k := range c.Kinds {
-		if k.Sequential() {
-			queue = append(queue, GateID(id))
+	// Every in-degree is zero now. Record each gate's level, from 1, the
+	// sequential gates' one past the last, and lay the levels out again
+	// in ID order, so that each comes out ascending without a sort.
+	seqLevel := int32(len(size) + 1)
+	size = append(size, int32(placed-len(queue)))
+	at := 0
+	for l, sz := range size[:len(size)-1] {
+		for _, g := range queue[at : at+int(sz)] {
+			indeg[g] = int32(l + 1)
 		}
+		at += int(sz)
 	}
-	if hi := len(queue); hi > lo {
-		levels = append(levels, queue[lo:hi:hi])
+	levels := make([][]GateID, 0, len(size))
+	next := make([]int32, len(size)) // next free position of each level
+	at = 0
+	for l, sz := range size {
+		next[l] = int32(at)
+		if sz > 0 {
+			levels = append(levels, queue[at:at+int(sz):at+int(sz)])
+		}
+		at += int(sz)
+	}
+	queue = queue[:placed]
+	for id, k := range c.Kinds {
+		l := indeg[id] - 1
+		if k.Sequential() {
+			l = seqLevel - 1
+		} else if l < 0 {
+			continue // a source
+		}
+		queue[next[l]] = GateID(id)
+		next[l]++
 	}
 	c.Levels = levels
 	return nil

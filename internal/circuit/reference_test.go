@@ -280,7 +280,7 @@ func decodeGates(data []byte) (gates []circuit.Gate, inputs, outputs []circuit.G
 }
 
 // FuzzLevels checks construction's levelization against the reference
-// passes: New refuses exactly the gate lists the depth-first check
+// passes: FromFlat refuses exactly the gate lists the depth-first check
 // refuses, a refusal names a gate on a combinational cycle, and an
 // accepted circuit's Levels equal the reference levelization.
 func FuzzLevels(f *testing.F) {
@@ -300,9 +300,9 @@ func FuzzLevels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gates, inputs, outputs := decodeGates(data)
 		ref := cyclesReference(gates)
-		c, err := circuit.New(slices.Clone(gates), inputs, outputs)
+		c, err := viaFlat(gates, inputs, outputs)
 		if (err != nil) != (ref != nil) {
-			t.Fatalf("New: %v; reference: %v", err, ref)
+			t.Fatalf("FromFlat: %v; reference: %v", err, ref)
 		}
 		if err != nil {
 			quoted, ok := strings.CutPrefix(err.Error(), "circuit: combinational cycle through gate ")

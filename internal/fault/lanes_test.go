@@ -55,7 +55,7 @@ func withConstants(t testing.TB, c *circuit.Circuit) *circuit.Circuit {
 			break
 		}
 	}
-	out, err := circuit.New(gates, c.Inputs, c.Outputs)
+	out, err := fromRecords(gates, c.Inputs, c.Outputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	gosync "sync"
 
 	"repro/internal/circuit"
@@ -116,8 +117,8 @@ func runReference(c *circuit.Circuit, stim *vectors.Stimulus, until circuit.Tick
 	return out, nil
 }
 
-// records lists c's gates as the records circuit.New takes, each fanin
-// its own copy.
+// records lists c's gates as records, each fanin its own copy, for the
+// tests to edit and rebuild with fromRecords.
 func records(c *circuit.Circuit) []circuit.Gate {
 	gates := make([]circuit.Gate, len(c.Kinds))
 	for id := range gates {
@@ -125,6 +126,24 @@ func records(c *circuit.Circuit) []circuit.Gate {
 		gates[id] = circuit.Gate{Kind: c.Kinds[g], Name: c.Name(g), Fanin: slices.Clone(c.FaninAdj.Row(g)), Delay: c.Delays[g]}
 	}
 	return gates
+}
+
+// fromRecords builds a circuit from gate records the way the .bench
+// reader does: laid out flat and checked by circuit.FromFlat.
+func fromRecords(gates []circuit.Gate, inputs, outputs []circuit.GateID) (*circuit.Circuit, error) {
+	kinds := make([]circuit.Kind, len(gates))
+	delays := make([]circuit.Tick, len(gates))
+	nameOff := []int32{0}
+	fanin := circuit.Adj{Off: []int32{0}, Idx: []circuit.GateID{}}
+	var names strings.Builder
+	for id, g := range gates {
+		kinds[id], delays[id] = g.Kind, g.Delay
+		names.WriteString(g.Name)
+		nameOff = append(nameOff, int32(names.Len()))
+		fanin.Idx = append(fanin.Idx, g.Fanin...)
+		fanin.Off = append(fanin.Off, int32(len(fanin.Idx)))
+	}
+	return circuit.FromFlat(kinds, delays, names.String(), nameOff, fanin, inputs, outputs, nil)
 }
 
 // inject builds the faulty circuit: the faulted gate is replaced by a
@@ -159,7 +178,7 @@ func inject(c *circuit.Circuit, stim *vectors.Stimulus, f Fault) (*circuit.Circu
 	if c.Kinds[f.Gate] == circuit.Output {
 		outputs = without(outputs)
 	}
-	fc, err := circuit.New(gates, inputs, outputs)
+	fc, err := fromRecords(gates, inputs, outputs)
 	if err != nil {
 		return nil, nil, err
 	}

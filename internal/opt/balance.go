@@ -21,10 +21,9 @@ const maxBalanceFanin = 32
 func passBalance(w *work) bool {
 	sole := w.soleReaders()
 	changed := 0
-	for i := range w.gates {
-		g := &w.gates[i]
+	for i, k := range w.kinds {
 		var inner circuit.Kind
-		switch g.Kind {
+		switch k {
 		case circuit.And, circuit.Nand:
 			inner = circuit.And
 		case circuit.Or, circuit.Nor:
@@ -34,29 +33,34 @@ func passBalance(w *work) bool {
 		default:
 			continue
 		}
-		var out []circuit.GateID // nil until a child is inlined
-		width := len(g.Fanin)
-		for p, f := range g.Fanin {
-			fg := &w.gates[f]
-			if fg.Kind == inner && sole[f] == circuit.GateID(i) &&
-				width+len(fg.Fanin)-1 <= maxBalanceFanin {
-				if out == nil {
-					out = append(make([]circuit.GateID, 0, len(g.Fanin)+len(fg.Fanin)-1), g.Fanin[:p]...)
+		// A widened row is appended at the end of the pins, from the
+		// first inlined child on.
+		start := int32(-1)
+		row := w.row(i)
+		width := len(row)
+		for p, f := range row {
+			child := w.row(int(f))
+			if w.kinds[f] == inner && sole[f] == circuit.GateID(i) &&
+				width+len(child)-1 <= maxBalanceFanin {
+				if start < 0 {
+					start = int32(len(w.pins))
+					w.pins = append(w.pins, row[:p]...)
 				}
-				out = append(out, fg.Fanin...)
-				width += len(fg.Fanin) - 1
+				w.pins = append(w.pins, child...)
+				width += len(child) - 1
 				changed++
-			} else if out != nil {
-				out = append(out, f)
+			} else if start >= 0 {
+				w.pins = append(w.pins, f)
 			}
 		}
-		if out != nil {
-			g.Fanin = out
+		if start >= 0 {
+			w.lo[i], w.hi[i] = start, int32(len(w.pins))
 		}
 	}
 	if changed == 0 {
 		return false
 	}
 	w.stats.Flattened += changed
+	w.live = false
 	return true
 }

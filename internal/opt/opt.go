@@ -147,7 +147,7 @@ func Optimize(c *circuit.Circuit, o Options) (*Result, error) {
 		}
 	}
 
-	oc, err := circuit.New(w.gates, w.inputs, w.outputs)
+	oc, err := w.circuit(c)
 	if err != nil {
 		return nil, fmt.Errorf("opt: optimized netlist invalid: %w", err)
 	}
